@@ -5,8 +5,8 @@ is *repaired in* locally, the way NN-Descent converges a graph — from good
 candidates, look at the candidates' own neighbours.  The flow (driven by
 :meth:`~repro.search.greedy.GraphSearcher.insert_points`) is:
 
-1. **Seed** — a greedy frontier search over the current graph returns the
-   new vector's best reachable candidates.
+1. **Seed** — an exact graph walk over the current graph (the same walk
+   that serves queries) returns the new vector's best reachable candidates.
 2. **Refine** (:func:`refine_neighborhood`) — the local join: the candidate
    set is expanded with the candidates' out-neighbours, scored in one gemm,
    and the ``n_neighbors`` nearest become the new node's graph row.

@@ -4,9 +4,9 @@ A sharded search is S independent sub-searches plus a deterministic merge.
 *Where* those sub-searches run is a serving decision, not a correctness one,
 so this module extracts the fan-out behind a small executor interface:
 
-* :class:`ThreadShardExecutor` — today's behaviour: the per-shard walks run
-  on an in-process :class:`~concurrent.futures.ThreadPoolExecutor`.  The
-  frontier gemms release the GIL inside BLAS, nothing is pickled, and the
+* :class:`ThreadShardExecutor` — the per-shard walks run on an in-process
+  :class:`~concurrent.futures.ThreadPoolExecutor`.  The walk's
+  gemms release the GIL inside BLAS, nothing is pickled, and the
   pool is persistent (created lazily, reused across calls) instead of being
   rebuilt per search.
 * :class:`ProcessShardExecutor` — a persistent
@@ -63,20 +63,16 @@ __all__ = ["ShardSearchTask", "ShardSearchResult", "search_shard_index",
 class ShardSearchTask:
     """One shard's share of a sharded search, as a picklable message.
 
-    ``queries`` is the 1-D vector (``single=True``) or the 2-D batch the
-    shard must serve; ``single`` replays the facade's sequential
-    single-query path so the executor seam cannot change which walk runs.
-    The remaining fields are the per-call search knobs, with ``seed``
-    already resolved (never ``None``) so a worker process reproduces the
-    parent's entry-point sample exactly.
+    ``queries`` is the 2-D batch the shard must serve (a single query
+    travels as a batch of one).  The remaining fields are the per-call
+    search knobs, with ``seed`` already resolved (never ``None``) so a
+    worker process reproduces the parent's entry-point sample exactly.
     """
 
     shard: int
     queries: np.ndarray
     shard_k: int
-    single: bool = False
     pool_size: int | None = None
-    strategy: str | None = None
     workers: int | None = None
     seed: int = 0
 
@@ -85,18 +81,16 @@ class ShardSearchTask:
 class ShardSearchResult:
     """One shard's search output, in *local* row ids.
 
-    ``indices``/``distances`` always carry the 2-D batch shape (single
-    queries come back as one row); unreached entries are ``(-1, inf)``
-    pairs so the parent-side merge can treat every shard uniformly.
-    ``evaluations`` is the per-query distance-evaluation count and
-    ``stats`` the shard's :class:`~repro.search.frontier.ServingStats`
-    (``None`` for single-query and per-query-strategy searches).
+    ``indices``/``distances`` carry the 2-D batch shape; unreached entries
+    are ``(-1, inf)`` pairs so the parent-side merge can treat every shard
+    uniformly.  ``evaluations`` is the per-query distance-evaluation count
+    and ``stats`` the shard's :class:`~repro.search.frontier.ServingStats`.
     """
 
     indices: np.ndarray
     distances: np.ndarray
     evaluations: np.ndarray
-    stats: object | None
+    stats: object
 
 
 def search_shard_index(index: Index, task: ShardSearchTask
@@ -107,17 +101,9 @@ def search_shard_index(index: Index, task: ShardSearchTask
     exactly this function, so a shard's walk is byte-identical no matter
     where it ran.
     """
-    if task.single:
-        idx, dist = index.search(task.queries, task.shard_k,
-                                 pool_size=task.pool_size,
-                                 random_state=task.seed)
-        idx, dist = idx[None, :], dist[None, :]
-    else:
-        idx, dist = index.search(task.queries, task.shard_k,
-                                 pool_size=task.pool_size,
-                                 strategy=task.strategy,
-                                 workers=task.workers,
-                                 random_state=task.seed)
+    idx, dist = index.search(task.queries, task.shard_k,
+                             pool_size=task.pool_size, workers=task.workers,
+                             random_state=task.seed)
     return ShardSearchResult(
         indices=idx, distances=dist,
         evaluations=index.last_per_query_evaluations.copy(),

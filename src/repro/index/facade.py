@@ -3,9 +3,9 @@
 §4.3 of the paper observes that the Alg. 3 graph is good enough to serve ANN
 queries directly — this module packages that observation as a library-level
 API.  ``Index.build`` runs the construction backend named by an
-:class:`~repro.index.spec.IndexSpec`, ``index.search`` serves single queries
-(sequential greedy walk) and 2-D query batches (frontier-merged walk — one
-gemm per round across all live queries), and ``index.save`` /
+:class:`~repro.index.spec.IndexSpec`, ``index.search`` serves 2-D query batches
+through the batched graph walk — one gemm per round across a group's live
+queries — and single vectors as a batch of one, and ``index.save`` /
 ``Index.load`` round-trip the whole serving state — spec, graph, data and
 cached norms — through a single NPZ file, so a loaded index answers queries
 bit-for-bit identically with zero rebuild.
@@ -86,8 +86,8 @@ class Index:
         recent :meth:`search` call (batched gemms charged per query).
     last_serving_stats:
         :class:`~repro.search.frontier.ServingStats` of the most recent
-        batched frontier search — per-group rounds, gemm counts, wall time —
-        or ``None`` after single-query / per-query calls.
+        :meth:`search` call — per-group rounds, gemm counts, wall time
+        (``None`` before the first search).
     """
 
     def __init__(self, data: np.ndarray, graph: KNNGraph, spec: IndexSpec, *,
@@ -161,7 +161,7 @@ class Index:
     @property
     def last_serving_stats(self):
         """:class:`~repro.search.frontier.ServingStats` of the most recent
-        batched frontier search, or ``None``."""
+        search (``None`` before the first)."""
         return self._searcher.last_serving_stats
 
     @property
@@ -299,7 +299,7 @@ class Index:
     # Search
     # ------------------------------------------------------------------ #
     def search(self, queries: np.ndarray, n_results: int = 10, *,
-               pool_size: int | None = None, strategy: str | None = None,
+               pool_size: int | None = None,
                workers: int | None = None, shard_probe: int | None = None,
                executor: str | None = None,
                random_state=None) -> tuple[np.ndarray, np.ndarray]:
@@ -308,22 +308,18 @@ class Index:
         Parameters
         ----------
         queries:
-            A ``(d,)`` vector (returns ``(n_results,)`` arrays) or an
-            ``(m, d)`` matrix (returns ``(m, n_results)`` arrays, padded with
-            ``-1``/``inf`` where fewer points are reachable).
+            An ``(m, d)`` matrix (returns ``(m, n_results)`` arrays, padded
+            with ``-1``/``inf`` where fewer points are reachable) or a
+            ``(d,)`` vector — a batch of one, returned as its single
+            ``(n_results,)`` row.
         n_results:
             Number of neighbours per query.
         pool_size:
             Candidate-pool override (defaults to ``spec.pool_size``).
-        strategy:
-            Batch walk selection — ``"frontier"`` (default: one gemm per
-            round across all live queries) or ``"perquery"`` (the sequential
-            oracle).  Ignored for single queries.
         workers:
-            Worker-thread override for the batched frontier walk (defaults
-            to ``spec.workers``).  Results are bit-for-bit identical for
-            every worker count; ignored for single queries and the
-            per-query strategy.
+            Worker-thread override for the group walks (defaults to
+            ``spec.workers``).  Results are bit-for-bit identical for
+            every worker count.
         shard_probe:
             Accepted for signature parity with
             :meth:`ShardedIndex.search
@@ -361,22 +357,17 @@ class Index:
         # widened request still fits), then the tombstoned hits are
         # filtered out.
         n_tombstones = self.n_tombstones
-        fetch = n_results + n_tombstones
-        if np.asarray(queries).ndim == 1:
-            idx, dist = self._searcher.query(queries, fetch,
-                                             pool_size=pool_size, rng=rng)
-            if n_tombstones:
-                keep = ~self._tombstones[idx]
-                idx, dist = idx[keep][:n_results], dist[keep][:n_results]
-            return self._external(idx), dist
+        queries = np.asarray(queries)
+        single = queries.ndim == 1
         idx, dist = self._searcher.batch_query(
-            queries, fetch, pool_size=pool_size,
-            strategy="frontier" if strategy is None else strategy,
+            queries[None, :] if single else queries,
+            n_results + n_tombstones, pool_size=pool_size,
             workers=self.spec.workers if workers is None else workers,
             rng=rng)
         if n_tombstones:
             idx, dist = self._drop_tombstoned(idx, dist, n_results)
-        return self._external(idx), dist
+        idx = self._external(idx)
+        return (idx[0], dist[0]) if single else (idx, dist)
 
     def _drop_tombstoned(self, idx: np.ndarray, dist: np.ndarray,
                          n_results: int) -> tuple[np.ndarray, np.ndarray]:
@@ -441,8 +432,8 @@ class Index:
         optionally assigns the external ids of the new points (unique,
         non-negative, disjoint from every existing id — tombstoned ones
         included), defaulting to the next unused integers.  Each new point
-        is wired in NN-Descent style: candidates seeded by a frontier
-        search, refined by a local join, back-edges pushed into the chosen
+        is wired in NN-Descent style: candidates seeded by an exact graph
+        walk, refined by a local join, back-edges pushed into the chosen
         neighbours (see :mod:`repro.graph.repair`).  Bumps
         :attr:`generation` and returns the ``(m,)`` ids of the new points.
         """

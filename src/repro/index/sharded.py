@@ -25,10 +25,10 @@ bit-for-bit identical results at every shard-parallelism level.
 For the geometric ``gkmeans`` partitioner the coarse centroids are kept with
 the index, which unlocks *routed* search: ``shard_probe=P`` scores each query
 batch against the S centroids in one small gemm, routes every query to its P
-nearest shards and walks only the shards that received queries, merging the
-per-shard top-k exactly like the full fan-out.  ``P = S`` is bit-for-bit the
-full fan-out; ``P < S`` trades recall for throughput and the routing decision
-is deterministic and ``shard_workers``-invariant.
+nearest shards and walks only the shards that received queries.  The full
+fan-out is the same search path at ``P = S`` (every shard probed, no routing
+gemm); ``P < S`` trades recall for throughput and the routing decision is
+deterministic and ``shard_workers``-invariant.
 
 Persistence is one directory::
 
@@ -687,15 +687,12 @@ class ShardedIndex:
     # Search
     # ------------------------------------------------------------------ #
     def search(self, queries: np.ndarray, n_results: int = 10, *,
-               pool_size: int | None = None, strategy: str | None = None,
+               pool_size: int | None = None,
                workers: int | None = None, shard_workers: int | None = None,
                shard_probe: int | None = None, executor: str | None = None,
                random_state=None) -> tuple[np.ndarray, np.ndarray]:
-        """Serve one query or a batch, fanning out to all or routed shards.
+        """Serve one query or a batch on each query's ``shard_probe`` shards.
 
-        By default (``shard_probe`` unset in call and spec) every shard
-        searches the full batch (its own rows only), then the per-shard
-        top-k are merged by true distance into the global top-k.
         Parameters match :meth:`Index.search <repro.index.facade.Index.search>`
         plus ``shard_workers`` — the workers the shard fan-out runs on
         (default 1, clamped to the shard count and the CPU count) — plus
@@ -712,17 +709,22 @@ class ShardedIndex:
 
         ``shard_probe=P`` routes each query to its ``P`` nearest shards
         (one gemm of the batch against the persisted coarse centroids) and
-        walks only the shards that received queries.  ``P = n_shards`` is
-        bit-for-bit the full fan-out; ``P < n_shards`` is an approximation
-        knob (recall may drop for queries whose true neighbours live in an
-        unprobed shard) and requires the geometric ``gkmeans`` partitioner's
+        walks only the shards that received queries.  The default
+        (``shard_probe`` unset in call and spec) is ``P = n_shards``, the
+        full fan-out: every shard serves the whole batch and no routing
+        gemm is issued.  ``P < n_shards`` is an approximation knob (recall
+        may drop for queries whose true neighbours live in an unprobed
+        shard) and requires the geometric ``gkmeans`` partitioner's
         centroids.  The routing decision is deterministic and
-        ``shard_workers``-invariant.  Defaults to ``spec.shard_probe``.
+        ``shard_workers``-invariant.
 
-        Returns ``(indices, distances)`` in global row ids, shaped exactly
-        like the monolithic index's output.
+        Per-shard query subsets are regrouped into one batched walk per
+        probed shard; the per-shard top-k (each shard's own rows only) are
+        scatter-merged back into batch order at per-(query, shard) column
+        offsets fixed by shard order and merged by true distance into the
+        global top-k.  Returns ``(indices, distances)`` in global row ids,
+        shaped exactly like the monolithic index's output.
         """
-        single = np.asarray(queries).ndim == 1
         n_results = check_positive_int(n_results, name="n_results",
                                        maximum=self.n_points)
         shard_workers = 1 if shard_workers is None else check_positive_int(
@@ -737,112 +739,30 @@ class ShardedIndex:
         probe = self.spec.shard_probe if shard_probe is None else shard_probe
         probe = self.n_shards if probe is None else check_positive_int(
             probe, name="shard_probe", maximum=self.n_shards)
+        routed = probe < self.n_shards
+        if routed and self.centroids is None:
+            if self.spec.partitioner == "round_robin":
+                raise ValidationError(
+                    f"shard_probe={probe} < n_shards={self.n_shards} "
+                    "requires the geometric 'gkmeans' partitioner; "
+                    "round_robin shards are dealt by row order and "
+                    "carry no centroids to route against")
+            raise ValidationError(
+                f"shard_probe={probe} < n_shards={self.n_shards} needs "
+                "the coarse routing centroids, but this index predates "
+                "the routed format (manifest without centroids); "
+                "rebuild and re-save it to enable routed search")
         seed = self.spec.random_state if random_state is None else random_state
         started = time.perf_counter()
-        if probe < self.n_shards:
-            if self.centroids is None:
-                if self.spec.partitioner == "round_robin":
-                    raise ValidationError(
-                        f"shard_probe={probe} < n_shards={self.n_shards} "
-                        "requires the geometric 'gkmeans' partitioner; "
-                        "round_robin shards are dealt by row order and "
-                        "carry no centroids to route against")
-                raise ValidationError(
-                    f"shard_probe={probe} < n_shards={self.n_shards} needs "
-                    "the coarse routing centroids, but this index predates "
-                    "the routed format (manifest without centroids); "
-                    "rebuild and re-save it to enable routed search")
-            return self._routed_search(
-                queries, n_results, single=single, probe=probe,
-                pool_size=pool_size, strategy=strategy, workers=workers,
-                shard_workers=shard_workers, executor=executor, seed=seed,
-                started=started)
-
-        # Shards share no state and each task is internally deterministic,
-        # so neither the fan-out order nor the executor kind can influence
-        # the merged output — results come back in task (= shard) order.
-        tasks = [ShardSearchTask(
-            shard=shard, queries=queries,
-            shard_k=min(n_results, self.shards[shard].n_points),
-            single=single, pool_size=pool_size, strategy=strategy,
-            workers=workers, seed=seed) for shard in range(self.n_shards)]
-        parts = self._get_executor(executor, shard_workers).run(tasks)
-
-        all_ids = np.concatenate(
-            [self._lift(task.shard, part.indices)
-             for task, part in zip(tasks, parts)], axis=1)
-        all_dist = np.concatenate([part.distances for part in parts], axis=1)
-        m = all_ids.shape[0]
-        # Stable sort on distance: ties keep shard-then-rank order, so the
-        # merge is deterministic and independent of shard_workers.  Unreached
-        # entries are (-1, inf) pairs, so they sort last and become the
-        # output padding; the per-shard widths sum to >= n_results.
-        order = np.argsort(all_dist, axis=1, kind="stable")[:, :n_results]
-        out_idx = np.take_along_axis(all_ids, order, axis=1)
-        out_dist = np.take_along_axis(all_dist, order, axis=1)
-
-        evaluations = np.sum([part.evaluations for part in parts], axis=0,
-                             dtype=np.int64)
-        self.last_per_query_evaluations = evaluations
-        self.last_n_evaluations = int(evaluations.sum())
-        shard_stats = tuple(part.stats for part in parts)
-        if single or any(stats is None for stats in shard_stats):
-            self.last_serving_stats = None
-        else:
-            self.last_serving_stats = ShardedServingStats(
-                n_shards=self.n_shards, shard_workers=shard_workers,
-                n_queries=m, shard_probe=self.n_shards, executor=executor,
-                routing_gemms=0, queries_per_shard=(m,) * self.n_shards,
-                shard_stats=shard_stats,
-                total_seconds=time.perf_counter() - started)
-        if single:
-            return out_idx[0], out_dist[0]
-        return out_idx, out_dist
-
-    def _lift(self, shard: int, idx: np.ndarray) -> np.ndarray:
-        """Lift one shard's local result ids to global row ids.
-
-        Unreached ``-1`` entries stay ``-1`` so they keep sorting last in
-        the merge.  Shared by the full fan-out and the routed path so the
-        remapping stays byte-identical between them.
-        """
-        reached = idx >= 0
-        return np.where(reached, self.shard_ids[shard][np.where(
-            reached, idx, 0)], -1)
-
-    def _route(self, queries: np.ndarray, probe: int) -> np.ndarray:
-        """``(m, probe)`` nearest-shard ids per query, nearest first.
-
-        Replays the partitioner's own assignment rule: queries are scored
-        against the persisted coarse centroids in the transformed
-        clustering space (l2-normalised rows for cosine) with one gemm.
-        ``argsort`` with a stable kind makes centroid-distance ties resolve
-        by shard order, so the routing is deterministic.
-        """
-        coarse = DistanceEngine(_coarse_metric(self.metric), self.spec.dtype)
-        prepared = coarse.prepare_clustering(queries)
-        scores = coarse.clustering_engine().cross(prepared, self.centroids)
-        return np.argsort(scores, axis=1, kind="stable")[:, :probe]
-
-    def _routed_search(self, queries: np.ndarray, n_results: int, *,
-                       single: bool, probe: int, pool_size, strategy,
-                       workers, shard_workers: int, executor: str, seed,
-                       started: float) -> tuple[np.ndarray, np.ndarray]:
-        """Serve a batch on each query's ``probe`` nearest shards only.
-
-        Per-shard query subsets are regrouped into one batched walk per
-        probed shard; the per-shard results are scatter-merged back into
-        batch order at per-(query, shard) column offsets fixed by shard
-        order, so the merge — a stable distance sort exactly like the full
-        fan-out's — is deterministic and ``shard_workers``-invariant.
-        """
         queries = np.asarray(queries)
+        single = queries.ndim == 1
         if single:
             queries = queries[None, :]
         m = queries.shape[0]
-        routes = self._route(queries, probe)
-        probed_mask = np.zeros((m, self.n_shards), dtype=bool)
-        probed_mask[np.arange(m)[:, None], routes] = True
+        probed_mask = np.full((m, self.n_shards), not routed)
+        if routed:
+            routes = self._route(queries, probe)
+            probed_mask[np.arange(m)[:, None], routes] = True
         shard_rows = [np.flatnonzero(probed_mask[:, shard])
                       for shard in range(self.n_shards)]
         probed = [shard for shard in range(self.n_shards)
@@ -862,18 +782,18 @@ class ShardedIndex:
         # the scatter-merge below.
         tasks = [ShardSearchTask(
             shard=shard, queries=queries[shard_rows[shard]],
-            shard_k=int(widths[shard]), single=False, pool_size=pool_size,
-            strategy=strategy, workers=workers, seed=seed)
-            for shard in probed]
+            shard_k=int(widths[shard]), pool_size=pool_size,
+            workers=workers, seed=seed) for shard in probed]
         parts = self._get_executor(
             executor, min(shard_workers, len(probed))).run(tasks)
 
         all_ids = np.full((m, buffer_width), -1, dtype=np.int64)
         all_dist = np.full((m, buffer_width), np.inf,
                            dtype=parts[0].distances.dtype)
-        # Routing scored every query against all centroids: one gemm,
+        # Routing scores every query against all centroids: one gemm,
         # n_shards evaluations per query, charged before the walks.
-        evaluations = np.full(m, self.n_shards, dtype=np.int64)
+        evaluations = np.full(m, self.n_shards if routed else 0,
+                              dtype=np.int64)
         for shard, part in zip(probed, parts):
             rows = shard_rows[shard]
             cols = starts_at[rows, shard][:, None] + \
@@ -882,30 +802,50 @@ class ShardedIndex:
             all_dist[rows[:, None], cols] = part.distances
             evaluations[rows] += part.evaluations
 
-        # Same merge as the full fan-out: a stable sort keeps
-        # shard-then-rank order on ties, unreached (-1, inf) pairs sort
-        # last and become the output padding.
+        # Stable sort on distance: ties keep shard-then-rank order, so the
+        # merge is deterministic and independent of shard_workers.  Unreached
+        # entries are (-1, inf) pairs, so they sort last and become the
+        # output padding; the per-shard widths sum to >= n_results.
         order = np.argsort(all_dist, axis=1, kind="stable")[:, :n_results]
         out_idx = np.take_along_axis(all_ids, order, axis=1)
         out_dist = np.take_along_axis(all_dist, order, axis=1)
 
         self.last_per_query_evaluations = evaluations
         self.last_n_evaluations = int(evaluations.sum())
-        shard_stats = tuple(part.stats for part in parts)
-        if single or any(stats is None for stats in shard_stats):
-            self.last_serving_stats = None
-        else:
-            self.last_serving_stats = ShardedServingStats(
-                n_shards=self.n_shards, shard_workers=shard_workers,
-                n_queries=m, shard_probe=probe, executor=executor,
-                routing_gemms=1,
-                queries_per_shard=tuple(
-                    int(rows.size) for rows in shard_rows),
-                shard_stats=shard_stats,
-                total_seconds=time.perf_counter() - started)
+        self.last_serving_stats = ShardedServingStats(
+            n_shards=self.n_shards, shard_workers=shard_workers,
+            n_queries=m, shard_probe=probe, executor=executor,
+            routing_gemms=int(routed),
+            queries_per_shard=tuple(int(rows.size) for rows in shard_rows),
+            shard_stats=tuple(part.stats for part in parts),
+            total_seconds=time.perf_counter() - started)
         if single:
             return out_idx[0], out_dist[0]
         return out_idx, out_dist
+
+    def _lift(self, shard: int, idx: np.ndarray) -> np.ndarray:
+        """Lift one shard's local result ids to global row ids.
+
+        Unreached ``-1`` entries stay ``-1`` so they keep sorting last in
+        the merge.
+        """
+        reached = idx >= 0
+        return np.where(reached, self.shard_ids[shard][np.where(
+            reached, idx, 0)], -1)
+
+    def _route(self, queries: np.ndarray, probe: int) -> np.ndarray:
+        """``(m, probe)`` nearest-shard ids per query, nearest first.
+
+        Replays the partitioner's own assignment rule: queries are scored
+        against the persisted coarse centroids in the transformed
+        clustering space (l2-normalised rows for cosine) with one gemm.
+        ``argsort`` with a stable kind makes centroid-distance ties resolve
+        by shard order, so the routing is deterministic.
+        """
+        coarse = DistanceEngine(_coarse_metric(self.metric), self.spec.dtype)
+        prepared = coarse.prepare_clustering(queries)
+        scores = coarse.clustering_engine().cross(prepared, self.centroids)
+        return np.argsort(scores, axis=1, kind="stable")[:, :probe]
 
     # ------------------------------------------------------------------ #
     # Online mutations

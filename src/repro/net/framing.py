@@ -44,8 +44,9 @@ __all__ = [
 
 #: Version of the wire protocol.  Bump on any incompatible frame change;
 #: both sides reject mismatched versions with a clear error instead of
-#: misparsing each other's bytes.
-PROTOCOL_VERSION = 1
+#: misparsing each other's bytes.  Version 2: ``ShardSearchTask`` lost its
+#: ``single``/``strategy`` fields (the pickled payload's shape changed).
+PROTOCOL_VERSION = 2
 
 #: Frame preamble — rejects non-protocol traffic on the first 4 bytes.
 MAGIC = b"RNET"

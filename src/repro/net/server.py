@@ -298,8 +298,7 @@ class ShardServer:
                 from ..index.executors import search_shard_index
                 result = search_shard_index(self._index, task)
             self.n_searches += 1
-            self.n_queries += int(np.asarray(task.queries).shape[0]
-                                  if not task.single else 1)
+            self.n_queries += int(np.asarray(task.queries).shape[0])
             return encode_frame(FRAME_RESULT, result)
         if kind == FRAME_PING:
             self.n_pings += 1

@@ -1,61 +1,35 @@
-"""Shared entry-point seeding for the greedy-search family.
+"""Entry-point seeding for the graph walk.
 
-The sequential walk (:func:`~repro.search.greedy.greedy_search`), the
-per-query batch walk (:func:`~repro.search.greedy.greedy_search_batch`) and
-the frontier-merged walk (:func:`~repro.search.frontier.frontier_batch_search`)
-must draw the same entry-point sample and seed their best-first state
-identically for the parity and determinism guarantees to hold.  This module
-is the single copy of that logic.
+A k-NN graph over strongly clustered data is close to a union of
+per-cluster components, so spending a few dozen extra distance evaluations
+on entry-point selection is what keeps a greedy walk out of the wrong
+cluster.  One random sample is drawn for the whole batch and scored against
+*all* queries in a single block — for the small per-query work of graph-ANN
+search that seed scoring is a significant fraction of the distance
+evaluations, so batching it is a real win — and each query then starts from
+the closest few sample points.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from ..distance import DistanceEngine
-
-__all__ = ["seed_entry_points", "seed_heaps"]
+__all__ = ["seed_entry_points"]
 
 
-def seed_entry_points(data: np.ndarray, queries: np.ndarray, n_starts: int,
-                      seed_sample: int | None, rng: np.random.Generator,
-                      engine: DistanceEngine,
-                      data_norms: np.ndarray | None
-                      ) -> tuple[np.ndarray, np.ndarray,
-                                 np.ndarray | None, int]:
-    """Draw one entry-point sample and score it for all queries in one gemm.
+def seed_entry_points(n_points: int, n_queries: int,
+                      seed_sample: int | None, n_starts: int,
+                      rng: np.random.Generator, score
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one entry-point sample and score it for all queries in one block.
 
-    Returns ``(sample, seed_block, query_norms, n_starts)`` where
-    ``seed_block`` is the ``(m, |sample|)`` distance block and ``n_starts``
-    is clamped to the dataset size.  ``seed_sample=None`` uses the family
-    default ``max(32, 8 * n_starts)``.
+    ``score`` is the walk's scorer (see :mod:`repro.search._walk`).  Returns
+    ``(sample, seed_block)``: the sampled dataset rows and the
+    ``(n_queries, |sample|)`` distance block.  ``seed_sample=None`` uses the
+    default ``max(32, 8 * n_starts)``; the sample never exceeds the dataset.
     """
-    n = data.shape[0]
     if seed_sample is None:
         seed_sample = max(32, 8 * n_starts)
-    query_norms = engine.norms(queries)
-    sample = rng.choice(n, size=min(seed_sample, n), replace=False)
-    seed_block = engine.cross(
-        queries, data[sample],
-        a_norms=query_norms,
-        b_norms=None if data_norms is None else data_norms[sample])
-    return sample, seed_block, query_norms, min(n_starts, n)
-
-
-def seed_heaps(starts: np.ndarray, start_dists: np.ndarray, pool_size: int
-               ) -> tuple[list, list, set]:
-    """Initial best-first state from scored entry points.
-
-    Returns ``(candidates, pool, visited)``: the candidate min-heap, the
-    bounded result max-heap (negated distances) and the visited-id set.
-    """
-    candidates = [(float(d), int(s)) for d, s in zip(start_dists, starts)]
-    heapq.heapify(candidates)
-    pool = [(-float(d), int(s)) for d, s in zip(start_dists, starts)]
-    heapq.heapify(pool)
-    while len(pool) > pool_size:
-        heapq.heappop(pool)
-    visited = set(int(s) for s in starts)
-    return candidates, pool, visited
+    sample = rng.choice(n_points, size=min(seed_sample, n_points),
+                        replace=False)
+    return sample, score(np.arange(n_queries), sample)

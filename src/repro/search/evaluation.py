@@ -31,18 +31,18 @@ class SearchEvaluation:
         number of queries in batch mode).
     mean_distance_evaluations:
         Average number of distance computations per query (a
-        hardware-independent cost measure).  In batch mode each query is
-        charged its share of the shared entry-point gemm (the full sample it
-        was scored against) plus the neighbours scored for its own walk, so
-        batched work is not under-counted and the numbers stay comparable
-        with per-query search.
+        hardware-independent cost measure).  Each query is charged the
+        entry-point sample it was scored against plus the neighbours scored
+        for its own walk, so batched work is not under-counted and the
+        numbers are the same whether queries are served together or one
+        call each.
     per_query_evaluations:
         Per-query distance-evaluation counts, aligned with the query order.
     serving_stats:
-        :class:`~repro.search.frontier.ServingStats` of the batched frontier
-        search that served the queries — per-group rounds, gemm counts and
-        wall time — or ``None`` when the run was per-query / per-query
-        strategy and no frontier walk happened.
+        :class:`~repro.search.frontier.ServingStats` of the batched call
+        that served the queries — per-group rounds, gemm counts and wall
+        time — or ``None`` when the run issued one call per query
+        (``batch=False``), where no single record covers the run.
     """
 
     recall_at_1: float
@@ -75,15 +75,15 @@ def evaluate_search(searcher, queries: np.ndarray, *, n_results: int = 10,
     pool_size:
         Candidate-pool override forwarded to the searcher.
     batch:
-        ``True`` serves the whole query set in one batched call (frontier
-        merged for an ``Index``; per-query latency is then the batch time
-        divided by ``m``); ``False`` issues one call per query.  Defaults to
-        batch mode for an ``Index`` and per-query mode for a
-        ``GraphSearcher``.
+        ``True`` serves the whole query set in one batched call (per-query
+        latency is then the batch time divided by ``m``); ``False`` issues
+        one single-vector call per query — the same walk as a batch of one,
+        so only the latency differs.  Defaults to batch mode for an
+        ``Index`` and one call per query for a ``GraphSearcher``.
     workers:
-        Worker-thread override for the batched frontier walk (forwarded to
-        the searcher; results are identical for every worker count).
-        Ignored in per-query mode.
+        Worker-thread override for the group walks (forwarded to the
+        searcher; results are identical for every worker count).  Ignored
+        with ``batch=False``.
     shard_workers:
         Shard fan-out threads for a :class:`~repro.index.ShardedIndex`
         (likewise a pure throughput knob).  Only valid for sharded

@@ -1,190 +1,27 @@
-"""Frontier-merged multi-query greedy search.
+"""Exact entry to the graph walk: the uncompressed rows are the scorer.
 
-Per-query greedy graph search spends one tiny gemm per node expansion —
-``(1, d) @ (d, |neighbours|)`` — so with many queries in flight BLAS never
-reaches its blocked regime and the Python loop around it runs once per
-expansion *per query*.  The frontier-merged walk keeps every query's
-best-first state (candidate heap, bounded result pool, visited set)
-independent but synchronises the *scoring*: each round pops, for every live
-query, the closest unexpanded candidate, gathers the union of their unvisited
-graph neighbours, and scores that merged frontier against all live queries in
-a single :class:`~repro.distance.DistanceEngine` gemm.
-
-A query's trajectory through the graph is identical to the sequential walk of
-:func:`~repro.search.greedy.greedy_search` — same expansion order, same pool
-updates, same termination rule — only the shape of the distance computation
-changes, so per-query search remains the semantic oracle that
-``frontier_batch_search`` is parity-tested against.
-
-Because different queries' frontiers are mostly disjoint, the merged gemm
-computes ``|live| × |union|`` distances per round and the waste grows with
-the batch: for large batches the walk is therefore run over bounded *groups*
-of queries (``max_group``, empirically ~32), one gemm per round per group.
-The entry-point sample is still drawn and scored once for the whole batch, so
-grouping changes neither the results nor their dependence on the seed.
-
-Cost accounting: every query is charged the full entry-point sample it was
-scored against plus the neighbours scored for its own walk — exactly the
-counts of the sequential oracle, so the returned per-query numbers are
-comparable across strategies and include each query's share of the batched
-entry-point gemm.  The merged gemm additionally computes row/column
-combinations no query asked for; that slack is a batching trade-off bounded
-by ``max_group`` and is *not* billed to individual queries.
-
-Parallel serving: the group walks share no per-query state, so ``workers=N``
-runs them on a :class:`~concurrent.futures.ThreadPoolExecutor` — the gemms
-release the GIL inside BLAS, so threads scale without pickling the dataset.
-Each group's walk is a deterministic function of its (already seeded)
-per-query state alone, and each worker mutates only its own group's rows, so
-``workers=N`` output is bit-for-bit identical to ``workers=1`` — a contract
-enforced by the determinism suite, not left to hope.
+:func:`frontier_batch_search` binds the walk of :mod:`repro.search._walk`
+to :meth:`DistanceEngine.cross <repro.distance.DistanceEngine.cross>` over
+the dataset itself, so every round's merged frontier is scored in one exact
+gemm and the pool a query ends with already holds true metric distances —
+no query folding, no re-rank.  The same loop serves squared-Euclidean,
+cosine and inner-product (MIPS) queries in float32 or float64.
 """
 
 from __future__ import annotations
 
-import heapq
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..distance import DistanceEngine
-from ..validation import check_positive_int, clamp_workers
-from ._seeding import seed_entry_points, seed_heaps
+from ._walk import ServingStats, beam_walk, exact_scorer
 
 __all__ = ["ServingStats", "frontier_batch_search"]
 
 
-@dataclass(frozen=True)
-class ServingStats:
-    """Execution profile of one frontier-merged batch search.
-
-    Grouping and threading change *how fast* the batch is served, never
-    *what* it returns; this record is where the "how fast" lives — the
-    per-group walk shape plus wall time, enough to compare worker counts or
-    ``max_group`` choices without re-deriving anything.
-
-    Attributes
-    ----------
-    workers:
-        Worker threads actually used (clamped to the group count).
-    max_group:
-        Group bound the batch was split under.
-    n_queries:
-        Number of queries served.
-    group_sizes, group_rounds, group_gemms, group_seconds:
-        Per-group query counts, walk rounds, frontier gemms issued and
-        wall-clock walk seconds, aligned by group.  Rounds and gemms are
-        deterministic (they describe the walk, not the hardware); seconds
-        are wall time and vary run to run.
-    total_seconds:
-        Wall-clock time of the whole batch call, seeding included.
-    """
-
-    workers: int
-    max_group: int
-    n_queries: int
-    group_sizes: tuple = ()
-    group_rounds: tuple = ()
-    group_gemms: tuple = ()
-    group_seconds: tuple = ()
-    total_seconds: float = 0.0
-
-    @property
-    def n_groups(self) -> int:
-        """Number of independently walked query groups."""
-        return len(self.group_sizes)
-
-    @property
-    def n_rounds(self) -> int:
-        """Total walk rounds across groups."""
-        return int(sum(self.group_rounds))
-
-    @property
-    def n_gemms(self) -> int:
-        """Total frontier gemms issued across groups."""
-        return int(sum(self.group_gemms))
-
-    @property
-    def queries_per_second(self) -> float:
-        """Serving throughput of this call (0.0 for an instantaneous call)."""
-        if self.total_seconds <= 0.0:
-            return 0.0
-        return self.n_queries / self.total_seconds
-
-
-def _run_rounds(rows: np.ndarray, data: np.ndarray,
-                adjacency: list[np.ndarray], queries: np.ndarray,
-                candidates: list[list], pools: list[list],
-                visited: list[set], evaluations: np.ndarray,
-                pool_size: int, engine: DistanceEngine,
-                data_norms: np.ndarray | None,
-                query_norms: np.ndarray | None) -> tuple[int, int]:
-    """Walk one group of queries to completion, one gemm per round.
-
-    Returns ``(rounds, gemms)``: how many rounds the group walked and how
-    many of them issued a frontier gemm (the last round pops every query's
-    heap dry and scores nothing).
-    """
-    rounds = 0
-    gemms = 0
-    live = dict.fromkeys(int(r) for r in rows)
-    while live:
-        rounds += 1
-        # Pop each live query's next expandable candidate (skipping fully
-        # visited ones, terminating queries whose best candidate can no
-        # longer improve a full pool — the sequential walk's exact rule).
-        frontiers: dict[int, list[int]] = {}
-        for row in list(live):
-            cand, pool, seen = candidates[row], pools[row], visited[row]
-            neighbors: list[int] | None = None
-            while cand:
-                dist, node = heapq.heappop(cand)
-                worst = -pool[0][0] if pool else np.inf
-                if dist > worst and len(pool) >= pool_size:
-                    cand.clear()
-                    break
-                unvisited = [int(v) for v in adjacency[node]
-                             if int(v) not in seen]
-                if unvisited:
-                    seen.update(unvisited)
-                    neighbors = unvisited
-                    break
-            if neighbors is None:
-                del live[row]
-            else:
-                frontiers[row] = neighbors
-        if not frontiers:
-            break
-        gemms += 1
-
-        # One gemm scores the merged frontier against every live query.
-        union = np.unique(np.concatenate(
-            [np.asarray(f, dtype=np.int64) for f in frontiers.values()]))
-        column = {int(node): col for col, node in enumerate(union)}
-        gemm_rows = np.fromiter(frontiers.keys(), dtype=np.int64)
-        block = engine.cross(
-            queries[gemm_rows], data[union],
-            a_norms=None if query_norms is None else query_norms[gemm_rows],
-            b_norms=None if data_norms is None else data_norms[union])
-
-        for block_row, row in enumerate(gemm_rows):
-            evaluations[row] += len(frontiers[int(row)])
-            pool, cand = pools[row], candidates[row]
-            for neighbor in frontiers[int(row)]:
-                neighbor_dist = block[block_row, column[neighbor]]
-                worst = -pool[0][0] if pool else np.inf
-                if len(pool) < pool_size or neighbor_dist < worst:
-                    heapq.heappush(pool, (-float(neighbor_dist), neighbor))
-                    if len(pool) > pool_size:
-                        heapq.heappop(pool)
-                    heapq.heappush(cand, (float(neighbor_dist), neighbor))
-    return rounds, gemms
-
-
-def frontier_batch_search(data: np.ndarray, adjacency: list[np.ndarray],
-                          queries: np.ndarray, n_results: int, *,
+def frontier_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
+                          n_results: int, *,
                           pool_size: int = 32, n_starts: int = 4,
                           seed_sample: int | None = None,
                           max_group: int | None = 32,
@@ -197,101 +34,66 @@ def frontier_batch_search(data: np.ndarray, adjacency: list[np.ndarray],
                                      ServingStats]:
     """Multi-query greedy search scoring merged frontiers in one gemm per round.
 
-    Parameters match :func:`~repro.search.greedy.greedy_search_batch` (the
-    entry-point sample is likewise drawn once and scored for all queries in a
-    single gemm) plus ``max_group`` and ``workers``:
+    Parameters
+    ----------
+    data:
+        ``(n, d)`` reference vectors.
+    adjacency:
+        Per-point neighbour ids (typically the symmetrised graph): a
+        :class:`~repro.graph.csr.CSRAdjacency` or a plain list of id arrays.
+    queries:
+        ``(m, d)`` query matrix (a ``(d,)`` vector is a batch of one).
+    n_results:
+        Number of neighbours to return per query.
+    pool_size:
+        Size of the candidate pool (ef); larger → higher recall, slower.
+    n_starts:
+        Number of entry points each query expands from — the closest of the
+        ``seed_sample`` random points scored for the whole batch (default
+        ``max(32, 8 * n_starts)``).
+    max_group:
+        The number of queries whose walks are frontier-merged together
+        (``None`` merges the whole batch).  Smaller groups waste less
+        cross-scoring on disjoint frontiers; larger groups issue fewer,
+        bigger gemms.
+    workers:
+        Worker threads the independent group walks are spread over (clamped
+        to the group count and to ``os.cpu_count()``; ``1`` walks the groups
+        sequentially).  The gemms release the GIL inside BLAS, so threads
+        scale without pickling the dataset.
+    rng:
+        Generator for the entry-point sample.
+    engine:
+        The :class:`~repro.distance.DistanceEngine` (defaults to
+        squared-Euclidean float64).
+    data_norms:
+        Optional precomputed ``engine.norms(data)`` — pass this when issuing
+        many searches against the same dataset.
+    executor:
+        A persistent :class:`~concurrent.futures.ThreadPoolExecutor` for a
+        caller that serves many batches (e.g.
+        :class:`~repro.search.greedy.GraphSearcher`); when ``None`` and
+        ``workers > 1`` a transient pool is created for the call.  The pool
+        is only ever *used* here, never closed.
 
-    * ``max_group`` — the number of queries whose walks are frontier-merged
-      together (``None`` merges the whole batch).  Smaller groups waste less
-      cross-scoring on disjoint frontiers; larger groups issue fewer, bigger
-      gemms.
-    * ``workers`` — worker threads the independent group walks are spread
-      over (clamped to the group count and to ``os.cpu_count()``; ``1``
-      walks the groups sequentially).
-
-    Neither knob affects the returned results — every query's walk is
-    independent, seeded from the shared entry-point sample, and mutates only
-    its own state, so ``workers=N`` is bit-for-bit identical to ``workers=1``.
-
-    ``executor`` lets a caller that serves many batches (e.g.
-    :class:`~repro.search.greedy.GraphSearcher`) supply a persistent
-    :class:`~concurrent.futures.ThreadPoolExecutor` instead of paying
-    thread start-up on every call; when ``None`` and ``workers > 1`` a
-    transient pool is created for the call.  The pool is only ever *used*
-    here, never closed.
+    Neither ``max_group`` nor ``workers`` affects the returned results.
 
     Returns
     -------
     (indices, distances, n_evaluations, stats):
-        ``(m, n_results)`` id/distance arrays (padded with ``-1``/``inf``
-        when fewer than ``n_results`` points are reachable), the ``(m,)``
-        per-query distance-evaluation counts (including each query's share of
-        the batched entry-point and frontier gemms), and the call's
-        :class:`ServingStats`.
+        ``(m, n_results)`` id/distance arrays sorted by ascending distance
+        (padded with ``-1``/``inf`` when fewer than ``n_results`` points are
+        reachable), the ``(m,)`` per-query distance-evaluation counts
+        (entry-point sample plus the neighbours scored for the query's own
+        walk), and the call's :class:`ServingStats`.
     """
-    started = time.perf_counter()
     if engine is None:
         engine = DistanceEngine()
     data = engine.prepare(data)
     queries = engine.prepare(queries)
-    m = queries.shape[0]
-    if rng is None:
-        rng = np.random.default_rng()
-    pool_size = max(pool_size, n_results)
-    if max_group is None:
-        max_group = m
-    max_group = max(1, int(max_group))
-    workers = clamp_workers(
-        check_positive_int(workers, name="workers"), name="workers")
-
-    sample, seed_block, query_norms, n_starts = seed_entry_points(
-        data, queries, n_starts, seed_sample, rng, engine, data_norms)
-
-    # Per-query best-first state, seeded exactly like the sequential walk.
-    candidates: list[list[tuple[float, int]]] = []
-    pools: list[list[tuple[float, int]]] = []
-    visited: list[set[int]] = []
-    evaluations = np.full(m, sample.size, dtype=np.int64)
-    for row in range(m):
-        keep = np.argsort(seed_block[row], kind="stable")[:n_starts]
-        cand, pool, seen = seed_heaps(sample[keep], seed_block[row][keep],
-                                      pool_size)
-        candidates.append(cand)
-        pools.append(pool)
-        visited.append(seen)
-
-    groups = [np.arange(start, min(start + max_group, m))
-              for start in range(0, m, max_group)]
-    workers = min(workers, max(1, len(groups)))
-
-    def walk_group(rows: np.ndarray) -> tuple[int, int, float]:
-        group_started = time.perf_counter()
-        rounds, gemms = _run_rounds(
-            rows, data, adjacency, queries, candidates, pools, visited,
-            evaluations, pool_size, engine, data_norms, query_norms)
-        return rounds, gemms, time.perf_counter() - group_started
-
-    # Each group touches only its own rows of the shared state, so the
-    # threaded walks need no locks and cannot reorder each other's results.
-    if workers == 1:
-        walked = [walk_group(rows) for rows in groups]
-    elif executor is not None:
-        walked = list(executor.map(walk_group, groups))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            walked = list(pool.map(walk_group, groups))
-
-    out_idx = np.full((m, n_results), -1, dtype=np.int64)
-    out_dist = np.full((m, n_results), np.inf, dtype=np.float64)
-    for row in range(m):
-        results = sorted(((-d, i) for d, i in pools[row]))[:n_results]
-        out_idx[row, :len(results)] = [i for _, i in results]
-        out_dist[row, :len(results)] = [d for d, _ in results]
-    stats = ServingStats(
-        workers=workers, max_group=max_group, n_queries=m,
-        group_sizes=tuple(len(rows) for rows in groups),
-        group_rounds=tuple(rounds for rounds, _, _ in walked),
-        group_gemms=tuple(gemms for _, gemms, _ in walked),
-        group_seconds=tuple(seconds for _, _, seconds in walked),
-        total_seconds=time.perf_counter() - started)
-    return out_idx, out_dist, evaluations, stats
+    score = exact_scorer(engine, data, data_norms, queries,
+                         engine.norms(queries))
+    return beam_walk(
+        adjacency, queries.shape[0], n_results, score, None,
+        pool_size=pool_size, n_starts=n_starts, seed_sample=seed_sample,
+        max_group=max_group, workers=workers, rng=rng, executor=executor)

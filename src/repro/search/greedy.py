@@ -1,20 +1,14 @@
-"""Greedy best-first search over a k-NN graph.
+"""The reusable searcher: a dataset, its k-NN graph and the walk over them.
 
-The classic graph-ANN search loop (as used by KGraph, EFANNA, HNSW layer 0,
-…): keep a bounded pool of the best candidates seen so far, repeatedly expand
-the closest unexpanded candidate by scoring its graph neighbours, and stop
-when the pool no longer improves.
-
-All distance work goes through a :class:`~repro.distance.DistanceEngine`, so
-the same loop serves squared-Euclidean, cosine and inner-product (MIPS)
-queries in float32 or float64.  For multi-query workloads
-:func:`greedy_search_batch` scores the shared entry-point sample for *all*
-queries in a single gemm before walking the graph per query.
+:class:`GraphSearcher` owns everything a search needs beyond the query —
+the engine, the cached dataset norms, the CSR-packed symmetrised adjacency,
+the lazily built quantized code matrix — and serves every request through
+the one graph walk of :mod:`repro.search._walk`: batches, single vectors (a
+batch of one) and the per-vector candidate seeding of online inserts.
 """
 
 from __future__ import annotations
 
-import heapq
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,175 +33,10 @@ from ..graph.repair import (
     push_back_edges,
     refine_neighborhood,
 )
-from ._seeding import seed_entry_points, seed_heaps
 from .frontier import ServingStats, frontier_batch_search
 from .quantized import quantized_batch_search
 
-__all__ = ["GraphSearcher", "greedy_search", "greedy_search_batch"]
-
-
-def _expand_from_starts(data: np.ndarray, adjacency: list[np.ndarray],
-                        query: np.ndarray, starts: np.ndarray,
-                        start_dists: np.ndarray, n_results: int,
-                        pool_size: int, engine: DistanceEngine,
-                        data_norms: np.ndarray | None,
-                        query_norm: np.ndarray | None
-                        ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Core best-first loop from pre-scored entry points.
-
-    Returns the ``n_results`` best ids/distances found plus the number of
-    distance evaluations spent *inside the loop* (entry-point scoring is
-    accounted by the caller).
-    """
-    evaluations = 0
-    # Candidate min-heap (to expand) and result max-heap (bounded pool).
-    candidates, pool, visited = seed_heaps(starts, start_dists, pool_size)
-
-    while candidates:
-        dist, node = heapq.heappop(candidates)
-        worst = -pool[0][0] if pool else np.inf
-        if dist > worst and len(pool) >= pool_size:
-            break
-        neighbors = [int(v) for v in adjacency[node] if int(v) not in visited]
-        if not neighbors:
-            continue
-        visited.update(neighbors)
-        neighbor_dists = engine.cross(
-            query, data[neighbors],
-            a_norms=query_norm,
-            b_norms=None if data_norms is None else data_norms[neighbors])[0]
-        evaluations += len(neighbors)
-        for neighbor, neighbor_dist in zip(neighbors, neighbor_dists):
-            worst = -pool[0][0] if pool else np.inf
-            if len(pool) < pool_size or neighbor_dist < worst:
-                heapq.heappush(pool, (-float(neighbor_dist), neighbor))
-                if len(pool) > pool_size:
-                    heapq.heappop(pool)
-                heapq.heappush(candidates, (float(neighbor_dist), neighbor))
-
-    results = sorted(((-d, i) for d, i in pool))
-    results = results[:n_results]
-    indices = np.array([i for _, i in results], dtype=np.int64)
-    distances = np.array([d for d, _ in results], dtype=np.float64)
-    return indices, distances, evaluations
-
-
-def greedy_search(data: np.ndarray, adjacency: list[np.ndarray],
-                  query: np.ndarray, n_results: int, *,
-                  pool_size: int = 32, n_starts: int = 4,
-                  seed_sample: int | None = None,
-                  rng: np.random.Generator | None = None,
-                  engine: DistanceEngine | None = None,
-                  data_norms: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Single-query greedy search.
-
-    Parameters
-    ----------
-    data:
-        ``(n, d)`` reference vectors.
-    adjacency:
-        Per-point neighbour id arrays (typically the symmetrised graph).
-    query:
-        ``(d,)`` query vector.
-    n_results:
-        Number of neighbours to return.
-    pool_size:
-        Size of the candidate pool (ef); larger → higher recall, slower.
-    n_starts:
-        Number of entry points the search expands from.
-    seed_sample:
-        Number of random points scored to *choose* the entry points (the
-        ``n_starts`` closest of the sample are used).  A k-NN graph over
-        strongly clustered data is close to a union of per-cluster components,
-        so spending a few dozen extra distance evaluations on entry-point
-        selection is what keeps greedy search out of the wrong cluster.
-        Defaults to ``max(32, 8 * n_starts)``.
-    rng:
-        Generator for the entry points.
-    engine:
-        Optional :class:`~repro.distance.DistanceEngine` (defaults to
-        squared-Euclidean float64).
-    data_norms:
-        Optional precomputed ``engine.norms(data)`` — pass this when issuing
-        many queries against the same dataset.
-
-    Returns
-    -------
-    (indices, distances, n_evaluations):
-        The ``n_results`` best ids/distances found and the number of
-        distance evaluations spent.
-    """
-    if engine is None:
-        engine = DistanceEngine()
-    data = engine.prepare(data)
-    query_row = engine.prepare(query)
-    if query_row.shape[0] != 1:
-        raise GraphError(
-            f"greedy_search takes a single query vector, got "
-            f"{query_row.shape[0]} rows; use greedy_search_batch for "
-            "multi-query search")
-    if rng is None:
-        rng = np.random.default_rng()
-    pool_size = max(pool_size, n_results)
-    sample, seed_block, query_norm, n_starts = seed_entry_points(
-        data, query_row, n_starts, seed_sample, rng, engine, data_norms)
-    sample_dists = seed_block[0]
-    keep = np.argsort(sample_dists, kind="stable")[:n_starts]
-
-    indices, distances, evaluations = _expand_from_starts(
-        data, adjacency, query_row, sample[keep], sample_dists[keep],
-        n_results, pool_size, engine, data_norms, query_norm)
-    return indices, distances, evaluations + int(sample.size)
-
-
-def greedy_search_batch(data: np.ndarray, adjacency: list[np.ndarray],
-                        queries: np.ndarray, n_results: int, *,
-                        pool_size: int = 32, n_starts: int = 4,
-                        seed_sample: int | None = None,
-                        rng: np.random.Generator | None = None,
-                        engine: DistanceEngine | None = None,
-                        data_norms: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multi-query greedy search with shared, batched entry-point scoring.
-
-    One random entry-point sample is drawn for the whole batch and scored
-    against *all* queries in a single gemm — for the small per-query work of
-    graph-ANN search that seed scoring is a significant fraction of the
-    distance evaluations, so batching it is a real win.  The best-first walk
-    then runs per query (each query visits a different frontier).
-
-    Returns
-    -------
-    (indices, distances, n_evaluations):
-        ``(m, n_results)`` id/distance arrays (padded with ``-1``/``inf``
-        when fewer than ``n_results`` points are reachable) and the ``(m,)``
-        per-query evaluation counts.
-    """
-    if engine is None:
-        engine = DistanceEngine()
-    data = engine.prepare(data)
-    queries = engine.prepare(queries)
-    m = queries.shape[0]
-    if rng is None:
-        rng = np.random.default_rng()
-    pool_size = max(pool_size, n_results)
-    sample, seed_block, query_norms, n_starts = seed_entry_points(
-        data, queries, n_starts, seed_sample, rng, engine, data_norms)
-
-    out_idx = np.full((m, n_results), -1, dtype=np.int64)
-    out_dist = np.full((m, n_results), np.inf, dtype=np.float64)
-    out_evals = np.empty(m, dtype=np.int64)
-    for row in range(m):
-        keep = np.argsort(seed_block[row], kind="stable")[:n_starts]
-        indices, distances, evaluations = _expand_from_starts(
-            data, adjacency, queries[row:row + 1], sample[keep],
-            seed_block[row][keep], n_results, pool_size, engine, data_norms,
-            None if query_norms is None else query_norms[row:row + 1])
-        out_idx[row, :indices.size] = indices
-        out_dist[row, :distances.size] = distances
-        out_evals[row] = evaluations + int(sample.size)
-    return out_idx, out_dist, out_evals
+__all__ = ["GraphSearcher"]
 
 
 class GraphSearcher:
@@ -241,10 +70,11 @@ class GraphSearcher:
     quantize:
         Compressed-domain serving mode (``"none"``, ``"float16"`` or
         ``"int8"``; see :mod:`repro.distance.quantized`).  ``"none"``
-        serves with the exact kernels — bit-for-bit today's behaviour;
-        the compressed modes serve through the beam walk of
-        :func:`~repro.search.quantized.quantized_batch_search` with exact
-        re-rank of every returned distance.
+        walks with the exact kernels
+        (:func:`~repro.search.frontier.frontier_batch_search`); the
+        compressed modes walk in the code domain
+        (:func:`~repro.search.quantized.quantized_batch_search`) and
+        re-rank every returned distance exactly.
     quantizer:
         A restored :class:`~repro.distance.quantized.ScalarQuantizer`
         (``int8`` parameters persisted with a saved index).  When omitted,
@@ -376,9 +206,9 @@ class GraphSearcher:
                       rng: np.random.Generator | None = None) -> np.ndarray:
         """Insert rows into the data + graph with NN-Descent-style repair.
 
-        Each new vector's candidates are seeded by a greedy frontier
-        search over the *current* graph (so a vector inserted earlier in
-        the batch is a legitimate candidate for later ones), refined by a
+        Each new vector's candidates are seeded by an exact walk over the
+        *current* graph (so a vector inserted earlier in the batch is a
+        legitimate candidate for later ones), refined by a
         local join with the candidates' own neighbourhoods
         (:func:`~repro.graph.repair.refine_neighborhood`), and the chosen
         neighbours receive back-edges
@@ -409,17 +239,18 @@ class GraphSearcher:
             distances = self.graph.distances.copy()
         data = self.data
         norms = self._data_norms
-        # Repair edits individual rows, so it works on the unpacked
-        # per-row form; the CSR buffers are rebuilt at commit.
+        # Repair edits individual rows between walks, so both work on the
+        # unpacked per-row form; the CSR buffers are rebuilt at commit.
         adjacency = self._adjacency.to_rows()
         first = data.shape[0]
         ef = max(self.pool_size, 2 * n_neighbors)
         for row_vec in vectors:
             pos = data.shape[0]
-            seeds, _, _ = greedy_search(
+            found, _, _, _ = frontier_batch_search(
                 data, adjacency, row_vec, min(ef, pos), pool_size=ef,
                 n_starts=self.n_starts, seed_sample=self.seed_sample,
                 rng=rng, engine=engine, data_norms=norms)
+            seeds = found[0][found[0] >= 0]
             row_ids, row_dists = refine_neighborhood(
                 engine, data, norms, indices, row_vec, seeds, n_neighbors)
             new_idx = np.full(n_neighbors, -1, dtype=np.int64)
@@ -452,70 +283,35 @@ class GraphSearcher:
               pool_size: int | None = None,
               rng: np.random.Generator | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
-        """Search one query; returns (indices, distances).
+        """Search one query; returns ``(n_results,)`` index/distance arrays.
 
-        ``rng`` overrides the searcher's own entry-point generator for this
-        call (used by deterministic callers like the index facade).
+        Exactly ``batch_query(query[None, :], ...)`` row 0 — same walk, same
+        ``-1``/``inf`` padding, same published stats.
         """
         query = np.asarray(query, dtype=self.engine_.dtype).ravel()
-        if query.shape[0] != self.data.shape[1]:
-            raise GraphError(
-                f"query has dimension {query.shape[0]}, data has "
-                f"{self.data.shape[1]}")
-        n_results = check_positive_int(n_results, name="n_results",
-                                       maximum=self.data.shape[0])
-        pool = self.pool_size if pool_size is None else pool_size
-        if self.quantize != "none":
-            idx, dist, evals, _ = quantized_batch_search(
-                self.data, self._adjacency, query[None, :], n_results,
-                self._quantized_scorer(), pool_size=pool,
-                n_starts=self.n_starts, seed_sample=self.seed_sample,
-                rng=self._rng if rng is None else rng,
-                engine=self.engine_, data_norms=self._data_norms)
-            reached = idx[0] >= 0
-            indices, distances = idx[0][reached], dist[0][reached]
-            evaluations = int(evals[0])
-        else:
-            indices, distances, evaluations = greedy_search(
-                self.data, self._adjacency, query, n_results,
-                pool_size=pool, n_starts=self.n_starts,
-                seed_sample=self.seed_sample,
-                rng=self._rng if rng is None else rng,
-                engine=self.engine_, data_norms=self._data_norms)
-        self.last_n_evaluations = evaluations
-        self.last_per_query_evaluations = np.array([evaluations],
-                                                   dtype=np.int64)
-        self.last_serving_stats = None
-        return indices, distances
+        idx, dist = self.batch_query(query[None, :], n_results,
+                                     pool_size=pool_size, rng=rng)
+        return idx[0], dist[0]
 
     def batch_query(self, queries: np.ndarray, n_results: int = 10, *,
                     pool_size: int | None = None,
-                    strategy: str = "frontier",
                     workers: int | None = None,
                     rng: np.random.Generator | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Search many queries; returns ``(m, n_results)`` index/distance arrays.
 
-        ``strategy`` selects how the batch walks the graph:
-
-        * ``"frontier"`` (default) — the frontier-merged walk of
-          :func:`~repro.search.frontier.frontier_batch_search`: every round
-          scores all live queries' merged frontier in one gemm.
-        * ``"perquery"`` — :func:`greedy_search_batch`: only the entry-point
-          gemm is shared, then each query walks the graph alone (the oracle
-          the frontier walk is parity-tested against).
-
-        ``workers`` (frontier strategy only) spreads the independent group
-        walks over that many threads; results are bit-for-bit identical for
-        every worker count, so it is purely a throughput knob.  Defaults to
-        ``1``.
+        Rows are sorted by ascending distance and padded with ``-1``/``inf``
+        where fewer than ``n_results`` points are reachable.  ``workers``
+        spreads the independent group walks over that many threads; results
+        are bit-for-bit identical for every worker count, so it is purely a
+        throughput knob.  Defaults to ``1``.
 
         Afterwards ``last_per_query_evaluations`` holds the ``(m,)``
         per-query distance-evaluation counts (batched gemms included),
         ``last_n_evaluations`` their total, and ``last_serving_stats`` the
-        frontier walk's :class:`~repro.search.frontier.ServingStats`
-        (``None`` for the per-query strategy).  ``rng`` overrides the
-        searcher's own entry-point generator for this call.
+        walk's :class:`~repro.search.frontier.ServingStats`.  ``rng``
+        overrides the searcher's own entry-point generator for this call
+        (used by deterministic callers like the index facade).
         """
         queries = check_data_matrix(queries, name="queries",
                                     dtype=self.engine_.dtype)
@@ -525,38 +321,22 @@ class GraphSearcher:
                 f"{self.data.shape[1]}")
         n_results = check_positive_int(n_results, name="n_results",
                                        maximum=self.data.shape[0])
-        if strategy not in ("frontier", "perquery"):
-            raise GraphError(
-                f"unknown batch strategy {strategy!r}; expected 'frontier' "
-                "or 'perquery'")
         workers = 1 if workers is None else clamp_workers(
             check_positive_int(workers, name="workers"), name="workers")
-        pool = self.pool_size if pool_size is None else pool_size
         common = dict(
-            pool_size=pool, n_starts=self.n_starts,
-            seed_sample=self.seed_sample,
+            pool_size=self.pool_size if pool_size is None else pool_size,
+            n_starts=self.n_starts, seed_sample=self.seed_sample,
+            workers=workers, executor=self._group_walk_pool(workers),
             rng=self._rng if rng is None else rng,
             engine=self.engine_, data_norms=self._data_norms)
-        if self.quantize != "none":
-            # Both strategies serve through the compressed-domain beam
-            # walk — the per-query/frontier split is an exact-path
-            # distinction (the quantized walk is recall-gated, not
-            # parity-gated, so it has no sequential oracle to dispatch).
+        if self.quantize == "none":
+            out_idx, out_dist, evaluations, stats = frontier_batch_search(
+                self.data, self._adjacency, queries, n_results, **common)
+        else:
             out_idx, out_dist, evaluations, stats = quantized_batch_search(
                 self.data, self._adjacency, queries, n_results,
-                self._quantized_scorer(), workers=workers,
-                executor=self._group_walk_pool(workers), **common)
-            self.last_serving_stats = stats
-        elif strategy == "frontier":
-            out_idx, out_dist, evaluations, stats = frontier_batch_search(
-                self.data, self._adjacency, queries, n_results,
-                workers=workers, executor=self._group_walk_pool(workers),
-                **common)
-            self.last_serving_stats = stats
-        else:
-            out_idx, out_dist, evaluations = greedy_search_batch(
-                self.data, self._adjacency, queries, n_results, **common)
-            self.last_serving_stats = None
+                self._quantized_scorer(), **common)
+        self.last_serving_stats = stats
         self.last_per_query_evaluations = evaluations
         self.last_n_evaluations = int(evaluations.sum())
         return out_idx, out_dist

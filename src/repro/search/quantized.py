@@ -1,77 +1,31 @@
-"""Compressed-domain batch walk with exact re-rank.
+"""Compressed-domain entry to the graph walk, with exact re-rank.
 
-The quantized serving path of :class:`~repro.search.greedy.GraphSearcher`.
-Structure mirrors :func:`~repro.search.frontier.frontier_batch_search` —
-bounded query groups, per-query best-first state, one distance block per
-round per group, group walks spread over worker threads — but both halves
-of the round are rebuilt around the quantized kernels:
+:func:`quantized_batch_search` binds the walk of :mod:`repro.search._walk`
+to a :class:`~repro.distance.quantized.QuantizedScorer`: queries are folded
+into the code domain once per batch, and every round's merged frontier
+costs one small-operand gemm against the int8/float16 code matrix.  The
+walk's pools therefore hold *approximate* distances, so which candidates
+survive is pinned by a recall floor, not by parity with the exact entry.
 
-* **Scoring** goes through a
-  :class:`~repro.distance.quantized.QuantizedScorer`: queries are folded
-  into the code domain once per batch, and every round's merged frontier
-  costs one small-operand gemm against the int8/float16 code matrix.
-* **Bookkeeping** is array-based.  The exact walk's per-neighbour
-  ``heappush`` loop dominates wall time at serving scale, so the quantized
-  walk keeps each query's candidate set and result pool as flat numpy
-  arrays — candidates are stably sorted once per round and popped by
-  advancing a cursor, pool pruning is one ``argpartition``, and the pool's
-  worst distance is carried as a plain float so candidates that can no
-  longer improve the pool are dropped with a single vectorised mask.  Each
-  round expands a small *beam* of candidates per query, which cuts the
-  number of Python-level rounds several-fold while the extra scored
-  neighbours ride along in the same cheap compressed gemm.
-
-The walk is therefore **not** step-for-step identical to the exact walk —
-it is an approximation whose quality is pinned by a recall floor, not by
-bitwise parity (that contract belongs to ``quantize="none"``, which never
-enters this module).  What *is* exact is the output metric: after a group
-finishes, the union of its result pools is re-scored against the
-uncompressed data in one exact-engine gemm, and every query's pool is
-re-ranked by those exact distances (ties broken by ascending id, the
-library-wide rule).  Returned distances are true metric values; the only
-quantization effect that can survive is a near-boundary candidate swap.
-
-Determinism matches the exact walk's contract: group state is disjoint,
-so ``workers`` is a pure throughput knob and repeated calls are
-bit-for-bit identical for a fixed seed.
+What *is* exact is the output metric: after a group finishes, the union of
+its result pools is re-scored against the uncompressed data in one
+exact-engine gemm, and every query's pool is re-ranked by those exact
+distances (ties broken by ascending id, the library-wide rule).  Returned
+distances are true metric values; the only quantization effect that can
+survive is a near-boundary candidate swap.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..distance import DistanceEngine
 from ..distance.quantized import QuantizedScorer
-from ..graph.csr import CSRAdjacency
-from ..validation import check_positive_int, clamp_workers
-from .frontier import ServingStats
+from ._walk import ServingStats, beam_walk, exact_scorer
 
-__all__ = ["quantized_batch_search", "DEFAULT_BEAM"]
-
-#: Candidates expanded per query per round.  Beam expansion trades a few
-#: extra compressed-domain evaluations for proportionally fewer
-#: Python-level rounds; 8 sits below the knee where extra expansions stop
-#: paying for themselves (measured on the bench stand-in: larger beams
-#: keep recall flat but stop reducing wall time).
-DEFAULT_BEAM = 8
-
-
-def _seed_state(seed_ids: np.ndarray, seed_dists: np.ndarray,
-                pool_size: int) -> tuple:
-    """Initial array-form best-first state from scored entry points.
-
-    Returns ``(cand_ids, cand_dists, pool_ids, pool_dists)`` — the
-    candidate set and the bounded result pool, both unsorted flat arrays.
-    """
-    cand_ids = seed_ids.astype(np.int64)
-    cand_dists = seed_dists.astype(np.float32)
-    if cand_ids.size > pool_size:
-        keep = np.argpartition(cand_dists, pool_size - 1)[:pool_size]
-        return cand_ids, cand_dists, cand_ids[keep], cand_dists[keep]
-    return cand_ids, cand_dists, cand_ids.copy(), cand_dists.copy()
+__all__ = ["quantized_batch_search"]
 
 
 def quantized_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
@@ -79,7 +33,6 @@ def quantized_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
                            pool_size: int = 32, n_starts: int = 4,
                            seed_sample: int | None = None,
                            max_group: int | None = 32, workers: int = 1,
-                           beam: int = DEFAULT_BEAM,
                            rng: np.random.Generator | None = None,
                            engine: DistanceEngine | None = None,
                            data_norms: np.ndarray | None = None,
@@ -89,186 +42,30 @@ def quantized_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
     """Batched beam walk in the compressed domain, re-ranked exactly.
 
     Parameters match :func:`~repro.search.frontier.frontier_batch_search`
-    plus ``scorer`` (the bound compressed-domain kernels) and ``beam``
-    (candidates expanded per query per round).  ``adjacency`` may be a
-    list of per-node id arrays or a
-    :class:`~repro.graph.csr.CSRAdjacency`; lists are packed into CSR
-    form at entry (the hot loop reads flat-buffer slices only).
+    plus ``scorer``, the compressed-domain kernels bound to ``data``.
 
     Returns
     -------
     (indices, distances, n_evaluations, stats):
-        ``(m, n_results)`` id/distance arrays padded with ``-1``/``inf``;
-        distances are **exact** metric values from the re-rank gemm.
-        Evaluation counts charge each query its seed block, its own
-        frontier scorings and its group's re-rank block.  ``stats`` is
-        the same :class:`~repro.search.frontier.ServingStats` record the
-        exact walk produces.
+        Shaped as for the exact entry; distances are **exact** metric
+        values from the re-rank gemm.  Evaluation counts charge each query
+        its seed block, its own frontier scorings and its own re-ranked
+        pool.
     """
-    started = time.perf_counter()
     if engine is None:
         engine = DistanceEngine()
     data = engine.prepare(data)
     queries = engine.prepare(queries)
-    adjacency = CSRAdjacency.from_rows(adjacency)
-    n = data.shape[0]
-    m = queries.shape[0]
-    if rng is None:
-        rng = np.random.default_rng()
-    pool_size = max(pool_size, n_results)
-    beam = check_positive_int(beam, name="beam")
-    if max_group is None:
-        max_group = m
-    max_group = max(1, int(max_group))
-    workers = clamp_workers(
-        check_positive_int(workers, name="workers"), name="workers")
-    if seed_sample is None:
-        seed_sample = max(32, 8 * n_starts)
-    n_starts = min(n_starts, n)
-
-    # One seed sample for the whole batch, scored in one compressed gemm.
     query_norms = engine.norms(queries)
     folded, bias = scorer.prepare_queries(queries)
-    sample = np.asarray(
-        rng.choice(n, size=min(seed_sample, n), replace=False),
-        dtype=np.int64)
-    seed_block = scorer.block(folded, bias, query_norms, sample)
 
-    out_idx = np.full((m, n_results), -1, dtype=np.int64)
-    out_dist = np.full((m, n_results), np.inf, dtype=np.float64)
-    evaluations = np.full(m, sample.size, dtype=np.int64)
+    def score(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        return scorer.block(
+            folded[rows], None if bias is None else bias[rows],
+            None if query_norms is None else query_norms[rows], ids)
 
-    groups = [np.arange(start, min(start + max_group, m))
-              for start in range(0, m, max_group)]
-    workers = min(workers, max(1, len(groups)))
-
-    def walk_group(rows: np.ndarray) -> tuple[int, int, float]:
-        group_started = time.perf_counter()
-        size = rows.size
-        visited = np.zeros((size, n), dtype=bool)
-        cand_ids: list = [None] * size
-        cand_dists: list = [None] * size
-        pool_ids: list = [None] * size
-        pool_dists: list = [None] * size
-        for local, row in enumerate(rows):
-            keep = np.argsort(seed_block[row], kind="stable")[:n_starts]
-            starts = sample[keep]
-            state = _seed_state(starts, seed_block[row][keep], pool_size)
-            cand_ids[local], cand_dists[local] = state[0], state[1]
-            pool_ids[local], pool_dists[local] = state[2], state[3]
-            visited[local, starts] = True
-
-        # Per-query exact-pool threshold, tracked as a plain float so the
-        # hot loop never re-reduces the pool; ``inf`` until the pool fills.
-        worst = [np.inf] * size
-        for local in range(size):
-            if pool_ids[local].size >= pool_size:
-                worst[local] = float(pool_dists[local].max())
-
-        live = list(range(size))
-        rounds = 0
-        gemms = 0
-        while live:
-            rounds += 1
-            frontiers: dict[int, np.ndarray] = {}
-            next_live: list[int] = []
-            for local in live:
-                cids = cand_ids[local]
-                cdists = cand_dists[local]
-                w = worst[local]
-                if w != np.inf and cids.size:
-                    keep = cdists < w
-                    if not keep.all():
-                        cids, cdists = cids[keep], cdists[keep]
-                if not cids.size:
-                    continue
-                order = np.argsort(cdists, kind="stable")
-                cids, cdists = cids[order], cdists[order]
-                parts: list[np.ndarray] = []
-                popped = 0
-                consumed = 0
-                n_cand = cids.size
-                while consumed < n_cand and popped < beam:
-                    node = int(cids[consumed])
-                    consumed += 1
-                    neighbors = adjacency[node]
-                    unvisited = neighbors[~visited[local, neighbors]]
-                    if unvisited.size:
-                        visited[local, unvisited] = True
-                        parts.append(unvisited)
-                        popped += 1
-                cand_ids[local] = cids[consumed:]
-                cand_dists[local] = cdists[consumed:]
-                if parts:
-                    frontiers[local] = (parts[0] if len(parts) == 1
-                                        else np.concatenate(parts))
-                    next_live.append(local)
-            live = next_live
-            if not frontiers:
-                break
-            gemms += 1
-
-            union = np.unique(np.concatenate(
-                list(frontiers.values())).astype(np.int64))
-            gemm_rows = rows[np.fromiter(frontiers, dtype=np.int64,
-                                         count=len(frontiers))]
-            block = scorer.block(
-                folded[gemm_rows],
-                None if bias is None else bias[gemm_rows],
-                None if query_norms is None else query_norms[gemm_rows],
-                union)
-
-            for block_row, local in enumerate(frontiers):
-                frontier = frontiers[local].astype(np.int64)
-                dists = block[block_row, np.searchsorted(union, frontier)]
-                evaluations[rows[local]] += frontier.size
-                pids = np.concatenate([pool_ids[local], frontier])
-                pdists = np.concatenate([pool_dists[local], dists])
-                if pids.size > pool_size:
-                    keep = np.argpartition(pdists,
-                                           pool_size - 1)[:pool_size]
-                    pids, pdists = pids[keep], pdists[keep]
-                    w = float(pdists.max())
-                    worst[local] = w
-                    grow = dists < w
-                    frontier, dists = frontier[grow], dists[grow]
-                pool_ids[local], pool_dists[local] = pids, pdists
-                cand_ids[local] = np.concatenate(
-                    [cand_ids[local], frontier])
-                cand_dists[local] = np.concatenate(
-                    [cand_dists[local], dists])
-
-        # Exact re-rank: one uncompressed gemm over the group's merged
-        # pools; each query's pool is reordered by true metric distance
-        # (ties by ascending id) and the exact values are returned.
-        union = np.unique(np.concatenate(pool_ids))
-        exact = engine.cross(
-            queries[rows], data[union],
-            a_norms=None if query_norms is None else query_norms[rows],
-            b_norms=None if data_norms is None else data_norms[union])
-        for local, row in enumerate(rows):
-            ids = pool_ids[local]
-            dists = exact[local, np.searchsorted(union, ids)].astype(
-                np.float64)
-            order = np.lexsort((ids, dists))[:n_results]
-            out_idx[row, :order.size] = ids[order]
-            out_dist[row, :order.size] = dists[order]
-            evaluations[row] += union.size
-        return rounds, gemms, time.perf_counter() - group_started
-
-    if workers == 1:
-        walked = [walk_group(rows) for rows in groups]
-    elif executor is not None:
-        walked = list(executor.map(walk_group, groups))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            walked = list(pool.map(walk_group, groups))
-
-    stats = ServingStats(
-        workers=workers, max_group=max_group, n_queries=m,
-        group_sizes=tuple(len(rows) for rows in groups),
-        group_rounds=tuple(rounds for rounds, _, _ in walked),
-        group_gemms=tuple(gemms for _, gemms, _ in walked),
-        group_seconds=tuple(seconds for _, _, seconds in walked),
-        total_seconds=time.perf_counter() - started)
-    return out_idx, out_dist, evaluations, stats
+    rerank = exact_scorer(engine, data, data_norms, queries, query_norms)
+    return beam_walk(
+        adjacency, queries.shape[0], n_results, score, rerank,
+        pool_size=pool_size, n_starts=n_starts, seed_sample=seed_sample,
+        max_group=max_group, workers=workers, rng=rng, executor=executor)

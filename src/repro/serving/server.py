@@ -86,7 +86,7 @@ class RequestStats:
         The batch walk's own stats record
         (:class:`~repro.search.frontier.ServingStats` or
         :class:`~repro.index.sharded.ShardedServingStats`), shared by all
-        requests of the batch; ``None`` when the index reports none.
+        requests of the batch.
     """
 
     n_results: int

@@ -221,12 +221,11 @@ class TestCosineSearch:
         """The single-query API must refuse a query matrix instead of
         silently answering for row 0."""
         from repro.exceptions import GraphError
-        from repro.search import greedy_search
         base, queries, graph = search_setup
-        adjacency = graph.symmetrized_adjacency()
-        with pytest.raises(GraphError, match="single query"):
-            greedy_search(base, adjacency, queries[:3], 5,
-                          rng=np.random.default_rng(0))
+        searcher = GraphSearcher(base, graph, random_state=0,
+                                 metric="cosine")
+        with pytest.raises(GraphError, match="dimension"):
+            searcher.query(queries[:3], 5)
 
     def test_scaling_query_invariant(self, search_setup):
         base, queries, graph = search_setup

@@ -117,6 +117,15 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="version mismatch"):
             self._roundtrip(raw)
 
+    def test_previous_protocol_version_rejected(self):
+        """A version-1 peer still pickles ``ShardSearchTask`` with the
+        ``single``/``strategy`` fields this build dropped; it must be
+        refused at the frame header, before any payload is unpickled."""
+        assert PROTOCOL_VERSION == 2
+        raw = encode_frame(FRAME_PING, version=1)
+        with pytest.raises(ProtocolError, match="version mismatch"):
+            self._roundtrip(raw)
+
     def test_foreign_magic_rejected(self):
         raw = b"HTTP" + encode_frame(FRAME_PING)[4:]
         with pytest.raises(ProtocolError, match="magic"):

@@ -7,7 +7,7 @@ from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import GraphError
 from repro.graph import KNNGraph, brute_force_knn_graph
 from repro.graph.bruteforce import brute_force_neighbors
-from repro.search import GraphSearcher, evaluate_search, greedy_search
+from repro.search import GraphSearcher, evaluate_search, frontier_batch_search
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +76,17 @@ class TestGreedySearch:
         with pytest.raises(GraphError):
             GraphSearcher(base, tiny_graph)
 
-    def test_greedy_search_function_directly(self, search_setup):
+    def test_walk_entry_function_directly(self, search_setup):
+        """The exact entry takes a plain row list and a ``(d,)`` query (a
+        batch of one)."""
         base, queries, graph = search_setup
         adjacency = graph.symmetrized_adjacency()
-        indices, distances, evaluations = greedy_search(
+        indices, distances, evaluations, stats = frontier_batch_search(
             base, adjacency, queries[0], 5, pool_size=32,
             rng=np.random.default_rng(0))
-        assert len(indices) == 5
-        assert evaluations > 0
+        assert indices.shape == distances.shape == (1, 5)
+        assert evaluations[0] > 0
+        assert stats.n_queries == 1
 
     def test_non_symmetrized_search_still_works(self, search_setup):
         base, queries, graph = search_setup
@@ -119,8 +122,8 @@ class TestEvaluateSearch:
         assert evaluation.mean_distance_evaluations > 0
 
 
-class TestBatchStrategies:
-    def test_frontier_default_sets_per_query_counts(self, search_setup):
+class TestBatchQuery:
+    def test_batch_sets_per_query_counts(self, search_setup):
         base, queries, graph = search_setup
         searcher = GraphSearcher(base, graph, random_state=0)
         indices, distances = searcher.batch_query(queries[:12], 4)
@@ -128,30 +131,6 @@ class TestBatchStrategies:
         assert searcher.last_per_query_evaluations.shape == (12,)
         assert searcher.last_n_evaluations == \
             int(searcher.last_per_query_evaluations.sum())
-
-    def test_perquery_strategy_available(self, search_setup):
-        base, queries, graph = search_setup
-        searcher = GraphSearcher(base, graph, random_state=0)
-        indices, _ = searcher.batch_query(queries[:12], 4,
-                                          strategy="perquery")
-        assert indices.shape == (12, 4)
-
-    def test_unknown_strategy_rejected(self, search_setup):
-        base, queries, graph = search_setup
-        searcher = GraphSearcher(base, graph, random_state=0)
-        with pytest.raises(GraphError, match="strategy"):
-            searcher.batch_query(queries[:4], 2, strategy="beam")
-
-    def test_strategies_agree_on_most_queries(self, search_setup):
-        base, queries, graph = search_setup
-        frontier = GraphSearcher(base, graph, pool_size=32, random_state=0)
-        perquery = GraphSearcher(base, graph, pool_size=32, random_state=0)
-        f_idx, _ = frontier.batch_query(queries, 5, strategy="frontier")
-        p_idx, _ = perquery.batch_query(queries, 5, strategy="perquery")
-        agree = sum(
-            np.array_equal(np.sort(f_idx[row]), np.sort(p_idx[row]))
-            for row in range(queries.shape[0]))
-        assert agree >= 0.9 * queries.shape[0]
 
     def test_evaluate_search_batch_mode(self, search_setup):
         base, queries, graph = search_setup

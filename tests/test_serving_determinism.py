@@ -155,15 +155,17 @@ class TestServingStatsSurface:
         assert stats.total_seconds > 0
         assert stats.queries_per_second > 0
 
-    def test_single_query_and_perquery_strategy_leave_no_stats(
+    def test_every_search_publishes_a_stats_record(
             self, served_index, serving_setup):
         _, queries, _ = serving_setup
         served_index.search(queries, 4)
-        assert served_index.last_serving_stats is not None
+        batch_stats = served_index.last_serving_stats
+        assert batch_stats.n_queries == queries.shape[0]
         served_index.search(queries[0], 4)
-        assert served_index.last_serving_stats is None
-        served_index.search(queries, 4, strategy="perquery")
-        assert served_index.last_serving_stats is None
+        single_stats = served_index.last_serving_stats
+        assert single_stats is not batch_stats
+        assert single_stats.n_queries == single_stats.n_groups == 1
+        assert served_index.last_per_query_evaluations.shape == (1,)
 
     def test_evaluate_search_surfaces_stats(self, served_index,
                                             serving_setup):

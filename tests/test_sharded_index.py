@@ -206,8 +206,9 @@ class TestBuildAndSearch:
         _, queries = shard_setup
         single_idx, single_dist = sharded_index.search(queries[0], 5)
         assert single_idx.shape == single_dist.shape == (5,)
-        assert sharded_index.last_serving_stats is None
-        assert sharded_index.last_per_query_evaluations.shape == (1,)
+        batch_idx, batch_dist = sharded_index.search(queries[:1], 5)
+        assert np.array_equal(single_idx, batch_idx[0])
+        assert np.array_equal(single_dist, batch_dist[0])
 
     def test_n_results_larger_than_any_shard(self, shard_setup):
         base, queries = shard_setup
@@ -438,12 +439,17 @@ class TestServingStatsAggregation:
         assert stats.queries_per_second > 0
         assert stats.workers >= 1
 
-    def test_perquery_strategy_leaves_no_stats(self, sharded_index,
-                                               shard_setup):
+    def test_every_search_publishes_a_stats_record(self, sharded_index,
+                                                  shard_setup):
         _, queries = shard_setup
-        sharded_index.search(queries, 6, strategy="perquery")
-        assert sharded_index.last_serving_stats is None
-        assert sharded_index.last_per_query_evaluations is not None
+        sharded_index.search(queries[0], 6)
+        stats = sharded_index.last_serving_stats
+        assert isinstance(stats, ShardedServingStats)
+        assert stats.n_queries == 1
+        assert stats.shard_probe == 4 and stats.routing_gemms == 0
+        assert stats.queries_per_shard == (1, 1, 1, 1)
+        assert all(s.n_queries == 1 for s in stats.shard_stats)
+        assert sharded_index.last_per_query_evaluations.shape == (1,)
 
 
 class TestPersistence:
