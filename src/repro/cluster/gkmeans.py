@@ -9,8 +9,12 @@ graph neighbours currently live.  The candidate set has at most κ entries
 
 Two assignment flavours are provided, matching §5.2's configuration study:
 
-* ``assignment="boost"`` — the standard **GK-means**: the best ΔI move
-  (Eqn. 3) among the candidate clusters is applied immediately.
+* ``assignment="boost"`` — the standard **GK-means**: every sample takes the
+  best positive ΔI move (Eqn. 3) among its candidate clusters.  Alg. 2
+  applies each move at once; :func:`graph_guided_boost_pass` scores ``BLOCK``
+  samples against one snapshot, applies the movers that share no cluster and
+  re-scores the rest, so every applied move is exact while a "stay" decision
+  may be up to one block stale.
 * ``assignment="lloyd"`` — **GK-means⁻**: the sample is assigned to the
   nearest candidate *centroid*, centroids being recomputed once per sweep as
   in traditional k-means.
@@ -36,56 +40,83 @@ from .two_means_tree import two_means_labels
 
 __all__ = [
     "GKMeans",
-    "gather_candidate_clusters",
+    "candidate_label_block",
     "graph_guided_boost_pass",
     "graph_guided_lloyd_assign",
 ]
 
+#: Samples per block of the boost sweep.  Big enough to amortise the
+#: interpreter cost of a block, small enough that few movers collide and the
+#: gathered ``(BLOCK, κ+1, d)`` float64 composites stay a few MB.  On the
+#: ``build`` benchmark's shapes a first sweep is ~1.2x slower at 64 (more
+#: blocks) and ~1.6x slower at 1024 (more collisions to re-score).
+BLOCK = 256
 
-def gather_candidate_clusters(labels: np.ndarray, neighbor_ids: np.ndarray,
-                              current: int) -> np.ndarray:
-    """Clusters in which the given neighbours live, plus the current cluster.
 
-    This is lines 7–11 of Alg. 2: the candidate set ``Q``.
+def candidate_label_block(labels: np.ndarray, neighbor_rows: np.ndarray,
+                          own: np.ndarray) -> np.ndarray:
+    """Candidate clusters of a block of samples — lines 7–11 of Alg. 2.
+
+    ``neighbor_rows`` is the block's ``(b, κ)`` slice of the graph and
+    ``own`` the ``(b,)`` current labels of its samples.  Returns the
+    ``(b, κ+1)`` matrix of the clusters the neighbours live in, with the
+    sample's own cluster in the last column and in place of every ``-1``
+    padding slot.  Rows may repeat a cluster; both consumers take a row-wise
+    arg-best, which duplicates cannot change.
     """
-    valid = neighbor_ids[neighbor_ids >= 0]
-    candidates = labels[valid]
-    return np.unique(np.append(candidates, current))
+    candidates = labels[np.maximum(neighbor_rows, 0)]
+    candidates = np.where(neighbor_rows >= 0, candidates, own[:, None])
+    return np.concatenate([candidates, own[:, None]], axis=1)
 
 
 def graph_guided_boost_pass(state: ClusterState, neighbor_indices: np.ndarray,
                             rng: np.random.Generator, *,
                             protect_singletons: bool = True,
                             counter=None) -> int:
-    """One incremental sweep of Alg. 2 over all samples in random order.
+    """One sweep of Alg. 2 over all samples in random order, ``BLOCK`` at a time.
 
-    For every sample the candidate clusters are gathered from its graph
-    neighbours and the best positive ΔI move is applied immediately.  Returns
-    the number of moves performed.
+    The permutation is walked in blocks.  For a block, the candidate clusters
+    of all its samples are gathered from their graph neighbours and every ΔI
+    is computed against one snapshot of the state; the positive-gain movers
+    whose clusters no earlier mover of the block names are applied in bulk
+    (:meth:`ClusterState.move_block`), and the conflicted movers are
+    re-evaluated against the updated state until none is left.  Every applied
+    move therefore has exactly the gain that was computed for it — the
+    objective never decreases and at most one sample leaves a cluster per
+    round, so ``protect_singletons`` keeps every cluster non-empty — but,
+    unlike Alg. 2's move-at-once loop, a sample that decides to *stay* may do
+    so on a state up to one block old.  Returns the number of moves.
 
     ``counter`` (a :class:`~repro.distance.DistanceCounter`) accumulates the
-    number of sample-to-cluster evaluations performed — the quantity whose
-    reduction from ``k`` to at most κ per sample is the paper's speed-up.
+    number of sample-to-cluster evaluations — the quantity whose reduction
+    from ``k`` to at most κ + 1 per sample is the paper's speed-up.  It counts
+    the distinct candidate clusters of each visited sample once, as Alg. 2
+    does; re-evaluations of conflicted movers are not added again.
     """
-    n = neighbor_indices.shape[0]
     labels = state.labels
     moves = 0
-    for sample in rng.permutation(n):
-        sample = int(sample)
-        current = int(labels[sample])
-        if protect_singletons and state.counts[current] <= 1:
-            continue
-        candidates = gather_candidate_clusters(
-            labels, neighbor_indices[sample], current)
-        if counter is not None:
-            counter.add(candidates.size)
-        if candidates.size <= 1:
-            continue
-        deltas = state.delta_objective(sample, candidates)
-        best = int(np.argmax(deltas))
-        if deltas[best] > 0.0:
-            state.move(sample, int(candidates[best]))
-            moves += 1
+    order = rng.permutation(neighbor_indices.shape[0])
+    for start in range(0, order.size, BLOCK):
+        pending = order[start:start + BLOCK]
+        revisit = False
+        while pending.size:
+            if protect_singletons:
+                pending = pending[state.counts[labels[pending]] > 1]
+            # Sorted rows: ties go to the smallest cluster id, and distinct
+            # candidates are the value changes along a row.
+            candidates = np.sort(candidate_label_block(
+                labels, neighbor_indices[pending], labels[pending]), axis=1)
+            if counter is not None and not revisit:
+                counter.add(pending.size + int(np.count_nonzero(
+                    candidates[:, 1:] != candidates[:, :-1])))
+            revisit = True
+            deltas = state.delta_objective_block(pending, candidates)
+            best = np.argmax(deltas, axis=1)
+            movers = np.flatnonzero(deltas[np.arange(pending.size), best] > 0.0)
+            pending = pending[movers]
+            applied = state.move_block(pending, candidates[movers, best[movers]])
+            moves += int(np.count_nonzero(applied))
+            pending = pending[~applied]
     return moves
 
 
@@ -115,13 +146,8 @@ def graph_guided_lloyd_assign(data: np.ndarray, labels: np.ndarray,
     new_labels = np.empty(n, dtype=np.int64)
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
-        block_neighbors = neighbor_indices[start:stop]
-        # Candidate cluster ids per sample: neighbours' labels + own label.
-        candidate_labels = labels[np.maximum(block_neighbors, 0)]
-        candidate_labels = np.where(block_neighbors >= 0, candidate_labels,
-                                    labels[start:stop, None])
-        candidate_labels = np.concatenate(
-            [candidate_labels, labels[start:stop, None]], axis=1)
+        candidate_labels = candidate_label_block(
+            labels, neighbor_indices[start:stop], labels[start:stop])
         gathered = centroids[candidate_labels]            # (b, κ+1, d)
         dots = np.einsum("bd,bcd->bc", data[start:stop], gathered)
         dists = engine.from_inner(

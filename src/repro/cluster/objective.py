@@ -20,9 +20,13 @@ in O(1) per move once ``I`` is maintained incrementally.
 
 :class:`ClusterState` maintains exactly this state — composite vectors,
 cluster sizes, squared norms — and exposes the move gain ΔI of Eqn. 3 for an
-arbitrary candidate set, which is what both :class:`~repro.cluster.boost.BoostKMeans`
-(candidates = all clusters) and :class:`~repro.cluster.gkmeans.GKMeans`
-(candidates = clusters of the κ graph neighbours) consume.
+arbitrary candidate set in two forms of the same formula: one sample at a
+time (``delta_objective`` / ``move``), which
+:class:`~repro.cluster.boost.BoostKMeans` (candidates = all clusters) and the
+two-means bisection consume, and a block of samples against one snapshot
+(``delta_objective_block`` / ``move_block``), which the graph-guided sweep of
+:class:`~repro.cluster.gkmeans.GKMeans` (candidates = clusters of the κ graph
+neighbours) consumes.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ class ClusterState:
     ----------
     labels:
         Current assignment (int64, owned by the state — mutated by
-        :meth:`move`).
+        :meth:`move` and :meth:`move_block`).
     composites:
         ``(k, d)`` matrix of composite vectors :math:`D_r`.
     counts:
@@ -216,6 +220,88 @@ class ClusterState:
         self.counts[target] += 1
 
         self.labels[sample_index] = target
+
+    # ------------------------------------------------------------------ #
+    # Block moves (Eqn. 3 for many samples against one snapshot)
+    # ------------------------------------------------------------------ #
+    def delta_objective_block(self, samples: np.ndarray,
+                              candidates: np.ndarray) -> np.ndarray:
+        """ΔI of moving ``samples[b]`` to each of ``candidates[b, :]`` (Eqn. 3).
+
+        The ``(b, c)`` counterpart of :meth:`delta_objective`, row for row:
+        every row is scored against the current state as if it were the only
+        sample moving.  The composites are gathered per row, so the cost is
+        ``O(b·c·d)`` whatever the cluster count.
+        """
+        samples = np.asarray(samples, dtype=np.int64)
+        candidates = np.asarray(candidates, dtype=np.int64)
+        x = self._data[samples].astype(np.float64, copy=False)
+        x_sq = self._sample_sq_norms[samples]
+        source = self.labels[samples]
+
+        source_count = self.counts[source].astype(np.float64)
+        source_sq = self._composite_sq_norms[source]
+        removed_sq = (source_sq - 2.0 * np.einsum(
+            "bd,bd->b", self.composites[source], x) + x_sq)
+        # A singleton source becomes empty; its contribution vanishes.
+        source_term = np.where(
+            source_count > 1.0,
+            removed_sq / np.maximum(source_count - 1.0, 1.0), 0.0
+        ) - source_sq / source_count
+
+        cand_counts = self.counts[candidates].astype(np.float64)
+        cand_sq = self._composite_sq_norms[candidates]
+        cand_dot = np.einsum("bd,bcd->bc", x, self.composites[candidates])
+        grown_sq = cand_sq + 2.0 * cand_dot + x_sq[:, None]
+        # An empty candidate cluster has a zero composite, so cand_sq is 0.
+        deltas = (grown_sq / (cand_counts + 1.0)
+                  - cand_sq / np.maximum(cand_counts, 1.0)
+                  + source_term[:, None])
+        deltas[candidates == source[:, None]] = 0.0
+        return deltas
+
+    def move_block(self, samples: np.ndarray,
+                   targets: np.ndarray) -> np.ndarray:
+        """Apply the conflict-free subset of a batch of moves; say which.
+
+        Move ``i`` takes ``samples[i]`` to ``targets[i]``.  It is applied iff
+        neither its source nor its target cluster is named (as source or
+        target) by an earlier move of the batch, so the applied moves touch
+        pairwise distinct clusters: each one sees exactly the
+        ``(D_u, n_u, D_v, n_v)`` its ΔI was computed from, and the bulk
+        update below equals applying them one at a time with :meth:`move`.
+        Returns the boolean mask of applied moves.  The first move of a batch
+        is always applied, so repeating the call on the rest terminates; the
+        exception is a "move" to the sample's own cluster, which names that
+        cluster twice and is never applied.
+        """
+        samples = np.asarray(samples, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        sources = self.labels[samples]
+        touched = np.stack([sources, targets], axis=1).ravel()
+        # First occurrence of each cluster id: after a stable sort it is the
+        # entry that opens its run of equal values.
+        order = np.argsort(touched, kind="stable")
+        opens_run = np.ones(touched.size, dtype=bool)
+        opens_run[1:] = touched[order[1:]] != touched[order[:-1]]
+        is_first = np.empty(touched.size, dtype=bool)
+        is_first[order] = opens_run
+        applied = is_first.reshape(-1, 2).all(axis=1)
+
+        samples, sources, targets = (samples[applied], sources[applied],
+                                     targets[applied])
+        x = self._data[samples].astype(np.float64, copy=False)
+        x_sq = self._sample_sq_norms[samples]
+        self._composite_sq_norms[sources] += x_sq - 2.0 * np.einsum(
+            "bd,bd->b", self.composites[sources], x)
+        self.composites[sources] -= x
+        self.counts[sources] -= 1
+        self._composite_sq_norms[targets] += x_sq + 2.0 * np.einsum(
+            "bd,bd->b", self.composites[targets], x)
+        self.composites[targets] += x
+        self.counts[targets] += 1
+        self.labels[samples] = targets
+        return applied
 
     # ------------------------------------------------------------------ #
     # Consistency helpers (used by tests and after bulk label edits)

@@ -4,7 +4,9 @@ The construction starts from a *random* graph and alternates, for τ rounds:
 
 1. cluster the data into ``k0 = floor(n / ξ)`` small clusters with GK-means
    (two-means-tree initialisation followed by one graph-guided boost sweep —
-   the paper fixes the GK-means iteration count to 1 inside the construction);
+   the paper fixes the GK-means iteration count to 1 inside the construction;
+   the sweep is the same blocked
+   :func:`~repro.cluster.gkmeans.graph_guided_boost_pass` ``GKMeans`` runs);
 2. exhaustively compare every pair of samples inside each cluster and use the
    resulting distances to improve both samples' neighbour lists.
 

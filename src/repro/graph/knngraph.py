@@ -92,18 +92,24 @@ class KNNGraph:
         the symmetrised adjacency once so search does not repeatedly scan the
         index matrix.
         """
-        incoming: list[list[int]] = [[] for _ in range(self.n_points)]
-        for source in range(self.n_points):
-            for target in self.indices[source]:
-                if target >= 0:
-                    incoming[int(target)].append(source)
-        adjacency = []
-        for point in range(self.n_points):
-            merged = np.union1d(self.neighbors(point),
-                                np.asarray(incoming[point], dtype=np.int64))
-            merged = merged[merged != point]
-            adjacency.append(merged.astype(np.int64))
-        return adjacency
+        n = self.n_points
+        sources = np.repeat(np.arange(n, dtype=np.int64),
+                            self.n_neighbors)
+        targets = self.indices.ravel()
+        keep = (targets >= 0) & (targets != sources)
+        sources, targets = sources[keep], targets[keep]
+        # Every edge in both directions as one ``row * n + column`` key:
+        # sorting the keys groups them by row with ascending columns and
+        # puts duplicates side by side.  (Sorted in place: ``np.unique``
+        # costs three times the memory here.)
+        keys = np.concatenate([sources * n + targets, targets * n + sources])
+        keys.sort()
+        fresh = np.ones(keys.size, dtype=bool)
+        fresh[1:] = keys[1:] != keys[:-1]
+        keys = keys[fresh]
+        bounds = np.searchsorted(keys, np.arange(n + 1) * n)
+        keys %= n
+        return [keys[bounds[point]:bounds[point + 1]] for point in range(n)]
 
     # ------------------------------------------------------------------ #
     # Validation

@@ -62,16 +62,15 @@ def random_knn_graph(data: np.ndarray, n_neighbors: int, *, random_state=None,
 
     norms = engine.norms(data)
     distances = np.empty((n, n_neighbors), dtype=np.float64)
-    block = 2048
+    block = 256     # bounds the gathered (block, κ, d) neighbour tensor
     for start in range(0, n, block):
         stop = min(start + block, n)
-        for point in range(start, stop):
-            neighbors = indices[point]
-            row = engine.cross(
-                data[point][None, :], data[neighbors],
-                a_norms=None if norms is None else norms[point:point + 1],
-                b_norms=None if norms is None else norms[neighbors])[0]
-            order = np.argsort(row, kind="stable")
-            indices[point] = neighbors[order]
-            distances[point] = row[order]
+        neighbors = indices[start:stop]
+        rows = engine.from_inner(
+            np.einsum("bd,bkd->bk", data[start:stop], data[neighbors]),
+            None if norms is None else norms[start:stop],
+            None if norms is None else norms[neighbors])
+        order = np.argsort(rows, axis=1, kind="stable")
+        indices[start:stop] = np.take_along_axis(neighbors, order, axis=1)
+        distances[start:stop] = np.take_along_axis(rows, order, axis=1)
     return KNNGraph(indices, distances, metric=engine.metric)

@@ -5,32 +5,51 @@ import pytest
 
 from repro.cluster import BoostKMeans, GKMeans, KMeans
 from repro.cluster.gkmeans import (
-    gather_candidate_clusters,
+    candidate_label_block,
     graph_guided_boost_pass,
     graph_guided_lloyd_assign,
 )
 from repro.cluster.objective import ClusterState
 from repro.cluster.two_means_tree import two_means_labels
+from repro.distance import DistanceCounter
 from repro.exceptions import ValidationError
 from repro.metrics import average_distortion, normalized_mutual_information
 
 
 class TestGatherCandidates:
+    """``candidate_label_block`` — the candidate gather of Alg. 2."""
+
     def test_includes_current_and_neighbor_clusters(self):
         labels = np.array([0, 1, 2, 1, 0])
-        neighbors = np.array([1, 3, 4])
-        candidates = gather_candidate_clusters(labels, neighbors, current=2)
-        assert set(candidates) == {0, 1, 2}
+        neighbors = np.array([[1, 3, 4], [0, 2, 3]])
+        candidates = candidate_label_block(labels, neighbors,
+                                           labels[[2, 4]])
+        assert candidates.shape == (2, 4)
+        assert set(candidates[0]) == {0, 1, 2}
+        assert set(candidates[1]) == {0, 1, 2}
+        assert candidates[:, -1].tolist() == [2, 0]
 
     def test_ignores_padding(self):
         labels = np.array([0, 1, 2])
-        candidates = gather_candidate_clusters(labels, np.array([-1, 1]), 0)
-        assert set(candidates) == {0, 1}
+        candidates = candidate_label_block(labels, np.array([[-1, 1]]),
+                                           labels[[0]])
+        assert set(candidates[0]) == {0, 1}
 
     def test_unique(self):
-        labels = np.array([3, 3, 3, 3])
-        candidates = gather_candidate_clusters(labels, np.array([0, 1, 2]), 3)
-        assert candidates.tolist() == [3]
+        # Every neighbour shares the sample's cluster: the row repeats one
+        # cluster κ+1 times, and the sweep charges one evaluation for it.
+        data = np.random.default_rng(0).normal(size=(4, 3))
+        neighbors = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+        state = ClusterState(data, np.full(4, 3), 4)
+        candidates = candidate_label_block(state.labels, neighbors,
+                                           state.labels)
+        assert np.unique(candidates).tolist() == [3]
+        counter = DistanceCounter()
+        moves = graph_guided_boost_pass(state, neighbors,
+                                        np.random.default_rng(0),
+                                        counter=counter)
+        assert moves == 0
+        assert counter.count == 4
 
 
 class TestGraphGuidedPasses:

@@ -164,6 +164,64 @@ class TestMoves:
             ClusterState(data, labels, 2)
 
 
+class TestBlockForms:
+    """Eqn. 3 exists twice — scalar and block; they must not drift apart."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_delta_objective_block_matches_scalar_rows(self, dtype):
+        rng = np.random.default_rng(5)
+        n, k = 40, 7
+        data = rng.normal(size=(n, 6)).astype(dtype)
+        labels = rng.integers(0, 5, size=n)
+        labels[:5] = np.arange(5)
+        labels[5] = 5                      # cluster 5: singleton source
+        state = ClusterState(data, labels, k)        # cluster 6: empty
+        assert state.counts[5] == 1 and state.counts[6] == 0
+
+        samples = np.array([5, 0, 17, 33, 5, 8])
+        candidates = rng.integers(0, k, size=(samples.size, 9))
+        candidates[:, 0] = 6                         # empty candidate
+        candidates[:, 1] = state.labels[samples]     # own cluster
+        block = state.delta_objective_block(samples, candidates)
+        assert block.shape == candidates.shape and block.dtype == np.float64
+        for row, sample in enumerate(samples):
+            scalar = state.delta_objective(int(sample), candidates[row])
+            np.testing.assert_allclose(block[row], scalar, rtol=1e-9,
+                                       atol=1e-12)
+        assert np.all(block[:, 1] == 0.0)
+
+    def test_move_block_applies_first_occurrences_only(self):
+        data, labels, k = _random_state(n=40, k=6, seed=21)
+        state = ClusterState(data, labels, k)
+        reference = ClusterState(data, labels, k)
+        members = [int(np.flatnonzero(labels == c)[0]) for c in range(k)]
+        # 0→1 applies; 2→1 reuses target 1; 3→4 applies; 1→5 reuses source
+        # 1; a second member of cluster 0 reuses source 0.
+        second_of_0 = int(np.flatnonzero(labels == 0)[1])
+        samples = np.array([members[0], members[2], members[3], members[1],
+                            second_of_0])
+        targets = np.array([1, 1, 4, 5, 5])
+        applied = state.move_block(samples, targets)
+        assert applied.tolist() == [True, False, True, False, False]
+        reference.move(members[0], 1)
+        reference.move(members[3], 4)
+        assert np.array_equal(state.labels, reference.labels)
+        assert np.array_equal(state.counts, reference.counts)
+        assert np.array_equal(state.composites, reference.composites)
+        assert state.objective == pytest.approx(reference.objective,
+                                                rel=1e-12)
+        assert state.check_consistency()
+
+    def test_move_block_never_applies_a_move_to_the_own_cluster(self):
+        data, labels, k = _random_state(seed=22)
+        state = ClusterState(data, labels, k)
+        applied = state.move_block(np.array([3]), state.labels[[3]])
+        assert applied.tolist() == [False]
+        assert np.array_equal(state.labels, labels)
+        assert state.move_block(np.array([], dtype=np.int64),
+                                np.array([], dtype=np.int64)).size == 0
+
+
 class TestPropertyBased:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))

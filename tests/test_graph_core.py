@@ -4,6 +4,8 @@ metrics."""
 import numpy as np
 import pytest
 
+from repro.datasets import make_sift_like
+from repro.distance import DistanceEngine
 from repro.exceptions import GraphError, ValidationError
 from repro.graph import (
     KNNGraph,
@@ -64,6 +66,46 @@ class TestKNNGraph:
         adjacency = graph.symmetrized_adjacency()
         assert 0 in adjacency[1]
         assert 1 in adjacency[0]
+
+    @staticmethod
+    def _symmetrized_loop(graph):
+        """The per-edge loop the vectorised method replaced — the oracle."""
+        incoming = [[] for _ in range(graph.n_points)]
+        for source in range(graph.n_points):
+            for target in graph.indices[source]:
+                if target >= 0:
+                    incoming[int(target)].append(source)
+        adjacency = []
+        for point in range(graph.n_points):
+            merged = np.union1d(graph.neighbors(point),
+                                np.asarray(incoming[point], dtype=np.int64))
+            adjacency.append(merged[merged != point].astype(np.int64))
+        return adjacency
+
+    @pytest.mark.parametrize("case", ["exact", "random", "padded", "source",
+                                      "single"])
+    def test_symmetrized_adjacency_matches_edge_loop(self, case, tiny_data,
+                                                     sift_small_graph):
+        if case == "exact":
+            graph = sift_small_graph
+        elif case == "random":
+            graph = random_knn_graph(tiny_data, 5, random_state=3,
+                                     compute_distances=False)
+        elif case == "padded":
+            # -1 padding, a self-loop (row 3) and a repeated id (row 0).
+            graph = KNNGraph(np.array([[1, 1, -1], [2, -1, -1], [-1, -1, -1],
+                                       [3, 0, -1], [0, 2, 1]]))
+        elif case == "source":
+            # Nobody points at 0; 2 has only incoming edges.
+            graph = KNNGraph(np.array([[1, 2], [2, -1], [-1, -1]]))
+        else:
+            graph = KNNGraph(np.array([[-1]]))
+        got = graph.symmetrized_adjacency()
+        expected = self._symmetrized_loop(graph)
+        assert len(got) == len(expected) == graph.n_points
+        for row, oracle in zip(got, expected):
+            assert row.dtype == np.int64
+            assert row.tolist() == oracle.tolist()
 
     def test_from_heap(self):
         heap = NeighborHeap(3, 2)
@@ -137,6 +179,40 @@ class TestRandomGraph:
         a = random_knn_graph(tiny_data, 3, random_state=9)
         b = random_knn_graph(tiny_data, 3, random_state=9)
         assert np.array_equal(a.indices, b.indices)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("metric", ["sqeuclidean", "cosine", "dot"])
+    def test_rows_match_per_row_scoring(self, metric, dtype):
+        """The blocked scoring equals one ``engine.cross`` call per point
+        over the very same random draws."""
+        n, kappa = 700, 6                      # spans several scoring blocks
+        data = make_sift_like(n, 12, random_state=4).astype(dtype)
+        engine = DistanceEngine(metric, dtype)
+        graph = random_knn_graph(data, kappa, random_state=5, engine=engine)
+        assert graph.distances.dtype == np.float64
+
+        rng = np.random.default_rng(5)
+        atol = 1e-9 if dtype == np.float64 else 1e-5 * float(
+            np.abs(engine.cross(data[:50], data)).max())
+        for point in range(n):
+            draw = rng.choice(n - 1, size=kappa, replace=False)
+            draw[draw >= point] += 1
+            assert sorted(graph.indices[point]) == sorted(draw)
+            row = engine.cross(data[point][None, :],
+                               data[graph.indices[point]])[0]
+            np.testing.assert_allclose(graph.distances[point], row,
+                                       rtol=0, atol=atol)
+            assert np.all(np.diff(graph.distances[point]) >= 0)
+
+    def test_distance_ties_keep_draw_order(self):
+        # All rows identical: every distance ties, so the stable sort must
+        # leave each row in the order it was drawn.
+        data = np.ones((9, 3))
+        graph = random_knn_graph(data, 4, random_state=2)
+        unsorted = random_knn_graph(data, 4, random_state=2,
+                                    compute_distances=False)
+        assert np.array_equal(graph.indices, unsorted.indices)
+        assert np.all(graph.distances == 0.0)
 
 
 class TestRecallMetrics:
