@@ -90,6 +90,24 @@ class CSRAdjacency:
         buffer."""
         return self.indices[self.indptr[node]:self.indptr[node + 1]]
 
+    def gather(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbour ids of many nodes in one ragged gather.
+
+        Returns ``(flat_ids, lengths)``: the rows of ``nodes`` concatenated
+        in the order given (a repeated node repeats its row) and each row's
+        length — ``np.concatenate([self[i] for i in nodes])`` without the
+        per-node slicing.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        starts = self.indptr[nodes]
+        lengths = self.indptr[nodes + 1] - starts
+        firsts = np.cumsum(lengths) - lengths
+        # Flat position p, inside row r, reads indices[starts[r] + p -
+        # firsts[r]].
+        position = np.repeat(starts - firsts, lengths)
+        position += np.arange(position.size)
+        return self.indices[position], lengths
+
     def __repr__(self) -> str:
         return (f"CSRAdjacency(n={len(self)}, "
                 f"n_edges={self.n_edges})")

@@ -21,11 +21,51 @@ expansion, so this walk batches both ways:
   Python-level rounds; at serving scale the interpreter, not the gemm, is
   the bottleneck, so that trade wins.
 
-Bookkeeping is array-based: a query's candidate set and result pool are
-flat numpy arrays — candidates are stably sorted once per round and popped
-by advancing a cursor, pool pruning is one ``argpartition``, and the pool's
-worst distance is carried as a plain float so candidates that can no
-longer improve the pool are dropped with a single vectorised mask.
+Bookkeeping is group-wide: a group's state is a few fixed-width matrices
+— ``(g, L)`` pool ids, distances and expanded flags, kept ascending by
+distance and padded ``-1`` / ``inf``, plus one threshold per row (the
+pool's worst distance once it has overflowed) — and a round is a fixed
+number of numpy calls for the whole group, not a Python trip per query.
+Candidates are not stored: they are exactly the unexpanded pool members
+below the row's threshold (anything that fell out of the pool is at or above
+it), already in pop order.  A round
+
+1. pops each row's next ``CHUNK`` candidates *speculatively* and reads all
+   their adjacency rows in one ragged gather (flat ids + lengths: through
+   ``indptr`` on a :class:`~repro.graph.csr.CSRAdjacency`, a
+   ``np.concatenate`` of the few rows on the row list inserts walk — no
+   padded ``(n, κ)`` view, symmetrised degree varies too much).  One lookup
+   on ``row · n + id`` keys drops visited neighbours, one
+   ``np.maximum.at`` pass keeps each neighbour's first occurrence in pop
+   order, and a row-wise running count of *productive* pops (pops that
+   found a fresh neighbour) keeps each row's pops up to its ``BEAM``-th
+   productive one; later pops are put back un-marked, and the rare row that
+   exhausts a chunk short of ``BEAM`` pops another;
+2. scores the union of the kept frontiers in one block, exactly as a
+   per-query loop would;
+3. merges ``[pool | frontier]`` row-wise and keeps the ``L`` smallest,
+   *earlier entry first among equals* (:func:`stable_smallest`), raising
+   the threshold only for rows that overflowed.  Rows with nothing left to
+   score are compacted out of the live matrices.
+
+Seeding, the compressed entry's re-rank and the final ``(distance, id)``
+ordering are whole-group array operations the same way.  The tie rule is
+the one above everywhere: every selection is a function of the row's own
+entries, never of the width the rest of the group pads it to, which is what
+keeps ``max_group`` a pure throughput knob on tied distances too.  On
+tie-free data the pops, the scoring sets and the counts are those of the
+per-query loop this replaced (kept as the oracle in
+``tests/test_walk_contract.py``).
+
+The price is a fixed cost per round — about a hundred small numpy calls
+whether the group holds one query or thirty-two — so a **batch of one is
+the slow shape**: it pays a whole round's overhead for one query's work.
+Measured on one core, a single-query walk costs 0.93 ms at 20000 × 64
+(pool 64, 2048-point entry sample) — what the per-query loop cost — and
+0.84–0.88 ms at 4000 × 24, where the loop took 0.55–0.66 ms, against
+0.13–0.17 ms per query inside a 32-query group.  ``GraphSearcher.query``,
+every inserted vector and every single-vector request behind the wire run
+that shape; callers with traffic to batch should batch it.
 
 The walk is parameterised by a *scorer*, ``score(rows, ids)``, returning
 the distance block between batch queries ``rows`` and dataset rows ``ids``.
@@ -63,6 +103,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..graph.csr import CSRAdjacency
 from ..validation import check_positive_int, clamp_workers
 from ._seeding import seed_entry_points
 
@@ -72,6 +113,15 @@ __all__ = ["ServingStats", "beam_walk", "exact_scorer", "BEAM"]
 #: extra expansions stop paying for themselves (measured on the bench
 #: stand-in: larger beams keep recall flat but stop reducing wall time).
 BEAM = 8
+
+#: Candidates a row pops speculatively per pass of a round: the walk gathers
+#: this many adjacency rows at once, then keeps the pops up to the
+#: ``BEAM``-th productive one and puts the rest back.
+CHUNK = 32
+
+#: Blocks of at most this many entries are selected from by a whole-row
+#: sort: below it the sort costs less than the partition path's extra calls.
+SORT_WHOLE = 1024
 
 #: ``score(rows, ids)``: distances between batch queries ``rows`` and
 #: dataset rows ``ids`` as a ``(len(rows), len(ids))`` block.
@@ -92,6 +142,48 @@ def exact_scorer(engine, data: np.ndarray, data_norms: np.ndarray | None,
             a_norms=None if query_norms is None else query_norms[rows],
             b_norms=None if data_norms is None else data_norms[ids])
     return score
+
+
+def stable_smallest(block: np.ndarray, count: int) -> np.ndarray:
+    """Columns of each row's ``count`` smallest entries, ascending, the
+    earlier column first among equals.
+
+    Equals ``np.argsort(block, axis=1, kind="stable")[:, :count]`` on every
+    input, without sorting whole rows: partition for the ``count``-th value,
+    then order only the columns at or below it.  A row whose boundary value
+    is tied (or NaN) falls back to its full stable sort, and so does a block
+    too small for the partition's fixed cost to pay.
+    """
+    n_rows, width = block.shape
+    if count >= width or block.size <= SORT_WHOLE:
+        return block.argsort(axis=1, kind="stable")[:, :count]
+    kth = np.partition(block, count - 1, axis=1)[:, count - 1:count]
+    below = block <= kth
+    tied = below.sum(axis=1) != count
+    any_tied = tied.any()
+    if any_tied:
+        below[tied] = False
+    # The untied rows' survivors, as flat positions in column order.
+    flat = np.flatnonzero(below).reshape(-1, count)
+    order = block.ravel()[flat].argsort(axis=1, kind="stable")
+    cols = flat[np.arange(flat.shape[0])[:, None], order] % width
+    if not any_tied:
+        return cols
+    picked = np.empty((n_rows, count), dtype=np.intp)
+    picked[~tied] = cols
+    picked[tied] = block[tied].argsort(axis=1, kind="stable")[:, :count]
+    return picked
+
+
+def gather_rows(adjacency, nodes: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``(flat_ids, lengths)`` of the adjacency rows of ``nodes``: one
+    vectorised gather on a CSR, the rows read in place on a row list."""
+    if isinstance(adjacency, CSRAdjacency):
+        return adjacency.gather(nodes)
+    picked = [adjacency[node] for node in nodes.tolist()]
+    return np.concatenate(picked), np.fromiter(
+        map(len, picked), dtype=np.intp, count=len(picked))
 
 
 @dataclass(frozen=True)
@@ -192,100 +284,162 @@ def beam_walk(adjacency, n_queries: int, n_results: int, score: Scorer,
     def walk_group(rows: np.ndarray) -> tuple[int, int, float]:
         group_started = time.perf_counter()
         size = rows.size
-        visited = np.zeros((size, n), dtype=bool)
-        # Per-query candidate set and bounded result pool: unsorted flat
-        # (ids, distances) array pairs in the scorer's block dtype.
-        cand_ids: list = [None] * size
-        cand_dists: list = [None] * size
-        pool_ids: list = [None] * size
-        pool_dists: list = [None] * size
-        # Pool threshold, tracked as a plain float so the hot loop never
-        # re-reduces the pool; ``inf`` until the pool fills.
-        worst = [np.inf] * size
-        keep = np.argsort(seed_block[rows], axis=1,
-                          kind="stable")[:, :n_starts]
-        for local, row in enumerate(rows):
-            ids, dists = sample[keep[local]], seed_block[row, keep[local]]
-            visited[local, ids] = True
-            cand_ids[local], cand_dists[local] = ids, dists
-            if ids.size > pool_size:
-                best = np.argpartition(dists, pool_size - 1)[:pool_size]
-                ids, dists = ids[best], dists[best]
-            pool_ids[local], pool_dists[local] = ids, dists
-            if ids.size >= pool_size:
-                worst[local] = float(dists.max())
+        # Group scratch.  ``seen[q * n + node]`` is nonzero once query ``q``
+        # has scored ``node``; within a round it also holds the stamp that
+        # picks a neighbour's first occurrence.
+        seen = np.zeros(size * n, dtype=np.int32)
+        marked = np.zeros(n, dtype=bool)
+        column = np.zeros(n, dtype=np.intp)
 
-        live = list(range(size))
+        def union_of(ids: np.ndarray) -> np.ndarray:
+            """The distinct ``ids``, ascending; ``column`` then maps each to
+            its position (a mark-and-nonzero pass, no sort)."""
+            marked[ids] = True
+            union = marked.nonzero()[0]
+            marked[union] = False
+            column[union] = np.arange(union.size)
+            return union
+
+        # Live rows only: ``slot`` is a live row's position in the group,
+        # ``queries`` its batch row.
+        slot = np.arange(size)
+        queries = rows
+
+        block = seed_block[rows]
+        keep = stable_smallest(block, n_starts)
+        seeds = sample[keep]
+        seen[(slot[:, None] * n + seeds).ravel()] = 1
+        # Pools: ``(size, pool_size)`` id / distance matrices, ascending by
+        # distance (earlier arrival first among equals), padded -1 / inf.
+        filled = min(keep.shape[1], pool_size)
+        pool_ids = np.full((size, pool_size), -1, dtype=np.int64)
+        pool_dists = np.full((size, pool_size), np.inf, dtype=block.dtype)
+        pool_ids[:, :filled] = seeds[:, :filled]
+        pool_dists[:, :filled] = block[slot[:, None], keep[:, :filled]]
+        expanded = np.zeros((size, pool_size), dtype=bool)
+        count = np.full(size, filled)
+        # Pool threshold, one column: ``inf`` until the seeds fill the pool
+        # or a merge overflows it.
+        worst = pool_dists[:, -1:].copy()
+        done_ids = np.empty_like(pool_ids)
+        done_dists = np.empty_like(pool_dists)
+
         rounds = 0
         gemms = 0
-        while live:
+        while True:
             rounds += 1
-            frontiers: dict[int, np.ndarray] = {}
-            for local in live:
-                cids, cdists = cand_ids[local], cand_dists[local]
-                w = worst[local]
-                if w != np.inf and cids.size:
-                    improving = cdists < w
-                    if not improving.all():
-                        cids, cdists = cids[improving], cdists[improving]
-                if not cids.size:
-                    continue
-                order = np.argsort(cdists, kind="stable")
-                cids, cdists = cids[order], cdists[order]
-                seen = visited[local]
-                parts: list[np.ndarray] = []
-                consumed = 0
-                while consumed < cids.size and len(parts) < BEAM:
-                    neighbors = adjacency[int(cids[consumed])]
-                    consumed += 1
-                    unvisited = neighbors[~seen[neighbors]]
-                    if unvisited.size:
-                        seen[unvisited] = True
-                        parts.append(unvisited)
-                cand_ids[local] = cids[consumed:]
-                cand_dists[local] = cdists[consumed:]
-                if parts:
-                    frontiers[local] = np.concatenate(parts, dtype=np.int64)
-            # A query with nothing left to score is done: every candidate
-            # it still holds was consumed or cannot improve its pool.
-            live = list(frontiers)
-            if not live:
+            # Candidates are the unexpanded pool members that still beat the
+            # threshold; the pool order is their pop order.
+            cand = pool_dists < worst
+            cand &= ~expanded
+            rank = cand.cumsum(axis=1)
+            base = slot * n
+            frontier_rows: list[np.ndarray] = []
+            frontier_ids: list[np.ndarray] = []
+            # Productive pops a row may still make this round: BEAM, less
+            # the previous pass's (a per-row column from the second pass on).
+            quota = BEAM
+            for popped in range(0, int(rank[:, -1].max()), CHUNK):
+                # Pop every row's next CHUNK candidates speculatively.
+                window = cand & (rank <= popped + CHUNK)
+                if popped:
+                    quota = quota - made.sum(axis=1, keepdims=True)
+                    window &= (rank > popped) & (quota > 0)
+                arow, pcol = window.nonzero()
+                if not arow.size:
+                    break
+                flat, lengths = gather_rows(adjacency, pool_ids[arow, pcol])
+                owner = np.arange(arow.size).repeat(lengths)
+                keys = base[arow].repeat(lengths)
+                keys += flat
+                fresh = (seen[keys] == 0).nonzero()[0]
+                keys, owner, flat = keys[fresh], owner[fresh], flat[fresh]
+                # A neighbour reached by several pops belongs to the first.
+                stamps = np.arange(keys.size, 0, -1, dtype=np.int32)
+                np.maximum.at(seen, keys, stamps)
+                first = seen[keys] == stamps
+                # Keep a row's pops up to its quota-th productive one; the
+                # rest go back un-marked.
+                made = np.zeros(pool_ids.shape, dtype=np.intp)
+                made[arow, pcol] = np.bincount(
+                    owner[first], minlength=arow.size) > 0
+                before = made.cumsum(axis=1)
+                before -= made
+                kept = (before < quota)[arow, pcol]
+                expanded[arow[kept], pcol[kept]] = True
+                taken = kept[owner]
+                taken &= first
+                seen[keys[first ^ taken]] = 0
+                frontier_rows.append(arow[owner[taken]])
+                frontier_ids.append(flat[taken])
+
+            if not frontier_ids:
                 break
+            frow, fid = frontier_rows[0], frontier_ids[0]
+            if len(frontier_ids) > 1:
+                frow = np.concatenate(frontier_rows)
+                order = frow.argsort(kind="stable")
+                frow, fid = frow[order], np.concatenate(frontier_ids)[order]
+            fcount = np.bincount(frow, minlength=slot.size)
+            if not fcount.all():
+                # A row with nothing left to score is done: every candidate
+                # it held was consumed or cannot improve its pool.
+                alive = fcount > 0
+                if not alive.any():
+                    break
+                done = slot[~alive]
+                done_ids[done] = pool_ids[~alive]
+                done_dists[done] = pool_dists[~alive]
+                pool_ids, pool_dists = pool_ids[alive], pool_dists[alive]
+                expanded, worst = expanded[alive], worst[alive]
+                count, fcount = count[alive], fcount[alive]
+                slot, queries = slot[alive], queries[alive]
+                frow = (alive.cumsum() - 1)[frow]
             gemms += 1
+            evaluations[queries] += fcount
 
-            union = np.unique(np.concatenate(list(frontiers.values())))
-            block = score(rows[live], union)
+            fdist = score(queries, union_of(fid))[frow, column[fid]]
 
-            for block_row, local in enumerate(live):
-                frontier = frontiers[local]
-                dists = block[block_row, np.searchsorted(union, frontier)]
-                evaluations[rows[local]] += frontier.size
-                pids = np.concatenate([pool_ids[local], frontier])
-                pdists = np.concatenate([pool_dists[local], dists])
-                if pids.size > pool_size:
-                    best = np.argpartition(pdists, pool_size - 1)[:pool_size]
-                    pids, pdists = pids[best], pdists[best]
-                    worst[local] = w = float(pdists.max())
-                    grow = dists < w
-                    frontier, dists = frontier[grow], dists[grow]
-                pool_ids[local], pool_dists[local] = pids, pdists
-                cand_ids[local] = np.concatenate([cand_ids[local], frontier])
-                cand_dists[local] = np.concatenate([cand_dists[local], dists])
+            # Merge [pool | frontier] row-wise, keep the pool_size smallest.
+            at = np.arange(pool_size, pool_size + fid.size)
+            at -= (fcount.cumsum() - fcount)[frow]
+            shape = (slot.size, pool_size + int(fcount.max()))
+            cat_ids = np.full(shape, -1, dtype=np.int64)
+            cat_dists = np.full(shape, np.inf, dtype=pool_dists.dtype)
+            cat_done = np.zeros(shape, dtype=bool)
+            cat_ids[:, :pool_size] = pool_ids
+            cat_dists[:, :pool_size] = pool_dists
+            cat_done[:, :pool_size] = expanded
+            cat_ids[frow, at] = fid
+            cat_dists[frow, at] = fdist
+            pick = stable_smallest(cat_dists, pool_size)
+            lanes = np.arange(slot.size)[:, None]
+            pool_ids = cat_ids[lanes, pick]
+            pool_dists = cat_dists[lanes, pick]
+            expanded = cat_done[lanes, pick]
+            count += fcount
+            worst = np.where((count > pool_size)[:, None],
+                             pool_dists[:, -1:], worst)
+            np.minimum(count, pool_size, out=count)
 
+        done_ids[slot] = pool_ids
+        done_dists[slot] = pool_dists
+        lanes = np.arange(size)[:, None]
         if rerank is not None:
             # One exact block over the group's merged pools; each query's
             # pool is then ordered by true metric distance.
-            union = np.unique(np.concatenate(pool_ids))
+            valid = done_ids >= 0
+            union = union_of(done_ids[valid])
             exact = rerank(rows, union)
-        for local, row in enumerate(rows):
-            ids, dists = pool_ids[local], pool_dists[local]
-            if rerank is not None:
-                dists = exact[local, np.searchsorted(union, ids)]
-                evaluations[row] += ids.size
-            # Ties break by ascending id, the library-wide rule.
-            order = np.lexsort((ids, dists))[:n_results]
-            out_idx[row, :order.size] = ids[order]
-            out_dist[row, :order.size] = dists[order]
+            done_dists = np.where(
+                valid,
+                exact[lanes, column[np.where(valid, done_ids, union[0])]],
+                np.inf)
+            evaluations[rows] += valid.sum(axis=1)
+        # Ties break by ascending id, the library-wide rule.
+        order = np.lexsort((done_ids, done_dists))[:, :n_results]
+        out_idx[rows] = done_ids[lanes, order]
+        out_dist[rows] = done_dists[lanes, order]
         return rounds, gemms, time.perf_counter() - group_started
 
     # Each group touches only its own rows of the shared output, so the

@@ -231,45 +231,50 @@ class GraphSearcher:
         if rng is None:
             rng = self._rng
         n_neighbors = self.graph.n_neighbors
-        indices = self.graph.indices.copy()
+        first = self.data.shape[0]
+        total = first + vectors.shape[0]
         if self.graph.distances is None:
-            indices, distances = materialize_row_distances(
-                self.data, indices, engine, self._data_norms)
+            old_indices, old_distances = materialize_row_distances(
+                self.data, self.graph.indices, engine, self._data_norms)
         else:
-            distances = self.graph.distances.copy()
-        data = self.data
+            old_indices, old_distances = (self.graph.indices,
+                                          self.graph.distances)
+        # Every matrix is allocated once at its final height and filled in
+        # place; each walk and repair step sees the ``[:pos]`` view.
+        indices = np.full((total, n_neighbors), -1, dtype=np.int64)
+        indices[:first] = old_indices
+        distances = np.full((total, n_neighbors), np.inf, dtype=np.float64)
+        distances[:first] = old_distances
+        data = np.empty((total, self.data.shape[1]), dtype=self.data.dtype)
+        data[:first] = self.data
+        data[first:] = vectors
         norms = self._data_norms
+        if norms is not None:
+            norms = np.concatenate([norms, engine.norms(vectors)])
         # Repair edits individual rows between walks, so both work on the
         # unpacked per-row form; the CSR buffers are rebuilt at commit.
         adjacency = self._adjacency.to_rows()
-        first = data.shape[0]
         ef = max(self.pool_size, 2 * n_neighbors)
-        for row_vec in vectors:
-            pos = data.shape[0]
+        for pos in range(first, total):
+            row_vec = data[pos]
+            row_norms = None if norms is None else norms[:pos]
             found, _, _, _ = frontier_batch_search(
-                data, adjacency, row_vec, min(ef, pos), pool_size=ef,
+                data[:pos], adjacency, row_vec, min(ef, pos), pool_size=ef,
                 n_starts=self.n_starts, seed_sample=self.seed_sample,
-                rng=rng, engine=engine, data_norms=norms)
+                rng=rng, engine=engine, data_norms=row_norms)
             seeds = found[0][found[0] >= 0]
             row_ids, row_dists = refine_neighborhood(
-                engine, data, norms, indices, row_vec, seeds, n_neighbors)
-            new_idx = np.full(n_neighbors, -1, dtype=np.int64)
-            new_idx[:row_ids.size] = row_ids
-            new_dist = np.full(n_neighbors, np.inf, dtype=np.float64)
-            new_dist[:row_dists.size] = row_dists
-            indices = np.vstack([indices, new_idx[None, :]])
-            distances = np.vstack([distances, new_dist[None, :]])
-            data = np.vstack([data, row_vec[None, :]])
-            if norms is not None:
-                norms = np.concatenate([norms,
-                                        engine.norms(row_vec[None, :])])
+                engine, data[:pos], row_norms, indices[:pos], row_vec, seeds,
+                n_neighbors)
+            indices[pos, :row_ids.size] = row_ids
+            distances[pos, :row_dists.size] = row_dists
             # The new node's in-edges can only come from the back-edge
             # pushes into row_ids, so its symmetrised row is exactly its
             # own (id-sorted) graph row.
             adjacency.append(np.sort(row_ids).astype(np.int64))
             push_back_edges(indices, distances, adjacency, pos, row_ids,
                             row_dists)
-        self.data = np.ascontiguousarray(data)
+        self.data = data
         self.graph = KNNGraph(indices, distances, metric=self.graph.metric)
         self._data_norms = norms
         self._adjacency = CSRAdjacency.from_rows(adjacency)
@@ -277,7 +282,7 @@ class GraphSearcher:
         # the code matrix itself is derived state and is rebuilt on the
         # next quantized search.
         self._scorer = None
-        return np.arange(first, data.shape[0], dtype=np.int64)
+        return np.arange(first, total, dtype=np.int64)
 
     def query(self, query: np.ndarray, n_results: int = 10, *,
               pool_size: int | None = None,

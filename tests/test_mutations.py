@@ -475,3 +475,38 @@ class TestGenerationHandshake:
         sharded.endpoints = [servers[1].endpoint, servers[0].endpoint]
         with pytest.raises(ServingError, match="shard"):
             sharded.search(queries, 6, executor="remote")
+
+
+def test_insert_copies_whole_matrices_a_fixed_number_of_times(corpus,
+                                                              monkeypatch):
+    """``insert_points`` grows data / graph / norms once per call, not once
+    per inserted row: the count of ``np.vstack`` / ``np.concatenate`` calls
+    with an operand as tall as the corpus is the same for 4 rows and 32."""
+    from repro.graph import brute_force_knn_graph
+    from repro.search import GraphSearcher
+
+    base, _, _ = corpus
+    new_rows = make_sift_like(32, 10, random_state=23)
+    graph = brute_force_knn_graph(base, 8)
+    n = base.shape[0]
+    tall_calls = []
+
+    def counting(original):
+        def wrapper(arrays, *args, **kwargs):
+            arrays = list(arrays)
+            if any(np.ndim(a) and np.shape(a)[0] >= n for a in arrays):
+                tall_calls.append(original.__name__)
+            return original(arrays, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "vstack", counting(np.vstack))
+    monkeypatch.setattr(np, "concatenate", counting(np.concatenate))
+    counts = []
+    for m in (4, 32):
+        searcher = GraphSearcher(base, graph, random_state=0)
+        tall_calls.clear()
+        positions = searcher.insert_points(new_rows[:m])
+        assert positions.tolist() == list(range(n, n + m))
+        assert searcher.data.shape[0] == searcher.graph.n_points == n + m
+        counts.append(len(tall_calls))
+    assert counts[0] == counts[1] <= 2, counts

@@ -31,7 +31,7 @@ from repro.exceptions import GraphError, ValidationError
 from repro.graph import CSRAdjacency, brute_force_knn_graph
 from repro.index import Index, IndexSpec, ShardedIndex
 from repro.index.facade import FORMAT_VERSION
-from repro.search import frontier_batch_search
+from repro.search import GraphSearcher, frontier_batch_search
 from repro.search.quantized import quantized_batch_search
 
 
@@ -110,6 +110,34 @@ class TestCSRAdjacency:
         rows = [np.array([1, 2]), np.array([0])]
         csr = CSRAdjacency.from_rows(rows)
         assert CSRAdjacency.from_rows(csr) is csr
+
+    def test_gather_equals_concatenated_rows(self, rng, corpus):
+        """``gather(nodes)`` is ``np.concatenate([csr[i] for i in nodes])``
+        plus the row lengths: repeated nodes, empty rows, no nodes at all,
+        and the ragged graph ``insert_points`` leaves behind."""
+        rows = [np.sort(rng.choice(40, size=rng.integers(0, 9),
+                                   replace=False)).astype(np.int64)
+                for _ in range(40)]
+        rows[7] = rows[23] = np.empty(0, dtype=np.int64)
+        base, queries = corpus
+        searcher = GraphSearcher(base, brute_force_knn_graph(base, 8),
+                                 random_state=0)
+        searcher.insert_points(queries[:10])
+        ragged = searcher._adjacency
+        assert np.unique(np.diff(ragged.indptr)).size > 2
+        for csr in (CSRAdjacency.from_rows(rows), ragged):
+            n = len(csr)
+            for nodes in (np.array([3, 7, 3, 3, 23, n - 1, 0, 7]),
+                          np.array([7, 23]),
+                          np.array([], dtype=np.int64),
+                          rng.integers(0, n, size=200)):
+                flat, lengths = csr.gather(nodes)
+                assert lengths.tolist() == [len(csr[i]) for i in nodes]
+                expected = [csr[i] for i in nodes]
+                assert np.array_equal(
+                    flat, np.concatenate(expected) if expected
+                    else np.empty(0, dtype=np.int32))
+                assert flat.dtype == csr.indices.dtype
 
     def test_invalid_indptr_rejected(self):
         with pytest.raises(GraphError):

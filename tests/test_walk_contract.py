@@ -272,3 +272,365 @@ class TestConsolidationHazards:
         assert (PROTOCOL_VERSION, fields) == (
             2, ("shard", "queries", "shard_k", "pool_size", "workers",
                 "seed"))
+
+
+# --------------------------------------------------------------------- #
+# The per-query loop the group-wide walk replaced, kept as its oracle
+# --------------------------------------------------------------------- #
+import copy                                                   # noqa: E402
+from unittest import mock                                     # noqa: E402
+
+from hypothesis import given, settings                        # noqa: E402
+from hypothesis import strategies as st                       # noqa: E402
+from hypothesis.extra import numpy as hnp                     # noqa: E402
+
+from repro.search import _walk as walk_module                 # noqa: E402
+from repro.search import frontier, quantized                  # noqa: E402
+from repro.search._seeding import seed_entry_points           # noqa: E402
+from repro.search._walk import BEAM, beam_walk, stable_smallest  # noqa: E402
+
+
+def reference_beam_walk(adjacency, n_queries, n_results, score, rerank, *,
+                        pool_size, n_starts, seed_sample, max_group, rng):
+    """The walk as it stood before the group-wide rewrite: per-query flat
+    candidate / pool arrays, one Python trip per query per round.  Returns
+    ``(indices, distances, evaluations, group_rounds, group_gemms)``."""
+    n = len(adjacency)
+    m = n_queries
+    pool_size = max(pool_size, n_results)
+    max_group = max(1, m if max_group is None else int(max_group))
+    sample, seed_block = seed_entry_points(n, m, seed_sample, n_starts, rng,
+                                           score)
+    n_starts = min(n_starts, n)
+    out_idx = np.full((m, n_results), -1, dtype=np.int64)
+    out_dist = np.full((m, n_results), np.inf, dtype=np.float64)
+    evaluations = np.full(m, sample.size, dtype=np.int64)
+    groups = [np.arange(start, min(start + max_group, m))
+              for start in range(0, m, max_group)]
+
+    def walk_group(rows):
+        size = rows.size
+        visited = np.zeros((size, n), dtype=bool)
+        cand_ids = [None] * size
+        cand_dists = [None] * size
+        pool_ids = [None] * size
+        pool_dists = [None] * size
+        worst = [np.inf] * size
+        keep = np.argsort(seed_block[rows], axis=1,
+                          kind="stable")[:, :n_starts]
+        for local, row in enumerate(rows):
+            ids, dists = sample[keep[local]], seed_block[row, keep[local]]
+            visited[local, ids] = True
+            cand_ids[local], cand_dists[local] = ids, dists
+            if ids.size > pool_size:
+                best = np.argpartition(dists, pool_size - 1)[:pool_size]
+                ids, dists = ids[best], dists[best]
+            pool_ids[local], pool_dists[local] = ids, dists
+            if ids.size >= pool_size:
+                worst[local] = float(dists.max())
+
+        live = list(range(size))
+        rounds = 0
+        gemms = 0
+        while live:
+            rounds += 1
+            frontiers = {}
+            for local in live:
+                cids, cdists = cand_ids[local], cand_dists[local]
+                w = worst[local]
+                if w != np.inf and cids.size:
+                    improving = cdists < w
+                    if not improving.all():
+                        cids, cdists = cids[improving], cdists[improving]
+                if not cids.size:
+                    continue
+                order = np.argsort(cdists, kind="stable")
+                cids, cdists = cids[order], cdists[order]
+                seen = visited[local]
+                parts = []
+                consumed = 0
+                while consumed < cids.size and len(parts) < BEAM:
+                    neighbors = adjacency[int(cids[consumed])]
+                    consumed += 1
+                    unvisited = neighbors[~seen[neighbors]]
+                    if unvisited.size:
+                        seen[unvisited] = True
+                        parts.append(unvisited)
+                cand_ids[local] = cids[consumed:]
+                cand_dists[local] = cdists[consumed:]
+                if parts:
+                    frontiers[local] = np.concatenate(parts, dtype=np.int64)
+            live = list(frontiers)
+            if not live:
+                break
+            gemms += 1
+
+            union = np.unique(np.concatenate(list(frontiers.values())))
+            block = score(rows[live], union)
+
+            for block_row, local in enumerate(live):
+                frontier_ids = frontiers[local]
+                dists = block[block_row,
+                              np.searchsorted(union, frontier_ids)]
+                evaluations[rows[local]] += frontier_ids.size
+                pids = np.concatenate([pool_ids[local], frontier_ids])
+                pdists = np.concatenate([pool_dists[local], dists])
+                if pids.size > pool_size:
+                    best = np.argpartition(pdists, pool_size - 1)[:pool_size]
+                    pids, pdists = pids[best], pdists[best]
+                    worst[local] = w = float(pdists.max())
+                    grow = dists < w
+                    frontier_ids, dists = frontier_ids[grow], dists[grow]
+                pool_ids[local], pool_dists[local] = pids, pdists
+                cand_ids[local] = np.concatenate([cand_ids[local],
+                                                  frontier_ids])
+                cand_dists[local] = np.concatenate([cand_dists[local], dists])
+
+        if rerank is not None:
+            union = np.unique(np.concatenate(pool_ids))
+            exact = rerank(rows, union)
+        for local, row in enumerate(rows):
+            ids, dists = pool_ids[local], pool_dists[local]
+            if rerank is not None:
+                dists = exact[local, np.searchsorted(union, ids)]
+                evaluations[row] += ids.size
+            order = np.lexsort((ids, dists))[:n_results]
+            out_idx[row, :order.size] = ids[order]
+            out_dist[row, :order.size] = dists[order]
+        return rounds, gemms
+
+    walked = [walk_group(rows) for rows in groups]
+    return (out_idx, out_dist, evaluations,
+            tuple(rounds for rounds, _ in walked),
+            tuple(gemms for _, gemms in walked))
+
+
+@pytest.fixture
+def replayed(monkeypatch):
+    """Route both entries through a wrapper that replays every walk on
+    :func:`reference_beam_walk` (same adjacency object, same scorers, a copy
+    of the generator) and asserts the two agree bitwise on ids, distances,
+    per-query evaluations, group rounds and group gemms.  Yields the list of
+    ``(n_queries, n_results)`` walks checked, so a test can assert the path
+    it meant to exercise was taken."""
+    checked = []
+
+    def checking_walk(adjacency, n_queries, n_results, score, rerank, *,
+                      workers, executor, **options):
+        twin = copy.deepcopy(options["rng"])
+        result = beam_walk(adjacency, n_queries, n_results, score, rerank,
+                           workers=workers, executor=executor, **options)
+        expected = reference_beam_walk(adjacency, n_queries, n_results,
+                                       score, rerank,
+                                       **{**options, "rng": twin})
+        label = f"m={n_queries} k={n_results} {options}"
+        _assert_same(expected[:3], result[:3], label)
+        assert result[3].group_rounds == expected[3], label
+        assert result[3].group_gemms == expected[4], label
+        checked.append((n_queries, n_results))
+        return result
+
+    monkeypatch.setattr(frontier, "beam_walk", checking_walk)
+    monkeypatch.setattr(quantized, "beam_walk", checking_walk)
+    return checked
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("metric", METRICS)
+def test_walk_equals_the_loop_it_replaced(corpus, replayed, metric, dtype,
+                                          entry):
+    base, queries, adjacency = corpus
+    rows = adjacency[metric]
+    engine = DistanceEngine(metric, dtype)
+    for layout in (rows, CSRAdjacency.from_rows(rows)):
+        for batch in _batch_shapes(queries).values():
+            for max_group in MAX_GROUPS:
+                _walk(entry, engine, base, layout, batch,
+                      max_group=max_group)
+    assert len(replayed) == 2 * 4 * len(MAX_GROUPS)
+
+
+class TestShapesTheSweepLacks:
+    """Walk shapes outside the sweep above, each checked against the
+    reference loop through the ``replayed`` wrapper."""
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("options", [
+        dict(pool_size=6, n_starts=10),           # n_starts > pool_size
+        dict(pool_size=6, n_starts=6),            # seeds exactly fill it
+        dict(pool_size=3, n_starts=2),            # pool_size < n_results
+        dict(pool_size=POOL, seed_sample=10_000),    # seed_sample >= n
+        dict(pool_size=200, n_starts=3),          # pool never overflows much
+    ], ids=lambda options: ",".join(f"{k}={v}" for k, v in options.items()))
+    def test_pool_and_seed_corners(self, corpus, replayed, entry, options):
+        base, queries, adjacency = corpus
+        engine = DistanceEngine("sqeuclidean", "float64")
+        for max_group in (1, 7, None):
+            walk = dict(engine=engine, rng=np.random.default_rng(0),
+                        max_group=max_group, **options)
+            if entry == "none":
+                frontier_batch_search(base, adjacency["sqeuclidean"],
+                                      queries[:20], K, **walk)
+            else:
+                scorer = QuantizedScorer(engine, ScalarQuantizer(entry),
+                                         engine.prepare(base))
+                quantized_batch_search(base, adjacency["sqeuclidean"],
+                                       queries[:20], K, scorer, **walk)
+        assert len(replayed) == 3
+
+    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    def test_speculative_chunk_width_never_shows(self, corpus, replayed,
+                                                 monkeypatch, chunk):
+        """A row whose ``BEAM``-th productive pop lies beyond one chunk pops
+        again, and pops past it are put back: every width walks the same
+        walk."""
+        monkeypatch.setattr(walk_module, "CHUNK", chunk)
+        base, queries, adjacency = corpus
+        engine = DistanceEngine("cosine", "float32")
+        rows = adjacency["cosine"]
+        for layout in (rows, CSRAdjacency.from_rows(rows)):
+            for entry in ("none", "int8"):
+                for max_group in (1, 7, None):
+                    _walk(entry, engine, base, layout, queries[:30],
+                          max_group=max_group)
+        assert len(replayed) == 12
+
+    def test_isolated_node_and_two_components(self, replayed):
+        """An empty adjacency row is popped like any other and yields
+        nothing; a component smaller than ``n_results`` pads its rows."""
+        rng = np.random.default_rng(5)
+        big = rng.normal(size=(60, 6))
+        small = rng.normal(size=(3, 6)) + 50.0
+        base = np.vstack([big, small])
+        rows = [row + 0 for row in
+                brute_force_knn_graph(big, 5).symmetrized_adjacency()]
+        rows += [np.array([61, 62]), np.array([60, 62]), np.array([60, 61])]
+        isolated = 17
+        rows = [row[row != isolated] for row in rows]
+        rows[isolated] = np.empty(0, dtype=np.int64)
+        batch = np.vstack([small + 0.01, big[:5] + 0.01, big[isolated]])
+        for layout in (rows, CSRAdjacency.from_rows(rows)):
+            for max_group in (1, 4, None):
+                idx, dist, _, _ = frontier_batch_search(
+                    base, layout, batch, K, pool_size=8, n_starts=1,
+                    seed_sample=base.shape[0], max_group=max_group,
+                    rng=np.random.default_rng(0))
+                # The three queries beside the small component reach its
+                # three nodes and nothing else.
+                assert np.all(np.sort(idx[:3, :3], axis=1) == [60, 61, 62])
+                assert np.all(idx[:3, 3:] == -1)
+                assert np.all(np.isinf(dist[:3, 3:]))
+                # The isolated node is its own query's only result.
+                assert idx[-1].tolist() == [isolated, -1, -1, -1, -1]
+        assert len(replayed) == 6
+
+    @pytest.mark.parametrize("quantize", ENTRIES)
+    def test_ragged_graph_after_insert_points(self, corpus, replayed,
+                                              quantize):
+        """Insert seeding walks the row list repair mutates; the committed
+        CSR has ragged rows.  Both are replayed."""
+        base, queries, _ = corpus
+        searcher = GraphSearcher(base, brute_force_knn_graph(base, 8),
+                                 random_state=2, quantize=quantize)
+        searcher.insert_points(queries[:8])
+        assert replayed == [(1, searcher.pool_size)] * 8       # one per row
+        degrees = np.diff(searcher._adjacency.indptr)
+        assert degrees.min() < degrees.max()
+        searcher.batch_query(queries[8:40], K)
+        searcher.query(queries[41], K)
+        assert replayed[8:] == [(32, K), (1, K)]
+
+    @pytest.mark.parametrize("quantize", ENTRIES)
+    def test_tombstone_widened_results(self, corpus, replayed, quantize):
+        """``Index.delete`` widens the walk's ``n_results`` (and with it the
+        pool) by the tombstone count."""
+        base, queries, _ = corpus
+        index = Index.build(base, IndexSpec(
+            backend="bruteforce", n_neighbors=8, quantize=quantize,
+            pool_size=8, random_state=3))
+        index.delete(np.arange(0, 60, 3))
+        index.search(queries[:20], K)
+        index.search(queries[21], K)
+        assert replayed == [(20, K + 20), (1, K + 20)]
+
+
+class TestTiedDistances:
+    """Integer-grid data with duplicated rows: distances tie constantly, so
+    the order the old loop happened to leave is not promised — the contract
+    is."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        rng = np.random.default_rng(9)
+        points = rng.integers(0, 4, size=(220, 5)).astype(np.float64)
+        base = np.vstack([points, points[:80]])          # exact duplicates
+        queries = rng.integers(0, 4, size=(24, 5)).astype(np.float64)
+        adjacency = brute_force_knn_graph(base, 8).symmetrized_adjacency()
+        return base, queries, adjacency
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_contract_holds_on_ties(self, grid, dtype, entry):
+        base, queries, adjacency = grid
+        engine = DistanceEngine("sqeuclidean", dtype)
+        batch = np.vstack([queries, queries[:9]])
+        exact = engine.cross(batch, base).astype(np.float64)
+        for layout in (adjacency, CSRAdjacency.from_rows(adjacency)):
+            reference = _walk(entry, engine, base, layout, batch,
+                              max_group=None)
+            idx, dist, evals, _ = reference
+            for max_group, workers in ((1, 1), (3, 1), (7, 2), (32, 1)):
+                _assert_same(reference,
+                             _walk(entry, engine, base, layout, batch,
+                                   max_group=max_group, workers=workers),
+                             f"{dtype}/{entry}/max_group={max_group}")
+            # Duplicate queries -> identical rows.
+            assert np.array_equal(idx[:9], idx[24:])
+            assert np.array_equal(dist[:9], dist[24:])
+            assert np.array_equal(evals[:9], evals[24:])
+            # Exact returned distances, ascending, ties by ascending id.
+            assert np.array_equal(dist, np.take_along_axis(exact, idx, 1))
+            assert np.all(np.diff(dist, axis=1) >= 0)
+            tied = np.diff(dist, axis=1) == 0
+            assert tied.any()
+            assert np.all(np.diff(idx, axis=1)[tied] > 0)
+
+
+# --------------------------------------------------------------------- #
+# stable_smallest: the selection behind seeding and the pool merge
+# --------------------------------------------------------------------- #
+@st.composite
+def _blocks_with_duplicates(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 40)))
+    # A small value alphabet makes boundary ties the common case.
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, np.inf, np.nan]),
+        st.floats(-4, 4, width=32))
+    block = draw(hnp.arrays(dtype, shape, elements=values))
+    count = draw(st.integers(1, shape[1] + 3))
+    return block, count
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks_with_duplicates(), st.sampled_from([0, walk_module.SORT_WHOLE]))
+def test_stable_smallest_equals_the_stable_argsort_prefix(case, sort_whole):
+    block, count = case
+    expected = np.argsort(block, axis=1, kind="stable")[:, :count]
+    with mock.patch.object(walk_module, "SORT_WHOLE", sort_whole):
+        assert np.array_equal(stable_smallest(block.copy(), count), expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("count", [1, 8, 64, 2048, 3000])
+def test_stable_smallest_on_a_seed_sized_block(dtype, count):
+    """The shape seeding hands it: a wide block, a few rows with injected
+    duplicates straddling the boundary, the rest tie-free."""
+    rng = np.random.default_rng(count)
+    block = rng.random((40, 2048)).astype(dtype)
+    block[3, ::7] = block[3, 0]
+    block[11] = 1.0
+    block[12, 5:900] = block[12].min()
+    expected = np.argsort(block, axis=1, kind="stable")[:, :count]
+    assert np.array_equal(stable_smallest(block, count), expected)
