@@ -35,7 +35,7 @@ from ..exceptions import ValidationError
 from ..validation import check_knn_indices, check_positive_int
 from .base import BaseClusterer, ClusteringResult, IterationRecord
 from .initialization import labels_to_centroids
-from .objective import ClusterState
+from .objective import BLOCK, ClusterState
 from .two_means_tree import two_means_labels
 
 __all__ = [
@@ -44,13 +44,6 @@ __all__ = [
     "graph_guided_boost_pass",
     "graph_guided_lloyd_assign",
 ]
-
-#: Samples per block of the boost sweep.  Big enough to amortise the
-#: interpreter cost of a block, small enough that few movers collide and the
-#: gathered ``(BLOCK, κ+1, d)`` float64 composites stay a few MB.  On the
-#: ``build`` benchmark's shapes a first sweep is ~1.2x slower at 64 (more
-#: blocks) and ~1.6x slower at 1024 (more collisions to re-score).
-BLOCK = 256
 
 
 def candidate_label_block(labels: np.ndarray, neighbor_rows: np.ndarray,
@@ -110,13 +103,8 @@ def graph_guided_boost_pass(state: ClusterState, neighbor_indices: np.ndarray,
                 counter.add(pending.size + int(np.count_nonzero(
                     candidates[:, 1:] != candidates[:, :-1])))
             revisit = True
-            deltas = state.delta_objective_block(pending, candidates)
-            best = np.argmax(deltas, axis=1)
-            movers = np.flatnonzero(deltas[np.arange(pending.size), best] > 0.0)
-            pending = pending[movers]
-            applied = state.move_block(pending, candidates[movers, best[movers]])
-            moves += int(np.count_nonzero(applied))
-            pending = pending[~applied]
+            pending, applied = state.move_best_block(pending, candidates)
+            moves += applied
     return moves
 
 

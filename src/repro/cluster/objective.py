@@ -22,11 +22,13 @@ in O(1) per move once ``I`` is maintained incrementally.
 cluster sizes, squared norms — and exposes the move gain ΔI of Eqn. 3 for an
 arbitrary candidate set in two forms of the same formula: one sample at a
 time (``delta_objective`` / ``move``), which
-:class:`~repro.cluster.boost.BoostKMeans` (candidates = all clusters) and the
-two-means bisection consume, and a block of samples against one snapshot
-(``delta_objective_block`` / ``move_block``), which the graph-guided sweep of
+:class:`~repro.cluster.boost.BoostKMeans` (candidates = all clusters)
+consumes, and a block of samples against one snapshot
+(``delta_objective_block`` / ``move_block``, one round of both in
+``move_best_block``), which the graph-guided sweep of
 :class:`~repro.cluster.gkmeans.GKMeans` (candidates = clusters of the κ graph
-neighbours) consumes.
+neighbours) and the boost bisection of the two-means tree (candidates = the
+two halves of the sample's node) consume.
 """
 
 from __future__ import annotations
@@ -37,7 +39,21 @@ from ..distance import assign_to_nearest, squared_norms
 from ..exceptions import ValidationError
 from ..validation import check_data_matrix, check_labels, check_positive_int
 
-__all__ = ["ClusterState", "boost_objective", "distortion_from_labels"]
+__all__ = ["BLOCK", "ClusterState", "boost_objective",
+           "distortion_from_labels"]
+
+#: Samples per block of a blocked boost sweep.  Big enough to amortise the
+#: interpreter cost of a block, small enough that few movers collide and the
+#: gathered ``(BLOCK, κ+1, d)`` float64 composites stay a few MB.  On the
+#: ``build`` benchmark's shapes a first sweep is ~1.2x slower at 64 (more
+#: blocks) and ~1.6x slower at 1024 (more collisions to re-score).
+BLOCK = 256
+
+#: Columns summed per ``bincount`` when composites are built from scratch.
+#: The ``(n, COLUMNS)`` cell index and weight copy are the only temporaries —
+#: an eighth of a 64-d float64 dataset each.  16 columns per call are ~15%
+#: faster for twice the temporaries, 4 are ~25% slower.
+COLUMNS = 8
 
 
 def boost_objective(data: np.ndarray, labels: np.ndarray,
@@ -99,12 +115,9 @@ class ClusterState:
         self._sample_sq_norms = squared_norms(self._data)
         self._total_sq_norm = float(self._sample_sq_norms.sum())
 
-        self.composites = np.zeros((self.n_clusters, self._data.shape[1]),
+        self.composites = np.empty((self.n_clusters, self._data.shape[1]),
                                    dtype=np.float64)
-        np.add.at(self.composites, self.labels, self._data)
-        self.counts = np.bincount(self.labels,
-                                  minlength=self.n_clusters).astype(np.int64)
-        self._composite_sq_norms = squared_norms(self.composites)
+        self.recompute()
 
     # ------------------------------------------------------------------ #
     # Objective and distortion
@@ -303,13 +316,43 @@ class ClusterState:
         self.labels[samples] = targets
         return applied
 
+    def move_best_block(self, samples: np.ndarray,
+                        candidates: np.ndarray) -> tuple[np.ndarray, int]:
+        """Give every sample its best positive-ΔI move; apply what fits.
+
+        One round of a blocked boost sweep: ``samples[b]`` is scored against
+        ``candidates[b, :]`` on the current state (ties go to the first
+        candidate), the samples with a positive best gain become movers and
+        :meth:`move_block` applies the conflict-free ones.  Returns the
+        conflicted movers — to be scored again on the updated state — and
+        the number of moves applied.
+        """
+        deltas = self.delta_objective_block(samples, candidates)
+        best = np.argmax(deltas, axis=1)
+        movers = np.flatnonzero(deltas[np.arange(samples.size), best] > 0.0)
+        samples = samples[movers]
+        applied = self.move_block(samples, candidates[movers, best[movers]])
+        return samples[~applied], int(np.count_nonzero(applied))
+
     # ------------------------------------------------------------------ #
     # Consistency helpers (used by tests and after bulk label edits)
     # ------------------------------------------------------------------ #
     def recompute(self) -> None:
-        """Rebuild composites/counts/norms from the current labels."""
-        self.composites[:] = 0.0
-        np.add.at(self.composites, self.labels, self._data)
+        """Rebuild composites/counts/norms from the current labels.
+
+        The rows of a cluster are added up in sample order in float64, as
+        ``np.add.at(composites, labels, data)`` would, but by one weighted
+        ``bincount`` over (cluster, column) cells per ``COLUMNS`` columns —
+        the scatter-add's element-at-a-time inner loop is the slow part.
+        Clusters without members keep a zero composite.
+        """
+        for first in range(0, self._data.shape[1], COLUMNS):
+            block = self._data[:, first:first + COLUMNS]
+            width = block.shape[1]
+            cells = self.labels[:, None] * width + np.arange(width)
+            self.composites[:, first:first + width] = np.bincount(
+                cells.ravel(), weights=block.ravel(),
+                minlength=self.n_clusters * width).reshape(-1, width)
         self.counts = np.bincount(self.labels,
                                   minlength=self.n_clusters).astype(np.int64)
         self._composite_sq_norms = squared_norms(self.composites)

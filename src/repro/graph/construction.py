@@ -8,7 +8,10 @@ The construction starts from a *random* graph and alternates, for τ rounds:
    the sweep is the same blocked
    :func:`~repro.cluster.gkmeans.graph_guided_boost_pass` ``GKMeans`` runs);
 2. exhaustively compare every pair of samples inside each cluster and use the
-   resulting distances to improve both samples' neighbour lists.
+   resulting distances to improve both samples' neighbour lists — all
+   clusters of one size per batched product, partition and sort
+   (:func:`_merge_clusters`), each cluster answered exactly as if it had
+   been refined on its own.
 
 As the rounds progress the graph and the clustering improve each other — the
 "intertwined evolving process" of the paper's Fig. 3.  The per-round history
@@ -89,44 +92,99 @@ class GraphConstructionResult:
         return taus, distortions
 
 
-def _merge_cluster_block(indices: np.ndarray, distances: np.ndarray,
-                         members: np.ndarray, data: np.ndarray,
-                         n_neighbors: int,
-                         engine: DistanceEngine | None = None,
-                         norms: np.ndarray | None = None) -> None:
-    """Refine the neighbour lists of ``members`` with their pairwise distances.
+#: Rows (clusters × cluster size) refined per batch.  Large enough that a
+#: batch's ~40 numpy calls are amortised over a couple of thousand rows (the
+#: ``build`` benchmark's merge is 15% slower at 1024 and no faster at 8192),
+#: small enough that the ``(rows, κ + size)`` merged blocks stay a few MB
+#: whatever ``n`` is.
+ROW_CHUNK = 2048
 
-    Implements lines 8–14 of Alg. 3 for one cluster, vectorised: the existing
-    ``(m, κ)`` neighbour rows are concatenated with the ``(m, m)`` block of
-    within-cluster candidates (duplicates and self-pairs masked to ``inf``) and
-    the κ smallest entries per row are kept, sorted by distance.
+
+def _merge_clusters(indices: np.ndarray, distances: np.ndarray,
+                    labels: np.ndarray, n_clusters: int, data: np.ndarray,
+                    n_neighbors: int, max_block: int,
+                    rng: np.random.Generator, engine: DistanceEngine,
+                    norms: np.ndarray) -> int:
+    """Refine the neighbour lists of every cluster with its pairwise distances.
+
+    Implements lines 8–14 of Alg. 3 for all clusters at once.  The existing
+    ``(m, κ)`` neighbour rows of a cluster are concatenated with its
+    ``(m, m)`` block of within-cluster candidates (candidates already in the
+    row they would enter and self-pairs masked to ``inf``) and the κ smallest
+    entries per row are kept, sorted by distance.  A cluster larger than
+    ``max_block`` contributes a random subsample, drawn in cluster order.
+    Returns the number of pairs compared, ``Σ m(m-1)/2``.
+
+    Clusters are batched by *exact* size, ``ROW_CHUNK`` rows at a time: one
+    ``(c, m, m)`` product, one partition and one sort serve ``c`` clusters.
+    A batch is never padded to a common width, because both BLAS (the
+    blocking of a product depends on its shape) and ``argpartition`` (the
+    order of tied distances depends on the row length) would then answer
+    differently from a cluster refined on its own.  Sizes are bounded by
+    ``max_block``, so the number of batches does not grow with ``n``.
     """
-    m = members.size
-    if m < 2:
-        return
-    if engine is None:
-        engine = DistanceEngine()
-    block = engine.pairwise(data[members],
-                            None if norms is None else norms[members])
-    np.fill_diagonal(block, np.inf)
+    # Cluster c is members[starts[c]:starts[c] + sizes[c]].
+    members = np.argsort(labels, kind="stable")
+    cluster_at = labels[members]
+    sizes = np.bincount(labels, minlength=n_clusters)
+    starts = np.cumsum(sizes) - sizes
+    for cluster in np.flatnonzero(sizes > max_block):
+        # Subsampled in place: the draw leads the cluster's run and the
+        # shortened size leaves the rest of the run unread.
+        run = members[starts[cluster]:starts[cluster] + sizes[cluster]]
+        run[:max_block] = rng.choice(run, size=max_block, replace=False)
+        sizes[cluster] = max_block
 
-    current_idx = indices[members]                     # (m, κ)
-    current_dist = distances[members]                  # (m, κ)
-    candidate_idx = np.broadcast_to(members[None, :], (m, m))
+    # Where every compared sample sits: rows spot the candidates they
+    # already hold with one O(n·κ) lookup instead of an (m, m, κ) compare.
+    slot_at = np.arange(members.size) - starts[cluster_at]
+    compared = slot_at < sizes[cluster_at]
+    home = np.full(members.size, -1, dtype=np.int64)
+    slot = np.zeros(members.size, dtype=np.int64)
+    home[members[compared]] = cluster_at[compared]
+    slot[members[compared]] = slot_at[compared]
 
-    # Mask candidates that are already present in the row they would enter.
-    duplicate = (candidate_idx[:, :, None] == current_idx[:, None, :]).any(axis=2)
-    block = np.where(duplicate, np.inf, block)
+    by_size = np.argsort(sizes, kind="stable")
+    distinct, run_starts = np.unique(sizes[by_size], return_index=True)
+    run_stops = np.append(run_starts[1:], n_clusters)
+    for size, run_start, run_stop in zip(distinct.tolist(),
+                                         run_starts.tolist(),
+                                         run_stops.tolist()):
+        if size < 2:
+            continue
+        slots = np.arange(size)
+        per_batch = max(ROW_CHUNK // size, 1)
+        for batch_start in range(run_start, run_stop, per_batch):
+            batch = by_size[batch_start:min(batch_start + per_batch,
+                                            run_stop)]
+            ids = members[starts[batch][:, None] + slots]        # (c, m)
+            points = data[ids]
+            point_norms = norms[ids]
+            block = engine.from_inner(
+                np.matmul(points, points.transpose(0, 2, 1)),
+                point_norms[:, :, None], point_norms[:, None, :])
+            block[:, slots, slots] = np.inf
+            block = block.reshape(-1, size)                     # (c·m, m)
 
-    merged_idx = np.concatenate([current_idx, candidate_idx], axis=1)
-    merged_dist = np.concatenate([current_dist, block], axis=1)
+            rows = ids.ravel()
+            current_idx = indices[rows]                         # (c·m, κ)
+            held = home[current_idx] == home[rows][:, None]
+            block[np.nonzero(held)[0], slot[current_idx[held]]] = np.inf
 
-    keep = np.argpartition(merged_dist, n_neighbors - 1, axis=1)[:, :n_neighbors]
-    kept_dist = np.take_along_axis(merged_dist, keep, axis=1)
-    kept_idx = np.take_along_axis(merged_idx, keep, axis=1)
-    order = np.argsort(kept_dist, axis=1, kind="stable")
-    indices[members] = np.take_along_axis(kept_idx, order, axis=1)
-    distances[members] = np.take_along_axis(kept_dist, order, axis=1)
+            merged_idx = np.concatenate(
+                [current_idx, np.repeat(ids, size, axis=0)], axis=1)
+            merged_dist = np.concatenate([distances[rows], block], axis=1)
+            keep = np.argpartition(merged_dist, n_neighbors - 1,
+                                   axis=1)[:, :n_neighbors]
+            # Positions in the raveled block: a flat ``take`` is several
+            # times cheaper than ``take_along_axis`` on blocks this small.
+            keep += np.arange(0, merged_dist.size,
+                              merged_dist.shape[1])[:, None]
+            order = np.argsort(merged_dist.take(keep), axis=1, kind="stable")
+            keep = np.take_along_axis(keep, order, axis=1)
+            indices[rows] = merged_idx.take(keep)
+            distances[rows] = merged_dist.take(keep)
+    return int(np.sum(sizes * (sizes - 1) // 2))
 
 
 def build_knn_graph_by_clustering(data: np.ndarray, n_neighbors: int, *,
@@ -219,16 +277,9 @@ def build_knn_graph_by_clustering(data: np.ndarray, n_neighbors: int, *,
         graph_guided_boost_pass(state, indices, rng, counter=counter)
 
         # --- refinement step: exhaustive comparison inside each cluster ----
-        order = np.argsort(state.labels, kind="stable")
-        boundaries = np.searchsorted(state.labels[order],
-                                     np.arange(n_clusters + 1))
-        for cluster in range(n_clusters):
-            members = order[boundaries[cluster]:boundaries[cluster + 1]]
-            if members.size > max_block:
-                members = rng.choice(members, size=max_block, replace=False)
-            counter.add(members.size * (members.size - 1) // 2)
-            _merge_cluster_block(indices, distances, members, data,
-                                 n_neighbors, engine, norms)
+        counter.add(_merge_clusters(indices, distances, state.labels,
+                                    n_clusters, data, n_neighbors, max_block,
+                                    rng, engine, norms))
 
         recall = None
         if truth is not None:

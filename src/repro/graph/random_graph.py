@@ -48,13 +48,32 @@ def random_knn_graph(data: np.ndarray, n_neighbors: int, *, random_state=None,
                                      maximum=n - 1)
     rng = check_random_state(random_state)
 
-    indices = np.empty((n, n_neighbors), dtype=np.int64)
-    for point in range(n):
-        # Draw from [0, n-1) and shift past the point itself to avoid self-loops
-        # without rejection sampling.
-        draw = rng.choice(n - 1, size=n_neighbors, replace=False)
-        draw[draw >= point] += 1
-        indices[point] = draw
+    if 2 * n_neighbors > n:
+        # κ is most of a row, so a redraw would rarely hit a free id — and
+        # the (n, n-1) id table is small, n being below 2κ.  Shuffle its rows.
+        indices = rng.permuted(np.tile(np.arange(n - 1), (n, 1)),
+                               axis=1)[:, :n_neighbors].copy()
+    else:
+        # Every row at once, from [0, n-1).  A slot that repeats an earlier
+        # slot of its row is drawn again (at least half the ids are free)
+        # until no row holds a repeat.  No id is favoured at any step, so
+        # each row is a uniform κ-subset in uniform order.
+        indices = rng.integers(0, n - 1, size=(n, n_neighbors))
+        unsettled = np.arange(n)
+        while unsettled.size:
+            rows = indices[unsettled]
+            order = np.argsort(rows, axis=1, kind="stable")
+            ranked = np.take_along_axis(rows, order, axis=1)
+            repeats = np.zeros(rows.shape, dtype=bool)
+            np.put_along_axis(repeats, order[:, 1:],
+                              ranked[:, 1:] == ranked[:, :-1], axis=1)
+            rows[repeats] = rng.integers(0, n - 1,
+                                         size=np.count_nonzero(repeats))
+            redrawn = repeats.any(axis=1)
+            unsettled = unsettled[redrawn]
+            indices[unsettled] = rows[redrawn]
+    # Shift past the point itself: no self-loops, and no rejection for them.
+    indices[indices >= np.arange(n)[:, None]] += 1
 
     if not compute_distances:
         distances = np.full((n, n_neighbors), np.inf, dtype=np.float64)

@@ -57,6 +57,38 @@ class TestObjectiveIdentities:
         assert state.inertia == pytest.approx(state.distortion * len(data))
 
 
+class TestComposites:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, d, k", [(1, 1, 1), (50, 3, 7), (400, 16, 9),
+                                         (400, 37, 60)])
+    def test_composites_equal_a_scatter_add_and_counts_are_exact(
+            self, n, d, k, dtype):
+        # d = 37 spans three column blocks, the last one ragged; the label
+        # draw leaves cluster 0 (and more, for k = 60) without members.
+        rng = np.random.default_rng(n + d)
+        data = (100 * rng.normal(size=(n, d))).astype(dtype)
+        labels = rng.integers(min(1, k - 1), k, size=n)
+        expected = np.zeros((k, d))
+        np.add.at(expected, labels, data.astype(np.float64))
+        state = ClusterState(data, labels, k)
+        assert state.composites.dtype == np.float64
+        np.testing.assert_allclose(state.composites, expected, rtol=1e-13,
+                                   atol=0)
+        assert np.array_equal(state.counts, np.bincount(labels, minlength=k))
+        assert state.counts.dtype == np.int64
+        empty = state.counts == 0
+        assert k == 1 or empty[0]
+        assert not state.composites[empty].any()
+
+        state.labels[:] = labels[::-1]
+        state.recompute()
+        expected[:] = 0.0
+        np.add.at(expected, labels[::-1], data.astype(np.float64))
+        np.testing.assert_allclose(state.composites, expected, rtol=1e-13,
+                                   atol=0)
+        assert state.check_consistency()
+
+
 class TestMoves:
     def test_move_updates_labels_and_counts(self):
         data, labels, k = _random_state()

@@ -9,25 +9,34 @@ from repro.graph import (
     graph_recall,
     random_knn_graph,
 )
-from repro.graph.construction import _merge_cluster_block
+from repro.distance import DistanceEngine
+from repro.graph.construction import _merge_clusters
 
 
-class TestMergeClusterBlock:
+def merge_one_cluster(graph, members, data, n_neighbors):
+    """Refine ``members`` as one cluster, every other point on its own."""
+    indices, distances = graph.indices.copy(), graph.distances.copy()
+    labels = np.arange(len(data))
+    labels[members] = members[0]
+    engine = DistanceEngine()
+    _merge_clusters(indices, distances, labels, len(data), data, n_neighbors,
+                    len(data), np.random.default_rng(0), engine,
+                    engine.norms(data))
+    return indices, distances
+
+
+class TestMergeClusters:
     def test_merge_improves_rows(self, tiny_data):
         graph = random_knn_graph(tiny_data, 3, random_state=0)
-        indices = graph.indices.copy()
-        distances = graph.distances.copy()
         members = np.arange(10)
-        before = distances[members].sum()
-        _merge_cluster_block(indices, distances, members, tiny_data, 3)
-        after = distances[members].sum()
-        assert after <= before
+        _, distances = merge_one_cluster(graph, members, tiny_data, 3)
+        assert distances[members].sum() <= graph.distances[members].sum()
+        assert np.array_equal(distances[10:], graph.distances[10:])
 
     def test_merge_keeps_rows_sorted_and_unique(self, tiny_data):
         graph = random_knn_graph(tiny_data, 4, random_state=1)
-        indices, distances = graph.indices.copy(), graph.distances.copy()
         members = np.arange(12)
-        _merge_cluster_block(indices, distances, members, tiny_data, 4)
+        indices, distances = merge_one_cluster(graph, members, tiny_data, 4)
         for row in members:
             assert np.all(np.diff(distances[row]) >= 0)
             assert len(np.unique(indices[row])) == 4
@@ -35,8 +44,7 @@ class TestMergeClusterBlock:
 
     def test_single_member_is_noop(self, tiny_data):
         graph = random_knn_graph(tiny_data, 3, random_state=2)
-        indices, distances = graph.indices.copy(), graph.distances.copy()
-        _merge_cluster_block(indices, distances, np.array([5]), tiny_data, 3)
+        indices, _ = merge_one_cluster(graph, np.array([5]), tiny_data, 3)
         assert np.array_equal(indices, graph.indices)
 
 

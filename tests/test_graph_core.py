@@ -180,6 +180,32 @@ class TestRandomGraph:
         b = random_knn_graph(tiny_data, 3, random_state=9)
         assert np.array_equal(a.indices, b.indices)
 
+    @pytest.mark.parametrize("n, kappa", [(2, 1), (9, 8), (40, 20), (40, 21),
+                                          (300, 12), (300, 149)])
+    def test_rows_are_distinct_ids_other_than_self(self, n, kappa):
+        # Redrawn slots (κ at most half of n) and shuffled rows (beyond).
+        data = np.random.default_rng(0).normal(size=(n, 3))
+        for seed in range(3):
+            indices = random_knn_graph(data, kappa, random_state=seed,
+                                       compute_distances=False).indices
+            assert indices.shape == (n, kappa)
+            assert indices.min() >= 0 and indices.max() < n
+            assert np.all(indices != np.arange(n)[:, None])
+            ranked = np.sort(indices, axis=1)
+            assert np.all(ranked[:, 1:] != ranked[:, :-1])
+
+    def test_every_neighbour_set_is_equally_likely(self):
+        # 4 points, 2 neighbours: 3 sets per row, 6 ordered pairs.
+        data = np.zeros((4, 2))
+        counts = {}
+        for seed in range(1200):
+            row = random_knn_graph(data, 2, random_state=seed,
+                                   compute_distances=False).indices[1]
+            counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+        assert sorted(counts) == [(0, 2), (0, 3), (2, 0), (2, 3), (3, 0),
+                                  (3, 2)]
+        assert min(counts.values()) > 150          # 200 expected, sd ~13
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("metric", ["sqeuclidean", "cosine", "dot"])
     def test_rows_match_per_row_scoring(self, metric, dtype):
@@ -191,13 +217,12 @@ class TestRandomGraph:
         graph = random_knn_graph(data, kappa, random_state=5, engine=engine)
         assert graph.distances.dtype == np.float64
 
-        rng = np.random.default_rng(5)
+        draws = random_knn_graph(data, kappa, random_state=5, engine=engine,
+                                 compute_distances=False).indices
         atol = 1e-9 if dtype == np.float64 else 1e-5 * float(
             np.abs(engine.cross(data[:50], data)).max())
         for point in range(n):
-            draw = rng.choice(n - 1, size=kappa, replace=False)
-            draw[draw >= point] += 1
-            assert sorted(graph.indices[point]) == sorted(draw)
+            assert sorted(graph.indices[point]) == sorted(draws[point])
             row = engine.cross(data[point][None, :],
                                data[graph.indices[point]])[0]
             np.testing.assert_allclose(graph.distances[point], row,
