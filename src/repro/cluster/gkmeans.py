@@ -69,9 +69,12 @@ def graph_guided_boost_pass(state: ClusterState, neighbor_indices: np.ndarray,
     """One sweep of Alg. 2 over all samples in random order, ``BLOCK`` at a time.
 
     The permutation is walked in blocks.  For a block, the candidate clusters
-    of all its samples are gathered from their graph neighbours and every ΔI
-    is computed against one snapshot of the state; the positive-gain movers
-    whose clusters no earlier mover of the block names are applied in bulk
+    of all its samples are gathered from their graph neighbours and sorted
+    per row, and the ΔI of every distinct candidate other than the sample's
+    own cluster is computed against one snapshot of the state
+    (:meth:`ClusterState.move_best_block`, ``O(Σ distinct candidates · d)``,
+    ``O(BLOCK·κ·d)`` at worst); the positive-gain movers whose clusters no
+    earlier mover of the block names are applied in bulk
     (:meth:`ClusterState.move_block`), and the conflicted movers are
     re-evaluated against the updated state until none is left.  Every applied
     move therefore has exactly the gain that was computed for it — the
@@ -95,10 +98,11 @@ def graph_guided_boost_pass(state: ClusterState, neighbor_indices: np.ndarray,
         while pending.size:
             if protect_singletons:
                 pending = pending[state.counts[labels[pending]] > 1]
+            candidates = candidate_label_block(
+                labels, neighbor_indices[pending], labels[pending])
             # Sorted rows: ties go to the smallest cluster id, and distinct
             # candidates are the value changes along a row.
-            candidates = np.sort(candidate_label_block(
-                labels, neighbor_indices[pending], labels[pending]), axis=1)
+            candidates.sort(axis=1)
             if counter is not None and not revisit:
                 counter.add(pending.size + int(np.count_nonzero(
                     candidates[:, 1:] != candidates[:, :-1])))

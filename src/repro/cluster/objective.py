@@ -23,8 +23,9 @@ cluster sizes, squared norms — and exposes the move gain ΔI of Eqn. 3 for an
 arbitrary candidate set in two forms of the same formula: one sample at a
 time (``delta_objective`` / ``move``), which
 :class:`~repro.cluster.boost.BoostKMeans` (candidates = all clusters)
-consumes, and a block of samples against one snapshot
-(``delta_objective_block`` / ``move_block``, one round of both in
+consumes, and a block of samples against one snapshot, scored only on the
+distinct (sample, cluster) pairs that are real moves
+(``delta_objective_pairs`` / ``move_block``, one round of both in
 ``move_best_block``), which the graph-guided sweep of
 :class:`~repro.cluster.gkmeans.GKMeans` (candidates = clusters of the κ graph
 neighbours) and the boost bisection of the two-means tree (candidates = the
@@ -43,10 +44,11 @@ __all__ = ["BLOCK", "ClusterState", "boost_objective",
            "distortion_from_labels"]
 
 #: Samples per block of a blocked boost sweep.  Big enough to amortise the
-#: interpreter cost of a block, small enough that few movers collide and the
-#: gathered ``(BLOCK, κ+1, d)`` float64 composites stay a few MB.  On the
-#: ``build`` benchmark's shapes a first sweep is ~1.2x slower at 64 (more
-#: blocks) and ~1.6x slower at 1024 (more collisions to re-score).
+#: interpreter cost of a round, small enough that a sample's "stay" decision
+#: is at most one block stale.  One sweep over 10000 × 64 float32, κ = 20
+#: (median ms, first / late sweep): k = 200 — 35 / 3.1 at 128, 31 / 2.4 at
+#: 256, 31 / 2.2 at 512; k = 1000 — 27 / 9.6 at 128, 25 / 8.5 at 256,
+#: 25 / 9.5 at 512.  A different value also changes which moves apply.
 BLOCK = 256
 
 #: Columns summed per ``bincount`` when composites are built from scratch.
@@ -237,17 +239,17 @@ class ClusterState:
     # ------------------------------------------------------------------ #
     # Block moves (Eqn. 3 for many samples against one snapshot)
     # ------------------------------------------------------------------ #
-    def delta_objective_block(self, samples: np.ndarray,
-                              candidates: np.ndarray) -> np.ndarray:
-        """ΔI of moving ``samples[b]`` to each of ``candidates[b, :]`` (Eqn. 3).
+    def delta_objective_pairs(self, samples: np.ndarray, rows: np.ndarray,
+                              targets: np.ndarray) -> np.ndarray:
+        """ΔI of moving ``samples[rows[p]]`` to ``targets[p]`` (Eqn. 3).
 
-        The ``(b, c)`` counterpart of :meth:`delta_objective`, row for row:
-        every row is scored against the current state as if it were the only
-        sample moving.  The composites are gathered per row, so the cost is
-        ``O(b·c·d)`` whatever the cluster count.
+        The pair counterpart of :meth:`delta_objective`: every pair is scored
+        against the current state as if its sample were the only one moving,
+        with one source term per sample and one ``einsum`` over the pairs, so
+        the cost is ``O((b + P)·d)`` for ``P`` pairs whatever the cluster
+        count.  A target must differ from its sample's own cluster — staying
+        is worth 0 by definition, and the formula does not produce it.
         """
-        samples = np.asarray(samples, dtype=np.int64)
-        candidates = np.asarray(candidates, dtype=np.int64)
         x = self._data[samples].astype(np.float64, copy=False)
         x_sq = self._sample_sq_norms[samples]
         source = self.labels[samples]
@@ -262,16 +264,14 @@ class ClusterState:
             removed_sq / np.maximum(source_count - 1.0, 1.0), 0.0
         ) - source_sq / source_count
 
-        cand_counts = self.counts[candidates].astype(np.float64)
-        cand_sq = self._composite_sq_norms[candidates]
-        cand_dot = np.einsum("bd,bcd->bc", x, self.composites[candidates])
-        grown_sq = cand_sq + 2.0 * cand_dot + x_sq[:, None]
+        cand_counts = self.counts[targets].astype(np.float64)
+        cand_sq = self._composite_sq_norms[targets]
+        cand_dot = np.einsum("pd,pd->p", x[rows], self.composites[targets])
+        grown_sq = cand_sq + 2.0 * cand_dot + x_sq[rows]
         # An empty candidate cluster has a zero composite, so cand_sq is 0.
-        deltas = (grown_sq / (cand_counts + 1.0)
-                  - cand_sq / np.maximum(cand_counts, 1.0)
-                  + source_term[:, None])
-        deltas[candidates == source[:, None]] = 0.0
-        return deltas
+        return (grown_sq / (cand_counts + 1.0)
+                - cand_sq / np.maximum(cand_counts, 1.0)
+                + source_term[rows])
 
     def move_block(self, samples: np.ndarray,
                    targets: np.ndarray) -> np.ndarray:
@@ -291,29 +291,27 @@ class ClusterState:
         samples = np.asarray(samples, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
         sources = self.labels[samples]
-        touched = np.stack([sources, targets], axis=1).ravel()
-        # First occurrence of each cluster id: after a stable sort it is the
-        # entry that opens its run of equal values.
-        order = np.argsort(touched, kind="stable")
-        opens_run = np.ones(touched.size, dtype=bool)
-        opens_run[1:] = touched[order[1:]] != touched[order[:-1]]
-        is_first = np.empty(touched.size, dtype=bool)
-        is_first[order] = opens_run
-        applied = is_first.reshape(-1, 2).all(axis=1)
+        move_ids = np.arange(samples.size)
+        touched = np.concatenate([sources, targets])
+        # The earliest move naming each cluster (``samples.size``: none).
+        first = np.full(self.n_clusters, samples.size, dtype=np.int64)
+        np.minimum.at(first, touched, np.concatenate([move_ids, move_ids]))
+        applied = ((first[sources] == move_ids) & (first[targets] == move_ids)
+                   & (sources != targets))
 
-        samples, sources, targets = (samples[applied], sources[applied],
-                                     targets[applied])
+        # One signed update of the ``[sources | targets]`` rows: no index
+        # repeats, and ``D + (−x)`` is bitwise ``D − x``.
+        samples = samples[applied]
+        touched = touched[np.concatenate([applied, applied])]
         x = self._data[samples].astype(np.float64, copy=False)
-        x_sq = self._sample_sq_norms[samples]
-        self._composite_sq_norms[sources] += x_sq - 2.0 * np.einsum(
-            "bd,bd->b", self.composites[sources], x)
-        self.composites[sources] -= x
-        self.counts[sources] -= 1
-        self._composite_sq_norms[targets] += x_sq + 2.0 * np.einsum(
-            "bd,bd->b", self.composites[targets], x)
-        self.composites[targets] += x
-        self.counts[targets] += 1
-        self.labels[samples] = targets
+        signed = np.concatenate([-x, x])
+        gathered = self.composites[touched]
+        self._composite_sq_norms[touched] += np.concatenate(
+            [self._sample_sq_norms[samples]] * 2) + 2.0 * np.einsum(
+                "bd,bd->b", gathered, signed)
+        self.composites[touched] = gathered + signed
+        self.counts[touched] += np.repeat([-1, 1], samples.size)
+        self.labels[samples] = targets[applied]
         return applied
 
     def move_best_block(self, samples: np.ndarray,
@@ -326,12 +324,37 @@ class ClusterState:
         :meth:`move_block` applies the conflict-free ones.  Returns the
         conflicted movers — to be scored again on the updated state — and
         the number of moves applied.
+
+        Only the pairs that can move are scored: entries naming the sample's
+        own cluster, and entries repeating their left neighbour (in a sorted
+        row every duplicate does), keep a gain of 0 in the ``(b, c)`` matrix
+        the arg-best reads.  A 0 never beats a positive gain, and a kept
+        entry precedes its duplicates, so the arg-best is the first maximum
+        of the fully scored row.
         """
-        deltas = self.delta_objective_block(samples, candidates)
-        best = np.argmax(deltas, axis=1)
-        movers = np.flatnonzero(deltas[np.arange(samples.size), best] > 0.0)
+        # Flat comparisons (a row-wise ``[:, 1:]`` slice is several times
+        # slower); every row start is a fresh entry whatever precedes it.
+        width = candidates.shape[1]
+        flat = candidates.ravel()
+        fresh = np.empty(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=fresh[1:])
+        fresh[::width] = True
+        pairs = np.flatnonzero(
+            fresh & (flat != np.repeat(self.labels[samples], width)))
+        # Late in a fit most blocks have no pair, or no pair that gains.
+        if not pairs.size:
+            return samples[:0], 0
+        deltas = self.delta_objective_pairs(samples, pairs // width,
+                                            flat[pairs])
+        if not (deltas > 0.0).any():
+            return samples[:0], 0
+        gains = np.zeros(flat.size)
+        gains[pairs] = deltas
+        gains = gains.reshape(candidates.shape)
+        best = np.argmax(gains, axis=1)
+        movers = np.flatnonzero(gains[np.arange(samples.size), best] > 0.0)
         samples = samples[movers]
-        applied = self.move_block(samples, candidates[movers, best[movers]])
+        applied = self.move_block(samples, flat[movers * width + best[movers]])
         return samples[~applied], int(np.count_nonzero(applied))
 
     # ------------------------------------------------------------------ #

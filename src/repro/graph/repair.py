@@ -80,8 +80,11 @@ def push_back_edges(indices: np.ndarray, distances: np.ndarray,
     n_neighbors = indices.shape[1]
     for j, dj in zip(row_ids.tolist(), row_dists.tolist()):
         # The new node's row lists j, so j's symmetrised neighbourhood
-        # gains pos whether or not the push below succeeds.
-        adjacency[j] = np.union1d(adjacency[j], np.int64(pos))
+        # gains pos whether or not the push below succeeds.  Rows are
+        # id-sorted and pos is new to them: splice it into a new array.
+        row = adjacency[j]
+        at = row.searchsorted(pos)
+        adjacency[j] = np.concatenate((row[:at], [pos], row[at:]))
         slot = int(np.searchsorted(distances[j], dj, side="right"))
         if slot >= n_neighbors:
             continue

@@ -8,20 +8,25 @@ and the tests pin what the two must share: a monotone objective, no emptied
 cluster, the same fixed points, the same result where no movers interact (or
 the block holds one sample), comparable quality after a few sweeps, the same
 evaluation count and the same use of the random stream.
+
+A round scores only the distinct non-own (sample, cluster) pairs; the dense
+round it replaced (``dense_move_best_block`` of ``tests/_round_oracle.py``)
+must make the same moves through a whole graph build and fit.
 """
 
 import numpy as np
 import pytest
+from _round_oracle import dense_move_best_block
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import gkmeans
+from repro.cluster import GKMeans, gkmeans
 from repro.cluster.gkmeans import graph_guided_boost_pass
 from repro.cluster.objective import ClusterState
 from repro.cluster.two_means_tree import two_means_labels
 from repro.datasets import make_blobs
 from repro.distance import DistanceCounter
-from repro.graph import brute_force_knn_graph
+from repro.graph import brute_force_knn_graph, build_knn_graph_by_clustering
 
 
 def sequential_reference_pass(state, neighbor_indices, rng, *,
@@ -240,6 +245,40 @@ class TestEvaluationCountAndRandomStream:
             reference.permutation(len(data))
             assert rng.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(*outcomes)
+
+
+class TestDenseRoundEndToEnd:
+    """Graph ids / distances and GK-means labels equal the dense round's."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("metric", ["sqeuclidean", "cosine"])
+    @pytest.mark.parametrize("bisection", ["lloyd", "boost"])
+    def test_build_and_fit_match_the_dense_round(self, sift_small, bisection,
+                                                 metric, dtype, monkeypatch):
+        def build_and_fit():
+            built = build_knn_graph_by_clustering(
+                sift_small, 10, tau=3, cluster_size=30, bisection=bisection,
+                random_state=0, metric=metric, dtype=dtype)
+            model = GKMeans(40, n_neighbors=10, graph=built.graph,
+                            bisection=bisection, max_iter=5, random_state=0,
+                            metric=metric, dtype=dtype).fit(sift_small)
+            return built, model
+
+        built, model = build_and_fit()
+        monkeypatch.setattr(ClusterState, "move_best_block",
+                            dense_move_best_block)
+        oracle_built, oracle_model = build_and_fit()
+        assert np.array_equal(built.graph.indices, oracle_built.graph.indices)
+        assert np.array_equal(built.graph.distances,
+                              oracle_built.graph.distances)
+        assert built.n_distance_evaluations == \
+            oracle_built.n_distance_evaluations
+        assert np.array_equal(model.labels_, oracle_model.labels_)
+        moves = [record.n_moves for record in model.history_]
+        assert moves == [record.n_moves for record in oracle_model.history_]
+        assert moves[0] > 0
+        assert model.result_.extra["n_distance_evaluations"] == \
+            oracle_model.result_.extra["n_distance_evaluations"]
 
 
 @st.composite

@@ -3,16 +3,51 @@
 These are the most safety-critical tests in the suite: every incremental
 algorithm (BKM, GK-means, Alg. 3) trusts `ClusterState.move` and
 `delta_objective` to exactly track the objective of Eqn. 2/3.
+
+One round of the blocked boost sweep (`ClusterState.move_best_block`) scores
+only the distinct (sample, cluster) pairs that are real moves and finds
+conflicting movers with a scatter.  The round it replaced — every candidate
+entry scored, conflicts found by a stable sort — is the oracle
+``dense_move_best_block`` of ``tests/_round_oracle.py``, and the new round
+must match it bitwise.
 """
 
 import numpy as np
 import pytest
+from _round_oracle import (argsort_first_mover_rule, dense_delta_objective_block,
+                           dense_move_best_block, dense_move_block)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterState, boost_objective, distortion_from_labels
 from repro.exceptions import ValidationError
 from repro.metrics import average_distortion
+
+
+def assert_states_identical(state, oracle):
+    for name in ("labels", "counts", "composites", "_composite_sq_norms"):
+        assert np.array_equal(getattr(state, name), getattr(oracle, name)), name
+
+
+def run_block_against_oracle(data, labels, k, samples, candidates_of):
+    """Drive one block to completion with both rounds, comparing each round.
+
+    ``candidates_of(state, pending)`` builds a round's candidate rows, as the
+    sweeps do.  Returns the final state and the number of applied moves.
+    """
+    state, oracle = ClusterState(data, labels, k), ClusterState(data, labels, k)
+    pending, moves = np.asarray(samples, dtype=np.int64), 0
+    while pending.size:
+        got, applied = state.move_best_block(pending,
+                                             candidates_of(state, pending))
+        want, want_applied = dense_move_best_block(
+            oracle, pending, candidates_of(oracle, pending))
+        assert np.array_equal(got, want)
+        assert applied == want_applied
+        assert_states_identical(state, oracle)
+        pending, moves = got, moves + applied
+    assert state.check_consistency()
+    return state, moves
 
 
 def _random_state(n=30, d=4, k=5, seed=0):
@@ -197,10 +232,11 @@ class TestMoves:
 
 
 class TestBlockForms:
-    """Eqn. 3 exists twice — scalar and block; they must not drift apart."""
+    """Eqn. 3 exists three times — scalar, pairs and the dense oracle; they
+    must not drift apart."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_delta_objective_block_matches_scalar_rows(self, dtype):
+    def test_delta_objective_pairs_matches_scalar_rows(self, dtype):
         rng = np.random.default_rng(5)
         n, k = 40, 7
         data = rng.normal(size=(n, 6)).astype(dtype)
@@ -214,12 +250,17 @@ class TestBlockForms:
         candidates = rng.integers(0, k, size=(samples.size, 9))
         candidates[:, 0] = 6                         # empty candidate
         candidates[:, 1] = state.labels[samples]     # own cluster
-        block = state.delta_objective_block(samples, candidates)
-        assert block.shape == candidates.shape and block.dtype == np.float64
+        rows, cols = np.nonzero(candidates != state.labels[samples][:, None])
+        pairs = state.delta_objective_pairs(samples, rows,
+                                            candidates[rows, cols])
+        assert pairs.shape == rows.shape and pairs.dtype == np.float64
         for row, sample in enumerate(samples):
             scalar = state.delta_objective(int(sample), candidates[row])
-            np.testing.assert_allclose(block[row], scalar, rtol=1e-9,
-                                       atol=1e-12)
+            np.testing.assert_allclose(pairs[rows == row],
+                                       scalar[cols[rows == row]],
+                                       rtol=1e-9, atol=1e-12)
+        block = dense_delta_objective_block(state, samples, candidates)
+        assert np.array_equal(pairs, block[rows, cols])
         assert np.all(block[:, 1] == 0.0)
 
     def test_move_block_applies_first_occurrences_only(self):
@@ -252,6 +293,142 @@ class TestBlockForms:
         assert np.array_equal(state.labels, labels)
         assert state.move_block(np.array([], dtype=np.int64),
                                 np.array([], dtype=np.int64)).size == 0
+
+
+class TestRoundAgainstDenseOracle:
+    """``move_best_block`` makes exactly the dense round's moves."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sorted_rows_with_duplicates(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        n, k = 300, 9
+        data = (10 * rng.normal(size=(n, 5))).astype(dtype)
+        labels = rng.integers(0, k, size=n)
+        # Wide rows over few clusters: nearly every row repeats clusters.
+        neighbours = rng.integers(0, n, size=(n, 12))
+
+        def candidates_of(state, pending):      # as the sweep builds them
+            rows = [state.labels[neighbours[pending]],
+                    state.labels[pending, None]]
+            return np.sort(np.concatenate(rows, axis=1), axis=1)
+
+        _, moves = run_block_against_oracle(
+            data, labels, k, rng.permutation(n)[:256], candidates_of)
+        assert moves > 10
+
+    def test_rows_of_only_the_own_cluster_score_nothing(self):
+        data, labels, k = _random_state(n=40, seed=31)
+        state = ClusterState(data, labels, k)
+        samples = np.arange(0, 40, 3)
+        own_only = np.repeat(labels[samples, None], 4, axis=1)
+        pending, applied = state.move_best_block(samples, own_only)
+        assert pending.size == 0 and applied == 0
+        assert_states_identical(state, ClusterState(data, labels, k))
+
+        # Mixed with rows that do have pairs, the own-only rows stay put.
+        scored = samples[::2]
+
+        def candidates_of(state, pending):
+            own = state.labels[pending, None]
+            other = np.where(np.isin(pending, scored)[:, None],
+                             (own + 1) % k, own)
+            return np.sort(np.concatenate([own, own, other], axis=1), axis=1)
+
+        state, moves = run_block_against_oracle(data, labels, k, samples,
+                                                candidates_of)
+        assert moves > 0
+        still = np.setdiff1d(samples, scored)
+        assert np.array_equal(state.labels[still], labels[still])
+
+    def test_singleton_source_and_empty_candidate_cluster(self):
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=(50, 3))
+        labels = rng.integers(0, 4, size=50)
+        labels[7] = 4                        # cluster 4: a singleton
+        k = 6                                # cluster 5: empty
+        state = ClusterState(data, labels, k)
+        assert state.counts[4] == 1 and state.counts[5] == 0
+        neighbours = rng.integers(0, 50, size=(50, 6))
+        neighbours[:, 0] = 7                 # everyone sees the singleton
+
+        def candidates_of(state, pending):
+            rows = state.labels[neighbours[pending]]
+            empty = np.full((pending.size, 1), 5)
+            own = state.labels[pending, None]
+            return np.sort(np.concatenate([rows, empty, own], axis=1), axis=1)
+
+        samples = np.unique(np.concatenate([[7], rng.permutation(50)[:30]]))
+        _, moves = run_block_against_oracle(data, labels, k, samples,
+                                            candidates_of)
+        assert moves > 0
+
+    @pytest.mark.parametrize("own_first", [True, False])
+    def test_unsorted_two_column_rows_of_the_boost_bisection(self, own_first):
+        # _bisect_boost's rows: the two halves of the sample's node, so the
+        # own cluster is the first column for even labels, the second for
+        # odd ones — or, here, always first (unsorted whenever own is odd).
+        rng = np.random.default_rng(11)
+        n_nodes, n = 5, 200
+        data = rng.normal(size=(n, 4)) + rng.normal(size=(n_nodes, 4))[
+            rng.integers(0, n_nodes, size=n)]
+        node = rng.integers(0, n_nodes, size=n)
+        labels = 2 * node + rng.integers(0, 2, size=n)
+
+        def candidates_of(state, pending):
+            own = state.labels[pending]
+            if own_first:
+                return np.stack([own, own ^ 1], axis=1)
+            return np.stack([2 * node[pending], 2 * node[pending] + 1], axis=1)
+
+        _, moves = run_block_against_oracle(data, labels, 2 * n_nodes,
+                                            rng.permutation(n)[:128],
+                                            candidates_of)
+        assert moves > 0
+
+    def test_self_moves_never_apply_and_block_later_moves(self):
+        data, labels, k = _random_state(n=40, k=6, seed=23)
+        samples = np.array([0, 1, 2, 3, 4, 5, 6, 7])
+        targets = (labels[samples] + np.array([0, 1, 0, 2, 3, 0, 1, 4])) % k
+        state, oracle = ClusterState(data, labels, k), ClusterState(
+            data, labels, k)
+        applied = state.move_block(samples, targets)
+        assert np.array_equal(applied, dense_move_block(oracle, samples,
+                                                        targets))
+        assert not applied[targets == labels[samples]].any()
+        assert_states_identical(state, oracle)
+        # A self-move names its cluster: a later move out of it is blocked.
+        first = int(np.flatnonzero(labels == labels[0])[1])
+        state = ClusterState(data, labels, k)
+        assert state.move_block(np.array([0, first]),
+                                np.array([labels[0], (labels[0] + 1) % k])
+                                ).tolist() == [False, False]
+
+    def test_empty_block(self):
+        data, labels, k = _random_state(seed=24)
+        state = ClusterState(data, labels, k)
+        pending, applied = state.move_best_block(
+            np.array([], dtype=np.int64), np.empty((0, 3), dtype=np.int64))
+        assert pending.size == 0 and applied == 0
+        assert_states_identical(state, ClusterState(data, labels, k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 12))
+    def test_scatter_first_mover_rule_is_the_argsort_rule(self, seed, m, k):
+        rng = np.random.default_rng(seed)
+        n = max(m, k)
+        data = rng.normal(size=(n, 3))
+        labels = rng.integers(0, k, size=n)
+        samples = rng.permutation(n)[:m]
+        targets = rng.integers(0, k, size=m)
+        state, oracle = ClusterState(data, labels, k), ClusterState(
+            data, labels, k)
+        applied = state.move_block(samples, targets)
+        assert np.array_equal(
+            applied, argsort_first_mover_rule(labels[samples], targets))
+        assert np.array_equal(applied, dense_move_block(oracle, samples,
+                                                        targets))
+        assert_states_identical(state, oracle)
 
 
 class TestPropertyBased:
