@@ -47,13 +47,3 @@ def run_once(benchmark, function, *args, **kwargs):
     return benchmark.pedantic(function, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
 
-
-def recall_against(indices, exact_idx) -> float:
-    """Mean top-k recall of ``indices`` rows against the exact rows.
-
-    Unreached (-1) padding ids never collide with true row ids, so they
-    simply don't count as hits.  Shared by the serving benchmarks.
-    """
-    hits = sum(len(set(map(int, row)) & set(map(int, truth))) / truth.size
-               for row, truth in zip(indices, exact_idx))
-    return hits / exact_idx.shape[0]

@@ -15,9 +15,7 @@ returned for its row.
 The script builds a 2-shard index, fires every query as its own concurrent
 request through the async front end (via the ``serve_concurrently`` client
 helper), and checks the coalesced responses against a direct
-``index.search`` call — the same check CI's smoke job runs.  It exercises
-both fan-out executors: the in-process thread pool and the out-of-process
-persistent worker pool (``executor="process"``).
+``index.search`` call — the same check CI's smoke job runs.
 """
 
 from __future__ import annotations
@@ -55,26 +53,23 @@ def main() -> None:
     with build_index(base, spec) as index:
         direct_idx, direct_dist = index.search(queries, K)
 
-        for executor in ("thread", "process"):
-            print(f"Serving {N_QUERIES} concurrent requests "
-                  f"(executor={executor})...")
-            # max_batch >= the request count: everything coalesces into one
-            # batch, so the responses are bit-for-bit the direct search.
-            idx, dist, stats = serve_concurrently(
-                index, queries, n_results=K, max_batch=N_QUERIES,
-                max_delay_ms=100.0, executor=executor)
-            assert np.array_equal(idx, direct_idx), \
-                f"{executor}: coalesced ids diverged from the direct search"
-            assert np.array_equal(dist, direct_dist), \
-                f"{executor}: coalesced distances diverged"
-            batch_sizes = sorted({record.batch_size for record in stats})
-            mean_wait = np.mean([record.queued_seconds for record in stats])
-            print(f"  OK: {len(stats)} responses identical to index.search, "
-                  f"batch sizes {batch_sizes}, "
-                  f"mean coalescing wait {mean_wait * 1e3:.2f} ms")
+        print(f"Serving {N_QUERIES} concurrent requests...")
+        # max_batch >= the request count: everything coalesces into one
+        # batch, so the responses are bit-for-bit the direct search.
+        idx, dist, stats = serve_concurrently(
+            index, queries, n_results=K, max_batch=N_QUERIES,
+            max_delay_ms=100.0)
+        assert np.array_equal(idx, direct_idx), \
+            "coalesced ids diverged from the direct search"
+        assert np.array_equal(dist, direct_dist), \
+            "coalesced distances diverged"
+        batch_sizes = sorted({record.batch_size for record in stats})
+        mean_wait = np.mean([record.queued_seconds for record in stats])
+        print(f"  OK: {len(stats)} responses identical to index.search, "
+              f"batch sizes {batch_sizes}, "
+              f"mean coalescing wait {mean_wait * 1e3:.2f} ms")
 
-    print("Done: coalescing and the executor choice changed throughput "
-          "only, never an answer.")
+    print("Done: coalescing changed throughput only, never an answer.")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Check that intra-repo markdown links resolve.
+"""Check that intra-repo markdown links and file references resolve.
 
 Scans the maintained markdown sources (README, ROADMAP, everything under
 docs/) for inline links and validates every relative target against the
@@ -9,7 +9,14 @@ a heading in the current file, and ``other.md#anchor`` must name one in
 ``other.md`` — so a reworded section title cannot silently orphan its
 cross-references. External schemes are skipped. Generated artifacts like
 PAPERS.md are out of scope — their image references point at a retrieval
-pipeline, not this repo. CI runs this in the docs job; run locally with:
+pipeline, not this repo.
+
+The living docs (README and docs/, not the ROADMAP/CHANGES history) are
+also checked for file references: a backticked path ending in ``.py``,
+``.json``, ``.md`` or ``.yml`` must exist under the repo root or
+``src/repro/``, so deleting a file cannot leave a sentence citing it.
+Scratch paths (``/tmp``, ``.bench_out/``) and patterns (``*``, ``{``) are
+skipped. CI runs this in the docs job; run locally with:
 
     python scripts/check_docs_links.py
 """
@@ -26,6 +33,15 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Markdown sources whose links must resolve.
 DOC_GLOBS = ("README.md", "ROADMAP.md", "CHANGES.md", "EXPERIMENTS.md",
              "docs/*.md")
+
+#: Markdown sources whose backticked file references must exist.
+REFERENCE_GLOBS = ("README.md", "docs/*.md")
+
+#: Directories a backticked file reference may be relative to.
+REFERENCE_ROOTS = (REPO_ROOT, os.path.join(REPO_ROOT, "src", "repro"))
+
+#: A whole backticked span that names a file: ``path/to/file.py``.
+REFERENCE = re.compile(r"`([^`\s]+\.(?:py|json|md|yml))`")
 
 #: ``[text](target)`` inline links; images share the syntax via ``!``.
 LINK = re.compile(r"\[[^\]^\[]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
@@ -47,9 +63,9 @@ _SLUG_DROP = re.compile(r"[^\w\- ]")
 _ANCHORS: dict = {}
 
 
-def _doc_paths() -> list:
+def _doc_paths(globs=DOC_GLOBS) -> list:
     paths = []
-    for pattern in DOC_GLOBS:
+    for pattern in globs:
         paths.extend(glob.glob(os.path.join(REPO_ROOT, pattern)))
     return sorted(paths)
 
@@ -114,26 +130,53 @@ def _broken_links(path: str) -> list:
     return broken
 
 
+def _missing_references(path: str) -> list:
+    """Backticked file references in ``path`` that name no existing file."""
+    missing = []
+    in_fence = False
+    with open(path, encoding="utf-8") as stream:
+        for lineno, line in enumerate(stream, start=1):
+            if FENCE.match(line):
+                in_fence = not in_fence
+                continue
+            if in_fence:
+                continue
+            for match in REFERENCE.finditer(line):
+                token = match.group(1)
+                if token.startswith(("/tmp", ".bench_out/")) or \
+                        "*" in token or "{" in token:
+                    continue
+                if not any(os.path.exists(os.path.join(root, token))
+                           for root in REFERENCE_ROOTS):
+                    missing.append((lineno, token, "missing file reference"))
+    return missing
+
+
 def main() -> int:
     """Scan every documentation file; exit 1 on any broken link."""
     paths = _doc_paths()
     if not paths:
         print("error: no markdown files found to check", file=sys.stderr)
         return 1
+    referencing = set(_doc_paths(REFERENCE_GLOBS))
     failures = 0
     for path in paths:
         rel = os.path.relpath(path, REPO_ROOT)
-        for lineno, target, reason in _broken_links(path):
+        problems = _broken_links(path)
+        if path in referencing:
+            problems += _missing_references(path)
+        for lineno, target, reason in problems:
             print(f"{rel}:{lineno}: {reason} -> {target}",
                   file=sys.stderr)
             failures += 1
     checked = len(paths)
     if failures:
-        print(f"{failures} broken link(s) across {checked} file(s)",
+        print(f"{failures} broken link(s) or reference(s) across "
+              f"{checked} file(s)",
               file=sys.stderr)
         return 1
-    print(f"ok: all relative links and anchors resolve across {checked} "
-          f"markdown file(s)")
+    print(f"ok: all relative links, anchors and file references resolve "
+          f"across {checked} markdown file(s)")
     return 0
 
 

@@ -135,9 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--executor", choices=sorted(EXECUTORS),
                        default="thread",
                        help="default shard fan-out executor persisted in "
-                            "the spec: thread (in-process pool) or process "
-                            "(persistent worker processes, one shard NPZ "
-                            "loaded per worker); results are identical "
+                            "the spec: thread (in-process pool) or remote "
+                            "(one 'gkmeans serve' daemon per shard, see "
+                            "--endpoints on search); results are identical "
                             "either way")
     build.add_argument("--quantize", choices=sorted(QUANTIZE_MODES),
                        default="none",
@@ -181,8 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--executor", choices=sorted(EXECUTORS),
                         default=None,
                         help="shard fan-out executor override for a "
-                             "sharded index (default: the index spec's "
-                             "setting; results are identical either way)")
+                             "sharded index: thread (in-process pool) or "
+                             "remote (one 'gkmeans serve' daemon per shard; "
+                             "daemons on localhost use separate cores) "
+                             "(default: the index spec's setting; results "
+                             "are identical either way)")
     search.add_argument("--endpoints", default=None,
                         help="comma-separated host:port list, one per shard "
                              "in shard order, required by --executor remote "

@@ -25,7 +25,7 @@ pool), so returned distances are exact-metric values and the only effect of
 quantization on results is *which* candidates survived the walk.  The
 test-pinned floor — quantized recall@10 at or above 0.95x the exact oracle —
 lives in ``tests/test_quantized.py``; the speed side of the trade is
-recorded by ``benchmarks/test_quantized_throughput.py``.
+the ``mono_int8`` workload of ``bench/run.py``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from .spec import (
 )
 from . import backends as _backends  # noqa: F401  (populates BUILDERS)
 from .executors import (
-    ProcessShardExecutor,
     RemoteShardExecutor,
     ShardSearchTask,
     ThreadShardExecutor,
@@ -70,7 +69,6 @@ __all__ = [
     "RebalanceReport",
     "ShardSearchTask",
     "ThreadShardExecutor",
-    "ProcessShardExecutor",
     "RemoteShardExecutor",
     "available_backends",
     "register_builder",

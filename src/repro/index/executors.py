@@ -9,43 +9,33 @@ so this module extracts the fan-out behind a small executor interface:
   gemms release the GIL inside BLAS, nothing is pickled, and the
   pool is persistent (created lazily, reused across calls) instead of being
   rebuilt per search.
-* :class:`ProcessShardExecutor` — a persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers each load
-  their shard's saved NPZ **once** and then serve query groups by
-  shared-nothing message passing.  This escapes the interpreter lock
-  entirely — the Python-side walk bookkeeping of different shards runs on
-  different cores — at the cost of pickling the queries out and the top-k
-  back.
 * :class:`RemoteShardExecutor` — the distribution step: each shard lives
   behind a network endpoint (a ``gkmeans serve`` daemon, see
   :mod:`repro.net.server`), and the fan-out sends each task to its shard's
   endpoint over the framed RPC transport of :mod:`repro.net` — pooled
   connections, per-RPC timeouts, bounded exponential-backoff retries, and
   fail-fast :class:`~repro.exceptions.ServingError` surfacing the original
-  remote traceback.
+  remote traceback.  Daemons on localhost are also how shard walks run on
+  separate cores with nothing shared.
 
 All executors run the *same* per-task search function
 (:func:`search_shard_index`) — the shard servers included — collect
 results in task order, and surface a failing task's original exception,
 so the executor choice is a pure placement knob: results are bit-for-bit
-identical between ``thread``, ``process``, ``remote`` and the serial
-inline path — a contract enforced by the determinism suite, not left to
-hope.
+identical between ``thread``, ``remote`` and the serial inline path — a
+contract enforced by the determinism suite, not left to hope.
 
 Quantized serving needs no executor-side support: ``spec.quantize``
 travels inside each shard's spec (and the ``int8`` parameters inside each
-shard's NPZ, which is what process workers and remote daemons load), and
+shard's NPZ, which is what remote daemons load), and
 every executor funnels into ``Index.search``, so a quantized shard serves
 identically — and still bit-for-bit across executors — wherever it runs.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 from threading import Lock
 
 import numpy as np
@@ -55,8 +45,7 @@ from ..net.client import EndpointPool
 from .facade import Index
 
 __all__ = ["ShardSearchTask", "ShardSearchResult", "search_shard_index",
-           "ThreadShardExecutor", "ProcessShardExecutor",
-           "RemoteShardExecutor"]
+           "ThreadShardExecutor", "RemoteShardExecutor"]
 
 
 @dataclass(frozen=True)
@@ -66,7 +55,7 @@ class ShardSearchTask:
     ``queries`` is the 2-D batch the shard must serve (a single query
     travels as a batch of one).  The remaining fields are the per-call
     search knobs, with ``seed`` already resolved (never ``None``) so a
-    worker process reproduces the parent's entry-point sample exactly.
+    shard server reproduces the parent's entry-point sample exactly.
     """
 
     shard: int
@@ -97,9 +86,9 @@ def search_shard_index(index: Index, task: ShardSearchTask
                        ) -> ShardSearchResult:
     """Serve ``task`` on ``index`` — the single search path of every executor.
 
-    Thread and process executors (and the serial inline fallback) all call
-    exactly this function, so a shard's walk is byte-identical no matter
-    where it ran.
+    The thread executor, the shard servers behind the remote one and the
+    serial inline fallback all call exactly this function, so a shard's
+    walk is byte-identical no matter where it ran.
     """
     idx, dist = index.search(task.queries, task.shard_k,
                              pool_size=task.pool_size, workers=task.workers,
@@ -110,23 +99,17 @@ def search_shard_index(index: Index, task: ShardSearchTask
         stats=index.last_serving_stats)
 
 
-class ThreadShardExecutor:
-    """In-process shard fan-out on a persistent thread pool.
+class _PooledFanOut:
+    """The fan-out loop both executors share: ``_search`` per task.
 
     The pool is created lazily on the first multi-task ``run`` and reused
     until :meth:`close` — serving traffic must not pay thread start-up per
     search call.  Single-task (or ``max_workers=1``) runs execute inline.
     """
 
-    name = "thread"
-
-    def __init__(self, shards: list, max_workers: int) -> None:
-        self._shards = shards
+    def __init__(self, max_workers: int) -> None:
         self._max_workers = max(1, int(max_workers))
         self._pool: ThreadPoolExecutor | None = None
-
-    def _search(self, task: ShardSearchTask) -> ShardSearchResult:
-        return search_shard_index(self._shards[task.shard], task)
 
     def run(self, tasks: list) -> list:
         """Serve every task; results come back in task order."""
@@ -151,7 +134,20 @@ class ThreadShardExecutor:
             pass
 
 
-class RemoteShardExecutor:
+class ThreadShardExecutor(_PooledFanOut):
+    """In-process shard fan-out: each task walks its shard on the pool."""
+
+    name = "thread"
+
+    def __init__(self, shards: list, max_workers: int) -> None:
+        super().__init__(max_workers)
+        self._shards = shards
+
+    def _search(self, task: ShardSearchTask) -> ShardSearchResult:
+        return search_shard_index(self._shards[task.shard], task)
+
+
+class RemoteShardExecutor(_PooledFanOut):
     """Networked shard fan-out: one RPC endpoint per shard.
 
     ``endpoints[s]`` must serve shard ``s`` (a ``gkmeans serve`` daemon
@@ -192,9 +188,8 @@ class RemoteShardExecutor:
             client_kwargs["read_timeout"] = read_timeout
         if retries is not None:
             client_kwargs["retries"] = retries
+        super().__init__(max_workers)
         self._endpoints = EndpointPool(endpoints, **client_kwargs)
-        self._max_workers = max(1, int(max_workers))
-        self._pool: ThreadPoolExecutor | None = None
         self._expected_generations = (
             None if expected_generations is None
             else tuple(int(value) for value in expected_generations))
@@ -231,16 +226,6 @@ class RemoteShardExecutor:
         self._handshake(task.shard)
         return self._endpoints.client(task.shard).search(task)
 
-    def run(self, tasks: list) -> list:
-        """Serve every task remotely; results come back in task order."""
-        if self._max_workers == 1 or len(tasks) <= 1:
-            return [self._search(task) for task in tasks]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self._max_workers)
-        # map() yields in submission order and re-raises a failing task's
-        # exception on iteration — same contract as the local executors.
-        return list(self._pool.map(self._search, tasks))
-
     def check_health(self) -> dict:
         """Ping every endpoint, evicting dead pooled connections.
 
@@ -252,87 +237,5 @@ class RemoteShardExecutor:
 
     def close(self) -> None:
         """Release the dispatch pool and every pooled connection."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        super().close()
         self._endpoints.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-#: Per-worker-process shard cache: saved-NPZ path -> loaded Index.  Each
-#: worker loads a shard at most once and serves every later task against
-#: the cached object — the whole point of the persistent process pool.
-_WORKER_SHARDS: dict[str, Index] = {}
-
-
-def _process_search(path: str, task: ShardSearchTask) -> ShardSearchResult:
-    """Worker-side task entry point: load-once, then search the cache."""
-    index = _WORKER_SHARDS.get(path)
-    if index is None:
-        index = _WORKER_SHARDS[path] = Index.load(path)
-    return search_shard_index(index, task)
-
-
-class ProcessShardExecutor:
-    """Out-of-process shard fan-out on a persistent process pool.
-
-    Workers are spawned (not forked — forking a process with live BLAS
-    threads is undefined behaviour) once and reused across search calls;
-    each loads the shard NPZs it is handed lazily and keeps them cached.
-    Tasks and results cross the process boundary by pickling, which is
-    exactly the per-call query/top-k traffic — the shard data itself never
-    moves after the initial load.
-
-    A task that raises in a worker surfaces its original (pickled)
-    exception here; a worker that dies hard (segfault, OOM-kill) breaks
-    the pool, which is reported as a :class:`~repro.exceptions.ServingError`
-    and the pool is closed so the next ``run`` cannot hit dead workers.
-    """
-
-    name = "process"
-
-    def __init__(self, shard_paths: list, max_workers: int) -> None:
-        for path in shard_paths:
-            if not os.path.exists(path):
-                raise ServingError(
-                    f"process executor needs every shard on disk, but "
-                    f"{path!r} does not exist")
-        self._shard_paths = [os.fspath(path) for path in shard_paths]
-        self._max_workers = max(1, int(max_workers))
-        self._pool: ProcessPoolExecutor | None = None
-
-    def run(self, tasks: list) -> list:
-        """Serve every task; results come back in task order."""
-        if not tasks:
-            return []
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._max_workers,
-                mp_context=get_context("spawn"))
-        futures = [self._pool.submit(_process_search,
-                                     self._shard_paths[task.shard], task)
-                   for task in tasks]
-        try:
-            return [future.result() for future in futures]
-        except BrokenProcessPool as exc:
-            self.close()
-            raise ServingError(
-                "a shard worker process died; the process pool was shut "
-                "down (the next search starts a fresh pool)") from exc
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent); ``run`` recreates it if needed."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -328,9 +328,9 @@ class Index:
         executor:
             Signature parity with the sharded index's fan-out executor
             selection: a monolithic index has no shard fan-out to place
-            out-of-process, so only ``None`` or ``"thread"`` (the
-            in-process walk) are valid — ``"process"`` is rejected with a
-            pointer at the sharded layer.
+            elsewhere, so only ``None`` or ``"thread"`` (the in-process
+            walk) are valid — anything else is rejected with a pointer at
+            the sharded layer.
         random_state:
             Entry-point seed override; defaults to ``spec.random_state``, so
             repeated calls are deterministic.
@@ -345,8 +345,8 @@ class Index:
         if executor is not None and executor != "thread":
             raise ValidationError(
                 f"executor={executor!r}: a monolithic Index serves "
-                "in-process only; out-of-process serving is the sharded "
-                "layer's fan-out knob (build with n_shards > 1)")
+                "in-process only (executor 'thread'); 'remote' serving is "
+                "the sharded layer's fan-out knob (build with n_shards > 1)")
         n_results = check_positive_int(n_results, name="n_results",
                                        maximum=self.n_points)
         rng = check_random_state(self.spec.random_state

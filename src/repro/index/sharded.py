@@ -106,7 +106,6 @@ from ..validation import (
     clamp_workers,
 )
 from .executors import (
-    ProcessShardExecutor,
     RemoteShardExecutor,
     ShardSearchTask,
     ThreadShardExecutor,
@@ -232,7 +231,7 @@ class ShardedServingStats:
     executor:
         Executor the fan-out ran on (see
         :data:`~repro.index.spec.EXECUTORS`): ``"thread"`` or
-        ``"process"``.  Also purely a throughput knob.
+        ``"remote"``.  Also purely a throughput knob.
     n_queries:
         Number of queries served.
     shard_probe:
@@ -388,13 +387,8 @@ class ShardedIndex:
         self.last_n_evaluations = 0
         self.last_serving_stats: ShardedServingStats | None = None
         # Serving state: one persistent fan-out executor per executor kind
-        # (recreated when the requested worker count changes), the directory
-        # the index was loaded from / saved to (process workers load shard
-        # NPZs from it), and the spill directory holding shard NPZs written
-        # on demand for a never-saved in-memory index.
+        # (recreated when the requested worker count changes).
         self._executors: dict = {}
-        self._source_dir: str | None = None
-        self._spill_dir: str | None = None
         self._endpoints: tuple | None = None
         #: Transport knobs (``connect_timeout``, ``read_timeout``,
         #: ``retries``) applied when the remote fan-out executor is built.
@@ -527,31 +521,24 @@ class ShardedIndex:
         self._endpoints = tuple(str(endpoint) for endpoint in parsed)
 
     def close(self) -> None:
-        """Release serving resources: fan-out pools, per-shard walk pools
-        and the spill directory.
+        """Release serving resources: fan-out pools and per-shard walk
+        pools.
 
         Idempotent — closing twice (or racing a ``__del__``) is a no-op the
         second time — and safe while searches are in flight: executors are
         drained (their ``close`` joins running tasks) *before* the shard
-        walk pools and the spill files those tasks read are torn down.
-        The index stays usable — the next search simply recreates what it
-        needs.  Call this (or use the index as a context manager) after
-        serving with ``executor="process"``/``"remote"`` to reap worker
-        processes and pooled connections.
+        walk pools those tasks use are torn down.  The index stays usable —
+        the next search simply recreates what it needs.  Call this (or use
+        the index as a context manager) after serving with
+        ``executor="remote"`` to release pooled connections.
         """
-        # 1. Fan-out executors first: their close() waits for in-flight
-        #    tasks, which may still be using the shard searchers and the
-        #    spilled NPZs released below.
+        # Fan-out executors first: their close() waits for in-flight tasks,
+        # which may still be using the shard searchers released below.
         executors, self._executors = self._executors, {}
         for _, executor in executors.values():
             executor.close()
-        # 2. Then the per-shard walk pools (idempotent themselves).
         for shard in self.shards:
             shard.close()
-        # 3. Finally the on-disk spill, now guaranteed unreferenced.
-        spill, self._spill_dir = self._spill_dir, None
-        if spill is not None:
-            shutil.rmtree(spill, ignore_errors=True)
 
     def __enter__(self) -> "ShardedIndex":
         return self
@@ -564,28 +551,6 @@ class ShardedIndex:
             self.close()
         except Exception:
             pass
-
-    def _shard_paths(self) -> list:
-        """Per-shard NPZ paths the process executor's workers load from.
-
-        A loaded/saved index points its workers at its own directory; an
-        in-memory index spills each shard to a temp directory once (removed
-        again in :meth:`close`).  Either way the files are ``save``
-        round-trips, so a worker's shard serves bit-for-bit like the
-        parent's — the persistence determinism suite guards exactly that.
-        """
-        if self._source_dir is not None:
-            paths = [os.path.join(self._source_dir, _shard_name(shard))
-                     for shard in range(self.n_shards)]
-            if all(os.path.exists(path) for path in paths):
-                return paths
-        if self._spill_dir is None:
-            spill = tempfile.mkdtemp(prefix="repro-shard-spill-")
-            for shard, index in enumerate(self.shards):
-                index.save(os.path.join(spill, _shard_name(shard)))
-            self._spill_dir = spill
-        return [os.path.join(self._spill_dir, _shard_name(shard))
-                for shard in range(self.n_shards)]
 
     def _get_executor(self, name: str, shard_workers: int):
         """Persistent fan-out executor for ``name``, sized ``shard_workers``.
@@ -618,14 +583,11 @@ class ShardedIndex:
             executor.close()
         if name == "thread":
             executor = ThreadShardExecutor(self.shards, shard_workers)
-        elif name == "remote":
+        else:
             executor = RemoteShardExecutor(
                 self._endpoints, shard_workers,
                 expected_generations=self.shard_generations,
                 **self.remote_options)
-        else:
-            executor = ProcessShardExecutor(self._shard_paths(),
-                                            shard_workers)
         self._executors[name] = (key, executor)
         return executor
 
@@ -702,10 +664,10 @@ class ShardedIndex:
 
         ``executor`` selects where the per-shard walks run (see
         :data:`~repro.index.spec.EXECUTORS`): ``"thread"`` fans out on a
-        persistent in-process thread pool, ``"process"`` on a persistent
-        process pool whose workers each load their shard NPZ once and serve
-        query groups by shared-nothing message passing.  Defaults to
-        ``spec.executor``.  Pools live until :meth:`close`.
+        persistent in-process thread pool, ``"remote"`` sends each shard's
+        task to its ``gkmeans serve`` daemon (:attr:`endpoints`).  Defaults
+        to ``spec.executor``.  Pools and connections live until
+        :meth:`close`.
 
         ``shard_probe=P`` routes each query to its ``P`` nearest shards
         (one gemm of the batch against the persisted coarse centroids) and
@@ -853,20 +815,13 @@ class ShardedIndex:
     def _invalidate_serving_state(self) -> None:
         """Drop every cache a mutation makes stale.
 
-        Fan-out executors are closed (process workers hold pre-mutation
-        shard NPZs; the remote executor's handshake expectations changed),
-        the spill directory and the source-directory pointer are dropped so
-        the next process fan-out re-spills the mutated state, and the
-        reassembled-data / id-lookup caches reset.  The next search simply
-        recreates what it needs.
+        Fan-out executors are closed (the remote executor's handshake
+        expectations changed) and the reassembled-data / id-lookup caches
+        reset.  The next search simply recreates what it needs.
         """
         executors, self._executors = self._executors, {}
         for _, executor in executors.values():
             executor.close()
-        spill, self._spill_dir = self._spill_dir, None
-        if spill is not None:
-            shutil.rmtree(spill, ignore_errors=True)
-        self._source_dir = None
         self._data = None
         self._global_lookup = None
 
@@ -1124,9 +1079,6 @@ class ShardedIndex:
             if os.path.isdir(tmp_dir):
                 shutil.rmtree(tmp_dir, ignore_errors=True)
             raise
-        # The saved directory is now the canonical on-disk copy: point the
-        # process executor's workers at it instead of spilling temp NPZs.
-        self._source_dir = path
 
     @classmethod
     def load(cls, path) -> "ShardedIndex":
@@ -1219,14 +1171,12 @@ class ShardedIndex:
             for index in shards:
                 index.generation = generation
         try:
-            index = cls(shards, shard_ids, spec, centroids=centroids,
-                        endpoints=endpoints, generation=generation,
-                        next_id=next_id)
+            return cls(shards, shard_ids, spec, centroids=centroids,
+                       endpoints=endpoints, generation=generation,
+                       next_id=next_id)
         except ValidationError as exc:
             raise ValidationError(
                 f"sharded index {path!r} is inconsistent: {exc}") from exc
-        index._source_dir = path
-        return index
 
 
 def build_index(data: np.ndarray, spec: IndexSpec | None = None,

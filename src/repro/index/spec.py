@@ -44,16 +44,13 @@ PARTITIONERS = ("round_robin", "gkmeans")
 
 #: Shard-fan-out executors understood by the sharded index layer:
 #: ``"thread"`` serves the per-shard walks on an in-process thread pool
-#: (the gemms release the GIL, nothing is copied), ``"process"`` on a
-#: persistent process pool whose workers each load their shard once and
-#: serve query groups by shared-nothing message passing (escapes the
-#: interpreter lock entirely, at the cost of pickling queries/results),
-#: ``"remote"`` over the framed RPC transport of :mod:`repro.net` against
-#: one ``gkmeans serve`` shard daemon per shard (requires a per-shard
-#: endpoint list — from the deployment manifest or ``index.endpoints``).
-#: Like ``workers``, the executor is a pure placement knob — results are
-#: bit-for-bit identical.
-EXECUTORS = ("thread", "process", "remote")
+#: (the gemms release the GIL, nothing is copied), ``"remote"`` over the
+#: framed RPC transport of :mod:`repro.net` against one ``gkmeans serve``
+#: shard daemon per shard (requires a per-shard endpoint list — from the
+#: deployment manifest or ``index.endpoints``); daemons on localhost put
+#: the shard walks on separate cores.  Like ``workers``, the executor is a
+#: pure placement knob — results are bit-for-bit identical.
+EXECUTORS = ("thread", "remote")
 
 
 @dataclass(frozen=True)
@@ -147,8 +144,8 @@ class IndexSpec:
     executor:
         Default shard-fan-out executor of sharded searches (see
         :data:`EXECUTORS`): ``"thread"`` runs the per-shard walks on an
-        in-process thread pool, ``"process"`` on a persistent process pool
-        of shard workers.  A pure throughput knob — results are bit-for-bit
+        in-process thread pool, ``"remote"`` on ``gkmeans serve`` shard
+        daemons.  A pure throughput knob — results are bit-for-bit
         identical — overridable per search call.
     quantize:
         Compressed-domain serving mode (see :data:`QUANTIZE_MODES` in
@@ -300,7 +297,12 @@ class IndexSpec:
         if unknown:
             raise ValidationError(
                 f"index spec carries unknown keys {sorted(unknown)}")
-        return cls(**dict(payload))
+        payload = dict(payload)
+        if payload.get("executor") == "process":
+            # Retired by a later release; the executor never changes
+            # results, so "thread" serves such a spec exactly.
+            payload["executor"] = "thread"
+        return cls(**payload)
 
     @classmethod
     def from_json(cls, text: str) -> "IndexSpec":

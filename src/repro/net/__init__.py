@@ -17,9 +17,10 @@ transport.  This package supplies it:
   search / ping / info RPCs from a handler pool.
 
 The transport is a pure placement knob: a search served over
-``executor="remote"`` is bit-for-bit identical to the ``thread``/
-``process`` executors and the serial inline path — enforced by the
-serving determinism suite, like every other serving knob in this repo.
+``executor="remote"`` is bit-for-bit identical to the ``thread``
+executor and the serial inline path — enforced by the serving
+determinism suite, like every other serving knob in this repo.  Daemons
+on localhost are how shard walks run on separate cores.
 """
 
 from .endpoints import Endpoint, parse_endpoint, parse_endpoints

@@ -7,8 +7,8 @@ directory — binds a TCP listener and answers the framed RPCs of
 
 * ``search``  — a pickled :class:`~repro.index.executors.ShardSearchTask`,
   served through exactly the same :func:`~repro.index.executors.\
-search_shard_index` path the thread and process executors use, so a
-  remotely served shard walk is byte-identical to a local one;
+search_shard_index` path the thread executor uses, so a remotely
+  served shard walk is byte-identical to a local one;
 * ``ping``    — transport liveness, empty round-trip;
 * ``info``    — self-description: shard id, manifest generation, corpus
   shape, metric/dtype and serving counters.
@@ -18,7 +18,8 @@ per-call stats (``last_per_query_evaluations``, ``last_serving_stats``) on
 the instance, so two interleaved searches would race on them.  Concurrency
 across shards comes from running one daemon per shard; concurrency inside
 a shard comes from the walk's own ``workers`` knob, which the task
-carries.
+carries.  The serving counters are bumped from handler threads under a
+lock of their own, so concurrent clients never lose an increment.
 
 A request that fails server-side is answered with a typed error frame
 carrying the exception class, message and traceback — the client surfaces
@@ -162,6 +163,7 @@ class ShardServer:
         self._accept_thread: threading.Thread | None = None
         self._closed = threading.Event()
         self._search_lock = threading.Lock()
+        self._counter_lock = threading.Lock()
         self._conn_lock = threading.Lock()
         self._connections: set = set()
         self._started = time.monotonic()
@@ -255,7 +257,7 @@ class ShardServer:
                 except ProtocolError as exc:
                     # The stream is out of sync: answer (best-effort) with
                     # a typed error naming the violation, then drop it.
-                    self.n_errors += 1
+                    self._count(n_errors=1)
                     self._send_error(conn, exc)
                     return
                 try:
@@ -263,7 +265,7 @@ class ShardServer:
                 except (ConnectionError, OSError):
                     return
                 except BaseException as exc:
-                    self.n_errors += 1
+                    self._count(n_errors=1)
                     if not self._send_error(conn, exc):
                         return
                     continue
@@ -297,11 +299,11 @@ class ShardServer:
             with self._search_lock:
                 from ..index.executors import search_shard_index
                 result = search_shard_index(self._index, task)
-            self.n_searches += 1
-            self.n_queries += int(np.asarray(task.queries).shape[0])
+            self._count(n_searches=1,
+                        n_queries=int(np.asarray(task.queries).shape[0]))
             return encode_frame(FRAME_RESULT, result)
         if kind == FRAME_PING:
-            self.n_pings += 1
+            self._count(n_pings=1)
             return encode_frame(FRAME_PONG)
         if kind == FRAME_INFO:
             return encode_frame(FRAME_INFO_REPLY, self._info())
@@ -328,8 +330,14 @@ class ShardServer:
             old, self._index = self._index, index
             self.generation = generation
         old.close()
-        self.n_reloads += 1
+        self._count(n_reloads=1)
         return self._info()
+
+    def _count(self, **increments: int) -> None:
+        """Add ``increments`` to the named serving counters atomically."""
+        with self._counter_lock:
+            for name, amount in increments.items():
+                setattr(self, name, getattr(self, name) + amount)
 
     def _info(self) -> dict:
         """Self-description served by the ``info`` RPC.
@@ -340,6 +348,10 @@ class ShardServer:
         give a rebalance policy its per-shard row counts without loading
         the shard locally.
         """
+        with self._counter_lock:
+            counters = {name: getattr(self, name) for name in (
+                "n_searches", "n_queries", "n_pings", "n_errors",
+                "n_reloads")}
         return {
             "shard_id": self.shard_id,
             "generation": self.generation,
@@ -353,9 +365,5 @@ class ShardServer:
             "dtype": self._index.spec.dtype,
             "backend": self._index.spec.backend,
             "uptime_seconds": time.monotonic() - self._started,
-            "n_searches": self.n_searches,
-            "n_queries": self.n_queries,
-            "n_pings": self.n_pings,
-            "n_errors": self.n_errors,
-            "n_reloads": self.n_reloads,
+            **counters,
         }

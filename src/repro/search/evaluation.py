@@ -95,7 +95,7 @@ def evaluate_search(searcher, queries: np.ndarray, *, n_results: int = 10,
         reports exactly that frontier); ignored when ``None``.
     executor:
         Shard fan-out executor for a batched index search (``"thread"`` or
-        ``"process"``; a pure throughput knob like the worker counts).
+        ``"remote"``; a pure throughput knob like the worker counts).
         Only valid for batched index searches; ignored when ``None``.
 
     The brute-force oracle is computed under the searcher's own metric, so
@@ -116,7 +116,7 @@ def evaluate_search(searcher, queries: np.ndarray, *, n_results: int = 10,
             (shard_workers is not None or shard_probe is not None or
              executor is not None):
         # Silently dropping these would report a plain evaluation the
-        # caller believes is sharded/routed/out-of-process.
+        # caller believes is sharded/routed/remote.
         raise ValidationError(
             "shard_workers/shard_probe/executor only apply to batched "
             "searches of a (sharded) index; remove them or use batch=True "

@@ -1,7 +1,7 @@
 """Online serving front end: request coalescing over the batch walk.
 
 The batch search layers (frontier-merged walk, sharded fan-out, thread /
-process executors) all want *batches* — but online traffic arrives as
+remote executors) all want *batches* — but online traffic arrives as
 single queries.  :class:`~repro.serving.server.CoalescingServer` bridges
 the two: an asyncio front end that accepts concurrent single-query
 requests, coalesces them under a latency budget into one batch walk, and

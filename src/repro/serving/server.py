@@ -130,7 +130,7 @@ class CoalescingServer:
         with :class:`~repro.exceptions.ServerOverloadedError`.
     search_kwargs:
         Extra keyword arguments passed verbatim to every ``index.search``
-        batch call (``executor="process"``, ``shard_workers=...``,
+        batch call (``executor="remote"``, ``shard_workers=...``,
         ``pool_size=...``, ...).  ``n_results`` and ``random_state`` are
         managed by the server and rejected here.
 

@@ -33,7 +33,7 @@ _OVERSUBSCRIPTION_WARNED = False
 def clamp_workers(value: int, *, name: str = "workers") -> int:
     """Clamp a requested worker count to the machine's CPU count.
 
-    Spreading GIL-releasing gemms (or shard processes) over more workers
+    Spreading GIL-releasing gemms (or shard walks) over more workers
     than there are CPUs cannot add parallelism — it only adds scheduler
     churn, which on a 1-core box makes ``workers=4`` measurably *slower*
     than ``workers=1``.  Worker counts are pure throughput knobs (results

@@ -2,18 +2,19 @@
 
 Covers the three serving-path bugfixes — persistent walk pools instead of
 per-call ``ThreadPoolExecutor`` churn, ``clamp_workers`` oversubscription
-clamping, and original-exception surfacing out of both executor kinds —
-plus the ``IndexSpec.executor`` knob's validation/persistence surface and
-the process executor's disk plumbing (saved shard dirs and the spill path
-for never-saved indexes).
+clamping, and original-exception surfacing out of the pool — plus the
+``IndexSpec.executor`` knob's validation/persistence surface, including
+indexes an older release saved with the retired ``"process"`` executor.
 
-The bit-for-bit determinism contract of ``executor="process"`` itself is
+The bit-for-bit determinism contract of ``executor="remote"`` itself is
 enforced in ``test_serving_determinism.py``; here we test the machinery.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -24,12 +25,13 @@ import repro.search.frontier as frontier_mod
 import repro.search.greedy as greedy_mod
 import repro.validation as validation
 from repro.datasets import make_sift_like, train_query_split
+from repro.cli import main
 from repro.exceptions import ServingError, ValidationError
 from repro.index import (
     EXECUTORS,
+    MANIFEST_NAME,
     Index,
     IndexSpec,
-    ProcessShardExecutor,
     RemoteShardExecutor,
     ShardedIndex,
     ShardSearchTask,
@@ -47,7 +49,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def saved_index(corpus, tmp_path_factory):
-    """A small monolithic index saved to disk (process-executor fodder)."""
+    """A small monolithic index saved to disk."""
     base, _ = corpus
     spec = IndexSpec(backend="bruteforce", n_neighbors=8, random_state=3)
     index = Index.build(base, spec)
@@ -192,64 +194,64 @@ class TestCrashSurfacing:
         finally:
             executor.close()
 
-    def test_process_executor_surfaces_original_exception(self,
-                                                          saved_index):
-        index, path = saved_index
-        executor = ProcessShardExecutor([path], max_workers=1)
-        try:
-            bad = ShardSearchTask(shard=0, queries=index.data[:3],
-                                  shard_k=0, seed=0)
-            with pytest.raises(ValidationError, match="n_results"):
-                executor.run([bad])
-            # The pool survives a task-level failure and keeps serving.
-            good = ShardSearchTask(shard=0, queries=index.data[:3],
-                                   shard_k=4, seed=0)
-            result = executor.run([good])[0]
-            direct, _ = index.search(index.data[:3], 4, random_state=0)
-            assert np.array_equal(result.indices, direct)
-        finally:
-            executor.close()
 
-    def test_process_executor_requires_shards_on_disk(self, tmp_path):
-        with pytest.raises(ServingError, match="does not exist"):
-            ProcessShardExecutor([str(tmp_path / "missing.idx")],
-                                 max_workers=1)
+def _as_process_era(path) -> None:
+    """Rewrite the index NPZ at ``path`` as a release that still had the
+    ``process`` executor saved it: its spec JSON says ``"process"``."""
+    with np.load(path, allow_pickle=False) as archive:
+        payload = {key: archive[key] for key in archive.files}
+    spec = json.loads(str(payload["spec_json"]))
+    spec["executor"] = "process"
+    payload["spec_json"] = np.asarray(json.dumps(spec, sort_keys=True))
+    with open(path, "wb") as stream:
+        np.savez(stream, **payload)
 
 
 class TestExecutorSpecSurface:
     """Validation + persistence of the ``executor`` knob."""
 
-    def test_spec_round_trips_executor(self):
-        spec = IndexSpec(backend="bruteforce", executor="process")
-        assert IndexSpec.from_json(spec.to_json()).executor == "process"
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_spec_round_trips_executor(self, executor):
+        spec = IndexSpec(backend="bruteforce", executor=executor)
+        assert IndexSpec.from_json(spec.to_json()).executor == executor
 
     def test_spec_without_executor_key_defaults_to_thread(self):
         payload = IndexSpec(backend="bruteforce").to_dict()
         del payload["executor"]  # a pre-executor-knob index file
         assert IndexSpec.from_dict(payload).executor == "thread"
 
-    def test_spec_rejects_unknown_executor(self):
-        with pytest.raises(ValidationError, match="executor"):
-            IndexSpec(backend="bruteforce", executor="rayon")
+    def test_saved_process_executor_reads_as_thread(self):
+        payload = IndexSpec(backend="bruteforce").to_dict()
+        payload["executor"] = "process"  # saved by an older release
+        assert IndexSpec.from_dict(payload).executor == "thread"
+        assert IndexSpec.from_json(json.dumps(payload)).executor == "thread"
 
-    def test_search_rejects_unknown_executor(self, corpus):
+    @pytest.mark.parametrize("executor", ["rayon", "process"])
+    def test_spec_rejects_unknown_executor(self, executor):
+        with pytest.raises(ValidationError, match="'thread', 'remote'"):
+            IndexSpec(backend="bruteforce", executor=executor)
+
+    @pytest.mark.parametrize("executor", ["rayon", "process"])
+    def test_search_rejects_unknown_executor(self, corpus, executor):
         base, queries = corpus
         sharded = ShardedIndex.build(
             base, IndexSpec(backend="bruteforce", n_neighbors=8,
                             n_shards=2, random_state=3))
-        with pytest.raises(ValidationError, match="executor"):
-            sharded.search(queries, 5, executor="rayon")
+        with pytest.raises(ValidationError, match="'thread', 'remote'"):
+            sharded.search(queries, 5, executor=executor)
         sharded.close()
 
+    @pytest.mark.parametrize("executor", ["process", "remote"])
     def test_monolithic_index_serves_in_process_only(self, saved_index,
-                                                     corpus):
+                                                     corpus, executor):
         index, _ = saved_index
         _, queries = corpus
         idx, _ = index.search(queries, 5, executor="thread")
         base_idx, _ = index.search(queries, 5)
         assert np.array_equal(idx, base_idx)
-        with pytest.raises(ValidationError, match="monolithic"):
-            index.search(queries, 5, executor="process")
+        with pytest.raises(ValidationError,
+                           match="monolithic.*'thread'.*'remote'"):
+            index.search(queries, 5, executor=executor)
 
     def test_evaluate_search_rejects_executor_per_query(self, saved_index,
                                                         corpus):
@@ -257,17 +259,58 @@ class TestExecutorSpecSurface:
         _, queries = corpus
         with pytest.raises(ValidationError, match="batch"):
             evaluate_search(index, queries[:4], n_results=3, batch=False,
-                            executor="process")
+                            executor="thread")
 
     def test_executors_constant_names_all_kinds(self):
-        assert set(EXECUTORS) == {"thread", "process", "remote"}
+        assert EXECUTORS == ("thread", "remote")
         assert ThreadShardExecutor.name == "thread"
-        assert ProcessShardExecutor.name == "process"
         assert RemoteShardExecutor.name == "remote"
+
+    def test_process_era_mono_file_serves_like_thread(self, saved_index,
+                                                      corpus, tmp_path):
+        index, path = saved_index
+        _, queries = corpus
+        legacy = tmp_path / "legacy.idx"
+        shutil.copyfile(path, legacy)
+        _as_process_era(legacy)
+        with Index.load(legacy) as restored:
+            assert restored.spec.executor == "thread"
+            idx, dist = restored.search(queries, 5)
+        t_idx, t_dist = index.search(queries, 5, executor="thread")
+        assert idx.tobytes() == t_idx.tobytes()
+        assert dist.tobytes() == t_dist.tobytes()
+
+    def test_process_era_sharded_directory_serves_like_thread(self, corpus,
+                                                              tmp_path):
+        base, queries = corpus
+        spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=2,
+                         partitioner="gkmeans", random_state=3)
+        path = tmp_path / "legacy.shards"
+        with ShardedIndex.build(base, spec) as sharded:
+            sharded.save(path)
+            t_idx, t_dist = sharded.search(queries, 5, executor="thread",
+                                           shard_workers=2)
+        for name in os.listdir(path):
+            _as_process_era(path / name)
+        with np.load(path / MANIFEST_NAME) as manifest:
+            assert '"process"' in str(manifest["spec_json"])
+        with ShardedIndex.load(path) as restored:
+            assert restored.spec.executor == "thread"
+            idx, dist = restored.search(queries, 5, shard_workers=2)
+            assert restored.last_serving_stats.executor == "thread"
+        assert idx.tobytes() == t_idx.tobytes()
+        assert dist.tobytes() == t_dist.tobytes()
+
+    def test_cli_search_rejects_process_executor(self, saved_index, capsys):
+        _, path = saved_index
+        with pytest.raises(SystemExit) as exited:
+            main(["search", path, "--executor", "process"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
 
 
 class TestServingResources:
-    """Executor caching, close(), and the spill path for unsaved indexes."""
+    """Executor caching and close()."""
 
     @pytest.fixture()
     def sharded(self, corpus):
@@ -299,16 +342,26 @@ class TestServingResources:
                                                        corpus):
         """Closing with warm fan-out executors (whose close() joins any
         in-flight tasks) must drain them *before* tearing down the shard
-        walk pools and the spill directory they read — and never raise."""
+        walk pools they use — and never raise."""
+        from repro.net import ShardServer
+
         _, queries = corpus
-        sharded.search(queries, 5, shard_workers=2)          # warm thread
-        sharded.search(queries, 5, executor="process")       # warm process
-        spill = sharded._spill_dir
-        assert sharded._executors.keys() == {"thread", "process"}
-        sharded.close()
-        assert sharded._executors == {}
-        assert spill is not None and not os.path.exists(spill)
-        sharded.close()  # second close stays a no-op
+        servers = [ShardServer(shard, shard_id=number,
+                               generation=shard.generation)
+                   for number, shard in enumerate(sharded.shards)]
+        try:
+            for server in servers:
+                server.start()
+            sharded.endpoints = [server.endpoint for server in servers]
+            sharded.search(queries, 5, shard_workers=2)        # warm thread
+            sharded.search(queries, 5, executor="remote")      # warm remote
+            assert sharded._executors.keys() == {"thread", "remote"}
+            sharded.close()
+            assert sharded._executors == {}
+            sharded.close()  # second close stays a no-op
+        finally:
+            for server in servers:
+                server.close()
 
     def test_sharded_index_context_manager(self, corpus):
         base, queries = corpus
@@ -332,42 +385,17 @@ class TestServingResources:
         idx, _ = built.search(queries, 5, workers=2)
         assert idx.shape == (queries.shape[0], 5)
 
-    def test_unsaved_index_spills_shards_for_process_executor(self, sharded,
-                                                              corpus):
-        _, queries = corpus
-        # Never saved: the process executor spills each shard NPZ once.
-        assert sharded._source_dir is None
-        baseline, base_dist = sharded.search(queries, 5)
-        idx, dist = sharded.search(queries, 5, executor="process")
-        assert np.array_equal(idx, baseline)
-        assert np.array_equal(dist, base_dist)
-        spill = sharded._spill_dir
-        assert spill is not None and os.path.isdir(spill)
-        sharded.search(queries, 5, executor="process")
-        assert sharded._spill_dir == spill  # spilled once, reused
-        sharded.close()
-        assert not os.path.exists(spill)
-
-    def test_saved_index_serves_process_from_source_dir(self, sharded,
-                                                        corpus, tmp_path):
-        _, queries = corpus
-        path = tmp_path / "served.shards"
-        sharded.save(path)
-        baseline, _ = sharded.search(queries, 5)
-        idx, _ = sharded.search(queries, 5, executor="process")
-        assert np.array_equal(idx, baseline)
-        assert sharded._spill_dir is None  # saved shards reused, no spill
-        assert sharded.last_serving_stats.executor == "process"
-
     def test_spec_executor_drives_default(self, corpus):
         base, queries = corpus
         sharded = ShardedIndex.build(
             base, IndexSpec(backend="bruteforce", n_neighbors=8,
                             n_shards=2, random_state=3,
-                            executor="process"))
+                            executor="remote"))
         try:
-            sharded.search(queries, 5)
-            assert sharded.last_serving_stats.executor == "process"
+            # The spec default picks the remote executor, which has no
+            # endpoints to send to.
+            with pytest.raises(ServingError, match="endpoint"):
+                sharded.search(queries, 5)
             # A per-call override wins without touching the spec default.
             sharded.search(queries, 5, executor="thread")
             assert sharded.last_serving_stats.executor == "thread"

@@ -20,6 +20,7 @@ All servers here run on ephemeral localhost ports.
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 
 import numpy as np
@@ -198,6 +199,52 @@ class TestShardServerRPCs:
         assert info["backend"] == "bruteforce"
         assert info["n_pings"] >= 1
         assert info["uptime_seconds"] > 0
+
+    def test_counters_exact_under_concurrent_clients(self, served_shard):
+        """Handler threads bump the counters concurrently; none is lost."""
+        index, _ = served_shard
+        n_clients, n_rounds = 8, 200
+        query = make_sift_like(2, 10, random_state=9)
+        task = ShardSearchTask(shard=0, queries=query, shard_k=3, seed=4)
+        failures = []
+
+        def client_loop(server):
+            client = ShardClient(server.endpoint, **FAST)
+            try:
+                for _ in range(n_rounds):
+                    client.ping()
+                    client.search(task)
+            except BaseException as exc:    # surfaced on the main thread
+                failures.append(exc)
+            finally:
+                client.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ShardServer(index, max_handlers=n_clients) as server:
+                server.start()
+                threads = [threading.Thread(target=client_loop,
+                                            args=(server,))
+                           for _ in range(n_clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                assert not failures, failures
+                client = ShardClient(server.endpoint, **FAST)
+                try:
+                    info = client.info()
+                finally:
+                    client.close()
+        finally:
+            sys.setswitchinterval(interval)
+        total = n_clients * n_rounds
+        assert info["n_pings"] == total
+        assert info["n_searches"] == total
+        assert info["n_queries"] == total * query.shape[0]
+        assert info["n_errors"] == 0
 
     def test_search_matches_local(self, served_shard):
         index, server = served_shard

@@ -446,82 +446,13 @@ class TestRoutedSearchDeterminism:
             served_index.search(queries, 6, shard_probe=2)
 
 
-class TestExecutorDeterminism:
-    """``executor`` ∈ {thread, process} is a pure throughput knob.
-
-    The process executor moves the per-shard walks into spawned worker
-    processes that each load their shard NPZ once; the tasks carry the
-    resolved seed and every executor funnels through the same
-    ``search_shard_index`` path — so thread, process and the serial inline
-    fallback must return bit-for-bit identical neighbours, distances and
-    evaluation counts, for full fan-out, routed and single-query searches,
-    and across a save/load round-trip.
-    """
-
-    @pytest.fixture(scope="class")
-    def executor_setup(self, tmp_path_factory):
-        corpus = make_sift_like(400, 12, random_state=7)
-        base, queries = train_query_split(corpus, 32, random_state=7)
-        spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=3,
-                         partitioner="gkmeans", random_state=11)
-        sharded = ShardedIndex.build(base, spec)
-        path = tmp_path_factory.mktemp("executors") / "served.shards"
-        sharded.save(path)
-        yield sharded, queries, path
-        sharded.close()
-
-    @staticmethod
-    def _search_bytes(index, queries, **kwargs):
-        idx, dist = index.search(queries, 6, **kwargs)
-        evals = index.last_per_query_evaluations
-        return idx.tobytes() + dist.tobytes() + evals.tobytes()
-
-    def test_process_bitwise_equals_thread_and_serial(self, executor_setup):
-        sharded, queries, _ = executor_setup
-        serial = self._search_bytes(sharded, queries, shard_workers=1)
-        for executor in ("thread", "process"):
-            assert self._search_bytes(sharded, queries, executor=executor,
-                                      shard_workers=2) == serial
-            assert sharded.last_serving_stats.executor == executor
-
-    def test_routed_process_bitwise_equals_thread(self, executor_setup):
-        sharded, queries, _ = executor_setup
-        for probe in (1, 2):
-            assert self._search_bytes(
-                sharded, queries, shard_probe=probe, executor="process") \
-                == self._search_bytes(
-                    sharded, queries, shard_probe=probe, executor="thread")
-
-    def test_single_query_process_equals_serial(self, executor_setup):
-        sharded, queries, _ = executor_setup
-        p_idx, p_dist = sharded.search(queries[0], 6, executor="process")
-        s_idx, s_dist = sharded.search(queries[0], 6)
-        assert np.array_equal(p_idx, s_idx)
-        assert np.array_equal(p_dist, s_dist)
-
-    def test_save_load_process_round_trip_identical(self, executor_setup):
-        sharded, queries, path = executor_setup
-        restored = ShardedIndex.load(path)
-        try:
-            assert self._search_bytes(restored, queries,
-                                      executor="process") \
-                == self._search_bytes(sharded, queries, executor="thread")
-        finally:
-            restored.close()
-
-    def test_repeated_process_searches_byte_identical(self, executor_setup):
-        sharded, queries, _ = executor_setup
-        assert self._search_bytes(sharded, queries, executor="process") \
-            == self._search_bytes(sharded, queries, executor="process")
-
-
 class TestRemoteExecutorDeterminism:
     """``executor="remote"`` extends the placement contract over TCP.
 
     Each shard is served by a :class:`~repro.net.ShardServer` daemon on an
     ephemeral localhost port; the server answers through exactly the same
-    ``search_shard_index`` path the local executors call, so remote results
-    must be bit-for-bit identical to thread, process and the serial inline
+    ``search_shard_index`` path the thread executor calls, so remote
+    results must be bit-for-bit identical to thread and the serial inline
     path — full fan-out, routed, single-query, repeated, and across a
     save/load round-trip of the deployment manifest.
     """
@@ -561,9 +492,8 @@ class TestRemoteExecutorDeterminism:
                                     shard_workers=2)
         assert remote == serial
         assert sharded.last_serving_stats.executor == "remote"
-        for executor in ("thread", "process"):
-            assert self._search_bytes(sharded, queries, executor=executor,
-                                      shard_workers=2) == remote
+        assert self._search_bytes(sharded, queries, executor="thread",
+                                  shard_workers=2) == remote
 
     def test_routed_remote_bitwise_equals_thread(self, remote_setup):
         sharded, queries, _ = remote_setup

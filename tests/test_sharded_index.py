@@ -329,6 +329,27 @@ class TestRoutedSearch:
         assert routed.mean_distance_evaluations < \
             full.mean_distance_evaluations
 
+    @pytest.fixture(scope="class")
+    def alg3_routed(self):
+        corpus = make_sift_like(4000, 24, random_state=7)
+        base, queries = train_query_split(corpus, 256, random_state=7)
+        spec = IndexSpec(backend="gkmeans", n_neighbors=20, pool_size=64,
+                         n_shards=4, partitioner="gkmeans", random_state=7,
+                         params={"tau": 6, "cluster_size": 50})
+        with ShardedIndex.build(base, spec) as index:
+            yield index, queries
+
+    @pytest.mark.parametrize("probe,floor", [(1, 0.5), (2, 0.5), (4, 0.8)])
+    def test_routed_recall_floor_on_alg3_graph(self, alg3_routed, probe,
+                                               floor):
+        """The gkmeans partition concentrates each query's neighbours in few
+        shards: over Alg. 3 shard graphs (3744 × 24, four shards) even the
+        single nearest shard keeps half of the top-10."""
+        index, queries = alg3_routed
+        recall = evaluate_search(index, queries, n_results=10,
+                                 shard_probe=probe).recall_at_k
+        assert recall >= floor, f"shard_probe={probe}: {recall:.3f}"
+
 
 class TestManifestBackCompat:
     """Version-1 (pre-routing) sharded directories still load and serve."""
