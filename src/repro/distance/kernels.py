@@ -11,6 +11,9 @@ primitives:
   every sample, computed in row blocks so the full distance matrix is never
   materialised for large ``n``/``k``.
 
+``stable_smallest(block, count)`` selects from any distance block: each
+row's ``count`` smallest columns, ties kept in column order.
+
 Negative distances that appear from floating point cancellation are clipped to
 zero so downstream square roots and distortion sums stay well defined.
 """
@@ -28,11 +31,16 @@ __all__ = [
     "assign_to_nearest",
     "nearest_among",
     "pairwise_within_block",
+    "stable_smallest",
 ]
 
 #: Default number of rows processed per block in the chunked kernels.  The
 #: value keeps the temporary distance block under ~64 MB for k up to ~8k.
 DEFAULT_BLOCK_SIZE = 1024
+
+#: Blocks of at most this many entries are selected from by a whole-row
+#: sort: below it the sort costs less than the partition path's extra calls.
+SORT_WHOLE = 1024
 
 
 def squared_euclidean(x: np.ndarray, y: np.ndarray) -> float:
@@ -153,6 +161,38 @@ def nearest_among(data: np.ndarray, sample_index: int,
     distances = cross_squared_euclidean(sample[None, :], candidate_centroids)[0]
     best = int(np.argmin(distances))
     return int(candidate_ids[best]), float(distances[best])
+
+
+def stable_smallest(block: np.ndarray, count: int) -> np.ndarray:
+    """Columns of each row's ``count`` smallest entries, ascending, the
+    earlier column first among equals.
+
+    Equals ``np.argsort(block, axis=1, kind="stable")[:, :count]`` on every
+    input, without sorting whole rows: partition for the ``count``-th value,
+    then order only the columns at or below it.  A row whose boundary value
+    is tied (or NaN) falls back to its full stable sort, and so does a block
+    too small for the partition's fixed cost to pay.  The graph walk's seed
+    and pool selections and the insert join's neighbour selection use it.
+    """
+    n_rows, width = block.shape
+    if count >= width or block.size <= SORT_WHOLE:
+        return block.argsort(axis=1, kind="stable")[:, :count]
+    kth = np.partition(block, count - 1, axis=1)[:, count - 1:count]
+    below = block <= kth
+    tied = below.sum(axis=1) != count
+    any_tied = tied.any()
+    if any_tied:
+        below[tied] = False
+    # The untied rows' survivors, as flat positions in column order.
+    flat = np.flatnonzero(below).reshape(-1, count)
+    order = block.ravel()[flat].argsort(axis=1, kind="stable")
+    cols = flat[np.arange(flat.shape[0])[:, None], order] % width
+    if not any_tied:
+        return cols
+    picked = np.empty((n_rows, count), dtype=np.intp)
+    picked[~tied] = cols
+    picked[tied] = block[tied].argsort(axis=1, kind="stable")[:, :count]
+    return picked
 
 
 class DistanceCounter:

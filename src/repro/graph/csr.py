@@ -1,22 +1,21 @@
 """Flat CSR adjacency: the searcher's cache-friendly graph layout.
 
-:meth:`~repro.graph.knngraph.KNNGraph.symmetrized_adjacency` produces a
-Python list of per-node id arrays — simple, but the frontier walk then
-chases one heap-allocated object per expansion and the neighbour ids of
-adjacent nodes are scattered across the heap.  :class:`CSRAdjacency` packs
-the same rows into the classic compressed-sparse-row pair — one ``indptr``
-offset array plus one contiguous int32 ``indices`` array — so a node's
-neighbourhood is a constant-time slice of a single buffer and consecutive
-nodes' neighbourhoods are physically adjacent.
+A Python list of per-node id arrays is simple, but a walk over it chases
+one heap-allocated object per expansion and the neighbour ids of adjacent
+nodes are scattered across the heap.  :class:`CSRAdjacency` packs the rows
+into the classic compressed-sparse-row pair — one ``indptr`` offset array
+plus one contiguous int32 ``indices`` array — so a node's neighbourhood is
+a constant-time slice of a single buffer and consecutive nodes'
+neighbourhoods are physically adjacent.
 
-Row *contents* are preserved exactly (same ids, same ascending order the
-symmetrisation produces), and ``csr[node]`` returns the same values
-``rows[node]`` would — the exact walks are therefore bit-for-bit unchanged
-by the layout, a contract the determinism suite enforces.  The walks accept
-either representation (a plain list of arrays or a ``CSRAdjacency``), so
-graph-repair code that edits individual rows keeps its list-of-arrays
-working form and converts at the searcher boundary via :meth:`from_rows` /
-:meth:`to_rows`.
+:meth:`~repro.graph.knngraph.KNNGraph.adjacency` derives the searcher's
+rows straight into this form (its edge-key sort already yields CSR order),
+and an online insert re-derives only the rows its repair touched and swaps
+them in with :meth:`splice`.  ``csr[node]`` returns the same values as a
+row list's ``rows[node]`` would, and the walks accept either
+representation, so the exact walks are bit-for-bit unchanged by the
+layout — a contract the determinism suite enforces.  :meth:`from_rows`
+packs a row list.
 """
 
 from __future__ import annotations
@@ -71,11 +70,32 @@ class CSRAdjacency:
             indices = np.empty(0, dtype=np.int32)
         return cls(indptr, indices)
 
-    def to_rows(self) -> list:
-        """Unpack into the list-of-int64-arrays form graph repair edits."""
-        return [self.indices[self.indptr[node]:self.indptr[node + 1]]
-                .astype(np.int64)
-                for node in range(len(self))]
+    def splice(self, nodes: np.ndarray,
+               rows: "CSRAdjacency") -> "CSRAdjacency":
+        """A new adjacency whose rows ``nodes`` are the rows of ``rows``.
+
+        ``nodes`` is ascending and distinct, ``rows`` holds one row per
+        node in that order.  Nodes from ``len(self)`` on grow the
+        adjacency (rows past the end that ``nodes`` skips are empty).
+        Every other row is copied from ``self`` in one masked pass — no
+        per-row work and no sort.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        old = len(self)
+        n = max(old, int(nodes[-1]) + 1) if nodes.size else old
+        old_counts = np.diff(self.indptr)
+        counts = np.zeros(n, dtype=np.int64)
+        counts[:old] = old_counts
+        counts[nodes] = np.diff(rows.indptr)
+        replaced = np.zeros(n, dtype=bool)
+        replaced[nodes] = True
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(int(indptr[-1]), dtype=np.int32)
+        fresh = np.repeat(replaced, counts)
+        indices[fresh] = rows.indices
+        indices[~fresh] = self.indices[~np.repeat(replaced[:old], old_counts)]
+        return CSRAdjacency(indptr, indices)
 
     @property
     def n_edges(self) -> int:

@@ -9,6 +9,7 @@ import numpy as np
 from ..distance import resolve_metric
 from ..exceptions import GraphError
 from ..validation import check_knn_indices
+from .csr import CSRAdjacency
 
 __all__ = ["KNNGraph"]
 
@@ -85,31 +86,55 @@ class KNNGraph:
         return KNNGraph(self.indices[:, :n_neighbors].copy(), distances,
                         metric=self.metric)
 
-    def symmetrized_adjacency(self) -> list[np.ndarray]:
-        """Per-point union of out-neighbours and in-neighbours.
+    def adjacency(self, symmetrize: bool = True,
+                  nodes: np.ndarray | None = None) -> CSRAdjacency:
+        """The search adjacency of ``nodes`` (every point by default).
 
-        Greedy graph search benefits from the reverse edges; this helper builds
-        the symmetrised adjacency once so search does not repeatedly scan the
-        index matrix.
+        With ``symmetrize`` a point's row is the ascending union of its out-
+        and in-neighbours, padding and self-loops dropped — graph search
+        gains markedly from the reverse edges.  Without it a row is the
+        point's graph row in distance order, padding dropped.  The rows come
+        back packed as a :class:`~repro.graph.csr.CSRAdjacency`, one per
+        node of ``nodes`` (ascending, distinct) in that order; an online
+        insert asks for just the rows its repair touched.
         """
         n = self.n_points
-        sources = np.repeat(np.arange(n, dtype=np.int64),
-                            self.n_neighbors)
+        if nodes is None:
+            nodes = np.arange(n)
+            wanted = None
+        else:
+            nodes = np.asarray(nodes, dtype=np.int64)
+            wanted = np.zeros(n, dtype=bool)
+            wanted[nodes] = True
+        indptr = np.zeros(nodes.size + 1, dtype=np.int64)
+        if not symmetrize:
+            rows = self.indices[nodes]
+            valid = rows >= 0
+            np.cumsum(valid.sum(axis=1), out=indptr[1:])
+            return CSRAdjacency(indptr, rows[valid])
+        sources = np.repeat(np.arange(n, dtype=np.int64), self.n_neighbors)
         targets = self.indices.ravel()
         keep = (targets >= 0) & (targets != sources)
         sources, targets = sources[keep], targets[keep]
-        # Every edge in both directions as one ``row * n + column`` key:
-        # sorting the keys groups them by row with ascending columns and
-        # puts duplicates side by side.  (Sorted in place: ``np.unique``
-        # costs three times the memory here.)
-        keys = np.concatenate([sources * n + targets, targets * n + sources])
+        # Every edge in both directions as one ``row * n + column`` key,
+        # kept only when its row is wanted: sorting the keys groups them
+        # by row with ascending columns — CSR order — and puts duplicates
+        # side by side.  (Sorted in place: ``np.unique`` costs three times
+        # the memory here.)
+        forward = sources * n + targets
+        backward = targets * n + sources
+        if wanted is not None:
+            forward = forward[wanted[sources]]
+            backward = backward[wanted[targets]]
+        keys = np.empty(forward.size + backward.size, dtype=np.int64)
+        keys[:forward.size] = forward
+        keys[forward.size:] = backward
         keys.sort()
         fresh = np.ones(keys.size, dtype=bool)
         fresh[1:] = keys[1:] != keys[:-1]
         keys = keys[fresh]
-        bounds = np.searchsorted(keys, np.arange(n + 1) * n)
-        keys %= n
-        return [keys[bounds[point]:bounds[point + 1]] for point in range(n)]
+        np.cumsum(np.bincount(keys // n, minlength=n)[nodes], out=indptr[1:])
+        return CSRAdjacency(indptr, keys % n)
 
     # ------------------------------------------------------------------ #
     # Validation

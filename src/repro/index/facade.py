@@ -431,11 +431,15 @@ class Index:
         ``vectors`` is one ``(d,)`` vector or an ``(m, d)`` batch; ``ids``
         optionally assigns the external ids of the new points (unique,
         non-negative, disjoint from every existing id — tombstoned ones
-        included), defaulting to the next unused integers.  Each new point
-        is wired in NN-Descent style: candidates seeded by an exact graph
-        walk, refined by a local join, back-edges pushed into the chosen
-        neighbours (see :mod:`repro.graph.repair`).  Bumps
-        :attr:`generation` and returns the ``(m,)`` ids of the new points.
+        included), defaulting to the next unused integers.  The call's rows
+        are wired in as one batch: one exact graph walk seeds them all over
+        the pre-insert graph, one local join over the walk pools, their
+        out-neighbours and the batch itself picks their graph rows, and one
+        merge pushes the back-edges into the chosen neighbours (see
+        :mod:`repro.graph.repair`).  Batch rows rather than calling once per
+        vector: the walk and the join are cheapest per row at tens to
+        hundreds of rows.  Bumps :attr:`generation` and returns the
+        ``(m,)`` ids of the new points.
         """
         vectors = np.asarray(vectors)
         if vectors.ndim == 1:

@@ -33,8 +33,8 @@ it), already in pop order.  A round
 1. pops each row's next ``CHUNK`` candidates *speculatively* and reads all
    their adjacency rows in one ragged gather (flat ids + lengths: through
    ``indptr`` on a :class:`~repro.graph.csr.CSRAdjacency`, a
-   ``np.concatenate`` of the few rows on the row list inserts walk — no
-   padded ``(n, κ)`` view, symmetrised degree varies too much).  One lookup
+   ``np.concatenate`` of the few rows on a plain row list — no padded
+   ``(n, κ)`` view, symmetrised degree varies too much).  One lookup
    on ``row · n + id`` keys drops visited neighbours, one
    ``np.maximum.at`` pass keeps each neighbour's first occurrence in pop
    order, and a row-wise running count of *productive* pops (pops that
@@ -44,7 +44,8 @@ it), already in pop order.  A round
 2. scores the union of the kept frontiers in one block, exactly as a
    per-query loop would;
 3. merges ``[pool | frontier]`` row-wise and keeps the ``L`` smallest,
-   *earlier entry first among equals* (:func:`stable_smallest`), raising
+   *earlier entry first among equals*
+   (:func:`~repro.distance.kernels.stable_smallest`), raising
    the threshold only for rows that overflowed.  Rows with nothing left to
    score are compacted out of the live matrices.
 
@@ -63,9 +64,10 @@ the slow shape**: it pays a whole round's overhead for one query's work.
 Measured on one core, a single-query walk costs 0.93 ms at 20000 × 64
 (pool 64, 2048-point entry sample) — what the per-query loop cost — and
 0.84–0.88 ms at 4000 × 24, where the loop took 0.55–0.66 ms, against
-0.13–0.17 ms per query inside a 32-query group.  ``GraphSearcher.query``,
-every inserted vector and every single-vector request behind the wire run
-that shape; callers with traffic to batch should batch it.
+0.13–0.17 ms per query inside a 32-query group.  ``GraphSearcher.query``
+and every single-vector request behind the wire run that shape (an insert
+call walks all its rows as one batch); callers with traffic to batch should
+batch it.
 
 The walk is parameterised by a *scorer*, ``score(rows, ids)``, returning
 the distance block between batch queries ``rows`` and dataset rows ``ids``.
@@ -103,6 +105,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..distance.kernels import stable_smallest
 from ..graph.csr import CSRAdjacency
 from ..validation import check_positive_int, clamp_workers
 from ._seeding import seed_entry_points
@@ -118,10 +121,6 @@ BEAM = 8
 #: this many adjacency rows at once, then keeps the pops up to the
 #: ``BEAM``-th productive one and puts the rest back.
 CHUNK = 32
-
-#: Blocks of at most this many entries are selected from by a whole-row
-#: sort: below it the sort costs less than the partition path's extra calls.
-SORT_WHOLE = 1024
 
 #: ``score(rows, ids)``: distances between batch queries ``rows`` and
 #: dataset rows ``ids`` as a ``(len(rows), len(ids))`` block.
@@ -142,37 +141,6 @@ def exact_scorer(engine, data: np.ndarray, data_norms: np.ndarray | None,
             a_norms=None if query_norms is None else query_norms[rows],
             b_norms=None if data_norms is None else data_norms[ids])
     return score
-
-
-def stable_smallest(block: np.ndarray, count: int) -> np.ndarray:
-    """Columns of each row's ``count`` smallest entries, ascending, the
-    earlier column first among equals.
-
-    Equals ``np.argsort(block, axis=1, kind="stable")[:, :count]`` on every
-    input, without sorting whole rows: partition for the ``count``-th value,
-    then order only the columns at or below it.  A row whose boundary value
-    is tied (or NaN) falls back to its full stable sort, and so does a block
-    too small for the partition's fixed cost to pay.
-    """
-    n_rows, width = block.shape
-    if count >= width or block.size <= SORT_WHOLE:
-        return block.argsort(axis=1, kind="stable")[:, :count]
-    kth = np.partition(block, count - 1, axis=1)[:, count - 1:count]
-    below = block <= kth
-    tied = below.sum(axis=1) != count
-    any_tied = tied.any()
-    if any_tied:
-        below[tied] = False
-    # The untied rows' survivors, as flat positions in column order.
-    flat = np.flatnonzero(below).reshape(-1, count)
-    order = block.ravel()[flat].argsort(axis=1, kind="stable")
-    cols = flat[np.arange(flat.shape[0])[:, None], order] % width
-    if not any_tied:
-        return cols
-    picked = np.empty((n_rows, count), dtype=np.intp)
-    picked[~tied] = cols
-    picked[tied] = block[tied].argsort(axis=1, kind="stable")[:, :count]
-    return picked
 
 
 def gather_rows(adjacency, nodes: np.ndarray
@@ -253,8 +221,8 @@ def beam_walk(adjacency, n_queries: int, n_results: int, score: Scorer,
     """Walk ``n_queries`` queries over ``adjacency``; see the module docs.
 
     ``adjacency`` is anything ``adjacency[node]`` indexes into a node's
-    neighbour-id array — a :class:`~repro.graph.csr.CSRAdjacency` or the
-    plain row list graph repair edits between walks; it is never repacked.
+    neighbour-id array — a :class:`~repro.graph.csr.CSRAdjacency` or a
+    plain row list; it is never repacked.
     ``rerank`` is the exact scorer of the compressed entry (``None`` when
     ``score`` is already exact).  Returns ``(indices, distances,
     n_evaluations, stats)`` as documented on the two public entries.

@@ -4,7 +4,8 @@
 the engine, the cached dataset norms, the CSR-packed symmetrised adjacency,
 the lazily built quantized code matrix — and serves every request through
 the one graph walk of :mod:`repro.search._walk`: batches, single vectors (a
-batch of one) and the per-vector candidate seeding of online inserts.
+batch of one) and the candidate seeding of online inserts (one batch per
+insert call).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from ..validation import (
     check_random_state,
     clamp_workers,
 )
-from ..graph.csr import CSRAdjacency
 from ..graph.knngraph import KNNGraph
 from ..graph.repair import (
     materialize_row_distances,
@@ -57,7 +57,9 @@ class GraphSearcher:
         Number of random points scored when picking entry points.
     symmetrize:
         Whether to add reverse edges before searching (recommended; k-NN
-        graphs are directed and reverse edges markedly improve reachability).
+        graphs are directed and reverse edges markedly improve
+        reachability).  Kept as :attr:`symmetrize`: online inserts commit
+        their adjacency by the same rule.
     random_state:
         Seed for entry-point selection.
     metric, dtype:
@@ -123,14 +125,10 @@ class GraphSearcher:
             if not np.all(np.isfinite(data_norms)):
                 raise GraphError("data_norms contains NaN or infinite values")
             self._data_norms = data_norms
-        if symmetrize:
-            rows = graph.symmetrized_adjacency()
-        else:
-            rows = [graph.neighbors(i) for i in range(graph.n_points)]
+        self.symmetrize = bool(symmetrize)
         # The searcher's working form is the flat CSR layout — one
-        # contiguous buffer the walks slice into — built once from the
-        # per-row form the graph (and graph repair) produce.
-        self._adjacency = CSRAdjacency.from_rows(rows)
+        # contiguous buffer the walks slice into.
+        self._adjacency = graph.adjacency(self.symmetrize)
         self.quantize = resolve_quantize(quantize)
         if quantizer is not None:
             if self.quantize == "none":
@@ -204,17 +202,19 @@ class GraphSearcher:
 
     def insert_points(self, vectors: np.ndarray, *,
                       rng: np.random.Generator | None = None) -> np.ndarray:
-        """Insert rows into the data + graph with NN-Descent-style repair.
+        """Insert rows into the data + graph with a batched local repair.
 
-        Each new vector's candidates are seeded by an exact walk over the
-        *current* graph (so a vector inserted earlier in the batch is a
-        legitimate candidate for later ones), refined by a
-        local join with the candidates' own neighbourhoods
-        (:func:`~repro.graph.repair.refine_neighborhood`), and the chosen
-        neighbours receive back-edges
-        (:func:`~repro.graph.repair.push_back_edges`).  The symmetrised
-        adjacency is maintained incrementally and stays exactly the
-        adjacency a fresh searcher would derive from the repaired graph.
+        Three whole-batch steps (see :mod:`repro.graph.repair`): one exact
+        walk seeds every new vector's candidates over the *pre-insert*
+        graph; one in-batch join picks the new rows' graph rows from their
+        walk pools, the pools' out-neighbours and each other
+        (:func:`~repro.graph.repair.refine_neighborhood`); one merge pushes
+        the back-edges into the chosen neighbours' rows
+        (:func:`~repro.graph.repair.push_back_edges`).  Only the adjacency
+        rows the repair touched are re-derived, by the rule of
+        :attr:`symmetrize`, and spliced into the CSR, which therefore stays
+        exactly the adjacency a fresh searcher would derive from the
+        repaired graph.
 
         The update is transactional: repair happens on copies and is
         committed only when the whole batch succeeds, so a validation
@@ -239,8 +239,15 @@ class GraphSearcher:
         else:
             old_indices, old_distances = (self.graph.indices,
                                           self.graph.distances)
+        # 1. Seed: one walk of the whole batch over the pre-insert graph.
+        ef = max(self.pool_size, 2 * n_neighbors)
+        seeds, _, _, _ = frontier_batch_search(
+            self.data, self._adjacency, vectors, min(ef, first),
+            pool_size=ef, n_starts=self.n_starts,
+            seed_sample=self.seed_sample, rng=rng, engine=engine,
+            data_norms=self._data_norms)
         # Every matrix is allocated once at its final height and filled in
-        # place; each walk and repair step sees the ``[:pos]`` view.
+        # place.
         indices = np.full((total, n_neighbors), -1, dtype=np.int64)
         indices[:first] = old_indices
         distances = np.full((total, n_neighbors), np.inf, dtype=np.float64)
@@ -251,33 +258,30 @@ class GraphSearcher:
         norms = self._data_norms
         if norms is not None:
             norms = np.concatenate([norms, engine.norms(vectors)])
-        # Repair edits individual rows between walks, so both work on the
-        # unpacked per-row form; the CSR buffers are rebuilt at commit.
-        adjacency = self._adjacency.to_rows()
-        ef = max(self.pool_size, 2 * n_neighbors)
-        for pos in range(first, total):
-            row_vec = data[pos]
-            row_norms = None if norms is None else norms[:pos]
-            found, _, _, _ = frontier_batch_search(
-                data[:pos], adjacency, row_vec, min(ef, pos), pool_size=ef,
-                n_starts=self.n_starts, seed_sample=self.seed_sample,
-                rng=rng, engine=engine, data_norms=row_norms)
-            seeds = found[0][found[0] >= 0]
-            row_ids, row_dists = refine_neighborhood(
-                engine, data[:pos], row_norms, indices[:pos], row_vec, seeds,
-                n_neighbors)
-            indices[pos, :row_ids.size] = row_ids
-            distances[pos, :row_dists.size] = row_dists
-            # The new node's in-edges can only come from the back-edge
-            # pushes into row_ids, so its symmetrised row is exactly its
-            # own (id-sorted) graph row.
-            adjacency.append(np.sort(row_ids).astype(np.int64))
-            push_back_edges(indices, distances, adjacency, pos, row_ids,
-                            row_dists)
+        # 2. Join the batch as one cluster; 3. push the back-edges.
+        row_ids, row_dists = refine_neighborhood(
+            engine, data, norms, indices, first, seeds, n_neighbors)
+        indices[first:] = row_ids
+        distances[first:] = row_dists
+        changed, dropped = push_back_edges(indices, distances, first,
+                                           row_ids, row_dists)
+        graph = KNNGraph(indices, distances, metric=self.graph.metric)
+        # Rows whose adjacency can differ: every endpoint of an edge the
+        # repair added or removed (just the rows that changed when the
+        # adjacency is the graph's own rows).
+        touched = np.zeros(total, dtype=bool)
+        touched[first:] = True
+        touched[changed] = True
+        if self.symmetrize:
+            touched[dropped] = True
+            touched[indices[first:][indices[first:] >= 0]] = True
+        nodes = touched.nonzero()[0]
+        adjacency = self._adjacency.splice(
+            nodes, graph.adjacency(self.symmetrize, nodes))
         self.data = data
-        self.graph = KNNGraph(indices, distances, metric=self.graph.metric)
+        self.graph = graph
         self._data_norms = norms
-        self._adjacency = CSRAdjacency.from_rows(adjacency)
+        self._adjacency = adjacency
         # New rows are encoded with the build-time quantizer parameters;
         # the code matrix itself is derived state and is rebuilt on the
         # next quantized search.

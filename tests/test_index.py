@@ -373,7 +373,7 @@ class TestFrontierParity:
         data = make_sift_like(900, 16, random_state=11)
         base, queries = train_query_split(data, 50, random_state=11)
         graph = brute_force_knn_graph(base, 10)
-        return base, queries, graph.symmetrized_adjacency()
+        return base, queries, graph.adjacency()
 
     def test_matches_single_query_calls_and_issues_fewer_gemms(
             self, parity_setup):

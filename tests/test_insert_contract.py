@@ -1,0 +1,327 @@
+"""Contract of the batched online insert.
+
+``GraphSearcher.insert_points`` repairs a whole call at once: one walk over
+the pre-insert graph, one in-batch join, one back-edge merge and one splice
+of the adjacency rows the repair touched (:mod:`repro.graph.repair`).  New
+rows no longer seed from rows inserted earlier in the same call, so it is
+not bitwise equal to the per-row loop it replaced (``tests/_insert_oracle.py``).
+What it promises instead:
+
+* **working-regime quality** — after building on 80% of a corpus and
+  inserting the rest in 32-row calls, query recall@10 at the ``mutate_mix``
+  search spec is within 0.005 of a cold rebuild's, and the inserted rows'
+  graph recall@10 within 0.01 of the per-row loop's;
+* the committed adjacency is exactly what a fresh searcher derives from the
+  repaired graph, symmetrised or not, and an index saves and loads its
+  inserted state bitwise;
+* the merge leaves the rows one-at-a-time pushes would, and the join picks
+  each row's own local join;
+* the edge shapes hold: one row, more rows than the index holds, mutual
+  in-batch pairs, a call that fails validation.
+"""
+
+import numpy as np
+import pytest
+from _insert_oracle import insert_per_row, push_row, refine_row
+
+from repro.distance import DistanceEngine
+from repro.exceptions import GraphError, ValidationError
+from repro.graph import KNNGraph, brute_force_knn_graph, random_knn_graph
+from repro.graph.bruteforce import brute_force_neighbors
+from repro.graph.csr import CSRAdjacency
+from repro.graph.repair import (JOIN_CHUNK, materialize_row_distances,
+                                push_back_edges, refine_neighborhood)
+from repro.index import Index, IndexSpec
+from repro.search import GraphSearcher
+
+#: ``mutate_mix``'s search spec (float64, 256-point entry sample).
+SPEC = dict(backend="gkmeans", n_neighbors=20, dtype="float64", pool_size=64,
+            seed_sample=256, n_starts=4, params={"tau": 6, "cluster_size": 50})
+BATCH = 32
+
+
+def _recall(found, truth):
+    return float(np.mean([np.intersect1d(row, true).size / true.size
+                          for row, true in zip(found, truth)]))
+
+
+def _same_adjacency(a: CSRAdjacency, b: CSRAdjacency) -> bool:
+    return (np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices))
+
+
+# --------------------------------------------------------------------- #
+# Working-regime recall gate
+# --------------------------------------------------------------------- #
+class TestWorkingRegime:
+    """Gaussian 3000 × 24: hard enough that the inserted rows' graph
+    recall@10 sits near 0.86 (query recall@10 near 0.999)."""
+
+    @pytest.fixture(scope="class", params=[1, 2])
+    def regime(self, request):
+        seed = request.param
+        rng = np.random.default_rng(seed)
+        corpus = rng.normal(size=(3000, 24))
+        queries = rng.normal(size=(200, 24))
+        n_base = int(0.8 * corpus.shape[0])
+        spec = IndexSpec(**SPEC, random_state=seed)
+        index = Index.build(corpus[:n_base], spec)
+        oracle = insert_per_row(index._searcher, corpus[n_base:],
+                                np.random.default_rng(seed))
+        for start in range(n_base, corpus.shape[0], BATCH):
+            index.insert(corpus[start:start + BATCH])
+        cold = Index.build(corpus, spec)
+        return corpus, queries, n_base, index, cold, oracle
+
+    def test_query_recall_matches_a_cold_rebuild(self, regime):
+        corpus, queries, _, index, cold, _ = regime
+        truth, _ = brute_force_neighbors(queries, corpus, 10)
+        inserted = _recall(index.search(queries, 10)[0], truth)
+        rebuilt = _recall(cold.search(queries, 10)[0], truth)
+        assert inserted >= rebuilt - 0.005, (inserted, rebuilt)
+
+    def test_graph_recall_matches_the_per_row_loop(self, regime):
+        corpus, _, n_base, index, _, oracle = regime
+        truth, _ = brute_force_neighbors(corpus[n_base:], corpus, 10,
+                                         exclude_self=True)
+        batched = _recall(index.graph.indices[n_base:, :10], truth)
+        per_row = _recall(oracle.indices[n_base:, :10], truth)
+        assert batched >= per_row - 0.01, (batched, per_row)
+        index.graph.validate()
+
+
+# --------------------------------------------------------------------- #
+# The committed adjacency and persistence
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def small():
+    rng = np.random.default_rng(4)
+    return rng.normal(size=(400, 12)), rng.normal(size=(90, 12))
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+@pytest.mark.parametrize("distances", [True, False])
+def test_committed_adjacency_is_a_fresh_derivation(small, symmetrize,
+                                                   distances):
+    """After every call the CSR equals a fresh searcher's over the repaired
+    graph — including a graph that carried no distances before."""
+    base, new = small
+    graph = (brute_force_knn_graph(base, 8) if distances else
+             KNNGraph(random_knn_graph(base, 8, random_state=1).indices))
+    searcher = GraphSearcher(base, graph, symmetrize=symmetrize,
+                             random_state=0)
+    assert searcher.symmetrize is symmetrize
+    for start, stop in ((0, 1), (1, 18), (18, 90)):
+        searcher.insert_points(new[start:stop])
+        searcher.graph.validate()
+        fresh = GraphSearcher(searcher.data, searcher.graph,
+                              symmetrize=symmetrize)
+        assert _same_adjacency(searcher._adjacency, fresh._adjacency)
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_inserted_index_saves_and_loads_bitwise(small, symmetrize, tmp_path):
+    base, new = small
+    index = Index.build(base, IndexSpec(backend="bruteforce", n_neighbors=8,
+                                        symmetrize=symmetrize,
+                                        random_state=3))
+    index.insert(new[:50])
+    index.insert(new[50:])
+    path = tmp_path / "inserted.idx"
+    index.save(path)
+    restored = Index.load(path)
+    queries = np.random.default_rng(5).normal(size=(300, 12))
+    s_idx, s_dist = index.search(queries, 10)
+    r_idx, r_dist = restored.search(queries, 10)
+    assert r_idx.tobytes() == s_idx.tobytes()
+    assert r_dist.tobytes() == s_dist.tobytes()
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_adjacency_rows_of_a_subset(small, symmetrize):
+    """``KNNGraph.adjacency(nodes=...)`` is the full adjacency's rows, and
+    splicing them back changes nothing."""
+    base, _ = small
+    graph = brute_force_knn_graph(base, 8)
+    full = graph.adjacency(symmetrize)
+    nodes = np.sort(np.random.default_rng(0).choice(400, 57, replace=False))
+    part = graph.adjacency(symmetrize, nodes)
+    assert len(part) == nodes.size
+    for row, node in enumerate(nodes):
+        assert np.array_equal(part[row], full[node])
+    assert _same_adjacency(full.splice(nodes, part), full)
+
+
+def test_splice_replaces_and_grows():
+    old = CSRAdjacency.from_rows([np.array([1, 2]), np.array([0]),
+                                  np.array([0, 1])])
+    rows = CSRAdjacency.from_rows([np.array([3]), np.array([], dtype=int),
+                                   np.array([0, 1, 2])])
+    spliced = old.splice(np.array([0, 2, 3]), rows)
+    assert [spliced[node].tolist() for node in range(4)] == \
+        [[3], [0], [], [0, 1, 2]]
+
+
+# --------------------------------------------------------------------- #
+# The join and the merge against their per-row forms
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("metric", ["sqeuclidean", "cosine", "dot"])
+def test_join_is_each_rows_own_local_join(metric):
+    """Each new row gets the ``(distance, id)``-nearest of its seeds, their
+    out-neighbours and the other new rows — what a per-row join over that
+    candidate set picks — across chunk boundaries and ``-1`` seed padding."""
+    rng = np.random.default_rng(7)
+    engine = DistanceEngine(metric)
+    first, m, width, kappa = 300, JOIN_CHUNK * 2 + 5, 12, 6
+    data = engine.prepare(rng.normal(size=(first + m, 10)))
+    norms = engine.norms(data)
+    indices = np.full((first + m, kappa), -1, dtype=np.int64)
+    indices[:first] = brute_force_knn_graph(data[:first], kappa,
+                                            metric=metric).indices
+    seeds = rng.integers(0, first, size=(m, width))
+    seeds[rng.random(seeds.shape) < 0.2] = -1
+    row_ids, row_dists = refine_neighborhood(engine, data, norms, indices,
+                                             first, seeds, kappa)
+    for row in range(m):
+        others = np.delete(np.arange(first, first + m), row)
+        candidates = np.concatenate([seeds[row][seeds[row] >= 0], others])
+        ids, dists = refine_row(engine, data, norms, indices,
+                                data[first + row], candidates, kappa)
+        assert np.array_equal(row_ids[row], ids), row
+        np.testing.assert_allclose(row_dists[row], dists, rtol=1e-12)
+
+
+def test_merge_equals_one_at_a_time_pushes():
+    """Integer-grid data ties constantly: the merge keeps existing entries
+    ahead of equal pushes and equal pushes in position order, exactly as
+    pushing the rows one at a time would."""
+    rng = np.random.default_rng(3)
+    grid = rng.integers(0, 4, size=(150, 4)).astype(np.float64)
+    new = np.vstack([grid[:30], rng.integers(0, 4, size=(30, 4))])
+    data = np.vstack([grid, new])
+    engine = DistanceEngine()
+    first, kappa = grid.shape[0], 6
+    graph = brute_force_knn_graph(grid, kappa)
+    indices = np.full((data.shape[0], kappa), -1, dtype=np.int64)
+    distances = np.full(indices.shape, np.inf)
+    indices[:first] = graph.indices
+    distances[:first] = graph.distances
+    seeds = brute_force_neighbors(new, grid, 16)[0]
+    row_ids, row_dists = refine_neighborhood(
+        engine, data, engine.norms(data), indices, first, seeds, kappa)
+    indices[first:] = row_ids
+    distances[first:] = row_dists
+    one_ids, one_dists = indices.copy(), distances.copy()
+
+    changed, dropped = push_back_edges(indices, distances, first, row_ids,
+                                       row_dists)
+    before = one_ids.copy()
+    for row in range(row_ids.shape[0]):
+        pos = first + row
+        targets = row_ids[row]
+        keep = (targets >= 0) & ~(before[np.maximum(targets, 0)]
+                                  == pos).any(axis=1)
+        push_row(one_ids, one_dists, pos, targets[keep], row_dists[row][keep])
+    assert np.array_equal(indices, one_ids)
+    assert np.array_equal(distances, one_dists)
+    moved = (before != indices).any(axis=1).nonzero()[0]
+    assert np.array_equal(changed, moved)
+    lost = [np.setdiff1d(before[row], indices[row]) for row in moved]
+    lost = np.concatenate(lost) if lost else np.empty(0, dtype=np.int64)
+    assert np.array_equal(np.sort(dropped), np.sort(lost[lost >= 0]))
+    KNNGraph(indices, distances).validate()
+
+
+# --------------------------------------------------------------------- #
+# Edge shapes
+# --------------------------------------------------------------------- #
+def test_single_row(small):
+    base, new = small
+    searcher = GraphSearcher(base, brute_force_knn_graph(base, 8),
+                             random_state=0)
+    assert searcher.insert_points(new[:1]).tolist() == [400]
+    assert np.all(searcher.graph.indices[400] >= 0)
+    truth = brute_force_neighbors(new[:1], base, 8)[0][0]
+    assert np.intersect1d(searcher.graph.indices[400], truth).size >= 7
+    searcher.graph.validate()
+
+
+def test_more_rows_than_the_index_holds(small):
+    """12 indexed rows, 40 inserted: the new rows' rows are filled mostly by
+    each other, through the in-batch join."""
+    base, new = small
+    searcher = GraphSearcher(base[:12], brute_force_knn_graph(base[:12], 8),
+                             random_state=0)
+    searcher.insert_points(new[:40])
+    searcher.graph.validate()
+    assert np.all(searcher.graph.indices >= 0)
+    assert (searcher.graph.indices[12:] >= 12).mean() > 0.5
+    fresh = GraphSearcher(searcher.data, searcher.graph)
+    assert _same_adjacency(searcher._adjacency, fresh._adjacency)
+    idx, _ = searcher.batch_query(new[:40], 1)
+    assert np.array_equal(idx[:, 0], np.arange(12, 52))
+
+
+def test_mutual_in_batch_pairs_hold_no_duplicates(small):
+    """A tight far-away cluster inserted in one call: its rows list each
+    other, both directions of a pair push, and no row may end up holding an
+    id twice."""
+    base, _ = small
+    rng = np.random.default_rng(8)
+    cluster = 40.0 + 0.01 * rng.normal(size=(20, 12))
+    searcher = GraphSearcher(base, brute_force_knn_graph(base, 8),
+                             random_state=0)
+    searcher.insert_points(cluster)
+    rows = searcher.graph.indices[400:]
+    mutual = [(p, q) for p, row in enumerate(rows, 400) for q in row
+              if q >= 400 and p in searcher.graph.indices[q]]
+    assert mutual
+    searcher.graph.validate()
+    for row in searcher.graph.indices:
+        valid = row[row >= 0]
+        assert np.unique(valid).size == valid.size
+
+
+def test_failed_insert_leaves_the_searcher_untouched(small):
+    base, new = small
+    searcher = GraphSearcher(base, brute_force_knn_graph(base, 8),
+                             random_state=0)
+    state = (searcher.data, searcher.graph, searcher._adjacency,
+             searcher._data_norms)
+    snapshot = [array.tobytes() for array in (
+        searcher.data, searcher.graph.indices, searcher.graph.distances,
+        searcher._adjacency.indptr, searcher._adjacency.indices)]
+    bad = new[:5].copy()
+    bad[2, 3] = np.nan
+    with pytest.raises(ValidationError):
+        searcher.insert_points(bad)
+    with pytest.raises(GraphError, match="dimension"):
+        searcher.insert_points(new[:5, :6])
+    assert all(before is after for before, after in zip(state, (
+        searcher.data, searcher.graph, searcher._adjacency,
+        searcher._data_norms)))
+    assert snapshot == [array.tobytes() for array in (
+        searcher.data, searcher.graph.indices, searcher.graph.distances,
+        searcher._adjacency.indptr, searcher._adjacency.indices)]
+
+
+@pytest.mark.parametrize("metric", ["sqeuclidean", "cosine", "dot"])
+def test_materialized_distances_match_per_row_cross(metric):
+    rng = np.random.default_rng(2)
+    engine = DistanceEngine(metric)
+    data = rng.normal(size=(60, 7))
+    indices = random_knn_graph(data, 5, random_state=0,
+                               compute_distances=False).indices
+    indices[::7, 3:] = -1
+    got_ids, got_dists = materialize_row_distances(
+        data, indices, engine, engine.norms(data))
+    for row in range(data.shape[0]):
+        valid = indices[row][indices[row] >= 0]
+        dists = engine.cross(data[row], data[valid])[0]
+        order = np.argsort(dists, kind="stable")
+        k = valid.size
+        assert np.array_equal(got_ids[row, :k], valid[order])
+        np.testing.assert_allclose(got_dists[row, :k], dists[order],
+                                   rtol=1e-9, atol=1e-9)
+        assert np.all(got_ids[row, k:] == -1)
+        assert np.all(np.isinf(got_dists[row, k:]))

@@ -91,7 +91,7 @@ from repro.search import frontier_batch_search
 
 corpus = make_sift_like(4200, 192, random_state=0)
 base, queries = train_query_split(corpus, 256, random_state=0)
-adjacency = brute_force_knn_graph(base, 16).symmetrized_adjacency()
+adjacency = brute_force_knn_graph(base, 16).adjacency()
 
 
 def serve(workers):

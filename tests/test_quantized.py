@@ -18,6 +18,7 @@ import json
 
 import numpy as np
 import pytest
+from _insert_oracle import to_rows
 
 from repro.datasets import make_sift_like, train_query_split
 from repro.distance import (
@@ -103,7 +104,7 @@ class TestCSRAdjacency:
         for node, row in enumerate(rows):
             assert np.array_equal(np.asarray(csr[node], dtype=np.int64),
                                   row)
-        back = csr.to_rows()
+        back = to_rows(csr)
         assert all(np.array_equal(a, b) for a, b in zip(back, rows))
 
     def test_from_rows_passes_through_csr(self, rng):
@@ -147,7 +148,7 @@ class TestCSRAdjacency:
         """The CSR layout is a pure storage change for ``quantize="none"``."""
         base, queries = corpus
         graph = brute_force_knn_graph(base, 8)
-        rows = graph.symmetrized_adjacency()
+        rows = to_rows(graph.adjacency())
         as_list = frontier_batch_search(
             base, rows, queries, 6, pool_size=32,
             rng=np.random.default_rng(3))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _insert_oracle import to_rows
 
 from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import GraphError
@@ -80,7 +81,7 @@ class TestGreedySearch:
         """The exact entry takes a plain row list and a ``(d,)`` query (a
         batch of one)."""
         base, queries, graph = search_setup
-        adjacency = graph.symmetrized_adjacency()
+        adjacency = to_rows(graph.adjacency())
         indices, distances, evaluations, stats = frontier_batch_search(
             base, adjacency, queries[0], 5, pool_size=32,
             rng=np.random.default_rng(0))

@@ -62,7 +62,7 @@ def _search_bytes(index, queries):
 class TestWorkerBitwiseEquality:
     def test_frontier_workers_bitwise_identical(self, serving_setup):
         base, queries, graph = serving_setup
-        adjacency = graph.symmetrized_adjacency()
+        adjacency = graph.adjacency()
         runs = {
             workers: frontier_batch_search(
                 base, adjacency, queries, 6, pool_size=32, max_group=7,
@@ -117,7 +117,7 @@ class TestSeededRepeatability:
 
     def test_explicit_seed_repeatable_through_frontier(self, serving_setup):
         base, queries, graph = serving_setup
-        adjacency = graph.symmetrized_adjacency()
+        adjacency = graph.adjacency()
         runs = [frontier_batch_search(
                     base, adjacency, queries, 6, workers=3,
                     rng=np.random.default_rng(123)) for _ in range(2)]
@@ -552,7 +552,7 @@ class TestWorkersValidation:
 
     def test_frontier_rejects_non_integer_workers(self, serving_setup):
         base, queries, graph = serving_setup
-        adjacency = graph.symmetrized_adjacency()
+        adjacency = graph.adjacency()
         for bad in (0, 2.5):
             with pytest.raises(ValidationError):
                 frontier_batch_search(base, adjacency, queries[:4], 3,
@@ -561,7 +561,7 @@ class TestWorkersValidation:
 
     def test_workers_clamped_to_group_count(self, serving_setup):
         base, queries, graph = serving_setup
-        adjacency = graph.symmetrized_adjacency()
+        adjacency = graph.adjacency()
         _, _, _, stats = frontier_batch_search(
             base, adjacency, queries[:5], 3, max_group=None, workers=16,
             rng=np.random.default_rng(0))

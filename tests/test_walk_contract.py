@@ -24,6 +24,7 @@ test each.
 
 import numpy as np
 import pytest
+from _insert_oracle import to_rows
 
 from repro.datasets import make_sift_like, train_query_split
 from repro.distance import DistanceEngine
@@ -54,11 +55,12 @@ RECALL_FLOOR = 0.95
 
 @pytest.fixture(scope="module", params=[11, 29])
 def corpus(request):
-    """Base data, queries and one exact symmetrised graph per metric."""
+    """Base data, queries and one exact symmetrised graph per metric, as
+    a row list (the tests pack it themselves where they want a CSR)."""
     data = make_sift_like(650, 16, random_state=request.param)
     base, queries = train_query_split(data, 50, random_state=request.param)
-    adjacency = {metric: brute_force_knn_graph(base, 8, metric=metric)
-                 .symmetrized_adjacency() for metric in METRICS}
+    adjacency = {metric: to_rows(brute_force_knn_graph(base, 8, metric=metric)
+                                 .adjacency()) for metric in METRICS}
     return base, queries, adjacency
 
 
@@ -232,10 +234,10 @@ class TestConsolidationHazards:
         assert not np.array_equal(dist, dist.astype(np.float32))
 
     def test_walk_reads_a_row_list_in_place(self, corpus, monkeypatch):
-        """The walk indexes whichever adjacency form it is given: inserts
-        walk the row list repair mutates, so packing it per walk would cost
-        O(n) per inserted vector.  One pack per ``insert_points`` — the
-        commit — is the budget."""
+        """The walk indexes whichever adjacency form it is given and never
+        repacks a row list.  An insert walks the committed CSR and splices
+        its touched rows in, so at most one pack per ``insert_points`` is
+        the budget."""
         base, queries, adjacency = corpus
         packs = []
         original = CSRAdjacency.from_rows.__func__
@@ -256,7 +258,7 @@ class TestConsolidationHazards:
                                  random_state=0)
         packs.clear()
         searcher.insert_points(queries[:6])
-        assert len(packs) == 1
+        assert len(packs) <= 1
 
     def test_task_shape_is_pinned_to_the_protocol_version(self):
         """``ShardSearchTask`` crosses the wire pickled, so its field list
@@ -284,10 +286,12 @@ from hypothesis import given, settings                        # noqa: E402
 from hypothesis import strategies as st                       # noqa: E402
 from hypothesis.extra import numpy as hnp                     # noqa: E402
 
+from repro.distance import kernels as kernels_module          # noqa: E402
+from repro.distance.kernels import stable_smallest            # noqa: E402
 from repro.search import _walk as walk_module                 # noqa: E402
 from repro.search import frontier, quantized                  # noqa: E402
 from repro.search._seeding import seed_entry_points           # noqa: E402
-from repro.search._walk import BEAM, beam_walk, stable_smallest  # noqa: E402
+from repro.search._walk import BEAM, beam_walk                # noqa: E402
 
 
 def reference_beam_walk(adjacency, n_queries, n_results, score, rerank, *,
@@ -503,8 +507,7 @@ class TestShapesTheSweepLacks:
         big = rng.normal(size=(60, 6))
         small = rng.normal(size=(3, 6)) + 50.0
         base = np.vstack([big, small])
-        rows = [row + 0 for row in
-                brute_force_knn_graph(big, 5).symmetrized_adjacency()]
+        rows = to_rows(brute_force_knn_graph(big, 5).adjacency())
         rows += [np.array([61, 62]), np.array([60, 62]), np.array([60, 61])]
         isolated = 17
         rows = [row[row != isolated] for row in rows]
@@ -528,18 +531,18 @@ class TestShapesTheSweepLacks:
     @pytest.mark.parametrize("quantize", ENTRIES)
     def test_ragged_graph_after_insert_points(self, corpus, replayed,
                                               quantize):
-        """Insert seeding walks the row list repair mutates; the committed
-        CSR has ragged rows.  Both are replayed."""
+        """Insert seeding is one walk of the whole batch over the pre-insert
+        CSR; the committed CSR has ragged rows.  Both are replayed."""
         base, queries, _ = corpus
         searcher = GraphSearcher(base, brute_force_knn_graph(base, 8),
                                  random_state=2, quantize=quantize)
         searcher.insert_points(queries[:8])
-        assert replayed == [(1, searcher.pool_size)] * 8       # one per row
+        assert replayed == [(8, searcher.pool_size)]           # one walk
         degrees = np.diff(searcher._adjacency.indptr)
         assert degrees.min() < degrees.max()
         searcher.batch_query(queries[8:40], K)
         searcher.query(queries[41], K)
-        assert replayed[8:] == [(32, K), (1, K)]
+        assert replayed[1:] == [(32, K), (1, K)]
 
     @pytest.mark.parametrize("quantize", ENTRIES)
     def test_tombstone_widened_results(self, corpus, replayed, quantize):
@@ -566,7 +569,7 @@ class TestTiedDistances:
         points = rng.integers(0, 4, size=(220, 5)).astype(np.float64)
         base = np.vstack([points, points[:80]])          # exact duplicates
         queries = rng.integers(0, 4, size=(24, 5)).astype(np.float64)
-        adjacency = brute_force_knn_graph(base, 8).symmetrized_adjacency()
+        adjacency = to_rows(brute_force_knn_graph(base, 8).adjacency())
         return base, queries, adjacency
 
     @pytest.mark.parametrize("entry", ENTRIES)
@@ -598,7 +601,8 @@ class TestTiedDistances:
 
 
 # --------------------------------------------------------------------- #
-# stable_smallest: the selection behind seeding and the pool merge
+# stable_smallest: the selection behind seeding, the pool merge and the
+# insert join
 # --------------------------------------------------------------------- #
 @st.composite
 def _blocks_with_duplicates(draw):
@@ -614,11 +618,12 @@ def _blocks_with_duplicates(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_blocks_with_duplicates(), st.sampled_from([0, walk_module.SORT_WHOLE]))
+@given(_blocks_with_duplicates(),
+       st.sampled_from([0, kernels_module.SORT_WHOLE]))
 def test_stable_smallest_equals_the_stable_argsort_prefix(case, sort_whole):
     block, count = case
     expected = np.argsort(block, axis=1, kind="stable")[:, :count]
-    with mock.patch.object(walk_module, "SORT_WHOLE", sort_whole):
+    with mock.patch.object(kernels_module, "SORT_WHOLE", sort_whole):
         assert np.array_equal(stable_smallest(block.copy(), count), expected)
 
 
