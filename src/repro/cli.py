@@ -19,9 +19,7 @@ Build a persistent ANN index and serve queries from it::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -41,6 +39,8 @@ from .index import (
     build_index,
     load_index,
 )
+from .index.facade import atomic_savez
+from .index.sharded import migrate
 from .search import evaluate_search
 
 __all__ = ["main", "build_parser"]
@@ -274,27 +274,24 @@ def build_parser() -> argparse.ArgumentParser:
                                 "manifest lands — omitted, only the on-disk "
                                 "index is rebalanced")
 
+    migrate = sub.add_parser(
+        "migrate", help="rewrite an index saved at an older format version "
+                        "in place, at the current one")
+    migrate.add_argument("index", help="a single-file index or a sharded "
+                                       "index directory")
+
     sub.add_parser("list", help="list datasets, methods and experiments")
     return parser
 
 
-def _atomic_savez(path, **arrays) -> None:
-    """Write an NPZ atomically: temp file in the target directory, then
-    rename — a failure mid-write never leaves a partial file at ``path``.
-
-    Matches the index persistence idiom (see ``Index.save``).
-    """
-    path = os.fspath(path)
-    handle, tmp_path = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", suffix=".npz.tmp")
+def _load_vectors(path) -> np.ndarray:
+    """The ``.npy`` matrix at ``path``; a missing, unreadable or pickled
+    file is a :class:`~repro.exceptions.ValidationError`."""
     try:
-        with os.fdopen(handle, "wb") as stream:
-            np.savez(stream, **arrays)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        return np.load(path, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(
+            f"cannot read vectors {path!r}: {exc}") from exc
 
 
 def _build_params(args) -> dict:
@@ -346,24 +343,25 @@ def _run_build(args) -> int:
 def _run_search(args) -> int:
     try:
         index = load_index(args.index)
-    except (ValidationError, FileNotFoundError) as exc:
+    except ValidationError as exc:
         print(f"error: cannot load index {args.index!r}: {exc}",
               file=sys.stderr)
         return 2
     with index:
-        if args.queries is not None:
-            queries = np.load(args.queries)
-            source = args.queries
-        else:
-            n_queries = min(args.n_queries, index.n_points)
-            rng = np.random.default_rng(args.seed)
-            rows = rng.choice(index.n_points, size=n_queries, replace=False)
-            queries = index.data[rows]
-            source = f"{n_queries} indexed rows (self-queries)"
         sharded = isinstance(index, ShardedIndex)
         shard_workers = args.shard_workers if sharded else None
         executor = args.executor if sharded else None
         try:
+            if args.queries is not None:
+                queries = _load_vectors(args.queries)
+                source = args.queries
+            else:
+                n_queries = min(args.n_queries, index.n_points)
+                rng = np.random.default_rng(args.seed)
+                rows = rng.choice(index.n_points, size=n_queries,
+                                  replace=False)
+                queries = index.data[rows]
+                source = f"{n_queries} indexed rows (self-queries)"
             if args.endpoints is not None:
                 if not sharded:
                     raise ValidationError(
@@ -435,7 +433,7 @@ def _run_search(args) -> int:
             indices, distances = index.search(
                 queries, args.k, pool_size=args.pool_size,
                 workers=args.workers, **fan_out)
-            _atomic_savez(args.dump, indices=indices, distances=distances)
+            atomic_savez(args.dump, indices=indices, distances=distances)
             print(f"results dumped to {args.dump}")
     return 0
 
@@ -446,7 +444,7 @@ def _run_mutate(args) -> int:
     running daemons keep serving the old generation until reloaded)."""
     try:
         index = load_index(args.index)
-    except (ValidationError, FileNotFoundError) as exc:
+    except ValidationError as exc:
         print(f"error: cannot load index {args.index!r}: {exc}",
               file=sys.stderr)
         return 2
@@ -454,7 +452,7 @@ def _run_mutate(args) -> int:
         try:
             if args.command == "insert":
                 if args.vectors is not None:
-                    vectors = np.load(args.vectors)
+                    vectors = _load_vectors(args.vectors)
                 else:
                     rng = np.random.default_rng(args.seed)
                     vectors = rng.standard_normal(
@@ -492,7 +490,7 @@ def _run_rebalance(args) -> int:
         rebalancer = Rebalancer(args.index, policy,
                                 endpoints=args.endpoints)
         report, reloads = rebalancer.run()
-    except (ValidationError, ServingError, FileNotFoundError) as exc:
+    except (ValidationError, ServingError) as exc:
         print(f"error: cannot rebalance index {args.index!r}: {exc}",
               file=sys.stderr)
         return 2
@@ -525,6 +523,18 @@ def _run_rebalance(args) -> int:
             for row in failed:
                 print(f"error: {row['error']}", file=sys.stderr)
             return 2
+    return 0
+
+
+def _run_migrate(args) -> int:
+    try:
+        rewritten = migrate(args.index)
+    except ValidationError as exc:
+        print(f"error: cannot migrate index {args.index!r}: {exc}",
+              file=sys.stderr)
+        return 2
+    print(f"migrated {args.index} to the current format" if rewritten
+          else f"{args.index} is at the current format; nothing to do")
     return 0
 
 
@@ -562,7 +572,7 @@ def _run_serve(args) -> int:
     try:
         index, shard_id, generation, n_shards = load_shard_for_serving(
             args.index, shard=args.shard)
-    except (ValidationError, FileNotFoundError) as exc:
+    except ValidationError as exc:
         print(f"error: cannot load shard for serving: {exc}",
               file=sys.stderr)
         return 2
@@ -578,6 +588,15 @@ def _run_serve(args) -> int:
         except KeyboardInterrupt:
             print("shutting down", file=sys.stderr)
     return 0
+
+
+#: The index subcommands, one ``_run_*`` driver each.
+_INDEX_COMMANDS = {
+    "build": _run_build, "search": _run_search, "serve": _run_serve,
+    "insert": _run_mutate, "delete": _run_mutate, "compact": _run_mutate,
+    "reload": _run_reload, "rebalance": _run_rebalance,
+    "migrate": _run_migrate,
+}
 
 
 def _resolve_scale(args) -> ExperimentScale:
@@ -622,23 +641,8 @@ def main(argv: list[str] | None = None) -> int:
         print("backends:   " + ", ".join(available_backends()))
         return 0
 
-    if args.command == "build":
-        return _run_build(args)
-
-    if args.command == "search":
-        return _run_search(args)
-
-    if args.command == "serve":
-        return _run_serve(args)
-
-    if args.command in ("insert", "delete", "compact"):
-        return _run_mutate(args)
-
-    if args.command == "reload":
-        return _run_reload(args)
-
-    if args.command == "rebalance":
-        return _run_rebalance(args)
+    if args.command in _INDEX_COMMANDS:
+        return _INDEX_COMMANDS[args.command](args)
 
     if args.command == "cluster":
         data = load_dataset(args.dataset, args.n_samples, args.n_features,

@@ -2,8 +2,8 @@
 
 The original paper presents results as figures; since this reproduction is
 terminal-first, every experiment renders to aligned text tables that show the
-same rows/series (the benchmark harness prints them, and EXPERIMENTS.md
-records them).
+same rows/series (``gkmeans experiment`` and the ``benchmarks/`` suite print
+them; nothing records them yet).
 """
 
 from __future__ import annotations

@@ -20,15 +20,18 @@ against.  Results are reported in stable external ids (``ids``): freshly
 built indexes use ids equal to row positions, inserts either continue that
 sequence or take caller-provided ids, and compaction keeps ids stable while
 physical rows move.
+
+Both on-disk formats — this index file and the sharded manifest — go
+through the same NPZ helpers: :func:`read_npz` reads, :func:`check_fields`
+holds the arrays to the format's schema (so any damage surfaces as one
+:class:`~repro.exceptions.ValidationError`), :func:`atomic_savez` writes.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import time
-import zipfile
 
 import numpy as np
 
@@ -43,20 +46,87 @@ from ..validation import (
 )
 from .spec import BUILDERS, IndexSpec
 
-__all__ = ["Index", "FORMAT_VERSION"]
+__all__ = ["Index", "FORMAT_VERSION", "read_npz", "check_fields",
+           "atomic_savez"]
 
-#: Version of the NPZ persistence layout.  Version 2 added the online
-#: mutation state (external ``ids``, ``tombstones``, the ``next_id``
-#: counter and the ``generation`` counter); version 3 added the
-#: quantization state (``quantizer_scale`` / ``quantizer_offset``, present
-#: only for ``int8`` specs — the code matrix itself is re-derived on load).
-#: Version-1/2 files still load (as unmutated / unquantized indexes).
+#: Version of the NPZ layout :meth:`Index.save` writes and, alone,
+#: :meth:`Index.load` reads; ``gkmeans migrate`` rewrites older files.
 FORMAT_VERSION = 3
 
-_READABLE_FORMAT_VERSIONS = (1, 2, 3)
+#: Keys of the index NPZ: ``(dtype kind, ndim, required)``.
+_SCHEMA = {
+    "format_version": ("i", 0, True), "spec_json": ("U", 0, True),
+    "data": ("f", 2, True), "graph_indices": ("i", 2, True),
+    "graph_metric": ("U", 0, True), "ids": ("i", 1, True),
+    "tombstones": ("b", 1, True), "next_id": ("i", 0, True),
+    "generation": ("i", 0, True), "graph_distances": ("f", 2, False),
+    "norms": ("f", 1, False), "quantizer_scale": ("f", 1, False),
+    "quantizer_offset": ("f", 1, False),
+}
 
-_REQUIRED_KEYS = ("format_version", "spec_json", "data", "graph_indices",
-                  "graph_metric")
+_KINDS = {"i": "integer", "f": "floating", "b": "boolean", "U": "string"}
+
+
+def read_npz(path, label: str) -> dict:
+    """Every array of the NPZ archive at ``path``, read eagerly."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            return {key: archive[key] for key in archive.files}
+    # Where the damage sits (zip directory, member or array header, data
+    # CRC) decides which of a dozen exception types zipfile and numpy raise.
+    except Exception as exc:
+        raise ValidationError(
+            f"cannot read {label} {os.fspath(path)!r}: {exc}") from exc
+
+
+def check_fields(fields: dict, schema: dict, *, version: int, label: str,
+                 path) -> None:
+    """Hold an archive's arrays to ``schema`` (key -> ``(dtype kind, ndim,
+    required)``, unknown keys refused).  Its first key, the format version,
+    is checked first: a retired file is told to migrate, not listed as
+    missing the keys later versions added."""
+    path = os.fspath(path)
+    where = f"{label} {path!r}"
+    found = fields.get(next(iter(schema)))
+    if found is not None and found.dtype.kind == "i" and found.ndim == 0 \
+            and int(found) != version:
+        if 1 <= int(found) < version:
+            raise ValidationError(
+                f"{where}: format version {int(found)} is no longer read — "
+                f"run `gkmeans migrate {path}` to rewrite it at version "
+                f"{version}")
+        raise ValidationError(f"{where} has format version {int(found)}; "
+                              f"this build reads version {version} only")
+    missing = [key for key, (_, _, required) in schema.items()
+               if required and key not in fields]
+    if missing:
+        raise ValidationError(f"{where} is missing keys {missing}")
+    unknown = sorted(set(fields) - set(schema))
+    if unknown:
+        raise ValidationError(f"{where} carries unknown keys {unknown}")
+    for key, value in fields.items():
+        kind, ndim, _ = schema[key]
+        if value.dtype.kind != kind or value.ndim != ndim:
+            shape = "a scalar" if ndim == 0 else f"a {ndim}-d array"
+            raise ValidationError(
+                f"{where}: {key!r} must be {shape} of {_KINDS[kind]} dtype, "
+                f"got a {value.ndim}-d {value.dtype} array")
+
+
+def atomic_savez(path, **arrays) -> None:
+    """Write an NPZ at exactly ``path``: a temp file in the same directory
+    renamed over it, so a failed write never leaves a partial file."""
+    path = os.fspath(path)
+    handle, tmp_path = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", suffix=".npz.tmp")
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            np.savez(stream, **arrays)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
 
 
 class Index:
@@ -576,74 +646,37 @@ class Index:
             # extended the data beyond the fitted range.
             payload["quantizer_scale"] = quantizer.scale
             payload["quantizer_offset"] = quantizer.offset
-        path = os.fspath(path)
-        handle, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path) or ".", suffix=".idx.tmp")
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                np.savez(stream, **payload)
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        atomic_savez(path, **payload)
 
     @classmethod
     def load(cls, path) -> "Index":
-        """Restore an index saved by :meth:`save`.
+        """Restore an index saved by :meth:`save`; raises
+        :class:`~repro.exceptions.ValidationError` unless the file is
+        readable, at :data:`FORMAT_VERSION` (``gkmeans migrate`` rewrites
+        older ones), with every key of its dtype and rank, and consistent."""
+        return cls._from_fields(read_npz(path, "index file"), path)
 
-        Raises :class:`~repro.exceptions.ValidationError` when the file is
-        missing keys, carries an unknown format version, or is otherwise not
-        a valid index file.
-        """
+    @classmethod
+    def _from_fields(cls, fields: dict, path) -> "Index":
+        """Check the arrays of an index file and build the index."""
+        path = os.fspath(path)
+        check_fields(fields, _SCHEMA, version=FORMAT_VERSION,
+                     label="index file", path=path)
+        spec = IndexSpec.from_json(str(fields["spec_json"]))
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                missing = [key for key in _REQUIRED_KEYS
-                           if key not in archive.files]
-                if missing:
-                    raise ValidationError(
-                        f"index file {path!r} is missing keys {missing}")
-                version = int(archive["format_version"])
-                if version not in _READABLE_FORMAT_VERSIONS:
-                    raise ValidationError(
-                        f"index file {path!r} has format version {version}, "
-                        f"this build reads versions "
-                        f"{_READABLE_FORMAT_VERSIONS}")
-                spec = IndexSpec.from_json(str(archive["spec_json"]))
-                data = archive["data"]
-                graph_indices = archive["graph_indices"]
-                graph_metric = str(archive["graph_metric"])
-                graph_distances = (archive["graph_distances"]
-                                   if "graph_distances" in archive.files
-                                   else None)
-                norms = (archive["norms"] if "norms" in archive.files
-                         else None)
-                # Version-1 files predate online mutations: they load as
-                # unmutated indexes (positional ids, no tombstones, gen 0).
-                ids = archive["ids"] if "ids" in archive.files else None
-                tombstones = (archive["tombstones"]
-                              if "tombstones" in archive.files else None)
-                next_id = (int(archive["next_id"])
-                           if "next_id" in archive.files else None)
-                generation = (int(archive["generation"])
-                              if "generation" in archive.files else 0)
-                quantizer = None
-                if "quantizer_scale" in archive.files:
-                    quantizer = ScalarQuantizer(
-                        "int8", scale=archive["quantizer_scale"],
-                        offset=archive["quantizer_offset"])
-        except ValidationError:
-            raise
-        except (OSError, ValueError, KeyError, EOFError,
-                zipfile.BadZipFile, json.JSONDecodeError) as exc:
-            raise ValidationError(
-                f"cannot read index file {path!r}: {exc}") from exc
-        try:
-            graph = KNNGraph(graph_indices, graph_distances,
-                             metric=graph_metric)
-            return cls(data, graph, spec, norms=norms, ids=ids,
-                       tombstones=tombstones, next_id=next_id,
-                       generation=generation, quantizer=quantizer)
+            quantizer = None
+            if "quantizer_scale" in fields or "quantizer_offset" in fields:
+                quantizer = ScalarQuantizer(
+                    "int8", scale=fields.get("quantizer_scale"),
+                    offset=fields.get("quantizer_offset"))
+            graph = KNNGraph(fields["graph_indices"],
+                             fields.get("graph_distances"),
+                             metric=str(fields["graph_metric"]))
+            return cls(fields["data"], graph, spec, norms=fields.get("norms"),
+                       ids=fields["ids"], tombstones=fields["tombstones"],
+                       next_id=int(fields["next_id"]),
+                       generation=int(fields["generation"]),
+                       quantizer=quantizer)
         except (GraphError, ValidationError) as exc:
             raise ValidationError(
                 f"index file {path!r} is inconsistent: {exc}") from exc

@@ -311,16 +311,11 @@ def apply_rebalance(sharded, policy: RebalancePolicy) -> RebalanceReport:
             f"policy must be a RebalancePolicy, got "
             f"{type(policy).__name__}")
     if sharded.centroids is None:
-        if sharded.spec.partitioner == "round_robin":
-            raise ValidationError(
-                "rebalance requires the geometric 'gkmeans' partitioner; "
-                "round_robin shards are dealt by row order and carry no "
-                "centroids to split, merge or refresh against")
         raise ValidationError(
-            "rebalance needs the coarse routing centroids, but this index "
-            "predates the routed format (manifest without centroids) or "
-            "is single-shard; rebuild it with n_shards > 1 and the "
-            "gkmeans partitioner")
+            "rebalance splits, merges and refreshes shards by their coarse "
+            "centroids, and this index has none: only the geometric "
+            "'gkmeans' partitioner with n_shards > 1 records them "
+            "(round_robin shards are dealt by row order)")
     engine = _coarse_engine(sharded.metric, sharded.spec.dtype)
     n_before = sharded.n_shards
     sizes_before = sharded.shard_sizes
@@ -435,24 +430,6 @@ class Rebalancer:
                 str(endpoint) for endpoint in parse_endpoints(endpoints))
         self.client_options = dict(client_options or {})
 
-    def _manifest_generations(self) -> list:
-        """Per-shard generations of the on-disk manifest, in shard order."""
-        from .sharded import MANIFEST_NAME
-
-        manifest_path = os.path.join(self.path, MANIFEST_NAME)
-        if not os.path.exists(manifest_path):
-            raise ValidationError(
-                f"{self.path!r} is not a sharded index directory (no "
-                f"{MANIFEST_NAME}); only sharded indexes rebalance")
-        with np.load(manifest_path, allow_pickle=False) as archive:
-            offsets = archive["shard_offsets"]
-            n_shards = int(offsets.size - 1)
-            if "shard_generations" in archive.files:
-                return archive["shard_generations"].astype(int).tolist()
-            generation = (int(archive["generation"])
-                          if "generation" in archive.files else 0)
-            return [generation] * n_shards
-
     def inspect(self) -> list:
         """Compare every daemon's ``info`` against the on-disk manifest.
 
@@ -464,8 +441,9 @@ class Rebalancer:
         hide the health of the rest.
         """
         from ..net.client import EndpointPool
+        from .sharded import read_manifest
 
-        expected = self._manifest_generations()
+        expected = read_manifest(self.path).shard_generations
         if self.endpoints is None:
             raise ValidationError(
                 "no endpoints configured; pass endpoints= to inspect a "
@@ -506,15 +484,9 @@ class Rebalancer:
         daemons serving the old generation — stale but correct, and
         fail-fast under the remote executor's handshake.
         """
-        from .sharded import ShardedIndex, load_index
+        from .sharded import ShardedIndex
 
-        index = load_index(self.path)
-        if not isinstance(index, ShardedIndex):
-            index.close()
-            raise ValidationError(
-                f"{self.path!r} is a single-file index; only sharded "
-                "indexes rebalance")
-        with index:
+        with ShardedIndex.load(self.path) as index:
             report = index.rebalance(self.policy)
             if report.changed:
                 index.save(self.path)

@@ -30,66 +30,32 @@ fan-out is the same search path at ``P = S`` (every shard probed, no routing
 gemm); ``P < S`` trades recall for throughput and the routing decision is
 deterministic and ``shard_workers``-invariant.
 
-Persistence is one directory::
+Persistence is one directory — ``manifest.npz`` (spec, global row ids per
+shard, generations, ``next_id``; optionally the gkmeans partitioner's
+routing centroids and one endpoint per shard) beside one index file per
+shard (``shard_0000.idx``, ...) — written atomically by renaming a temp
+directory into place.  :func:`read_manifest` is its one reader, shared with
+the shard server and the rebalancer; anything but the current format version
+with every key of the right dtype and shape raises
+:class:`~repro.exceptions.ValidationError`, and :func:`migrate` rewrites
+indexes of retired versions.
 
-    corpus.shards/
-      manifest.npz      format version, spec JSON, global row id per shard,
-                        coarse routing centroids (gkmeans partitioner),
-                        deployment endpoints + generation (format v3)
-      shard_0000.idx    Index NPZ of shard 0 (rows shard_ids[0])
-      shard_0001.idx    ...
-
-written atomically (a temp directory is renamed into place) and validated on
-load — a missing shard file, a foreign manifest or an id map that is not a
-permutation of the dataset rows all raise
-:class:`~repro.exceptions.ValidationError`.  Directories written by the
-pre-routing format (version 1, no centroids) still load and serve the full
-fan-out; requesting ``shard_probe < n_shards`` on them is a clear
-``ValidationError`` instead of silent wrong routing.
-
-Format version 3 turns the manifest into a *deployment* manifest: it
-optionally carries a per-shard ``host:port`` endpoint list (one
-``gkmeans serve`` daemon per shard) consumed by ``executor="remote"``, and
-a ``generation`` counter naming which build of the index the daemons are
-expected to serve (the ``info`` RPC reports it back).  v1/v2 directories
-still load — they simply carry no deployment metadata.
-
-Format version 4 makes the index *online*: :meth:`ShardedIndex.insert`
-routes new vectors to the nearest coarse centroid's shard and repairs that
-shard's graph locally, :meth:`ShardedIndex.delete` tombstones global ids,
-and :meth:`ShardedIndex.compact` rebuilds tombstone-heavy shards.  The
-manifest gains per-shard ``shard_generations`` (each shard's own mutation
-counter — the value the shard's daemon must report in the ``info``
-handshake) and the ``next_id`` counter keeping global ids unique for the
-index's lifetime.  Mutations go live on disk through the same
-atomic-rename ``save``: running daemons keep serving the *old* generation
-from their already-loaded state (copy-on-write at the directory level)
-until the ``reload`` RPC tells them to pick up the new one — the remote
-executor's generation handshake turns a stale daemon into a
-:class:`~repro.exceptions.ServingError` instead of silent wrong results.
-v1–v3 directories still load; their shards adopt the manifest's global
-generation.
-
-On top of the mutations, format version 4 directories support *shard
-rebalancing* (see :mod:`repro.index.rebalance`): :meth:`ShardedIndex.\
-rebalance` splits oversized shards, folds starving shards into their
-nearest-centroid sibling and refreshes the coarse routing centroids from
-the live rows — all through the same copy-on-write protocol, so a saved
-rebalance is an atomic manifest swap daemons pick up via ``reload``.  A
-split or merge renumbers shards and bumps the children's generations
-(stale daemons fail-fast through the handshake and the endpoint list is
-detached); a refresh-only rebalance leaves shard NPZs and per-shard
-generations untouched, so a running deployment stays valid.
+The manifest doubles as a *deployment* manifest: ``executor="remote"`` fans
+out to its endpoints, one ``gkmeans serve`` daemon per shard, each of which
+must report its shard's generation.  Inserts (routed to the nearest coarse
+centroid's shard), deletes, compaction and rebalancing
+(:mod:`repro.index.rebalance`) go live through the atomic-rename ``save``;
+daemons serve the generation they loaded until the ``reload`` RPC, and the
+remote executor's handshake turns a stale daemon into a
+:class:`~repro.exceptions.ServingError`, never silent wrong results.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
 import time
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -110,31 +76,30 @@ from .executors import (
     ShardSearchTask,
     ThreadShardExecutor,
 )
-from .facade import Index
+from .facade import (FORMAT_VERSION, Index, atomic_savez, check_fields,
+                     read_npz)
 from .spec import EXECUTORS, IndexSpec, PARTITIONERS
 
 __all__ = ["ShardedIndex", "ShardedServingStats", "SHARDED_FORMAT_VERSION",
-           "MANIFEST_NAME", "partition_dataset", "build_index", "load_index"]
+           "MANIFEST_NAME", "Manifest", "read_manifest", "partition_dataset",
+           "build_index", "load_index", "migrate"]
 
-#: Version of the sharded directory layout.  Version 2 added the optional
-#: ``centroids`` key (coarse routing centroids of the gkmeans partitioner);
-#: version 3 added the deployment metadata (optional per-shard
-#: ``endpoints`` list for ``executor="remote"`` plus a ``generation``
-#: counter); version 4 added the online-mutation state (per-shard
-#: ``shard_generations`` and the global ``next_id`` counter); version 5
-#: marks specs that may carry ``quantize`` — the quantization state itself
-#: lives in the spec JSON plus each shard's own NPZ (mono format v3), so
-#: the manifest layout is unchanged.  Older directories still load, without
-#: the newer keys (and therefore as ``quantize="none"``).
+#: Version of the manifest layout :meth:`ShardedIndex.save` writes and,
+#: alone, :func:`read_manifest` reads; ``gkmeans migrate`` rewrites older
+#: directories.
 SHARDED_FORMAT_VERSION = 5
-
-_READABLE_FORMAT_VERSIONS = (1, 2, 3, 4, 5)
 
 #: File name of the manifest NPZ inside a sharded index directory.
 MANIFEST_NAME = "manifest.npz"
 
-_MANIFEST_KEYS = ("sharded_format_version", "spec_json", "shard_ids",
-                  "shard_offsets")
+#: Keys of the manifest NPZ: ``(dtype kind, ndim, required)``.
+_MANIFEST_SCHEMA = {
+    "sharded_format_version": ("i", 0, True), "spec_json": ("U", 0, True),
+    "shard_ids": ("i", 1, True), "shard_offsets": ("i", 1, True),
+    "generation": ("i", 0, True), "shard_generations": ("i", 1, True),
+    "next_id": ("i", 0, True), "centroids": ("f", 2, False),
+    "endpoints": ("U", 1, False),
+}
 
 #: Lloyd iterations of the coarse partitioning k-means — the partition only
 #: has to be locality-preserving, not optimal, so a short run suffices.
@@ -323,7 +288,7 @@ class ShardedIndex:
         ``(n_shards, d)`` coarse centroids the ``gkmeans`` partitioner
         assigned rows against (in the transformed clustering space), or
         ``None`` when the index carries no routing geometry (round_robin
-        partitioner, single shard, or a pre-routing saved directory).
+        partitioner or single shard).
         Routed search (``shard_probe < n_shards``) requires them.
     build_seconds:
         Wall-clock construction time — partitioning plus the pooled shard
@@ -703,17 +668,11 @@ class ShardedIndex:
             probe, name="shard_probe", maximum=self.n_shards)
         routed = probe < self.n_shards
         if routed and self.centroids is None:
-            if self.spec.partitioner == "round_robin":
-                raise ValidationError(
-                    f"shard_probe={probe} < n_shards={self.n_shards} "
-                    "requires the geometric 'gkmeans' partitioner; "
-                    "round_robin shards are dealt by row order and "
-                    "carry no centroids to route against")
             raise ValidationError(
-                f"shard_probe={probe} < n_shards={self.n_shards} needs "
-                "the coarse routing centroids, but this index predates "
-                "the routed format (manifest without centroids); "
-                "rebuild and re-save it to enable routed search")
+                f"shard_probe={probe} < n_shards={self.n_shards} routes on "
+                "coarse centroids, and this index has none: only the "
+                "geometric 'gkmeans' partitioner records them (round_robin "
+                "shards are dealt by row order)")
         seed = self.spec.random_state if random_state is None else random_state
         started = time.perf_counter()
         queries = np.asarray(queries)
@@ -982,9 +941,8 @@ class ShardedIndex:
 
         ``policy`` is a :class:`~repro.index.rebalance.RebalancePolicy`;
         alternatively pass its fields as keyword ``overrides``.  Requires
-        the geometric ``gkmeans`` partitioner's centroids — round_robin
-        and pre-routing directories raise a clear
-        :class:`~repro.exceptions.ValidationError`.
+        the geometric ``gkmeans`` partitioner's centroids — an index
+        without them raises :class:`~repro.exceptions.ValidationError`.
 
         Global external ids are stable throughout; searches after a
         rebalance equal a rebuild-from-scratch oracle over the same live
@@ -1054,8 +1012,7 @@ class ShardedIndex:
                 manifest["centroids"] = self.centroids
             if self._endpoints is not None:
                 manifest["endpoints"] = np.asarray(list(self._endpoints))
-            with open(os.path.join(tmp_dir, MANIFEST_NAME), "wb") as stream:
-                np.savez(stream, **manifest)
+            atomic_savez(os.path.join(tmp_dir, MANIFEST_NAME), **manifest)
             if os.path.lexists(path):
                 # Swap the finished directory for whatever occupies the
                 # target — a previous sharded directory or a single-file
@@ -1082,101 +1039,89 @@ class ShardedIndex:
 
     @classmethod
     def load(cls, path) -> "ShardedIndex":
-        """Restore a sharded index saved by :meth:`save`.
-
-        Raises :class:`~repro.exceptions.ValidationError` when ``path`` is
-        not a sharded index directory, the manifest is missing/foreign, a
-        shard file is absent or corrupt, or the id map does not cover the
-        dataset.
-        """
+        """Restore a sharded index saved by :meth:`save`; raises
+        :class:`~repro.exceptions.ValidationError` when
+        :func:`read_manifest` refuses the manifest, a shard file is absent
+        or corrupt, or the shards do not fit the manifest."""
         path = os.fspath(path)
-        manifest_path = os.path.join(path, MANIFEST_NAME)
-        if not os.path.isdir(path) or not os.path.exists(manifest_path):
-            raise ValidationError(
-                f"{path!r} is not a sharded index directory (no "
-                f"{MANIFEST_NAME}); single-file indexes load via Index.load")
-        try:
-            with np.load(manifest_path, allow_pickle=False) as archive:
-                missing = [key for key in _MANIFEST_KEYS
-                           if key not in archive.files]
-                if missing:
-                    raise ValidationError(
-                        f"sharded index manifest {manifest_path!r} is "
-                        f"missing keys {missing}")
-                version = int(archive["sharded_format_version"])
-                if version not in _READABLE_FORMAT_VERSIONS:
-                    raise ValidationError(
-                        f"sharded index {path!r} has format version "
-                        f"{version}, this build reads versions "
-                        f"{list(_READABLE_FORMAT_VERSIONS)}")
-                spec = IndexSpec.from_json(str(archive["spec_json"]))
-                merged_ids = archive["shard_ids"]
-                offsets = archive["shard_offsets"]
-                # Version-1 directories predate routing and carry no
-                # centroids; they load and serve the full fan-out, and
-                # requesting shard_probe on them fails with a clear error.
-                centroids = (archive["centroids"]
-                             if "centroids" in archive.files else None)
-                # Version-3 deployment metadata; v1/v2 directories predate
-                # network serving and load with no endpoints, generation 0.
-                generation = (int(archive["generation"])
-                              if "generation" in archive.files else 0)
-                endpoints = ([str(value) for value in archive["endpoints"]]
-                             if "endpoints" in archive.files else None)
-                # Version-4 online-mutation state; pre-v4 directories load
-                # with every shard adopting the manifest's global
-                # generation (what their daemons report) and a next_id
-                # derived from the id map.
-                shard_generations = (
-                    archive["shard_generations"].astype(np.int64)
-                    if "shard_generations" in archive.files else None)
-                next_id = (int(archive["next_id"])
-                           if "next_id" in archive.files else None)
-        except ValidationError:
-            raise
-        except (OSError, ValueError, KeyError, EOFError,
-                zipfile.BadZipFile, json.JSONDecodeError) as exc:
-            raise ValidationError(
-                f"cannot read sharded index manifest {manifest_path!r}: "
-                f"{exc}") from exc
-        if offsets.ndim != 1 or offsets.size != spec.n_shards + 1 or \
-                offsets[0] != 0 or offsets[-1] != merged_ids.size or \
-                np.any(np.diff(offsets) < 0):
-            raise ValidationError(
-                f"sharded index {path!r} is inconsistent: shard_offsets "
-                f"{offsets!r} do not partition {merged_ids.size} row ids "
-                f"into {spec.n_shards} shards")
-        shard_ids = [merged_ids[offsets[s]:offsets[s + 1]]
-                     for s in range(spec.n_shards)]
+        return cls._assemble(path, read_manifest(path), Index.load)
+
+    @classmethod
+    def _assemble(cls, path: str, manifest: "Manifest",
+                  load_shard) -> "ShardedIndex":
+        """Build the index of ``manifest`` from its shard files, each read
+        by ``load_shard(shard_path)``."""
         shards = []
-        for shard in range(spec.n_shards):
-            shard_path = os.path.join(path, _shard_name(shard))
+        for shard, generation in enumerate(manifest.shard_generations):
             try:
-                shards.append(Index.load(shard_path))
+                index = load_shard(os.path.join(path, _shard_name(shard)))
             except ValidationError as exc:
                 raise ValidationError(
                     f"sharded index {path!r}: shard {shard} is missing or "
                     f"corrupt: {exc}") from exc
-        if shard_generations is not None:
-            if shard_generations.shape != (spec.n_shards,):
-                raise ValidationError(
-                    f"sharded index {path!r} is inconsistent: "
-                    f"shard_generations has shape {shard_generations.shape}"
-                    f", expected ({spec.n_shards},)")
-            for index, value in zip(shards, shard_generations):
-                index.generation = int(value)
-        else:
-            # Pre-v4 directories carried one global generation; the shard
-            # daemons report it back, so the loaded shards adopt it.
-            for index in shards:
-                index.generation = generation
+            index.generation = generation
+            shards.append(index)
         try:
-            return cls(shards, shard_ids, spec, centroids=centroids,
-                       endpoints=endpoints, generation=generation,
-                       next_id=next_id)
+            return cls(shards, manifest.shard_ids, manifest.spec,
+                       centroids=manifest.centroids,
+                       endpoints=manifest.endpoints,
+                       generation=manifest.generation,
+                       next_id=manifest.next_id)
         except ValidationError as exc:
             raise ValidationError(
                 f"sharded index {path!r} is inconsistent: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """The checked contents of a sharded directory's manifest NPZ."""
+
+    spec: IndexSpec
+    shard_ids: list
+    generation: int
+    shard_generations: tuple
+    next_id: int
+    centroids: np.ndarray | None = None
+    endpoints: list | None = None
+
+
+def read_manifest(path) -> Manifest:
+    """Read and check the manifest of the sharded directory ``path`` — the
+    one reader of the format, behind :meth:`ShardedIndex.load`, the shard
+    server and the rebalancer.  Raises
+    :class:`~repro.exceptions.ValidationError` unless every key of
+    :data:`SHARDED_FORMAT_VERSION` has its dtype and rank and the id map
+    splits into the spec's shards."""
+    path = os.fspath(path)
+    manifest_path = os.path.join(path, MANIFEST_NAME)
+    if not os.path.isdir(path) or not os.path.exists(manifest_path):
+        raise ValidationError(
+            f"{path!r} is not a sharded index directory (no "
+            f"{MANIFEST_NAME}); single-file indexes load via Index.load")
+    return _manifest_from_fields(
+        read_npz(manifest_path, "sharded index manifest"), path)
+
+
+def _manifest_from_fields(fields: dict, path: str) -> Manifest:
+    """Check the arrays of a manifest NPZ and assemble the manifest."""
+    check_fields(fields, _MANIFEST_SCHEMA, version=SHARDED_FORMAT_VERSION,
+                 label="sharded index", path=path)
+    spec = IndexSpec.from_json(str(fields["spec_json"]))
+    merged, offsets = fields["shard_ids"], fields["shard_offsets"]
+    generations, n_shards = fields["shard_generations"], spec.n_shards
+    if offsets.size != n_shards + 1 or offsets[0] != 0 or \
+            offsets[-1] != merged.size or np.any(np.diff(offsets) < 0) or \
+            generations.size != n_shards:
+        raise ValidationError(
+            f"sharded index {path!r} is inconsistent: shard_offsets "
+            f"{offsets!r} and shard_generations {generations!r} do not "
+            f"describe {n_shards} shards over {merged.size} row ids")
+    endpoints = fields.get("endpoints")
+    return Manifest(
+        spec, [merged[offsets[s]:offsets[s + 1]] for s in range(n_shards)],
+        int(fields["generation"]), tuple(int(g) for g in generations),
+        int(fields["next_id"]), fields.get("centroids"),
+        None if endpoints is None else [str(value) for value in endpoints])
 
 
 def build_index(data: np.ndarray, spec: IndexSpec | None = None,
@@ -1199,6 +1144,82 @@ def build_index(data: np.ndarray, spec: IndexSpec | None = None,
 
 def load_index(path):
     """Load a saved index, monolithic (NPZ file) or sharded (directory)."""
-    if os.path.isdir(os.fspath(path)):
-        return ShardedIndex.load(path)
-    return Index.load(path)
+    return (ShardedIndex if os.path.isdir(path) else Index).load(path)
+
+
+def _upgrade(fields: dict, key: str, current: int, defaults) -> bool:
+    """Give an archive of a retired version the keys ``defaults(fields)``
+    fills in; returns whether it was retired (the rest is the readers'
+    check)."""
+    found = fields.get(key)
+    retired = found is not None and found.dtype.kind == "i" and \
+        found.ndim == 0 and 1 <= int(found) < current
+    if retired:
+        try:
+            extra = defaults(fields)
+        except (KeyError, TypeError, ValueError):
+            extra = {}   # malformed: the strict check names what is wrong
+        fields.update({**extra, **fields, key: np.int64(current)})
+    return retired
+
+
+def _index_file(path: str, retired: list) -> Index:
+    """The index file at ``path``, upgraded; appends whether it was
+    retired to ``retired``."""
+    fields = read_npz(path, "index file")
+    retired.append(_upgrade(fields, "format_version", FORMAT_VERSION,
+                            _index_defaults))
+    return Index._from_fields(fields, path)
+
+
+def _index_defaults(fields: dict) -> dict:
+    """The keys index files before v2 lack, as their reader derived them
+    (v2 lacks only the spec's ``quantize``, which reads as ``"none"``)."""
+    n = len(fields["data"])
+    return {"ids": np.arange(n, dtype=np.int64), "next_id": np.int64(n),
+            "tombstones": np.zeros(n, dtype=bool), "generation": np.int64(0)}
+
+
+def _manifest_defaults(fields: dict) -> dict:
+    """The keys manifests before v4 lack, as their reader derived them: v1
+    and v2 had no generation (v1 no centroids, which stay absent), v1–v3
+    no per-shard generations (every shard had the manifest's) and no
+    ``next_id`` (one past the largest id); v4 lacks only the spec's
+    ``quantize``."""
+    ids = fields["shard_ids"]
+    generation = fields.get("generation", np.int64(0))
+    return {"generation": generation,
+            "shard_generations": np.full(fields["shard_offsets"].size - 1,
+                                         generation, dtype=np.int64),
+            "next_id": np.int64(ids.max() + 1 if ids.size else 0)}
+
+
+def migrate(path) -> bool:
+    """``gkmeans migrate``: rewrite the index file or sharded directory at
+    ``path`` at the current format versions.
+
+    The readers take only the versions the writers emit.  A file of a
+    retired version gets the keys it lacks — the values the retired
+    readers assumed — and is saved back through the ordinary atomic
+    ``save``, so it then serves exactly what the retired reader served.
+    Every file is checked as the readers check it, and nothing is written
+    unless one was retired: returns whether anything was rewritten, so a
+    second call is a no-op returning ``False``.  Raises
+    :class:`~repro.exceptions.ValidationError` for a file no version of
+    its format describes.
+    """
+    path, retired = os.fspath(path), []
+    if os.path.isdir(path):
+        fields = read_npz(os.path.join(path, MANIFEST_NAME),
+                          "sharded index manifest")
+        retired.append(_upgrade(fields, "sharded_format_version",
+                                SHARDED_FORMAT_VERSION, _manifest_defaults))
+        index = ShardedIndex._assemble(
+            path, _manifest_from_fields(fields, path),
+            lambda shard_path: _index_file(shard_path, retired))
+    else:
+        index = _index_file(path, retired)
+    with index:
+        if any(retired):
+            index.save(path)
+    return any(retired)

@@ -17,7 +17,7 @@ call — the facade, CLI and persistence pick it up automatically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -260,24 +260,10 @@ class IndexSpec:
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
         """Plain-dict form used for NPZ persistence (JSON-compatible)."""
-        return {
-            "backend": self.backend,
-            "n_neighbors": self.n_neighbors,
-            "metric": self.metric,
-            "dtype": self.dtype,
-            "pool_size": self.pool_size,
-            "n_starts": self.n_starts,
-            "seed_sample": self.seed_sample,
-            "workers": self.workers,
-            "n_shards": self.n_shards,
-            "partitioner": self.partitioner,
-            "shard_probe": self.shard_probe,
-            "executor": self.executor,
-            "quantize": self.quantize,
-            "symmetrize": self.symmetrize,
-            "random_state": self.random_state,
-            "params": dict(self.params),
-        }
+        payload = {item.name: getattr(self, item.name)
+                   for item in fields(self)}
+        payload["params"] = dict(self.params)
+        return payload
 
     def to_json(self) -> str:
         """JSON form of :meth:`to_dict`."""
@@ -289,11 +275,7 @@ class IndexSpec:
         if not isinstance(payload, Mapping):
             raise ValidationError(
                 f"index spec must be a mapping, got {type(payload).__name__}")
-        known = {"backend", "n_neighbors", "metric", "dtype", "pool_size",
-                 "n_starts", "seed_sample", "workers", "n_shards",
-                 "partitioner", "shard_probe", "executor", "quantize",
-                 "symmetrize", "random_state", "params"}
-        unknown = set(payload) - known
+        unknown = set(payload) - {item.name for item in fields(cls)}
         if unknown:
             raise ValidationError(
                 f"index spec carries unknown keys {sorted(unknown)}")

@@ -2,13 +2,13 @@
 
 An endpoint is one ``host:port`` shard server.  This module parses and
 validates the textual forms used everywhere endpoints travel — CLI flags,
-the sharded deployment manifest (format v3) and the
+the sharded deployment manifest and the
 ``RemoteShardExecutor`` — into a canonical :class:`Endpoint` value.
 
 A multi-node deployment is simply an ordered endpoint list, one per shard:
 ``endpoints[s]`` serves shard ``s`` of the index.  Ordering is load-bearing
 (the merge lifts shard-local row ids through ``shard_ids[s]``), which is
-why the list lives in the versioned manifest next to the shard id maps
+why the list lives in the manifest next to the shard id maps
 rather than in ad-hoc configuration.
 """
 

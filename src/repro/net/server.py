@@ -65,40 +65,26 @@ def load_shard_for_serving(path, shard: int = 0):
     """Load one shard (plus its deployment metadata) for a server.
 
     ``path`` is either a sharded index directory — ``shard`` selects which
-    member NPZ to load, and the shard's generation counter is read from
-    the manifest (the per-shard ``shard_generations`` entry of format v4,
-    falling back to the global ``generation`` of older manifests) — or a
-    single-file index NPZ (``shard`` must be 0, generation comes from the
-    file itself).  Returns ``(index, shard_id, generation, n_shards)``.
+    member NPZ to load, and the shard's generation counter is the
+    manifest's ``shard_generations`` entry — or a single-file index NPZ
+    (``shard`` must be 0, generation comes from the file itself).  Returns
+    ``(index, shard_id, generation, n_shards)``.
     """
     # Runtime import: repro.index pulls in the executor seam, which
     # imports the net client — a module-level import here would cycle.
     from ..index.facade import Index
-    from ..index.sharded import MANIFEST_NAME, _shard_name
+    from ..index.sharded import _shard_name, read_manifest
 
     path = os.fspath(path)
     if not os.path.exists(path):
         raise ValidationError(f"index path {path!r} does not exist")
     if os.path.isdir(path):
-        manifest_path = os.path.join(path, MANIFEST_NAME)
-        if not os.path.exists(manifest_path):
-            raise ValidationError(
-                f"{path!r} is not a sharded index directory (no "
-                f"{MANIFEST_NAME})")
-        with np.load(manifest_path, allow_pickle=False) as archive:
-            offsets = archive["shard_offsets"]
-            n_shards = int(offsets.size - 1)
-            generation = (int(archive["generation"])
-                          if "generation" in archive.files else 0)
-            shard_generations = (
-                archive["shard_generations"].astype(np.int64)
-                if "shard_generations" in archive.files else None)
+        manifest = read_manifest(path)
+        n_shards = manifest.spec.n_shards
         shard = check_positive_int(shard + 1, name="shard + 1",
                                    maximum=n_shards) - 1
-        if shard_generations is not None:
-            generation = int(shard_generations[shard])
         index = Index.load(os.path.join(path, _shard_name(shard)))
-        return index, shard, generation, n_shards
+        return index, shard, manifest.shard_generations[shard], n_shards
     if shard != 0:
         raise ValidationError(
             f"{path!r} is a single-file index; only --shard 0 exists")

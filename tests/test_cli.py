@@ -364,6 +364,41 @@ class TestIndexCommands:
         assert error.startswith("error:")
         assert "\n" not in error
 
+    @pytest.mark.parametrize("command,flag", [("search", "--queries"),
+                                              ("insert", "--vectors")])
+    @pytest.mark.parametrize("input_file", ["missing", "pickled"])
+    def test_bad_vector_file_exits_cleanly(self, tmp_path, capsys, command,
+                                           flag, input_file):
+        """A missing or pickled ``.npy`` is a one-line error, exit 2."""
+        path = str(tmp_path / "cli.idx")
+        main(["build", "--out", path, "--dataset", "sift1m",
+              "--n-samples", "300", "--n-features", "8",
+              "--backend", "random", "--n-neighbors", "5", "--seed", "1"])
+        capsys.readouterr()
+        vectors = tmp_path / "vectors.npy"
+        if input_file == "pickled":
+            np.save(vectors, np.array([{"row": 1}], dtype=object),
+                    allow_pickle=True)
+        assert main([command, path, flag, str(vectors)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = captured.err.strip()
+        assert error.startswith("error:") and "cannot read vectors" in error
+        assert "\n" not in error
+
+    def test_serve_truncated_manifest_exits_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "cut.shards"
+        assert main(["build", "--out", str(path), "--dataset", "sift1m",
+                     "--n-samples", "300", "--n-features", "8",
+                     "--backend", "random", "--n-neighbors", "5",
+                     "--shards", "2", "--seed", "1"]) == 0
+        capsys.readouterr()
+        manifest = path / "manifest.npz"
+        manifest.write_bytes(manifest.read_bytes()[:100])
+        assert main(["serve", str(path), "--shard", "0"]) == 2
+        error = capsys.readouterr().err.strip()
+        assert error.startswith("error:") and "\n" not in error
+
     def test_gkmeans_build_round_trip(self, tmp_path, capsys):
         path = str(tmp_path / "alg3.idx")
         code = main(["build", "--out", path, "--n-samples", "400",
@@ -521,10 +556,8 @@ class TestMutationCommands:
         path = self._build(tmp_path)
         capsys.readouterr()
         dump = tmp_path / "out.npz"
-        import repro.cli as cli_module
-
         real_replace = os.replace
-        monkeypatch.setattr(cli_module.os, "replace",
+        monkeypatch.setattr(os, "replace",
                             lambda src, dst: (_ for _ in ()).throw(
                                 OSError("disk gone")))
         with pytest.raises(OSError, match="disk gone"):
@@ -535,7 +568,7 @@ class TestMutationCommands:
         leftovers = [p for p in tmp_path.iterdir()
                      if p.name.endswith(".npz.tmp")]
         assert leftovers == []            # temp file cleaned up
-        monkeypatch.setattr(cli_module.os, "replace", real_replace)
+        monkeypatch.setattr(os, "replace", real_replace)
         assert main(["search", path, "--n-queries", "5", "--k", "3",
                      "--dump", str(dump)]) == 0
         capsys.readouterr()

@@ -8,8 +8,8 @@ searches are exact, so they must equal a rebuild-from-scratch oracle over
 the same live rows up to bitwise distance ties, across metric × dtype,
 mono and sharded, and every executor.  Tombstoned ids must never appear in
 results, mutated state must survive a save/load round-trip byte-for-byte,
-and pre-mutation persistence formats (mono v1, sharded v1–v3) must still
-load.
+and a pre-mutation (format v1) index file must migrate to an unmutated
+index.
 
 The serving-path sweep rides along: a daemon serving a stale generation
 (or the wrong shard) is surfaced as a ``ServingError`` by the remote
@@ -24,7 +24,9 @@ import pytest
 from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import ServingError, ValidationError
 from repro.index import Index, IndexSpec, ShardedIndex
-from repro.index.facade import FORMAT_VERSION
+from repro.index.sharded import migrate
+
+from _legacy_formats import write_mono_version
 
 ENGINE_CONFIGS = [("sqeuclidean", "float64"), ("sqeuclidean", "float32"),
                   ("cosine", "float64"), ("cosine", "float32"),
@@ -223,21 +225,20 @@ class TestMonoMutationOracle:
         assert result.recall_at_1 == 1.0
         assert result.recall_at_k == 1.0
 
-    def test_v1_index_file_still_loads(self, corpus, tmp_path):
-        """A pre-mutation (format v1) NPZ loads as an unmutated index."""
+    def test_v1_index_file_migrates_to_unmutated_index(self, corpus,
+                                                        tmp_path):
+        """A pre-mutation (format v1) file is refused until ``migrate``
+        rewrites it as an unmutated index."""
         base, _, queries = corpus
         index = Index.build(base, _exhaustive_spec(base.shape[0],
                                                    "sqeuclidean",
                                                    "float64"))
         path = tmp_path / "v1.idx"
         index.save(path)
-        with np.load(path, allow_pickle=False) as archive:
-            payload = {key: archive[key] for key in archive.files}
-        assert int(payload["format_version"]) == FORMAT_VERSION == 3
-        for key in ("ids", "tombstones", "next_id", "generation"):
-            del payload[key]
-        payload["format_version"] = np.int64(1)
-        np.savez(path, **payload)
+        write_mono_version(path, 1)
+        with pytest.raises(ValidationError, match="gkmeans migrate"):
+            Index.load(path)
+        assert migrate(path)
         restored = Index.load(path)
         assert restored.generation == 0
         assert restored.n_tombstones == 0

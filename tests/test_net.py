@@ -25,10 +25,12 @@ import threading
 
 import numpy as np
 import pytest
+from _legacy_formats import write_manifest_version
 
 from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import ProtocolError, ServingError, ValidationError
 from repro.index import Index, IndexSpec, ShardedIndex, ShardSearchTask
+from repro.index.sharded import migrate
 from repro.net import (
     Endpoint,
     EndpointPool,
@@ -523,10 +525,11 @@ class TestLoadShardForServing:
         with pytest.raises(ValidationError):
             load_shard_for_serving(path, shard=2)
 
-    def test_pre_v4_manifest_falls_back_to_global_generation(self,
-                                                             tmp_path):
-        """A manifest without per-shard generations (format <= 3) serves
-        its shards at the manifest's single global generation."""
+    def test_pre_v4_manifest_migrates_to_global_generation(self,
+                                                           tmp_path):
+        """A manifest without per-shard generations (format <= 3) is
+        refused; migrated, it serves its shards at the manifest's single
+        global generation."""
         base = make_sift_like(200, 8, random_state=2)
         spec = IndexSpec(backend="bruteforce", n_neighbors=6, n_shards=2,
                          random_state=2)
@@ -534,12 +537,10 @@ class TestLoadShardForServing:
         sharded.generation = 5
         path = tmp_path / "deploy.shards"
         sharded.save(path)
-        manifest_path = path / "manifest.npz"
-        with np.load(manifest_path, allow_pickle=False) as archive:
-            manifest = {key: archive[key] for key in archive.files}
-        del manifest["shard_generations"]
-        manifest["sharded_format_version"] = np.int64(3)
-        np.savez(manifest_path, **manifest)
+        write_manifest_version(path, 3)
+        with pytest.raises(ValidationError, match="gkmeans migrate"):
+            load_shard_for_serving(path, shard=1)
+        assert migrate(path)
         _, _, generation, _ = load_shard_for_serving(path, shard=1)
         assert generation == 5
 

@@ -11,14 +11,13 @@ Three guarantees, mirroring the layering of the feature:
   dtype × executor (thread, remote).
 * Quantization state **persists**: int8 affine parameters ride in the
   mono NPZ (format v3) and sharded manifests (v5) carry the mode in the
-  spec; every earlier format version still loads as ``quantize="none"``.
+  spec; every earlier format version migrates to ``quantize="none"``.
 """
-
-import json
 
 import numpy as np
 import pytest
 from _insert_oracle import to_rows
+from _legacy_formats import write_mono_version, write_manifest_version
 
 from repro.datasets import make_sift_like, train_query_split
 from repro.distance import (
@@ -32,6 +31,7 @@ from repro.exceptions import GraphError, ValidationError
 from repro.graph import CSRAdjacency, brute_force_knn_graph
 from repro.index import Index, IndexSpec, ShardedIndex
 from repro.index.facade import FORMAT_VERSION
+from repro.index.sharded import migrate
 from repro.search import GraphSearcher, frontier_batch_search
 from repro.search.quantized import quantized_batch_search
 
@@ -286,22 +286,16 @@ class TestQuantizedPersistence:
             assert "quantizer_scale" not in archive.files
 
     @pytest.mark.parametrize("version", [1, 2])
-    def test_older_mono_versions_load_as_unquantized(self, corpus,
-                                                     tmp_path, version):
+    def test_older_mono_versions_migrate_as_unquantized(self, corpus,
+                                                        tmp_path, version):
         base, queries = corpus
         index = Index.build(base, _spec())
         path = tmp_path / "old.idx"
         index.save(path)
-        payload = dict(np.load(path, allow_pickle=False))
-        if version == 1:
-            for key in ("ids", "tombstones", "next_id", "generation"):
-                del payload[key]
-        payload["format_version"] = np.int64(version)
-        spec_payload = json.loads(str(payload["spec_json"]))
-        spec_payload.pop("quantize")
-        payload["spec_json"] = np.asarray(
-            json.dumps(spec_payload, sort_keys=True))
-        np.savez(path, **payload)
+        write_mono_version(path, version)
+        with pytest.raises(ValidationError, match="gkmeans migrate"):
+            Index.load(path)
+        assert migrate(path)
         restored = Index.load(path)
         assert restored.spec.quantize == "none"
         assert restored.quantizer is None
@@ -327,20 +321,17 @@ class TestQuantizedPersistence:
         sharded.close()
 
     @pytest.mark.parametrize("version", [3, 4])
-    def test_older_manifests_load_as_unquantized(self, corpus, tmp_path,
-                                                 version):
+    def test_older_manifests_migrate_as_unquantized(self, corpus, tmp_path,
+                                                    version):
         base, queries = corpus
         spec = _spec(n_shards=3, partitioner="gkmeans")
         sharded = ShardedIndex.build(base, spec)
         path = tmp_path / "old.shards"
         sharded.save(path)
-        manifest = dict(np.load(path / "manifest.npz", allow_pickle=False))
-        manifest["sharded_format_version"] = np.int64(version)
-        spec_payload = json.loads(str(manifest["spec_json"]))
-        spec_payload.pop("quantize")
-        manifest["spec_json"] = np.asarray(
-            json.dumps(spec_payload, sort_keys=True))
-        np.savez(path / "manifest.npz", **manifest)
+        write_manifest_version(path, version)
+        with pytest.raises(ValidationError, match="gkmeans migrate"):
+            ShardedIndex.load(path)
+        assert migrate(path)
         restored = ShardedIndex.load(path)
         try:
             assert restored.spec.quantize == "none"

@@ -7,21 +7,23 @@ rebuild-from-scratch exhaustive oracle over the same live rows up to
 bitwise distance ties, across metric × dtype and every executor.  The
 maintenance cycle must be copy-on-write end to end — a crash between
 shard writes and the manifest rename leaves the old generation servable —
-pre-v4 manifests must still load and upgrade to v4 atomically on the
-first rebalanced save, and the :class:`~repro.index.rebalance.Rebalancer`
-driver must reload exactly the daemons whose reported generation lags the
-manifest, without blocking serving.
+pre-v4 manifests must be refused until ``migrate`` rewrites them, and the
+:class:`~repro.index.rebalance.Rebalancer` driver must reload exactly the
+daemons whose reported generation lags the manifest, without blocking
+serving.
 """
 
 import os
 
 import numpy as np
 import pytest
+from _legacy_formats import write_manifest_version
 
 from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import ServingError, ValidationError
 from repro.index import (Index, IndexSpec, RebalancePolicy, Rebalancer,
                          ShardedIndex)
+from repro.index.sharded import migrate
 from repro.index.rebalance import _centroid_of, _coarse_engine
 from repro.index.sharded import MANIFEST_NAME, SHARDED_FORMAT_VERSION
 from repro.search import evaluate_search
@@ -395,7 +397,7 @@ class TestRebalancePrimitives:
 
 
 class TestManifestCompat:
-    """Pre-v4 manifests load; rebalance upgrades atomically to v4."""
+    """Pre-v4 manifests rebalance once migrated."""
 
     def _saved(self, corpus, tmp_path, name):
         base, extra, _ = corpus
@@ -407,27 +409,16 @@ class TestManifestCompat:
         sharded.close()
         return path
 
-    @staticmethod
-    def _downgrade(path, version, drop):
-        """Rewrite the manifest as an older format version."""
-        manifest_path = os.path.join(path, MANIFEST_NAME)
-        with np.load(manifest_path, allow_pickle=False) as archive:
-            payload = {key: archive[key] for key in archive.files
-                       if key not in drop}
-        payload["sharded_format_version"] = np.int64(version)
-        with open(manifest_path, "wb") as stream:
-            np.savez(stream, **payload)
-
-    @pytest.mark.parametrize("version,drop", [
-        (2, ("generation", "endpoints", "shard_generations", "next_id")),
-        (3, ("shard_generations", "next_id")),
-    ])
-    def test_pre_v4_manifest_rebalances_to_v4(self, corpus, tmp_path,
-                                              version, drop):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_pre_v4_manifest_rebalances_after_migrate(self, corpus,
+                                                      tmp_path, version):
         path = self._saved(corpus, tmp_path, f"v{version}.shards")
-        self._downgrade(path, version, drop)
-        report, reloads = Rebalancer(
-            path, RebalancePolicy(min_shard_rows=500)).run()
+        write_manifest_version(path, version)
+        rebalancer = Rebalancer(path, RebalancePolicy(min_shard_rows=500))
+        with pytest.raises(ValidationError, match="gkmeans migrate"):
+            rebalancer.run()
+        assert migrate(path)
+        report, reloads = rebalancer.run()
         assert report.changed and report.topology_changed
         assert reloads == []
         with np.load(os.path.join(path, MANIFEST_NAME),
@@ -444,9 +435,9 @@ class TestManifestCompat:
     def test_v1_manifest_without_centroids_refuses_rebalance(
             self, corpus, tmp_path):
         path = self._saved(corpus, tmp_path, "v1.shards")
-        self._downgrade(path, 1, ("generation", "endpoints", "centroids",
-                                  "shard_generations", "next_id"))
-        restored = ShardedIndex.load(path)    # still loads and serves
+        write_manifest_version(path, 1)
+        assert migrate(path)
+        restored = ShardedIndex.load(path)    # loads and serves
         try:
             assert restored.centroids is None
             with pytest.raises(ValidationError, match="centroids"):

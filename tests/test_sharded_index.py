@@ -1,10 +1,10 @@
 """Tests for the sharded index layer (build / search / persist / validate)."""
 
-import json
 import os
 
 import numpy as np
 import pytest
+from _legacy_formats import write_manifest_version
 
 from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import ValidationError
@@ -18,6 +18,7 @@ from repro.index import (
     load_index,
     partition_dataset,
 )
+from repro.index.sharded import migrate
 from repro.search import evaluate_search
 
 N_BASE = 360
@@ -352,7 +353,9 @@ class TestRoutedSearch:
 
 
 class TestManifestBackCompat:
-    """Version-1 (pre-routing) sharded directories still load and serve."""
+    """Retired manifest versions are refused until ``migrate`` rewrites
+    them; a version-1 (pre-routing) directory becomes a centroid-less
+    index serving the full fan-out."""
 
     @pytest.fixture()
     def v1_directory(self, shard_setup, tmp_path):
@@ -362,22 +365,16 @@ class TestManifestBackCompat:
         sharded = ShardedIndex.build(base, spec)
         path = tmp_path / "legacy.shards"
         sharded.save(path)
-        # Rewrite the manifest exactly as PR 4 wrote it: format version 1,
-        # no centroids key, no shard_probe spec field.
-        manifest = dict(np.load(path / "manifest.npz",
-                                allow_pickle=False))
-        manifest.pop("centroids")
-        manifest["sharded_format_version"] = np.int64(1)
-        payload = json.loads(str(manifest["spec_json"]))
-        del payload["shard_probe"]
-        payload.pop("quantize", None)
-        manifest["spec_json"] = np.asarray(
-            json.dumps(payload, sort_keys=True))
-        np.savez(path / "manifest.npz", **manifest)
+        # The directory exactly as PR 4 wrote it: manifest version 1 (no
+        # centroids key, no shard_probe spec field), index-file v1 shards.
+        write_manifest_version(path, 1)
+        with pytest.raises(ValidationError, match="gkmeans migrate"):
+            ShardedIndex.load(path)
+        assert migrate(path)
         return sharded, path
 
-    def test_v1_loads_and_serves_full_fanout(self, v1_directory,
-                                             shard_setup):
+    def test_v1_migrates_and_serves_full_fanout(self, v1_directory,
+                                                shard_setup):
         _, queries = shard_setup
         original, path = v1_directory
         restored = ShardedIndex.load(path)
@@ -393,17 +390,14 @@ class TestManifestBackCompat:
         _, queries = shard_setup
         restored = ShardedIndex.load(v1_directory[1])
         with pytest.raises(ValidationError,
-                           match="predates the routed format"):
+                           match="this index has none.*'gkmeans'"):
             restored.search(queries, 8, shard_probe=1)
 
-    def test_resave_upgrades_to_current_format(self, v1_directory,
-                                               tmp_path):
-        """A v1 directory round-trips into the current (v5) layout."""
-        restored = ShardedIndex.load(v1_directory[1])
-        upgraded_path = tmp_path / "upgraded.shards"
-        restored.save(upgraded_path)
-        with np.load(upgraded_path / "manifest.npz",
-                     allow_pickle=False) as archive:
+    def test_migrate_writes_current_format(self, v1_directory):
+        """A migrated v1 directory is in the current (v5) layout."""
+        path = v1_directory[1]
+        restored = ShardedIndex.load(path)
+        with np.load(path / "manifest.npz", allow_pickle=False) as archive:
             assert int(archive["sharded_format_version"]) == 5
             assert "centroids" not in archive.files
             assert int(archive["generation"]) == 0
@@ -412,7 +406,8 @@ class TestManifestBackCompat:
                                   np.zeros(restored.n_shards))
             assert int(archive["next_id"]) == restored.n_rows
 
-    def test_v2_without_deployment_keys_loads(self, shard_setup, tmp_path):
+    def test_v2_without_deployment_keys_migrates(self, shard_setup,
+                                                 tmp_path):
         """PR-5/6 (v2) manifests predate deployment metadata."""
         base, queries = shard_setup
         spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=3,
@@ -420,26 +415,29 @@ class TestManifestBackCompat:
         sharded = ShardedIndex.build(base, spec)
         path = tmp_path / "v2.shards"
         sharded.save(path)
-        manifest = dict(np.load(path / "manifest.npz",
-                                allow_pickle=False))
-        manifest.pop("generation")
-        manifest["sharded_format_version"] = np.int64(2)
-        np.savez(path / "manifest.npz", **manifest)
+        write_manifest_version(path, 2)
+        with pytest.raises(ValidationError, match="format version 2"):
+            ShardedIndex.load(path)
+        assert migrate(path)
         restored = ShardedIndex.load(path)
         assert restored.endpoints is None
         assert restored.generation == 0
+        assert np.array_equal(restored.centroids, sharded.centroids)
         before = sharded.search(queries, 8)
         after = restored.search(queries, 8)
         assert before[0].tobytes() == after[0].tobytes()
 
-    def test_unknown_future_version_rejected(self, v1_directory):
-        _, path = v1_directory
+    def test_unknown_future_version_rejected(self, sharded_index, tmp_path):
+        path = tmp_path / "future.shards"
+        sharded_index.save(path)
         manifest = dict(np.load(path / "manifest.npz",
                                 allow_pickle=False))
         manifest["sharded_format_version"] = np.int64(99)
         np.savez(path / "manifest.npz", **manifest)
         with pytest.raises(ValidationError, match="format version"):
             ShardedIndex.load(path)
+        with pytest.raises(ValidationError, match="format version 99"):
+            migrate(path)
 
 
 class TestServingStatsAggregation:
