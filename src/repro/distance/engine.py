@@ -229,6 +229,21 @@ class DistanceEngine:
                 b_norms = self.norms(b)
         return self.from_inner(a @ b.T, a_norms, b_norms)
 
+    def paired(self, a, b, a_norms=None, b_norms=None) -> np.ndarray:
+        """``(m, w)`` distances between each row ``a[i]`` and its own ``w``
+        candidates ``b[i]`` (a ``(m, w, d)`` block): one batched product,
+        no cross terms.  ``b_norms``, when given, is ``(m, w)``."""
+        a = self.prepare(a)
+        b = np.ascontiguousarray(b, dtype=self.dtype)
+        if self.metric != "dot":
+            if a_norms is None:
+                a_norms = self.norms(a)
+            if b_norms is None:
+                b_norms = self.norms(b.reshape(-1, b.shape[-1])).reshape(
+                    b.shape[:2])
+        return self.from_inner(np.matmul(b, a[:, :, None])[:, :, 0],
+                               a_norms, b_norms)
+
     def pairwise(self, data, norms=None) -> np.ndarray:
         """Full symmetric pairwise distance matrix.
 

@@ -242,24 +242,31 @@ class QuantizedScorer:
         the same reduction the exact engine applies, evaluated with the
         decoded-row norms.  ``query_norms`` are the **exact** query norms
         (queries are never quantized).  Returns a float32
-        ``(n_queries, len(rows))`` block.
+        ``(n_queries, len(rows))`` block; a 2-D ``(n_queries, w)`` ``rows``
+        scores each query against its own row only.
         """
-        inner = folded @ self.codes[rows].astype(np.float32).T
+        codes = self.codes[rows].astype(np.float32)
+        if rows.ndim == 2:
+            inner = np.matmul(codes, folded[:, :, None])[:, :, 0]
+        else:
+            inner = folded @ codes.T
         if bias is not None:
             inner += bias[:, None]
         metric = self.engine.metric
         if metric == "dot":
             return np.negative(inner, out=inner)
         row_norms = self._norms[rows]
+        if rows.ndim == 1:
+            row_norms = row_norms[None, :]
         if metric == "sqeuclidean":
             inner *= -2.0
             inner += np.asarray(query_norms,
                                 dtype=np.float32)[:, None]
-            inner += row_norms[None, :]
+            inner += row_norms
             np.maximum(inner, 0.0, out=inner)
             return inner
         inner /= np.asarray(query_norms, dtype=np.float32)[:, None]
-        inner /= row_norms[None, :]
+        inner /= row_norms
         np.subtract(1.0, inner, out=inner)
         np.clip(inner, 0.0, 2.0, out=inner)
         return inner

@@ -71,12 +71,17 @@ class GraphConstructionResult:
         Total number of distance / ΔI evaluations spent (clustering sweeps
         plus within-cluster pairwise comparisons) — the hardware-independent
         cost the complexity analysis in §4.5 reasons about.
+    labels:
+        The last round's two-means-tree labels, before its boost sweep —
+        ``n / ξ`` clusters of near-equal size, which an index keeps as the
+        seed partition its searches enter from.
     """
 
     graph: KNNGraph
     history: list[GraphRound] = field(default_factory=list)
     total_seconds: float = 0.0
     n_distance_evaluations: int = 0
+    labels: np.ndarray | None = None
 
     def recall_curve(self) -> tuple[np.ndarray, np.ndarray]:
         """(τ, recall) arrays; recall entries may be NaN when not tracked."""
@@ -297,4 +302,5 @@ def build_knn_graph_by_clustering(data: np.ndarray, n_neighbors: int, *,
     graph = KNNGraph(indices, distances, metric=outer.metric)
     return GraphConstructionResult(graph=graph, history=history,
                                    total_seconds=time.perf_counter() - start,
-                                   n_distance_evaluations=counter.count)
+                                   n_distance_evaluations=counter.count,
+                                   labels=labels)

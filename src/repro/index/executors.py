@@ -54,8 +54,9 @@ class ShardSearchTask:
 
     ``queries`` is the 2-D batch the shard must serve (a single query
     travels as a batch of one).  The remaining fields are the per-call
-    search knobs, with ``seed`` already resolved (never ``None``) so a
-    shard server reproduces the parent's entry-point sample exactly.
+    search knobs.  ``seed`` is a no-op — searches draw nothing at random —
+    kept because the task's field list is the wire protocol's (dropping it
+    needs a protocol bump).
     """
 
     shard: int

@@ -42,7 +42,6 @@ from ..search.greedy import GraphSearcher
 from ..validation import (
     check_data_matrix,
     check_positive_int,
-    check_random_state,
 )
 from .spec import BUILDERS, IndexSpec
 
@@ -51,7 +50,7 @@ __all__ = ["Index", "FORMAT_VERSION", "read_npz", "check_fields",
 
 #: Version of the NPZ layout :meth:`Index.save` writes and, alone,
 #: :meth:`Index.load` reads; ``gkmeans migrate`` rewrites older files.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Keys of the index NPZ: ``(dtype kind, ndim, required)``.
 _SCHEMA = {
@@ -59,7 +58,8 @@ _SCHEMA = {
     "data": ("f", 2, True), "graph_indices": ("i", 2, True),
     "graph_metric": ("U", 0, True), "ids": ("i", 1, True),
     "tombstones": ("b", 1, True), "next_id": ("i", 0, True),
-    "generation": ("i", 0, True), "graph_distances": ("f", 2, False),
+    "generation": ("i", 0, True), "seed_labels": ("i", 1, True),
+    "graph_distances": ("f", 2, False),
     "norms": ("f", 1, False), "quantizer_scale": ("f", 1, False),
     "quantizer_offset": ("f", 1, False),
 }
@@ -136,10 +136,11 @@ class Index:
     :meth:`load` (restores a saved index); the raw constructor accepts a
     pre-built graph for advanced use.
 
-    Searches are deterministic: every :meth:`search` call seeds its
-    entry-point sampling from ``spec.random_state``, so the same query set
-    always returns the same neighbours — including after a save/load
-    round-trip.
+    Searches are deterministic: every query enters the graph from its
+    nearest cluster of the index's seed partition (see
+    :mod:`repro.search._seeding`), so the same query always returns the
+    same neighbours, whatever batch it arrives in — including after a
+    save/load round-trip.
 
     Attributes
     ----------
@@ -166,6 +167,7 @@ class Index:
                  tombstones: np.ndarray | None = None,
                  next_id: int | None = None, generation: int = 0,
                  quantizer: ScalarQuantizer | None = None,
+                 seed_labels: np.ndarray | None = None,
                  build_seconds: float | None = None) -> None:
         if not isinstance(spec, IndexSpec):
             raise ValidationError(
@@ -177,10 +179,10 @@ class Index:
         # adds spec handling, determinism, mutations and persistence on top.
         self._searcher = GraphSearcher(
             data, graph, pool_size=spec.pool_size, n_starts=spec.n_starts,
-            seed_sample=spec.seed_sample, symmetrize=spec.symmetrize,
-            random_state=spec.random_state, metric=spec.metric,
-            dtype=spec.dtype, data_norms=norms, quantize=spec.quantize,
-            quantizer=quantizer)
+            symmetrize=spec.symmetrize, random_state=spec.random_state,
+            metric=spec.metric, dtype=spec.dtype, data_norms=norms,
+            quantize=spec.quantize, quantizer=quantizer,
+            seed_labels=seed_labels)
         self.graph = graph
         self.build_seconds = build_seconds
         n = self._searcher.data.shape[0]
@@ -247,6 +249,11 @@ class Index:
     @property
     def _data_norms(self) -> np.ndarray | None:
         return self._searcher._data_norms
+
+    @property
+    def seed_labels(self) -> np.ndarray:
+        """``(n_rows,)`` seed partition labels every search enters from."""
+        return self._searcher.seed_labels
 
     @property
     def quantizer(self) -> ScalarQuantizer | None:
@@ -361,9 +368,10 @@ class Index:
         check_positive_int(spec.n_neighbors, name="n_neighbors",
                            maximum=data.shape[0] - 1)
         started = time.perf_counter()
-        graph = BUILDERS[spec.backend].build(data, spec)
+        graph, seed_labels = BUILDERS[spec.backend].build(data, spec)
         elapsed = time.perf_counter() - started
-        return cls(data, graph, spec, build_seconds=elapsed)
+        return cls(data, graph, spec, seed_labels=seed_labels,
+                   build_seconds=elapsed)
 
     # ------------------------------------------------------------------ #
     # Search
@@ -402,8 +410,9 @@ class Index:
             walk) are valid — anything else is rejected with a pointer at
             the sharded layer.
         random_state:
-            Entry-point seed override; defaults to ``spec.random_state``, so
-            repeated calls are deterministic.
+            Accepted and ignored: searches draw nothing at random (every
+            query is seeded from its nearest partition cluster).  Kept so
+            existing callers keep working.
 
         Returns
         -------
@@ -419,8 +428,6 @@ class Index:
                 "the sharded layer's fan-out knob (build with n_shards > 1)")
         n_results = check_positive_int(n_results, name="n_results",
                                        maximum=self.n_points)
-        rng = check_random_state(self.spec.random_state
-                                 if random_state is None else random_state)
         # Tombstoned rows stay in the graph as routing waypoints but never
         # in results: the walk over-fetches by the tombstone count (never
         # beyond the physical rows — n_results <= n_points guarantees the
@@ -432,8 +439,7 @@ class Index:
         idx, dist = self._searcher.batch_query(
             queries[None, :] if single else queries,
             n_results + n_tombstones, pool_size=pool_size,
-            workers=self.spec.workers if workers is None else workers,
-            rng=rng)
+            workers=self.spec.workers if workers is None else workers)
         if n_tombstones:
             idx, dist = self._drop_tombstoned(idx, dist, n_results)
         idx = self._external(idx)
@@ -539,8 +545,7 @@ class Index:
                 raise ValidationError(
                     f"ids {taken} are already in the index (tombstoned "
                     "ids stay reserved until compaction)")
-        rng = check_random_state(self.spec.random_state)
-        self._searcher.insert_points(vectors, rng=rng)
+        self._searcher.insert_points(vectors)
         self.graph = self._searcher.graph
         if self._id_lookup is not None:
             base = self._ids.size
@@ -583,8 +588,11 @@ class Index:
         ids while physical rows close ranks.  A no-op (returning 0, no
         generation bump) when nothing is tombstoned.  Quantized indexes
         refit their ``int8`` parameters over the surviving rows (compaction
-        is a rebuild, so "build time" moves with it).  Returns the number
-        of rows removed.
+        is a rebuild, so "build time" moves with it).  The seed partition
+        is the rebuild's own (the last Alg. 3 round's labels) or, for a
+        backend that leaves none, the surviving rows' labels — a cluster
+        compaction empties is simply never probed.  Returns the number of
+        rows removed.
         """
         removed = self.n_tombstones
         if removed == 0:
@@ -594,15 +602,20 @@ class Index:
         build_spec = self.spec
         if build_spec.n_neighbors > data.shape[0] - 1:
             build_spec = build_spec.replace(n_neighbors=data.shape[0] - 1)
-        graph = BUILDERS[self.spec.backend].build(data, build_spec)
+        graph, seed_labels = BUILDERS[self.spec.backend].build(data,
+                                                               build_spec)
+        if seed_labels is None:
+            seed_labels = self.seed_labels[live]
+            if seed_labels.max() >= data.shape[0]:
+                seed_labels = np.unique(seed_labels, return_inverse=True)[1]
         norms = self._data_norms
         searcher = GraphSearcher(
             data, graph, pool_size=self.spec.pool_size,
-            n_starts=self.spec.n_starts, seed_sample=self.spec.seed_sample,
-            symmetrize=self.spec.symmetrize,
+            n_starts=self.spec.n_starts, symmetrize=self.spec.symmetrize,
             random_state=self.spec.random_state, metric=self.spec.metric,
             dtype=self.spec.dtype, quantize=self.spec.quantize,
-            data_norms=None if norms is None else norms[live])
+            data_norms=None if norms is None else norms[live],
+            seed_labels=seed_labels)
         self._searcher.close()
         self._searcher = searcher
         self.graph = graph
@@ -633,6 +646,7 @@ class Index:
             "tombstones": self._tombstones,
             "next_id": np.int64(self._next_id),
             "generation": np.int64(self.generation),
+            "seed_labels": self.seed_labels,
         }
         if self.graph.distances is not None:
             payload["graph_distances"] = self.graph.distances
@@ -676,7 +690,8 @@ class Index:
                        ids=fields["ids"], tombstones=fields["tombstones"],
                        next_id=int(fields["next_id"]),
                        generation=int(fields["generation"]),
-                       quantizer=quantizer)
+                       quantizer=quantizer,
+                       seed_labels=fields["seed_labels"])
         except (GraphError, ValidationError) as exc:
             raise ValidationError(
                 f"index file {path!r} is inconsistent: {exc}") from exc

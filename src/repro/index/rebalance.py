@@ -45,6 +45,7 @@ import numpy as np
 from ..cluster import KMeans
 from ..distance import DistanceEngine, resolve_dtype
 from ..exceptions import ServingError, ValidationError
+from ..search._seeding import coarse_metric
 from ..validation import check_positive_int, check_random_state
 from .facade import Index
 
@@ -164,9 +165,7 @@ class RebalanceReport:
 
 def _coarse_engine(metric: str, dtype) -> DistanceEngine:
     """The engine whose space the routing centroids live in."""
-    from .sharded import _coarse_metric
-
-    return DistanceEngine(_coarse_metric(metric), dtype)
+    return DistanceEngine(coarse_metric(metric), dtype)
 
 
 def _centroid_of(engine: DistanceEngine, rows: np.ndarray,
@@ -249,8 +248,6 @@ def _split_pass(sharded, policy, engine, centroid_rows, actions,
     """Split every shard above ``max_shard_rows`` by a coarse 2-means."""
     if policy.max_shard_rows is None:
         return
-    from .sharded import _coarse_metric
-
     unsplittable: set[int] = set()
     while True:
         oversized = [shard for shard, index in enumerate(sharded.shards)
@@ -263,7 +260,7 @@ def _split_pass(sharded, policy, engine, centroid_rows, actions,
         splitter = KMeans(
             2, init="k-means++", max_iter=10,
             random_state=check_random_state(sharded.spec.random_state),
-            metric=_coarse_metric(sharded.metric),
+            metric=coarse_metric(sharded.metric),
             dtype=sharded.spec.dtype)
         splitter.fit(rows)
         labels = splitter.labels_

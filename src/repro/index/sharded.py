@@ -65,6 +65,8 @@ from ..cluster import KMeans
 from ..distance import DistanceEngine, resolve_dtype
 from ..exceptions import ServingError, ValidationError
 from ..net.endpoints import parse_endpoints
+from ..search._seeding import (coarse_metric, default_seed_labels,
+                               nearest_centroids)
 from ..validation import (
     check_data_matrix,
     check_positive_int,
@@ -110,16 +112,6 @@ def _shard_name(shard: int) -> str:
     return f"shard_{shard:04d}.idx"
 
 
-def _coarse_metric(metric: str) -> str:
-    """Metric of the coarse partitioning k-means for a serving ``metric``.
-
-    The coarse split only needs locality, not the serving metric's
-    geometry — metrics without a k-means structure (dot) fall back to the
-    squared-Euclidean partition.
-    """
-    return metric if metric in ("sqeuclidean", "cosine") else "sqeuclidean"
-
-
 def partition_dataset(data: np.ndarray, n_shards: int, partitioner: str, *,
                       metric: str = "sqeuclidean", dtype="float64",
                       random_state=0, return_centroids: bool = False):
@@ -154,7 +146,7 @@ def partition_dataset(data: np.ndarray, n_shards: int, partitioner: str, *,
         coarse = KMeans(n_shards, init="k-means++",
                         max_iter=_PARTITION_ITER,
                         random_state=check_random_state(random_state),
-                        metric=_coarse_metric(metric), dtype=dtype)
+                        metric=coarse_metric(metric), dtype=dtype)
         coarse.fit(data)
         labels = coarse.labels_
         # The centroids live in the clustering space the labels were
@@ -759,14 +751,13 @@ class ShardedIndex:
 
         Replays the partitioner's own assignment rule: queries are scored
         against the persisted coarse centroids in the transformed
-        clustering space (l2-normalised rows for cosine) with one gemm.
-        ``argsort`` with a stable kind makes centroid-distance ties resolve
-        by shard order, so the routing is deterministic.
+        clustering space (l2-normalised rows for cosine) with one gemm —
+        the nearest-centroid step seeding runs inside every shard
+        (:func:`~repro.search._seeding.nearest_centroids`).  Ties resolve by
+        shard order, so the routing is deterministic.
         """
-        coarse = DistanceEngine(_coarse_metric(self.metric), self.spec.dtype)
-        prepared = coarse.prepare_clustering(queries)
-        scores = coarse.clustering_engine().cross(prepared, self.centroids)
-        return np.argsort(scores, axis=1, kind="stable")[:, :probe]
+        coarse = DistanceEngine(coarse_metric(self.metric), self.spec.dtype)
+        return nearest_centroids(coarse, queries, self.centroids, probe)
 
     # ------------------------------------------------------------------ #
     # Online mutations
@@ -1173,11 +1164,19 @@ def _index_file(path: str, retired: list) -> Index:
 
 
 def _index_defaults(fields: dict) -> dict:
-    """The keys index files before v2 lack, as their reader derived them
-    (v2 lacks only the spec's ``quantize``, which reads as ``"none"``)."""
-    n = len(fields["data"])
+    """The keys index files before v4 lack, as their reader derived them:
+    v1 had no mutations, v2 lacks the spec's ``quantize`` too (which reads
+    as ``"none"``), and v1–v3 no seed partition — it gets the one a fresh
+    index over the same rows computes, so an index whose backend left none
+    serves after migration exactly what it served before."""
+    data = fields["data"]
+    n = len(data)
+    spec = IndexSpec.from_json(str(fields["spec_json"]))
     return {"ids": np.arange(n, dtype=np.int64), "next_id": np.int64(n),
-            "tombstones": np.zeros(n, dtype=bool), "generation": np.int64(0)}
+            "tombstones": np.zeros(n, dtype=bool), "generation": np.int64(0),
+            "seed_labels": default_seed_labels(
+                data.astype(spec.dtype), spec.metric, spec.dtype,
+                spec.random_state)}
 
 
 def _manifest_defaults(fields: dict) -> dict:

@@ -60,7 +60,7 @@ class BuilderEntry:
     Attributes
     ----------
     build:
-        ``build(data, spec) -> KNNGraph`` callable.
+        ``build(data, spec) -> (KNNGraph, seed_labels | None)`` callable.
     params:
         Names of the backend-specific keys ``IndexSpec.params`` may carry.
     metrics:
@@ -113,13 +113,14 @@ class IndexSpec:
         Graph width κ.
     metric, dtype:
         Distance-engine configuration shared by construction and search.
-    pool_size, n_starts, seed_sample:
-        Greedy-search defaults (candidate pool / entry points / entry-point
-        sample size; ``seed_sample=None`` uses the search module's default).
-        The facade default is generous (256) because deterministic searches
-        reuse one entry sample for *every* query — a small sample's blind
-        spots would then fail the same queries systematically, and the sample
-        is scored in a single shared gemm anyway.
+    pool_size, n_starts:
+        Search defaults: the candidate pool size, and the entry points each
+        query starts from — the ``n_starts`` nearest members of its nearest
+        seed-partition cluster (see :mod:`repro.search._seeding`).
+    seed_sample:
+        Retired: the size of the random entry sample searches used to draw.
+        Still parsed (saved specs and callers carry it) and validated;
+        nothing reads it.
     workers:
         Default worker-thread count for batched frontier searches served by
         the index.  Purely a throughput knob — results are bit-for-bit

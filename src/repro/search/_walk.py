@@ -49,8 +49,11 @@ it), already in pop order.  A round
    the threshold only for rows that overflowed.  Rows with nothing left to
    score are compacted out of the live matrices.
 
-Seeding, the compressed entry's re-rank and the final ``(distance, id)``
-ordering are whole-group array operations the same way.  The tie rule is
+Every query enters at its seeds — the nearest members of its nearest cluster
+of the index's seed partition (:mod:`repro.search._seeding`), computed by the
+entry before the walk — which fill the first ``n_starts`` pool slots.  The
+compressed entry's re-rank and the final ``(distance, id)`` ordering are
+whole-group array operations like the rounds.  The tie rule is
 the one above everywhere: every selection is a function of the row's own
 entries, never of the width the rest of the group pads it to, which is what
 keeps ``max_group`` a pure throughput knob on tied distances too.  On
@@ -61,10 +64,10 @@ per-query loop this replaced (kept as the oracle in
 The price is a fixed cost per round — about a hundred small numpy calls
 whether the group holds one query or thirty-two — so a **batch of one is
 the slow shape**: it pays a whole round's overhead for one query's work.
-Measured on one core, a single-query walk costs 0.93 ms at 20000 × 64
-(pool 64, 2048-point entry sample) — what the per-query loop cost — and
-0.84–0.88 ms at 4000 × 24, where the loop took 0.55–0.66 ms, against
-0.13–0.17 ms per query inside a 32-query group.  ``GraphSearcher.query``
+Measured on one core of a shared 2-core VM, a single-query search costs
+0.63–0.91 ms at 20000 × 64 (pool 64; 1.09–1.12 ms with the 2048-point random
+entry sample it replaced) and 1.39–1.56 ms at 4000 × 24, against 0.12–0.24
+ms per query inside a 256-query batch.  ``GraphSearcher.query``
 and every single-vector request behind the wire run that shape (an insert
 call walks all its rows as one batch); callers with traffic to batch should
 batch it.
@@ -82,16 +85,16 @@ re-ordered by those values, so returned distances are true metric values
 either way.  All state stays in the scorer's own block dtype — a float64
 engine walks in float64.
 
-Cost accounting: every query is charged the entry-point sample it was
-scored against, the neighbours scored for its own walk and (compressed
-entry) its own re-ranked pool.  Row/column combinations of a merged block
-that no query asked for are a batching trade-off bounded by ``max_group``
-and are *not* billed to individual queries, so the counts do not depend on
-how the batch was grouped.
+Cost accounting: every query is charged its seeding (the partition's
+centroids and its probed cluster's members), the neighbours scored for its
+own walk and (compressed entry) its own re-ranked pool.  Row/column
+combinations of a merged block that no query asked for are a batching
+trade-off bounded by ``max_group`` and are *not* billed to individual
+queries, so the counts do not depend on how the batch was grouped.
 
-Determinism: one entry-point sample is drawn and scored for the whole
-batch; after that each query's walk is a function of its own state alone
-and each group mutates only its own rows.  ``max_group`` and ``workers``
+Determinism: a query's seeds are a function of the query and the partition
+alone, each query's walk is a function of its own state alone and each
+group mutates only its own rows.  ``max_group`` and ``workers``
 are therefore pure throughput knobs — results are bit-for-bit identical
 for every value — and a single query is exactly a batch of one.
 """
@@ -108,7 +111,7 @@ import numpy as np
 from ..distance.kernels import stable_smallest
 from ..graph.csr import CSRAdjacency
 from ..validation import check_positive_int, clamp_workers
-from ._seeding import seed_entry_points
+from ._seeding import Seeds
 
 __all__ = ["ServingStats", "beam_walk", "exact_scorer", "BEAM"]
 
@@ -123,7 +126,8 @@ BEAM = 8
 CHUNK = 32
 
 #: ``score(rows, ids)``: distances between batch queries ``rows`` and
-#: dataset rows ``ids`` as a ``(len(rows), len(ids))`` block.
+#: dataset rows ``ids`` as a ``(len(rows), len(ids))`` block — or, for a 2-D
+#: ``(len(rows), w)`` ``ids``, of each query to its own ``w`` rows only.
 Scorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -136,8 +140,9 @@ def exact_scorer(engine, data: np.ndarray, data_norms: np.ndarray | None,
     rows' norms on the fly.
     """
     def score(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        return engine.cross(
-            queries[rows], data[ids],
+        kernel = engine.paired if ids.ndim == 2 else engine.cross
+        return kernel(
+            queries[rows], np.take(data, ids, axis=0),
             a_norms=None if query_norms is None else query_norms[rows],
             b_norms=None if data_norms is None else data_norms[ids])
     return score
@@ -177,7 +182,7 @@ class ServingStats:
         deterministic (they describe the walk, not the hardware); seconds
         are wall time and vary run to run.
     total_seconds:
-        Wall-clock time of the whole batch call, seeding included.
+        Wall-clock time of the whole walk call.
     """
 
     workers: int
@@ -212,38 +217,34 @@ class ServingStats:
         return self.n_queries / self.total_seconds
 
 
-def beam_walk(adjacency, n_queries: int, n_results: int, score: Scorer,
-              rerank: Scorer | None, *, pool_size: int, n_starts: int,
-              seed_sample: int | None, max_group: int | None, workers: int,
-              rng: np.random.Generator | None,
+def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
+              rerank: Scorer | None, *, pool_size: int,
+              max_group: int | None, workers: int,
               executor: ThreadPoolExecutor | None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ServingStats]:
-    """Walk ``n_queries`` queries over ``adjacency``; see the module docs.
+    """Walk every query of ``seeds`` over ``adjacency``; see the module docs.
 
     ``adjacency`` is anything ``adjacency[node]`` indexes into a node's
     neighbour-id array — a :class:`~repro.graph.csr.CSRAdjacency` or a
-    plain row list; it is never repacked.
-    ``rerank`` is the exact scorer of the compressed entry (``None`` when
-    ``score`` is already exact).  Returns ``(indices, distances,
-    n_evaluations, stats)`` as documented on the two public entries.
+    plain row list; it is never repacked.  ``seeds`` are the batch's entry
+    points (:func:`~repro.search._seeding.seed_entry_points`); each query's
+    pool starts as its seed row.  ``rerank`` is the exact scorer of the
+    compressed entry (``None`` when ``score`` is already exact).  Returns
+    ``(indices, distances, n_evaluations, stats)`` as documented on the two
+    public entries.
     """
     started = time.perf_counter()
     n = len(adjacency)
-    m = n_queries
-    if rng is None:
-        rng = np.random.default_rng()
+    m = seeds.ids.shape[0]
     pool_size = max(pool_size, n_results)
     max_group = max(1, m if max_group is None else int(max_group))
     workers = clamp_workers(
         check_positive_int(workers, name="workers"), name="workers")
-
-    sample, seed_block = seed_entry_points(n, m, seed_sample, n_starts, rng,
-                                           score)
-    n_starts = min(n_starts, n)
+    filled = min(seeds.ids.shape[1], pool_size)
 
     out_idx = np.full((m, n_results), -1, dtype=np.int64)
     out_dist = np.full((m, n_results), np.inf, dtype=np.float64)
-    evaluations = np.full(m, sample.size, dtype=np.int64)
+    evaluations = seeds.evaluations.astype(np.int64)
 
     groups = [np.arange(start, min(start + max_group, m))
               for start in range(0, m, max_group)]
@@ -273,19 +274,18 @@ def beam_walk(adjacency, n_queries: int, n_results: int, score: Scorer,
         slot = np.arange(size)
         queries = rows
 
-        block = seed_block[rows]
-        keep = stable_smallest(block, n_starts)
-        seeds = sample[keep]
-        seen[(slot[:, None] * n + seeds).ravel()] = 1
+        entry = seeds.ids[rows]
+        entered = entry >= 0
+        seen[(slot[:, None] * n + entry)[entered]] = 1
         # Pools: ``(size, pool_size)`` id / distance matrices, ascending by
         # distance (earlier arrival first among equals), padded -1 / inf.
-        filled = min(keep.shape[1], pool_size)
         pool_ids = np.full((size, pool_size), -1, dtype=np.int64)
-        pool_dists = np.full((size, pool_size), np.inf, dtype=block.dtype)
-        pool_ids[:, :filled] = seeds[:, :filled]
-        pool_dists[:, :filled] = block[slot[:, None], keep[:, :filled]]
+        pool_dists = np.full((size, pool_size), np.inf,
+                             dtype=seeds.dists.dtype)
+        pool_ids[:, :filled] = entry[:, :filled]
+        pool_dists[:, :filled] = seeds.dists[rows, :filled]
         expanded = np.zeros((size, pool_size), dtype=bool)
-        count = np.full(size, filled)
+        count = entered[:, :filled].sum(axis=1)
         # Pool threshold, one column: ``inf`` until the seeds fill the pool
         # or a merge overflows it.
         worst = pool_dists[:, -1:].copy()

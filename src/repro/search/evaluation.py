@@ -31,11 +31,11 @@ class SearchEvaluation:
         number of queries in batch mode).
     mean_distance_evaluations:
         Average number of distance computations per query (a
-        hardware-independent cost measure).  Each query is charged the
-        entry-point sample it was scored against plus the neighbours scored
-        for its own walk, so batched work is not under-counted and the
-        numbers are the same whether queries are served together or one
-        call each.
+        hardware-independent cost measure).  Each query is charged its
+        seeding (the partition's centroids and its cluster's members) plus
+        the neighbours scored for its own walk, so batched work is not
+        under-counted and the numbers are the same whether queries are
+        served together or one call each.
     per_query_evaluations:
         Per-query distance-evaluation counts, aligned with the query order.
     serving_stats:

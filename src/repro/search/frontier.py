@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..distance import DistanceEngine
+from ._seeding import SeedPartition, seed_entry_points
 from ._walk import ServingStats, beam_walk, exact_scorer
 
 __all__ = ["ServingStats", "frontier_batch_search"]
@@ -22,11 +23,10 @@ __all__ = ["ServingStats", "frontier_batch_search"]
 
 def frontier_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
                           n_results: int, *,
+                          partition: SeedPartition | None = None,
                           pool_size: int = 32, n_starts: int = 4,
-                          seed_sample: int | None = None,
                           max_group: int | None = 32,
                           workers: int = 1,
-                          rng: np.random.Generator | None = None,
                           engine: DistanceEngine | None = None,
                           data_norms: np.ndarray | None = None,
                           executor: ThreadPoolExecutor | None = None
@@ -45,12 +45,16 @@ def frontier_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
         ``(m, d)`` query matrix (a ``(d,)`` vector is a batch of one).
     n_results:
         Number of neighbours to return per query.
+    partition:
+        The :class:`~repro.search._seeding.SeedPartition` of ``data`` the
+        queries are seeded from.  ``None`` clusters ``data`` for this call
+        alone (one two-means tree); callers serving many batches keep one,
+        as :class:`~repro.search.greedy.GraphSearcher` does.
     pool_size:
         Size of the candidate pool (ef); larger → higher recall, slower.
     n_starts:
-        Number of entry points each query expands from — the closest of the
-        ``seed_sample`` random points scored for the whole batch (default
-        ``max(32, 8 * n_starts)``).
+        Number of entry points each query expands from: the nearest members
+        of its nearest cluster (fewer when that cluster is smaller).
     max_group:
         The number of queries whose walks are frontier-merged together
         (``None`` merges the whole batch).  Smaller groups waste less
@@ -61,8 +65,6 @@ def frontier_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
         to the group count and to ``os.cpu_count()``; ``1`` walks the groups
         sequentially).  The gemms release the GIL inside BLAS, so threads
         scale without pickling the dataset.
-    rng:
-        Generator for the entry-point sample.
     engine:
         The :class:`~repro.distance.DistanceEngine` (defaults to
         squared-Euclidean float64).
@@ -84,16 +86,19 @@ def frontier_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
         ``(m, n_results)`` id/distance arrays sorted by ascending distance
         (padded with ``-1``/``inf`` when fewer than ``n_results`` points are
         reachable), the ``(m,)`` per-query distance-evaluation counts
-        (entry-point sample plus the neighbours scored for the query's own
-        walk), and the call's :class:`ServingStats`.
+        (seeding plus the neighbours scored for the query's own walk), and
+        the call's :class:`ServingStats`.
     """
     if engine is None:
         engine = DistanceEngine()
     data = engine.prepare(data)
     queries = engine.prepare(queries)
+    if partition is None:
+        partition = SeedPartition.cluster(data, engine.metric, engine.dtype,
+                                          random_state=0)
     score = exact_scorer(engine, data, data_norms, queries,
                          engine.norms(queries))
+    seeds = seed_entry_points(partition, queries, score, n_starts)
     return beam_walk(
-        adjacency, queries.shape[0], n_results, score, None,
-        pool_size=pool_size, n_starts=n_starts, seed_sample=seed_sample,
-        max_group=max_group, workers=workers, rng=rng, executor=executor)
+        adjacency, seeds, n_results, score, None, pool_size=pool_size,
+        max_group=max_group, workers=workers, executor=executor)

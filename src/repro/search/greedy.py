@@ -2,10 +2,10 @@
 
 :class:`GraphSearcher` owns everything a search needs beyond the query —
 the engine, the cached dataset norms, the CSR-packed symmetrised adjacency,
-the lazily built quantized code matrix — and serves every request through
-the one graph walk of :mod:`repro.search._walk`: batches, single vectors (a
-batch of one) and the candidate seeding of online inserts (one batch per
-insert call).
+the lazily built quantized code matrix, the seed partition walks enter from
+— and serves every request through the one graph walk of
+:mod:`repro.search._walk`: batches, single vectors (a batch of one) and the
+candidate seeding of online inserts (one batch per insert call).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from ..exceptions import GraphError
 from ..validation import (
     check_data_matrix,
     check_positive_int,
-    check_random_state,
     clamp_workers,
 )
 from ..graph.knngraph import KNNGraph
@@ -33,6 +32,8 @@ from ..graph.repair import (
     push_back_edges,
     refine_neighborhood,
 )
+from ._seeding import SeedPartition, seed_entry_points
+from ._walk import beam_walk, exact_scorer
 from .frontier import ServingStats, frontier_batch_search
 from .quantized import quantized_batch_search
 
@@ -51,17 +52,16 @@ class GraphSearcher:
     pool_size:
         Default candidate pool size (can be overridden per query).
     n_starts:
-        Number of entry points per query (the closest of ``seed_sample``
-        randomly scored points).
-    seed_sample:
-        Number of random points scored when picking entry points.
+        Number of entry points per query: the nearest members of its
+        nearest seed-partition cluster (fewer when that cluster is smaller).
     symmetrize:
         Whether to add reverse edges before searching (recommended; k-NN
         graphs are directed and reverse edges markedly improve
         reachability).  Kept as :attr:`symmetrize`: online inserts commit
         their adjacency by the same rule.
     random_state:
-        Seed for entry-point selection.
+        Seed of the two-means tree that partitions ``data`` when
+        ``seed_labels`` is omitted; searches themselves draw nothing.
     metric, dtype:
         Distance engine configuration; the dataset norms are computed once
         here and reused by every query.
@@ -83,16 +83,23 @@ class GraphSearcher:
         ``int8`` fits its per-dimension parameters on ``data`` at
         construction time; those parameters then stay fixed across online
         inserts.
+    seed_labels:
+        The ``(n,)`` seed partition walks enter from (see
+        :mod:`repro.search._seeding`): an integer cluster label per row, each
+        in ``[0, n)``.  Omitted, ``data`` is partitioned by one two-means
+        tree of about 50 rows per cluster.  Inserts extend it (a new row
+        joins the cluster its seeding probed); :attr:`seed_labels` reads it
+        back for persistence.
     """
 
     def __init__(self, data: np.ndarray, graph: KNNGraph, *,
                  pool_size: int = 32, n_starts: int = 4,
-                 seed_sample: int | None = None,
                  symmetrize: bool = True, random_state=None,
                  metric: str = "sqeuclidean", dtype=np.float64,
                  data_norms: np.ndarray | None = None,
                  quantize: str = "none",
-                 quantizer: ScalarQuantizer | None = None) -> None:
+                 quantizer: ScalarQuantizer | None = None,
+                 seed_labels: np.ndarray | None = None) -> None:
         self.engine_ = DistanceEngine(metric, dtype)
         self.data = check_data_matrix(data, dtype=self.engine_.dtype)
         if graph.n_points != self.data.shape[0]:
@@ -108,8 +115,6 @@ class GraphSearcher:
         self.graph = graph
         self.pool_size = check_positive_int(pool_size, name="pool_size")
         self.n_starts = check_positive_int(n_starts, name="n_starts")
-        self.seed_sample = seed_sample
-        self._rng = check_random_state(random_state)
         if data_norms is None:
             self._data_norms = self.engine_.norms(self.data)
         else:
@@ -145,6 +150,22 @@ class GraphSearcher:
         # Code matrix + decoded norms are derived state, built lazily on
         # the first quantized search and invalidated by inserts.
         self._scorer: QuantizedScorer | None = None
+        n = self.data.shape[0]
+        if seed_labels is None:
+            self._partition = SeedPartition.cluster(
+                self.data, self.metric, self.engine_.dtype, random_state)
+        else:
+            seed_labels = np.asarray(seed_labels)
+            if seed_labels.shape != (n,) or seed_labels.dtype.kind not in "iu":
+                raise GraphError(
+                    f"seed_labels must be a ({n},) integer array, got a "
+                    f"{seed_labels.dtype} array of shape {seed_labels.shape}")
+            if seed_labels.min() < 0 or seed_labels.max() >= n:
+                raise GraphError(
+                    f"seed_labels must lie in [0, {n}), got values in "
+                    f"[{seed_labels.min()}, {seed_labels.max()}]")
+            self._partition = SeedPartition(self.data, seed_labels,
+                                            self.metric, self.engine_.dtype)
         self.last_n_evaluations = 0
         self.last_per_query_evaluations: np.ndarray | None = None
         self.last_serving_stats: ServingStats | None = None
@@ -158,6 +179,11 @@ class GraphSearcher:
     def metric(self) -> str:
         """Canonical metric name the searcher scores queries under."""
         return self.engine_.metric
+
+    @property
+    def seed_labels(self) -> np.ndarray:
+        """The ``(n,)`` int64 seed partition labels walks enter from."""
+        return self._partition.labels
 
     @property
     def quantizer(self) -> ScalarQuantizer | None:
@@ -200,14 +226,15 @@ class GraphSearcher:
             self._walk_pool_workers = workers
         return self._walk_pool
 
-    def insert_points(self, vectors: np.ndarray, *,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
+    def insert_points(self, vectors: np.ndarray) -> np.ndarray:
         """Insert rows into the data + graph with a batched local repair.
 
         Three whole-batch steps (see :mod:`repro.graph.repair`): one exact
         walk seeds every new vector's candidates over the *pre-insert*
-        graph; one in-batch join picks the new rows' graph rows from their
-        walk pools, the pools' out-neighbours and each other
+        graph (each new row joins the seed-partition cluster that walk's
+        seeding probed, and the cluster means are re-derived); one
+        in-batch join picks the new rows' graph rows from their walk pools,
+        the pools' out-neighbours and each other
         (:func:`~repro.graph.repair.refine_neighborhood`); one merge pushes
         the back-edges into the chosen neighbours' rows
         (:func:`~repro.graph.repair.push_back_edges`).  Only the adjacency
@@ -228,8 +255,6 @@ class GraphSearcher:
             raise GraphError(
                 f"inserted vectors have dimension {vectors.shape[1]}, "
                 f"data has {self.data.shape[1]}")
-        if rng is None:
-            rng = self._rng
         n_neighbors = self.graph.n_neighbors
         first = self.data.shape[0]
         total = first + vectors.shape[0]
@@ -241,11 +266,13 @@ class GraphSearcher:
                                           self.graph.distances)
         # 1. Seed: one walk of the whole batch over the pre-insert graph.
         ef = max(self.pool_size, 2 * n_neighbors)
-        seeds, _, _, _ = frontier_batch_search(
-            self.data, self._adjacency, vectors, min(ef, first),
-            pool_size=ef, n_starts=self.n_starts,
-            seed_sample=self.seed_sample, rng=rng, engine=engine,
-            data_norms=self._data_norms)
+        score = exact_scorer(engine, self.data, self._data_norms, vectors,
+                             engine.norms(vectors))
+        entry = seed_entry_points(self._partition, vectors, score,
+                                  self.n_starts)
+        seeds, _, _, _ = beam_walk(
+            self._adjacency, entry, min(ef, first), score, None,
+            pool_size=ef, max_group=32, workers=1, executor=None)
         # Every matrix is allocated once at its final height and filled in
         # place.
         indices = np.full((total, n_neighbors), -1, dtype=np.int64)
@@ -282,6 +309,9 @@ class GraphSearcher:
         self.graph = graph
         self._data_norms = norms
         self._adjacency = adjacency
+        self._partition = SeedPartition(
+            data, np.concatenate([self._partition.labels, entry.clusters]),
+            self.metric, engine.dtype)
         # New rows are encoded with the build-time quantizer parameters;
         # the code matrix itself is derived state and is rebuilt on the
         # next quantized search.
@@ -289,8 +319,7 @@ class GraphSearcher:
         return np.arange(first, total, dtype=np.int64)
 
     def query(self, query: np.ndarray, n_results: int = 10, *,
-              pool_size: int | None = None,
-              rng: np.random.Generator | None = None
+              pool_size: int | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
         """Search one query; returns ``(n_results,)`` index/distance arrays.
 
@@ -299,13 +328,12 @@ class GraphSearcher:
         """
         query = np.asarray(query, dtype=self.engine_.dtype).ravel()
         idx, dist = self.batch_query(query[None, :], n_results,
-                                     pool_size=pool_size, rng=rng)
+                                     pool_size=pool_size)
         return idx[0], dist[0]
 
     def batch_query(self, queries: np.ndarray, n_results: int = 10, *,
                     pool_size: int | None = None,
-                    workers: int | None = None,
-                    rng: np.random.Generator | None = None
+                    workers: int | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Search many queries; returns ``(m, n_results)`` index/distance arrays.
 
@@ -318,9 +346,9 @@ class GraphSearcher:
         Afterwards ``last_per_query_evaluations`` holds the ``(m,)``
         per-query distance-evaluation counts (batched gemms included),
         ``last_n_evaluations`` their total, and ``last_serving_stats`` the
-        walk's :class:`~repro.search.frontier.ServingStats`.  ``rng``
-        overrides the searcher's own entry-point generator for this call
-        (used by deterministic callers like the index facade).
+        walk's :class:`~repro.search.frontier.ServingStats`.  Every query
+        is seeded from its nearest seed-partition cluster, so a row's result
+        does not depend on the batch around it.
         """
         queries = check_data_matrix(queries, name="queries",
                                     dtype=self.engine_.dtype)
@@ -334,9 +362,8 @@ class GraphSearcher:
             check_positive_int(workers, name="workers"), name="workers")
         common = dict(
             pool_size=self.pool_size if pool_size is None else pool_size,
-            n_starts=self.n_starts, seed_sample=self.seed_sample,
+            n_starts=self.n_starts, partition=self._partition,
             workers=workers, executor=self._group_walk_pool(workers),
-            rng=self._rng if rng is None else rng,
             engine=self.engine_, data_norms=self._data_norms)
         if self.quantize == "none":
             out_idx, out_dist, evaluations, stats = frontier_batch_search(

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..distance import DistanceEngine
 from ..distance.quantized import QuantizedScorer
+from ._seeding import SeedPartition, seed_entry_points
 from ._walk import ServingStats, beam_walk, exact_scorer
 
 __all__ = ["quantized_batch_search"]
@@ -30,10 +31,9 @@ __all__ = ["quantized_batch_search"]
 
 def quantized_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
                            n_results: int, scorer: QuantizedScorer, *,
+                           partition: SeedPartition | None = None,
                            pool_size: int = 32, n_starts: int = 4,
-                           seed_sample: int | None = None,
                            max_group: int | None = 32, workers: int = 1,
-                           rng: np.random.Generator | None = None,
                            engine: DistanceEngine | None = None,
                            data_norms: np.ndarray | None = None,
                            executor: ThreadPoolExecutor | None = None
@@ -49,8 +49,8 @@ def quantized_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
     (indices, distances, n_evaluations, stats):
         Shaped as for the exact entry; distances are **exact** metric
         values from the re-rank gemm.  Evaluation counts charge each query
-        its seed block, its own frontier scorings and its own re-ranked
-        pool.
+        its seeding (centroids and probed members, scored in the code
+        domain), its own frontier scorings and its own re-ranked pool.
     """
     if engine is None:
         engine = DistanceEngine()
@@ -64,8 +64,11 @@ def quantized_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
             folded[rows], None if bias is None else bias[rows],
             None if query_norms is None else query_norms[rows], ids)
 
+    if partition is None:
+        partition = SeedPartition.cluster(data, engine.metric, engine.dtype,
+                                          random_state=0)
     rerank = exact_scorer(engine, data, data_norms, queries, query_norms)
+    seeds = seed_entry_points(partition, queries, score, n_starts)
     return beam_walk(
-        adjacency, queries.shape[0], n_results, score, rerank,
-        pool_size=pool_size, n_starts=n_starts, seed_sample=seed_sample,
-        max_group=max_group, workers=workers, rng=rng, executor=executor)
+        adjacency, seeds, n_results, score, rerank, pool_size=pool_size,
+        max_group=max_group, workers=workers, executor=executor)

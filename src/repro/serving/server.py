@@ -11,11 +11,11 @@ its own top-k slice of the batch result back.
 
 Why coalescing cannot change the answers
 ----------------------------------------
-Batch composition is invisible to the walk: the entry-point sample is drawn
-from the index's seeded generator as a function of the dataset size alone
-(see :func:`repro.search._seeding.seed_entry_points`), every request's walk
-mutates only its own per-query state, and the index is searched with its
-own fixed ``random_state`` on every call.  Per-request ``n_results`` are
+Batch composition is invisible to the walk: a request's seeds depend on
+the query alone — the nearest members of its nearest cluster of the index's
+seed partition (see :func:`repro.search._seeding.seed_entry_points`),
+scored against that query only — and every request's walk mutates only its
+own per-query state.  Per-request ``n_results`` are
 served by searching the batch at the *largest* requested k and slicing —
 exact because the walk depends on ``pool_size``, not on k, which is why the
 server refuses requests with ``n_results > pool_size`` at admission.  A
@@ -132,7 +132,9 @@ class CoalescingServer:
         Extra keyword arguments passed verbatim to every ``index.search``
         batch call (``executor="remote"``, ``shard_workers=...``,
         ``pool_size=...``, ...).  ``n_results`` and ``random_state`` are
-        managed by the server and rejected here.
+        managed by the server and rejected here (``random_state`` is a
+        no-op since searches draw nothing at random, but stays reserved so
+        existing callers see the same contract).
 
     Use as an async context manager (or call :meth:`aclose` yourself)::
 

@@ -65,12 +65,12 @@ def push_row(indices, distances, pos, row_ids, row_dists, adjacency=None):
             adjacency[dropped] = adjacency[dropped][adjacency[dropped] != j]
 
 
-def insert_per_row(searcher, vectors, rng=None) -> KNNGraph:
+def insert_per_row(searcher, vectors) -> KNNGraph:
     """The repaired graph the per-row loop builds over ``searcher``'s data
-    plus ``vectors`` (the searcher itself is left as it was)."""
+    plus ``vectors`` (the searcher itself is left as it was).  Every row is
+    seeded from the searcher's partition of the pre-insert rows."""
     engine = searcher.engine_
     vectors = engine.prepare(vectors)
-    rng = np.random.default_rng(0) if rng is None else rng
     graph = searcher.graph
     n_neighbors = graph.n_neighbors
     first = searcher.data.shape[0]
@@ -87,8 +87,8 @@ def insert_per_row(searcher, vectors, rng=None) -> KNNGraph:
         row_norms = None if norms is None else norms[:pos]
         found, _, _, _ = frontier_batch_search(
             data[:pos], adjacency, data[pos], min(ef, pos), pool_size=ef,
-            n_starts=searcher.n_starts, seed_sample=searcher.seed_sample,
-            rng=rng, engine=engine, data_norms=row_norms)
+            n_starts=searcher.n_starts, partition=searcher._partition,
+            engine=engine, data_norms=row_norms)
         seeds = found[0][found[0] >= 0]
         row_ids, row_dists = refine_row(engine, data[:pos], row_norms,
                                         indices[:pos], data[pos], seeds,

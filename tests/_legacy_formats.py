@@ -16,8 +16,11 @@ import numpy as np
 from repro.index.sharded import MANIFEST_NAME
 
 #: Keys each retired index-file version lacks: v1 predates online
-#: mutations; v2 differs from v3 only by the spec's ``quantize`` field.
-MONO_LACKS = {1: ("ids", "tombstones", "next_id", "generation"), 2: ()}
+#: mutations; v2 lacks the spec's ``quantize`` field; v1–v3 predate the
+#: seed partition.
+MONO_LACKS = {1: ("ids", "tombstones", "next_id", "generation",
+                  "seed_labels"),
+              2: ("seed_labels",), 3: ("seed_labels",)}
 
 #: Keys each retired manifest version lacks: v1 predates routing, v2
 #: networked serving, v3 online mutations; v4 differs from v5 only by the
@@ -28,10 +31,12 @@ MANIFEST_LACKS = {
     2: ("generation", "endpoints", "shard_generations", "next_id"),
     3: ("shard_generations", "next_id"),
     4: (),
+    5: (),
 }
 
-#: Index-file version of the shard files each manifest version sat beside.
-SHARD_VERSION = {1: 1, 2: 1, 3: 1, 4: 2}
+#: Index-file version of the shard files each manifest version sat beside
+#: (a current manifest beside retired shard files is written as "5").
+SHARD_VERSION = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3}
 
 
 def _rewrite(path, version_key, version, drop, spec_drop):
@@ -50,13 +55,14 @@ def _rewrite(path, version_key, version, drop, spec_drop):
 def write_mono_version(path, version):
     """Rewrite the index file at ``path`` as format ``version`` wrote it."""
     _rewrite(path, "format_version", version, MONO_LACKS[version],
-             ("quantize",))
+             ("quantize",) if version < 3 else ())
 
 
 def write_manifest_version(directory, version):
     """Rewrite the sharded ``directory`` as manifest ``version`` wrote it,
     its shard files included."""
-    spec_drop = ("quantize", "shard_probe") if version == 1 else ("quantize",)
+    spec_drop = {1: ("quantize", "shard_probe"), 5: ()}.get(version,
+                                                        ("quantize",))
     _rewrite(os.path.join(directory, MANIFEST_NAME),
              "sharded_format_version", version, MANIFEST_LACKS[version],
              spec_drop)

@@ -383,16 +383,16 @@ class TestFrontierParity:
         batch_engine = CountingEngine()
         batch_idx, batch_dist, batch_evals, _ = frontier_batch_search(
             base, adjacency, queries, 10, pool_size=32,
-            rng=np.random.default_rng(0), engine=batch_engine)
+            engine=batch_engine)
 
         single_engine = CountingEngine()
         for row in range(m):
-            # A fresh generator with the batch's seed draws the identical
-            # entry-point sample, so the walks start from the same state —
-            # and a query's walk never depends on who shares its batch.
+            # A query's seeds come from its own nearest cluster, so the
+            # walks start from the same state — and a query's walk never
+            # depends on who shares its batch.
             idx, dist, evals, _ = frontier_batch_search(
                 base, adjacency, queries[row], 10, pool_size=32,
-                rng=np.random.default_rng(0), engine=single_engine)
+                engine=single_engine)
             assert np.array_equal(idx[0], batch_idx[row])
             assert np.array_equal(dist[0], batch_dist[row])
             assert evals[0] == batch_evals[row]
@@ -402,16 +402,15 @@ class TestFrontierParity:
     def test_batch_evaluations_include_shared_gemm_rows(self, parity_setup):
         base, queries, adjacency = parity_setup
         _, _, evals, _ = frontier_batch_search(
-            base, adjacency, queries, 5, pool_size=16,
-            rng=np.random.default_rng(0))
-        # Every query at least pays for the shared entry-point gemm row.
-        assert np.all(evals >= 32)
+            base, adjacency, queries, 5, pool_size=16)
+        # Every query at least pays for its seeding: every centroid of the
+        # default partition (about 50 rows per cluster) and one member.
+        assert np.all(evals > base.shape[0] // 50)
 
     def test_sorted_results_and_padding(self, parity_setup):
         base, queries, adjacency = parity_setup
         idx, dist, _, _ = frontier_batch_search(
-            base, adjacency, queries, 5, pool_size=16,
-            rng=np.random.default_rng(0))
+            base, adjacency, queries, 5, pool_size=16)
         finite = np.isfinite(dist)
         assert np.all(idx[finite] >= 0)
         for row in range(queries.shape[0]):

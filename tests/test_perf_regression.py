@@ -97,7 +97,7 @@ adjacency = brute_force_knn_graph(base, 16).adjacency()
 def serve(workers):
     return frontier_batch_search(
         base, adjacency, queries, 10, pool_size=64, max_group=32,
-        workers=workers, rng=np.random.default_rng(0))
+        workers=workers)
 
 
 results = {}

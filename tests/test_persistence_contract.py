@@ -113,13 +113,23 @@ def _cases(version_key, current, required, counters, floats):
     return cases
 
 
-INDEX_CASES = _cases(
-    "format_version", FORMAT_VERSION,
-    required=("format_version", "spec_json", "data", "graph_indices",
-              "graph_metric", "ids", "tombstones", "next_id", "generation"),
-    counters=("format_version", "next_id", "generation"),
-    # Fractional ids were silently truncated to integers.
-    floats={"ids": lambda ids: ids + 0.5})
+INDEX_CASES = {
+    **_cases(
+        "format_version", FORMAT_VERSION,
+        required=("format_version", "spec_json", "data", "graph_indices",
+                  "graph_metric", "ids", "tombstones", "next_id",
+                  "generation", "seed_labels"),
+        counters=("format_version", "next_id", "generation"),
+        # Fractional ids were silently truncated to integers.
+        floats={"ids": lambda ids: ids + 0.5,
+                "seed_labels": lambda labels: labels.astype(np.float64)}),
+    "short-seed_labels": _rewritten("seed_labels", lambda labels: labels[1:]),
+    "negative-seed_label": _rewritten(
+        "seed_labels", lambda labels: np.where(labels == labels[0], -1,
+                                               labels)),
+    "out-of-range-seed_label": _rewritten(
+        "seed_labels", lambda labels: labels + labels.size),
+}
 
 MANIFEST_CASES = _cases(
     "sharded_format_version", SHARDED_FORMAT_VERSION,
@@ -265,7 +275,7 @@ def _snapshot(path):
 
 
 class TestMigrate:
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_retired_index_file_migrates(self, saved, corpus, tmp_path,
                                          version):
         _, queries = corpus
@@ -289,7 +299,7 @@ class TestMigrate:
         assert not migrate(path)
         assert _snapshot(path) == snapshot
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_retired_directory_migrates(self, saved, corpus, tmp_path,
                                         version):
         _, queries = corpus
@@ -316,6 +326,34 @@ class TestMigrate:
         snapshot = _snapshot(path)
         assert not migrate(path)
         assert _snapshot(path) == snapshot
+
+    @pytest.mark.parametrize("backend", ["gkmeans", "bruteforce"])
+    def test_seed_partition_round_trips_after_mutations(self, corpus,
+                                                        tmp_path, backend):
+        """Inserts extend the seed partition and compaction keeps one; a
+        save -> load serves bitwise what the in-memory index served."""
+        base, queries = corpus
+        index = Index.build(base[:180], IndexSpec(
+            backend=backend, n_neighbors=6, random_state=3))
+        for step in ("insert", "compact"):
+            if step == "insert":
+                index.insert(base[180:])
+            else:
+                index.delete(index.ids[::3])
+                index.compact()
+            path = tmp_path / f"{step}.idx"
+            index.save(path)
+            expected = index.search(queries, 8)
+            expected_evals = index.last_per_query_evaluations
+            with Index.load(path) as restored:
+                assert np.array_equal(restored.seed_labels,
+                                      index.seed_labels)
+                got = restored.search(queries, 8)
+                assert np.array_equal(restored.last_per_query_evaluations,
+                                      expected_evals)
+            assert got[0].tobytes() == expected[0].tobytes(), step
+            assert got[1].tobytes() == expected[1].tobytes(), step
+        index.close()
 
     def test_current_files_are_left_untouched(self, saved, tmp_path):
         directory = _copy(saved, tmp_path)

@@ -150,11 +150,9 @@ class TestCSRAdjacency:
         graph = brute_force_knn_graph(base, 8)
         rows = to_rows(graph.adjacency())
         as_list = frontier_batch_search(
-            base, rows, queries, 6, pool_size=32,
-            rng=np.random.default_rng(3))
+            base, rows, queries, 6, pool_size=32)
         as_csr = frontier_batch_search(
-            base, CSRAdjacency.from_rows(rows), queries, 6, pool_size=32,
-            rng=np.random.default_rng(3))
+            base, CSRAdjacency.from_rows(rows), queries, 6, pool_size=32)
         assert as_list[0].tobytes() == as_csr[0].tobytes()
         assert as_list[1].tobytes() == as_csr[1].tobytes()
         assert as_list[2].tobytes() == as_csr[2].tobytes()
@@ -219,10 +217,8 @@ class TestQuantizedRecallFloor:
             searcher.data, searcher._adjacency, index.engine_.prepare(
                 queries), 8, searcher._quantized_scorer(),
             pool_size=index.spec.pool_size,
-            n_starts=searcher.n_starts,
-            seed_sample=searcher.seed_sample,
-            engine=index.engine_, data_norms=searcher._data_norms,
-            rng=np.random.default_rng(index.spec.random_state))
+            n_starts=searcher.n_starts, partition=searcher._partition,
+            engine=index.engine_, data_norms=searcher._data_norms)
         s_idx, s_dist = index.search(queries, 8)
         assert np.array_equal(idx, s_idx)
         assert np.array_equal(dist, s_dist)
@@ -253,7 +249,7 @@ class TestQuantizedPersistence:
         path = tmp_path / "q.idx"
         index.save(path)
         with np.load(path, allow_pickle=False) as archive:
-            assert int(archive["format_version"]) == FORMAT_VERSION == 3
+            assert int(archive["format_version"]) == FORMAT_VERSION == 4
             assert "quantizer_scale" in archive.files
             assert "quantizer_offset" in archive.files
         restored = Index.load(path)

@@ -66,7 +66,7 @@ class TestWorkerBitwiseEquality:
         runs = {
             workers: frontier_batch_search(
                 base, adjacency, queries, 6, pool_size=32, max_group=7,
-                workers=workers, rng=np.random.default_rng(2))
+                workers=workers)
             for workers in (1, 4)
         }
         one, four = runs[1], runs[4]
@@ -83,11 +83,9 @@ class TestWorkerBitwiseEquality:
     def test_searcher_workers_bitwise_identical(self, serving_setup):
         base, queries, graph = serving_setup
         searcher = GraphSearcher(base, graph, pool_size=32, random_state=0)
-        i1, d1 = searcher.batch_query(queries, 6, workers=1,
-                                      rng=np.random.default_rng(0))
+        i1, d1 = searcher.batch_query(queries, 6, workers=1)
         e1 = searcher.last_per_query_evaluations.copy()
-        i4, d4 = searcher.batch_query(queries, 6, workers=4,
-                                      rng=np.random.default_rng(0))
+        i4, d4 = searcher.batch_query(queries, 6, workers=4)
         e4 = searcher.last_per_query_evaluations
         assert np.array_equal(i1, i4)
         assert np.array_equal(d1, d4)
@@ -119,8 +117,8 @@ class TestSeededRepeatability:
         base, queries, graph = serving_setup
         adjacency = graph.adjacency()
         runs = [frontier_batch_search(
-                    base, adjacency, queries, 6, workers=3,
-                    rng=np.random.default_rng(123)) for _ in range(2)]
+                    base, adjacency, queries, 6, workers=3)
+                for _ in range(2)]
         assert runs[0][0].tobytes() == runs[1][0].tobytes()
         assert runs[0][1].tobytes() == runs[1][1].tobytes()
         assert runs[0][2].tobytes() == runs[1][2].tobytes()
@@ -556,14 +554,12 @@ class TestWorkersValidation:
         for bad in (0, 2.5):
             with pytest.raises(ValidationError):
                 frontier_batch_search(base, adjacency, queries[:4], 3,
-                                      workers=bad,
-                                      rng=np.random.default_rng(0))
+                                      workers=bad)
 
     def test_workers_clamped_to_group_count(self, serving_setup):
         base, queries, graph = serving_setup
         adjacency = graph.adjacency()
         _, _, _, stats = frontier_batch_search(
-            base, adjacency, queries[:5], 3, max_group=None, workers=16,
-            rng=np.random.default_rng(0))
+            base, adjacency, queries[:5], 3, max_group=None, workers=16)
         assert stats.n_groups == 1
         assert stats.workers == 1

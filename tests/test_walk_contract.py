@@ -11,6 +11,8 @@ duplicated queries), is:
 * recall@k against brute force stays above a floor;
 * ``max_group`` and ``workers`` never change ids, distances or evaluation
   counts — bitwise;
+* every query is charged at least its seeding (the partition's centroids
+  and one member);
 * identical queries in one batch get identical rows, and a single query is
   exactly a batch of one at every layer (searcher, index, sharded index on
   the thread and remote executors);
@@ -35,6 +37,7 @@ from repro.graph.csr import CSRAdjacency
 from repro.index import Index, IndexSpec, ShardedIndex
 from repro.net import ShardServer
 from repro.search import GraphSearcher, frontier_batch_search
+from repro.search._seeding import SeedPartition, default_seed_labels
 from repro.search.quantized import quantized_batch_search
 
 METRICS = ("sqeuclidean", "cosine", "dot")
@@ -48,7 +51,6 @@ MAX_GROUPS = (1, 3, 32, None)
 
 K = 5
 POOL = 24
-SEED_SAMPLE = 128
 #: Measured 0.996–1.0 on this fixture for every metric × entry.
 RECALL_FLOOR = 0.95
 
@@ -64,11 +66,16 @@ def corpus(request):
     return base, queries, adjacency
 
 
-def _walk(entry: str, engine: DistanceEngine, base, adjacency, batch, *,
-          seed: int = 0, **options):
+def _partition(base, engine: DistanceEngine) -> SeedPartition:
+    return SeedPartition(engine.prepare(base), default_seed_labels(
+        base, engine.metric, "float64", 0), engine.metric, engine.dtype)
+
+
+def _walk(entry: str, engine: DistanceEngine, base, adjacency, batch,
+          **options):
     """One search through ``entry`` with the suite's fixed walk settings."""
-    options = dict(pool_size=POOL, seed_sample=SEED_SAMPLE, engine=engine,
-                   rng=np.random.default_rng(seed), **options)
+    options = dict(pool_size=POOL, engine=engine,
+                   partition=_partition(base, engine), **options)
     if entry == "none":
         return frontier_batch_search(base, adjacency, batch, K, **options)
     scorer = QuantizedScorer(engine, ScalarQuantizer(entry),
@@ -106,7 +113,7 @@ def test_contract_across_groups_and_shapes(corpus, metric, dtype, entry):
         idx, dist, evals, _ = reference
         assert idx.shape == dist.shape == (m, K)
         assert evals.shape == (m,)
-        assert np.all(evals >= SEED_SAMPLE)
+        assert np.all(evals > _partition(base, engine).clusters.size)
         for max_group in MAX_GROUPS:
             label = f"{metric}/{dtype}/{entry}/{name}/max_group={max_group}"
             grouped = _walk(entry, engine, base, adjacency, batch,
@@ -151,7 +158,7 @@ def test_duplicate_queries_get_identical_rows(corpus, entry):
     engine = DistanceEngine("cosine", "float64")
     batch = np.vstack([queries[:6]] * 3)
     idx, dist, evals, _ = _walk(entry, engine, base, adjacency["cosine"],
-                                batch, seed=5, max_group=7)
+                                batch, max_group=7)
     for row in range(6):
         for copy in (row + 6, row + 12):
             assert np.array_equal(idx[row], idx[copy])
@@ -220,15 +227,16 @@ class TestSingleQueryIsABatchOfOne:
 
 class TestConsolidationHazards:
     def test_float64_walk_keeps_float64_distances(self, corpus):
-        """Seed distances must stay in the scorer's dtype: with every point
-        sampled and ``n_starts`` filling the pool, the returned rows *are*
-        seed entries, and a float32 round trip would show."""
+        """Seed distances must stay in the scorer's dtype: with one cluster
+        and ``n_starts`` filling the pool, the returned rows *are* seed
+        entries, and a float32 round trip would show."""
         base, queries, adjacency = corpus
         engine = DistanceEngine("cosine", "float64")
+        one_cluster = SeedPartition(base, np.zeros(len(base), np.int64),
+                                    "cosine", "float64")
         idx, dist, _, _ = frontier_batch_search(
             base, adjacency["cosine"], queries, K, pool_size=POOL,
-            n_starts=POOL, seed_sample=base.shape[0], engine=engine,
-            rng=np.random.default_rng(0))
+            n_starts=POOL, partition=one_cluster, engine=engine)
         exact = engine.cross(queries, base)
         assert np.array_equal(dist, np.take_along_axis(exact, idx, 1))
         assert not np.array_equal(dist, dist.astype(np.float32))
@@ -246,12 +254,10 @@ class TestConsolidationHazards:
             classmethod(lambda cls, rows: packs.append(1)
                         or original(cls, rows)))
         rows = adjacency["sqeuclidean"]
-        as_list = frontier_batch_search(base, rows, queries, K,
-                                        rng=np.random.default_rng(0))
+        as_list = frontier_batch_search(base, rows, queries, K)
         assert not packs
         as_csr = frontier_batch_search(base, original(CSRAdjacency, rows),
-                                       queries, K,
-                                       rng=np.random.default_rng(0))
+                                       queries, K)
         _assert_same(as_list, as_csr, "list vs csr")
 
         searcher = GraphSearcher(base, brute_force_knn_graph(base, 8),
@@ -289,26 +295,23 @@ from hypothesis.extra import numpy as hnp                     # noqa: E402
 from repro.distance import kernels as kernels_module          # noqa: E402
 from repro.distance.kernels import stable_smallest            # noqa: E402
 from repro.search import _walk as walk_module                 # noqa: E402
-from repro.search import frontier, quantized                  # noqa: E402
-from repro.search._seeding import seed_entry_points           # noqa: E402
+from repro.search import frontier, greedy, quantized          # noqa: E402
 from repro.search._walk import BEAM, beam_walk                # noqa: E402
 
 
-def reference_beam_walk(adjacency, n_queries, n_results, score, rerank, *,
-                        pool_size, n_starts, seed_sample, max_group, rng):
+def reference_beam_walk(adjacency, seeds, n_results, score, rerank, *,
+                        pool_size, max_group):
     """The walk as it stood before the group-wide rewrite: per-query flat
-    candidate / pool arrays, one Python trip per query per round.  Returns
-    ``(indices, distances, evaluations, group_rounds, group_gemms)``."""
+    candidate / pool arrays, one Python trip per query per round, started
+    from the seeds it is given.  Returns ``(indices, distances,
+    evaluations, group_rounds, group_gemms)``."""
     n = len(adjacency)
-    m = n_queries
+    m = seeds.ids.shape[0]
     pool_size = max(pool_size, n_results)
     max_group = max(1, m if max_group is None else int(max_group))
-    sample, seed_block = seed_entry_points(n, m, seed_sample, n_starts, rng,
-                                           score)
-    n_starts = min(n_starts, n)
     out_idx = np.full((m, n_results), -1, dtype=np.int64)
     out_dist = np.full((m, n_results), np.inf, dtype=np.float64)
-    evaluations = np.full(m, sample.size, dtype=np.int64)
+    evaluations = seeds.evaluations.astype(np.int64)
     groups = [np.arange(start, min(start + max_group, m))
               for start in range(0, m, max_group)]
 
@@ -320,10 +323,9 @@ def reference_beam_walk(adjacency, n_queries, n_results, score, rerank, *,
         pool_ids = [None] * size
         pool_dists = [None] * size
         worst = [np.inf] * size
-        keep = np.argsort(seed_block[rows], axis=1,
-                          kind="stable")[:, :n_starts]
         for local, row in enumerate(rows):
-            ids, dists = sample[keep[local]], seed_block[row, keep[local]]
+            entered = seeds.ids[row] >= 0
+            ids, dists = seeds.ids[row, entered], seeds.dists[row, entered]
             visited[local, ids] = True
             cand_ids[local], cand_dists[local] = ids, dists
             if ids.size > pool_size:
@@ -411,31 +413,31 @@ def reference_beam_walk(adjacency, n_queries, n_results, score, rerank, *,
 
 @pytest.fixture
 def replayed(monkeypatch):
-    """Route both entries through a wrapper that replays every walk on
-    :func:`reference_beam_walk` (same adjacency object, same scorers, a copy
-    of the generator) and asserts the two agree bitwise on ids, distances,
-    per-query evaluations, group rounds and group gemms.  Yields the list of
-    ``(n_queries, n_results)`` walks checked, so a test can assert the path
-    it meant to exercise was taken."""
+    """Route every walk (both entries and the insert seeding) through a
+    wrapper that replays it on :func:`reference_beam_walk` (same adjacency
+    object, same scorers, same seeds) and asserts the two agree bitwise on
+    ids, distances, per-query evaluations, group rounds and group gemms.
+    Yields the list of ``(n_queries, n_results)`` walks checked, so a test
+    can assert the path it meant to exercise was taken."""
     checked = []
 
-    def checking_walk(adjacency, n_queries, n_results, score, rerank, *,
+    def checking_walk(adjacency, seeds, n_results, score, rerank, *,
                       workers, executor, **options):
-        twin = copy.deepcopy(options["rng"])
-        result = beam_walk(adjacency, n_queries, n_results, score, rerank,
+        twin = copy.deepcopy(seeds)
+        result = beam_walk(adjacency, seeds, n_results, score, rerank,
                            workers=workers, executor=executor, **options)
-        expected = reference_beam_walk(adjacency, n_queries, n_results,
-                                       score, rerank,
-                                       **{**options, "rng": twin})
-        label = f"m={n_queries} k={n_results} {options}"
+        expected = reference_beam_walk(adjacency, twin, n_results, score,
+                                       rerank, **options)
+        m = seeds.ids.shape[0]
+        label = f"m={m} k={n_results} {options}"
         _assert_same(expected[:3], result[:3], label)
         assert result[3].group_rounds == expected[3], label
         assert result[3].group_gemms == expected[4], label
-        checked.append((n_queries, n_results))
+        checked.append((m, n_results))
         return result
 
-    monkeypatch.setattr(frontier, "beam_walk", checking_walk)
-    monkeypatch.setattr(quantized, "beam_walk", checking_walk)
+    for module in (frontier, quantized, greedy):
+        monkeypatch.setattr(module, "beam_walk", checking_walk)
     return checked
 
 
@@ -464,15 +466,15 @@ class TestShapesTheSweepLacks:
         dict(pool_size=6, n_starts=10),           # n_starts > pool_size
         dict(pool_size=6, n_starts=6),            # seeds exactly fill it
         dict(pool_size=3, n_starts=2),            # pool_size < n_results
-        dict(pool_size=POOL, seed_sample=10_000),    # seed_sample >= n
+        dict(pool_size=POOL, n_starts=200),       # clusters < n_starts
         dict(pool_size=200, n_starts=3),          # pool never overflows much
     ], ids=lambda options: ",".join(f"{k}={v}" for k, v in options.items()))
     def test_pool_and_seed_corners(self, corpus, replayed, entry, options):
         base, queries, adjacency = corpus
         engine = DistanceEngine("sqeuclidean", "float64")
         for max_group in (1, 7, None):
-            walk = dict(engine=engine, rng=np.random.default_rng(0),
-                        max_group=max_group, **options)
+            walk = dict(engine=engine, max_group=max_group,
+                        partition=_partition(base, engine), **options)
             if entry == "none":
                 frontier_batch_search(base, adjacency["sqeuclidean"],
                                       queries[:20], K, **walk)
@@ -502,7 +504,9 @@ class TestShapesTheSweepLacks:
 
     def test_isolated_node_and_two_components(self, replayed):
         """An empty adjacency row is popped like any other and yields
-        nothing; a component smaller than ``n_results`` pads its rows."""
+        nothing; a component smaller than ``n_results`` pads its rows.
+        One cluster holds every row, so each query enters at its nearest
+        point."""
         rng = np.random.default_rng(5)
         big = rng.normal(size=(60, 6))
         small = rng.normal(size=(3, 6)) + 50.0
@@ -517,8 +521,9 @@ class TestShapesTheSweepLacks:
             for max_group in (1, 4, None):
                 idx, dist, _, _ = frontier_batch_search(
                     base, layout, batch, K, pool_size=8, n_starts=1,
-                    seed_sample=base.shape[0], max_group=max_group,
-                    rng=np.random.default_rng(0))
+                    max_group=max_group, partition=SeedPartition(
+                        base, np.zeros(len(base), np.int64), "sqeuclidean",
+                        "float64"))
                 # The three queries beside the small component reach its
                 # three nodes and nothing else.
                 assert np.all(np.sort(idx[:3, :3], axis=1) == [60, 61, 62])
