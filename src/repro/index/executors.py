@@ -54,9 +54,8 @@ class ShardSearchTask:
 
     ``queries`` is the 2-D batch the shard must serve (a single query
     travels as a batch of one).  The remaining fields are the per-call
-    search knobs.  ``seed`` is a no-op — searches draw nothing at random —
-    kept because the task's field list is the wire protocol's (dropping it
-    needs a protocol bump).
+    search knobs.  The field list is part of the wire protocol: changing
+    it needs a :data:`~repro.net.framing.PROTOCOL_VERSION` bump.
     """
 
     shard: int
@@ -64,12 +63,12 @@ class ShardSearchTask:
     shard_k: int
     pool_size: int | None = None
     workers: int | None = None
-    seed: int = 0
 
 
 @dataclass(frozen=True)
 class ShardSearchResult:
-    """One shard's search output, in *local* row ids.
+    """One shard's search output, in the shard's ids — the global ids of
+    its rows.
 
     ``indices``/``distances`` carry the 2-D batch shape; unreached entries
     are ``(-1, inf)`` pairs so the parent-side merge can treat every shard
@@ -92,8 +91,7 @@ def search_shard_index(index: Index, task: ShardSearchTask
     walk is byte-identical no matter where it ran.
     """
     idx, dist = index.search(task.queries, task.shard_k,
-                             pool_size=task.pool_size, workers=task.workers,
-                             random_state=task.seed)
+                             pool_size=task.pool_size, workers=task.workers)
     return ShardSearchResult(
         indices=idx, distances=dist,
         evaluations=index.last_per_query_evaluations.copy(),
@@ -153,8 +151,8 @@ class RemoteShardExecutor(_PooledFanOut):
 
     ``endpoints[s]`` must serve shard ``s`` (a ``gkmeans serve`` daemon
     that loaded that shard's NPZ) — the ordering comes from the deployment
-    manifest and is load-bearing, since the parent merge lifts shard-local
-    row ids through the shard id maps.
+    manifest and is load-bearing: the handshake checks it, and a daemon
+    answers with its own shard's rows only.
 
     Tasks are dispatched concurrently on a small local thread pool (the
     threads only wait on sockets — the walks run on the servers), each RPC

@@ -17,9 +17,10 @@ from every result — and ``index.compact`` rebuilds the structure over the
 live rows once tombstones accumulate.  Every mutation bumps the index's
 ``generation`` counter, the staleness signal serving daemons are checked
 against.  Results are reported in stable external ids (``ids``): freshly
-built indexes use ids equal to row positions, inserts either continue that
-sequence or take caller-provided ids, and compaction keeps ids stable while
-physical rows move.
+built indexes use ids equal to row positions unless built with ``ids`` (a
+shard of a sharded index carries its rows' global ids), inserts either
+continue that sequence or take caller-provided ids, and compaction keeps
+ids stable while physical rows move.
 
 Both on-disk formats — this index file and the sharded manifest — go
 through the same NPZ helpers: :func:`read_npz` reads, :func:`check_fields`
@@ -46,7 +47,7 @@ from ..validation import (
 from .spec import BUILDERS, IndexSpec
 
 __all__ = ["Index", "FORMAT_VERSION", "read_npz", "check_fields",
-           "atomic_savez"]
+           "atomic_savez", "check_insert"]
 
 #: Version of the NPZ layout :meth:`Index.save` writes and, alone,
 #: :meth:`Index.load` reads; ``gkmeans migrate`` rewrites older files.
@@ -127,6 +128,41 @@ def atomic_savez(path, **arrays) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def check_insert(index, vectors, ids, taken) -> tuple:
+    """``(vectors, new ids)`` of an insert into ``index`` (an ``Index`` or a
+    ``ShardedIndex``), checked before anything mutates: ``vectors`` (one
+    ``(d,)`` vector or an ``(m, d)`` batch) cast to the index's dtype, and
+    ``ids`` — ``m`` unique, non-negative ids none of which ``taken(id)``
+    holds, tombstoned ids included — or, for ``None``, the next ``m``
+    unused integers."""
+    vectors = np.asarray(vectors)
+    if vectors.ndim == 1:
+        vectors = vectors[None, :]
+    vectors = check_data_matrix(vectors, name="vectors",
+                                dtype=index.engine_.dtype)
+    if vectors.shape[1] != index.n_features:
+        raise ValidationError(
+            f"inserted vectors have dimension {vectors.shape[1]}, the "
+            f"index holds {index.n_features}-dimensional data")
+    m = vectors.shape[0]
+    if ids is None:
+        return vectors, np.arange(index._next_id, index._next_id + m,
+                                  dtype=np.int64)
+    new_ids = np.asarray(ids, dtype=np.int64).ravel()
+    if new_ids.size != m:
+        raise ValidationError(f"{m} vectors but {new_ids.size} ids")
+    if new_ids.size and new_ids.min() < 0:
+        raise ValidationError("ids must be non-negative")
+    if np.unique(new_ids).size != new_ids.size:
+        raise ValidationError("ids must be unique")
+    clashes = [value for value in new_ids.tolist() if taken(value)]
+    if clashes:
+        raise ValidationError(
+            f"ids {clashes} are already in the index (tombstoned ids stay "
+            "reserved until compaction)")
+    return vectors, new_ids
 
 
 class Index:
@@ -342,8 +378,8 @@ class Index:
     # Build
     # ------------------------------------------------------------------ #
     @classmethod
-    def build(cls, data: np.ndarray, spec: IndexSpec | None = None,
-              **overrides) -> "Index":
+    def build(cls, data: np.ndarray, spec: IndexSpec | None = None, *,
+              ids: np.ndarray | None = None, **overrides) -> "Index":
         """Build an index over ``data`` from a spec.
 
         ``overrides`` are :class:`~repro.index.spec.IndexSpec` fields applied
@@ -353,6 +389,11 @@ class Index:
             Index.build(data)                                   # defaults
             Index.build(data, backend="nndescent", metric="cosine")
             Index.build(data, spec)                             # explicit spec
+
+        ``ids`` optionally names the rows' external ids (unique,
+        non-negative); by default row ``i`` is id ``i``.  A shard of a
+        :class:`~repro.index.sharded.ShardedIndex` is built with its rows'
+        global ids, so its searches answer in global ids.
         """
         if spec is None:
             spec = IndexSpec(**overrides)
@@ -370,7 +411,7 @@ class Index:
         started = time.perf_counter()
         graph, seed_labels = BUILDERS[spec.backend].build(data, spec)
         elapsed = time.perf_counter() - started
-        return cls(data, graph, spec, seed_labels=seed_labels,
+        return cls(data, graph, spec, ids=ids, seed_labels=seed_labels,
                    build_seconds=elapsed)
 
     # ------------------------------------------------------------------ #
@@ -379,8 +420,8 @@ class Index:
     def search(self, queries: np.ndarray, n_results: int = 10, *,
                pool_size: int | None = None,
                workers: int | None = None, shard_probe: int | None = None,
-               executor: str | None = None,
-               random_state=None) -> tuple[np.ndarray, np.ndarray]:
+               executor: str | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
         """Serve one query or a batch of queries.
 
         Parameters
@@ -409,10 +450,6 @@ class Index:
             elsewhere, so only ``None`` or ``"thread"`` (the in-process
             walk) are valid — anything else is rejected with a pointer at
             the sharded layer.
-        random_state:
-            Accepted and ignored: searches draw nothing at random (every
-            query is seeded from its nearest partition cluster).  Kept so
-            existing callers keep working.
 
         Returns
         -------
@@ -517,43 +554,16 @@ class Index:
         hundreds of rows.  Bumps :attr:`generation` and returns the
         ``(m,)`` ids of the new points.
         """
-        vectors = np.asarray(vectors)
-        if vectors.ndim == 1:
-            vectors = vectors[None, :]
-        vectors = check_data_matrix(vectors, name="vectors",
-                                    dtype=self.engine_.dtype)
-        if vectors.shape[1] != self.n_features:
-            raise ValidationError(
-                f"inserted vectors have dimension {vectors.shape[1]}, the "
-                f"index holds {self.n_features}-dimensional data")
-        m = vectors.shape[0]
-        if ids is None:
-            new_ids = np.arange(self._next_id, self._next_id + m,
-                                dtype=np.int64)
-        else:
-            new_ids = np.asarray(ids, dtype=np.int64).ravel()
-            if new_ids.size != m:
-                raise ValidationError(
-                    f"{m} vectors but {new_ids.size} ids")
-            if new_ids.size and new_ids.min() < 0:
-                raise ValidationError("ids must be non-negative")
-            if np.unique(new_ids).size != new_ids.size:
-                raise ValidationError("ids must be unique")
-            lookup = self._lookup()
-            taken = [value for value in new_ids.tolist() if value in lookup]
-            if taken:
-                raise ValidationError(
-                    f"ids {taken} are already in the index (tombstoned "
-                    "ids stay reserved until compaction)")
+        vectors, new_ids = check_insert(
+            self, vectors, ids, lambda value: value in self._lookup())
         self._searcher.insert_points(vectors)
         self.graph = self._searcher.graph
         if self._id_lookup is not None:
-            base = self._ids.size
-            for offset, value in enumerate(new_ids.tolist()):
-                self._id_lookup[value] = base + offset
+            self._id_lookup.update(zip(new_ids.tolist(), range(
+                self._ids.size, self._ids.size + new_ids.size)))
         self._ids = np.concatenate([self._ids, new_ids])
         self._tombstones = np.concatenate(
-            [self._tombstones, np.zeros(m, dtype=bool)])
+            [self._tombstones, np.zeros(new_ids.size, dtype=bool)])
         self._next_id = max(self._next_id, int(new_ids.max()) + 1)
         self.generation += 1
         return new_ids.copy()

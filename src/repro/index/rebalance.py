@@ -47,7 +47,7 @@ from ..distance import DistanceEngine, resolve_dtype
 from ..exceptions import ServingError, ValidationError
 from ..search._seeding import coarse_metric
 from ..validation import check_positive_int, check_random_state
-from .facade import Index
+from .sharded import ShardedIndex, build_shard, read_manifest
 
 __all__ = ["RebalancePolicy", "RebalanceAction", "RebalanceReport",
            "Rebalancer"]
@@ -182,30 +182,6 @@ def _centroid_of(engine: DistanceEngine, rows: np.ndarray,
     return np.ascontiguousarray(mean, dtype=resolve_dtype(dtype))
 
 
-def _rebuild_shard(sharded, rows: np.ndarray, generation: int) -> Index:
-    """Build a fresh shard ``Index`` over ``rows`` at ``generation``.
-
-    Same recipe as the shard builds of ``ShardedIndex.build`` and
-    ``compact``: the spec is narrowed to one shard and the graph width is
-    clamped to the row count, so local ids equal physical positions (the
-    invariant the global id lift relies on).
-    """
-    spec = sharded.spec.replace(
-        n_shards=1, shard_probe=None,
-        n_neighbors=min(sharded.spec.n_neighbors, rows.shape[0] - 1))
-    rebuilt = Index.build(rows, spec)
-    rebuilt.generation = generation
-    return rebuilt
-
-
-def _live_rows(sharded, shard: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(live vectors, their global ids)`` of one shard, physical order."""
-    index = sharded.shards[shard]
-    live = index.live_mask
-    return (np.ascontiguousarray(index.data[live]),
-            sharded.shard_ids[shard][live])
-
-
 def _merge_pass(sharded, policy, engine, centroid_rows, actions) -> None:
     """Fold every shard below ``min_shard_rows`` into its nearest sibling."""
     while policy.min_shard_rows is not None and len(sharded.shards) > 1:
@@ -221,12 +197,13 @@ def _merge_pass(sharded, policy, engine, centroid_rows, actions) -> None:
             centroid_rows[shard][None, :], np.vstack(centroid_rows))[0]
         scores[shard] = np.inf
         sibling = int(np.argmin(scores))
-        rows_s, ids_s = _live_rows(sharded, sibling)
-        rows_t, ids_t = _live_rows(sharded, shard)
+        rows_s, ids_s = sharded.shards[sibling].evaluation_corpus
+        rows_t, ids_t = sharded.shards[shard].evaluation_corpus
         merged_rows = np.ascontiguousarray(np.vstack([rows_s, rows_t]))
-        generation = max(sharded.shards[shard].generation,
-                         sharded.shards[sibling].generation) + 1
-        merged = _rebuild_shard(sharded, merged_rows, generation)
+        merged = build_shard(sharded.spec, merged_rows,
+                             np.concatenate([ids_s, ids_t]))
+        merged.generation = max(sharded.shards[shard].generation,
+                                sharded.shards[sibling].generation) + 1
         actions.append(RebalanceAction(
             kind="merge", shards=(shard, sibling),
             detail=f"shard {shard} ({len(ids_t)} rows) folded into its "
@@ -235,11 +212,9 @@ def _merge_pass(sharded, policy, engine, centroid_rows, actions) -> None:
         sharded.shards[sibling].close()
         sharded.shards[shard].close()
         sharded.shards[sibling] = merged
-        sharded.shard_ids[sibling] = np.concatenate([ids_s, ids_t])
         centroid_rows[sibling] = _centroid_of(engine, merged_rows,
                                               sharded.spec.dtype)
         del sharded.shards[shard]
-        del sharded.shard_ids[shard]
         del centroid_rows[shard]
 
 
@@ -256,7 +231,7 @@ def _split_pass(sharded, policy, engine, centroid_rows, actions,
         if not oversized:
             return
         shard = oversized[0]
-        rows, ids = _live_rows(sharded, shard)
+        rows, ids = sharded.shards[shard].evaluation_corpus
         splitter = KMeans(
             2, init="k-means++", max_iter=10,
             random_state=check_random_state(sharded.spec.random_state),
@@ -275,25 +250,22 @@ def _split_pass(sharded, policy, engine, centroid_rows, actions,
                 "do not separate; left whole")
             continue
         generation = sharded.shards[shard].generation + 1
-        children = []
+        children, centres = [], []
         for label in (0, 1):
             member = labels == label
             child_rows = np.ascontiguousarray(rows[member])
-            children.append((
-                _rebuild_shard(sharded, child_rows, generation),
-                ids[member],
-                _centroid_of(engine, child_rows, sharded.spec.dtype)))
+            children.append(build_shard(sharded.spec, child_rows,
+                                        ids[member]))
+            children[-1].generation = generation
+            centres.append(_centroid_of(engine, child_rows,
+                                        sharded.spec.dtype))
         actions.append(RebalanceAction(
             kind="split", shards=(shard, shard + 1),
             detail=f"shard {shard} ({rows.shape[0]} rows) split into "
                    f"{int(counts[0])} + {int(counts[1])} rows"))
         sharded.shards[shard].close()
-        sharded.shards[shard] = children[0][0]
-        sharded.shard_ids[shard] = children[0][1]
-        centroid_rows[shard] = children[0][2]
-        sharded.shards.insert(shard + 1, children[1][0])
-        sharded.shard_ids.insert(shard + 1, children[1][1])
-        centroid_rows.insert(shard + 1, children[1][2])
+        sharded.shards[shard:shard + 1] = children
+        centroid_rows[shard:shard + 1] = centres
 
 
 def apply_rebalance(sharded, policy: RebalancePolicy) -> RebalanceReport:
@@ -328,7 +300,7 @@ def apply_rebalance(sharded, policy: RebalancePolicy) -> RebalanceReport:
                            for action in actions)
     if policy.refresh_centroids:
         for shard in range(len(sharded.shards)):
-            rows, _ = _live_rows(sharded, shard)
+            rows, _ = sharded.shards[shard].evaluation_corpus
             centroid_rows[shard] = _centroid_of(engine, rows,
                                                 sharded.spec.dtype)
     centroids = np.ascontiguousarray(np.vstack(centroid_rows))
@@ -347,7 +319,11 @@ def apply_rebalance(sharded, policy: RebalancePolicy) -> RebalanceReport:
             shard_sizes_before=sizes_before, shard_sizes_after=sizes_before,
             generation=sharded.generation)
 
+    # A refresh-only pass leaves shard NPZs (and so per-shard generations)
+    # untouched — running daemons and cached executors stay valid, only the
+    # routing geometry and the global generation move.
     sharded.centroids = centroids
+    sharded.generation += 1
     endpoints_detached = False
     if topology_changed:
         probe = sharded.spec.shard_probe
@@ -360,15 +336,7 @@ def apply_rebalance(sharded, policy: RebalancePolicy) -> RebalanceReport:
             # deployment must be re-served and re-attached explicitly.
             sharded.endpoints = None
             endpoints_detached = True
-        sharded.generation += 1
         sharded._invalidate_serving_state()
-    else:
-        # Refresh-only: shard NPZs (and so per-shard generations) are
-        # untouched — running daemons and cached executors stay valid,
-        # only the routing geometry and the global generation move.
-        sharded.generation += 1
-        sharded._data = None
-        sharded._global_lookup = None
     return RebalanceReport(
         actions=tuple(actions), notes=tuple(notes),
         n_shards_before=n_before,
@@ -438,7 +406,6 @@ class Rebalancer:
         hide the health of the rest.
         """
         from ..net.client import EndpointPool
-        from .sharded import read_manifest
 
         expected = read_manifest(self.path).shard_generations
         if self.endpoints is None:
@@ -481,8 +448,6 @@ class Rebalancer:
         daemons serving the old generation — stale but correct, and
         fail-fast under the remote executor's handshake.
         """
-        from .sharded import ShardedIndex
-
         with ShardedIndex.load(self.path) as index:
             report = index.rebalance(self.policy)
             if report.changed:

@@ -30,15 +30,19 @@ fan-out is the same search path at ``P = S`` (every shard probed, no routing
 gemm); ``P < S`` trades recall for throughput and the routing decision is
 deterministic and ``shard_workers``-invariant.
 
-Persistence is one directory — ``manifest.npz`` (spec, global row ids per
-shard, generations, ``next_id``; optionally the gkmeans partitioner's
-routing centroids and one endpoint per shard) beside one index file per
-shard (``shard_0000.idx``, ...) — written atomically by renaming a temp
-directory into place.  :func:`read_manifest` is its one reader, shared with
-the shard server and the rebalancer; anything but the current format version
-with every key of the right dtype and shape raises
-:class:`~repro.exceptions.ValidationError`, and :func:`migrate` rewrites
-indexes of retired versions.
+Every shard is an ``Index`` whose external ids are the global ids of its
+rows, so a shard answers in global ids wherever it runs and owns its part of
+the id map: inserts pass the new global ids to the shard, deletes and
+compaction are the shard's own.
+
+Persistence is one directory — ``manifest.npz`` (spec, generations,
+``next_id``; optionally the gkmeans partitioner's routing centroids and one
+endpoint per shard) beside one index file per shard (``shard_0000.idx``,
+...) — written atomically by renaming a temp directory into place.
+:func:`read_manifest` is its one reader, shared with the shard server and
+the rebalancer; anything but the current format version with every key of
+the right dtype and shape raises :class:`~repro.exceptions.ValidationError`,
+and :func:`migrate` rewrites indexes of retired versions.
 
 The manifest doubles as a *deployment* manifest: ``executor="remote"`` fans
 out to its endpoints, one ``gkmeans serve`` daemon per shard, each of which
@@ -79,17 +83,18 @@ from .executors import (
     ThreadShardExecutor,
 )
 from .facade import (FORMAT_VERSION, Index, atomic_savez, check_fields,
-                     read_npz)
+                     check_insert, read_npz)
 from .spec import EXECUTORS, IndexSpec, PARTITIONERS
 
 __all__ = ["ShardedIndex", "ShardedServingStats", "SHARDED_FORMAT_VERSION",
            "MANIFEST_NAME", "Manifest", "read_manifest", "partition_dataset",
-           "build_index", "load_index", "migrate"]
+           "build_index", "load_index", "migrate", "build_shard"]
 
 #: Version of the manifest layout :meth:`ShardedIndex.save` writes and,
 #: alone, :func:`read_manifest` reads; ``gkmeans migrate`` rewrites older
-#: directories.
-SHARDED_FORMAT_VERSION = 5
+#: directories.  Version 6 moved the id map into the shard files: each
+#: shard's ``ids`` are its rows' global ids.
+SHARDED_FORMAT_VERSION = 6
 
 #: File name of the manifest NPZ inside a sharded index directory.
 MANIFEST_NAME = "manifest.npz"
@@ -97,7 +102,6 @@ MANIFEST_NAME = "manifest.npz"
 #: Keys of the manifest NPZ: ``(dtype kind, ndim, required)``.
 _MANIFEST_SCHEMA = {
     "sharded_format_version": ("i", 0, True), "spec_json": ("U", 0, True),
-    "shard_ids": ("i", 1, True), "shard_offsets": ("i", 1, True),
     "generation": ("i", 0, True), "shard_generations": ("i", 1, True),
     "next_id": ("i", 0, True), "centroids": ("f", 2, False),
     "endpoints": ("U", 1, False),
@@ -110,6 +114,16 @@ _PARTITION_ITER = 10
 
 def _shard_name(shard: int) -> str:
     return f"shard_{shard:04d}.idx"
+
+
+def build_shard(spec: IndexSpec, rows: np.ndarray, ids: np.ndarray) -> Index:
+    """One shard of a sharded ``spec``: an ``Index`` over ``rows`` whose
+    external ids are their global ``ids``, its spec narrowed to one shard
+    and its graph width clamped to the row count — the recipe of
+    :meth:`ShardedIndex.build` and the rebalancer's splits and merges."""
+    return Index.build(rows, spec.replace(
+        n_shards=1, shard_probe=None,
+        n_neighbors=min(spec.n_neighbors, rows.shape[0] - 1)), ids=ids)
 
 
 def partition_dataset(data: np.ndarray, n_shards: int, partitioner: str, *,
@@ -259,12 +273,13 @@ class ShardedIndex:
 
     Construct with :meth:`build` (partitions the dataset, builds one
     :class:`~repro.index.facade.Index` per shard on a worker pool) or
-    :meth:`load`; the raw constructor accepts pre-built shards for advanced
-    use.  The API mirrors ``Index`` — ``search`` serves 1-D queries and 2-D
-    batches, ``save``/``load`` round-trip the full serving state, and
-    searches are deterministic under ``spec.random_state`` — so everything
-    that consumes an ``Index`` (``evaluate_search``, the CLI, the probes)
-    accepts a ``ShardedIndex`` unchanged.
+    :meth:`load`; the raw constructor accepts pre-built shards whose ids —
+    the global ids of their rows — no two shards share.  The API mirrors
+    ``Index`` — ``search`` serves 1-D queries and 2-D batches,
+    ``save``/``load`` round-trip the full serving state, and searches are
+    deterministic under ``spec.random_state`` — so everything that consumes
+    an ``Index`` (``evaluate_search``, the CLI, the probes) accepts a
+    ``ShardedIndex`` unchanged.
 
     Attributes
     ----------
@@ -272,10 +287,8 @@ class ShardedIndex:
         The sharded :class:`~repro.index.spec.IndexSpec`
         (``spec.n_shards >= 1``).
     shards:
-        The per-shard ``Index`` objects, in shard order.
-    shard_ids:
-        Per-shard ``(n_s,)`` global row ids: ``shards[s].data`` is
-        ``data[shard_ids[s]]``.
+        The per-shard ``Index`` objects, in shard order; ``shards[s].ids``
+        are the global ids of ``shards[s].data``'s rows.
     centroids:
         ``(n_shards, d)`` coarse centroids the ``gkmeans`` partitioner
         assigned rows against (in the transformed clustering space), or
@@ -287,7 +300,7 @@ class ShardedIndex:
         builds (``None`` for loaded indexes).
     """
 
-    def __init__(self, shards: list, shard_ids: list, spec: IndexSpec, *,
+    def __init__(self, shards: list, spec: IndexSpec, *,
                  centroids: np.ndarray | None = None,
                  endpoints=None, generation: int = 0,
                  next_id: int | None = None,
@@ -299,26 +312,14 @@ class ShardedIndex:
             raise ValidationError(
                 f"spec declares {spec.n_shards} shards but {len(shards)} "
                 "were given")
-        if len(shard_ids) != len(shards):
-            raise ValidationError(
-                f"{len(shards)} shards but {len(shard_ids)} id groups")
-        for shard, (index, ids) in enumerate(zip(shards, shard_ids)):
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.ndim != 1 or ids.size != index.n_rows:
-                raise ValidationError(
-                    f"shard {shard} holds {index.n_rows} rows but its "
-                    f"id map has shape {ids.shape}")
-        merged = np.concatenate([np.asarray(ids, dtype=np.int64)
-                                 for ids in shard_ids])
         # Freshly built indexes use ids 0..n-1; mutated indexes may carry
-        # holes (deleted-then-compacted ids are never reused), so the id
-        # maps only have to be globally unique and non-negative.
-        if merged.size and merged.min() < 0:
-            raise ValidationError("shard id maps must be non-negative")
+        # holes (deleted-then-compacted ids are never reused), so the
+        # shards' ids only have to be disjoint.
+        merged = np.concatenate([index.ids for index in shards])
         if np.unique(merged).size != merged.size:
             raise ValidationError(
-                "shard id maps must be globally unique — a row id appears "
-                "in more than one shard")
+                "shard ids must be globally unique — a row id appears in "
+                "more than one shard")
         if centroids is not None:
             centroids = np.asarray(centroids)
             if centroids.shape != (len(shards), shards[0].n_features):
@@ -327,8 +328,6 @@ class ShardedIndex:
                     f"{shards[0].n_features}), got {centroids.shape}")
         self.spec = spec
         self.shards = list(shards)
-        self.shard_ids = [np.asarray(ids, dtype=np.int64)
-                          for ids in shard_ids]
         self.centroids = centroids
         self.build_seconds = build_seconds
         #: Global mutation counter of the whole sharded index — bumped by
@@ -338,7 +337,6 @@ class ShardedIndex:
         floor = int(merged.max()) + 1 if merged.size else 0
         self._next_id = floor if next_id is None else max(int(next_id),
                                                           floor)
-        self._global_lookup: dict | None = None
         self._data: np.ndarray | None = None
         self.last_per_query_evaluations: np.ndarray | None = None
         self.last_n_evaluations = 0
@@ -377,6 +375,12 @@ class ShardedIndex:
         return sum(index.n_tombstones for index in self.shards)
 
     @property
+    def shard_ids(self) -> list:
+        """Per-shard ``(n_s,)`` global row ids — each shard's own ``ids``:
+        ``shards[s].data`` is ``data`` at ``shard_ids[s]``'s ranks."""
+        return [index.ids for index in self.shards]
+
+    @property
     def ids(self) -> np.ndarray:
         """Global external ids of every physical row (ascending)."""
         return np.sort(np.concatenate(self.shard_ids))
@@ -384,20 +388,17 @@ class ShardedIndex:
     @property
     def tombstone_ids(self) -> np.ndarray:
         """Global external ids of the tombstoned rows (ascending)."""
-        parts = [ids[index._tombstones]
-                 for ids, index in zip(self.shard_ids, self.shards)]
-        return np.sort(np.concatenate(parts))
+        return np.sort(np.concatenate([index.tombstone_ids
+                                       for index in self.shards]))
 
     @property
     def evaluation_corpus(self) -> tuple:
         """``(live vectors, their global ids)`` in ascending-id order —
         the ground-truth corpus an exact oracle must score searches
         against (searches return global ids, never tombstoned rows)."""
-        vectors = np.vstack([index.data[index.live_mask]
-                             for index in self.shards])
-        ids = np.concatenate([ids_[index.live_mask]
-                              for ids_, index in zip(self.shard_ids,
-                                                     self.shards)])
+        parts = [index.evaluation_corpus for index in self.shards]
+        vectors = np.vstack([rows for rows, _ in parts])
+        ids = np.concatenate([ids for _, ids in parts])
         order = np.argsort(ids, kind="stable")
         return np.ascontiguousarray(vectors[order]), ids[order]
 
@@ -587,19 +588,16 @@ class ShardedIndex:
         build_workers = check_positive_int(build_workers,
                                            name="build_workers")
 
-        def build_shard(ids: np.ndarray) -> Index:
-            """Build one shard's sub-index over its partition rows."""
-            shard_spec = spec.replace(
-                n_shards=1, shard_probe=None,
-                n_neighbors=min(spec.n_neighbors, ids.size - 1))
-            return Index.build(data[ids], shard_spec)
+        def build(ids: np.ndarray) -> Index:
+            """Build the shard over the partition rows ``ids``."""
+            return build_shard(spec, data[ids], ids)
 
         if build_workers == 1 or len(shard_ids) == 1:
-            shards = [build_shard(ids) for ids in shard_ids]
+            shards = [build(ids) for ids in shard_ids]
         else:
             with ThreadPoolExecutor(max_workers=build_workers) as executor:
-                shards = list(executor.map(build_shard, shard_ids))
-        return cls(shards, shard_ids, spec, centroids=centroids,
+                shards = list(executor.map(build, shard_ids))
+        return cls(shards, spec, centroids=centroids,
                    build_seconds=time.perf_counter() - started)
 
     # ------------------------------------------------------------------ #
@@ -608,8 +606,8 @@ class ShardedIndex:
     def search(self, queries: np.ndarray, n_results: int = 10, *,
                pool_size: int | None = None,
                workers: int | None = None, shard_workers: int | None = None,
-               shard_probe: int | None = None, executor: str | None = None,
-               random_state=None) -> tuple[np.ndarray, np.ndarray]:
+               shard_probe: int | None = None, executor: str | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
         """Serve one query or a batch on each query's ``shard_probe`` shards.
 
         Parameters match :meth:`Index.search <repro.index.facade.Index.search>`
@@ -638,11 +636,12 @@ class ShardedIndex:
         ``shard_workers``-invariant.
 
         Per-shard query subsets are regrouped into one batched walk per
-        probed shard; the per-shard top-k (each shard's own rows only) are
-        scatter-merged back into batch order at per-(query, shard) column
-        offsets fixed by shard order and merged by true distance into the
-        global top-k.  Returns ``(indices, distances)`` in global row ids,
-        shaped exactly like the monolithic index's output.
+        probed shard; the per-shard top-k (each shard's own rows, in the
+        global ids the shard carries) are scatter-merged back into batch
+        order at per-(query, shard) column offsets fixed by shard order and
+        merged by true distance into the global top-k.  Returns
+        ``(indices, distances)`` in global row ids, shaped exactly like the
+        monolithic index's output.
         """
         n_results = check_positive_int(n_results, name="n_results",
                                        maximum=self.n_points)
@@ -665,7 +664,6 @@ class ShardedIndex:
                 "coarse centroids, and this index has none: only the "
                 "geometric 'gkmeans' partitioner records them (round_robin "
                 "shards are dealt by row order)")
-        seed = self.spec.random_state if random_state is None else random_state
         started = time.perf_counter()
         queries = np.asarray(queries)
         single = queries.ndim == 1
@@ -696,7 +694,7 @@ class ShardedIndex:
         tasks = [ShardSearchTask(
             shard=shard, queries=queries[shard_rows[shard]],
             shard_k=int(widths[shard]), pool_size=pool_size,
-            workers=workers, seed=seed) for shard in probed]
+            workers=workers) for shard in probed]
         parts = self._get_executor(
             executor, min(shard_workers, len(probed))).run(tasks)
 
@@ -711,7 +709,7 @@ class ShardedIndex:
             rows = shard_rows[shard]
             cols = starts_at[rows, shard][:, None] + \
                 np.arange(widths[shard])[None, :]
-            all_ids[rows[:, None], cols] = self._lift(shard, part.indices)
+            all_ids[rows[:, None], cols] = part.indices
             all_dist[rows[:, None], cols] = part.distances
             evaluations[rows] += part.evaluations
 
@@ -736,16 +734,6 @@ class ShardedIndex:
             return out_idx[0], out_dist[0]
         return out_idx, out_dist
 
-    def _lift(self, shard: int, idx: np.ndarray) -> np.ndarray:
-        """Lift one shard's local result ids to global row ids.
-
-        Unreached ``-1`` entries stay ``-1`` so they keep sorting last in
-        the merge.
-        """
-        reached = idx >= 0
-        return np.where(reached, self.shard_ids[shard][np.where(
-            reached, idx, 0)], -1)
-
     def _route(self, queries: np.ndarray, probe: int) -> np.ndarray:
         """``(m, probe)`` nearest-shard ids per query, nearest first.
 
@@ -766,24 +754,13 @@ class ShardedIndex:
         """Drop every cache a mutation makes stale.
 
         Fan-out executors are closed (the remote executor's handshake
-        expectations changed) and the reassembled-data / id-lookup caches
-        reset.  The next search simply recreates what it needs.
+        expectations changed) and the reassembled-data cache resets.  The
+        next search simply recreates what it needs.
         """
         executors, self._executors = self._executors, {}
         for _, executor in executors.values():
             executor.close()
         self._data = None
-        self._global_lookup = None
-
-    def _lookup_global(self) -> dict:
-        """Lazy global-id -> ``(shard, local position)`` map."""
-        if self._global_lookup is None:
-            lookup = {}
-            for shard, ids in enumerate(self.shard_ids):
-                for local, value in enumerate(ids.tolist()):
-                    lookup[value] = (shard, local)
-            self._global_lookup = lookup
-        return self._global_lookup
 
     def insert(self, vectors: np.ndarray,
                ids: np.ndarray | None = None) -> np.ndarray:
@@ -793,55 +770,25 @@ class ShardedIndex:
         gemm against the persisted routing centroids — the same assignment
         rule routed search replays), so the gkmeans partition stays locally
         dense under inserts; round-robin indexes deal new ids out by
-        ``id % n_shards``.  Inside the chosen shard the graph is repaired
-        locally (see :meth:`Index.insert
+        ``id % n_shards``.  The chosen shard inserts the rows under their
+        global ids (see :meth:`Index.insert
         <repro.index.facade.Index.insert>`), bumping that shard's
         generation — other shards' daemons stay valid.  ``ids`` optionally
         assigns the global external ids (unique, non-negative, disjoint
         from every existing id).  Returns the ``(m,)`` new global ids.
         """
-        vectors = np.asarray(vectors)
-        if vectors.ndim == 1:
-            vectors = vectors[None, :]
-        vectors = check_data_matrix(vectors, name="vectors",
-                                    dtype=self.engine_.dtype)
-        if vectors.shape[1] != self.n_features:
-            raise ValidationError(
-                f"inserted vectors have dimension {vectors.shape[1]}, the "
-                f"index holds {self.n_features}-dimensional data")
-        m = vectors.shape[0]
-        if ids is None:
-            new_ids = np.arange(self._next_id, self._next_id + m,
-                                dtype=np.int64)
-        else:
-            new_ids = np.asarray(ids, dtype=np.int64).ravel()
-            if new_ids.size != m:
-                raise ValidationError(f"{m} vectors but {new_ids.size} ids")
-            if new_ids.size and new_ids.min() < 0:
-                raise ValidationError("ids must be non-negative")
-            if np.unique(new_ids).size != new_ids.size:
-                raise ValidationError("ids must be unique")
-            lookup = self._lookup_global()
-            taken = [value for value in new_ids.tolist() if value in lookup]
-            if taken:
-                raise ValidationError(
-                    f"ids {taken} are already in the index (tombstoned "
-                    "ids stay reserved until compaction)")
-        if self.n_shards == 1:
-            placement = np.zeros(m, dtype=np.int64)
-        elif self.centroids is not None:
+        vectors, new_ids = check_insert(
+            self, vectors, ids,
+            lambda value: any(value in index._lookup()
+                              for index in self.shards))
+        if self.centroids is not None:
             placement = self._route(vectors, 1)[:, 0]
         else:
             placement = new_ids % self.n_shards
-        for shard in range(self.n_shards):
+        for shard, index in enumerate(self.shards):
             rows = np.flatnonzero(placement == shard)
-            if rows.size == 0:
-                continue
-            # Default shard-local ids — they stay equal to physical
-            # positions, which the global id lift in _lift relies on.
-            self.shards[shard].insert(vectors[rows])
-            self.shard_ids[shard] = np.concatenate(
-                [self.shard_ids[shard], new_ids[rows]])
+            if rows.size:
+                index.insert(vectors[rows], ids=new_ids[rows])
         self._next_id = max(self._next_id, int(new_ids.max()) + 1)
         self.generation += 1
         self._invalidate_serving_state()
@@ -859,60 +806,42 @@ class ShardedIndex:
         wanted = np.atleast_1d(np.asarray(ids, dtype=np.int64)).ravel()
         if wanted.size == 0:
             return 0
-        if np.unique(wanted).size != wanted.size:
-            raise ValidationError("duplicate ids in delete request")
-        lookup = self._lookup_global()
-        per_shard: list = [[] for _ in range(self.n_shards)]
-        for value in wanted.tolist():
-            entry = lookup.get(value)
-            if entry is None:
-                raise ValidationError(f"id {value} is not in the index")
-            shard, local = entry
-            if self.shards[shard]._tombstones[local]:
-                raise ValidationError(f"id {value} is already deleted")
-            per_shard[shard].append(local)
-        for shard, locals_ in enumerate(per_shard):
-            remaining = self.shards[shard].n_points - len(locals_)
-            if locals_ and remaining < 2:
-                raise ValidationError(
-                    f"deleting {len(locals_)} of "
-                    f"{self.shards[shard].n_points} live points from shard "
-                    f"{shard} would leave fewer than 2 — compact or "
-                    "rebuild with fewer shards instead")
-        for shard, locals_ in enumerate(per_shard):
-            if locals_:
-                self.shards[shard].delete(
-                    np.asarray(locals_, dtype=np.int64))
+        owned = [np.isin(wanted, index.ids) for index in self.shards]
+        unknown = wanted[~np.logical_or.reduce(owned)]
+        if unknown.size:
+            raise ValidationError(f"id {unknown[0]} is not in the index")
+        groups = [wanted[mask] for mask in owned]
+        for shard, (index, group) in enumerate(zip(self.shards, groups)):
+            if group.size:
+                index._resolve_live_positions(group)
+                if index.n_points - group.size < 2:
+                    raise ValidationError(
+                        f"deleting {group.size} of {index.n_points} live "
+                        f"points from shard {shard} would leave fewer "
+                        "than 2 — compact or rebuild with fewer shards "
+                        "instead")
+        for index, group in zip(self.shards, groups):
+            if group.size:
+                index.delete(group)
         self.generation += 1
         self._invalidate_serving_state()
         return int(wanted.size)
 
     def compact(self) -> int:
-        """Rebuild every tombstone-carrying shard over its live rows.
+        """Compact every tombstone-carrying shard (:meth:`Index.compact
+        <repro.index.facade.Index.compact>`).
 
-        Shards are rebuilt fresh (their local ids must stay equal to
-        physical positions for the global id lift) with the graph width
-        clamped to the live count; untouched shards keep their structure
-        *and* their generation, so their daemons stay valid.  Global ids
-        are stable across compaction.  A no-op returning 0 when nothing is
-        tombstoned; otherwise returns the number of rows removed.
+        Untouched shards keep their structure *and* their generation, so
+        their daemons stay valid.  Global ids are stable across
+        compaction.  A no-op returning 0 when nothing is tombstoned;
+        otherwise returns the number of rows removed.
         """
         removed = self.n_tombstones
         if removed == 0:
             return 0
-        for shard, index in enumerate(self.shards):
-            if index.n_tombstones == 0:
-                continue
-            live = index.live_mask
-            data = np.ascontiguousarray(index.data[live])
-            shard_spec = self.spec.replace(
-                n_shards=1, shard_probe=None,
-                n_neighbors=min(self.spec.n_neighbors, data.shape[0] - 1))
-            rebuilt = Index.build(data, shard_spec)
-            rebuilt.generation = index.generation + 1
-            index.close()
-            self.shards[shard] = rebuilt
-            self.shard_ids[shard] = self.shard_ids[shard][live].copy()
+        for index in self.shards:
+            if index.n_tombstones:
+                index.compact()
         self.generation += 1
         self._invalidate_serving_state()
         return removed
@@ -984,7 +913,6 @@ class ShardedIndex:
         """
         path = os.fspath(path)
         parent = os.path.dirname(path) or "."
-        offsets = np.cumsum([0] + [ids.size for ids in self.shard_ids])
         tmp_dir = tempfile.mkdtemp(dir=parent, prefix=".sharded.tmp")
         try:
             for shard, index in enumerate(self.shards):
@@ -992,8 +920,6 @@ class ShardedIndex:
             manifest = {
                 "sharded_format_version": np.int64(SHARDED_FORMAT_VERSION),
                 "spec_json": np.asarray(self.spec.to_json()),
-                "shard_ids": np.concatenate(self.shard_ids),
-                "shard_offsets": offsets.astype(np.int64),
                 "generation": np.int64(self.generation),
                 "shard_generations": np.asarray(self.shard_generations,
                                                 dtype=np.int64),
@@ -1053,7 +979,7 @@ class ShardedIndex:
             index.generation = generation
             shards.append(index)
         try:
-            return cls(shards, manifest.shard_ids, manifest.spec,
+            return cls(shards, manifest.spec,
                        centroids=manifest.centroids,
                        endpoints=manifest.endpoints,
                        generation=manifest.generation,
@@ -1068,7 +994,6 @@ class Manifest:
     """The checked contents of a sharded directory's manifest NPZ."""
 
     spec: IndexSpec
-    shard_ids: list
     generation: int
     shard_generations: tuple
     next_id: int
@@ -1081,8 +1006,8 @@ def read_manifest(path) -> Manifest:
     one reader of the format, behind :meth:`ShardedIndex.load`, the shard
     server and the rebalancer.  Raises
     :class:`~repro.exceptions.ValidationError` unless every key of
-    :data:`SHARDED_FORMAT_VERSION` has its dtype and rank and the id map
-    splits into the spec's shards."""
+    :data:`SHARDED_FORMAT_VERSION` has its dtype and rank and there is one
+    generation per shard of the spec."""
     path = os.fspath(path)
     manifest_path = os.path.join(path, MANIFEST_NAME)
     if not os.path.isdir(path) or not os.path.exists(manifest_path):
@@ -1098,19 +1023,14 @@ def _manifest_from_fields(fields: dict, path: str) -> Manifest:
     check_fields(fields, _MANIFEST_SCHEMA, version=SHARDED_FORMAT_VERSION,
                  label="sharded index", path=path)
     spec = IndexSpec.from_json(str(fields["spec_json"]))
-    merged, offsets = fields["shard_ids"], fields["shard_offsets"]
-    generations, n_shards = fields["shard_generations"], spec.n_shards
-    if offsets.size != n_shards + 1 or offsets[0] != 0 or \
-            offsets[-1] != merged.size or np.any(np.diff(offsets) < 0) or \
-            generations.size != n_shards:
+    generations = fields["shard_generations"]
+    if generations.size != spec.n_shards:
         raise ValidationError(
-            f"sharded index {path!r} is inconsistent: shard_offsets "
-            f"{offsets!r} and shard_generations {generations!r} do not "
-            f"describe {n_shards} shards over {merged.size} row ids")
+            f"sharded index {path!r} is inconsistent: shard_generations "
+            f"{generations!r} do not describe {spec.n_shards} shards")
     endpoints = fields.get("endpoints")
     return Manifest(
-        spec, [merged[offsets[s]:offsets[s + 1]] for s in range(n_shards)],
-        int(fields["generation"]), tuple(int(g) for g in generations),
+        spec, int(fields["generation"]), tuple(int(g) for g in generations),
         int(fields["next_id"]), fields.get("centroids"),
         None if endpoints is None else [str(value) for value in endpoints])
 
@@ -1154,12 +1074,23 @@ def _upgrade(fields: dict, key: str, current: int, defaults) -> bool:
     return retired
 
 
-def _index_file(path: str, retired: list) -> Index:
+def _index_file(path: str, retired: list, global_ids=None) -> Index:
     """The index file at ``path``, upgraded; appends whether it was
-    retired to ``retired``."""
+    retired to ``retired``.  ``global_ids`` is this shard's part of a
+    retired manifest's id map: the file's positional ids become those
+    global ids."""
     fields = read_npz(path, "index file")
     retired.append(_upgrade(fields, "format_version", FORMAT_VERSION,
                             _index_defaults))
+    if global_ids is not None:
+        local = fields.get("ids")
+        if local is None or local.dtype.kind != "i" or \
+                local.shape != global_ids.shape or \
+                np.any((local < 0) | (local >= local.size)):
+            raise ValidationError(
+                f"index file {path!r} does not fit the {global_ids.size} "
+                "global ids its manifest maps it to")
+        fields["ids"] = global_ids[local]
     return Index._from_fields(fields, path)
 
 
@@ -1184,13 +1115,28 @@ def _manifest_defaults(fields: dict) -> dict:
     and v2 had no generation (v1 no centroids, which stay absent), v1–v3
     no per-shard generations (every shard had the manifest's) and no
     ``next_id`` (one past the largest id); v4 lacks only the spec's
-    ``quantize``."""
+    ``quantize``.  The id map v1–v5 kept moves to the shard files
+    (:func:`_split_id_map`)."""
     ids = fields["shard_ids"]
     generation = fields.get("generation", np.int64(0))
     return {"generation": generation,
             "shard_generations": np.full(fields["shard_offsets"].size - 1,
                                          generation, dtype=np.int64),
             "next_id": np.int64(ids.max() + 1 if ids.size else 0)}
+
+
+def _split_id_map(merged, offsets, n_shards: int, path: str) -> dict:
+    """``{shard file name: its rows' global ids}`` from a v1–v5 manifest's
+    id map — ``shard_ids`` split by ``shard_offsets``."""
+    if merged is None or offsets is None or merged.dtype.kind != "i" or \
+            merged.ndim != 1 or offsets.dtype.kind != "i" or \
+            offsets.shape != (n_shards + 1,) or offsets[0] != 0 or \
+            offsets[-1] != merged.size or np.any(np.diff(offsets) < 0):
+        raise ValidationError(
+            f"sharded index {path!r}: its shard_ids and shard_offsets do "
+            f"not describe {n_shards} shards")
+    return {_shard_name(shard): merged[offsets[shard]:offsets[shard + 1]]
+            for shard in range(n_shards)}
 
 
 def migrate(path) -> bool:
@@ -1201,6 +1147,8 @@ def migrate(path) -> bool:
     retired version gets the keys it lacks — the values the retired
     readers assumed — and is saved back through the ordinary atomic
     ``save``, so it then serves exactly what the retired reader served.
+    A manifest of version 1–5 held the id map its shard files now carry:
+    each shard's positional ids become the global ids the map gave them.
     Every file is checked as the readers check it, and nothing is written
     unless one was retired: returns whether anything was rewritten, so a
     second call is a no-op returning ``False``.  Raises
@@ -1211,11 +1159,18 @@ def migrate(path) -> bool:
     if os.path.isdir(path):
         fields = read_npz(os.path.join(path, MANIFEST_NAME),
                           "sharded index manifest")
-        retired.append(_upgrade(fields, "sharded_format_version",
-                                SHARDED_FORMAT_VERSION, _manifest_defaults))
+        old = _upgrade(fields, "sharded_format_version",
+                       SHARDED_FORMAT_VERSION, _manifest_defaults)
+        id_map = [fields.pop(key, None)
+                  for key in ("shard_ids", "shard_offsets") if old]
+        manifest = _manifest_from_fields(fields, path)
+        global_ids = _split_id_map(*id_map, manifest.spec.n_shards,
+                                   path) if old else {}
+        retired.append(old)
         index = ShardedIndex._assemble(
-            path, _manifest_from_fields(fields, path),
-            lambda shard_path: _index_file(shard_path, retired))
+            path, manifest, lambda shard_path: _index_file(
+                shard_path, retired, global_ids.get(
+                    os.path.basename(shard_path))))
     else:
         index = _index_file(path, retired)
     with index:

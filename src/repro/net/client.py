@@ -275,7 +275,7 @@ class EndpointPool:
 
     ``clients[s]`` serves shard ``s``; the ordering comes from the
     deployment manifest's endpoint list and must match the index's shard
-    order — the merge lifts shard-local ids through ``shard_ids[s]``.
+    order — each daemon answers with its own shard's rows only.
     """
 
     def __init__(self, endpoints, **client_kwargs) -> None:

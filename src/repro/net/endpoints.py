@@ -7,9 +7,9 @@ the sharded deployment manifest and the
 
 A multi-node deployment is simply an ordered endpoint list, one per shard:
 ``endpoints[s]`` serves shard ``s`` of the index.  Ordering is load-bearing
-(the merge lifts shard-local row ids through ``shard_ids[s]``), which is
-why the list lives in the manifest next to the shard id maps
-rather than in ad-hoc configuration.
+(each daemon answers with its own shard's rows only), which is why the list
+lives in the manifest next to the per-shard generations rather than in
+ad-hoc configuration.
 """
 
 from __future__ import annotations

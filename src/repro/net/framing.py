@@ -46,7 +46,9 @@ __all__ = [
 #: both sides reject mismatched versions with a clear error instead of
 #: misparsing each other's bytes.  Version 2: ``ShardSearchTask`` lost its
 #: ``single``/``strategy`` fields (the pickled payload's shape changed).
-PROTOCOL_VERSION = 2
+#: Version 3: shard results carry global ids (the shard files hold them)
+#: and ``ShardSearchTask`` lost its no-op ``seed`` field.
+PROTOCOL_VERSION = 3
 
 #: Frame preamble — rejects non-protocol traffic on the first 4 bytes.
 MAGIC = b"RNET"

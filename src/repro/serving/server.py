@@ -131,10 +131,8 @@ class CoalescingServer:
     search_kwargs:
         Extra keyword arguments passed verbatim to every ``index.search``
         batch call (``executor="remote"``, ``shard_workers=...``,
-        ``pool_size=...``, ...).  ``n_results`` and ``random_state`` are
-        managed by the server and rejected here (``random_state`` is a
-        no-op since searches draw nothing at random, but stays reserved so
-        existing callers see the same contract).
+        ``pool_size=...``, ...).  ``n_results`` is managed by the server
+        and rejected here.
 
     Use as an async context manager (or call :meth:`aclose` yourself)::
 
@@ -164,7 +162,7 @@ class CoalescingServer:
                 f"max_delay_ms must be >= 0, got {max_delay_ms}")
         self._max_pending = check_positive_int(max_pending,
                                                name="max_pending")
-        managed = {"n_results", "random_state"} & set(search_kwargs)
+        managed = {"n_results"} & set(search_kwargs)
         if managed:
             raise ValidationError(
                 f"search kwargs {sorted(managed)} are managed by the "

@@ -2,10 +2,14 @@
 
 Each helper rewrites a file the current writers produced, dropping the keys
 and spec-JSON fields the named version did not have yet.  The readers refuse
-such files; :func:`repro.index.migrate.migrate` (``gkmeans migrate``)
+such files; :func:`repro.index.sharded.migrate` (``gkmeans migrate``)
 rewrites them at the current version.  Only unmutated indexes may be
 downgraded below the version that introduced mutations: the dropped
 ``ids``/``tombstones`` then hold exactly the defaults migration restores.
+
+Manifests before v6 kept the id map — every shard's global row ids,
+``shard_ids`` split by ``shard_offsets`` — and their shard files held
+positional ids; a retired directory is written that way.
 """
 
 import json
@@ -13,6 +17,7 @@ import os
 
 import numpy as np
 
+from repro.index.facade import FORMAT_VERSION
 from repro.index.sharded import MANIFEST_NAME
 
 #: Keys each retired index-file version lacks: v1 predates online
@@ -24,7 +29,7 @@ MONO_LACKS = {1: ("ids", "tombstones", "next_id", "generation",
 
 #: Keys each retired manifest version lacks: v1 predates routing, v2
 #: networked serving, v3 online mutations; v4 differs from v5 only by the
-#: spec's ``quantize`` field.
+#: spec's ``quantize`` field, v5 from v6 only by keeping the id map.
 MANIFEST_LACKS = {
     1: ("centroids", "generation", "endpoints", "shard_generations",
         "next_id"),
@@ -35,14 +40,15 @@ MANIFEST_LACKS = {
 }
 
 #: Index-file version of the shard files each manifest version sat beside
-#: (a current manifest beside retired shard files is written as "5").
-SHARD_VERSION = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3}
+#: by default (v5 manifests sat beside v3 and v4 shard files).
+SHARD_VERSION = {1: 1, 2: 1, 3: 1, 4: 2, 5: 4}
 
 
-def _rewrite(path, version_key, version, drop, spec_drop):
+def _rewrite(path, version_key, version, drop, spec_drop, extra=None):
     with np.load(path, allow_pickle=False) as archive:
         payload = {key: archive[key] for key in archive.files
                    if key not in drop}
+    payload.update(extra or {})
     payload[version_key] = np.int64(version)
     spec = json.loads(str(payload["spec_json"]))
     for key in spec_drop:
@@ -58,18 +64,40 @@ def write_mono_version(path, version):
              ("quantize",) if version < 3 else ())
 
 
-def write_manifest_version(directory, version):
+def _positional_ids(path):
+    """Give the shard file at ``path`` positional ids; returns the global
+    ids it held."""
+    with np.load(path, allow_pickle=False) as archive:
+        payload = {key: archive[key] for key in archive.files}
+    ids = payload["ids"]
+    payload["ids"] = np.arange(ids.size, dtype=np.int64)
+    payload["next_id"] = np.int64(ids.size)
+    with open(path, "wb") as stream:
+        np.savez(stream, **payload)
+    return ids
+
+
+def write_manifest_version(directory, version, shard_version=None):
     """Rewrite the sharded ``directory`` as manifest ``version`` wrote it,
-    its shard files included."""
+    its shard files included (at index-file ``shard_version``, by default
+    :data:`SHARD_VERSION`'s)."""
+    if shard_version is None:
+        shard_version = SHARD_VERSION[version]
+    names = sorted(name for name in os.listdir(directory)
+                   if name.startswith("shard_"))
+    shard_ids = [_positional_ids(os.path.join(directory, name))
+                 for name in names]
     spec_drop = {1: ("quantize", "shard_probe"), 5: ()}.get(version,
                                                         ("quantize",))
     _rewrite(os.path.join(directory, MANIFEST_NAME),
              "sharded_format_version", version, MANIFEST_LACKS[version],
-             spec_drop)
-    for name in os.listdir(directory):
-        if name.startswith("shard_"):
-            write_mono_version(os.path.join(directory, name),
-                               SHARD_VERSION[version])
+             spec_drop, extra={
+                 "shard_ids": np.concatenate(shard_ids),
+                 "shard_offsets": np.cumsum(
+                     [0] + [ids.size for ids in shard_ids]).astype(np.int64)})
+    if shard_version < FORMAT_VERSION:
+        for name in names:
+            write_mono_version(os.path.join(directory, name), shard_version)
 
 
 def directory_bytes(directory):

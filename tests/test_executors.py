@@ -155,7 +155,7 @@ class TestPersistentWalkPool:
         pools = _CountingPool()
         monkeypatch.setattr(executors_mod, "ThreadPoolExecutor", pools)
         tasks = [ShardSearchTask(shard=0, queries=index.data[:3],
-                                 shard_k=4, seed=0) for _ in range(2)]
+                                 shard_k=4) for _ in range(2)]
         executor = ThreadShardExecutor([index], max_workers=2)
         executor.run(tasks)
         executor.run(tasks)
@@ -173,7 +173,7 @@ class TestPersistentWalkPool:
         monkeypatch.setattr(executors_mod, "ThreadPoolExecutor", pools)
         executor = ThreadShardExecutor([index], max_workers=1)
         tasks = [ShardSearchTask(shard=0, queries=index.data[:3],
-                                 shard_k=4, seed=0)] * 2
+                                 shard_k=4)] * 2
         executor.run(tasks)
         assert pools.created == 0
 
@@ -183,10 +183,8 @@ class TestCrashSurfacing:
 
     def test_thread_executor_surfaces_original_exception(self, saved_index):
         index, _ = saved_index
-        good = ShardSearchTask(shard=0, queries=index.data[:3], shard_k=4,
-                               seed=0)
-        bad = ShardSearchTask(shard=0, queries=index.data[:3], shard_k=0,
-                              seed=0)
+        good = ShardSearchTask(shard=0, queries=index.data[:3], shard_k=4)
+        bad = ShardSearchTask(shard=0, queries=index.data[:3], shard_k=0)
         executor = ThreadShardExecutor([index], max_workers=2)
         try:
             with pytest.raises(ValidationError, match="n_results"):

@@ -387,8 +387,10 @@ class TestShardedMutationOracle:
             expected = sharded._route(
                 np.ascontiguousarray(extra), 1)[:, 0]
             new_ids = sharded.insert(extra)
-            lookup = sharded._lookup_global()
-            placed = np.array([lookup[int(value)][0] for value in new_ids])
+            owner = {int(value): shard
+                     for shard, ids in enumerate(sharded.shard_ids)
+                     for value in ids}
+            placed = np.array([owner[int(value)] for value in new_ids])
             assert np.array_equal(placed, expected)
         finally:
             sharded.close()

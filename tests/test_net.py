@@ -120,12 +120,14 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="version mismatch"):
             self._roundtrip(raw)
 
-    def test_previous_protocol_version_rejected(self):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_previous_protocol_version_rejected(self, version):
         """A version-1 peer still pickles ``ShardSearchTask`` with the
-        ``single``/``strategy`` fields this build dropped; it must be
-        refused at the frame header, before any payload is unpickled."""
-        assert PROTOCOL_VERSION == 2
-        raw = encode_frame(FRAME_PING, version=1)
+        ``single``/``strategy`` fields, a version-2 one with ``seed`` and
+        answers in shard-local ids; either must be refused at the frame
+        header, before any payload is unpickled."""
+        assert PROTOCOL_VERSION == 3
+        raw = encode_frame(FRAME_PING, version=version)
         with pytest.raises(ProtocolError, match="version mismatch"):
             self._roundtrip(raw)
 
@@ -207,7 +209,7 @@ class TestShardServerRPCs:
         index, _ = served_shard
         n_clients, n_rounds = 8, 200
         query = make_sift_like(2, 10, random_state=9)
-        task = ShardSearchTask(shard=0, queries=query, shard_k=3, seed=4)
+        task = ShardSearchTask(shard=0, queries=query, shard_k=3)
         failures = []
 
         def client_loop(server):
@@ -251,7 +253,7 @@ class TestShardServerRPCs:
     def test_search_matches_local(self, served_shard):
         index, server = served_shard
         queries = make_sift_like(8, 10, random_state=9)
-        task = ShardSearchTask(shard=0, queries=queries, shard_k=5, seed=4)
+        task = ShardSearchTask(shard=0, queries=queries, shard_k=5)
         client = ShardClient(server.endpoint, **FAST)
         try:
             remote = client.search(task)
@@ -266,7 +268,7 @@ class TestShardServerRPCs:
     def test_remote_validation_error_replayed_locally(self, served_shard):
         _, server = served_shard
         bad = ShardSearchTask(shard=0, queries=np.zeros((2, 10)),
-                              shard_k=0, seed=4)  # k must be positive
+                              shard_k=0)  # k must be positive
         client = ShardClient(server.endpoint, **FAST)
         try:
             with pytest.raises(ValidationError, match=str(server.endpoint)):
@@ -355,7 +357,7 @@ class TestClientFaults:
         killer.start()
         client = ShardClient(endpoint, **FAST)
         task = ShardSearchTask(shard=0, queries=np.zeros((2, 4)),
-                               shard_k=3, seed=0)
+                               shard_k=3)
         try:
             with pytest.raises(ServingError, match=endpoint):
                 client.search(task)
@@ -524,6 +526,34 @@ class TestLoadShardForServing:
         assert index.n_points == sharded.shards[1].n_points
         with pytest.raises(ValidationError):
             load_shard_for_serving(path, shard=2)
+
+    def test_shard_served_alone_answers_in_global_ids(self, tmp_path):
+        """A shard file carries its rows' global ids, so a daemon serving
+        it alone answers what the parent's merge returns for the queries
+        routed to that shard only."""
+        base, queries = train_query_split(make_sift_like(260, 8,
+                                                         random_state=2),
+                                          60, random_state=2)
+        spec = IndexSpec(backend="bruteforce", n_neighbors=6, n_shards=2,
+                         partitioner="gkmeans", random_state=2)
+        with ShardedIndex.build(base, spec) as sharded:
+            sharded.save(tmp_path / "deploy.shards")
+            routed = queries[sharded._route(queries, 1)[:, 0] == 1]
+            expected, _ = sharded.search(routed, 5, shard_probe=1)
+        index, shard_id, generation, _ = load_shard_for_serving(
+            tmp_path / "deploy.shards", shard=1)
+        assert routed.shape[0] > 0
+        assert not np.array_equal(index.ids, np.arange(index.n_rows))
+        with ShardServer(index, shard_id=shard_id,
+                         generation=generation) as server:
+            server.start()
+            client = ShardClient(server.endpoint, **FAST)
+            try:
+                got = client.search(ShardSearchTask(shard=1, queries=routed,
+                                                    shard_k=5))
+            finally:
+                client.close()
+        assert np.array_equal(got.indices, expected)
 
     def test_pre_v4_manifest_migrates_to_global_generation(self,
                                                            tmp_path):

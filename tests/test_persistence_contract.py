@@ -78,14 +78,15 @@ def _flipped(path):
 
 
 def _rewritten(key, change):
-    """Rewrite one key: ``change(array)`` replaces it, ``None`` drops it."""
+    """Rewrite one key: ``change(array or None)`` replaces (or adds) it,
+    ``None`` drops it."""
     def damage(path):
         with np.load(path, allow_pickle=False) as archive:
             payload = {name: archive[name] for name in archive.files}
         if change is None:
             del payload[key]
         else:
-            payload[key] = change(payload[key])
+            payload[key] = change(payload.get(key))
         with open(path, "wb") as stream:
             np.savez(stream, **payload)
     return damage
@@ -131,13 +132,20 @@ INDEX_CASES = {
         "seed_labels", lambda labels: labels + labels.size),
 }
 
-MANIFEST_CASES = _cases(
-    "sharded_format_version", SHARDED_FORMAT_VERSION,
-    required=("sharded_format_version", "spec_json", "shard_ids",
-              "shard_offsets", "generation", "shard_generations", "next_id"),
-    counters=("sharded_format_version", "generation", "next_id"),
-    floats={"shard_ids": lambda ids: ids + 0.5,
-            "shard_offsets": lambda offsets: offsets.astype(np.float64)})
+MANIFEST_CASES = {
+    **_cases(
+        "sharded_format_version", SHARDED_FORMAT_VERSION,
+        required=("sharded_format_version", "spec_json", "generation",
+                  "shard_generations", "next_id"),
+        counters=("sharded_format_version", "generation", "next_id"),
+        floats={"shard_generations":
+                lambda generations: generations + 0.5}),
+    "short-shard_generations": _rewritten(
+        "shard_generations", lambda generations: generations[1:]),
+    # Version 6 moved the id map into the shard files.
+    "retired-id-map": _rewritten(
+        "shard_ids", lambda _: np.arange(3, dtype=np.int64)),
+}
 
 
 # --------------------------------------------------------------------- #
@@ -299,14 +307,21 @@ class TestMigrate:
         assert not migrate(path)
         assert _snapshot(path) == snapshot
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version,shard_version", [
+        (1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (5, 4)])
     def test_retired_directory_migrates(self, saved, corpus, tmp_path,
-                                        version):
+                                        version, shard_version):
+        """The manifest's id map moves into the shard files: each shard
+        (and a daemon serving it alone) answers in global ids again."""
         _, queries = corpus
         path = _copy(saved, tmp_path)
         with ShardedIndex.load(path) as original:
             expected = original.search(queries, 8)
-            write_manifest_version(path, version)
+            write_manifest_version(path, version, shard_version)
+            with np.load(path / "shard_0001.idx") as archive:
+                if "ids" in archive.files:
+                    assert np.array_equal(archive["ids"], np.arange(
+                        original.shards[1].n_rows))
             with pytest.raises(ValidationError, match="gkmeans migrate"):
                 ShardedIndex.load(path)
             with pytest.raises(ValidationError, match="gkmeans migrate"):
@@ -319,6 +334,8 @@ class TestMigrate:
                 assert migrated.shard_generations \
                     == original.shard_generations
                 assert np.array_equal(migrated.ids, original.ids)
+                for before, after in zip(original.shards, migrated.shards):
+                    assert np.array_equal(after.ids, before.ids)
                 # Only version 1 predates the routing centroids.
                 assert (migrated.centroids is None) == (version == 1)
         assert got[0].tobytes() == expected[0].tobytes()
@@ -354,6 +371,19 @@ class TestMigrate:
             assert got[0].tobytes() == expected[0].tobytes(), step
             assert got[1].tobytes() == expected[1].tobytes(), step
         index.close()
+
+    @pytest.mark.parametrize("damage", [
+        lambda offsets: offsets[:-1],
+        lambda offsets: offsets + (np.arange(offsets.size) == 1)])
+    def test_migrate_refuses_an_id_map_that_does_not_fit(self, saved,
+                                                          tmp_path, damage):
+        directory = _copy(saved, tmp_path)
+        write_manifest_version(directory, 5)
+        _rewritten("shard_offsets", damage)(directory / MANIFEST_NAME)
+        snapshot = _snapshot(directory)
+        with pytest.raises(ValidationError, match="shard"):
+            migrate(directory)
+        assert _snapshot(directory) == snapshot
 
     def test_current_files_are_left_untouched(self, saved, tmp_path):
         directory = _copy(saved, tmp_path)

@@ -304,7 +304,7 @@ class TestQuantizedPersistence:
         path = tmp_path / "q.shards"
         sharded.save(path)
         with np.load(path / "manifest.npz", allow_pickle=False) as archive:
-            assert int(archive["sharded_format_version"]) == 5
+            assert int(archive["sharded_format_version"]) == 6
         restored = ShardedIndex.load(path)
         try:
             assert restored.spec.quantize == "int8"
@@ -424,10 +424,9 @@ class TestQuantizedExecutors:
         """Serve ``sharded``'s shard graphs under another kernel family:
         only the in-memory code matrices differ, the graphs are shared."""
         shards = [Index(shard.data, shard.graph,
-                        shard.spec.replace(quantize=quantize))
+                        shard.spec.replace(quantize=quantize), ids=shard.ids)
                   for shard in sharded.shards]
-        return ShardedIndex(shards, sharded.shard_ids,
-                            sharded.spec.replace(quantize=quantize),
+        return ShardedIndex(shards, sharded.spec.replace(quantize=quantize),
                             centroids=sharded.centroids)
 
     @pytest.mark.parametrize("quantize", QUANTIZE_MODES)

@@ -5,8 +5,7 @@ cluster of the index's seed partition (:mod:`repro.search._seeding`).  What
 that promises, over 3 metrics × float32/float64 plus the int8 entry:
 
 * a query's seeds depend on the query alone — identical whatever batch
-  surrounds it, and across ``workers``, ``max_group``, ``random_state`` and
-  save/load;
+  surrounds it, and across ``workers``, ``max_group`` and save/load;
 * row ``i`` of ``search(Q)`` equals ``search(Q[i])`` up to bitwise ties;
 * each query is charged exactly its centroids, its probed members and its
   walk;
@@ -86,9 +85,8 @@ def test_seeds_depend_on_the_query_alone(corpus, recorded, tmp_path, metric,
     for row in (0, 13, 39):
         index.search(queries[row], K)
         _assert_same_seeds(_take(whole, [row]), recorded[-1], f"row {row}")
-    index.search(queries[5:17], K, workers=2, random_state=99)
-    _assert_same_seeds(_take(whole, slice(5, 17)), recorded[-1],
-                       "workers/random_state")
+    index.search(queries[5:17], K, workers=2)
+    _assert_same_seeds(_take(whole, slice(5, 17)), recorded[-1], "workers")
     index.save(tmp_path / "index.idx")
     with Index.load(tmp_path / "index.idx") as restored:
         restored.search(queries, K)

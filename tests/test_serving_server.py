@@ -231,9 +231,8 @@ class TestValidationSurface:
         asyncio.run(_run())
 
     def test_rejects_managed_search_kwargs(self, served_index):
-        for managed in ({"n_results": 5}, {"random_state": 0}):
-            with pytest.raises(ValidationError, match="managed"):
-                CoalescingServer(served_index, **managed)
+        with pytest.raises(ValidationError, match="managed"):
+            CoalescingServer(served_index, n_results=5)
 
     def test_rejects_bad_budget_parameters(self, served_index):
         with pytest.raises(ValidationError):

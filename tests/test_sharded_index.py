@@ -18,7 +18,7 @@ from repro.index import (
     load_index,
     partition_dataset,
 )
-from repro.index.sharded import migrate
+from repro.index.sharded import SHARDED_FORMAT_VERSION, migrate
 from repro.search import evaluate_search
 
 N_BASE = 360
@@ -394,11 +394,16 @@ class TestManifestBackCompat:
             restored.search(queries, 8, shard_probe=1)
 
     def test_migrate_writes_current_format(self, v1_directory):
-        """A migrated v1 directory is in the current (v5) layout."""
-        path = v1_directory[1]
+        """A migrated v1 directory is in the current layout: the id map
+        lives in the shard files, not the manifest."""
+        original, path = v1_directory
         restored = ShardedIndex.load(path)
+        for shard, index in enumerate(restored.shards):
+            assert np.array_equal(index.ids, original.shards[shard].ids)
         with np.load(path / "manifest.npz", allow_pickle=False) as archive:
-            assert int(archive["sharded_format_version"]) == 5
+            assert int(archive["sharded_format_version"]) \
+                == SHARDED_FORMAT_VERSION
+            assert "shard_ids" not in archive.files
             assert "centroids" not in archive.files
             assert int(archive["generation"]) == 0
             assert "endpoints" not in archive.files
@@ -561,17 +566,20 @@ class TestPersistence:
 class TestConstructorValidation:
     def test_rejects_mismatched_shard_count(self, sharded_index):
         with pytest.raises(ValidationError, match="shards"):
-            ShardedIndex(sharded_index.shards[:2], sharded_index.shard_ids,
-                         sharded_index.spec)
+            ShardedIndex(sharded_index.shards[:2], sharded_index.spec)
 
-    def test_rejects_duplicate_global_ids(self, sharded_index):
-        bad_ids = [ids.copy() for ids in sharded_index.shard_ids]
-        bad_ids[0][0] = bad_ids[1][0]      # duplicate a global id
+    def test_rejects_shards_whose_ids_overlap(self, sharded_index):
+        first, second = sharded_index.shards[:2]
+        ids = second.ids.copy()
+        ids[0] = first.ids[0]              # both shards claim one global id
+        overlapping = Index(second.data, second.graph, second.spec, ids=ids)
+        shards = [first, overlapping, *sharded_index.shards[2:]]
         with pytest.raises(ValidationError, match="unique"):
-            ShardedIndex(sharded_index.shards, bad_ids, sharded_index.spec)
+            ShardedIndex(shards, sharded_index.spec)
 
-    def test_rejects_negative_global_ids(self, sharded_index):
-        bad_ids = [ids.copy() for ids in sharded_index.shard_ids]
-        bad_ids[0][0] = -1
+    def test_rejects_shards_with_negative_ids(self, sharded_index):
+        shard = sharded_index.shards[0]
+        ids = shard.ids.copy()
+        ids[0] = -1
         with pytest.raises(ValidationError, match="non-negative"):
-            ShardedIndex(sharded_index.shards, bad_ids, sharded_index.spec)
+            Index(shard.data, shard.graph, shard.spec, ids=ids)

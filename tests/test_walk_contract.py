@@ -278,8 +278,7 @@ class TestConsolidationHazards:
 
         fields = tuple(f.name for f in dataclasses.fields(ShardSearchTask))
         assert (PROTOCOL_VERSION, fields) == (
-            2, ("shard", "queries", "shard_k", "pool_size", "workers",
-                "seed"))
+            3, ("shard", "queries", "shard_k", "pool_size", "workers"))
 
 
 # --------------------------------------------------------------------- #
