@@ -42,9 +42,10 @@ import numpy as np
 
 from ..exceptions import ServingError
 from ..net.client import EndpointPool
+from ..search._walk import SearchResult
 from .facade import Index
 
-__all__ = ["ShardSearchTask", "ShardSearchResult", "search_shard_index",
+__all__ = ["ShardSearchTask", "search_shard_index",
            "ThreadShardExecutor", "RemoteShardExecutor"]
 
 
@@ -65,37 +66,16 @@ class ShardSearchTask:
     workers: int | None = None
 
 
-@dataclass(frozen=True)
-class ShardSearchResult:
-    """One shard's search output, in the shard's ids — the global ids of
-    its rows.
-
-    ``indices``/``distances`` carry the 2-D batch shape; unreached entries
-    are ``(-1, inf)`` pairs so the parent-side merge can treat every shard
-    uniformly.  ``evaluations`` is the per-query distance-evaluation count
-    and ``stats`` the shard's :class:`~repro.search.frontier.ServingStats`.
-    """
-
-    indices: np.ndarray
-    distances: np.ndarray
-    evaluations: np.ndarray
-    stats: object
-
-
-def search_shard_index(index: Index, task: ShardSearchTask
-                       ) -> ShardSearchResult:
+def search_shard_index(index: Index, task: ShardSearchTask) -> SearchResult:
     """Serve ``task`` on ``index`` — the single search path of every executor.
 
     The thread executor, the shard servers behind the remote one and the
     serial inline fallback all call exactly this function, so a shard's
-    walk is byte-identical no matter where it ran.
+    walk is byte-identical no matter where it ran.  The reply is the
+    shard's :class:`~repro.search.SearchResult` in its rows' global ids.
     """
-    idx, dist = index.search(task.queries, task.shard_k,
-                             pool_size=task.pool_size, workers=task.workers)
-    return ShardSearchResult(
-        indices=idx, distances=dist,
-        evaluations=index.last_per_query_evaluations.copy(),
-        stats=index.last_serving_stats)
+    return index.search(task.queries, task.shard_k,
+                        pool_size=task.pool_size, workers=task.workers)
 
 
 class _PooledFanOut:
@@ -142,7 +122,7 @@ class ThreadShardExecutor(_PooledFanOut):
         super().__init__(max_workers)
         self._shards = shards
 
-    def _search(self, task: ShardSearchTask) -> ShardSearchResult:
+    def _search(self, task: ShardSearchTask) -> SearchResult:
         return search_shard_index(self._shards[task.shard], task)
 
 
@@ -221,7 +201,7 @@ class RemoteShardExecutor(_PooledFanOut):
                         "build of the index")
             self._validated.add(shard)
 
-    def _search(self, task: ShardSearchTask) -> ShardSearchResult:
+    def _search(self, task: ShardSearchTask) -> SearchResult:
         self._handshake(task.shard)
         return self._endpoints.client(task.shard).search(task)
 

@@ -39,6 +39,7 @@ import numpy as np
 from ..distance import DistanceEngine, ScalarQuantizer
 from ..exceptions import GraphError, ValidationError
 from ..graph.knngraph import KNNGraph
+from ..search._walk import SearchResult
 from ..search.greedy import GraphSearcher
 from ..validation import (
     check_data_matrix,
@@ -188,13 +189,11 @@ class Index:
         The :class:`~repro.index.spec.IndexSpec` the index was built under.
     build_seconds:
         Wall-clock construction time (``None`` for loaded indexes).
-    last_n_evaluations, last_per_query_evaluations:
-        Total and ``(m,)`` per-query distance-evaluation counts of the most
-        recent :meth:`search` call (batched gemms charged per query).
-    last_serving_stats:
-        :class:`~repro.search.frontier.ServingStats` of the most recent
-        :meth:`search` call — per-group rounds, gemm counts, wall time
-        (``None`` before the first search).
+    last_n_evaluations, last_serving_stats:
+        Read-only views of the most recent :meth:`search` result's total
+        evaluation count and stats.  A search returns both itself (see
+        :class:`~repro.search.SearchResult`); under concurrent searches
+        these name whichever call finished last.
     """
 
     def __init__(self, data: np.ndarray, graph: KNNGraph, spec: IndexSpec, *,
@@ -255,22 +254,18 @@ class Index:
         #: this value — a stale daemon is surfaced, never silently served.
         self.generation = int(generation)
         self._id_lookup: dict | None = None
+        self._last: SearchResult | None = None
 
     @property
     def last_n_evaluations(self) -> int:
         """Total distance evaluations of the most recent search call."""
-        return self._searcher.last_n_evaluations
-
-    @property
-    def last_per_query_evaluations(self) -> np.ndarray | None:
-        """``(m,)`` per-query evaluation counts of the most recent search."""
-        return self._searcher.last_per_query_evaluations
+        return 0 if self._last is None else int(self._last.evaluations.sum())
 
     @property
     def last_serving_stats(self):
-        """:class:`~repro.search.frontier.ServingStats` of the most recent
-        search (``None`` before the first)."""
-        return self._searcher.last_serving_stats
+        """:class:`~repro.search.ServingStats` of the most recent search
+        (``None`` before the first)."""
+        return None if self._last is None else self._last.stats
 
     @property
     def data(self) -> np.ndarray:
@@ -420,8 +415,7 @@ class Index:
     def search(self, queries: np.ndarray, n_results: int = 10, *,
                pool_size: int | None = None,
                workers: int | None = None, shard_probe: int | None = None,
-               executor: str | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
+               executor: str | None = None) -> SearchResult:
         """Serve one query or a batch of queries.
 
         Parameters
@@ -453,8 +447,11 @@ class Index:
 
         Returns
         -------
-        (indices, distances):
-            Neighbour ids and distances, sorted by ascending distance.
+        SearchResult:
+            Unpacks as ``(indices, distances)`` — neighbour ids and
+            distances, sorted by ascending distance — and carries the
+            ``(m,)`` per-query ``evaluations`` (``(1,)`` for one query)
+            and the walk's ``stats``.
         """
         if shard_probe is not None:
             check_positive_int(shard_probe, name="shard_probe", maximum=1)
@@ -473,14 +470,18 @@ class Index:
         n_tombstones = self.n_tombstones
         queries = np.asarray(queries)
         single = queries.ndim == 1
-        idx, dist = self._searcher.batch_query(
+        idx, dist = walked = self._searcher.batch_query(
             queries[None, :] if single else queries,
             n_results + n_tombstones, pool_size=pool_size,
             workers=self.spec.workers if workers is None else workers)
         if n_tombstones:
             idx, dist = self._drop_tombstoned(idx, dist, n_results)
         idx = self._external(idx)
-        return (idx[0], dist[0]) if single else (idx, dist)
+        if single:
+            idx, dist = idx[0], dist[0]
+        result = SearchResult(idx, dist, walked.evaluations, walked.stats)
+        self._last = result
+        return result
 
     def _drop_tombstoned(self, idx: np.ndarray, dist: np.ndarray,
                          n_results: int) -> tuple[np.ndarray, np.ndarray]:

@@ -71,6 +71,7 @@ from ..exceptions import ServingError, ValidationError
 from ..net.endpoints import parse_endpoints
 from ..search._seeding import (coarse_metric, default_seed_labels,
                                nearest_centroids)
+from ..search._walk import SearchResult
 from ..validation import (
     check_data_matrix,
     check_positive_int,
@@ -338,9 +339,7 @@ class ShardedIndex:
         self._next_id = floor if next_id is None else max(int(next_id),
                                                           floor)
         self._data: np.ndarray | None = None
-        self.last_per_query_evaluations: np.ndarray | None = None
-        self.last_n_evaluations = 0
-        self.last_serving_stats: ShardedServingStats | None = None
+        self._last: SearchResult | None = None
         # Serving state: one persistent fan-out executor per executor kind
         # (recreated when the requested worker count changes).
         self._executors: dict = {}
@@ -354,6 +353,16 @@ class ShardedIndex:
     # ------------------------------------------------------------------ #
     # Basic properties
     # ------------------------------------------------------------------ #
+    @property
+    def last_n_evaluations(self) -> int:
+        """Total distance evaluations of the most recent search call."""
+        return 0 if self._last is None else int(self._last.evaluations.sum())
+
+    @property
+    def last_serving_stats(self) -> ShardedServingStats | None:
+        """Stats of the most recent search (``None`` before the first)."""
+        return None if self._last is None else self._last.stats
+
     @property
     def n_shards(self) -> int:
         """Number of shards."""
@@ -607,7 +616,7 @@ class ShardedIndex:
                pool_size: int | None = None,
                workers: int | None = None, shard_workers: int | None = None,
                shard_probe: int | None = None, executor: str | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
+               ) -> SearchResult:
         """Serve one query or a batch on each query's ``shard_probe`` shards.
 
         Parameters match :meth:`Index.search <repro.index.facade.Index.search>`
@@ -639,9 +648,10 @@ class ShardedIndex:
         probed shard; the per-shard top-k (each shard's own rows, in the
         global ids the shard carries) are scatter-merged back into batch
         order at per-(query, shard) column offsets fixed by shard order and
-        merged by true distance into the global top-k.  Returns
-        ``(indices, distances)`` in global row ids, shaped exactly like the
-        monolithic index's output.
+        merged by true distance into the global top-k.  Returns a
+        :class:`~repro.search.SearchResult` in global row ids, shaped
+        exactly like the monolithic index's, whose ``stats`` is a
+        :class:`ShardedServingStats`.
         """
         n_results = check_positive_int(n_results, name="n_results",
                                        maximum=self.n_points)
@@ -721,9 +731,7 @@ class ShardedIndex:
         out_idx = np.take_along_axis(all_ids, order, axis=1)
         out_dist = np.take_along_axis(all_dist, order, axis=1)
 
-        self.last_per_query_evaluations = evaluations
-        self.last_n_evaluations = int(evaluations.sum())
-        self.last_serving_stats = ShardedServingStats(
+        stats = ShardedServingStats(
             n_shards=self.n_shards, shard_workers=shard_workers,
             n_queries=m, shard_probe=probe, executor=executor,
             routing_gemms=int(routed),
@@ -731,8 +739,10 @@ class ShardedIndex:
             shard_stats=tuple(part.stats for part in parts),
             total_seconds=time.perf_counter() - started)
         if single:
-            return out_idx[0], out_dist[0]
-        return out_idx, out_dist
+            out_idx, out_dist = out_idx[0], out_dist[0]
+        result = SearchResult(out_idx, out_dist, evaluations, stats)
+        self._last = result
+        return result
 
     def _route(self, queries: np.ndarray, probe: int) -> np.ndarray:
         """``(m, probe)`` nearest-shard ids per query, nearest first.

@@ -1,7 +1,7 @@
 """Networked shard serving: the RPC transport behind the executor seam.
 
 The sharded search fan-out is a set of self-contained, picklable
-``ShardSearchTask``/``ShardSearchResult`` messages behind a pluggable
+``ShardSearchTask``/``SearchResult`` messages behind a pluggable
 executor (see :mod:`repro.index.executors`) — so distribution is "only" a
 transport.  This package supplies it:
 

@@ -249,7 +249,7 @@ class ShardClient:
     def search(self, task):
         """Serve one :class:`~repro.index.executors.ShardSearchTask`
         remotely; returns the shard's
-        :class:`~repro.index.executors.ShardSearchResult`."""
+        :class:`~repro.search.SearchResult`."""
         return self._call(encode_frame(FRAME_SEARCH, task), FRAME_RESULT)
 
     def ping(self) -> float:

@@ -47,8 +47,9 @@ __all__ = [
 #: misparsing each other's bytes.  Version 2: ``ShardSearchTask`` lost its
 #: ``single``/``strategy`` fields (the pickled payload's shape changed).
 #: Version 3: shard results carry global ids (the shard files hold them)
-#: and ``ShardSearchTask`` lost its no-op ``seed`` field.
-PROTOCOL_VERSION = 3
+#: and ``ShardSearchTask`` lost its no-op ``seed`` field.  Version 4: the
+#: search reply is the shard's own ``SearchResult``, not a copy of it.
+PROTOCOL_VERSION = 4
 
 #: Frame preamble — rejects non-protocol traffic on the first 4 bytes.
 MAGIC = b"RNET"
@@ -62,7 +63,7 @@ HEADER = struct.Struct(">4sHHQI")
 MAX_PAYLOAD = 256 * 1024 * 1024
 
 FRAME_SEARCH = 1      #: request: pickled ShardSearchTask
-FRAME_RESULT = 2      #: response: pickled ShardSearchResult
+FRAME_RESULT = 2      #: response: pickled SearchResult
 FRAME_ERROR = 3       #: response: pickled error dict (type/message/traceback)
 FRAME_PING = 4        #: request: empty payload
 FRAME_PONG = 5        #: response: empty payload

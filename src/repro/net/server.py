@@ -13,12 +13,12 @@ search_shard_index` path the thread executor uses, so a remotely
 * ``info``    — self-description: shard id, manifest generation, corpus
   shape, metric/dtype and serving counters.
 
-Searches are serialized behind one lock: the underlying index records its
-per-call stats (``last_per_query_evaluations``, ``last_serving_stats``) on
-the instance, so two interleaved searches would race on them.  Concurrency
-across shards comes from running one daemon per shard; concurrency inside
-a shard comes from the walk's own ``workers`` knob, which the task
-carries.  The serving counters are bumped from handler threads under a
+Searches run concurrently, one per handler thread: each returns its own
+:class:`~repro.search.SearchResult` and leaves nothing per-call on the
+index.  A ``reload`` swaps the served index under searches in flight,
+which finish on the index they started on.  Concurrency across shards
+comes from one daemon per shard, inside a shard from concurrent clients
+and the task's ``workers`` knob.  The serving counters are bumped under a
 lock of their own, so concurrent clients never lose an increment.
 
 A request that fails server-side is answered with a typed error frame
@@ -118,9 +118,7 @@ class ShardServer:
         disables reload with a clear error.
     max_handlers:
         Handler thread-pool size — the number of client connections served
-        concurrently.  Searches themselves are serialized (see module
-        docstring); extra handlers keep ``ping``/``info`` responsive while
-        a long walk runs.
+        concurrently, searches included.
 
     Use as a context manager, or pair :meth:`start` with :meth:`close`::
 
@@ -148,7 +146,6 @@ class ShardServer:
         self._pool = ThreadPoolExecutor(max_workers=self._max_handlers)
         self._accept_thread: threading.Thread | None = None
         self._closed = threading.Event()
-        self._search_lock = threading.Lock()
         self._counter_lock = threading.Lock()
         self._conn_lock = threading.Lock()
         self._connections: set = set()
@@ -279,12 +276,9 @@ class ShardServer:
 
     def _dispatch(self, kind: int, payload: bytes) -> bytes:
         if kind == FRAME_SEARCH:
+            from ..index.executors import search_shard_index
             task = loads(payload)
-            # Serialize searches: the index records per-call stats on the
-            # instance, and search_shard_index reads them back.
-            with self._search_lock:
-                from ..index.executors import search_shard_index
-                result = search_shard_index(self._index, task)
+            result = search_shard_index(self._index, task)
             self._count(n_searches=1,
                         n_queries=int(np.asarray(task.queries).shape[0]))
             return encode_frame(FRAME_RESULT, result)
@@ -301,10 +295,10 @@ class ShardServer:
     def _reload(self) -> dict:
         """Swap in the current on-disk generation of the served shard.
 
-        The new index is loaded *before* the search lock is taken, so
-        in-flight searches finish on the old generation and the swap
-        itself is a pointer exchange; the old index's walk pool is
-        released after.  Returns the post-reload :meth:`_info`.
+        The swap is a pointer exchange: searches in flight finish on the
+        old index they hold, and its walk pools are released with its last
+        reference — never closed under a running walk.  Returns the
+        post-reload :meth:`_info`.
         """
         if self._source_path is None:
             raise ServingError(
@@ -312,10 +306,7 @@ class ShardServer:
                 "(no source path) — reload has nothing to re-read")
         index, _, generation, _ = load_shard_for_serving(
             self._source_path, self.shard_id)
-        with self._search_lock:
-            old, self._index = self._index, index
-            self.generation = generation
-        old.close()
+        self._index, self.generation = index, generation
         self._count(n_reloads=1)
         return self._info()
 

@@ -7,6 +7,7 @@ best-first graph walk used for that purpose — one batched round loop
 and the recall/latency evaluation protocol.
 """
 
+from ._walk import SearchResult
 from .frontier import ServingStats, frontier_batch_search
 from .greedy import GraphSearcher
 from .evaluation import SearchEvaluation, evaluate_search
@@ -14,6 +15,7 @@ from .evaluation import SearchEvaluation, evaluate_search
 __all__ = [
     "GraphSearcher",
     "frontier_batch_search",
+    "SearchResult",
     "ServingStats",
     "SearchEvaluation",
     "evaluate_search",

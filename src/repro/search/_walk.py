@@ -113,7 +113,8 @@ from ..graph.csr import CSRAdjacency
 from ..validation import check_positive_int, clamp_workers
 from ._seeding import Seeds
 
-__all__ = ["ServingStats", "beam_walk", "exact_scorer", "BEAM"]
+__all__ = ["SearchResult", "ServingStats", "beam_walk", "exact_scorer",
+           "BEAM"]
 
 #: Candidates expanded per query per round.  8 sits below the knee where
 #: extra expansions stop paying for themselves (measured on the bench
@@ -215,6 +216,28 @@ class ServingStats:
         if self.total_seconds <= 0.0:
             return 0.0
         return self.n_queries / self.total_seconds
+
+
+class SearchResult(tuple):
+    """A search's answer, ``(indices, distances)``, and what it cost.
+
+    Unpacks and indexes as that 2-tuple (as :class:`os.stat_result` does as
+    a short tuple): ``(m, k)`` arrays for a batch, ``(k,)`` for one query.
+    ``evaluations`` — the ``(m,)`` per-query distance-evaluation counts,
+    ``(1,)`` for one query — and ``stats`` — the call's
+    :class:`ServingStats`, or :class:`~repro.index.ShardedServingStats` —
+    ride along as attributes, so concurrent searches never share them.
+    """
+
+    def __new__(cls, indices: np.ndarray, distances: np.ndarray,
+                evaluations: np.ndarray, stats) -> "SearchResult":
+        result = super().__new__(cls, (indices, distances))
+        result.indices, result.distances = indices, distances
+        result.evaluations, result.stats = evaluations, stats
+        return result
+
+    def __reduce__(self):
+        return SearchResult, (*self, self.evaluations, self.stats)
 
 
 def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,

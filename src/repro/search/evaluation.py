@@ -149,17 +149,16 @@ def evaluate_search(searcher, queries: np.ndarray, *, n_results: int = 10,
                 fan_out["shard_probe"] = shard_probe
             if executor is not None:
                 fan_out["executor"] = executor
-            approx, _ = searcher.search(queries, n_results,
-                                        pool_size=pool_size, workers=workers,
-                                        **fan_out)
+            result = searcher.search(queries, n_results,
+                                     pool_size=pool_size, workers=workers,
+                                     **fan_out)
         else:
-            approx, _ = searcher.batch_query(queries, n_results,
-                                             pool_size=pool_size,
-                                             workers=workers)
+            result = searcher.batch_query(queries, n_results,
+                                          pool_size=pool_size,
+                                          workers=workers)
         total_seconds = time.perf_counter() - started
-        per_query = np.asarray(searcher.last_per_query_evaluations)
-        serving_stats = getattr(searcher, "last_serving_stats", None)
-        approx_rows = [approx[row] for row in range(m)]
+        per_query, serving_stats = result.evaluations, result.stats
+        approx_rows = list(result.indices)
     else:
         approx_rows = []
         per_query = np.empty(m, dtype=np.int64)
@@ -167,14 +166,14 @@ def evaluate_search(searcher, queries: np.ndarray, *, n_results: int = 10,
         for row in range(m):
             started = time.perf_counter()
             if is_index:
-                approx_idx, _ = searcher.search(queries[row], n_results,
-                                                pool_size=pool_size)
+                result = searcher.search(queries[row], n_results,
+                                         pool_size=pool_size)
             else:
-                approx_idx, _ = searcher.query(queries[row], n_results,
-                                               pool_size=pool_size)
+                result = searcher.query(queries[row], n_results,
+                                        pool_size=pool_size)
             total_seconds += time.perf_counter() - started
-            per_query[row] = searcher.last_n_evaluations
-            approx_rows.append(approx_idx)
+            per_query[row] = result.evaluations.sum()
+            approx_rows.append(result.indices)
 
     hits_at_1 = 0.0
     hits_at_k = 0.0

@@ -10,6 +10,7 @@ candidate seeding of online inserts (one batch per insert call).
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,8 +34,8 @@ from ..graph.repair import (
     refine_neighborhood,
 )
 from ._seeding import SeedPartition, seed_entry_points
-from ._walk import beam_walk, exact_scorer
-from .frontier import ServingStats, frontier_batch_search
+from ._walk import SearchResult, beam_walk, exact_scorer
+from .frontier import frontier_batch_search
 from .quantized import quantized_batch_search
 
 __all__ = ["GraphSearcher"]
@@ -166,14 +167,11 @@ class GraphSearcher:
                     f"[{seed_labels.min()}, {seed_labels.max()}]")
             self._partition = SeedPartition(self.data, seed_labels,
                                             self.metric, self.engine_.dtype)
-        self.last_n_evaluations = 0
-        self.last_per_query_evaluations: np.ndarray | None = None
-        self.last_serving_stats: ServingStats | None = None
-        # Persistent walk pool, created lazily on the first threaded batch
-        # and reused until the requested worker count changes — serving many
-        # batches must not pay thread start-up per call.
-        self._walk_pool: ThreadPoolExecutor | None = None
-        self._walk_pool_workers = 0
+        # Persistent walk pools, one per worker count, kept until close():
+        # no thread start-up per call, and no search shuts down the pool a
+        # concurrent search at another worker count is mapping onto.
+        self._walk_pools: dict[int, ThreadPoolExecutor] = {}
+        self._walk_pools_lock = threading.Lock()
 
     @property
     def metric(self) -> str:
@@ -199,14 +197,14 @@ class GraphSearcher:
         return self._scorer
 
     def close(self) -> None:
-        """Release the persistent walk pool (idempotent).
+        """Release the persistent walk pools (idempotent).
 
         The searcher remains usable afterwards — the next threaded
-        ``batch_query`` simply recreates the pool.
+        ``batch_query`` simply recreates its pool.
         """
-        pool, self._walk_pool = self._walk_pool, None
-        self._walk_pool_workers = 0
-        if pool is not None:
+        with self._walk_pools_lock:
+            pools, self._walk_pools = self._walk_pools, {}
+        for pool in pools.values():
             pool.shutdown(wait=True)
 
     def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
@@ -219,12 +217,10 @@ class GraphSearcher:
         """Persistent pool for ``workers`` threads (``None`` when serial)."""
         if workers <= 1:
             return None
-        if self._walk_pool is None or self._walk_pool_workers != workers:
-            if self._walk_pool is not None:
-                self._walk_pool.shutdown(wait=True)
-            self._walk_pool = ThreadPoolExecutor(max_workers=workers)
-            self._walk_pool_workers = workers
-        return self._walk_pool
+        with self._walk_pools_lock:
+            if workers not in self._walk_pools:
+                self._walk_pools[workers] = ThreadPoolExecutor(workers)
+            return self._walk_pools[workers]
 
     def insert_points(self, vectors: np.ndarray) -> np.ndarray:
         """Insert rows into the data + graph with a batched local repair.
@@ -319,23 +315,21 @@ class GraphSearcher:
         return np.arange(first, total, dtype=np.int64)
 
     def query(self, query: np.ndarray, n_results: int = 10, *,
-              pool_size: int | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """Search one query; returns ``(n_results,)`` index/distance arrays.
+              pool_size: int | None = None) -> SearchResult:
+        """Search one query; the result holds ``(n_results,)`` arrays.
 
         Exactly ``batch_query(query[None, :], ...)`` row 0 — same walk, same
-        ``-1``/``inf`` padding, same published stats.
+        ``-1``/``inf`` padding, same ``(1,)`` evaluations and stats.
         """
         query = np.asarray(query, dtype=self.engine_.dtype).ravel()
-        idx, dist = self.batch_query(query[None, :], n_results,
-                                     pool_size=pool_size)
-        return idx[0], dist[0]
+        result = self.batch_query(query[None, :], n_results, pool_size=pool_size)
+        return SearchResult(result.indices[0], result.distances[0],
+                            result.evaluations, result.stats)
 
     def batch_query(self, queries: np.ndarray, n_results: int = 10, *,
                     pool_size: int | None = None,
-                    workers: int | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Search many queries; returns ``(m, n_results)`` index/distance arrays.
+                    workers: int | None = None) -> SearchResult:
+        """Search many queries; the result holds ``(m, n_results)`` arrays.
 
         Rows are sorted by ascending distance and padded with ``-1``/``inf``
         where fewer than ``n_results`` points are reachable.  ``workers``
@@ -343,12 +337,12 @@ class GraphSearcher:
         are bit-for-bit identical for every worker count, so it is purely a
         throughput knob.  Defaults to ``1``.
 
-        Afterwards ``last_per_query_evaluations`` holds the ``(m,)``
-        per-query distance-evaluation counts (batched gemms included),
-        ``last_n_evaluations`` their total, and ``last_serving_stats`` the
-        walk's :class:`~repro.search.frontier.ServingStats`.  Every query
-        is seeded from its nearest seed-partition cluster, so a row's result
-        does not depend on the batch around it.
+        The returned :class:`~repro.search.SearchResult` unpacks as
+        ``(indices, distances)`` and carries the ``(m,)`` per-query
+        distance-evaluation counts (batched gemms included) as
+        ``evaluations`` and the walk's :class:`~repro.search.ServingStats`
+        as ``stats``.  Every query is seeded from its nearest seed-partition
+        cluster, so a row's result does not depend on the batch around it.
         """
         queries = check_data_matrix(queries, name="queries",
                                     dtype=self.engine_.dtype)
@@ -366,13 +360,8 @@ class GraphSearcher:
             workers=workers, executor=self._group_walk_pool(workers),
             engine=self.engine_, data_norms=self._data_norms)
         if self.quantize == "none":
-            out_idx, out_dist, evaluations, stats = frontier_batch_search(
-                self.data, self._adjacency, queries, n_results, **common)
-        else:
-            out_idx, out_dist, evaluations, stats = quantized_batch_search(
-                self.data, self._adjacency, queries, n_results,
-                self._quantized_scorer(), **common)
-        self.last_serving_stats = stats
-        self.last_per_query_evaluations = evaluations
-        self.last_n_evaluations = int(evaluations.sum())
-        return out_idx, out_dist
+            return SearchResult(*frontier_batch_search(
+                self.data, self._adjacency, queries, n_results, **common))
+        return SearchResult(*quantized_batch_search(
+            self.data, self._adjacency, queries, n_results,
+            self._quantized_scorer(), **common))

@@ -141,9 +141,9 @@ class CoalescingServer:
 
     The server is bound to the event loop of its first request; all
     ``search`` calls must come from that loop (the normal single-loop
-    asyncio setup).  Batches run on a dedicated one-thread executor, so
-    they are serialized and the index's ``last_serving_stats`` is read
-    race-free.
+    asyncio setup).  Batches run on a dedicated one-thread executor, one
+    at a time; each request's :class:`RequestStats` carries the stats of
+    the search result that served its batch.
     """
 
     def __init__(self, index, *, max_batch: int = 32,
@@ -308,7 +308,7 @@ class CoalescingServer:
         max_k = max(request.n_results for request in batch)
         walk_started = time.perf_counter()
         try:
-            indices, distances = await loop.run_in_executor(
+            result = await loop.run_in_executor(
                 self._search_pool,
                 functools.partial(self._index.search, queries, max_k,
                                   **self._search_kwargs))
@@ -317,7 +317,7 @@ class CoalescingServer:
                 if not request.future.done():
                     request.future.set_exception(exc)
             return
-        stats = getattr(self._index, "last_serving_stats", None)
+        indices, distances = result
         finished = time.perf_counter()
         self.n_batches += 1
         for row, request in enumerate(batch):
@@ -326,7 +326,7 @@ class CoalescingServer:
                 n_results=k, batch_size=len(batch),
                 queued_seconds=walk_started - request.admitted,
                 total_seconds=finished - request.admitted,
-                serving_stats=stats)
+                serving_stats=result.stats)
             if not request.future.done():  # rider may have been cancelled
                 request.future.set_result(
                     (indices[row, :k].copy(), distances[row, :k].copy(),

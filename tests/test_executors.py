@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -93,8 +95,7 @@ class TestClampWorkers:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         index = Index.build(base, IndexSpec(backend="bruteforce",
                                             n_neighbors=8, random_state=3))
-        index.search(queries, 5, workers=64)
-        assert index.last_serving_stats.workers == 1
+        assert index.search(queries, 5, workers=64).stats.workers == 1
         index.close()
 
 
@@ -144,10 +145,48 @@ class TestPersistentWalkPool:
         baseline, _ = index.search(queries, 5, workers=4)
         index.close()
         index.close()  # idempotent
-        assert index._searcher._walk_pool is None
+        assert index._searcher._walk_pools == {}
         after, _ = index.search(queries, 5, workers=4)
         assert np.array_equal(baseline, after)
         index.close()
+
+    def test_concurrent_searches_at_different_worker_counts(self, corpus,
+                                                            monkeypatch):
+        """One pool per worker count: no search shuts down the pool a
+        concurrent search at another count is mapping onto, and every
+        answer is the serial one."""
+        base, queries = corpus
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        index = Index.build(base, IndexSpec(backend="bruteforce",
+                                            n_neighbors=8, random_state=3))
+        want_idx, want_dist = index.search(queries, 10, workers=1)
+        failures = []
+
+        def search_loop(workers):
+            try:
+                for _ in range(30):
+                    idx, dist = index.search(queries, 10, workers=workers)
+                    assert idx.tobytes() == want_idx.tobytes()
+                    assert dist.tobytes() == want_dist.tobytes()
+            except BaseException as exc:    # surfaced on the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=search_loop, args=(workers,))
+                       for workers in (2, 3, 4, 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures
+        assert sorted(index._searcher._walk_pools) == [2, 3, 4]
+        index.close()
+        assert index._searcher._walk_pools == {}
 
     def test_thread_shard_executor_reuses_pool(self, saved_index,
                                                monkeypatch):
@@ -294,8 +333,9 @@ class TestExecutorSpecSurface:
             assert '"process"' in str(manifest["spec_json"])
         with ShardedIndex.load(path) as restored:
             assert restored.spec.executor == "thread"
-            idx, dist = restored.search(queries, 5, shard_workers=2)
-            assert restored.last_serving_stats.executor == "thread"
+            result = restored.search(queries, 5, shard_workers=2)
+            idx, dist = result
+            assert result.stats.executor == "thread"
         assert idx.tobytes() == t_idx.tobytes()
         assert dist.tobytes() == t_dist.tobytes()
 
@@ -323,9 +363,9 @@ class TestServingResources:
         _, queries = corpus
         sharded.search(queries, 5, shard_workers=2)
         first = sharded._executors["thread"][1]
-        sharded.search(queries, 5, shard_workers=2)
+        result = sharded.search(queries, 5, shard_workers=2)
         assert sharded._executors["thread"][1] is first
-        assert sharded.last_serving_stats.executor == "thread"
+        assert result.stats.executor == "thread"
 
     def test_close_is_idempotent_and_index_survives(self, sharded, corpus):
         _, queries = corpus
@@ -395,7 +435,7 @@ class TestServingResources:
             with pytest.raises(ServingError, match="endpoint"):
                 sharded.search(queries, 5)
             # A per-call override wins without touching the spec default.
-            sharded.search(queries, 5, executor="thread")
-            assert sharded.last_serving_stats.executor == "thread"
+            result = sharded.search(queries, 5, executor="thread")
+            assert result.stats.executor == "thread"
         finally:
             sharded.close()

@@ -143,8 +143,7 @@ class TestBuildAndSearch:
     def test_per_query_evaluations_reported(self, corpus):
         base, queries = corpus
         index = Index.build(base, _spec("bruteforce"))
-        index.search(queries, 5)
-        evals = index.last_per_query_evaluations
+        evals = index.search(queries, 5).evaluations
         assert evals.shape == (queries.shape[0],)
         assert np.all(evals > 0)
         assert index.last_n_evaluations == int(evals.sum())

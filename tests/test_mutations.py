@@ -327,14 +327,15 @@ class TestShardedMutationOracle:
         sharded, _, _, queries = self._mutated(corpus, "sqeuclidean",
                                                "float64")
         try:
-            t_idx, t_dist = sharded.search(queries, 8, executor="thread",
-                                           shard_workers=2)
-            t_evals = sharded.last_per_query_evaluations.copy()
-            s_idx, s_dist = sharded.search(queries, 8, shard_workers=1)
+            threaded = sharded.search(queries, 8, executor="thread",
+                                      shard_workers=2)
+            t_idx, t_dist = threaded
+            serial = sharded.search(queries, 8, shard_workers=1)
+            s_idx, s_dist = serial
             assert s_idx.tobytes() == t_idx.tobytes()
             assert s_dist.tobytes() == t_dist.tobytes()
-            assert sharded.last_per_query_evaluations.tobytes() \
-                == t_evals.tobytes()
+            assert serial.evaluations.tobytes() \
+                == threaded.evaluations.tobytes()
             # workers invariance holds on mutated indexes too.
             w_idx, w_dist = sharded.search(queries, 8, workers=4,
                                            shard_workers=4)

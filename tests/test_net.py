@@ -19,6 +19,7 @@ All servers here run on ephemeral localhost ports.
 
 from __future__ import annotations
 
+import os
 import socket
 import sys
 import threading
@@ -120,13 +121,14 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="version mismatch"):
             self._roundtrip(raw)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_previous_protocol_version_rejected(self, version):
         """A version-1 peer still pickles ``ShardSearchTask`` with the
         ``single``/``strategy`` fields, a version-2 one with ``seed`` and
-        answers in shard-local ids; either must be refused at the frame
+        answers in shard-local ids, a version-3 one answers with the
+        retired ``ShardSearchResult``; each must be refused at the frame
         header, before any payload is unpickled."""
-        assert PROTOCOL_VERSION == 3
+        assert PROTOCOL_VERSION == 4
         raw = encode_frame(FRAME_PING, version=version)
         with pytest.raises(ProtocolError, match="version mismatch"):
             self._roundtrip(raw)
@@ -427,6 +429,74 @@ class TestClientFaults:
         finally:
             client.close()
             server.close()
+
+
+class TestConcurrentServing:
+    def test_concurrent_searches_survive_reloads(self, tmp_path,
+                                                 monkeypatch):
+        """Six clients search one daemon at mixed ``workers`` while a
+        seventh reloads it every 10 ms: searches run concurrently, none
+        finds its walk pool shut down under it, and every reply is the
+        serial answer."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        base = make_sift_like(300, 10, random_state=4)
+        path = tmp_path / "served.idx"
+        Index.build(base, IndexSpec(backend="bruteforce", n_neighbors=8,
+                                    random_state=4)).save(path)
+        queries = make_sift_like(40, 10, random_state=9)
+        with Index.load(path) as reference:
+            want = reference.search(queries, 5)
+        index, _, generation, _ = load_shard_for_serving(path)
+        failures, replies = [], []
+        stop_reloading = threading.Event()
+
+        def search_loop(workers):
+            client = ShardClient(server.endpoint, **FAST)
+            task = ShardSearchTask(shard=0, queries=queries, shard_k=5,
+                                   workers=workers)
+            try:
+                for _ in range(40):
+                    reply = client.search(task)
+                    assert type(reply) is type(want)
+                    for got, expected in zip(
+                            (*reply, reply.evaluations),
+                            (*want, want.evaluations)):
+                        assert got.tobytes() == expected.tobytes()
+                    replies.append(workers)
+            except BaseException as exc:    # surfaced on the main thread
+                failures.append(exc)
+            finally:
+                client.close()
+
+        def reload_loop():
+            client = ShardClient(server.endpoint, **FAST)
+            try:
+                while not stop_reloading.wait(0.01):
+                    client.reload()
+            except BaseException as exc:
+                failures.append(exc)
+            finally:
+                client.close()
+
+        with ShardServer(index, generation=generation, source_path=path,
+                         max_handlers=8) as server:
+            server.start()
+            reloader = threading.Thread(target=reload_loop)
+            reloader.start()
+            threads = [threading.Thread(target=search_loop, args=(workers,))
+                       for workers in (1, 2, 3, 4, 2, 3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            stop_reloading.set()
+            reloader.join(timeout=30)
+            assert not reloader.is_alive()
+            n_reloads = server.n_reloads
+        assert not failures, failures
+        assert len(replies) == 6 * 40
+        assert n_reloads > 0
 
 
 class TestEndpointPoolHealth:

@@ -361,13 +361,11 @@ class TestMigrate:
             path = tmp_path / f"{step}.idx"
             index.save(path)
             expected = index.search(queries, 8)
-            expected_evals = index.last_per_query_evaluations
             with Index.load(path) as restored:
                 assert np.array_equal(restored.seed_labels,
                                       index.seed_labels)
                 got = restored.search(queries, 8)
-                assert np.array_equal(restored.last_per_query_evaluations,
-                                      expected_evals)
+                assert np.array_equal(got.evaluations, expected.evaluations)
             assert got[0].tobytes() == expected[0].tobytes(), step
             assert got[1].tobytes() == expected[1].tobytes(), step
         index.close()

@@ -363,9 +363,9 @@ class TestQuantizedExecutors:
 
     @staticmethod
     def _search_bytes(index, queries, **kwargs):
-        idx, dist = index.search(queries, 6, **kwargs)
-        evals = index.last_per_query_evaluations
-        return idx.tobytes() + dist.tobytes() + evals.tobytes()
+        result = index.search(queries, 6, **kwargs)
+        return b"".join(array.tobytes() for array in (
+            result.indices, result.distances, result.evaluations))
 
     def test_thread_bitwise_equals_serial(self, quantized_sharded):
         sharded, queries, _ = quantized_sharded

@@ -8,7 +8,8 @@ from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import GraphError
 from repro.graph import KNNGraph, brute_force_knn_graph
 from repro.graph.bruteforce import brute_force_neighbors
-from repro.search import GraphSearcher, evaluate_search, frontier_batch_search
+from repro.search import (GraphSearcher, SearchResult, evaluate_search,
+                          frontier_batch_search)
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +55,8 @@ class TestGreedySearch:
     def test_fewer_evaluations_than_bruteforce(self, search_setup):
         base, queries, graph = search_setup
         searcher = GraphSearcher(base, graph, pool_size=32, random_state=0)
-        searcher.query(queries[0], 5)
-        assert searcher.last_n_evaluations < len(base) / 2
+        result = searcher.query(queries[0], 5)
+        assert result.evaluations.sum() < len(base) / 2
 
     def test_batch_query_shapes(self, search_setup):
         base, queries, graph = search_setup
@@ -104,8 +105,8 @@ class TestEvaluateSearch:
             def query(self, query, n_results=10, *, pool_size=None):
                 idx, dist = brute_force_neighbors(query[None, :], self.data,
                                                   n_results)
-                self.last_n_evaluations = self.data.shape[0]
-                return idx[0], dist[0]
+                return SearchResult(idx[0], dist[0],
+                                    np.array([self.data.shape[0]]), None)
 
         searcher = ExactSearcher(base, graph, random_state=0)
         evaluation = evaluate_search(searcher, queries, n_results=5)
@@ -125,11 +126,15 @@ class TestBatchQuery:
     def test_batch_sets_per_query_counts(self, search_setup):
         base, queries, graph = search_setup
         searcher = GraphSearcher(base, graph, random_state=0)
-        indices, distances = searcher.batch_query(queries[:12], 4)
+        result = searcher.batch_query(queries[:12], 4)
+        indices, distances = result
         assert indices.shape == (12, 4)
-        assert searcher.last_per_query_evaluations.shape == (12,)
-        assert searcher.last_n_evaluations == \
-            int(searcher.last_per_query_evaluations.sum())
+        assert result.evaluations.shape == (12,)
+        assert result.stats.n_queries == 12
+        evaluation = evaluate_search(searcher, queries[:12], n_results=4,
+                                     batch=True)
+        assert evaluation.per_query_evaluations == \
+            tuple(result.evaluations.tolist())
 
     def test_evaluate_search_batch_mode(self, search_setup):
         base, queries, graph = search_setup

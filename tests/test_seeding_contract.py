@@ -115,14 +115,15 @@ def test_a_batch_row_is_the_single_query_search(corpus, metric, dtype,
                                                 quantize):
     base, queries = corpus
     with _index(base, metric, dtype, quantize) as index:
-        idx, dist = index.search(queries, K)
-        evals = index.last_per_query_evaluations.copy()
+        batch = index.search(queries, K)
+        idx, dist = batch
         for row in range(0, len(queries), 3):
-            one_idx, one_dist = index.search(queries[row], K)
+            one = index.search(queries[row], K)
+            one_idx, one_dist = one
             _assert_rows_match_up_to_ties(
                 idx[row:row + 1], dist[row:row + 1], one_idx[None],
                 one_dist[None], f"{metric}/{dtype}/{quantize} row {row}")
-            assert index.last_per_query_evaluations[0] == evals[row]
+            assert one.evaluations[0] == batch.evaluations[row]
 
 
 @pytest.mark.parametrize("metric,dtype,quantize", ENGINES)
@@ -131,8 +132,7 @@ def test_each_query_is_charged_its_seeding_and_its_walk(corpus, recorded,
                                                         quantize):
     base, queries = corpus
     with _index(base, metric, dtype, quantize) as index:
-        index.search(queries, K)
-        charged = index.last_per_query_evaluations
+        charged = index.search(queries, K).evaluations
     seeds = recorded[-1]
     partition = index._searcher._partition
     probed = np.searchsorted(partition.clusters, seeds.clusters)

@@ -54,9 +54,8 @@ def served_index(serving_setup):
 
 
 def _search_bytes(index, queries):
-    idx, dist = index.search(queries, 6)
-    evals = index.last_per_query_evaluations
-    return idx.tobytes() + dist.tobytes() + evals.tobytes()
+    idx, dist = result = index.search(queries, 6)
+    return idx.tobytes() + dist.tobytes() + result.evaluations.tobytes()
 
 
 class TestWorkerBitwiseEquality:
@@ -83,10 +82,9 @@ class TestWorkerBitwiseEquality:
     def test_searcher_workers_bitwise_identical(self, serving_setup):
         base, queries, graph = serving_setup
         searcher = GraphSearcher(base, graph, pool_size=32, random_state=0)
-        i1, d1 = searcher.batch_query(queries, 6, workers=1)
-        e1 = searcher.last_per_query_evaluations.copy()
-        i4, d4 = searcher.batch_query(queries, 6, workers=4)
-        e4 = searcher.last_per_query_evaluations
+        i1, d1 = one = searcher.batch_query(queries, 6, workers=1)
+        i4, d4 = four = searcher.batch_query(queries, 6, workers=4)
+        e1, e4 = one.evaluations, four.evaluations
         assert np.array_equal(i1, i4)
         assert np.array_equal(d1, d4)
         assert np.array_equal(e1, e4)
@@ -96,11 +94,12 @@ class TestWorkerBitwiseEquality:
         _, queries, _ = serving_setup
         baseline = _search_bytes(served_index, queries)
         for workers in (2, 4):
-            idx, dist = served_index.search(queries, 6, workers=workers)
-            evals = served_index.last_per_query_evaluations
+            result = served_index.search(queries, 6, workers=workers)
+            idx, dist = result
+            evals = result.evaluations
             assert idx.tobytes() + dist.tobytes() + evals.tobytes() \
                 == baseline
-            stats = served_index.last_serving_stats
+            stats = result.stats
             assert stats.workers == min(workers, os.cpu_count() or 1,
                                         stats.n_groups)
 
@@ -141,8 +140,7 @@ class TestSeededRepeatability:
 class TestServingStatsSurface:
     def test_stats_describe_the_walk(self, served_index, serving_setup):
         _, queries, _ = serving_setup
-        served_index.search(queries, 6, workers=2)
-        stats = served_index.last_serving_stats
+        stats = served_index.search(queries, 6, workers=2).stats
         assert isinstance(stats, ServingStats)
         assert stats.n_queries == queries.shape[0]
         assert stats.max_group == 32
@@ -156,14 +154,13 @@ class TestServingStatsSurface:
     def test_every_search_publishes_a_stats_record(
             self, served_index, serving_setup):
         _, queries, _ = serving_setup
-        served_index.search(queries, 4)
-        batch_stats = served_index.last_serving_stats
+        batch_stats = served_index.search(queries, 4).stats
         assert batch_stats.n_queries == queries.shape[0]
-        served_index.search(queries[0], 4)
-        single_stats = served_index.last_serving_stats
+        single = served_index.search(queries[0], 4)
+        single_stats = single.stats
         assert single_stats is not batch_stats
         assert single_stats.n_queries == single_stats.n_groups == 1
-        assert served_index.last_per_query_evaluations.shape == (1,)
+        assert single.evaluations.shape == (1,)
 
     def test_evaluate_search_surfaces_stats(self, served_index,
                                             serving_setup):
@@ -273,9 +270,8 @@ class TestShardFanOutDeterminism:
 
     @staticmethod
     def _search_bytes(index, queries, **kwargs):
-        idx, dist = index.search(queries, 6, **kwargs)
-        evals = index.last_per_query_evaluations
-        return idx.tobytes() + dist.tobytes() + evals.tobytes()
+        idx, dist = result = index.search(queries, 6, **kwargs)
+        return idx.tobytes() + dist.tobytes() + result.evaluations.tobytes()
 
     def test_shard_workers_bitwise_identical(self, served_sharded):
         sharded, queries = served_sharded
@@ -350,9 +346,8 @@ class TestRoutedSearchDeterminism:
 
     @staticmethod
     def _search_bytes(index, queries, **kwargs):
-        idx, dist = index.search(queries, 8, **kwargs)
-        evals = index.last_per_query_evaluations
-        return idx.tobytes() + dist.tobytes() + evals.tobytes()
+        idx, dist = result = index.search(queries, 8, **kwargs)
+        return idx.tobytes() + dist.tobytes() + result.evaluations.tobytes()
 
     @pytest.mark.parametrize("metric,dtype", SHARD_ENGINE_CONFIGS)
     def test_full_probe_bitwise_equals_full_fanout(self, routed_setup,
@@ -410,11 +405,10 @@ class TestRoutedSearchDeterminism:
                          partitioner="gkmeans", shard_probe=2,
                          random_state=5)
         sharded = ShardedIndex.build(base, spec)
-        sharded.search(queries, 8)
-        assert sharded.last_serving_stats.shard_probe == 2
+        assert sharded.search(queries, 8).stats.shard_probe == 2
         # An explicit per-call probe overrides the persisted default.
-        sharded.search(queries, 8, shard_probe=4)
-        assert sharded.last_serving_stats.shard_probe == 4
+        assert sharded.search(queries, 8,
+                              shard_probe=4).stats.shard_probe == 4
 
     def test_round_robin_rejects_partial_probe(self, routed_setup):
         base, queries = routed_setup
@@ -479,9 +473,8 @@ class TestRemoteExecutorDeterminism:
 
     @staticmethod
     def _search_bytes(index, queries, **kwargs):
-        idx, dist = index.search(queries, 6, **kwargs)
-        evals = index.last_per_query_evaluations
-        return idx.tobytes() + dist.tobytes() + evals.tobytes()
+        idx, dist = result = index.search(queries, 6, **kwargs)
+        return idx.tobytes() + dist.tobytes() + result.evaluations.tobytes()
 
     def test_remote_bitwise_equals_every_local_executor(self, remote_setup):
         sharded, queries, _ = remote_setup
@@ -489,7 +482,8 @@ class TestRemoteExecutorDeterminism:
         remote = self._search_bytes(sharded, queries, executor="remote",
                                     shard_workers=2)
         assert remote == serial
-        assert sharded.last_serving_stats.executor == "remote"
+        assert sharded.search(queries, 6, executor="remote",
+                              shard_workers=2).stats.executor == "remote"
         assert self._search_bytes(sharded, queries, executor="thread",
                                   shard_workers=2) == remote
 

@@ -182,12 +182,13 @@ class TestBuildAndSearch:
 
     def test_search_merges_global_ids(self, sharded_index, shard_setup):
         base, queries = shard_setup
-        idx, dist = sharded_index.search(queries, 10)
+        result = sharded_index.search(queries, 10)
+        idx, dist = result
         assert idx.shape == dist.shape == (N_QUERIES, 10)
         assert idx.min() >= 0 and idx.max() < N_BASE
         # Distances ascend within each row.
         assert np.all(np.diff(dist, axis=1) >= 0)
-        evals = sharded_index.last_per_query_evaluations
+        evals = result.evaluations
         assert evals.shape == (N_QUERIES,)
         assert sharded_index.last_n_evaluations == evals.sum()
 
@@ -271,8 +272,8 @@ class TestRoutedSearch:
 
     def test_routed_stats_surface(self, routed_index, shard_setup):
         _, queries = shard_setup
-        routed_index.search(queries, 6, shard_probe=2, shard_workers=2)
-        stats = routed_index.last_serving_stats
+        stats = routed_index.search(queries, 6, shard_probe=2,
+                                    shard_workers=2).stats
         assert isinstance(stats, ShardedServingStats)
         assert stats.shard_probe == 2
         assert stats.routing_gemms == 1
@@ -285,8 +286,7 @@ class TestRoutedSearch:
     def test_full_fanout_stats_report_no_routing(self, routed_index,
                                                  shard_setup):
         _, queries = shard_setup
-        routed_index.search(queries, 6)
-        stats = routed_index.last_serving_stats
+        stats = routed_index.search(queries, 6).stats
         assert stats.shard_probe == 4
         assert stats.routing_gemms == 0
         assert stats.queries_per_shard == (N_QUERIES,) * 4
@@ -295,17 +295,17 @@ class TestRoutedSearch:
     def test_routing_gemm_charged_to_evaluations(self, routed_index,
                                                  shard_setup):
         _, queries = shard_setup
-        routed_index.search(queries, 6, shard_probe=1)
-        evals = routed_index.last_per_query_evaluations
+        evals = routed_index.search(queries, 6, shard_probe=1).evaluations
         # Every query pays the centroid gemm (one evaluation per shard)
         # on top of its own walk.
         assert np.all(evals > routed_index.n_shards)
 
     def test_single_query_routed(self, routed_index, shard_setup):
         _, queries = shard_setup
-        idx, dist = routed_index.search(queries[0], 5, shard_probe=1)
+        result = routed_index.search(queries[0], 5, shard_probe=1)
+        idx, dist = result
         assert idx.shape == dist.shape == (5,)
-        assert routed_index.last_per_query_evaluations.shape == (1,)
+        assert result.evaluations.shape == (1,)
 
     def test_widening_probe_never_hurts_distances(self, routed_index,
                                                   shard_setup):
@@ -448,8 +448,7 @@ class TestManifestBackCompat:
 class TestServingStatsAggregation:
     def test_combined_stats_surface(self, sharded_index, shard_setup):
         _, queries = shard_setup
-        sharded_index.search(queries, 6, shard_workers=2)
-        stats = sharded_index.last_serving_stats
+        stats = sharded_index.search(queries, 6, shard_workers=2).stats
         assert isinstance(stats, ShardedServingStats)
         assert stats.n_shards == 4
         # (the requested fan-out is clamped to the CPUs on a small box)
@@ -466,14 +465,14 @@ class TestServingStatsAggregation:
     def test_every_search_publishes_a_stats_record(self, sharded_index,
                                                   shard_setup):
         _, queries = shard_setup
-        sharded_index.search(queries[0], 6)
-        stats = sharded_index.last_serving_stats
+        result = sharded_index.search(queries[0], 6)
+        stats = result.stats
         assert isinstance(stats, ShardedServingStats)
         assert stats.n_queries == 1
         assert stats.shard_probe == 4 and stats.routing_gemms == 0
         assert stats.queries_per_shard == (1, 1, 1, 1)
         assert all(s.n_queries == 1 for s in stats.shard_stats)
-        assert sharded_index.last_per_query_evaluations.shape == (1,)
+        assert result.evaluations.shape == (1,)
 
 
 class TestPersistence:

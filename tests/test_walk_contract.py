@@ -178,12 +178,14 @@ class TestSingleQueryIsABatchOfOne:
                                 quantize=quantize)
             many = GraphSearcher(base, graph, random_state=3,
                                  quantize=quantize)
-            idx, dist = one.query(queries[row], K)
-            b_idx, b_dist = many.batch_query(queries[row:row + 1], K)
+            single = one.query(queries[row], K)
+            batch = many.batch_query(queries[row:row + 1], K)
+            idx, dist = single
+            b_idx, b_dist = batch
             assert np.array_equal(idx, b_idx[0])
             assert np.array_equal(dist, b_dist[0])
-            assert one.last_n_evaluations == many.last_n_evaluations
-            assert one.last_serving_stats.n_queries == 1
+            assert np.array_equal(single.evaluations, batch.evaluations)
+            assert single.stats.n_queries == 1
 
     @pytest.mark.parametrize("quantize", ENTRIES)
     def test_index(self, corpus, quantize):
@@ -211,14 +213,14 @@ class TestSingleQueryIsABatchOfOne:
             sharded.endpoints = [server.endpoint for server in servers]
             for options in ({"executor": "thread"}, {"executor": "remote"},
                             {"executor": "remote", "shard_probe": 1}):
-                idx, dist = sharded.search(queries[0], K, **options)
-                single_evals = sharded.last_per_query_evaluations
-                b_idx, b_dist = sharded.search(queries[:1], K, **options)
+                single = sharded.search(queries[0], K, **options)
+                batch = sharded.search(queries[:1], K, **options)
+                idx, dist = single
+                b_idx, b_dist = batch
                 assert idx.shape == (K,)
                 assert np.array_equal(idx, b_idx[0]), options
                 assert np.array_equal(dist, b_dist[0]), options
-                assert np.array_equal(single_evals,
-                                      sharded.last_per_query_evaluations)
+                assert np.array_equal(single.evaluations, batch.evaluations)
         finally:
             for server in servers:
                 server.close()
@@ -278,7 +280,7 @@ class TestConsolidationHazards:
 
         fields = tuple(f.name for f in dataclasses.fields(ShardSearchTask))
         assert (PROTOCOL_VERSION, fields) == (
-            3, ("shard", "queries", "shard_k", "pool_size", "workers"))
+            4, ("shard", "queries", "shard_k", "pool_size", "workers"))
 
 
 # --------------------------------------------------------------------- #
