@@ -169,7 +169,10 @@ class GKMeans(BaseClusterer):
     graph_builder:
         ``"clustering"`` (the paper's Alg. 3), ``"nn-descent"`` (the
         KGraph+GK-means configuration) or ``"brute-force"`` (exact graph,
-        useful for ablations).  Ignored when ``graph`` is given.
+        useful for ablations).  Ignored when ``graph`` is given.  Only
+        ``"clustering"`` draws from the clustering's own random stream; the
+        other builders leave it untouched, so the clustering equals a run
+        on the same graph passed in as ``graph``.
     graph_tau:
         τ — rounds of the clustering-based graph construction (paper: 10).
     graph_cluster_size:
@@ -342,8 +345,12 @@ class GKMeans(BaseClusterer):
             graph = result.graph
             self._graph_evaluations = result.n_distance_evaluations
         elif builder in {"nn-descent", "nndescent", "kgraph"}:
+            # KGraph is a graph supplier, not a step of Alg. 2: it draws from
+            # a child stream, so GK-means sees the same stream as it would
+            # on the same graph passed in as ``graph``.
             from ..graph.nndescent import NNDescent
-            nn_builder = NNDescent(n_neighbors=n_neighbors, random_state=rng,
+            nn_builder = NNDescent(n_neighbors=n_neighbors,
+                                   random_state=rng.spawn(1)[0],
                                    metric=work.metric, dtype=work.dtype)
             graph = nn_builder.build(data)
             self._graph_evaluations = nn_builder.n_distance_evaluations_

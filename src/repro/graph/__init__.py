@@ -4,10 +4,10 @@ Contains the :class:`~repro.graph.knngraph.KNNGraph` container, the flat
 :class:`~repro.graph.csr.CSRAdjacency` layout the searcher serves from,
 exact and approximate construction algorithms (brute force, random
 initialisation, NN-Descent, and the paper's Alg. 3 clustering-driven
-construction) and recall metrics against an exact ground truth.
+construction), online-insert repair (whose row merge NN-Descent shares)
+and recall metrics against an exact ground truth.
 """
 
-from .neighbor_heap import NeighborHeap
 from .csr import CSRAdjacency
 from .knngraph import KNNGraph
 from .bruteforce import brute_force_knn_graph, brute_force_neighbors
@@ -17,7 +17,6 @@ from .metrics import graph_recall, per_point_recall, estimate_recall_by_sampling
 from .construction import GraphConstructionResult, build_knn_graph_by_clustering
 
 __all__ = [
-    "NeighborHeap",
     "CSRAdjacency",
     "KNNGraph",
     "brute_force_knn_graph",

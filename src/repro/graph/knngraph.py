@@ -157,26 +157,3 @@ class KNNGraph:
             ordered = np.all(np.diff(self.distances, axis=1) >= -1e-9, axis=1)
             if not np.all(ordered):
                 raise GraphError("graph rows are not sorted by distance")
-
-    # ------------------------------------------------------------------ #
-    # Constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_heap(cls, heap, *, metric: str | None = None) -> "KNNGraph":
-        """Build a graph from a :class:`~repro.graph.neighbor_heap.NeighborHeap`.
-
-        The metric defaults to the one the heap's distances were pushed under
-        (``heap.metric``), so a heap built for cosine or inner-product work
-        cannot silently produce a ``sqeuclidean``-labelled graph.  An explicit
-        ``metric`` is accepted only when it agrees with the heap's.
-        """
-        heap_metric = getattr(heap, "metric", None)
-        if metric is None:
-            metric = "sqeuclidean" if heap_metric is None else heap_metric
-        elif heap_metric is not None and \
-                resolve_metric(metric) != resolve_metric(heap_metric):
-            raise GraphError(
-                f"heap distances were computed under metric {heap_metric!r} "
-                f"but from_heap was asked to label the graph {metric!r}")
-        indices, distances = heap.to_arrays()
-        return cls(indices, distances, metric=metric)

@@ -9,6 +9,14 @@ The algorithm starts from a random graph and repeatedly performs *local
 joins*: for every point, pairs of its (new) neighbours and reverse neighbours
 are compared and used to improve both neighbour lists, following the intuition
 that "a neighbour of a neighbour is also likely to be a neighbour".
+
+Each round is whole-array batches: one pass gathers every point's
+candidate lists, one gemm joins each chunk of points, and the round ends
+with one :func:`~repro.graph.repair.merge_offers` of every scored pair's
+two offers — the merge an online insert's back-edges use.  A row keeps
+the κ best of itself and its offers in any order, so a round leaves what
+the heap loop it replaced (``tests/_nndescent_oracle.py``) would, up to
+ties and random draws.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ from ..validation import (
     check_random_state,
 )
 from .knngraph import KNNGraph
-from .neighbor_heap import NeighborHeap
+from .random_graph import random_knn_graph
+from .repair import GATHER_ROWS, _ranks, merge_offers
 
 __all__ = ["NNDescent", "nn_descent_knn_graph"]
 
@@ -53,14 +62,17 @@ class NNDescent:
         Distance engine configuration — NN-Descent was designed for "generic
         similarity measures" and here supports ``sqeuclidean``, ``cosine`` and
         ``dot`` in either float dtype.  Dataset norms are computed once and
-        sliced into every local join.
+        gathered into every local join.
 
     Attributes
     ----------
     n_updates_:
-        Updates applied per round (diagnostic, useful to verify convergence).
+        Entry ``r`` counts the entries that entered a neighbour list in round
+        ``r`` (diagnostic, useful to verify convergence).  A round's updates
+        apply together at its end, not as its pairs are scored.
     n_distance_evaluations_:
-        Total number of distance computations performed.
+        Total number of distance computations performed: ``n * κ`` for the
+        random start plus every pair a local join scored.
     """
 
     n_neighbors: int = 10
@@ -85,120 +97,107 @@ class NNDescent:
         sample_rate = check_fraction(self.sample_rate, name="sample_rate")
         rng = check_random_state(self.random_state)
 
-        # Norms are computed once for the whole dataset and sliced per join.
-        self._engine = engine
-        self._norms = engine.norms(data)
-
-        heap = NeighborHeap(n, n_neighbors, metric=engine.metric)
-        self._seed_random(heap, data, rng)
+        graph = random_knn_graph(data, n_neighbors, random_state=rng,
+                                 engine=engine)
+        norms = engine.norms(data)
+        # "New" entries have not yet taken part in a local join.
+        flags = np.ones(graph.indices.shape, dtype=bool)
         self.n_updates_ = []
-        self.n_distance_evaluations_ = 0
+        self.n_distance_evaluations_ = n * n_neighbors
 
         threshold = self.early_termination * n * n_neighbors
         for _ in range(max_iterations):
-            updates = self._local_join_round(heap, data, sample_rate, rng)
-            self.n_updates_.append(updates)
-            if updates <= threshold:
+            new, old = _candidates(graph.indices, flags, sample_rate, rng)
+            targets, ids, dists = self._local_join(engine, data, norms, new,
+                                                   old, graph.distances)
+            _, lost = merge_offers(graph.indices, graph.distances, targets,
+                                   ids, dists, flags)
+            self.n_updates_.append(int(lost.size))
+            if lost.size <= threshold:
                 break
-        graph = KNNGraph.from_heap(heap)
         return graph
 
-    def _cross(self, data: np.ndarray, rows: np.ndarray,
-               cols: np.ndarray) -> np.ndarray:
-        """Distances between two index subsets, reusing the dataset norms."""
-        norms = self._norms
-        return self._engine.cross(
-            data[rows], data[cols],
-            a_norms=None if norms is None else norms[rows],
-            b_norms=None if norms is None else norms[cols])
+    def _local_join(self, engine: DistanceEngine, data: np.ndarray,
+                    norms: np.ndarray | None, new: np.ndarray,
+                    old: np.ndarray, distances: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Score every point's new–new and new–old candidate pairs.
 
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _seed_random(self, heap: NeighborHeap, data: np.ndarray,
-                     rng: np.random.Generator) -> None:
-        """Fill the heap with random neighbours and their true distances."""
-        n = heap.n_points
-        k = heap.n_neighbors
-        for point in range(n):
-            draw = rng.choice(n - 1, size=k, replace=False)
-            draw[draw >= point] += 1
-            dists = self._cross(data, np.array([point]), draw)[0]
-            self.n_distance_evaluations_ += k
-            for neighbor, dist in zip(draw, dists):
-                heap.push(point, int(neighbor), float(dist), flag=True)
-
-    def _gather_candidates(self, heap: NeighborHeap, sample_rate: float,
-                           rng: np.random.Generator
-                           ) -> tuple[list[list[int]], list[list[int]]]:
-        """Split each point's neighbourhood into new and old candidate sets.
-
-        Reverse neighbours are folded in, as in the original algorithm, so the
-        join also considers points that list ``i`` as *their* neighbour.
+        Returns the round's offers ``(targets, ids, dists)``: both
+        directions of every scored pair that beats its target's κ-th
+        distance, one per (target, id) at the distance it was first scored
+        at.
         """
-        n = heap.n_points
-        new_candidates: list[list[int]] = [[] for _ in range(n)]
-        old_candidates: list[list[int]] = [[] for _ in range(n)]
-        for point in range(n):
-            for slot in range(heap.n_neighbors):
-                neighbor = int(heap.indices[point, slot])
-                if neighbor < 0:
-                    continue
-                is_new = bool(heap.flags[point, slot])
-                if is_new and (sample_rate >= 1.0
-                               or rng.random() < sample_rate):
-                    new_candidates[point].append(neighbor)
-                    new_candidates[neighbor].append(point)
-                    heap.flags[point, slot] = False
-                elif not is_new:
-                    old_candidates[point].append(neighbor)
-                    old_candidates[neighbor].append(point)
-        return new_candidates, old_candidates
+        n = new.shape[0]
+        offers = []
+        # A chunk gathers ``(rows, 4κ, d)``: GATHER_ROWS' bound for κ-wide.
+        for start in range(0, n, GATHER_ROWS // 4):
+            chunk = slice(start, start + GATHER_ROWS // 4)
+            width = (new[chunk] >= 0).sum(axis=1).max()
+            left = new[chunk, :width]
+            cand = np.concatenate(
+                (left, old[chunk, :(old[chunk] >= 0).sum(axis=1).max()]),
+                axis=1)
+            a, b = np.maximum(left, 0), np.maximum(cand, 0)
+            block = engine.from_inner(
+                np.matmul(data[a], data[b].transpose(0, 2, 1)),
+                None if norms is None else norms[a][:, :, None],
+                None if norms is None else norms[b][:, None, :])
+            # The pairs the join scores: new–new once (a < b), new–old
+            # unless both sides are the same point.
+            column = np.arange(cand.shape[1])
+            scored = np.where(column < width,
+                              column > np.arange(width)[:, None],
+                              left[:, :, None] != cand[:, None, :])
+            scored &= (left >= 0)[:, :, None] & (cand >= 0)[:, None, :]
+            lane, row, col = scored.nonzero()
+            self.n_distance_evaluations_ += lane.size
+            u, v = left[lane, row], cand[lane, col]
+            dist = block[lane, row, col].astype(np.float64)
+            targets, ids = np.concatenate((u, v)), np.concatenate((v, u))
+            dists = np.concatenate((dist, dist))
+            # Offers that cannot enter are dropped here, which keeps the
+            # round's buffer small; the merge drops the rest.
+            keep = dists < distances[targets, -1]
+            offers.append((targets[keep], ids[keep], dists[keep]))
+        targets, ids, dists = (np.concatenate(part) for part in zip(*offers))
+        keys, first = np.unique(targets * n + ids, return_index=True)
+        return keys // n, keys % n, dists[first]
 
-    def _local_join_round(self, heap: NeighborHeap, data: np.ndarray,
-                          sample_rate: float, rng: np.random.Generator) -> int:
-        """One round of local joins; returns the number of list updates."""
-        new_candidates, old_candidates = self._gather_candidates(
-            heap, sample_rate, rng)
-        updates = 0
-        # Bound candidate lists so one popular point (many reverse neighbours)
-        # cannot blow the round up to quadratic cost — same role as KGraph's
-        # reverse-sample limit.
-        max_candidates = max(heap.n_neighbors, 2) * 2
-        for point in range(heap.n_points):
-            new_ids = np.unique(np.asarray(new_candidates[point],
-                                           dtype=np.int64))
-            old_ids = np.unique(np.asarray(old_candidates[point],
-                                           dtype=np.int64))
-            if new_ids.size > max_candidates:
-                new_ids = rng.choice(new_ids, size=max_candidates,
-                                     replace=False)
-            if old_ids.size > max_candidates:
-                old_ids = rng.choice(old_ids, size=max_candidates,
-                                     replace=False)
-            if new_ids.size == 0:
-                continue
-            # new-new pairs
-            if new_ids.size > 1:
-                block = self._cross(data, new_ids, new_ids)
-                self.n_distance_evaluations_ += new_ids.size * (new_ids.size - 1) // 2
-                for a in range(new_ids.size):
-                    for b in range(a + 1, new_ids.size):
-                        updates += heap.push_symmetric(
-                            int(new_ids[a]), int(new_ids[b]),
-                            float(block[a, b]))
-            # new-old pairs
-            if old_ids.size:
-                block = self._cross(data, new_ids, old_ids)
-                self.n_distance_evaluations_ += new_ids.size * old_ids.size
-                for a in range(new_ids.size):
-                    for b in range(old_ids.size):
-                        if new_ids[a] == old_ids[b]:
-                            continue
-                        updates += heap.push_symmetric(
-                            int(new_ids[a]), int(old_ids[b]),
-                            float(block[a, b]))
-        return updates
+
+def _candidates(indices: np.ndarray, flags: np.ndarray, sample_rate: float,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Every point's new and old candidate lists for one local join.
+
+    A point's candidates are its neighbours and reverse neighbours, split
+    by the entry's "new" flag; a new entry takes part with probability
+    ``sample_rate`` and is then flagged old.  A seeded subsample caps each
+    list at ``2 * max(κ, 2)`` ids, so a popular point cannot make the round
+    quadratic (KGraph's reverse-sample limit).  Returns two ``(n, cap)``
+    arrays of ascending ids, ``-1`` padded.
+    """
+    n, n_neighbors = indices.shape
+    cap = 2 * max(n_neighbors, 2)
+    new = flags.copy()
+    if sample_rate < 1.0:
+        new &= rng.random(flags.shape) < sample_rate
+    old = ~flags
+    flags &= ~new
+    owners = np.repeat(np.arange(n), n_neighbors).reshape(indices.shape)
+    lists = []
+    for mask in (new, old):
+        # Forward and reverse edges as ``owner * n + id`` keys, deduped.
+        keys = np.sort(np.concatenate((owners[mask] * n + indices[mask],
+                                       indices[mask] * n + owners[mask])))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        if keys.size and _ranks(keys // n).max() >= cap:
+            # A random rank within each owner's run; keep the first ``cap``.
+            order = np.lexsort((rng.random(keys.size), keys // n))
+            keys = np.sort(keys[order[_ranks(keys[order] // n) < cap]])
+        padded = np.full((n, cap), -1, dtype=np.int64)
+        padded[keys // n, _ranks(keys // n)] = keys % n
+        lists.append(padded)
+    return lists[0], lists[1]
 
 
 def nn_descent_knn_graph(data: np.ndarray, n_neighbors: int, *,

@@ -32,9 +32,9 @@ def random_knn_graph(data: np.ndarray, n_neighbors: int, *, random_state=None,
         Seed or generator.
     compute_distances:
         When true, the true distances of the random neighbours are computed
-        and rows sorted by them, so pushes into a
-        :class:`~repro.graph.neighbor_heap.NeighborHeap` start from a
-        consistent state.  When false, distances are left as ``inf``.
+        and rows sorted by them — the distance-sorted rows NN-Descent's
+        merges (:func:`~repro.graph.repair.merge_offers`) start from.  When
+        false, distances are left as ``inf``.
     metric, dtype:
         Distance engine configuration; ignored when ``engine`` is given.
     engine:

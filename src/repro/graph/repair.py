@@ -19,9 +19,12 @@ whole-batch steps:
    rows' graph rows.
 3. **Back-edges** (:func:`push_back_edges`) — every (new row, neighbour)
    pair offers the new row to the neighbour's row, and each target keeps
-   the κ best of its row plus its pushes in one stable merge, so the new
-   rows become *reachable* and the touched rows improve toward their true
-   k-NN rows.
+   the κ best of its row plus its offers in one stable merge
+   (:func:`merge_offers`), so the new rows become *reachable* and the
+   touched rows improve toward their true k-NN rows.
+
+:func:`merge_offers` is the package's one row merge: every round of
+:class:`~repro.graph.nndescent.NNDescent` ends with it too.
 
 The searcher then re-derives only the adjacency rows the repair touched
 (:meth:`~repro.graph.knngraph.KNNGraph.adjacency`) and splices them into
@@ -31,11 +34,12 @@ index serves bit-identical results.
 
 Ties: the join keeps the nearest candidates by ``(distance, id)``; the
 merge orders a target's entries by ``(distance, position)`` with the
-existing entries first among equals — the row one-at-a-time pushes in
-position order would leave.  Repair is deterministic.  A new row does not
-seed from rows inserted earlier in the same call (the walk sees the
-pre-insert graph); the in-batch join takes over that role.  The per-row
-loop this replaced is the quality oracle of ``tests/_insert_oracle.py``.
+existing entries first among equals and the offers by ``(distance, id)``
+— the row one-at-a-time pushes in that order would leave.  Repair is
+deterministic.  A new row does not seed from rows inserted earlier in the
+same call (the walk sees the pre-insert graph); the in-batch join takes
+over that role.  The per-row loop this replaced is the quality oracle of
+``tests/_insert_oracle.py``.
 The join is quadratic in the call's row count (the batch is one
 cluster), so bulk loads of many thousands of rows belong in several calls
 or a rebuild.
@@ -48,7 +52,7 @@ import numpy as np
 from ..distance import DistanceEngine
 from ..distance.kernels import stable_smallest
 
-__all__ = ["refine_neighborhood", "push_back_edges",
+__all__ = ["refine_neighborhood", "push_back_edges", "merge_offers",
            "materialize_row_distances", "JOIN_CHUNK", "GATHER_ROWS"]
 
 #: New rows joined per distance block.  A chunk is scored against the
@@ -126,52 +130,46 @@ def refine_neighborhood(engine: DistanceEngine, data: np.ndarray,
     return row_ids, row_dists
 
 
-def push_back_edges(indices: np.ndarray, distances: np.ndarray, first: int,
-                    row_ids: np.ndarray, row_dists: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Offer every new row to each node of its graph row, all at once.
+def merge_offers(indices: np.ndarray, distances: np.ndarray,
+                 targets: np.ndarray, ids: np.ndarray, dists: np.ndarray,
+                 flags: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Keep, for every row, the κ best of the row plus the ids offered to it.
 
-    Row ``i`` of ``row_ids`` / ``row_dists`` is new row ``first + i``'s
-    joined row; each of its ``(id, distance)`` entries pushes ``first + i``
-    into that id's row of ``indices`` / ``distances`` (the new rows
-    included).  A push whose target already lists its pusher — a mutual
-    in-batch pair — is skipped, or the row would hold the id twice.  Each
-    target keeps the κ best of its row plus its pushes by ``(distance,
-    position)``, the existing entries first among equals, which is the row
-    the pushes would leave one at a time in position order.  ``indices`` and
-    ``distances`` are updated in place.
+    Offer ``i`` offers id ``ids[i]`` at ``dists[i]`` to row ``targets[i]``
+    of the distance-sorted ``indices`` / ``distances``; no (target, id) is
+    offered twice.  Offers that do not beat the row's κ-th distance, or
+    whose id the row holds, are dropped.  A row keeps the κ best by
+    ``(distance, position)``: existing entries first among equals, offers
+    in ``(distance, id)`` order — the row one-at-a-time pushes in that
+    order would leave.  Updated in place; ``flags``, when given, moves
+    alongside and an offer enters flagged ``True``.
 
-    Returns ``(changed, dropped)``: the ascending rows some push entered,
-    and the ids those rows lost to make room.
+    Returns ``(changed, lost)``: the ascending rows some offer entered, and
+    the entries (``-1`` for padding) they lost, one per offer that entered.
     """
     n_neighbors = indices.shape[1]
-    targets = row_ids.ravel()
-    valid = targets >= 0
-    pushers = np.repeat(np.arange(first, first + row_ids.shape[0]),
-                        row_ids.shape[1])[valid]
-    targets = targets[valid]
-    dists = row_dists.ravel()[valid]
-    fresh = ~(indices[targets] == pushers[:, None]).any(axis=1)
-    pushers, targets, dists = pushers[fresh], targets[fresh], dists[fresh]
-    if not targets.size:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    # Group the pushes by target, each group in arrival order: by distance,
-    # then position.
-    order = np.lexsort((pushers, dists, targets))
-    pushers, targets, dists = pushers[order], targets[order], dists[order]
-    hit, starts, counts = np.unique(targets, return_index=True,
-                                    return_counts=True)
+    keep = dists < distances[targets, -1]
+    targets, ids, dists = targets[keep], ids[keep], dists[keep]
+    # Group the offers by target, each group by distance, then id.  A row
+    # holds at most κ of a group's ids, so the group's first 2κ offers
+    # hold every one that can enter.
+    order = np.lexsort((ids, dists, targets))
+    order = order[_ranks(targets[order]) < 2 * n_neighbors]
+    order = order[~(indices[targets[order]] == ids[order, None]).any(axis=1)]
+    order = order[_ranks(targets[order]) < n_neighbors]
+    ids, targets, dists = ids[order], targets[order], dists[order]
+    hit, counts = np.unique(targets, return_counts=True)
     lane = np.repeat(np.arange(hit.size), counts)
-    at = np.arange(n_neighbors, n_neighbors + targets.size)
-    at -= np.repeat(starts, counts)
-    # [existing row | pushes], one merge row per target; the stable sort
+    at = n_neighbors + _ranks(targets)
+    # [existing row | offers], one merge row per target; the stable sort
     # keeps the existing entries first among equals.
-    shape = (hit.size, n_neighbors + int(counts.max()))
+    shape = (hit.size, n_neighbors + int(counts.max(initial=0)))
     cat_ids = np.full(shape, -1, dtype=np.int64)
     cat_dists = np.full(shape, np.inf, dtype=np.float64)
     cat_ids[:, :n_neighbors] = indices[hit]
     cat_dists[:, :n_neighbors] = distances[hit]
-    cat_ids[lane, at] = pushers
+    cat_ids[lane, at] = ids
     cat_dists[lane, at] = dists
     order = cat_dists.argsort(axis=1, kind="stable")
     entered = (order[:, :n_neighbors] >= n_neighbors).any(axis=1)
@@ -180,9 +178,41 @@ def push_back_edges(indices: np.ndarray, distances: np.ndarray, first: int,
     changed = hit[entered]
     indices[changed] = cat_ids[lanes, order[:, :n_neighbors]]
     distances[changed] = cat_dists[lanes, order[:, :n_neighbors]]
+    if flags is not None:
+        cat_flags = np.ones(shape, dtype=bool)
+        cat_flags[:, :n_neighbors] = flags[hit]
+        flags[changed] = cat_flags[lanes, order[:, :n_neighbors]]
     lost = order[:, n_neighbors:]
-    dropped = cat_ids[lanes, lost][lost < n_neighbors]
-    return changed, dropped[dropped >= 0]
+    return changed, cat_ids[lanes, lost][lost < n_neighbors]
+
+
+def _ranks(groups: np.ndarray) -> np.ndarray:
+    """Each entry's position within its run of equal ``groups`` (sorted)."""
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    return np.arange(groups.size) - np.repeat(
+        starts, np.diff(starts, append=groups.size))
+
+
+def push_back_edges(indices: np.ndarray, distances: np.ndarray, first: int,
+                    row_ids: np.ndarray, row_dists: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Offer every new row to each node of its graph row, all at once.
+
+    Row ``i`` of ``row_ids`` / ``row_dists`` is new row ``first + i``'s
+    joined row; each ``(id, distance)`` entry offers ``first + i`` to that
+    id's row of ``indices`` / ``distances`` (new rows included), merged in
+    place by :func:`merge_offers` — a mutual in-batch pair is already held.
+
+    Returns ``(changed, dropped)``: the ascending rows some push entered,
+    and the ids those rows lost to make room.
+    """
+    targets = row_ids.ravel()
+    valid = targets >= 0
+    pushers = np.repeat(np.arange(first, first + row_ids.shape[0]),
+                        row_ids.shape[1])[valid]
+    changed, lost = merge_offers(indices, distances, targets[valid], pushers,
+                                 row_dists.ravel()[valid])
+    return changed, lost[lost >= 0]
 
 
 def materialize_row_distances(data: np.ndarray, indices: np.ndarray,

@@ -171,6 +171,20 @@ class TestGKMeansEstimator:
         assert model.graph_ is not None
         assert model.result_.extra["graph_seconds"] > 0
 
+    def test_nn_descent_builder_leaves_clustering_stream(self, sift_small):
+        """KGraph+GK-means is GK-means on KGraph's graph: the builder draws
+        from a child stream, so the clustering equals a run on that graph
+        passed in as ``graph`` with the same seed."""
+        from repro.graph import NNDescent
+        built = GKMeans(15, n_neighbors=8, graph_builder="nn-descent",
+                        random_state=0, max_iter=5).fit(sift_small)
+        child = np.random.default_rng(0).spawn(1)[0]
+        graph = NNDescent(n_neighbors=8, random_state=child).build(sift_small)
+        np.testing.assert_array_equal(built.graph_.indices, graph.indices)
+        supplied = GKMeans(15, n_neighbors=8, graph=graph, random_state=0,
+                           max_iter=5).fit(sift_small)
+        np.testing.assert_array_equal(built.labels_, supplied.labels_)
+
     def test_brute_force_graph_builder(self, blob_data):
         data, _ = blob_data
         model = GKMeans(6, n_neighbors=8, graph_builder="brute-force",

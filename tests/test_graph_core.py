@@ -9,7 +9,6 @@ from repro.distance import DistanceEngine
 from repro.exceptions import GraphError, ValidationError
 from repro.graph import (
     KNNGraph,
-    NeighborHeap,
     brute_force_knn_graph,
     brute_force_neighbors,
     estimate_recall_by_sampling,
@@ -105,14 +104,6 @@ class TestKNNGraph:
         assert len(got) == len(expected) == graph.n_points
         for node, oracle in enumerate(expected):
             assert got[node].tolist() == oracle.tolist()
-
-    def test_from_heap(self):
-        heap = NeighborHeap(3, 2)
-        heap.push_symmetric(0, 1, 1.0)
-        heap.push_symmetric(1, 2, 2.0)
-        graph = KNNGraph.from_heap(heap)
-        assert graph.n_points == 3
-        assert graph.indices[0, 0] == 1
 
     def test_out_of_range_indices_rejected(self):
         with pytest.raises(ValidationError):
@@ -299,30 +290,6 @@ class TestMetricPropagation:
         graph = KNNGraph(np.array([[1, 2], [0, 2], [0, 1]]),
                          np.array([[0.1, 0.2]] * 3), metric="cosine")
         assert graph.truncated(1).metric == "cosine"
-
-    def test_from_heap_inherits_heap_metric(self):
-        heap = NeighborHeap(3, 2, metric="cosine")
-        heap.push_symmetric(0, 1, 0.25)
-        graph = KNNGraph.from_heap(heap)
-        assert graph.metric == "cosine"
-
-    def test_from_heap_conflicting_metric_rejected(self):
-        heap = NeighborHeap(3, 2, metric="cosine")
-        with pytest.raises(GraphError, match="metric"):
-            KNNGraph.from_heap(heap, metric="sqeuclidean")
-
-    def test_from_heap_matching_alias_accepted(self):
-        heap = NeighborHeap(3, 2, metric="cosine")
-        heap.push_symmetric(0, 1, 0.25)
-        assert KNNGraph.from_heap(heap, metric="angular").metric == "cosine"
-
-    def test_from_heap_without_heap_metric_defaults(self):
-        class BareHeap:
-            def to_arrays(self):
-                return (np.array([[1], [0]]),
-                        np.array([[0.5], [0.5]]))
-
-        assert KNNGraph.from_heap(BareHeap()).metric == "sqeuclidean"
 
     def test_nn_descent_graph_carries_engine_metric(self, tiny_data):
         from repro.graph import nn_descent_knn_graph

@@ -1,12 +1,13 @@
-"""Tests for the bounded neighbour lists (NeighborHeap)."""
+"""Tests for the bounded neighbour lists (NeighborHeap) of the NN-Descent
+oracle."""
 
 import numpy as np
 import pytest
+from _nndescent_oracle import NeighborHeap, to_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
-from repro.graph import NeighborHeap
 
 
 class TestPush:
@@ -104,6 +105,15 @@ class TestToArrays:
         indices, distances = heap.to_arrays()
         indices[0, 0] = 99
         assert heap.indices[0, 0] == 1
+
+    def test_to_graph(self):
+        heap = NeighborHeap(3, 2, metric="cosine")
+        heap.push_symmetric(0, 1, 1.0)
+        heap.push_symmetric(1, 2, 2.0)
+        graph = to_graph(heap)
+        assert graph.n_points == 3
+        assert graph.indices[0, 0] == 1
+        assert graph.metric == "cosine"
 
 
 class TestPropertyBased:
