@@ -54,9 +54,11 @@ class ShardSearchTask:
     """One shard's share of a sharded search, as a picklable message.
 
     ``queries`` is the 2-D batch the shard must serve (a single query
-    travels as a batch of one).  The remaining fields are the per-call
-    search knobs.  The field list is part of the wire protocol: changing
-    it needs a :data:`~repro.net.framing.PROTOCOL_VERSION` bump.
+    travels as a batch of one).  ``bounds`` are the per-query distance
+    caps of a routed search's far shards (``None``: uncapped).  The
+    remaining fields are the per-call search knobs.  The field list is part
+    of the wire protocol: changing it needs a
+    :data:`~repro.net.framing.PROTOCOL_VERSION` bump.
     """
 
     shard: int
@@ -64,6 +66,7 @@ class ShardSearchTask:
     shard_k: int
     pool_size: int | None = None
     workers: int | None = None
+    bounds: np.ndarray | None = None
 
 
 def search_shard_index(index: Index, task: ShardSearchTask) -> SearchResult:
@@ -75,7 +78,8 @@ def search_shard_index(index: Index, task: ShardSearchTask) -> SearchResult:
     shard's :class:`~repro.search.SearchResult` in its rows' global ids.
     """
     return index.search(task.queries, task.shard_k,
-                        pool_size=task.pool_size, workers=task.workers)
+                        pool_size=task.pool_size, workers=task.workers,
+                        bounds=task.bounds)
 
 
 class _PooledFanOut:

@@ -415,7 +415,8 @@ class Index:
     def search(self, queries: np.ndarray, n_results: int = 10, *,
                pool_size: int | None = None,
                workers: int | None = None, shard_probe: int | None = None,
-               executor: str | None = None) -> SearchResult:
+               executor: str | None = None,
+               bounds: np.ndarray | None = None) -> SearchResult:
         """Serve one query or a batch of queries.
 
         Parameters
@@ -444,6 +445,12 @@ class Index:
             elsewhere, so only ``None`` or ``"thread"`` (the in-process
             walk) are valid — anything else is rejected with a pointer at
             the sharded layer.
+        bounds:
+            Optional per-query distance caps, a floating ``(m,)`` array
+            (``(1,)`` for one vector; ``inf`` is no cap): a query's walk
+            never expands a candidate at or beyond its bound.  A routed
+            sharded search passes each query's k-th distance in its
+            nearest shard to its other probed shards.
 
         Returns
         -------
@@ -473,7 +480,8 @@ class Index:
         idx, dist = walked = self._searcher.batch_query(
             queries[None, :] if single else queries,
             n_results + n_tombstones, pool_size=pool_size,
-            workers=self.spec.workers if workers is None else workers)
+            workers=self.spec.workers if workers is None else workers,
+            bounds=bounds)
         if n_tombstones:
             idx, dist = self._drop_tombstoned(idx, dist, n_results)
         idx = self._external(idx)

@@ -25,10 +25,12 @@ bit-for-bit identical results at every shard-parallelism level.
 For the geometric ``gkmeans`` partitioner the coarse centroids are kept with
 the index, which unlocks *routed* search: ``shard_probe=P`` scores each query
 batch against the S centroids in one small gemm, routes every query to its P
-nearest shards and walks only the shards that received queries.  The full
-fan-out is the same search path at ``P = S`` (every shard probed, no routing
-gemm); ``P < S`` trades recall for throughput and the routing decision is
-deterministic and ``shard_workers``-invariant.
+nearest shards and walks only the shards that received queries: first each
+query's nearest shard, then its other probed shards with the walk capped at
+the k-th distance the nearest shard returned.  The full fan-out is the same
+search path at ``P = S`` (every shard probed in one uncapped fan-out, no
+routing gemm); ``P < S`` trades recall for throughput and the routing
+decision is deterministic and ``shard_workers``-invariant.
 
 Every shard is an ``Index`` whose external ids are the global ids of its
 rows, so a shard answers in global ids wherever it runs and owns its part of
@@ -75,6 +77,7 @@ from ..search._walk import SearchResult
 from ..validation import (
     check_data_matrix,
     check_positive_int,
+    check_queries,
     check_random_state,
     clamp_workers,
 )
@@ -216,9 +219,12 @@ class ShardedServingStats:
         Per-shard routed query counts, in shard order (the full batch size
         for every shard under full fan-out).
     shard_stats:
-        Per-searched-shard :class:`~repro.search.frontier.ServingStats`, in
-        shard order; routed searches skip shards that received no queries,
-        so this may be shorter than ``n_shards``.
+        Per-walk :class:`~repro.search.frontier.ServingStats`, in fan-out
+        order: shard order for the full fan-out; for a routed search the
+        nearest-shard walks (routing rank 0) in shard order, then the
+        capped walks of the other probed shards in shard order.  Shards
+        that received no queries are skipped, so a fan-out may list fewer
+        than ``n_shards`` entries.
     total_seconds:
         Wall-clock time of the whole sharded call, routing and merge
         included.
@@ -644,6 +650,14 @@ class ShardedIndex:
         centroids.  The routing decision is deterministic and
         ``shard_workers``-invariant.
 
+        A routed search fans out twice.  Each query first walks its nearest
+        shard; its k-th distance there (``inf`` when that shard returned
+        fewer than k live rows) is then the ``bounds`` cap of its walks in
+        its other probed shards, which never expand a candidate the merge
+        would discard against the k results already held.  With
+        ``shard_workers > 1`` or the remote executor the two fan-outs run
+        one after the other.  The full fan-out is one uncapped fan-out.
+
         Per-shard query subsets are regrouped into one batched walk per
         probed shard; the per-shard top-k (each shard's own rows, in the
         global ids the shard carries) are scatter-merged back into batch
@@ -675,19 +689,17 @@ class ShardedIndex:
                 "geometric 'gkmeans' partitioner records them (round_robin "
                 "shards are dealt by row order)")
         started = time.perf_counter()
-        queries = np.asarray(queries)
-        single = queries.ndim == 1
-        if single:
-            queries = queries[None, :]
+        single = np.ndim(queries) == 1
+        queries = check_queries(queries, self.n_features,
+                                dtype=self.engine_.dtype)
         m = queries.shape[0]
+        lanes = np.arange(m)
         probed_mask = np.full((m, self.n_shards), not routed)
         if routed:
             routes = self._route(queries, probe)
-            probed_mask[np.arange(m)[:, None], routes] = True
-        shard_rows = [np.flatnonzero(probed_mask[:, shard])
-                      for shard in range(self.n_shards)]
-        probed = [shard for shard in range(self.n_shards)
-                  if shard_rows[shard].size]
+            probed_mask[lanes[:, None], routes] = True
+            nearest = np.zeros_like(probed_mask)
+            nearest[lanes, routes[:, 0]] = True
         # Column offsets of every (query, shard) block in the merge buffer:
         # query q's candidates from shard s start where the widths of q's
         # probed shards with smaller ids end.
@@ -697,31 +709,58 @@ class ShardedIndex:
         ends = np.cumsum(contrib, axis=1)
         starts_at = ends - contrib
         buffer_width = max(int(ends[:, -1].max()), n_results)
-
-        # Shards share no state and each task is internally deterministic,
-        # so neither the fan-out order nor the executor kind can influence
-        # the scatter-merge below.
-        tasks = [ShardSearchTask(
-            shard=shard, queries=queries[shard_rows[shard]],
-            shard_k=int(widths[shard]), pool_size=pool_size,
-            workers=workers) for shard in probed]
-        parts = self._get_executor(
-            executor, min(shard_workers, len(probed))).run(tasks)
-
         all_ids = np.full((m, buffer_width), -1, dtype=np.int64)
-        all_dist = np.full((m, buffer_width), np.inf,
-                           dtype=parts[0].distances.dtype)
+        all_dist = np.full((m, buffer_width), np.inf, dtype=np.float64)
         # Routing scores every query against all centroids: one gemm,
         # n_shards evaluations per query, charged before the walks.
         evaluations = np.full(m, self.n_shards if routed else 0,
                               dtype=np.int64)
-        for shard, part in zip(probed, parts):
-            rows = shard_rows[shard]
-            cols = starts_at[rows, shard][:, None] + \
-                np.arange(widths[shard])[None, :]
-            all_ids[rows[:, None], cols] = part.indices
-            all_dist[rows[:, None], cols] = part.distances
-            evaluations[rows] += part.evaluations
+        shard_stats = []
+        runner = self._get_executor(executor, min(
+            shard_workers, int(probed_mask.any(axis=0).sum())))
+
+        def fan_out(mask: np.ndarray, bounds: np.ndarray | None = None
+                    ) -> list:
+            """Walk each shard on its rows of ``mask`` and scatter the
+            results into the merge buffer; returns ``(rows, part)`` pairs.
+
+            Shards share no state and each task is internally
+            deterministic, so neither the fan-out order nor the executor
+            kind can influence the merge.
+            """
+            shard_rows = [np.flatnonzero(mask[:, shard])
+                          for shard in range(self.n_shards)]
+            probed = [shard for shard in range(self.n_shards)
+                      if shard_rows[shard].size]
+            tasks = [ShardSearchTask(
+                shard=shard, queries=queries[shard_rows[shard]],
+                shard_k=int(widths[shard]), pool_size=pool_size,
+                workers=workers,
+                bounds=None if bounds is None else bounds[shard_rows[shard]])
+                for shard in probed]
+            parts = runner.run(tasks)
+            for shard, part in zip(probed, parts):
+                rows = shard_rows[shard]
+                cols = starts_at[rows, shard][:, None] + \
+                    np.arange(widths[shard])[None, :]
+                all_ids[rows[:, None], cols] = part.indices
+                all_dist[rows[:, None], cols] = part.distances
+                evaluations[rows] += part.evaluations
+                shard_stats.append(part.stats)
+            return [(shard_rows[shard], part)
+                    for shard, part in zip(probed, parts)]
+
+        if not routed:
+            fan_out(probed_mask)
+        else:
+            # The nearest shard first; its k-th distance (inf when it holds
+            # fewer than k live rows) caps the query's other probed shards,
+            # whose walks then skip everything the merge would discard.
+            bounds = np.full(m, np.inf)
+            for rows, part in fan_out(nearest):
+                if part.distances.shape[1] == n_results:
+                    bounds[rows] = part.distances[:, -1]
+            fan_out(probed_mask & ~nearest, bounds)
 
         # Stable sort on distance: ties keep shard-then-rank order, so the
         # merge is deterministic and independent of shard_workers.  Unreached
@@ -735,8 +774,9 @@ class ShardedIndex:
             n_shards=self.n_shards, shard_workers=shard_workers,
             n_queries=m, shard_probe=probe, executor=executor,
             routing_gemms=int(routed),
-            queries_per_shard=tuple(int(rows.size) for rows in shard_rows),
-            shard_stats=tuple(part.stats for part in parts),
+            queries_per_shard=tuple(int(count)
+                                    for count in probed_mask.sum(axis=0)),
+            shard_stats=tuple(shard_stats),
             total_seconds=time.perf_counter() - started)
         if single:
             out_idx, out_dist = out_idx[0], out_dist[0]

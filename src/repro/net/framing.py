@@ -49,7 +49,9 @@ __all__ = [
 #: Version 3: shard results carry global ids (the shard files hold them)
 #: and ``ShardSearchTask`` lost its no-op ``seed`` field.  Version 4: the
 #: search reply is the shard's own ``SearchResult``, not a copy of it.
-PROTOCOL_VERSION = 4
+#: Version 5: ``ShardSearchTask`` gained ``bounds``, the per-query caps of
+#: a routed search's far shards.
+PROTOCOL_VERSION = 5
 
 #: Frame preamble — rejects non-protocol traffic on the first 4 bytes.
 MAGIC = b"RNET"

@@ -24,7 +24,8 @@ expansion, so this walk batches both ways:
 Bookkeeping is group-wide: a group's state is a few fixed-width matrices
 — ``(g, L)`` pool ids, distances and expanded flags, kept ascending by
 distance and padded ``-1`` / ``inf``, plus one threshold per row (the
-pool's worst distance once it has overflowed) — and a round is a fixed
+pool's worst distance once it has overflowed, never above the row's
+``bounds`` cap when the caller gives one) — and a round is a fixed
 number of numpy calls for the whole group, not a Python trip per query.
 Candidates are not stored: they are exactly the unexpanded pool members
 below the row's threshold (anything that fell out of the pool is at or above
@@ -243,7 +244,8 @@ class SearchResult(tuple):
 def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
               rerank: Scorer | None, *, pool_size: int,
               max_group: int | None, workers: int,
-              executor: ThreadPoolExecutor | None
+              executor: ThreadPoolExecutor | None,
+              bounds: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ServingStats]:
     """Walk every query of ``seeds`` over ``adjacency``; see the module docs.
 
@@ -252,9 +254,12 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
     plain row list; it is never repacked.  ``seeds`` are the batch's entry
     points (:func:`~repro.search._seeding.seed_entry_points`); each query's
     pool starts as its seed row.  ``rerank`` is the exact scorer of the
-    compressed entry (``None`` when ``score`` is already exact).  Returns
-    ``(indices, distances, n_evaluations, stats)`` as documented on the two
-    public entries.
+    compressed entry (``None`` when ``score`` is already exact).
+    ``bounds``, an optional ``(m,)`` array in the walk's own distance
+    units, caps each row's threshold: a row never expands a candidate at or
+    beyond its bound, so a row whose seeds all lie beyond it ends after
+    seeding with no gemm.  Returns ``(indices, distances, n_evaluations,
+    stats)`` as documented on the two public entries.
     """
     started = time.perf_counter()
     n = len(adjacency)
@@ -272,6 +277,13 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
     groups = [np.arange(start, min(start + max_group, m))
               for start in range(0, m, max_group)]
     workers = min(workers, max(1, len(groups)))
+    cap = None
+    if bounds is not None:
+        # In the pool's dtype, rounded up where the cast rounded down, so
+        # ``distance < cap`` is exactly ``distance < bound``.
+        cap = bounds.astype(seeds.dists.dtype)
+        low = cap < bounds
+        cap[low] = np.nextafter(cap[low], np.inf)
 
     def walk_group(rows: np.ndarray) -> tuple[int, int, float]:
         group_started = time.perf_counter()
@@ -310,8 +322,10 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
         expanded = np.zeros((size, pool_size), dtype=bool)
         count = entered[:, :filled].sum(axis=1)
         # Pool threshold, one column: ``inf`` until the seeds fill the pool
-        # or a merge overflows it.
+        # or a merge overflows it, and never above the row's bound.
         worst = pool_dists[:, -1:].copy()
+        if cap is not None:
+            np.minimum(worst, cap[rows, None], out=worst)
         done_ids = np.empty_like(pool_ids)
         done_dists = np.empty_like(pool_dists)
 
@@ -409,8 +423,10 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
             pool_dists = cat_dists[lanes, pick]
             expanded = cat_done[lanes, pick]
             count += fcount
-            worst = np.where((count > pool_size)[:, None],
-                             pool_dists[:, -1:], worst)
+            # An overflowed row's threshold drops to its pool's worst; the
+            # minimum keeps a bound below that in force.
+            np.minimum(worst, pool_dists[:, -1:], out=worst,
+                       where=(count > pool_size)[:, None])
             np.minimum(count, pool_size, out=count)
 
         done_ids[slot] = pool_ids

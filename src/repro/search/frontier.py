@@ -29,7 +29,8 @@ def frontier_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
                           workers: int = 1,
                           engine: DistanceEngine | None = None,
                           data_norms: np.ndarray | None = None,
-                          executor: ThreadPoolExecutor | None = None
+                          executor: ThreadPoolExecutor | None = None,
+                          bounds: np.ndarray | None = None
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                      ServingStats]:
     """Multi-query greedy search scoring merged frontiers in one gemm per round.
@@ -77,6 +78,11 @@ def frontier_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
         :class:`~repro.search.greedy.GraphSearcher`); when ``None`` and
         ``workers > 1`` a transient pool is created for the call.  The pool
         is only ever *used* here, never closed.
+    bounds:
+        Optional ``(m,)`` per-query distance caps: a query never expands a
+        candidate at or beyond its bound (``inf`` is no cap).  A caller
+        that already holds ``k`` results at distance ``b`` passes ``b``, so
+        the walk skips work a merge with those results would discard.
 
     Neither ``max_group`` nor ``workers`` affects the returned results.
 
@@ -101,4 +107,5 @@ def frontier_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
     seeds = seed_entry_points(partition, queries, score, n_starts)
     return beam_walk(
         adjacency, seeds, n_results, score, None, pool_size=pool_size,
-        max_group=max_group, workers=workers, executor=executor)
+        max_group=max_group, workers=workers, executor=executor,
+        bounds=bounds)

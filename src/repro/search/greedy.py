@@ -23,8 +23,10 @@ from ..distance.quantized import (
 )
 from ..exceptions import GraphError
 from ..validation import (
+    check_bounds,
     check_data_matrix,
     check_positive_int,
+    check_queries,
     clamp_workers,
 )
 from ..graph.knngraph import KNNGraph
@@ -328,7 +330,8 @@ class GraphSearcher:
 
     def batch_query(self, queries: np.ndarray, n_results: int = 10, *,
                     pool_size: int | None = None,
-                    workers: int | None = None) -> SearchResult:
+                    workers: int | None = None,
+                    bounds: np.ndarray | None = None) -> SearchResult:
         """Search many queries; the result holds ``(m, n_results)`` arrays.
 
         Rows are sorted by ascending distance and padded with ``-1``/``inf``
@@ -343,13 +346,14 @@ class GraphSearcher:
         ``evaluations`` and the walk's :class:`~repro.search.ServingStats`
         as ``stats``.  Every query is seeded from its nearest seed-partition
         cluster, so a row's result does not depend on the batch around it.
+
+        ``bounds`` optionally caps each query's walk at a distance (see
+        :func:`~repro.search.frontier.frontier_batch_search`): a floating
+        ``(m,)`` array, ``inf`` for no cap.
         """
-        queries = check_data_matrix(queries, name="queries",
-                                    dtype=self.engine_.dtype)
-        if queries.shape[1] != self.data.shape[1]:
-            raise GraphError(
-                f"queries have dimension {queries.shape[1]}, data has "
-                f"{self.data.shape[1]}")
+        queries = check_queries(queries, self.data.shape[1],
+                                dtype=self.engine_.dtype)
+        bounds = check_bounds(bounds, queries.shape[0])
         n_results = check_positive_int(n_results, name="n_results",
                                        maximum=self.data.shape[0])
         workers = 1 if workers is None else clamp_workers(
@@ -358,7 +362,8 @@ class GraphSearcher:
             pool_size=self.pool_size if pool_size is None else pool_size,
             n_starts=self.n_starts, partition=self._partition,
             workers=workers, executor=self._group_walk_pool(workers),
-            engine=self.engine_, data_norms=self._data_norms)
+            engine=self.engine_, data_norms=self._data_norms,
+            bounds=bounds)
         if self.quantize == "none":
             return SearchResult(*frontier_batch_search(
                 self.data, self._adjacency, queries, n_results, **common))

@@ -36,13 +36,15 @@ def quantized_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
                            max_group: int | None = 32, workers: int = 1,
                            engine: DistanceEngine | None = None,
                            data_norms: np.ndarray | None = None,
-                           executor: ThreadPoolExecutor | None = None
+                           executor: ThreadPoolExecutor | None = None,
+                           bounds: np.ndarray | None = None
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                       ServingStats]:
     """Batched beam walk in the compressed domain, re-ranked exactly.
 
     Parameters match :func:`~repro.search.frontier.frontier_batch_search`
-    plus ``scorer``, the compressed-domain kernels bound to ``data``.
+    plus ``scorer``, the compressed-domain kernels bound to ``data``;
+    ``bounds`` caps the code-domain walk (the re-rank is not capped).
 
     Returns
     -------
@@ -71,4 +73,5 @@ def quantized_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
     seeds = seed_entry_points(partition, queries, score, n_starts)
     return beam_walk(
         adjacency, seeds, n_results, score, rerank, pool_size=pool_size,
-        max_group=max_group, workers=workers, executor=executor)
+        max_group=max_group, workers=workers, executor=executor,
+        bounds=bounds)

@@ -13,10 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import GraphError, ValidationError
 
 __all__ = [
     "check_data_matrix",
+    "check_queries",
+    "check_bounds",
     "check_labels",
     "check_positive_int",
     "check_fraction",
@@ -90,6 +92,40 @@ def check_data_matrix(data, *, name: str = "data", min_samples: int = 1,
     if not np.all(np.isfinite(array)):
         raise ValidationError(f"{name} contains NaN or infinite values")
     return np.ascontiguousarray(array)
+
+
+def check_queries(queries, n_features: int, *,
+                  dtype=np.float64) -> np.ndarray:
+    """Validate a query batch for an index of ``n_features`` columns.
+
+    A ``(d,)`` vector is a batch of one.  Raises
+    :class:`~repro.exceptions.ValidationError` for a wrong shape, an empty
+    batch or non-finite values and :class:`~repro.exceptions.GraphError`
+    for a dimension mismatch.
+    """
+    queries = check_data_matrix(queries, name="queries", dtype=dtype)
+    if queries.shape[1] != n_features:
+        raise GraphError(
+            f"queries have dimension {queries.shape[1]}, data has "
+            f"{n_features}")
+    return queries
+
+
+def check_bounds(bounds, n_queries: int) -> np.ndarray | None:
+    """Validate per-query search bounds: ``None`` or a floating ``(m,)``
+    array without NaN (``inf`` is no bound), returned as ``float64``."""
+    if bounds is None:
+        return None
+    array = np.asarray(bounds)
+    if not np.issubdtype(array.dtype, np.floating):
+        raise ValidationError(
+            f"bounds must be a floating array, got dtype {array.dtype}")
+    if array.shape != (n_queries,):
+        raise ValidationError(
+            f"bounds must have shape ({n_queries},), got {array.shape}")
+    if np.isnan(array).any():
+        raise ValidationError("bounds contain NaN")
+    return array.astype(np.float64, copy=False)
 
 
 def check_labels(labels, n_samples: int, *, name: str = "labels") -> np.ndarray:

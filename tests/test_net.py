@@ -121,14 +121,15 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="version mismatch"):
             self._roundtrip(raw)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_previous_protocol_version_rejected(self, version):
         """A version-1 peer still pickles ``ShardSearchTask`` with the
         ``single``/``strategy`` fields, a version-2 one with ``seed`` and
         answers in shard-local ids, a version-3 one answers with the
-        retired ``ShardSearchResult``; each must be refused at the frame
-        header, before any payload is unpickled."""
-        assert PROTOCOL_VERSION == 4
+        retired ``ShardSearchResult``, a version-4 one pickles the task
+        without ``bounds``; each must be refused at the frame header,
+        before any payload is unpickled."""
+        assert PROTOCOL_VERSION == 5
         raw = encode_frame(FRAME_PING, version=version)
         with pytest.raises(ProtocolError, match="version mismatch"):
             self._roundtrip(raw)
@@ -278,6 +279,30 @@ class TestShardServerRPCs:
             # The error frame did not poison the connection: the same
             # client keeps serving.
             assert client.ping() >= 0.0
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("bounds,match", [
+        (np.zeros(3), "shape"),
+        (np.array([0.5, np.nan]), "NaN"),
+        (np.array([1, 2]), "floating"),
+    ], ids=["wrong-shape", "nan", "int-dtype"])
+    def test_malformed_bounds_draw_a_typed_error(self, served_shard, bounds,
+                                                 match):
+        """A task whose ``bounds`` are malformed is refused by the shard's
+        own validation: the daemon answers with a typed error frame, the
+        client raises ``ValidationError``, and the daemon keeps serving."""
+        _, server = served_shard
+        queries = make_sift_like(2, 10, random_state=9)
+        bad = ShardSearchTask(shard=0, queries=queries, shard_k=3,
+                              bounds=bounds)
+        client = ShardClient(server.endpoint, **FAST)
+        try:
+            with pytest.raises(ValidationError, match=match):
+                client.search(bad)
+            good = ShardSearchTask(shard=0, queries=queries, shard_k=3,
+                                   bounds=np.full(2, np.inf))
+            assert client.search(good).indices.shape == (2, 3)
         finally:
             client.close()
 

@@ -7,7 +7,7 @@ import pytest
 from _legacy_formats import write_manifest_version
 
 from repro.datasets import make_sift_like, train_query_split
-from repro.exceptions import ValidationError
+from repro.exceptions import GraphError, ValidationError
 from repro.graph.bruteforce import brute_force_neighbors
 from repro.index import (
     Index,
@@ -317,6 +317,35 @@ class TestRoutedSearch:
             if previous is not None:
                 assert np.all(dist <= previous + 1e-12)
             previous = dist
+
+    @pytest.mark.parametrize("probe", [None, 1, 2])
+    def test_malformed_batch_gets_the_monolithic_error(self, routed_index,
+                                                       shard_setup, probe):
+        """The batch is checked once, before the routing gemm, with
+        ``Index.search``'s checks: a wrong dimension is a ``GraphError``,
+        a 3-D or empty batch a ``ValidationError`` — routed or not."""
+        _, queries = shard_setup
+        cases = [(queries[:, :-1], GraphError, "dimension"),
+                 (queries[None, :4], ValidationError, "2-D"),
+                 (queries[:0], ValidationError, "at least 1")]
+        for batch, error, match in cases:
+            with pytest.raises(error, match=match):
+                routed_index.shards[0].search(batch, 5)
+            with pytest.raises(error, match=match):
+                routed_index.search(batch, 5, shard_probe=probe)
+
+    @pytest.mark.parametrize("bounds,match", [
+        (np.zeros(3), "shape"),
+        (np.zeros((N_QUERIES, 1)), "shape"),
+        (np.r_[np.nan, np.zeros(N_QUERIES - 1)], "NaN"),
+        (np.arange(N_QUERIES), "floating"),
+    ], ids=["short", "2-D", "nan", "int-dtype"])
+    def test_index_search_rejects_malformed_bounds(self, routed_index,
+                                                   shard_setup, bounds,
+                                                   match):
+        _, queries = shard_setup
+        with pytest.raises(ValidationError, match=match):
+            routed_index.shards[0].search(queries, 5, bounds=bounds)
 
     def test_evaluate_search_forwards_shard_probe(self, routed_index,
                                                   shard_setup):

@@ -280,7 +280,8 @@ class TestConsolidationHazards:
 
         fields = tuple(f.name for f in dataclasses.fields(ShardSearchTask))
         assert (PROTOCOL_VERSION, fields) == (
-            4, ("shard", "queries", "shard_k", "pool_size", "workers"))
+            5, ("shard", "queries", "shard_k", "pool_size", "workers",
+                "bounds"))
 
 
 # --------------------------------------------------------------------- #
@@ -301,11 +302,13 @@ from repro.search._walk import BEAM, beam_walk                # noqa: E402
 
 
 def reference_beam_walk(adjacency, seeds, n_results, score, rerank, *,
-                        pool_size, max_group):
+                        pool_size, max_group, bounds=None):
     """The walk as it stood before the group-wide rewrite: per-query flat
     candidate / pool arrays, one Python trip per query per round, started
-    from the seeds it is given.  Returns ``(indices, distances,
-    evaluations, group_rounds, group_gemms)``."""
+    from the seeds it is given.  ``bounds`` caps each query's threshold:
+    it starts at ``min(inf, bound)`` and is re-capped after every overflow
+    (compared in float64, never rounded to the pool's dtype).  Returns
+    ``(indices, distances, evaluations, group_rounds, group_gemms)``."""
     n = len(adjacency)
     m = seeds.ids.shape[0]
     pool_size = max(pool_size, n_results)
@@ -324,6 +327,8 @@ def reference_beam_walk(adjacency, seeds, n_results, score, rerank, *,
         pool_ids = [None] * size
         pool_dists = [None] * size
         worst = [np.inf] * size
+        cap = [np.float64(np.inf if bounds is None else bounds[row])
+               for row in rows]
         for local, row in enumerate(rows):
             entered = seeds.ids[row] >= 0
             ids, dists = seeds.ids[row, entered], seeds.dists[row, entered]
@@ -335,6 +340,7 @@ def reference_beam_walk(adjacency, seeds, n_results, score, rerank, *,
             pool_ids[local], pool_dists[local] = ids, dists
             if ids.size >= pool_size:
                 worst[local] = float(dists.max())
+            worst[local] = min(worst[local], cap[local])
 
         live = list(range(size))
         rounds = 0
@@ -385,7 +391,8 @@ def reference_beam_walk(adjacency, seeds, n_results, score, rerank, *,
                 if pids.size > pool_size:
                     best = np.argpartition(pdists, pool_size - 1)[:pool_size]
                     pids, pdists = pids[best], pdists[best]
-                    worst[local] = w = float(pdists.max())
+                    worst[local] = w = min(float(pdists.max()),
+                                           cap[local])
                     grow = dists < w
                     frontier_ids, dists = frontier_ids[grow], dists[grow]
                 pool_ids[local], pool_dists[local] = pids, pdists
@@ -412,6 +419,14 @@ def reference_beam_walk(adjacency, seeds, n_results, score, rerank, *,
             tuple(gemms for _, gemms in walked))
 
 
+class _Checked(list):
+    """The ``replayed`` record: one ``(n_queries, n_results)`` per walk."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seeds = []
+
+
 @pytest.fixture
 def replayed(monkeypatch):
     """Route every walk (both entries and the insert seeding) through a
@@ -419,8 +434,9 @@ def replayed(monkeypatch):
     object, same scorers, same seeds) and asserts the two agree bitwise on
     ids, distances, per-query evaluations, group rounds and group gemms.
     Yields the list of ``(n_queries, n_results)`` walks checked, so a test
-    can assert the path it meant to exercise was taken."""
-    checked = []
+    can assert the path it meant to exercise was taken; its ``seeds``
+    attribute holds each walk's entry points, aligned."""
+    checked = _Checked()
 
     def checking_walk(adjacency, seeds, n_results, score, rerank, *,
                       workers, executor, **options):
@@ -435,6 +451,7 @@ def replayed(monkeypatch):
         assert result[3].group_rounds == expected[3], label
         assert result[3].group_gemms == expected[4], label
         checked.append((m, n_results))
+        checked.seeds.append(twin)
         return result
 
     for module in (frontier, quantized, greedy):
@@ -447,15 +464,100 @@ def replayed(monkeypatch):
 @pytest.mark.parametrize("metric", METRICS)
 def test_walk_equals_the_loop_it_replaced(corpus, replayed, metric, dtype,
                                           entry):
+    _sweep(corpus, metric, dtype, entry)
+    assert len(replayed) == 2 * 4 * len(MAX_GROUPS)
+
+
+def _sweep(corpus, metric: str, dtype: str, entry: str, bounds_of=None
+           ) -> list:
+    """Every layout × batch shape × ``max_group`` walk of the sweep; returns
+    ``(batch, result)`` pairs.  ``bounds_of(base, batch, engine)`` gives a
+    batch its walk bounds."""
     base, queries, adjacency = corpus
     rows = adjacency[metric]
     engine = DistanceEngine(metric, dtype)
+    walked = []
     for layout in (rows, CSRAdjacency.from_rows(rows)):
         for batch in _batch_shapes(queries).values():
+            bounds = None if bounds_of is None else bounds_of(base, batch,
+                                                              engine)
             for max_group in MAX_GROUPS:
-                _walk(entry, engine, base, layout, batch,
-                      max_group=max_group)
+                walked.append((batch, _walk(entry, engine, base, layout,
+                                            batch, max_group=max_group,
+                                            bounds=bounds)))
+    return walked
+
+
+def _sorted_exact(base, batch, engine) -> np.ndarray:
+    return np.sort(engine.cross(batch, base).astype(np.float64), axis=1)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("metric", METRICS)
+def test_capped_walk_equals_the_capped_loop(corpus, replayed, metric, dtype,
+                                            entry):
+    """The sweep once more under random finite bounds: each query's cap is
+    one of its 4k nearest distances, nudged off the float32 grid so the
+    walk's cast to the pool dtype must round it the loop's way."""
+    rng = np.random.default_rng(4)
+
+    def random_bounds(base, batch, engine):
+        exact = _sorted_exact(base, batch, engine)
+        m = batch.shape[0]
+        picked = exact[np.arange(m), rng.integers(0, 4 * K, m)]
+        return picked * (1.0 + rng.uniform(-1e-7, 1e-7, m))
+
+    _sweep(corpus, metric, dtype, entry, random_bounds)
     assert len(replayed) == 2 * 4 * len(MAX_GROUPS)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("metric", METRICS)
+def test_walk_capped_below_every_seed_returns_the_seeds(
+        corpus, replayed, metric, dtype, entry):
+    """A bound below every seed leaves no candidate: the walk ends after
+    seeding with zero gemms, charges nothing but seeding (and, compressed,
+    the re-rank of its seeds) and returns the seeds."""
+
+    def below_seeds(base, batch, engine):
+        exact = _sorted_exact(base, batch, engine)
+        lowest = exact.min() - np.abs(exact).max() - 1.0
+        return np.full(batch.shape[0], lowest)
+
+    walked = _sweep(corpus, metric, dtype, entry, below_seeds)
+    assert len(replayed.seeds) == len(walked)
+    for (batch, (idx, _, evals, stats)), seeds in zip(walked, replayed.seeds):
+        assert stats.n_gemms == 0
+        assert stats.group_rounds == (1,) * stats.n_groups
+        entered = seeds.ids >= 0
+        rerank = 0 if entry == "none" else entered.sum(axis=1)
+        assert np.array_equal(evals, seeds.evaluations + rerank)
+        for row in range(batch.shape[0]):
+            assert set(idx[row][idx[row] >= 0]) == \
+                set(seeds.ids[row][entered[row]])
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("metric", METRICS)
+def test_infinite_bounds_are_no_bounds(corpus, metric, dtype, entry):
+    """``bounds = full(m, inf)`` is bitwise ``bounds=None``: ids,
+    distances, evaluations and per-group rounds and gemms."""
+    base, queries, adjacency = corpus
+    engine = DistanceEngine(metric, dtype)
+    for name, batch in _batch_shapes(queries).items():
+        for max_group in MAX_GROUPS:
+            label = f"{metric}/{dtype}/{entry}/{name}/max_group={max_group}"
+            free = _walk(entry, engine, base, adjacency[metric], batch,
+                         max_group=max_group)
+            capped = _walk(entry, engine, base, adjacency[metric], batch,
+                           max_group=max_group,
+                           bounds=np.full(batch.shape[0], np.inf))
+            _assert_same(free, capped, label)
+            assert capped[3].group_rounds == free[3].group_rounds, label
+            assert capped[3].group_gemms == free[3].group_gemms, label
 
 
 class TestShapesTheSweepLacks:
