@@ -12,7 +12,7 @@ from repro.cluster.gkmeans import graph_guided_boost_pass
 from repro.cluster.objective import ClusterState
 from repro.cluster.two_means_tree import two_means_labels
 from repro.datasets import make_sift_like
-from repro.distance import assign_to_nearest, cross_squared_euclidean
+from repro.distance import DistanceEngine
 from repro.graph import brute_force_knn_graph
 
 
@@ -23,13 +23,14 @@ def micro_data():
 
 def test_micro_cross_distances(benchmark, micro_data):
     centroids = micro_data[:200]
-    result = benchmark(cross_squared_euclidean, micro_data, centroids)
+    result = benchmark(DistanceEngine().cross, micro_data, centroids)
     assert result.shape == (2000, 200)
 
 
 def test_micro_assignment(benchmark, micro_data):
     centroids = micro_data[:200]
-    labels, _ = benchmark(assign_to_nearest, micro_data, centroids)
+    labels, _ = benchmark(DistanceEngine().assign_to_nearest, micro_data,
+                          centroids)
     assert labels.shape == (2000,)
 
 

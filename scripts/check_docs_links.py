@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Check that intra-repo markdown links and file references resolve.
+"""Check that intra-repo markdown links, file references and package names
+resolve.
 
 Scans the maintained markdown sources (README, ROADMAP, everything under
 docs/) for inline links and validates every relative target against the
@@ -16,13 +17,19 @@ also checked for file references: a backticked path ending in ``.py``,
 ``.json``, ``.md`` or ``.yml`` must exist under the repo root or
 ``src/repro/``, so deleting a file cannot leave a sentence citing it.
 Scratch paths (``/tmp``, ``.bench_out/``) and patterns (``*``, ``{``) are
-skipped. CI runs this in the docs job; run locally with:
+skipped. A backticked dotted name under the package (``repro.x.y``,
+optionally called: ``repro.x.f()``) must resolve too: its longest module
+prefix is found under ``src/``, and the one part after it, if any, must be
+a top-level ``def``, ``class``, assignment or import of that module. The
+modules are parsed with ``ast``, never imported, so a deleted function
+cannot stay cited. CI runs this in the docs job; run locally with:
 
     python scripts/check_docs_links.py
 """
 
 from __future__ import annotations
 
+import ast
 import glob
 import os
 import re
@@ -42,6 +49,14 @@ REFERENCE_ROOTS = (REPO_ROOT, os.path.join(REPO_ROOT, "src", "repro"))
 
 #: A whole backticked span that names a file: ``path/to/file.py``.
 REFERENCE = re.compile(r"`([^`\s]+\.(?:py|json|md|yml))`")
+
+#: Where the package's modules live (``repro.a.b`` is ``src/repro/a/b.py``
+#: or ``src/repro/a/b/__init__.py``).
+SOURCE_ROOT = os.path.join(REPO_ROOT, "src")
+
+#: A whole backticked span that names a package object: ``repro.a.b`` or a
+#: call of one, ``repro.a.f()``.
+DOTTED = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
 
 #: ``[text](target)`` inline links; images share the syntax via ``!``.
 LINK = re.compile(r"\[[^\]^\[]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
@@ -152,6 +167,79 @@ def _missing_references(path: str) -> list:
     return missing
 
 
+def _module_path(parts) -> str | None:
+    """Source file of the module ``parts`` names, or None."""
+    base = os.path.join(SOURCE_ROOT, *parts)
+    for candidate in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.isfile(candidate):
+            return candidate
+    return None
+
+
+def _defined_names(body) -> set:
+    """Names a module body binds at its own level: ``def``, ``class``,
+    assignments and imports (also inside ``if``/``try``)."""
+    names: set = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                names.update(leaf.id for leaf in ast.walk(target)
+                             if isinstance(leaf, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse,
+                          getattr(node, "finalbody", []),
+                          *[handler.body
+                            for handler in getattr(node, "handlers", [])]):
+                names |= _defined_names(block)
+    return names
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``repro.…`` names a module, or a top-level object of the
+    longest module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        path = _module_path(parts[:cut])
+        if path is not None:
+            break
+    else:
+        return False
+    rest = parts[cut:]
+    if not rest:
+        return True
+    if len(rest) > 1:
+        return False
+    with open(path, encoding="utf-8") as stream:
+        tree = ast.parse(stream.read(), filename=path)
+    return rest[0] in _defined_names(tree.body)
+
+
+def _unresolved_names(path: str) -> list:
+    """Backticked ``repro.…`` names in ``path`` that name nothing."""
+    unresolved = []
+    in_fence = False
+    with open(path, encoding="utf-8") as stream:
+        for lineno, line in enumerate(stream, start=1):
+            if FENCE.match(line):
+                in_fence = not in_fence
+                continue
+            if in_fence:
+                continue
+            for match in DOTTED.finditer(line):
+                if not _resolves(match.group(1)):
+                    unresolved.append((lineno, match.group(1),
+                                       "unresolved name"))
+    return unresolved
+
+
 def main() -> int:
     """Scan every documentation file; exit 1 on any broken link."""
     paths = _doc_paths()
@@ -164,7 +252,7 @@ def main() -> int:
         rel = os.path.relpath(path, REPO_ROOT)
         problems = _broken_links(path)
         if path in referencing:
-            problems += _missing_references(path)
+            problems += _missing_references(path) + _unresolved_names(path)
         for lineno, target, reason in problems:
             print(f"{rel}:{lineno}: {reason} -> {target}",
                   file=sys.stderr)
@@ -175,7 +263,8 @@ def main() -> int:
               f"{checked} file(s)",
               file=sys.stderr)
         return 1
-    print(f"ok: all relative links, anchors and file references resolve "
+    print(f"ok: all relative links, anchors, file references and package "
+          f"names resolve "
           f"across {checked} markdown file(s)")
     return 0
 

@@ -17,7 +17,6 @@ import time
 
 import numpy as np
 
-from ..distance import cross_squared_euclidean
 from .base import BaseClusterer, ClusteringResult, IterationRecord
 from .objective import ClusterState
 
@@ -97,8 +96,8 @@ class BisectingKMeans(BaseClusterer):
             return float(members.size)
         subset = data[members]
         centroid = subset.mean(axis=0)
-        return float(
-            cross_squared_euclidean(subset, centroid[None, :])[:, 0].sum())
+        return float(self._work_engine.cross(subset, centroid[None, :])
+                     .sum(dtype=np.float64))
 
     def _bisect(self, data: np.ndarray, members: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
@@ -108,7 +107,7 @@ class BisectingKMeans(BaseClusterer):
         centroids = subset[seeds].copy()
         assignment = np.zeros(members.size, dtype=bool)
         for _ in range(self.bisect_iter):
-            distances = cross_squared_euclidean(subset, centroids)
+            distances = self._work_engine.cross(subset, centroids)
             new_assignment = distances[:, 1] < distances[:, 0]
             if new_assignment.all() or not new_assignment.any():
                 new_assignment = np.zeros(members.size, dtype=bool)

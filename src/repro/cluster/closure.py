@@ -22,7 +22,6 @@ import time
 
 import numpy as np
 
-from ..distance import cross_squared_euclidean, squared_norms
 from ..validation import check_positive_int
 from .base import BaseClusterer, ClusteringResult, IterationRecord
 from .initialization import labels_to_centroids, resolve_init
@@ -112,7 +111,7 @@ class ClosureKMeans(BaseClusterer):
 
     def _fit(self, data: np.ndarray, n_clusters: int, max_iter: int,
              rng: np.random.Generator) -> ClusteringResult:
-        data_norms = squared_norms(data)
+        data_norms = self._work_engine.norms(data)
 
         init_start = time.perf_counter()
         partitions = build_random_partitions(
@@ -173,8 +172,9 @@ class ClosureKMeans(BaseClusterer):
         the leaf mean so that every point still gets a sensible candidate
         set).
         """
+        engine = self._work_engine
         n = data.shape[0]
-        centroid_norms = squared_norms(centroids)
+        centroid_norms = engine.norms(centroids)
         best_dist = np.full(n, np.inf, dtype=np.float64)
         best_label = np.zeros(n, dtype=np.int64)
 
@@ -190,7 +190,7 @@ class ClosureKMeans(BaseClusterer):
             for leaf in leaves:
                 if labels is None:
                     leaf_mean = data[leaf].mean(axis=0)
-                    dist_to_centers = cross_squared_euclidean(
+                    dist_to_centers = engine.cross(
                         leaf_mean[None, :], centroids,
                         b_norms=centroid_norms)[0]
                     n_cand = min(4, centroids.shape[0])
@@ -198,7 +198,7 @@ class ClosureKMeans(BaseClusterer):
                                                  n_cand - 1)[:n_cand]
                 else:
                     candidates = np.unique(labels[leaf])
-                block = cross_squared_euclidean(
+                block = engine.cross(
                     data[leaf], centroids[candidates],
                     a_norms=data_norms[leaf],
                     b_norms=centroid_norms[candidates])

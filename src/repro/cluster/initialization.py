@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distance import cross_squared_euclidean, squared_norms
+from ..distance import DistanceEngine
 from ..exceptions import ValidationError
-from ..validation import check_data_matrix, check_positive_int, check_random_state
+from ..validation import (check_data_matrix, check_labels, check_positive_int,
+                          check_random_state)
+from .objective import cluster_sums
 
 __all__ = ["random_init", "kmeans_plus_plus_init", "labels_to_centroids",
            "resolve_init"]
@@ -20,12 +22,12 @@ __all__ = ["random_init", "kmeans_plus_plus_init", "labels_to_centroids",
 def random_init(data: np.ndarray, n_clusters: int, *, random_state=None
                 ) -> np.ndarray:
     """Pick ``n_clusters`` distinct samples uniformly at random as centroids."""
-    data = check_data_matrix(data)
+    data = check_data_matrix(data, dtype=None)
     n_clusters = check_positive_int(n_clusters, name="n_clusters",
                                     maximum=data.shape[0])
     rng = check_random_state(random_state)
     chosen = rng.choice(data.shape[0], size=n_clusters, replace=False)
-    return data[chosen].copy()
+    return data[chosen].astype(np.float64)
 
 
 def kmeans_plus_plus_init(data: np.ndarray, n_clusters: int, *,
@@ -34,20 +36,22 @@ def kmeans_plus_plus_init(data: np.ndarray, n_clusters: int, *,
 
     This is the quality-oriented initialisation reviewed in §2.1 of the paper;
     it requires ``k`` passes over the data, which is exactly the extra cost the
-    paper's two-means-tree initialisation avoids.
+    paper's two-means-tree initialisation avoids.  Distances are computed in
+    ``data``'s own float dtype and sampled from in float64.
     """
-    data = check_data_matrix(data)
+    data = check_data_matrix(data, dtype=None)
     n_clusters = check_positive_int(n_clusters, name="n_clusters",
                                     maximum=data.shape[0])
     rng = check_random_state(random_state)
 
     n = data.shape[0]
-    data_norms = squared_norms(data)
+    engine = DistanceEngine("sqeuclidean", data.dtype)
+    data_norms = engine.norms(data)
     centers = np.empty((n_clusters, data.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centers[0] = data[first]
-    closest = cross_squared_euclidean(data, centers[0][None, :],
-                                      a_norms=data_norms)[:, 0]
+    closest = engine.cross(data, data[first:first + 1],
+                           a_norms=data_norms)[:, 0].astype(np.float64)
     for idx in range(1, n_clusters):
         total = closest.sum()
         if total <= 0:
@@ -58,18 +62,26 @@ def kmeans_plus_plus_init(data: np.ndarray, n_clusters: int, *,
             probabilities = closest / total
         chosen = int(rng.choice(n, p=probabilities))
         centers[idx] = data[chosen]
-        new_dist = cross_squared_euclidean(data, centers[idx][None, :],
-                                           a_norms=data_norms)[:, 0]
+        new_dist = engine.cross(data, data[chosen:chosen + 1],
+                                a_norms=data_norms)[:, 0]
         np.minimum(closest, new_dist, out=closest)
     return centers
 
 
 def labels_to_centroids(data: np.ndarray, labels: np.ndarray,
                         n_clusters: int, *, rng=None) -> np.ndarray:
-    """Mean of every cluster; empty clusters are re-seeded with random samples."""
-    data = check_data_matrix(data)
-    centroids = np.zeros((n_clusters, data.shape[1]), dtype=np.float64)
-    np.add.at(centroids, labels, data)
+    """Mean of every cluster; empty clusters are re-seeded with random samples.
+
+    The sums are float64 (:func:`~repro.cluster.objective.cluster_sums`)
+    whatever ``data``'s float dtype, and so are the returned centroids.
+    """
+    data = check_data_matrix(data, dtype=None)
+    labels = check_labels(labels, data.shape[0])
+    if labels.size and labels.max() >= n_clusters:
+        raise ValidationError(
+            f"labels refer to cluster {labels.max()} but only "
+            f"{n_clusters} clusters exist")
+    centroids = cluster_sums(data, labels, n_clusters)
     counts = np.bincount(labels, minlength=n_clusters)
     empty = counts == 0
     nonempty = ~empty
@@ -96,7 +108,7 @@ def resolve_init(init, data: np.ndarray, n_clusters: int, rng) -> np.ndarray:
             return kmeans_plus_plus_init(data, n_clusters, random_state=rng)
         raise ValidationError(
             f"unknown init {init!r}; expected 'random', 'k-means++' or an array")
-    centers = np.asarray(init, dtype=np.float64)
+    centers = check_data_matrix(init, name="init")
     if centers.shape != (n_clusters, data.shape[1]):
         raise ValidationError(
             f"explicit init must have shape {(n_clusters, data.shape[1])}, "

@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distance import assign_to_nearest, squared_norms
+from ..distance import DistanceEngine, squared_norms
 from ..exceptions import ValidationError
 from ..validation import check_data_matrix, check_labels, check_positive_int
 
-__all__ = ["BLOCK", "ClusterState", "boost_objective",
+__all__ = ["BLOCK", "ClusterState", "boost_objective", "cluster_sums",
            "distortion_from_labels"]
 
 #: Samples per block of a blocked boost sweep.  Big enough to amortise the
@@ -51,11 +51,33 @@ __all__ = ["BLOCK", "ClusterState", "boost_objective",
 #: 25 / 9.5 at 512.  A different value also changes which moves apply.
 BLOCK = 256
 
-#: Columns summed per ``bincount`` when composites are built from scratch.
-#: The ``(n, COLUMNS)`` cell index and weight copy are the only temporaries —
+#: Columns summed per ``bincount`` by :func:`cluster_sums`.  The
+#: ``(n, COLUMNS)`` cell index and weight copy are the only temporaries —
 #: an eighth of a 64-d float64 dataset each.  16 columns per call are ~15%
 #: faster for twice the temporaries, 4 are ~25% slower.
 COLUMNS = 8
+
+
+def cluster_sums(data: np.ndarray, labels: np.ndarray,
+                 n_clusters: int) -> np.ndarray:
+    """``(n_clusters, d)`` float64 sums of the rows of each cluster.
+
+    The rows of a cluster are added up in sample order in float64, as
+    ``np.add.at(sums, labels, data)`` would, but by one weighted ``bincount``
+    over (cluster, column) cells per ``COLUMNS`` columns — the scatter-add's
+    element-at-a-time inner loop is the slow part, and a float32 ``data`` is
+    upcast a column block at a time, never as a whole.  Clusters without
+    members get a zero row.  ``labels`` must lie in ``[0, n_clusters)``.
+    """
+    sums = np.empty((n_clusters, data.shape[1]))
+    for first in range(0, data.shape[1], COLUMNS):
+        block = data[:, first:first + COLUMNS]
+        width = block.shape[1]
+        cells = labels[:, None] * width + np.arange(width)
+        sums[:, first:first + width] = np.bincount(
+            cells.ravel(), weights=block.ravel(),
+            minlength=n_clusters * width).reshape(-1, width)
+    return sums
 
 
 def boost_objective(data: np.ndarray, labels: np.ndarray,
@@ -86,7 +108,9 @@ class ClusterState:
     Parameters
     ----------
     data:
-        ``(n, d)`` sample matrix.  A reference is kept (not copied).
+        ``(n, d)`` sample matrix.  A reference is kept (not copied): a
+        float32 or float64 matrix keeps its dtype, and the ΔI arithmetic
+        upcasts the rows it reads to float64.
     labels:
         Initial assignment of every sample to a cluster in ``[0, n_clusters)``.
     n_clusters:
@@ -105,7 +129,7 @@ class ClusterState:
 
     def __init__(self, data: np.ndarray, labels: np.ndarray,
                  n_clusters: int) -> None:
-        self._data = check_data_matrix(data)
+        self._data = check_data_matrix(data, dtype=None)
         n = self._data.shape[0]
         self.n_clusters = check_positive_int(n_clusters, name="n_clusters")
         self.labels = check_labels(labels, n).copy()
@@ -116,9 +140,6 @@ class ClusterState:
 
         self._sample_sq_norms = squared_norms(self._data)
         self._total_sq_norm = float(self._sample_sq_norms.sum())
-
-        self.composites = np.empty((self.n_clusters, self._data.shape[1]),
-                                   dtype=np.float64)
         self.recompute()
 
     # ------------------------------------------------------------------ #
@@ -361,21 +382,10 @@ class ClusterState:
     # Consistency helpers (used by tests and after bulk label edits)
     # ------------------------------------------------------------------ #
     def recompute(self) -> None:
-        """Rebuild composites/counts/norms from the current labels.
-
-        The rows of a cluster are added up in sample order in float64, as
-        ``np.add.at(composites, labels, data)`` would, but by one weighted
-        ``bincount`` over (cluster, column) cells per ``COLUMNS`` columns —
-        the scatter-add's element-at-a-time inner loop is the slow part.
-        Clusters without members keep a zero composite.
-        """
-        for first in range(0, self._data.shape[1], COLUMNS):
-            block = self._data[:, first:first + COLUMNS]
-            width = block.shape[1]
-            cells = self.labels[:, None] * width + np.arange(width)
-            self.composites[:, first:first + width] = np.bincount(
-                cells.ravel(), weights=block.ravel(),
-                minlength=self.n_clusters * width).reshape(-1, width)
+        """Rebuild composites/counts/norms from the current labels
+        (composites by :func:`cluster_sums`)."""
+        self.composites = cluster_sums(self._data, self.labels,
+                                       self.n_clusters)
         self.counts = np.bincount(self.labels,
                                   minlength=self.n_clusters).astype(np.int64)
         self._composite_sq_norms = squared_norms(self.composites)
@@ -400,7 +410,9 @@ class ClusterState:
         state is rebuilt afterwards.
         """
         centroids = self.centroids()
-        new_labels, _ = assign_to_nearest(self._data, centroids)
+        new_labels, _ = DistanceEngine(
+            "sqeuclidean", self._data.dtype).assign_to_nearest(
+                self._data, centroids)
         changed = int(np.sum(new_labels != self.labels))
         self.labels = new_labels
         self.recompute()

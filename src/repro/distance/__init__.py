@@ -1,16 +1,14 @@
 """Distance kernels used throughout the library.
 
-Two layers live here:
+One layer computes distances: :class:`DistanceEngine`
+(:mod:`repro.distance.engine`), blocked single-gemm kernels for one metric
+(squared-Euclidean, the paper's setting; cosine; inner product) and one
+floating dtype (float32 or float64).  The clustering baselines, the graph
+builders and the search stack all call it, so ``dtype`` means the same thing
+everywhere.  :mod:`repro.distance.kernels` holds what sits around the
+distances: the stable top-``count`` selection and :class:`DistanceCounter`.
 
-* :mod:`repro.distance.kernels` — the original blocked squared-Euclidean
-  float64 kernels (the paper's setting), kept as simple module functions.
-* :mod:`repro.distance.engine` — :class:`DistanceEngine`, the pluggable
-  metric/dtype generalisation (squared-Euclidean, cosine, inner-product ×
-  float32/float64) that the clustering, graph and search layers are threaded
-  through.  Its ``sqeuclidean``/``float64`` configuration is numerically
-  identical to the legacy kernels.
-
-A third, optional layer — :mod:`repro.distance.quantized` — compresses a
+An optional layer — :mod:`repro.distance.quantized` — compresses a
 dataset into ``float16`` or ``int8`` codes (:class:`ScalarQuantizer`) and
 scores candidates in the compressed domain (:class:`QuantizedScorer`); the
 serving stack re-ranks every returned candidate pool with the exact engine,
@@ -21,15 +19,7 @@ have to be materialised at once, and every block costs a single BLAS gemm.
 """
 
 from .engine import DistanceEngine, METRICS, resolve_dtype, resolve_metric
-from .kernels import (
-    DistanceCounter,
-    squared_euclidean,
-    pairwise_squared_euclidean,
-    cross_squared_euclidean,
-    assign_to_nearest,
-    nearest_among,
-    pairwise_within_block,
-)
+from .kernels import DistanceCounter
 from .norms import squared_norms, normalize_rows
 from .quantized import (
     QUANTIZE_MODES,
@@ -48,12 +38,6 @@ __all__ = [
     "resolve_dtype",
     "resolve_quantize",
     "DistanceCounter",
-    "squared_euclidean",
-    "pairwise_squared_euclidean",
-    "cross_squared_euclidean",
-    "assign_to_nearest",
-    "nearest_among",
-    "pairwise_within_block",
     "squared_norms",
     "normalize_rows",
 ]

@@ -63,8 +63,8 @@ _METRIC_ALIASES = {
     "mips": "dot",
 }
 
-#: Default number of rows processed per block in the chunked kernels (kept in
-#: sync with :mod:`repro.distance.kernels`).
+#: Default number of rows processed per block in the chunked kernels.  The
+#: value keeps the temporary distance block under ~64 MB for k up to ~8k.
 DEFAULT_BLOCK_SIZE = 1024
 
 

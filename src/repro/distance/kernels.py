@@ -1,166 +1,23 @@
-"""Blocked squared-Euclidean distance kernels.
+"""Selection and bookkeeping helpers shared by every distance consumer.
 
-The k-means family and the k-NN graph construction all reduce to two
-primitives:
+The distances themselves come from :class:`~repro.distance.DistanceEngine`;
+this module holds what sits around them:
 
-* ``cross_squared_euclidean(A, B)`` — the ``(len(A), len(B))`` matrix of
-  squared l2 distances, computed via the expansion
-  ``||a - b||^2 = ||a||^2 - 2 a·b + ||b||^2`` so the inner loop is a single
-  BLAS ``gemm``.
-* ``assign_to_nearest(X, C)`` — the nearest centroid (index and distance) for
-  every sample, computed in row blocks so the full distance matrix is never
-  materialised for large ``n``/``k``.
-
-``stable_smallest(block, count)`` selects from any distance block: each
-row's ``count`` smallest columns, ties kept in column order.
-
-Negative distances that appear from floating point cancellation are clipped to
-zero so downstream square roots and distortion sums stay well defined.
+* ``stable_smallest(block, count)`` selects from any distance block: each
+  row's ``count`` smallest columns, ties kept in column order.
+* :class:`DistanceCounter` accumulates the number of distance evaluations an
+  algorithm spends, the hardware-independent cost the experiments report.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .norms import squared_norms
-
-__all__ = [
-    "squared_euclidean",
-    "pairwise_squared_euclidean",
-    "cross_squared_euclidean",
-    "assign_to_nearest",
-    "nearest_among",
-    "pairwise_within_block",
-    "stable_smallest",
-]
-
-#: Default number of rows processed per block in the chunked kernels.  The
-#: value keeps the temporary distance block under ~64 MB for k up to ~8k.
-DEFAULT_BLOCK_SIZE = 1024
+__all__ = ["stable_smallest", "DistanceCounter"]
 
 #: Blocks of at most this many entries are selected from by a whole-row
 #: sort: below it the sort costs less than the partition path's extra calls.
 SORT_WHOLE = 1024
-
-
-def squared_euclidean(x: np.ndarray, y: np.ndarray) -> float:
-    """Squared l2 distance between two single vectors."""
-    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return float(np.dot(diff, diff))
-
-
-def cross_squared_euclidean(a: np.ndarray, b: np.ndarray,
-                            a_norms: np.ndarray | None = None,
-                            b_norms: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances between every row of ``a`` and every row of ``b``.
-
-    Parameters
-    ----------
-    a, b:
-        Arrays of shape ``(m, d)`` and ``(n, d)``.
-    a_norms, b_norms:
-        Optional precomputed squared row norms, avoiding recomputation inside
-        tight loops (e.g. repeated centroid assignment).
-
-    Returns
-    -------
-    numpy.ndarray
-        Matrix of shape ``(m, n)``; entries are clipped to be non-negative.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if a_norms is None:
-        a_norms = squared_norms(a)
-    if b_norms is None:
-        b_norms = squared_norms(b)
-    distances = a_norms[:, None] - 2.0 * (a @ b.T) + b_norms[None, :]
-    np.maximum(distances, 0.0, out=distances)
-    return distances
-
-
-def pairwise_squared_euclidean(data: np.ndarray) -> np.ndarray:
-    """Full symmetric pairwise squared-distance matrix of a dataset.
-
-    Only intended for small blocks (e.g. within-cluster exhaustive comparison
-    in Alg. 3 where the block size is the constant ξ).
-    """
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    norms = squared_norms(data)
-    distances = cross_squared_euclidean(data, data, norms, norms)
-    np.fill_diagonal(distances, 0.0)
-    return distances
-
-
-def pairwise_within_block(data: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances restricted to the rows listed in ``members``."""
-    members = np.asarray(members, dtype=np.int64)
-    return pairwise_squared_euclidean(data[members])
-
-
-def assign_to_nearest(data: np.ndarray, centroids: np.ndarray, *,
-                      data_norms: np.ndarray | None = None,
-                      centroid_norms: np.ndarray | None = None,
-                      block_size: int = DEFAULT_BLOCK_SIZE,
-                      counter: "DistanceCounter | None" = None,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Assign every sample to its nearest centroid.
-
-    Parameters
-    ----------
-    data:
-        Sample matrix of shape ``(n, d)``.
-    centroids:
-        Centroid matrix of shape ``(k, d)``.
-    data_norms, centroid_norms:
-        Optional precomputed squared norms.
-    block_size:
-        Number of samples processed per block.
-    counter:
-        Optional :class:`DistanceCounter` accumulating the number of
-        sample-to-centroid distance evaluations (used by the scalability
-        experiments to report algorithmic work independent of Python overhead).
-
-    Returns
-    -------
-    (labels, distances):
-        ``labels`` is ``(n,)`` int64 with the index of the nearest centroid and
-        ``distances`` the corresponding squared distance.
-    """
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    centroids = np.atleast_2d(np.asarray(centroids, dtype=np.float64))
-    n = data.shape[0]
-    if data_norms is None:
-        data_norms = squared_norms(data)
-    if centroid_norms is None:
-        centroid_norms = squared_norms(centroids)
-
-    labels = np.empty(n, dtype=np.int64)
-    best = np.empty(n, dtype=np.float64)
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
-        block = cross_squared_euclidean(
-            data[start:stop], centroids,
-            data_norms[start:stop], centroid_norms)
-        labels[start:stop] = np.argmin(block, axis=1)
-        best[start:stop] = block[np.arange(stop - start), labels[start:stop]]
-    if counter is not None:
-        counter.add(n * centroids.shape[0])
-    return labels, best
-
-
-def nearest_among(data: np.ndarray, sample_index: int,
-                  candidate_centroids: np.ndarray,
-                  candidate_ids: np.ndarray) -> tuple[int, float]:
-    """Nearest centroid of a single sample among an explicit candidate subset.
-
-    This is the pruned assignment used by GK-means⁻ (the traditional-k-means
-    flavour of Alg. 2): the sample is only compared against the centroids of
-    clusters where its graph neighbours live.
-    """
-    sample = data[sample_index]
-    distances = cross_squared_euclidean(sample[None, :], candidate_centroids)[0]
-    best = int(np.argmin(distances))
-    return int(candidate_ids[best]), float(distances[best])
 
 
 def stable_smallest(block: np.ndarray, count: int) -> np.ndarray:

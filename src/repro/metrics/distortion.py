@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..cluster.objective import cluster_sums
 from ..exceptions import ValidationError
 from ..validation import check_data_matrix, check_labels
 
@@ -19,12 +20,11 @@ def within_cluster_sum_of_squares(data: np.ndarray, labels: np.ndarray,
     *provided* centroids is used instead (matching how an algorithm that
     reports its own centroids should be scored).
     """
-    data = check_data_matrix(data)
+    data = check_data_matrix(data, dtype=None)
     labels = check_labels(labels, data.shape[0])
     n_clusters = int(labels.max()) + 1 if labels.size else 0
     if centroids is None:
-        centroids = np.zeros((n_clusters, data.shape[1]), dtype=np.float64)
-        np.add.at(centroids, labels, data)
+        centroids = cluster_sums(data, labels, n_clusters)
         counts = np.bincount(labels, minlength=n_clusters)
         nonzero = counts > 0
         centroids[nonzero] /= counts[nonzero, None]

@@ -27,6 +27,9 @@ __all__ = [
     "clamp_workers",
 ]
 
+#: The floating dtypes :func:`check_data_matrix` keeps when ``dtype=None``.
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+
 #: One-time flag of :func:`clamp_workers` — oversubscription is a
 #: configuration smell worth one warning, not one per search call.
 _OVERSUBSCRIPTION_WARNED = False
@@ -70,14 +73,19 @@ def check_data_matrix(data, *, name: str = "data", min_samples: int = 1,
     min_samples:
         Minimum number of rows required.
     dtype:
-        Floating dtype the returned array is cast to.
+        Floating dtype the returned array is cast to.  ``None`` keeps a
+        float32 or float64 input's dtype (and casts anything else to
+        float64), so a float32 matrix is validated without a copy.
 
     Returns
     -------
     numpy.ndarray
         A C-contiguous array of the requested dtype.
     """
-    array = np.asarray(data, dtype=dtype)
+    array = np.asarray(data)
+    if dtype is None:
+        dtype = array.dtype if array.dtype in _FLOATS else np.float64
+    array = np.asarray(array, dtype=dtype)
     if array.ndim == 1:
         array = array.reshape(1, -1)
     if array.ndim != 2:

@@ -1,10 +1,14 @@
 """Tests for the estimator base class, result containers and initialisation
 strategies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.cluster import KMeans, kmeans_plus_plus_init, labels_to_centroids, random_init
+from repro.cluster import (ElkanKMeans, KMeans, MiniBatchKMeans,
+                           kmeans_plus_plus_init, labels_to_centroids,
+                           random_init)
 from repro.cluster.base import ClusteringResult, IterationRecord
 from repro.cluster.initialization import resolve_init
 from repro.exceptions import NotFittedError, ValidationError
@@ -137,3 +141,45 @@ class TestInitialization:
         data, _ = blob_data
         with pytest.raises(ValidationError):
             resolve_init(np.zeros((2, 2)), data, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("estimator", [KMeans, ElkanKMeans,
+                                           MiniBatchKMeans])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_explicit_init_must_be_finite(self, blob_data, estimator, bad):
+        data, _ = blob_data
+        init = data[:4].copy()
+        init[2, 1] = bad
+        with pytest.raises(ValidationError, match="init"):
+            resolve_init(init, data, 4, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="init"):
+            estimator(4, init=init, random_state=0).fit(data)
+
+    def test_labels_to_centroids_rejects_labels_beyond_k(self):
+        data = np.arange(12, dtype=float).reshape(6, 2)
+        with pytest.raises(ValidationError, match="cluster 3"):
+            labels_to_centroids(data, np.array([0, 1, 2, 3, 0, 1]), 3)
+        with pytest.raises(ValidationError):
+            labels_to_centroids(data, np.array([0, 1, -1, 0, 0, 1]), 3)
+
+    def test_labels_to_centroids_float32_is_the_float64_mean(self):
+        rng = np.random.default_rng(3)
+        data = (100 * rng.normal(size=(500, 37))).astype(np.float32)
+        labels = rng.integers(0, 20, size=500)
+        sums = np.zeros((20, 37))
+        np.add.at(sums, labels, data.astype(np.float64))
+        counts = np.bincount(labels, minlength=20)
+        centroids = labels_to_centroids(data, labels, 20)
+        assert centroids.dtype == np.float64
+        assert np.array_equal(centroids, sums / counts[:, None])
+
+    def test_labels_to_centroids_does_not_copy_float32_data(self):
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(20000, 64)).astype(np.float32)
+        labels = rng.integers(0, 1000, size=20000)
+        tracemalloc.start()
+        try:
+            labels_to_centroids(data, labels, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes

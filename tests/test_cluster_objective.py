@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterState, boost_objective, distortion_from_labels
+from repro.cluster.objective import cluster_sums
 from repro.exceptions import ValidationError
 from repro.metrics import average_distortion
 
@@ -122,6 +123,33 @@ class TestComposites:
         np.testing.assert_allclose(state.composites, expected, rtol=1e-13,
                                    atol=0)
         assert state.check_consistency()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cluster_sums_are_bitwise_a_scatter_add(self, dtype):
+        rng = np.random.default_rng(11)
+        data = (100 * rng.normal(size=(700, 37))).astype(dtype)
+        labels = rng.integers(0, 50, size=700)
+        expected = np.zeros((53, 37))
+        np.add.at(expected, labels, data.astype(np.float64))
+        sums = cluster_sums(data, labels, 53)
+        assert sums.dtype == np.float64
+        assert np.array_equal(sums, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_state_keeps_its_float_matrix_without_a_copy(self, dtype):
+        data, labels, k = _random_state()
+        x = data.astype(dtype)
+        state = ClusterState(x, labels, k)
+        assert np.shares_memory(state._data, x)
+        wide = ClusterState(x.astype(np.float64), labels, k)
+        for name in ("composites", "counts", "_composite_sq_norms"):
+            assert np.array_equal(getattr(state, name), getattr(wide, name))
+        assert state.objective == wide.objective
+
+    def test_state_casts_integer_data_to_float64(self):
+        data = np.arange(12).reshape(6, 2)
+        state = ClusterState(data, np.array([0, 0, 1, 1, 2, 2]), 3)
+        assert state._data.dtype == np.float64
 
 
 class TestMoves:

@@ -16,7 +16,6 @@ from repro.distance import (
     METRICS,
     DistanceCounter,
     DistanceEngine,
-    cross_squared_euclidean,
     resolve_dtype,
     resolve_metric,
 )
@@ -266,11 +265,13 @@ class TestEngineConfiguration:
         unit = DistanceEngine("cosine").prepare_clustering(data)
         assert np.allclose(unit[0], 0.0)
 
-    def test_sqeuclidean_float64_matches_legacy_kernels(self, matrices):
+    def test_sqeuclidean_float64_matches_naive_formula(self, matrices):
+        # Bitwise the textbook expansion ||a||^2 - 2 a.b + ||b||^2, clipped.
         a, b = matrices
-        engine = DistanceEngine()
-        assert np.array_equal(engine.cross(a, b),
-                              cross_squared_euclidean(a, b))
+        a_sq = np.einsum("ij,ij->i", a, a)
+        b_sq = np.einsum("ij,ij->i", b, b)
+        expected = np.maximum(a_sq[:, None] - 2.0 * (a @ b.T) + b_sq, 0.0)
+        assert np.array_equal(DistanceEngine().cross(a, b), expected)
 
 
 class TestCosineUnitSphereIdentity:

@@ -1,4 +1,5 @@
-"""Unit and property-based tests for the distance kernels."""
+"""Unit and property-based tests for the squared-Euclidean distance kernels
+(``DistanceEngine("sqeuclidean")``) and the norm helpers."""
 
 import numpy as np
 import pytest
@@ -8,18 +9,15 @@ from hypothesis.extra.numpy import arrays
 
 from repro.distance import (
     DistanceCounter,
-    assign_to_nearest,
-    cross_squared_euclidean,
-    nearest_among,
+    DistanceEngine,
     normalize_rows,
-    pairwise_squared_euclidean,
-    pairwise_within_block,
-    squared_euclidean,
     squared_norms,
 )
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False,
                           allow_infinity=False, width=64)
+
+ENGINE = DistanceEngine("sqeuclidean")
 
 
 def small_matrix(max_rows=8, max_cols=6):
@@ -30,14 +28,14 @@ def small_matrix(max_rows=8, max_cols=6):
 
 class TestSquaredEuclidean:
     def test_simple(self):
-        assert squared_euclidean([0, 0], [3, 4]) == pytest.approx(25.0)
+        assert ENGINE.pair([0, 0], [3, 4]) == pytest.approx(25.0)
 
     def test_zero_distance(self):
-        assert squared_euclidean([1.5, 2.5], [1.5, 2.5]) == 0.0
+        assert ENGINE.pair([1.5, 2.5], [1.5, 2.5]) == 0.0
 
     def test_symmetric(self):
         a, b = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, 2.0])
-        assert squared_euclidean(a, b) == pytest.approx(squared_euclidean(b, a))
+        assert ENGINE.pair(a, b) == pytest.approx(ENGINE.pair(b, a))
 
 
 class TestCrossSquaredEuclidean:
@@ -45,24 +43,22 @@ class TestCrossSquaredEuclidean:
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
         expected = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        assert np.allclose(cross_squared_euclidean(a, b), expected)
+        assert np.allclose(ENGINE.cross(a, b), expected)
 
     def test_precomputed_norms_equivalent(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(4, 6)), rng.normal(size=(3, 6))
-        plain = cross_squared_euclidean(a, b)
-        with_norms = cross_squared_euclidean(a, b, squared_norms(a),
-                                             squared_norms(b))
+        plain = ENGINE.cross(a, b)
+        with_norms = ENGINE.cross(a, b, squared_norms(a), squared_norms(b))
         assert np.allclose(plain, with_norms)
 
     def test_never_negative(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(10, 4)) * 1e-8
-        assert (cross_squared_euclidean(a, a) >= 0).all()
+        assert (ENGINE.cross(a, a) >= 0).all()
 
     def test_single_vectors(self):
-        out = cross_squared_euclidean(np.array([1.0, 0.0]),
-                                      np.array([0.0, 1.0]))
+        out = ENGINE.cross(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(2.0)
 
@@ -72,7 +68,7 @@ class TestCrossSquaredEuclidean:
         if a.shape[1] != b.shape[1]:
             b = np.resize(b, (b.shape[0], a.shape[1]))
         expected = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        assert np.allclose(cross_squared_euclidean(a, b), expected,
+        assert np.allclose(ENGINE.cross(a, b), expected,
                            atol=1e-6, rtol=1e-6)
 
 
@@ -80,21 +76,21 @@ class TestPairwise:
     def test_zero_diagonal(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(6, 4))
-        distances = pairwise_squared_euclidean(data)
+        distances = ENGINE.pairwise(data)
         assert np.allclose(np.diag(distances), 0.0)
 
     def test_symmetric(self):
         rng = np.random.default_rng(4)
         data = rng.normal(size=(6, 4))
-        distances = pairwise_squared_euclidean(data)
+        distances = ENGINE.pairwise(data)
         assert np.allclose(distances, distances.T, atol=1e-9)
 
     def test_within_block_subset(self):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(10, 3))
         members = np.array([1, 4, 7])
-        block = pairwise_within_block(data, members)
-        full = pairwise_squared_euclidean(data)
+        block = ENGINE.pairwise(data[members])
+        full = ENGINE.pairwise(data)
         assert np.allclose(block, full[np.ix_(members, members)])
 
 
@@ -102,16 +98,18 @@ class TestAssignToNearest:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(6)
         data, centroids = rng.normal(size=(50, 4)), rng.normal(size=(7, 4))
-        labels, distances = assign_to_nearest(data, centroids)
-        full = cross_squared_euclidean(data, centroids)
+        labels, distances = ENGINE.assign_to_nearest(data, centroids)
+        full = ENGINE.cross(data, centroids)
         assert np.array_equal(labels, np.argmin(full, axis=1))
         assert np.allclose(distances, full.min(axis=1))
 
     def test_block_size_invariance(self):
         rng = np.random.default_rng(7)
         data, centroids = rng.normal(size=(33, 5)), rng.normal(size=(4, 5))
-        labels_a, dist_a = assign_to_nearest(data, centroids, block_size=8)
-        labels_b, dist_b = assign_to_nearest(data, centroids, block_size=1000)
+        labels_a, dist_a = ENGINE.assign_to_nearest(data, centroids,
+                                                    block_size=8)
+        labels_b, dist_b = ENGINE.assign_to_nearest(data, centroids,
+                                                    block_size=1000)
         assert np.array_equal(labels_a, labels_b)
         assert np.allclose(dist_a, dist_b)
 
@@ -119,7 +117,7 @@ class TestAssignToNearest:
         rng = np.random.default_rng(8)
         data, centroids = rng.normal(size=(20, 3)), rng.normal(size=(5, 3))
         counter = DistanceCounter()
-        assign_to_nearest(data, centroids, counter=counter)
+        ENGINE.assign_to_nearest(data, centroids, counter=counter)
         assert counter.count == 20 * 5
         counter.reset()
         assert counter.count == 0
@@ -127,18 +125,16 @@ class TestAssignToNearest:
     def test_exact_for_identical_points(self):
         data = np.zeros((4, 3))
         centroids = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
-        labels, distances = assign_to_nearest(data, centroids)
+        labels, distances = ENGINE.assign_to_nearest(data, centroids)
         assert (labels == 0).all()
         assert np.allclose(distances, 0.0)
 
-
-class TestNearestAmong:
-    def test_selects_correct_candidate(self):
+    def test_nearest_among_a_candidate_subset(self):
         data = np.array([[0.0, 0.0], [10.0, 10.0]])
         candidates = np.array([[9.0, 9.0], [1.0, 1.0], [20.0, 20.0]])
         candidate_ids = np.array([3, 8, 2])
-        best_id, best_dist = nearest_among(data, 0, candidates, candidate_ids)
-        assert best_id == 8
+        (best,), (best_dist,) = ENGINE.assign_to_nearest(data[:1], candidates)
+        assert candidate_ids[best] == 8
         assert best_dist == pytest.approx(2.0)
 
 

@@ -1,8 +1,9 @@
-"""The docs checker passes on the tree: links, anchors, file references.
+"""The docs checker passes on the tree: links, anchors, file references,
+package names.
 
 ``scripts/check_docs_links.py`` fails when a README or ``docs/`` sentence
-cites a file that does not exist, so a PR that deletes a file must also
-drop every sentence pointing at it.
+cites a file or a ``repro.…`` name that does not exist, so a PR that deletes
+a file or a function must also drop every sentence pointing at it.
 """
 
 import importlib.util
@@ -43,6 +44,24 @@ def test_reference_may_be_relative_to_the_package(tmp_path):
                     "`index/process.py`\n", encoding="utf-8")
     assert _load_checker()._missing_references(str(page)) == [
         (1, "index/process.py", "missing file reference")]
+
+
+def test_unresolved_package_name_is_reported(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "`repro.distance` `repro.distance.kernels` "
+        "`repro.distance.DistanceEngine` `repro.index.available_backends()`\n"
+        "`repro.distance.kernels.SORT_WHOLE` "
+        "`repro.cluster.gkmeans.graph_guided_boost_pass`\n"
+        "`repro.distance.cross_squared_euclidean` `repro.nowhere` "
+        "`repro.distance.engine.DistanceEngine.cross`\n"
+        "```\n`repro.inside.a.fence`\n```\n"
+        "plain repro.not.backticked and `repro.distance.norms` text\n",
+        encoding="utf-8")
+    assert _load_checker()._unresolved_names(str(page)) == [
+        (3, "repro.distance.cross_squared_euclidean", "unresolved name"),
+        (3, "repro.nowhere", "unresolved name"),
+        (3, "repro.distance.engine.DistanceEngine.cross", "unresolved name")]
 
 
 def test_history_docs_are_link_checked_but_not_reference_checked():
