@@ -4,10 +4,24 @@ Online ANN traffic is single queries; the fast serving path is a batch —
 the frontier-merged walk amortises entry-point scoring and gemm dispatch
 over the whole batch, and the sharded executors amortise fan-out overhead.
 :class:`CoalescingServer` converts one into the other: concurrent
-``await server.search(query, k)`` calls are gathered under a latency budget
-(at most ``max_batch`` requests or ``max_delay_ms`` milliseconds, whichever
-comes first) into one ``index.search`` batch call, and each request gets
-its own top-k slice of the batch result back.
+``await server.search(query, k)`` calls are gathered into one
+``index.search`` batch call, and each request gets its own top-k slice of
+the batch result back.  A batch closes when it is full (``max_batch``
+requests), when its budget expires (``max_delay_ms`` after the batcher
+picked up its oldest request), or when every rider of the previous batch
+has rejoined — whichever comes first.
+
+Why the rejoin rule
+-------------------
+Closed-loop clients (each awaits its answer before asking again) send
+nothing new while they wait, so once every task that rode the previous
+batch has submitted again, no companion the budget could still catch is
+known to be on its way: the batch is dispatched at once instead of idling
+out the budget.  The rule needs the whole previous batch back — a rider
+that finished, was cancelled or ran outside a task never rejoins, and the
+batch waits its full budget as before.  Open-loop traffic, one task per
+request, never rejoins, so it is coalesced exactly as under the budget
+alone.
 
 Why coalescing cannot change the answers
 ----------------------------------------
@@ -38,8 +52,8 @@ Admission control is a bounded in-flight count: when ``max_pending``
 requests are queued or being served, new requests fail fast with
 :class:`~repro.exceptions.ServerOverloadedError` instead of growing an
 unbounded queue.  Closing the server drains already admitted requests
-(FIFO, behind a shutdown sentinel) and then rejects everything new with
-:class:`~repro.exceptions.ServerClosedError`.
+(FIFO, without waiting out the budget) and then rejects everything new
+with :class:`~repro.exceptions.ServerClosedError`.
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -60,10 +75,6 @@ from ..exceptions import (
 from ..validation import check_positive_int
 
 __all__ = ["CoalescingServer", "RequestStats", "serve_concurrently"]
-
-#: Queue sentinel: everything admitted before it is served, then the
-#: batcher exits.  FIFO ordering of asyncio.Queue makes the drain exact.
-_SHUTDOWN = object()
 
 
 @dataclass(frozen=True)
@@ -97,15 +108,17 @@ class RequestStats:
 
 
 class _Request:
-    """One admitted query waiting for (or riding in) a batch."""
+    """One admitted query waiting for (or riding in) a batch, with the
+    task that asked (``None`` outside a task) for the rejoin rule."""
 
-    __slots__ = ("query", "n_results", "future", "admitted")
+    __slots__ = ("query", "n_results", "future", "task", "admitted")
 
     def __init__(self, query: np.ndarray, n_results: int,
-                 future: asyncio.Future) -> None:
+                 future: asyncio.Future, task: asyncio.Task | None) -> None:
         self.query = query
         self.n_results = n_results
         self.future = future
+        self.task = task
         self.admitted = time.perf_counter()
 
 
@@ -122,8 +135,11 @@ class CoalescingServer:
         Most requests one batch walk may serve.  A full batch is dispatched
         immediately, before the delay budget expires.
     max_delay_ms:
-        Longest a request may wait for companions, in milliseconds.  ``0``
-        still coalesces whatever is already queued, but never waits.
+        Longest a request may wait for companions, in milliseconds, counted
+        from when the batcher picks up the batch's oldest request.  A batch
+        closes earlier when it is full or when every rider of the previous
+        batch has rejoined.  ``0`` still coalesces whatever is already
+        queued, but never waits.
     max_pending:
         Admission-control bound on in-flight requests (queued + being
         served); the ``max_pending + 1``-th concurrent request is rejected
@@ -139,11 +155,12 @@ class CoalescingServer:
         async with CoalescingServer(index, max_batch=64) as server:
             ids, dists, stats = await server.search(query, n_results=10)
 
-    The server is bound to the event loop of its first request; all
-    ``search`` calls must come from that loop (the normal single-loop
-    asyncio setup).  Batches run on a dedicated one-thread executor, one
-    at a time; each request's :class:`RequestStats` carries the stats of
-    the search result that served its batch.
+    All ``search`` calls of one run must come from one event loop (the
+    normal single-loop asyncio setup); once that loop has ended, a later
+    loop (a second ``asyncio.run``) is served by a fresh batcher.  Batches
+    run on a dedicated one-thread executor, one at a time; each request's
+    :class:`RequestStats` carries the stats of the search result that
+    served its batch.
     """
 
     def __init__(self, index, *, max_batch: int = 32,
@@ -173,10 +190,16 @@ class CoalescingServer:
         # request in search().
         pool = search_kwargs.get("pool_size")
         self._pool_size = index.spec.pool_size if pool is None else pool
-        self._queue: asyncio.Queue = asyncio.Queue()
+        self._waiting: deque[_Request] = deque()
         self._pending = 0
         self._closed = False
         self._batcher: asyncio.Task | None = None
+        #: What the batcher sleeps on; resolved by :meth:`_wake`.
+        self._wakeup: asyncio.Future | None = None
+        #: Tasks that rode the last batch and have not submitted since, or
+        #: ``None`` while the rejoin rule is off.  An empty set closes the
+        #: gathering batch.
+        self._awaited: set[asyncio.Task] | None = None
         self._search_pool = ThreadPoolExecutor(max_workers=1)
         #: Running counters: requests served, rejected at admission, and
         #: batches walked (mean coalesced batch size = served / batches).
@@ -214,13 +237,19 @@ class CoalescingServer:
             raise ServerOverloadedError(
                 f"server is at its admission limit of {self._max_pending} "
                 "in-flight requests; back off and retry")
+        loop = asyncio.get_running_loop()
         if self._batcher is None or self._batcher.done():
-            self._batcher = asyncio.get_running_loop().create_task(
-                self._run())
-        request = _Request(query, n_results,
-                           asyncio.get_running_loop().create_future())
+            self._batcher = loop.create_task(self._run())
+        task = asyncio.current_task()
+        request = _Request(query, n_results, loop.create_future(), task)
         self._pending += 1
-        self._queue.put_nowait(request)
+        if self._awaited:
+            self._awaited.discard(task)
+        self._waiting.append(request)
+        # A lone request is the first arrival at an idle batcher (while a
+        # batch gathers, its oldest request stays in the deque).
+        if len(self._waiting) == 1 or self._batch_closed():
+            self._wake()
         try:
             return await request.future
         finally:
@@ -229,16 +258,15 @@ class CoalescingServer:
     async def aclose(self) -> None:
         """Drain admitted requests, stop the batcher, release the pool.
 
-        Idempotent.  Requests admitted before the close are still served
-        (they are ahead of the shutdown sentinel in the FIFO queue); later
-        ``search`` calls raise
-        :class:`~repro.exceptions.ServerClosedError`.
+        Idempotent.  Requests admitted before the close are still served,
+        in FIFO order and without waiting out the budget; later ``search``
+        calls raise :class:`~repro.exceptions.ServerClosedError`.
         """
         if self._closed:
             return
         self._closed = True
-        if self._batcher is not None:
-            self._queue.put_nowait(_SHUTDOWN)
+        if self._batcher is not None and not self._batcher.done():
+            self._wake()
             await self._batcher
         self._search_pool.shutdown(wait=True)
 
@@ -260,7 +288,7 @@ class CoalescingServer:
             return
         self._closed = True
         if self._batcher is not None and not self._batcher.done():
-            self._queue.put_nowait(_SHUTDOWN)
+            self._wake()
         self._search_pool.shutdown(wait=True)
 
     def __enter__(self) -> "CoalescingServer":
@@ -272,37 +300,43 @@ class CoalescingServer:
     # ------------------------------------------------------------------ #
     # Batcher
     # ------------------------------------------------------------------ #
-    async def _gather(self, first: _Request) -> tuple[list, bool]:
-        """Collect companions for ``first`` under the latency budget.
+    def _batch_closed(self) -> bool:
+        """Whether the gathering batch is dispatched without more waiting:
+        the server is closing, the batch is full, or every rider of the
+        previous batch has rejoined."""
+        return (self._closed or len(self._waiting) >= self._max_batch
+                or self._awaited == set())
 
-        Returns ``(batch, shutting_down)`` — the batch to serve and
-        whether the shutdown sentinel was consumed while gathering.
-        """
+    def _wake(self) -> None:
+        """Resolve the future the batcher sleeps on, if it sleeps."""
+        if self._wakeup is not None and not self._wakeup.done():
+            self._wakeup.set_result(None)
+
+    async def _sleep(self, deadline: float | None) -> None:
+        """Sleep until :meth:`_wake` or the loop-clock ``deadline``."""
         loop = asyncio.get_running_loop()
-        batch = [first]
-        deadline = loop.time() + self._max_delay
-        while len(batch) < self._max_batch:
-            timeout = deadline - loop.time()
-            if timeout <= 0:
-                # Budget spent: take whatever is already queued (even a
-                # zero budget coalesces simultaneous arrivals), never wait.
-                try:
-                    item = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-            else:
-                try:
-                    item = await asyncio.wait_for(self._queue.get(),
-                                                  timeout)
-                except asyncio.TimeoutError:
-                    break
-            if item is _SHUTDOWN:
-                return batch, True
-            batch.append(item)
-        return batch, False
+        self._wakeup = loop.create_future()
+        timer = None if deadline is None else loop.call_at(deadline,
+                                                           self._wake)
+        try:
+            await self._wakeup
+        finally:
+            self._wakeup = None
+            if timer is not None:
+                timer.cancel()
 
-    async def _serve_batch(self, batch: list) -> None:
-        """Run one coalesced batch walk and resolve every rider's future."""
+    async def _serve_batch(self) -> None:
+        """Take up to ``max_batch`` waiting requests, run their batch walk
+        and resolve every rider's future."""
+        batch = []
+        while self._waiting and len(batch) < self._max_batch:
+            request = self._waiting.popleft()
+            if not request.future.done():  # not cancelled while queued
+                batch.append(request)
+        tasks = {request.task for request in batch}
+        self._awaited = tasks if tasks and None not in tasks else None
+        if not batch:
+            return
         loop = asyncio.get_running_loop()
         queries = np.stack([request.query for request in batch])
         max_k = max(request.n_results for request in batch)
@@ -312,11 +346,17 @@ class CoalescingServer:
                 self._search_pool,
                 functools.partial(self._index.search, queries, max_k,
                                   **self._search_kwargs))
-        except BaseException as exc:
+        except Exception as exc:
             for request in batch:
                 if not request.future.done():
                     request.future.set_exception(exc)
             return
+        except BaseException:
+            # The batcher itself is cancelled (its loop is ending), or the
+            # process is being interrupted: fail the riders, end the batcher.
+            for request in batch:
+                request.future.cancel()
+            raise
         indices, distances = result
         finished = time.perf_counter()
         self.n_batches += 1
@@ -334,15 +374,16 @@ class CoalescingServer:
                 self.n_served += 1
 
     async def _run(self) -> None:
-        """Batcher loop: admit → gather under budget → walk → respond."""
-        while True:
-            item = await self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            batch, shutting_down = await self._gather(item)
-            await self._serve_batch(batch)
-            if shutting_down:
-                return
+        """Batcher loop: wait for a request → gather under budget → walk →
+        respond; once closed, serve what is left and exit."""
+        loop = asyncio.get_running_loop()
+        while self._waiting or not self._closed:
+            if not self._waiting:
+                await self._sleep(None)  # first arrival, or close
+                continue
+            if self._max_delay > 0 and not self._batch_closed():
+                await self._sleep(loop.time() + self._max_delay)
+            await self._serve_batch()
 
 
 def serve_concurrently(index, queries: np.ndarray, n_results: int = 10, *,
