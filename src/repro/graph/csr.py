@@ -118,13 +118,11 @@ class CSRAdjacency:
         length — ``np.concatenate([self[i] for i in nodes])`` without the
         per-node slicing.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        starts = self.indptr[nodes]
-        lengths = self.indptr[nodes + 1] - starts
-        firsts = np.cumsum(lengths) - lengths
-        # Flat position p, inside row r, reads indices[starts[r] + p -
-        # firsts[r]].
-        position = np.repeat(starts - firsts, lengths)
+        ends = self.indptr[1:][nodes]
+        lengths = ends - self.indptr[nodes]
+        # Flat position p, inside row r, reads indices[ends[r] - (cumulative
+        # length through r) + p].
+        position = (ends - lengths.cumsum()).repeat(lengths)
         position += np.arange(position.size)
         return self.indices[position], lengths
 

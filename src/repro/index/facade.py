@@ -244,7 +244,9 @@ class Index:
                 raise ValidationError(
                     "an index cannot consist of tombstones only")
         self._ids = ids
+        self._id_lift: np.ndarray | None = None
         self._tombstones = tombstones
+        self._n_tombstones = int(tombstones.sum())
         floor = int(ids.max()) + 1 if ids.size else 0
         self._next_id = floor if next_id is None else max(int(next_id),
                                                           floor)
@@ -298,7 +300,7 @@ class Index:
     @property
     def n_points(self) -> int:
         """Number of *live* (non-tombstoned) indexed vectors."""
-        return int(self.data.shape[0]) - self.n_tombstones
+        return int(self.data.shape[0]) - self._n_tombstones
 
     @property
     def n_rows(self) -> int:
@@ -313,7 +315,7 @@ class Index:
     @property
     def n_tombstones(self) -> int:
         """Number of tombstoned (deleted, not yet compacted) rows."""
-        return int(self._tombstones.sum())
+        return self._n_tombstones
 
     @property
     def live_mask(self) -> np.ndarray:
@@ -467,14 +469,15 @@ class Index:
                 f"executor={executor!r}: a monolithic Index serves "
                 "in-process only (executor 'thread'); 'remote' serving is "
                 "the sharded layer's fan-out knob (build with n_shards > 1)")
-        n_results = check_positive_int(n_results, name="n_results",
-                                       maximum=self.n_points)
         # Tombstoned rows stay in the graph as routing waypoints but never
         # in results: the walk over-fetches by the tombstone count (never
         # beyond the physical rows — n_results <= n_points guarantees the
         # widened request still fits), then the tombstoned hits are
         # filtered out.
-        n_tombstones = self.n_tombstones
+        n_tombstones = self._n_tombstones
+        n_results = check_positive_int(
+            n_results, name="n_results",
+            maximum=self.data.shape[0] - n_tombstones)
         queries = np.asarray(queries)
         single = queries.ndim == 1
         idx, dist = walked = self._searcher.batch_query(
@@ -511,9 +514,11 @@ class Index:
 
     def _external(self, idx: np.ndarray) -> np.ndarray:
         """Map physical row positions to external ids (``-1`` padding
-        passes through)."""
-        reached = idx >= 0
-        return np.where(reached, self._ids[np.where(reached, idx, 0)], -1)
+        passes through: it reads the lift table's trailing ``-1``)."""
+        lift = self._id_lift
+        if lift is None:
+            lift = self._id_lift = np.append(self._ids, -1)
+        return lift[idx]
 
     # ------------------------------------------------------------------ #
     # Online mutations
@@ -571,6 +576,8 @@ class Index:
             self._id_lookup.update(zip(new_ids.tolist(), range(
                 self._ids.size, self._ids.size + new_ids.size)))
         self._ids = np.concatenate([self._ids, new_ids])
+        self._id_lift = None
+        # New rows are live: the tombstone count stands.
         self._tombstones = np.concatenate(
             [self._tombstones, np.zeros(new_ids.size, dtype=bool)])
         self._next_id = max(self._next_id, int(new_ids.max()) + 1)
@@ -597,6 +604,7 @@ class Index:
                 "points would leave fewer than 2 — an index needs at "
                 "least 2 live points to serve")
         self._tombstones[positions] = True
+        self._n_tombstones += positions.size
         self.generation += 1
         return int(positions.size)
 
@@ -639,7 +647,9 @@ class Index:
         self._searcher = searcher
         self.graph = graph
         self._ids = self._ids[live].copy()
+        self._id_lift = None
         self._tombstones = np.zeros(data.shape[0], dtype=bool)
+        self._n_tombstones = 0
         self._id_lookup = None
         self.generation += 1
         return removed

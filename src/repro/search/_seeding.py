@@ -27,6 +27,7 @@ its cluster's members.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -50,16 +51,19 @@ def coarse_metric(metric: str) -> str:
 
 
 def nearest_centroids(engine: DistanceEngine, queries: np.ndarray,
-                      centroids: np.ndarray, count: int) -> np.ndarray:
+                      centroids: np.ndarray, count: int,
+                      centroid_norms: np.ndarray | None = None) -> np.ndarray:
     """``(m, count)`` column ids of each query's nearest ``centroids``,
     nearest first, ties to the lower centroid id.
 
     ``engine`` is a coarse engine (see :func:`coarse_metric`); the queries
     are scored in its clustering space (l2-normalised rows for cosine),
-    where ``centroids`` must live, in one block.
+    where ``centroids`` must live, in one block.  ``centroid_norms`` are
+    the centroids' norms in that space, when the caller keeps them.
     """
     scores = engine.clustering_engine().cross(
-        engine.prepare_clustering(queries), centroids)
+        engine.prepare_clustering(queries), centroids,
+        b_norms=centroid_norms)
     if count == 1:
         # The first minimum: the stable order's head, without the partition.
         return scores.argmin(axis=1)[:, None]
@@ -105,9 +109,10 @@ class SeedPartition:
     members, starts, sizes:
         Cluster ``clusters[j]`` is ``members[starts[j]:starts[j] +
         sizes[j]]``, ascending row ids.
-    width:
-        The largest cluster's size: every query's members are scored at this
-        padded width, so the block shape never depends on the batch.
+    width, slots:
+        The largest cluster's size, and ``arange(width)``: every query's
+        members are scored at this padded width, so the block shape never
+        depends on the batch.
     """
 
     def __init__(self, data: np.ndarray, labels: np.ndarray, metric: str,
@@ -120,10 +125,17 @@ class SeedPartition:
         self.sizes = counts[self.clusters]
         self.starts = (np.cumsum(counts) - counts)[self.clusters]
         self.width = int(self.sizes.max())
+        self.slots = np.arange(self.width)
         rows = self.engine.prepare_clustering(data)[self.members]
         sums = np.add.reduceat(rows, self.starts, axis=0, dtype=np.float64)
         self.centroids = np.ascontiguousarray(
             sums / self.sizes[:, None], dtype=self.engine.dtype)
+
+    @cached_property
+    def centroid_norms(self) -> np.ndarray | None:
+        """The means' norms in the clustering space, computed on first use
+        and kept for every later query's nearest-centroid block."""
+        return self.engine.clustering_engine().norms(self.centroids)
 
     @classmethod
     def cluster(cls, data: np.ndarray, metric: str, dtype,
@@ -155,18 +167,20 @@ def seed_entry_points(partition: SeedPartition, queries: np.ndarray,
 
     ``queries`` are the batch's ``(m, d)`` rows in the engine dtype;
     ``score`` is the walk's scorer (see :mod:`repro.search._walk`), called
-    with a 2-D id block so each query scores only its own members.
+    with a slice of batch rows and a 2-D id block, so each query scores only
+    its own members.
     """
     m = queries.shape[0]
     nearest = nearest_centroids(partition.engine, queries,
-                                partition.centroids, 1)[:, 0]
+                                partition.centroids, 1,
+                                partition.centroid_norms)[:, 0]
     first, sizes = partition.starts[nearest], partition.sizes[nearest]
-    slots = np.arange(partition.width)
+    slots = partition.slots
     count = min(n_starts, partition.width)
     ids = np.full((m, n_starts), -1, dtype=np.int64)
     dists = None
     for start in range(0, m, SEED_ROWS):
-        rows = np.arange(start, min(start + SEED_ROWS, m))
+        rows = slice(start, start + SEED_ROWS)
         # Short clusters repeat their last member; those slots score inf.
         valid = slots < sizes[rows, None]
         members = partition.members[
@@ -176,9 +190,9 @@ def seed_entry_points(partition: SeedPartition, queries: np.ndarray,
         keep = stable_smallest(block, count)
         if dists is None:
             dists = np.full((m, n_starts), np.inf, dtype=block.dtype)
-        lanes = np.arange(rows.size)[:, None]
+        lanes = np.arange(block.shape[0])[:, None]
         picked = valid[lanes, keep]
         ids[rows, :count] = np.where(picked, members[lanes, keep], -1)
-        dists[rows, :count] = np.where(picked, block[lanes, keep], np.inf)
+        dists[rows, :count] = block[lanes, keep]
     evaluations = partition.clusters.size + sizes
     return Seeds(ids, dists, evaluations, partition.clusters[nearest])

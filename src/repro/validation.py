@@ -47,6 +47,8 @@ def clamp_workers(value: int, *, name: str = "workers") -> int:
     misconfiguration is visible without spamming every search.
     """
     global _OVERSUBSCRIPTION_WARNED
+    if value <= 1:
+        return value
     cpus = os.cpu_count() or 1
     if value <= cpus:
         return value
@@ -97,7 +99,7 @@ def check_data_matrix(data, *, name: str = "data", min_samples: int = 1,
             f"got {array.shape[0]}")
     if array.shape[1] < 1:
         raise ValidationError(f"{name} must have at least one feature")
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise ValidationError(f"{name} contains NaN or infinite values")
     return np.ascontiguousarray(array)
 

@@ -33,6 +33,15 @@ ENGINE_CONFIGS = [("sqeuclidean", "float64"), ("sqeuclidean", "float32"),
                   ("dot", "float64")]
 
 
+def _assert_tombstone_count(index):
+    """The kept tombstone count equals the mask's, on every shard."""
+    shards = getattr(index, "shards", [index])
+    for shard in shards:
+        assert shard.n_tombstones == int((~shard.live_mask).sum())
+    assert index.n_tombstones == sum(int((~shard.live_mask).sum())
+                                     for shard in shards)
+
+
 def _exhaustive_spec(n_base, metric, dtype, **overrides):
     """A spec whose greedy walk provably returns the true top-k (see
     test_serving_determinism)."""
@@ -96,12 +105,15 @@ class TestMonoMutationOracle:
         rtol = 1e-9 if dtype == "float64" else 1e-5
         index = Index.build(base, _exhaustive_spec(base.shape[0], metric,
                                                    dtype))
+        _assert_tombstone_count(index)
         new_ids = index.insert(extra)
         assert np.array_equal(
             new_ids, np.arange(base.shape[0],
                                base.shape[0] + extra.shape[0]))
+        _assert_tombstone_count(index)
         assert index.delete(self.DELETED) == len(self.DELETED)
         assert index.generation == 2
+        _assert_tombstone_count(index)
 
         full = np.vstack([base, extra])
         live_ids = np.setdiff1d(np.arange(full.shape[0]),
@@ -119,6 +131,7 @@ class TestMonoMutationOracle:
         path = tmp_path / f"{metric}-{dtype}.idx"
         index.save(path)
         restored = Index.load(path)
+        _assert_tombstone_count(restored)
         r_idx, r_dist = restored.search(queries, 10)
         assert r_idx.tobytes() == s_idx.tobytes()
         assert r_dist.tobytes() == s_dist.tobytes()
@@ -128,6 +141,7 @@ class TestMonoMutationOracle:
         # Compaction removes the tombstones physically; answers persist.
         assert index.compact() == len(self.DELETED)
         assert index.n_tombstones == 0
+        _assert_tombstone_count(index)
         assert np.array_equal(np.sort(index.ids), live_ids)
         c_idx, c_dist = index.search(queries, 10)
         _assert_rows_match_up_to_ties(c_idx, c_dist, o_idx, o_dist,
@@ -259,8 +273,11 @@ class TestShardedMutationOracle:
         spec = _exhaustive_spec(base.shape[0], metric, dtype, n_shards=3,
                                 partitioner=partitioner)
         sharded = ShardedIndex.build(base, spec)
+        _assert_tombstone_count(sharded)
         sharded.insert(extra)
+        _assert_tombstone_count(sharded)
         sharded.delete(self.DELETED)
+        _assert_tombstone_count(sharded)
         full = np.vstack([base, extra])
         live_ids = np.setdiff1d(np.arange(full.shape[0]),
                                 np.asarray(self.DELETED))
@@ -284,6 +301,7 @@ class TestShardedMutationOracle:
         sharded.save(path)
         restored = ShardedIndex.load(path)
         try:
+            _assert_tombstone_count(restored)
             r_idx, r_dist = restored.search(queries, 10)
             assert r_idx.tobytes() == s_idx.tobytes()
             assert r_dist.tobytes() == s_dist.tobytes()
@@ -292,6 +310,7 @@ class TestShardedMutationOracle:
             restored.close()
 
         sharded.compact()
+        _assert_tombstone_count(sharded)
         c_idx, c_dist = sharded.search(queries, 10)
         _assert_rows_match_up_to_ties(c_idx, c_dist, o_idx, o_dist,
                                       rtol=rtol,

@@ -588,12 +588,13 @@ class TestShapesTheSweepLacks:
                                        queries[:20], K, scorer, **walk)
         assert len(replayed) == 3
 
-    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    @pytest.mark.parametrize("chunk", [1, 3, 8, 64])
     def test_speculative_chunk_width_never_shows(self, corpus, replayed,
                                                  monkeypatch, chunk):
         """A row whose ``BEAM``-th productive pop lies beyond one chunk pops
         again, and pops past it are put back: every width walks the same
-        walk."""
+        walk, down to one pop per pass and up to a width (64 >= ``POOL``)
+        that pops the whole pool in one pass."""
         monkeypatch.setattr(walk_module, "CHUNK", chunk)
         base, queries, adjacency = corpus
         engine = DistanceEngine("cosine", "float32")
