@@ -244,7 +244,6 @@ class Index:
                 raise ValidationError(
                     "an index cannot consist of tombstones only")
         self._ids = ids
-        self._id_lift: np.ndarray | None = None
         self._tombstones = tombstones
         self._n_tombstones = int(tombstones.sum())
         floor = int(ids.max()) + 1 if ids.size else 0
@@ -514,11 +513,9 @@ class Index:
 
     def _external(self, idx: np.ndarray) -> np.ndarray:
         """Map physical row positions to external ids (``-1`` padding
-        passes through: it reads the lift table's trailing ``-1``)."""
-        lift = self._id_lift
-        if lift is None:
-            lift = self._id_lift = np.append(self._ids, -1)
-        return lift[idx]
+        passes through)."""
+        reached = idx >= 0
+        return np.where(reached, self._ids[np.where(reached, idx, 0)], -1)
 
     # ------------------------------------------------------------------ #
     # Online mutations
@@ -576,7 +573,6 @@ class Index:
             self._id_lookup.update(zip(new_ids.tolist(), range(
                 self._ids.size, self._ids.size + new_ids.size)))
         self._ids = np.concatenate([self._ids, new_ids])
-        self._id_lift = None
         # New rows are live: the tombstone count stands.
         self._tombstones = np.concatenate(
             [self._tombstones, np.zeros(new_ids.size, dtype=bool)])
@@ -647,7 +643,6 @@ class Index:
         self._searcher = searcher
         self.graph = graph
         self._ids = self._ids[live].copy()
-        self._id_lift = None
         self._tombstones = np.zeros(data.shape[0], dtype=bool)
         self._n_tombstones = 0
         self._id_lookup = None

@@ -696,66 +696,18 @@ class ShardedIndex:
         queries = check_queries(queries, self.n_features,
                                 dtype=self.engine_.dtype)
         m = queries.shape[0]
-        widths = [min(n_results, count) for count in live]
-        if not routed:
-            # The full fan-out: every shard serves the whole batch, so the
-            # merge buffer is the shards' results side by side, in shard
-            # order, and no routing gemm is issued.
-            runner = self._get_executor(executor, shard_workers)
-            parts = runner.run([ShardSearchTask(
-                shard=shard, queries=queries, shard_k=widths[shard],
-                pool_size=pool_size, workers=workers)
-                for shard in range(self.n_shards)])
-            all_ids = np.concatenate([part.indices for part in parts], axis=1)
-            all_dist = np.concatenate([part.distances for part in parts],
-                                      axis=1)
-            evaluations = sum(part.evaluations for part in parts)
-            shard_stats = [part.stats for part in parts]
-            queries_per_shard = (m,) * self.n_shards
-        else:
-            all_ids, all_dist, evaluations, shard_stats, queries_per_shard = \
-                self._routed_fan_out(queries, n_results, probe, widths,
-                                     executor, shard_workers, pool_size,
-                                     workers)
-
-        # Stable sort on distance: ties keep shard-then-rank order, so the
-        # merge is deterministic and independent of shard_workers.  Unreached
-        # entries are (-1, inf) pairs, so they sort last and become the
-        # output padding; the per-shard widths sum to >= n_results.
-        order = np.argsort(all_dist, axis=1, kind="stable")[:, :n_results]
-        lanes = np.arange(m)[:, None]
-        out_idx = all_ids[lanes, order]
-        out_dist = all_dist[lanes, order]
-
-        stats = ShardedServingStats(
-            n_shards=self.n_shards, shard_workers=shard_workers,
-            n_queries=m, shard_probe=probe, executor=executor,
-            routing_gemms=int(routed), queries_per_shard=queries_per_shard,
-            shard_stats=tuple(shard_stats),
-            total_seconds=time.perf_counter() - started)
-        if single:
-            out_idx, out_dist = out_idx[0], out_dist[0]
-        result = SearchResult(out_idx, out_dist, evaluations, stats)
-        self._last = result
-        return result
-
-    def _routed_fan_out(self, queries: np.ndarray, n_results: int,
-                        probe: int, widths: list, executor: str,
-                        shard_workers: int, pool_size, workers) -> tuple:
-        """The two fan-outs of a routed search and their scatter-merge
-        buffer: ``(all_ids, all_dist, evaluations, shard_stats,
-        queries_per_shard)``."""
-        m = queries.shape[0]
         lanes = np.arange(m)
-        routes = self._route(queries, probe)
-        probed_mask = np.zeros((m, self.n_shards), dtype=bool)
-        probed_mask[lanes[:, None], routes] = True
-        nearest = np.zeros_like(probed_mask)
-        nearest[lanes, routes[:, 0]] = True
+        probed_mask = np.full((m, self.n_shards), not routed)
+        if routed:
+            routes = self._route(queries, probe)
+            probed_mask[lanes[:, None], routes] = True
+            nearest = np.zeros_like(probed_mask)
+            nearest[lanes, routes[:, 0]] = True
         # Column offsets of every (query, shard) block in the merge buffer:
         # query q's candidates from shard s start where the widths of q's
         # probed shards with smaller ids end.
-        widths = np.array(widths, dtype=np.int64)
+        widths = np.array([min(n_results, count) for count in live],
+                          dtype=np.int64)
         contrib = probed_mask * widths[None, :]
         ends = np.cumsum(contrib, axis=1)
         starts_at = ends - contrib
@@ -764,7 +716,8 @@ class ShardedIndex:
         all_dist = np.full((m, buffer_width), np.inf, dtype=np.float64)
         # Routing scores every query against all centroids: one gemm,
         # n_shards evaluations per query, charged before the walks.
-        evaluations = np.full(m, self.n_shards, dtype=np.int64)
+        evaluations = np.full(m, self.n_shards if routed else 0,
+                              dtype=np.int64)
         shard_stats = []
         runner = self._get_executor(executor, min(
             shard_workers, int(probed_mask.any(axis=0).sum())))
@@ -800,16 +753,39 @@ class ShardedIndex:
             return [(shard_rows[shard], part)
                     for shard, part in zip(probed, parts)]
 
-        # The nearest shard first; its k-th distance (inf when it holds
-        # fewer than k live rows) caps the query's other probed shards,
-        # whose walks then skip everything the merge would discard.
-        bounds = np.full(m, np.inf)
-        for rows, part in fan_out(nearest):
-            if part.distances.shape[1] == n_results:
-                bounds[rows] = part.distances[:, -1]
-        fan_out(probed_mask & ~nearest, bounds)
-        return (all_ids, all_dist, evaluations, shard_stats,
-                tuple(int(count) for count in probed_mask.sum(axis=0)))
+        if not routed:
+            fan_out(probed_mask)
+        else:
+            # The nearest shard first; its k-th distance (inf when it holds
+            # fewer than k live rows) caps the query's other probed shards,
+            # whose walks then skip everything the merge would discard.
+            bounds = np.full(m, np.inf)
+            for rows, part in fan_out(nearest):
+                if part.distances.shape[1] == n_results:
+                    bounds[rows] = part.distances[:, -1]
+            fan_out(probed_mask & ~nearest, bounds)
+
+        # Stable sort on distance: ties keep shard-then-rank order, so the
+        # merge is deterministic and independent of shard_workers.  Unreached
+        # entries are (-1, inf) pairs, so they sort last and become the
+        # output padding; the per-shard widths sum to >= n_results.
+        order = np.argsort(all_dist, axis=1, kind="stable")[:, :n_results]
+        out_idx = np.take_along_axis(all_ids, order, axis=1)
+        out_dist = np.take_along_axis(all_dist, order, axis=1)
+
+        stats = ShardedServingStats(
+            n_shards=self.n_shards, shard_workers=shard_workers,
+            n_queries=m, shard_probe=probe, executor=executor,
+            routing_gemms=int(routed),
+            queries_per_shard=tuple(int(count)
+                                    for count in probed_mask.sum(axis=0)),
+            shard_stats=tuple(shard_stats),
+            total_seconds=time.perf_counter() - started)
+        if single:
+            out_idx, out_dist = out_idx[0], out_dist[0]
+        result = SearchResult(out_idx, out_dist, evaluations, stats)
+        self._last = result
+        return result
 
     def _route(self, queries: np.ndarray, probe: int) -> np.ndarray:
         """``(m, probe)`` nearest-shard ids per query, nearest first.

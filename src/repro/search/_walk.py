@@ -35,9 +35,9 @@ it), already in pop order.  A round
    their adjacency rows in one ragged gather (flat ids + lengths: through
    ``indptr`` on a :class:`~repro.graph.csr.CSRAdjacency`, a
    ``np.concatenate`` of the few rows on a plain row list — no padded
-   ``(n, κ)`` view, symmetrised degree varies too much).  One lookup in the
-   group's visit marks (:class:`VisitMarks`) drops visited neighbours — a
-   pass that finds none spends its pops and ends there — one
+   ``(n, κ)`` view, symmetrised degree varies too much).  One lookup
+   on ``row · n + id`` keys drops visited neighbours — a pass that finds
+   none spends its pops and ends there — one
    ``np.maximum.at`` pass keeps each neighbour's first occurrence in pop
    order, and a row-wise running count of *productive* pops (pops that
    found a fresh neighbour) keeps each row's pops up to its ``BEAM``-th
@@ -67,8 +67,8 @@ The price is a fixed cost per round — about a hundred small numpy calls
 whether the group holds one query or thirty-two — so a **batch of one is
 the slow shape**: it pays a whole round's overhead for one query's work.
 Measured on one core of a shared 2-core VM, a single-query search costs
-0.48–0.80 ms at 20000 × 64 (pool 64) and 1.2–1.6 ms at 4000 × 24, against
-0.11–0.16 and 0.22–0.31 ms per query inside a 256-query batch.
+0.66–0.70 ms at 20000 × 64 (pool 64) and 1.09–1.12 ms at 4000 × 24
+(quartiles), against 0.14 and 0.23 ms per query inside a 256-query batch.
 ``GraphSearcher.query`` and every single-vector request behind the wire run
 that shape (an insert call walks all its rows as one batch); callers with
 traffic to batch should batch it.
@@ -127,15 +127,6 @@ BEAM = 8
 #: ``BEAM``-th productive one and puts the rest back.
 CHUNK = 32
 
-#: log2 of the node ids per page of walk scratch (:class:`VisitMarks`).
-PAGE_BITS = 6
-#: Nodes per group query up to which a group's marks are one dense block
-#: (1 MB of marks per query).  A walk reaches a few thousand nodes, so on a
-#: larger graph pages of them pay.
-DENSE_NODES = 1 << 18
-#: Page offsets of a page the group has not reached / is reaching.
-UNREACHED, REACHING = -(1 << 62), -(1 << 61)
-
 #: ``score(rows, ids)``: distances between batch queries ``rows`` (an index
 #: array or a slice) and dataset rows ``ids`` as a ``(len(rows), len(ids))``
 #: block — or, for a 2-D ``(len(rows), w)`` ``ids``, of each query to its own
@@ -169,94 +160,6 @@ def gather_rows(adjacency, nodes: np.ndarray
     picked = [adjacency[node] for node in nodes.tolist()]
     return np.concatenate(picked), np.fromiter(
         map(len, picked), dtype=np.intp, count=len(picked))
-
-
-class VisitMarks:
-    """One group's per-(query, node) visit marks, and its frontier unions.
-
-    A mark is ``0`` for a pair the query has not visited and nonzero for one
-    it has; within a pass it holds the stamp that picks a neighbour's first
-    occurrence.  While the graph has at most :data:`DENSE_NODES` nodes per
-    group query the marks are one block, node ``v`` of query ``q`` at
-    ``q * n + v``, and :meth:`union` marks the frontier in an ``n``-row
-    scratch.  Beyond that, node ids are split into pages of
-    ``2**PAGE_BITS`` and a page gets its marks — node ``v`` of query ``q``
-    at ``local(v) * size + q`` — the first time one of the group's walks
-    reaches it, so the marks grow with the pages the walks touch, the only
-    ``O(n)`` part left is one offset per page, and :meth:`union` sorts.
-    """
-
-    __slots__ = ("n", "size", "shift", "marks", "pages", "marked", "column")
-
-    def __init__(self, n: int, size: int) -> None:
-        self.n, self.size = n, size
-        if n <= size * DENSE_NODES:
-            self.shift = None
-            self.marks = np.zeros(n * size, dtype=np.int32)
-            self.marked = np.zeros(n, dtype=bool)
-            self.column = np.empty(n, dtype=np.intp)
-        else:
-            # Per page: the local position of its first id less the id
-            # itself, or UNREACHED, which makes every key on it negative.
-            self.shift = np.full((n >> PAGE_BITS) + 1, UNREACHED,
-                                 dtype=np.int64)
-            self.marks = np.zeros(0, dtype=np.int32)
-            self.pages = 0
-
-    def union(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(union, column)``: the distinct ``ids`` ascending, and the
-        position of every entry of ``ids`` in ``union``."""
-        if self.shift is not None:
-            order = ids.argsort()
-            ordered = ids[order]
-            head = np.empty(ids.size, dtype=bool)
-            head[:1] = True
-            np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-            column = np.empty(ids.size, dtype=np.intp)
-            column[order] = head.cumsum() - 1
-            return ordered[head], column
-        # A mark-and-nonzero pass over the dense scratch: no sort.
-        self.marked[ids] = True
-        union = self.marked.nonzero()[0]
-        self.marked[union] = False
-        self.column[union] = np.arange(union.size)
-        return union, self.column[ids]
-
-    def keys(self, lanes: np.ndarray, lengths: np.ndarray,
-             ids: np.ndarray) -> np.ndarray:
-        """Positions in :attr:`marks` of the pairs ``(lane, ids[i])``, where
-        ``lanes`` (group positions) repeat by ``lengths`` to one lane per
-        id, reaching new pages as needed."""
-        if self.shift is None:
-            keys = (lanes * self.n).repeat(lengths)
-            keys += ids
-            return keys
-        page = ids >> PAGE_BITS
-        keys = self.shift[page]
-        keys += ids
-        if keys.size and keys.min() < 0:
-            self._reach(page[keys < 0])
-            keys = self.shift[page]
-            keys += ids
-        keys *= self.size
-        keys += lanes.repeat(lengths)
-        return keys
-
-    def _reach(self, pages: np.ndarray) -> None:
-        """Give ``pages`` (repeats allowed) marks after the reached ones,
-        in ascending page order."""
-        self.shift[pages] = REACHING
-        pages = (self.shift == REACHING).nonzero()[0]
-        reached = self.pages
-        self.pages += pages.size
-        self.shift[pages] = (np.arange(reached, self.pages) - pages) \
-            << PAGE_BITS
-        needed = (self.pages << PAGE_BITS) * self.size
-        if needed > self.marks.size:
-            # Grown geometrically: a walk reallocates O(log pages) times.
-            grown = np.zeros(max(needed, 2 * self.marks.size), dtype=np.int32)
-            grown[:self.marks.size] = self.marks
-            self.marks = grown
 
 
 @dataclass(frozen=True)
@@ -387,7 +290,22 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
     def walk_group(rows: np.ndarray) -> tuple[int, int, float]:
         group_started = time.perf_counter()
         size = rows.size
-        visits = VisitMarks(n, size)
+        # Group scratch.  ``seen[q * n + node]`` is nonzero once query ``q``
+        # has scored ``node``; within a pass it also holds the stamp that
+        # picks a neighbour's first occurrence.
+        seen = np.zeros(size * n, dtype=np.int32)
+        marked = np.zeros(n, dtype=bool)
+        column = np.empty(n, dtype=np.intp)
+
+        def union_of(ids: np.ndarray) -> np.ndarray:
+            """The distinct ``ids``, ascending; ``column`` then maps each to
+            its position (a mark-and-nonzero pass, no sort)."""
+            marked[ids] = True
+            union = marked.nonzero()[0]
+            marked[union] = False
+            column[union] = np.arange(union.size)
+            return union
+
         # Live rows only: ``slot`` is a live row's position in the group,
         # ``queries`` its batch row.
         slot = np.arange(size)
@@ -395,8 +313,7 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
 
         entry = seeds.ids[rows]
         entered = entry >= 0
-        keys = visits.keys(slot, entered.sum(axis=1), entry[entered])
-        visits.marks[keys] = 1
+        seen[(slot[:, None] * n + entry)[entered]] = 1
         # Pools: ``(size, pool_size)`` id / distance matrices, ascending by
         # distance (earlier arrival first among equals), padded -1 / inf.
         pool_ids = np.full((size, pool_size), -1, dtype=np.int64)
@@ -423,6 +340,7 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
             cand = pool_dists < worst
             cand[expanded] = False
             rank = cand.cumsum(axis=1)
+            base = slot * n
             frontier: list[tuple[np.ndarray, np.ndarray]] = []
             # Productive pops a row may still make this round: BEAM, less
             # the earlier passes' (a per-row column from the second pass on).
@@ -438,9 +356,9 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
                     break
                 flat, lengths = gather_rows(adjacency, pool_ids[arow, pcol])
                 owner = np.arange(arow.size).repeat(lengths)
-                keys = visits.keys(slot[arow], lengths, flat)
-                marks = visits.marks
-                fresh = (marks[keys] == 0).nonzero()[0]
+                keys = base[arow].repeat(lengths)
+                keys += flat
+                fresh = (seen[keys] == 0).nonzero()[0]
                 if not fresh.size:
                     # No pop found a fresh neighbour: each is spent.
                     expanded |= window
@@ -448,8 +366,8 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
                 keys, owner, flat = keys[fresh], owner[fresh], flat[fresh]
                 # A neighbour reached by several pops belongs to the first.
                 stamps = np.arange(keys.size, 0, -1, dtype=np.int32)
-                np.maximum.at(marks, keys, stamps)
-                first = marks[keys] == stamps
+                np.maximum.at(seen, keys, stamps)
+                first = seen[keys] == stamps
                 # Keep a row's pops up to its quota-th productive one (a pop
                 # that found a fresh neighbour); the rest go back un-marked.
                 made = np.zeros(cand.shape, dtype=bool)
@@ -462,7 +380,7 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
                 expanded |= kept
                 taken = kept[arow, pcol][owner]
                 taken &= first
-                marks[keys[first ^ taken]] = 0
+                seen[keys[first ^ taken]] = 0
                 frontier.append((arow[owner[taken]], flat[taken]))
                 if popped + CHUNK < top:
                     quota = quota - made.sum(axis=1, keepdims=True)
@@ -492,8 +410,7 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
             gemms += 1
             evaluations[queries] += fcount
 
-            union, column = visits.union(fid)
-            fdist = score(queries, union)[frow, column]
+            fdist = score(queries, union_of(fid))[frow, column[fid]]
 
             # Merge [pool | frontier] row-wise, keep the pool_size smallest;
             # a row's frontier (frow is sorted) follows its pool.
@@ -513,9 +430,9 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
             pool_ids = cat_ids[lanes, pick]
             pool_dists = cat_dists[lanes, pick]
             expanded = cat_done[lanes, pick]
+            count += fcount
             # An overflowed row's threshold drops to its pool's worst; the
             # minimum keeps a bound below that in force.
-            count += fcount
             np.minimum(worst, pool_dists[:, -1:], out=worst,
                        where=(count > pool_size)[:, None])
 
@@ -526,11 +443,11 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
             # One exact block over the group's merged pools; each query's
             # pool is then ordered by true metric distance.
             valid = done_ids >= 0
-            union, column = visits.union(done_ids[valid])
-            exact = rerank(rows, union)
+            pooled = done_ids[valid]
+            exact = rerank(rows, union_of(pooled))
             done_dists = np.full(done_ids.shape, np.inf, dtype=exact.dtype)
             lane, col = valid.nonzero()
-            done_dists[lane, col] = exact[lane, column]
+            done_dists[lane, col] = exact[lane, column[pooled]]
             evaluations[rows] += valid.sum(axis=1)
         # Ties break by ascending id, the library-wide rule.
         order = np.lexsort((done_ids, done_dists))[:, :n_results]
