@@ -239,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated external ids to delete")
 
     compact = sub.add_parser(
-        "compact", help="rebuild a saved index's tombstone-carrying "
-                        "structures over the live rows")
+        "compact", help="drop a saved index's tombstoned rows (gkmeans "
+                        "resumes its graph from the surviving lists)")
     compact.add_argument("index", help="path of an index saved by 'build'")
 
     reload_ = sub.add_parser(

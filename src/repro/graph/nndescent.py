@@ -130,9 +130,8 @@ class NNDescent:
         """
         n = new.shape[0]
         offers = []
-        # A chunk gathers ``(rows, 4κ, d)``: GATHER_ROWS' bound for κ-wide.
-        for start in range(0, n, GATHER_ROWS // 4):
-            chunk = slice(start, start + GATHER_ROWS // 4)
+        for start in range(0, n, GATHER_ROWS):
+            chunk = slice(start, start + GATHER_ROWS)
             width = (new[chunk] >= 0).sum(axis=1).max()
             left = new[chunk, :width]
             cand = np.concatenate(

@@ -60,9 +60,11 @@ __all__ = ["refine_neighborhood", "push_back_edges", "merge_offers",
 #: the chunk; 32 matches the walk's query group.
 JOIN_CHUNK = 32
 
-#: Rows per gathered ``(rows, κ, d)`` block when distances are
-#: materialized: bounds the gather at a few MB whatever ``n``.
-GATHER_ROWS = 1024
+#: Rows per gathered ``(rows, w, d)`` block, ``w`` candidates a row:
+#: bounds a distance pass over a neighbour table (and each chunk of
+#: NN-Descent's local join) whatever ``n``.  At 256 the ``build``
+#: benchmark's κ-wide gather is 1.3 MB.
+GATHER_ROWS = 256
 
 
 def refine_neighborhood(engine: DistanceEngine, data: np.ndarray,
@@ -219,30 +221,36 @@ def materialize_row_distances(data: np.ndarray, indices: np.ndarray,
                               engine: DistanceEngine,
                               norms: np.ndarray | None
                               ) -> tuple[np.ndarray, np.ndarray]:
-    """Compute (and sort by) per-row neighbour distances for a graph
-    that carries none.
+    """Compute (and sort by) the distances of a neighbour table's entries.
 
-    Back-edge pushes merge into distance-sorted rows; a graph built without
-    distances (adjacency-only constructions) gets them materialized once,
-    on the first insert: one gathered ``(n, κ)`` inner-product block
-    (``GATHER_ROWS`` rows at a time) turned into distances by
+    The package's one distance pass over a neighbour table: Alg. 3's
+    random and resumed starting graphs (:mod:`repro.graph.random_graph`)
+    get their distances here, and so does a graph the insert path finds
+    without any (back-edge pushes merge into distance-sorted rows).  Row
+    ``i`` of ``indices`` lists ids of rows of ``data``, ``-1`` for padding.
+    Each ``GATHER_ROWS`` rows are one gathered ``(rows, κ, d)``
+    inner-product block turned into distances by
     :meth:`DistanceEngine.from_inner
     <repro.distance.DistanceEngine.from_inner>`.  Returns ``(indices,
-    distances)`` with every row re-sorted ascending (padding ``-1``/``inf``
-    entries stay last).
+    distances)`` with every row re-sorted ascending, stably (padding
+    ``-1``/``inf`` entries last).
     """
     data = engine.prepare(data)
     if norms is None:
         norms = engine.norms(data)                   # still None for dot
-    valid = indices >= 0
-    safe = np.where(valid, indices, 0)
-    inner = np.empty(indices.shape, dtype=data.dtype)
+    sorted_ids = np.empty_like(indices)
+    distances = np.empty(indices.shape, dtype=np.float64)
     for start in range(0, indices.shape[0], GATHER_ROWS):
         rows = slice(start, start + GATHER_ROWS)
-        inner[rows] = np.einsum("id,ikd->ik", data[rows], data[safe[rows]])
-    inner = engine.from_inner(inner, norms,
-                              None if norms is None else norms[safe])
-    distances = np.where(valid, inner, np.inf).astype(np.float64)
-    order = np.argsort(distances, axis=1, kind="stable")
-    return (np.take_along_axis(indices, order, axis=1),
-            np.take_along_axis(distances, order, axis=1))
+        ids = indices[rows]
+        valid = ids >= 0
+        safe = np.where(valid, ids, 0)
+        block = engine.from_inner(
+            np.einsum("id,ikd->ik", data[rows], data[safe]),
+            None if norms is None else norms[rows],
+            None if norms is None else norms[safe])
+        block[~valid] = np.inf
+        order = np.argsort(block, axis=1, kind="stable")
+        sorted_ids[rows] = np.take_along_axis(ids, order, axis=1)
+        distances[rows] = np.take_along_axis(block, order, axis=1)
+    return sorted_ids, distances

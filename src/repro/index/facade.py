@@ -13,8 +13,9 @@ bit-for-bit identically with zero rebuild.
 The index is *online*: ``index.insert`` adds vectors with NN-Descent-style
 local graph repair (no rebuild), ``index.delete`` tombstones external ids —
 tombstoned points stay in the graph as routing waypoints but are excluded
-from every result — and ``index.compact`` rebuilds the structure over the
-live rows once tombstones accumulate.  Every mutation bumps the index's
+from every result — and ``index.compact`` drops the tombstoned rows once
+they accumulate, the ``gkmeans`` backend resuming its construction from the
+graph that survives.  Every mutation bumps the index's
 ``generation`` counter, the staleness signal serving daemons are checked
 against.  Results are reported in stable external ids (``ids``): freshly
 built indexes use ids equal to row positions unless built with ``ids`` (a
@@ -605,17 +606,25 @@ class Index:
         return int(positions.size)
 
     def compact(self) -> int:
-        """Physically remove tombstoned rows by rebuilding over live data.
+        """Physically remove tombstoned rows and re-derive the graph over
+        the live rows.
+
+        The backend is handed the surviving graph (see
+        :mod:`repro.index.backends`).  ``gkmeans`` resumes Alg. 3 from it:
+        the live rows' lists, renumbered, with every entry that named a
+        tombstone drawn afresh by the random starting graph's rule, run
+        for :func:`~repro.graph.construction.resumed_tau` rounds — two at
+        a 3% tombstone share, all τ from a quarter of the rows on.  The
+        other backends rebuild from scratch.
 
         External ids are stable across compaction — live points keep their
         ids while physical rows close ranks.  A no-op (returning 0, no
         generation bump) when nothing is tombstoned.  Quantized indexes
-        refit their ``int8`` parameters over the surviving rows (compaction
-        is a rebuild, so "build time" moves with it).  The seed partition
-        is the rebuild's own (the last Alg. 3 round's labels) or, for a
-        backend that leaves none, the surviving rows' labels — a cluster
-        compaction empties is simply never probed.  Returns the number of
-        rows removed.
+        refit their ``int8`` parameters over the surviving rows, as a
+        build does.  The seed partition is the construction's own (the
+        last Alg. 3 round's tree labels) or, for a backend that leaves
+        none, the surviving rows' labels — a cluster compaction empties is
+        simply never probed.  Returns the number of rows removed.
         """
         removed = self.n_tombstones
         if removed == 0:
@@ -625,8 +634,8 @@ class Index:
         build_spec = self.spec
         if build_spec.n_neighbors > data.shape[0] - 1:
             build_spec = build_spec.replace(n_neighbors=data.shape[0] - 1)
-        graph, seed_labels = BUILDERS[self.spec.backend].build(data,
-                                                               build_spec)
+        graph, seed_labels = BUILDERS[self.spec.backend].build(
+            data, build_spec, (self.graph.indices, live))
         if seed_labels is None:
             seed_labels = self.seed_labels[live]
             if seed_labels.max() >= data.shape[0]:

@@ -60,7 +60,9 @@ class BuilderEntry:
     Attributes
     ----------
     build:
-        ``build(data, spec) -> (KNNGraph, seed_labels | None)`` callable.
+        ``build(data, spec, surviving=None) -> (KNNGraph, seed_labels |
+        None)`` callable; compaction passes the surviving graph as
+        ``surviving`` (see :mod:`repro.index.backends`).
     params:
         Names of the backend-specific keys ``IndexSpec.params`` may carry.
     metrics:
