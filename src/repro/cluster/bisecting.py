@@ -5,9 +5,11 @@ paper: the data is split into ``k`` clusters via a sequence of repeated
 bisections, bringing the complexity down from ``O(t·k·n·d)`` to
 ``O(t·log(k)·n·d)`` at the price of breaking the Lloyd condition (each sample
 is no longer guaranteed to sit in the globally nearest cluster), which is why
-its distortion is usually worse.  Unlike the two-means tree it does *not*
-force equal-size leaves and it picks the cluster with the largest
-within-cluster error (not the largest size) to split next.
+its distortion is usually worse.  Each split is the two-means tree's own
+2-means (:func:`~repro.cluster.two_means_tree._bisect_lloyd`, on a one-node
+wave), but unlike the tree it does *not* force equal-size leaves and it
+picks the cluster with the largest within-cluster error (not the largest
+size) to split next.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import time
 
 import numpy as np
 
+from ..validation import check_positive_int
 from .base import BaseClusterer, ClusteringResult, IterationRecord
 from .objective import ClusterState
+from .two_means_tree import _bisect_lloyd
 
 __all__ = ["BisectingKMeans"]
 
@@ -50,6 +54,7 @@ class BisectingKMeans(BaseClusterer):
     def _fit(self, data: np.ndarray, n_clusters: int, max_iter: int,
              rng: np.random.Generator) -> ClusteringResult:
         start = time.perf_counter()
+        bisect_iter = check_positive_int(self.bisect_iter, name="bisect_iter")
         n = data.shape[0]
         labels = np.zeros(n, dtype=np.int64)
 
@@ -64,11 +69,12 @@ class BisectingKMeans(BaseClusterer):
                 counter += 1
                 heapq.heappush(heap, (0.0, counter, members))
                 break
-            mask = self._bisect(data, members, rng)
+            # The two-means tree's 2-means split, on a one-node wave.
+            mask = _bisect_lloyd(data[members][None],
+                                 np.ones((1, members.size), dtype=bool),
+                                 np.array([members.size]), rng,
+                                 bisect_iter)[0][0]
             group_a, group_b = members[~mask], members[mask]
-            if group_a.size == 0 or group_b.size == 0:
-                half = members.size // 2
-                group_a, group_b = members[:half], members[half:]
             labels[group_b] = next_label
             for group in (group_a, group_b):
                 counter += 1
@@ -98,24 +104,3 @@ class BisectingKMeans(BaseClusterer):
         centroid = subset.mean(axis=0)
         return float(self._work_engine.cross(subset, centroid[None, :])
                      .sum(dtype=np.float64))
-
-    def _bisect(self, data: np.ndarray, members: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-        """2-means Lloyd split of ``members``; True marks the second group."""
-        subset = data[members]
-        seeds = rng.choice(members.size, size=2, replace=False)
-        centroids = subset[seeds].copy()
-        assignment = np.zeros(members.size, dtype=bool)
-        for _ in range(self.bisect_iter):
-            distances = self._work_engine.cross(subset, centroids)
-            new_assignment = distances[:, 1] < distances[:, 0]
-            if new_assignment.all() or not new_assignment.any():
-                new_assignment = np.zeros(members.size, dtype=bool)
-                half = members.size // 2
-                new_assignment[rng.permutation(members.size)[:half]] = True
-            if np.array_equal(new_assignment, assignment):
-                break
-            assignment = new_assignment
-            centroids[0] = subset[~assignment].mean(axis=0)
-            centroids[1] = subset[assignment].mean(axis=0)
-        return assignment

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..validation import check_positive_int
 from .base import BaseClusterer, ClusteringResult, IterationRecord
+from .initialization import random_balanced_labels
 from .objective import ClusterState
 
 __all__ = ["BoostKMeans"]
@@ -61,7 +62,7 @@ class BoostKMeans(BaseClusterer):
         if self.init_labels is not None:
             labels = np.asarray(self.init_labels, dtype=np.int64).copy()
         else:
-            labels = _random_balanced_labels(data.shape[0], n_clusters, rng)
+            labels = random_balanced_labels(data.shape[0], n_clusters, rng)
         state = ClusterState(data, labels, n_clusters)
         init_seconds = time.perf_counter() - init_start
 
@@ -96,13 +97,3 @@ class BoostKMeans(BaseClusterer):
             iteration_seconds=iteration_seconds,
             extra={"objective": state.objective,
                    "n_distance_evaluations": evaluations})
-
-def _random_balanced_labels(n_samples: int, n_clusters: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Random initial labels guaranteeing every cluster is non-empty."""
-    labels = rng.integers(0, n_clusters, size=n_samples).astype(np.int64)
-    # Force one representative per cluster so no cluster starts empty.
-    representatives = rng.choice(n_samples, size=min(n_clusters, n_samples),
-                                 replace=False)
-    labels[representatives] = np.arange(min(n_clusters, n_samples))
-    return labels

@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from ..validation import check_positive_int
+from ..validation import check_positive_int, check_random_state
 from .base import BaseClusterer, ClusteringResult, IterationRecord
 from .initialization import labels_to_centroids, resolve_init
 
@@ -44,8 +44,7 @@ def build_random_partitions(data: np.ndarray, *, n_partitions: int = 3,
     """
     n_partitions = check_positive_int(n_partitions, name="n_partitions")
     leaf_size = check_positive_int(leaf_size, name="leaf_size", minimum=2)
-    rng = np.random.default_rng(random_state) if not isinstance(
-        random_state, np.random.Generator) else random_state
+    rng = check_random_state(random_state)
 
     n, dim = data.shape
     partitions: list[list[np.ndarray]] = []

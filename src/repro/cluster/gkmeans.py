@@ -34,7 +34,7 @@ from ..distance import DistanceCounter, DistanceEngine
 from ..exceptions import ValidationError
 from ..validation import check_knn_indices, check_positive_int
 from .base import BaseClusterer, ClusteringResult, IterationRecord
-from .initialization import labels_to_centroids
+from .initialization import labels_to_centroids, random_balanced_labels
 from .objective import BLOCK, ClusterState
 from .two_means_tree import two_means_labels
 
@@ -381,14 +381,7 @@ class GKMeans(BaseClusterer):
                                         bisection=self.bisection,
                                         metric=metric, dtype=work.dtype)
             if key == "random":
-                labels = rng.integers(0, n_clusters,
-                                      size=data.shape[0]).astype(np.int64)
-                representatives = rng.choice(
-                    data.shape[0], size=min(n_clusters, data.shape[0]),
-                    replace=False)
-                labels[representatives] = np.arange(
-                    min(n_clusters, data.shape[0]))
-                return labels
+                return random_balanced_labels(data.shape[0], n_clusters, rng)
             raise ValidationError(
                 f"init must be 'two-means', 'random' or a label array, "
                 f"got {self.init!r}")

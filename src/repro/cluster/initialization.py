@@ -15,8 +15,8 @@ from ..validation import (check_data_matrix, check_labels, check_positive_int,
                           check_random_state)
 from .objective import cluster_sums
 
-__all__ = ["random_init", "kmeans_plus_plus_init", "labels_to_centroids",
-           "resolve_init"]
+__all__ = ["random_init", "kmeans_plus_plus_init", "random_balanced_labels",
+           "labels_to_centroids", "resolve_init"]
 
 
 def random_init(data: np.ndarray, n_clusters: int, *, random_state=None
@@ -66,6 +66,20 @@ def kmeans_plus_plus_init(data: np.ndarray, n_clusters: int, *,
                                 a_norms=data_norms)[:, 0]
         np.minimum(closest, new_dist, out=closest)
     return centers
+
+
+def random_balanced_labels(n_samples: int, n_clusters: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Uniform random labels with at least one sample in every cluster.
+
+    Every sample draws a label, then ``min(k, n)`` distinct samples are
+    relabelled ``0, 1, …`` so no cluster starts empty.
+    """
+    labels = rng.integers(0, n_clusters, size=n_samples).astype(np.int64)
+    representatives = rng.choice(n_samples, size=min(n_clusters, n_samples),
+                                 replace=False)
+    labels[representatives] = np.arange(min(n_clusters, n_samples))
+    return labels
 
 
 def labels_to_centroids(data: np.ndarray, labels: np.ndarray,

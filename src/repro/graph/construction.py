@@ -1,8 +1,10 @@
 """KNN graph construction with fast k-means — Alg. 3 of the paper.
 
-The construction starts from a *random* graph — or, when compaction resumes
-it, from the graph that survived (:func:`resumed_tau` rounds) — and
-alternates, for τ rounds:
+The construction starts from a neighbour table whose ``-1`` holes are drawn
+at random (:func:`~repro.graph.random_graph.fill_random_neighbors`): all
+holes for the paper's *random* graph, or, when compaction resumes it, the
+graph that survived with holes where removed rows were (:func:`resumed_tau`
+rounds).  It then alternates, for τ rounds:
 
 1. cluster the data into ``k0 = floor(n / ξ)`` small clusters with GK-means
    (two-means-tree initialisation followed by one graph-guided boost sweep —
@@ -41,7 +43,7 @@ from ..validation import (
     check_random_state,
 )
 from .knngraph import KNNGraph
-from .random_graph import fill_random_neighbors, random_knn_graph
+from .random_graph import fill_random_neighbors
 from .repair import materialize_row_distances
 
 __all__ = ["GraphRound", "GraphConstructionResult",
@@ -259,10 +261,10 @@ def build_knn_graph_by_clustering(data: np.ndarray, n_neighbors: int, *,
         converted back to cosine (``d_cos = d_l2² / 2`` on the unit sphere).
         For inner-product graphs use NN-Descent or brute force instead.
     initial:
-        Optional ``(n, n_neighbors)`` starting neighbour table in place of
-        the random lists (line 1 of Alg. 3): each row distinct ids of other
-        rows, ``-1`` for a hole.  Holes are drawn by the random lists' rule
-        (:func:`~repro.graph.random_graph.fill_random_neighbors`) and the
+        Optional ``(n, n_neighbors)`` starting neighbour table: each row
+        distinct ids of other rows, ``-1`` for a hole.  Omitted, it is all
+        holes — the random lists of line 1 of Alg. 3.  Holes are drawn by
+        :func:`~repro.graph.random_graph.fill_random_neighbors` and the
         whole table's distances computed in one blocked pass; compaction
         passes the lists that survived it (see :func:`resumed_tau`).
     """
@@ -296,18 +298,14 @@ def build_knn_graph_by_clustering(data: np.ndarray, n_neighbors: int, *,
     counter = DistanceCounter()
     start = time.perf_counter()
     norms = engine.norms(data)
-    if initial is None:
-        start_graph = random_knn_graph(data, n_neighbors, random_state=rng,
-                                       engine=engine)
-        indices, distances = start_graph.indices, start_graph.distances
-    else:
-        initial = np.asarray(initial)
-        if initial.shape != (n, n_neighbors):
-            raise ValidationError(
-                f"initial must be an ({n}, {n_neighbors}) neighbour table, "
-                f"got shape {initial.shape}")
-        indices, distances = materialize_row_distances(
-            data, fill_random_neighbors(initial, rng), engine, norms)
+    initial = (np.full((n, n_neighbors), -1) if initial is None
+               else np.asarray(initial))
+    if initial.shape != (n, n_neighbors):
+        raise ValidationError(
+            f"initial must be an ({n}, {n_neighbors}) neighbour table, "
+            f"got shape {initial.shape}")
+    indices, distances = materialize_row_distances(
+        data, fill_random_neighbors(initial, rng), engine, norms)
 
     n_clusters = max(2, n // cluster_size)
     history: list[GraphRound] = []

@@ -2,13 +2,15 @@
 
 Alg. 3 of the paper starts from a *random* graph ("Initialize G0 with random
 lists") and refines it by alternating clustering and within-cluster
-comparison.  NN-Descent starts the same way.
+comparison.  NN-Descent starts the same way.  Every starting graph is drawn
+by one routine, :func:`fill_random_neighbors`, which turns the ``-1`` holes
+of a neighbour table into random ids: a random graph
+(:func:`random_knn_graph`) is an all-hole table filled.
 
 Compaction resumes Alg. 3 instead: the graph that survives a delete is a
 late-round state of the same evolving process, so its lists are renumbered
 onto the live rows (:func:`surviving_lists`) and only the entries that
-pointed at a removed row are drawn afresh, by the random lists' own rule
-(:func:`fill_random_neighbors`).
+pointed at a removed row are holes to fill.
 """
 
 from __future__ import annotations
@@ -25,10 +27,14 @@ __all__ = ["random_knn_graph", "fill_random_neighbors",
 
 
 def random_knn_graph(data: np.ndarray, n_neighbors: int, *, random_state=None,
-                     compute_distances: bool = True,
                      metric: str = "sqeuclidean", dtype=np.float64,
                      engine: DistanceEngine | None = None) -> KNNGraph:
     """Graph whose neighbour lists are uniform random samples (no self-loops).
+
+    The lists are an all-hole table filled by :func:`fill_random_neighbors`;
+    their true distances are then computed and every row sorted by them —
+    the distance-sorted rows NN-Descent's merges
+    (:func:`~repro.graph.repair.merge_offers`) start from.
 
     Parameters
     ----------
@@ -38,11 +44,6 @@ def random_knn_graph(data: np.ndarray, n_neighbors: int, *, random_state=None,
         Number of neighbours per point (must be < n).
     random_state:
         Seed or generator.
-    compute_distances:
-        When true, the true distances of the random neighbours are computed
-        and rows sorted by them — the distance-sorted rows NN-Descent's
-        merges (:func:`~repro.graph.repair.merge_offers`) start from.  When
-        false, distances are left as ``inf``.
     metric, dtype:
         Distance engine configuration; ignored when ``engine`` is given.
     engine:
@@ -54,39 +55,8 @@ def random_knn_graph(data: np.ndarray, n_neighbors: int, *, random_state=None,
     n = data.shape[0]
     n_neighbors = check_positive_int(n_neighbors, name="n_neighbors",
                                      maximum=n - 1)
-    rng = check_random_state(random_state)
-
-    if 2 * n_neighbors > n:
-        # κ is most of a row, so a redraw would rarely hit a free id — and
-        # the (n, n-1) id table is small, n being below 2κ.  Shuffle its rows.
-        indices = rng.permuted(np.tile(np.arange(n - 1), (n, 1)),
-                               axis=1)[:, :n_neighbors].copy()
-    else:
-        # Every row at once, from [0, n-1).  A slot that repeats an earlier
-        # slot of its row is drawn again (at least half the ids are free)
-        # until no row holds a repeat.  No id is favoured at any step, so
-        # each row is a uniform κ-subset in uniform order.
-        indices = rng.integers(0, n - 1, size=(n, n_neighbors))
-        unsettled = np.arange(n)
-        while unsettled.size:
-            rows = indices[unsettled]
-            order = np.argsort(rows, axis=1, kind="stable")
-            ranked = np.take_along_axis(rows, order, axis=1)
-            repeats = np.zeros(rows.shape, dtype=bool)
-            np.put_along_axis(repeats, order[:, 1:],
-                              ranked[:, 1:] == ranked[:, :-1], axis=1)
-            rows[repeats] = rng.integers(0, n - 1,
-                                         size=np.count_nonzero(repeats))
-            redrawn = repeats.any(axis=1)
-            unsettled = unsettled[redrawn]
-            indices[unsettled] = rows[redrawn]
-    # Shift past the point itself: no self-loops, and no rejection for them.
-    indices[indices >= np.arange(n)[:, None]] += 1
-
-    if not compute_distances:
-        distances = np.full((n, n_neighbors), np.inf, dtype=np.float64)
-        return KNNGraph(indices, distances, metric=engine.metric)
-
+    indices = fill_random_neighbors(np.full((n, n_neighbors), -1),
+                                    random_state)
     indices, distances = materialize_row_distances(data, indices, engine,
                                                    engine.norms(data))
     return KNNGraph(indices, distances, metric=engine.metric)
@@ -94,14 +64,18 @@ def random_knn_graph(data: np.ndarray, n_neighbors: int, *, random_state=None,
 
 def fill_random_neighbors(indices: np.ndarray,
                           random_state=None) -> np.ndarray:
-    """Draw every ``-1`` entry of a neighbour table as the random lists do.
+    """Draw every ``-1`` entry of a neighbour table at random.
 
-    Row ``i`` of the ``(n, κ)`` table holds distinct ids of other rows and
-    ``-1`` holes.  Each hole becomes a uniform draw among the ids its row
-    lacks — not ``i``, not an id the row holds or an earlier draw took —
-    by :func:`random_knn_graph`'s rule: draw from ``[0, n - 1)``, shift
-    past the row itself, redraw a repeat.  Rows without holes are untouched
-    and consume no randomness.  Returns a new table.
+    This is the random lists' rule (Alg. 3, line 1).  Row ``i`` of the
+    ``(n, κ)`` table holds distinct ids of other rows and ``-1`` holes.
+    Each hole becomes a uniform draw among the ids its row lacks — not
+    ``i``, not an id the row holds or an earlier draw took — so an all-hole
+    row becomes a uniform κ-subset in uniform order.  While at least half
+    the ids are free (``2κ ≤ n``) a hole is drawn from ``[0, n - 1)``,
+    shifted past the row itself, and drawn again while it repeats an entry
+    of its row; beyond that each hole takes the row's next free id in a
+    random order.  Rows without holes are untouched and consume no
+    randomness.  Returns a new table.
     """
     rng = check_random_state(random_state)
     table = np.array(indices, dtype=np.int64)

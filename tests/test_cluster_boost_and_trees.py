@@ -162,3 +162,8 @@ class TestBisectingKMeans:
         data, _ = blob_data
         model = BisectingKMeans(1, random_state=0).fit(data)
         assert np.all(model.labels_ == 0)
+
+    def test_zero_bisect_iter_rejected(self, blob_data):
+        data, _ = blob_data
+        with pytest.raises(ValidationError, match="bisect_iter"):
+            BisectingKMeans(4, bisect_iter=0, random_state=0).fit(data)

@@ -49,6 +49,11 @@ class TestRandomPartitions:
         with pytest.raises(ValidationError):
             build_random_partitions(sift_small, leaf_size=1)
 
+    @pytest.mark.parametrize("seed", ["abc", 1.5])
+    def test_invalid_random_state(self, sift_small, seed):
+        with pytest.raises(ValidationError, match="random_state"):
+            build_random_partitions(sift_small, random_state=seed)
+
 
 class TestClosureKMeans:
     def test_recovers_blobs(self, blob_data):

@@ -10,6 +10,7 @@ from repro.exceptions import GraphError, ValidationError
 from repro.graph import (
     KNNGraph,
     brute_force_knn_graph,
+    build_knn_graph_by_clustering,
     brute_force_neighbors,
     estimate_recall_by_sampling,
     graph_recall,
@@ -17,6 +18,7 @@ from repro.graph import (
     random_knn_graph,
 )
 from repro.graph.metrics import estimate_recall_by_sampling as _estimate  # noqa: F401
+from repro.graph.random_graph import fill_random_neighbors
 
 
 class TestKNNGraph:
@@ -88,8 +90,8 @@ class TestKNNGraph:
         if case == "exact":
             graph = sift_small_graph
         elif case == "random":
-            graph = random_knn_graph(tiny_data, 5, random_state=3,
-                                     compute_distances=False)
+            graph = KNNGraph(fill_random_neighbors(
+                np.full((len(tiny_data), 5), -1), random_state=3))
         elif case == "padded":
             # -1 padding, a self-loop (row 3) and a repeated id (row 0).
             graph = KNNGraph(np.array([[1, 1, -1], [2, -1, -1], [-1, -1, -1],
@@ -160,11 +162,6 @@ class TestRandomGraph:
         expected = float(((tiny_data[i] - tiny_data[j]) ** 2).sum())
         assert graph.distances[0, 0] == pytest.approx(expected)
 
-    def test_without_distances(self, tiny_data):
-        graph = random_knn_graph(tiny_data, 3, random_state=1,
-                                 compute_distances=False)
-        assert np.isinf(graph.distances).all()
-
     def test_reproducible(self, tiny_data):
         a = random_knn_graph(tiny_data, 3, random_state=9)
         b = random_knn_graph(tiny_data, 3, random_state=9)
@@ -174,10 +171,9 @@ class TestRandomGraph:
                                           (300, 12), (300, 149)])
     def test_rows_are_distinct_ids_other_than_self(self, n, kappa):
         # Redrawn slots (κ at most half of n) and shuffled rows (beyond).
-        data = np.random.default_rng(0).normal(size=(n, 3))
         for seed in range(3):
-            indices = random_knn_graph(data, kappa, random_state=seed,
-                                       compute_distances=False).indices
+            indices = fill_random_neighbors(np.full((n, kappa), -1),
+                                            random_state=seed)
             assert indices.shape == (n, kappa)
             assert indices.min() >= 0 and indices.max() < n
             assert np.all(indices != np.arange(n)[:, None])
@@ -186,11 +182,10 @@ class TestRandomGraph:
 
     def test_every_neighbour_set_is_equally_likely(self):
         # 4 points, 2 neighbours: 3 sets per row, 6 ordered pairs.
-        data = np.zeros((4, 2))
         counts = {}
         for seed in range(1200):
-            row = random_knn_graph(data, 2, random_state=seed,
-                                   compute_distances=False).indices[1]
+            row = fill_random_neighbors(np.full((4, 2), -1),
+                                        random_state=seed)[1]
             counts[tuple(row)] = counts.get(tuple(row), 0) + 1
         assert sorted(counts) == [(0, 2), (0, 3), (2, 0), (2, 3), (3, 0),
                                   (3, 2)]
@@ -207,8 +202,8 @@ class TestRandomGraph:
         graph = random_knn_graph(data, kappa, random_state=5, engine=engine)
         assert graph.distances.dtype == np.float64
 
-        draws = random_knn_graph(data, kappa, random_state=5, engine=engine,
-                                 compute_distances=False).indices
+        draws = fill_random_neighbors(np.full((n, kappa), -1),
+                                      random_state=5)
         atol = 1e-9 if dtype == np.float64 else 1e-5 * float(
             np.abs(engine.cross(data[:50], data)).max())
         for point in range(n):
@@ -224,10 +219,43 @@ class TestRandomGraph:
         # leave each row in the order it was drawn.
         data = np.ones((9, 3))
         graph = random_knn_graph(data, 4, random_state=2)
-        unsorted = random_knn_graph(data, 4, random_state=2,
-                                    compute_distances=False)
-        assert np.array_equal(graph.indices, unsorted.indices)
+        unsorted = fill_random_neighbors(np.full((9, 4), -1), random_state=2)
+        assert np.array_equal(graph.indices, unsorted)
         assert np.all(graph.distances == 0.0)
+
+
+class TestOneStartingGraph:
+    """Every starting graph (Alg. 3, line 1) is drawn by
+    ``fill_random_neighbors``: the random graph is an all-hole table filled,
+    and Alg. 3 without ``initial`` starts from that same table."""
+
+    @pytest.mark.parametrize("n, kappa", [(300, 8), (60, 31)])
+    @pytest.mark.parametrize("metric, dtype", [("sqeuclidean", np.float64),
+                                               ("cosine", np.float32)])
+    def test_all_hole_initial_is_the_default_build(self, metric, dtype, n,
+                                                   kappa):
+        # Redrawn slots (2κ ≤ n) and shuffled rows (2κ > n).
+        data = make_sift_like(n, 12, random_state=3).astype(dtype)
+        options = dict(tau=2, cluster_size=10, random_state=11, metric=metric,
+                       dtype=dtype)
+        default = build_knn_graph_by_clustering(data, kappa, **options)
+        holed = build_knn_graph_by_clustering(
+            data, kappa, initial=np.full((n, kappa), -1), **options)
+        assert np.array_equal(default.graph.indices, holed.graph.indices)
+        assert (default.graph.distances.tobytes()
+                == holed.graph.distances.tobytes())
+        assert np.array_equal(default.labels, holed.labels)
+
+    @pytest.mark.parametrize("n, kappa", [(9, 6), (40, 21), (300, 12)])
+    def test_random_graph_rows_are_the_filled_rows(self, n, kappa):
+        # Shuffled rows (2κ > n) and redrawn slots (2κ ≤ n).
+        data = np.random.default_rng(0).normal(size=(n, 3))
+        for seed in range(3):
+            graph = random_knn_graph(data, kappa, random_state=seed)
+            filled = fill_random_neighbors(np.full((n, kappa), -1),
+                                           random_state=seed)
+            assert np.array_equal(np.sort(graph.indices, axis=1),
+                                  np.sort(filled, axis=1))
 
 
 class TestRecallMetrics:
