@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from ..validation import check_positive_int
+from ..validation import check_labels, check_positive_int
 from .base import BaseClusterer, ClusteringResult, IterationRecord
 from .initialization import random_balanced_labels
 from .objective import ClusterState
@@ -60,7 +60,8 @@ class BoostKMeans(BaseClusterer):
                                        minimum=0)
         init_start = time.perf_counter()
         if self.init_labels is not None:
-            labels = np.asarray(self.init_labels, dtype=np.int64).copy()
+            labels = check_labels(self.init_labels, data.shape[0],
+                                  name="init_labels").copy()
         else:
             labels = random_balanced_labels(data.shape[0], n_clusters, rng)
         state = ClusterState(data, labels, n_clusters)

@@ -12,7 +12,8 @@ Two assignment flavours are provided, matching §5.2's configuration study:
 * ``assignment="boost"`` — the standard **GK-means**: every sample takes the
   best positive ΔI move (Eqn. 3) among its candidate clusters.  Alg. 2
   applies each move at once; :func:`graph_guided_boost_pass` scores ``BLOCK``
-  samples against one snapshot, applies the movers that share no cluster and
+  samples against one snapshot, applies the movers in permutation order while
+  each one's gain, recomputed on the state the earlier ones leave, holds, and
   re-scores the rest, so every applied move is exact while a "stay" decision
   may be up to one block stale.
 * ``assignment="lloyd"`` — **GK-means⁻**: the sample is assigned to the
@@ -32,7 +33,7 @@ import numpy as np
 
 from ..distance import DistanceCounter, DistanceEngine
 from ..exceptions import ValidationError
-from ..validation import check_knn_indices, check_positive_int
+from ..validation import check_knn_indices, check_labels, check_positive_int
 from .base import BaseClusterer, ClusteringResult, IterationRecord
 from .initialization import labels_to_centroids, random_balanced_labels
 from .objective import BLOCK, ClusterState
@@ -73,13 +74,15 @@ def graph_guided_boost_pass(state: ClusterState, neighbor_indices: np.ndarray,
     per row, and the ΔI of every distinct candidate other than the sample's
     own cluster is computed against one snapshot of the state
     (:meth:`ClusterState.move_best_block`, ``O(Σ distinct candidates · d)``,
-    ``O(BLOCK·κ·d)`` at worst); the positive-gain movers whose clusters no
-    earlier mover of the block names are applied in bulk
-    (:meth:`ClusterState.move_block`), and the conflicted movers are
-    re-evaluated against the updated state until none is left.  Every applied
-    move therefore has exactly the gain that was computed for it — the
-    objective never decreases and at most one sample leaves a cluster per
-    round, so ``protect_singletons`` keeps every cluster non-empty — but,
+    ``O(BLOCK·κ·d)`` at worst).  The positive-gain movers are then applied in
+    permutation order (:meth:`ClusterState.move_block`): each one's ΔI is
+    recomputed on the state the earlier movers leave, and a mover whose gain
+    no longer holds, or whose source it would empty, is held back together
+    with every later mover naming a cluster it names; the held-back movers
+    are re-evaluated against the updated state until none is left.  Every
+    applied move therefore has exactly the gain computed for it — the
+    objective never decreases, and a source keeps a member at each mover's
+    turn, so ``protect_singletons`` keeps every cluster non-empty — but,
     unlike Alg. 2's move-at-once loop, a sample that decides to *stay* may do
     so on a state up to one block old.  Returns the number of moves.
 
@@ -87,7 +90,7 @@ def graph_guided_boost_pass(state: ClusterState, neighbor_indices: np.ndarray,
     number of sample-to-cluster evaluations — the quantity whose reduction
     from ``k`` to at most κ + 1 per sample is the paper's speed-up.  It counts
     the distinct candidate clusters of each visited sample once, as Alg. 2
-    does; re-evaluations of conflicted movers are not added again.
+    does; re-evaluations of held-back movers are not added again.
     """
     labels = state.labels
     moves = 0
@@ -385,9 +388,5 @@ class GKMeans(BaseClusterer):
             raise ValidationError(
                 f"init must be 'two-means', 'random' or a label array, "
                 f"got {self.init!r}")
-        labels = np.asarray(self.init, dtype=np.int64)
-        if labels.shape != (data.shape[0],):
-            raise ValidationError(
-                f"init labels must have shape ({data.shape[0]},), "
-                f"got {labels.shape}")
-        return labels.copy()
+        return check_labels(self.init, data.shape[0],
+                            name="init labels").copy()

@@ -24,7 +24,8 @@ arbitrary candidate set in two forms of the same formula: one sample at a
 time (``delta_objective`` / ``move``), which
 :class:`~repro.cluster.boost.BoostKMeans` (candidates = all clusters)
 consumes, and a block of samples against one snapshot, scored only on the
-distinct (sample, cluster) pairs that are real moves
+distinct (sample, cluster) pairs that are real moves and applied in order,
+each move re-scored on the state the earlier ones leave
 (``delta_objective_pairs`` / ``move_block``, one round of both in
 ``move_best_block``), which the graph-guided sweep of
 :class:`~repro.cluster.gkmeans.GKMeans` (candidates = clusters of the κ graph
@@ -46,9 +47,9 @@ __all__ = ["BLOCK", "ClusterState", "boost_objective", "cluster_sums",
 #: Samples per block of a blocked boost sweep.  Big enough to amortise the
 #: interpreter cost of a round, small enough that a sample's "stay" decision
 #: is at most one block stale.  One sweep over 10000 × 64 float32, κ = 20
-#: (median ms, first / late sweep): k = 200 — 35 / 3.1 at 128, 31 / 2.4 at
-#: 256, 31 / 2.2 at 512; k = 1000 — 27 / 9.6 at 128, 25 / 8.5 at 256,
-#: 25 / 9.5 at 512.  A different value also changes which moves apply.
+#: (median CPU ms, first / late sweep): k = 200 — 25 / 6.2 at 128, 19 / 4.7
+#: at 256, 18 / 4.3 at 512; k = 1000 — 28 / 10.1 at 128, 24 / 9.2 at 256,
+#: 25 / 9.6 at 512.  A different value also changes which moves apply.
 BLOCK = 256
 
 #: Columns summed per ``bincount`` by :func:`cluster_sums`.  The
@@ -294,57 +295,126 @@ class ClusterState:
                 - cand_sq / np.maximum(cand_counts, 1.0)
                 + source_term[rows])
 
-    def move_block(self, samples: np.ndarray,
-                   targets: np.ndarray) -> np.ndarray:
-        """Apply the conflict-free subset of a batch of moves; say which.
+    def move_block(self, samples: np.ndarray, targets: np.ndarray,
+                   gains: np.ndarray | None = None) -> np.ndarray:
+        """Apply a batch of moves in order, each on the state the earlier
+        ones leave behind; say which were applied.
 
-        Move ``i`` takes ``samples[i]`` to ``targets[i]``.  It is applied iff
-        neither its source nor its target cluster is named (as source or
-        target) by an earlier move of the batch, so the applied moves touch
-        pairwise distinct clusters: each one sees exactly the
-        ``(D_u, n_u, D_v, n_v)`` its ΔI was computed from, and the bulk
-        update below equals applying them one at a time with :meth:`move`.
-        Returns the boolean mask of applied moves.  The first move of a batch
-        is always applied, so repeating the call on the rest terminates; the
-        exception is a "move" to the sample's own cluster, which names that
-        cluster twice and is never applied.
+        Move ``i`` takes ``samples[i]`` (distinct samples) from its cluster
+        ``u`` to ``targets[i]`` = ``v``.  Its ΔI is recomputed on the
+        ``(D, n, ‖D‖²)`` of ``u`` and ``v`` just before its turn, and it is
+        applied iff ``u ≠ v``, the recomputed ΔI is positive and ``u`` keeps
+        another member at its turn — unless no earlier move names ``u``,
+        which is then as the caller scored it.  A move that fails is held
+        back, and so is every later move naming a cluster a held-back move
+        named, transitively — so every applied move has exactly the gain
+        computed for it, and the result is that of applying the moves one at
+        a time with :meth:`move` (``tests/_round_oracle.py`` holds that
+        loop).  Returns the boolean mask of applied moves.
+
+        ``gains[i]``, if given, is the ΔI move ``i`` was scored at on the
+        current state.  A move that is the first to name both its clusters
+        sees that state, so it is judged on ``gains[i]`` instead of the
+        recomputed value: the first move of a batch with a positive gain is
+        always applied, and repeating the call on the held-back rest
+        terminates whatever the two computations round to.
+
+        Move ``i`` leaves its source as event ``i`` and joins its target as
+        event ``m + i``.  One stable sort groups the events by cluster, in
+        move order within one (a "run"), and scans over each run give every
+        event's state; a run's values depend on its own events only.
         """
         samples = np.asarray(samples, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
+        m = samples.size
+        if not m:
+            return np.zeros(0, dtype=bool)
         sources = self.labels[samples]
-        move_ids = np.arange(samples.size)
-        touched = np.concatenate([sources, targets])
-        # The earliest move naming each cluster (``samples.size``: none).
-        first = np.full(self.n_clusters, samples.size, dtype=np.int64)
-        np.minimum.at(first, touched, np.concatenate([move_ids, move_ids]))
-        applied = ((first[sources] == move_ids) & (first[targets] == move_ids)
-                   & (sources != targets))
-
-        # One signed update of the ``[sources | targets]`` rows: no index
-        # repeats, and ``D + (−x)`` is bitwise ``D − x``.
-        samples = samples[applied]
-        touched = touched[np.concatenate([applied, applied])]
+        named = np.concatenate([sources, targets])
         x = self._data[samples].astype(np.float64, copy=False)
-        signed = np.concatenate([-x, x])
-        gathered = self.composites[touched]
-        self._composite_sq_norms[touched] += np.concatenate(
-            [self._sample_sq_norms[samples]] * 2) + 2.0 * np.einsum(
-                "bd,bd->b", gathered, signed)
-        self.composites[touched] = gathered + signed
-        self.counts[touched] += np.repeat([-1, 1], samples.size)
-        self.labels[samples] = targets[applied]
+        x_sq = self._sample_sq_norms[samples]
+        events = np.arange(2 * m)
+        order = np.argsort(named * m + events % m, kind="stable")
+        # From here on the events are in run order.
+        cluster, mover = named[order], order % m
+        step = np.where(order < m, -1, 1)
+        rows = np.concatenate([-x, x])[order]
+        opens = np.empty(2 * m, dtype=bool)
+        opens[0] = True
+        np.not_equal(cluster[1:], cluster[:-1], out=opens[1:])
+        start = np.maximum.accumulate(events * opens)
+        back = events - start
+
+        # D just before each event: a run's inclusive scan of [the snapshot
+        # D, the rows of its events but the last], by doubling (⌈log₂⌉ of
+        # the longest run in steps).  An opener reads the snapshot as is.
+        composite = self.composites[cluster]
+        later = np.flatnonzero(back)
+        composite[later] = rows[later - 1]
+        shift = 1
+        while later.size:
+            later = later[back[later] >= shift]
+            composite[later] += composite[later - shift]
+            shift *= 2
+
+        # ∓D·x (a leave's ``D·x`` is the negated product, bitwise), and
+        # ‖D‖² (stored for an opener) and n before and after each event, as
+        # :meth:`move` grows them.
+        signed_dot = np.einsum("ed,ed->e", composite, rows)
+        sq = np.where(opens, self._composite_sq_norms[cluster],
+                      np.einsum("ed,ed->e", composite, composite))
+        grown_sq = sq + 2.0 * signed_dot + x_sq[mover]
+        before = np.cumsum(step) - step
+        count = self.counts[cluster] + (before - before[start])
+        grown = count + step
+        # Each event's Eqn. 2 term after minus before; an empty cluster's
+        # term is 0 (its composite, and so ‖D‖², is zero).
+        term = np.where(grown > 0, grown_sq / np.maximum(grown, 1),
+                        0.0) - sq / np.maximum(count, 1)
+
+        # Per move, summed over its two events in run order: ΔI (leave term
+        # plus join term, as scored), and whether its source keeps a member
+        # (a join always keeps one).
+        gain = np.bincount(mover, weights=term, minlength=m)
+        if gains is not None:
+            fresh = np.bincount(mover, weights=opens, minlength=m) == 2.0
+            gain[fresh] = gains[fresh]
+        keeps = np.bincount(mover, weights=(grown > 0) | opens, minlength=m)
+        fails = (sources == targets) | (gain <= 0.0) | (keeps < 2.0)
+        # Until nothing changes, hold back every move with an event after a
+        # held-back event of the same cluster.
+        held = fails
+        while held.any():
+            last = np.maximum.accumulate(np.where(held[mover], events, -1))
+            poisoned = last[:-1] >= start[1:]
+            spread = fails.copy()
+            spread[mover[1:][poisoned]] = True
+            if np.array_equal(spread, held):
+                break
+            held = spread
+        applied = ~held
+
+        # A run's applied events precede its held-back ones; the last of
+        # them leaves its cluster's new state.
+        final = applied[mover]
+        final[:-1] &= opens[1:] | ~final[1:]
+        runs = cluster[final]
+        self.composites[runs] = composite[final] + rows[final]
+        self._composite_sq_norms[runs] = grown_sq[final]
+        self.counts[runs] = grown[final]
+        self.labels[samples[applied]] = targets[applied]
         return applied
 
     def move_best_block(self, samples: np.ndarray,
                         candidates: np.ndarray) -> tuple[np.ndarray, int]:
-        """Give every sample its best positive-ΔI move; apply what fits.
+        """Give every sample its best positive-ΔI move; apply what still gains.
 
         One round of a blocked boost sweep: ``samples[b]`` is scored against
         ``candidates[b, :]`` on the current state (ties go to the first
-        candidate), the samples with a positive best gain become movers and
-        :meth:`move_block` applies the conflict-free ones.  Returns the
-        conflicted movers — to be scored again on the updated state — and
-        the number of moves applied.
+        candidate), the samples with a positive best gain become movers, and
+        they are applied in order while each gain holds (:meth:`move_block`).
+        Returns the held-back movers — to be scored again on the updated
+        state — and the number of moves applied.
 
         Only the pairs that can move are scored: entries naming the sample's
         own cluster, and entries repeating their left neighbour (in a sorted
@@ -371,11 +441,12 @@ class ClusterState:
             return samples[:0], 0
         gains = np.zeros(flat.size)
         gains[pairs] = deltas
-        gains = gains.reshape(candidates.shape)
-        best = np.argmax(gains, axis=1)
-        movers = np.flatnonzero(gains[np.arange(samples.size), best] > 0.0)
-        samples = samples[movers]
-        applied = self.move_block(samples, flat[movers * width + best[movers]])
+        best = np.argmax(gains.reshape(candidates.shape), axis=1)
+        chosen = np.arange(samples.size) * width + best
+        movers = np.flatnonzero(gains[chosen] > 0.0)
+        chosen = chosen[movers]
+        samples, targets, gains = samples[movers], flat[chosen], gains[chosen]
+        applied = self.move_block(samples, targets, gains)
         return samples[~applied], int(np.count_nonzero(applied))
 
     # ------------------------------------------------------------------ #

@@ -139,7 +139,11 @@ def check_bounds(bounds, n_queries: int) -> np.ndarray | None:
 
 
 def check_labels(labels, n_samples: int, *, name: str = "labels") -> np.ndarray:
-    """Validate an integer label vector of length ``n_samples``."""
+    """Validate an integer label vector of length ``n_samples``.
+
+    A non-integer array is accepted only if every entry is exactly an
+    integer: a label of 1.99999 is an error, not cluster 1.
+    """
     array = np.asarray(labels)
     if array.ndim != 1:
         raise ValidationError(f"{name} must be 1-D, got {array.ndim}-D")
@@ -147,7 +151,8 @@ def check_labels(labels, n_samples: int, *, name: str = "labels") -> np.ndarray:
         raise ValidationError(
             f"{name} has length {array.shape[0]}, expected {n_samples}")
     if not np.issubdtype(array.dtype, np.integer):
-        if not np.allclose(array, np.round(array)):
+        if not (np.isfinite(array).all()
+                and np.array_equal(array, np.round(array))):
             raise ValidationError(f"{name} must contain integers")
     array = array.astype(np.int64, copy=False)
     if array.size and array.min() < 0:

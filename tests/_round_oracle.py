@@ -1,12 +1,13 @@
-"""Oracle for one round of the blocked boost sweep: the dense round.
+"""Oracles for one round of the blocked boost sweep.
 
 ``ClusterState.move_best_block`` scores only the distinct (sample, cluster)
-pairs that are real moves and finds conflicting movers with a scatter.  The
-round it replaced — every candidate entry scored, conflicts found by a stable
-sort, sources and targets updated separately — lives here, and the new round
-must match it bitwise.  ``tests/test_cluster_objective.py`` compares them
-round by round, ``tests/test_boost_pass_contract.py`` through a whole graph
-build and fit.
+pairs that are real moves; the round that scored every candidate entry
+densely lives here as ``dense_move_best_block`` and must make the same moves
+bitwise.  ``ClusterState.move_block`` applies a round's movers in order by
+prefix sums over the clusters they name; ``sequential_move_block`` is the
+same rule as a loop of ``ClusterState.move``.
+``tests/test_cluster_objective.py`` compares them round by round,
+``tests/test_boost_pass_contract.py`` through a whole graph build and fit.
 """
 
 import numpy as np
@@ -40,45 +41,44 @@ def dense_delta_objective_block(state, samples, candidates):
     return deltas
 
 
-def argsort_first_mover_rule(sources, targets):
-    """Moves whose clusters no earlier move names, by a stable sort."""
-    touched = np.stack([sources, targets], axis=1).ravel()
-    order = np.argsort(touched, kind="stable")
-    opens_run = np.ones(touched.size, dtype=bool)
-    opens_run[1:] = touched[order[1:]] != touched[order[:-1]]
-    is_first = np.empty(touched.size, dtype=bool)
-    is_first[order] = opens_run
-    return is_first.reshape(-1, 2).all(axis=1)
+def dense_move_best_block(state, samples, candidates, apply=None):
+    """The dense round: same contract as ``ClusterState.move_best_block``.
 
-
-def dense_move_block(state, samples, targets):
-    """Apply the conflict-free moves with separate source/target updates."""
-    samples = np.asarray(samples, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
-    sources = state.labels[samples]
-    applied = argsort_first_mover_rule(sources, targets)
-    samples, sources, targets = (samples[applied], sources[applied],
-                                 targets[applied])
-    x = state._data[samples].astype(np.float64, copy=False)
-    x_sq = state._sample_sq_norms[samples]
-    state._composite_sq_norms[sources] += x_sq - 2.0 * np.einsum(
-        "bd,bd->b", state.composites[sources], x)
-    state.composites[sources] -= x
-    state.counts[sources] -= 1
-    state._composite_sq_norms[targets] += x_sq + 2.0 * np.einsum(
-        "bd,bd->b", state.composites[targets], x)
-    state.composites[targets] += x
-    state.counts[targets] += 1
-    state.labels[samples] = targets
-    return applied
-
-
-def dense_move_best_block(state, samples, candidates):
-    """The dense round: same contract as ``ClusterState.move_best_block``."""
+    Its movers are applied by ``apply(state, samples, targets)``, by default
+    ``ClusterState.move_block`` given their scored gains.
+    """
     deltas = dense_delta_objective_block(state, samples, candidates)
     best = np.argmax(deltas, axis=1)
     movers = np.flatnonzero(deltas[np.arange(samples.size), best] > 0.0)
     samples = samples[movers]
-    applied = dense_move_block(state, samples,
-                               candidates[movers, best[movers]])
+    targets = candidates[movers, best[movers]]
+    if apply is None:
+        applied = state.move_block(samples, targets,
+                                   deltas[movers, best[movers]])
+    else:
+        applied = apply(state, samples, targets)
     return samples[~applied], int(np.count_nonzero(applied))
+
+
+def sequential_move_block(state, samples, targets):
+    """``ClusterState.move_block``'s rule, one ``ClusterState.move`` at a time.
+
+    A move is applied iff neither of its clusters is held, its source is not
+    its target, its source keeps another member (or no earlier move named
+    the source) and its ΔI on the current state is positive; otherwise both
+    its clusters are held for the rest of the batch.
+    """
+    applied = np.zeros(len(samples), dtype=bool)
+    named, held = set(), set()
+    for i, (sample, target) in enumerate(zip(map(int, samples),
+                                             map(int, targets))):
+        source = int(state.labels[sample])
+        if (source not in held and target not in held and source != target
+                and (state.counts[source] > 1 or source not in named)
+                and state.delta_objective(sample, np.array([target]))[0] > 0.0):
+            state.move(sample, target)
+            applied[i] = True
+        else:
+            held.update((source, target))
+        named.update((source, target))
+    return applied

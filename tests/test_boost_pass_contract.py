@@ -2,16 +2,17 @@
 
 Alg. 2 as printed visits one sample at a time and applies its best move at
 once.  The implementation evaluates a block of samples against one snapshot,
-applies the movers that share no cluster, and re-evaluates the rest.  The
-printed loop lives here as :func:`sequential_reference_pass` — the oracle —
-and the tests pin what the two must share: a monotone objective, no emptied
-cluster, the same fixed points, the same result where no movers interact (or
-the block holds one sample), comparable quality after a few sweeps, the same
-evaluation count and the same use of the random stream.
+applies the movers in order, each on the state the earlier ones leave, while
+its gain holds, and re-evaluates the rest.  The printed loop lives here as
+:func:`sequential_reference_pass` — the oracle — and the tests pin what the
+two must share: a monotone objective, no emptied cluster, the same fixed
+points, the same result where no movers interact (or the block holds one
+sample), comparable quality after a few sweeps, the same evaluation count and
+the same use of the random stream.
 
 A round scores only the distinct non-own (sample, cluster) pairs; the dense
-round it replaced (``dense_move_best_block`` of ``tests/_round_oracle.py``)
-must make the same moves through a whole graph build and fit.
+round (``dense_move_best_block`` of ``tests/_round_oracle.py``) must make the
+same moves through a whole graph build and fit.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.cluster import GKMeans, gkmeans
 from repro.cluster.gkmeans import graph_guided_boost_pass
 from repro.cluster.objective import ClusterState
 from repro.cluster.two_means_tree import two_means_labels
-from repro.datasets import make_blobs
+from repro.datasets import make_blobs, make_sift_like
 from repro.distance import DistanceCounter
 from repro.graph import brute_force_knn_graph, build_knn_graph_by_clustering
 
@@ -279,6 +280,29 @@ class TestDenseRoundEndToEnd:
         assert moves[0] > 0
         assert model.result_.extra["n_distance_evaluations"] == \
             oracle_model.result_.extra["n_distance_evaluations"]
+
+
+class TestRoundCount:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_sweep_takes_few_rounds_per_block(self, seed, monkeypatch):
+        # From two-means labels about 45% of the samples move in the first
+        # sweep; applying a round's movers in order leaves few to re-score.
+        data = make_sift_like(2000, 16, random_state=seed)
+        indices = brute_force_knn_graph(data, 10).indices
+        state = ClusterState(data, two_means_labels(data, 40,
+                                                    random_state=seed), 40)
+        rounds = []
+        score = ClusterState.move_best_block
+
+        def counted(self, samples, candidates):
+            rounds.append(samples.size)
+            return score(self, samples, candidates)
+
+        monkeypatch.setattr(ClusterState, "move_best_block", counted)
+        moves = graph_guided_boost_pass(state, indices,
+                                        np.random.default_rng(seed))
+        assert moves > 200
+        assert len(rounds) <= 3 * -(-len(data) // gkmeans.BLOCK)
 
 
 @st.composite

@@ -52,6 +52,14 @@ class TestBoostKMeans:
         # starting from the truth, it should stay essentially at the truth
         assert normalized_mutual_information(model.labels_, truth) > 0.95
 
+    @pytest.mark.parametrize("label", [1.9, 1.99999])
+    def test_fractional_init_labels_rejected(self, blob_data, label):
+        data, truth = blob_data
+        init = truth.astype(float)
+        init[3] = label                  # would truncate to cluster 1
+        with pytest.raises(ValidationError, match="integers"):
+            BoostKMeans(6, init_labels=init, max_iter=1).fit(data)
+
     def test_reported_distortion_consistent(self, blob_data):
         data, _ = blob_data
         model = BoostKMeans(6, random_state=0, max_iter=10).fit(data)

@@ -218,6 +218,15 @@ class TestGKMeansEstimator:
             GKMeans(5, graph=sift_small_graph,
                     init=np.zeros(3, dtype=int)).fit(sift_small)
 
+    @pytest.mark.parametrize("offset", [0.9, 0.99999])
+    def test_fractional_init_labels_rejected(self, sift_small,
+                                             sift_small_graph, offset):
+        init = two_means_labels(sift_small, 15, random_state=0).astype(float)
+        init[7] += offset                # would truncate to a valid cluster
+        with pytest.raises(ValidationError, match="integers"):
+            GKMeans(15, n_neighbors=10, graph=sift_small_graph, init=init,
+                    max_iter=1).fit(sift_small)
+
     def test_history_distortion_non_increasing(self, sift_small,
                                                sift_small_graph):
         model = GKMeans(15, n_neighbors=10, graph=sift_small_graph,

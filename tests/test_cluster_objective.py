@@ -5,17 +5,20 @@ algorithm (BKM, GK-means, Alg. 3) trusts `ClusterState.move` and
 `delta_objective` to exactly track the objective of Eqn. 2/3.
 
 One round of the blocked boost sweep (`ClusterState.move_best_block`) scores
-only the distinct (sample, cluster) pairs that are real moves and finds
-conflicting movers with a scatter.  The round it replaced — every candidate
-entry scored, conflicts found by a stable sort — is the oracle
-``dense_move_best_block`` of ``tests/_round_oracle.py``, and the new round
-must match it bitwise.
+only the distinct (sample, cluster) pairs that are real moves and applies its
+movers in order through `ClusterState.move_block`, by prefix sums over the
+clusters they name.  The oracles of ``tests/_round_oracle.py`` are the round
+that scores every candidate entry densely (``dense_delta_objective_block``)
+and the application rule as a loop of `ClusterState.move`
+(``sequential_move_block``).  Against the dense round the pair-sparse one
+must match bitwise; against the loop, applied masks, labels and counts must
+match exactly, composites and ‖D‖² to rounding.
 """
 
 import numpy as np
 import pytest
-from _round_oracle import (argsort_first_mover_rule, dense_delta_objective_block,
-                           dense_move_best_block, dense_move_block)
+from _round_oracle import (dense_delta_objective_block, dense_move_best_block,
+                           sequential_move_block)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,22 +33,50 @@ def assert_states_identical(state, oracle):
         assert np.array_equal(getattr(state, name), getattr(oracle, name)), name
 
 
-def run_block_against_oracle(data, labels, k, samples, candidates_of):
-    """Drive one block to completion with both rounds, comparing each round.
+def assert_states_match(state, oracle):
+    """Labels and counts exactly; composites and ‖D‖² to rounding.
 
+    The absolute slack is the relative one at the array's largest entry, for
+    entries that cancel to near 0 and round differently in the two orders.
+    """
+    assert np.array_equal(state.labels, oracle.labels)
+    assert np.array_equal(state.counts, oracle.counts)
+    for name in ("composites", "_composite_sq_norms"):
+        want = getattr(oracle, name)
+        np.testing.assert_allclose(getattr(state, name), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max(),
+                                   err_msg=name)
+
+
+def sequential_round(state, samples, candidates):
+    """One round of the oracles: dense scoring, sequential application."""
+    return dense_move_best_block(state, samples, candidates,
+                                 apply=sequential_move_block)
+
+
+def run_block_against_oracle(data, labels, k, samples, candidates_of):
+    """Drive one block to completion with three rounds, comparing each round.
+
+    The pair-sparse round must equal the dense round bitwise (both apply
+    through ``move_block``) and the sequential loop to rounding.
     ``candidates_of(state, pending)`` builds a round's candidate rows, as the
     sweeps do.  Returns the final state and the number of applied moves.
     """
-    state, oracle = ClusterState(data, labels, k), ClusterState(data, labels, k)
+    state, dense, oracle = (ClusterState(data, labels, k) for _ in range(3))
     pending, moves = np.asarray(samples, dtype=np.int64), 0
     while pending.size:
         got, applied = state.move_best_block(pending,
                                              candidates_of(state, pending))
-        want, want_applied = dense_move_best_block(
+        scored, scored_applied = dense_move_best_block(
+            dense, pending, candidates_of(dense, pending))
+        want, want_applied = sequential_round(
             oracle, pending, candidates_of(oracle, pending))
+        assert np.array_equal(got, scored)
+        assert applied == scored_applied
+        assert_states_identical(state, dense)
         assert np.array_equal(got, want)
         assert applied == want_applied
-        assert_states_identical(state, oracle)
+        assert_states_match(state, oracle)
         pending, moves = got, moves + applied
     assert state.check_consistency()
     return state, moves
@@ -291,24 +322,22 @@ class TestBlockForms:
         assert np.array_equal(pairs, block[rows, cols])
         assert np.all(block[:, 1] == 0.0)
 
-    def test_move_block_applies_first_occurrences_only(self):
+    def test_move_block_applies_in_order_as_the_sequential_loop(self):
         data, labels, k = _random_state(n=40, k=6, seed=21)
         state = ClusterState(data, labels, k)
         reference = ClusterState(data, labels, k)
         members = [int(np.flatnonzero(labels == c)[0]) for c in range(k)]
-        # 0→1 applies; 2→1 reuses target 1; 3→4 applies; 1→5 reuses source
-        # 1; a second member of cluster 0 reuses source 0.
+        # 0→1, then 2→1 into the grown cluster 1, 3→4, 1→5 out of it, and a
+        # second member of cluster 0 to 5, which no longer gains.
         second_of_0 = int(np.flatnonzero(labels == 0)[1])
         samples = np.array([members[0], members[2], members[3], members[1],
                             second_of_0])
         targets = np.array([1, 1, 4, 5, 5])
         applied = state.move_block(samples, targets)
-        assert applied.tolist() == [True, False, True, False, False]
-        reference.move(members[0], 1)
-        reference.move(members[3], 4)
-        assert np.array_equal(state.labels, reference.labels)
-        assert np.array_equal(state.counts, reference.counts)
-        assert np.array_equal(state.composites, reference.composites)
+        assert applied.tolist() == [True, True, True, True, False]
+        assert np.array_equal(applied, sequential_move_block(
+            reference, samples, targets))
+        assert_states_match(state, reference)
         assert state.objective == pytest.approx(reference.objective,
                                                 rel=1e-12)
         assert state.check_consistency()
@@ -421,10 +450,10 @@ class TestRoundAgainstDenseOracle:
         state, oracle = ClusterState(data, labels, k), ClusterState(
             data, labels, k)
         applied = state.move_block(samples, targets)
-        assert np.array_equal(applied, dense_move_block(oracle, samples,
-                                                        targets))
+        assert np.array_equal(applied, sequential_move_block(oracle, samples,
+                                                             targets))
         assert not applied[targets == labels[samples]].any()
-        assert_states_identical(state, oracle)
+        assert_states_match(state, oracle)
         # A self-move names its cluster: a later move out of it is blocked.
         first = int(np.flatnonzero(labels == labels[0])[1])
         state = ClusterState(data, labels, k)
@@ -442,7 +471,7 @@ class TestRoundAgainstDenseOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 12))
-    def test_scatter_first_mover_rule_is_the_argsort_rule(self, seed, m, k):
+    def test_move_block_is_the_sequential_loop(self, seed, m, k):
         rng = np.random.default_rng(seed)
         n = max(m, k)
         data = rng.normal(size=(n, 3))
@@ -452,11 +481,138 @@ class TestRoundAgainstDenseOracle:
         state, oracle = ClusterState(data, labels, k), ClusterState(
             data, labels, k)
         applied = state.move_block(samples, targets)
-        assert np.array_equal(
-            applied, argsort_first_mover_rule(labels[samples], targets))
-        assert np.array_equal(applied, dense_move_block(oracle, samples,
-                                                        targets))
-        assert_states_identical(state, oracle)
+        assert np.array_equal(applied, sequential_move_block(oracle, samples,
+                                                             targets))
+        assert_states_match(state, oracle)
+
+
+class TestOrderedApplication:
+    """``move_block`` applies a round's movers in order, each on the state
+    the earlier ones leave, and holds back only what that state rejects."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 4),
+           st.integers(1, 40))
+    def test_long_runs_over_few_clusters_match_the_sequential_loop(
+            self, seed, m, k, d):
+        # Few clusters: every cluster is named by many movers, so the prefix
+        # sums run over long groups, as in the boost bisection's rounds.
+        rng = np.random.default_rng(seed)
+        n = m + k
+        data = rng.normal(size=(n, d))
+        labels = rng.integers(0, k, size=n)
+        samples = rng.permutation(n)[:m]
+        targets = rng.integers(0, k, size=m)
+        state, oracle = ClusterState(data, labels, k), ClusterState(
+            data, labels, k)
+        applied = state.move_block(samples, targets)
+        assert np.array_equal(applied, sequential_move_block(oracle, samples,
+                                                             targets))
+        assert_states_match(state, oracle)
+        assert state.check_consistency()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(2, 12))
+    def test_first_mover_is_applied_iff_its_snapshot_gain_is_positive(
+            self, seed, m, k):
+        rng = np.random.default_rng(seed)
+        n = max(m, k) + 5
+        data = rng.normal(size=(n, 3))
+        labels = rng.integers(0, k, size=n)
+        samples = rng.permutation(n)[:m]
+        targets = rng.integers(0, k, size=m)
+        targets[0] = (labels[samples[0]] + 1 + rng.integers(k - 1)) % k
+        state = ClusterState(data, labels, k)
+        gain = state.delta_objective(int(samples[0]), targets[:1])[0]
+        applied = state.move_block(samples, targets)
+        assert applied[0] == (gain > 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_only_a_first_namer_is_judged_on_its_scored_gain(self, seed):
+        # Termination rests on the scored gain, not on ``move_block``
+        # recomputing it bitwise: a move that is the first to name both its
+        # clusters is judged on the gain it is given, a later one on its
+        # recomputed gain (both gains given here are forged).
+        rng = np.random.default_rng(seed)
+        n, k = 60, 4
+        data = rng.normal(size=(n, 3))
+        labels = np.arange(n) % k
+        first = int(rng.integers(n))
+        target = (labels[first] + 1) % k
+        second = int(rng.choice(np.flatnonzero(
+            (labels != target) & (np.arange(n) != first))))
+        samples, targets = np.array([first, second]), np.array([target] * 2)
+        replay = ClusterState(data, labels, k)
+        replay.move(first, target)
+        second_gain = replay.delta_objective(second, np.array([target]))[0]
+        for given in (1.0, -1.0):
+            state = ClusterState(data, labels, k)
+            applied = state.move_block(samples, targets,
+                                       np.array([given, -second_gain]))
+            assert applied[0] == (given > 0.0)
+            assert applied[1] == (given > 0.0 and second_gain > 0.0)
+            assert state.check_consistency()
+
+    @pytest.mark.parametrize("protect", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_mover_of_every_round_is_applied(self, seed, protect):
+        # The termination argument of the sweep: a round's first mover opens
+        # both its clusters' groups, so it is applied on its scored gain.
+        rng = np.random.default_rng(seed)
+        n, k = 400, 12
+        data = rng.normal(size=(n, 4)).astype(np.float32 if seed % 2 else
+                                               np.float64)
+        labels = rng.integers(0, k, size=n)
+        labels[0] = k - 1
+        labels[labels == k - 1] = 0
+        labels[0] = k - 1                 # cluster k − 1: a singleton
+        state = ClusterState(data, labels, k)
+        neighbours = rng.integers(0, n, size=(n, 6))
+        for start in range(0, n, 128):
+            pending = rng.permutation(n)[start:start + 128]
+            while pending.size:
+                if protect:
+                    pending = pending[state.counts[state.labels[pending]] > 1]
+                candidates = np.sort(np.concatenate(
+                    [state.labels[neighbours[pending]],
+                     state.labels[pending, None]], axis=1), axis=1)
+                before = state.labels[pending].copy()
+                held, moved = state.move_best_block(pending, candidates)
+                if held.size:
+                    assert moved > 0
+                    first = np.flatnonzero(state.labels[pending] != before)
+                    assert first.size and not np.isin(
+                        pending[:first[0] + 1], held).any()
+                pending = held
+        assert state.check_consistency()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_objective_rises_by_the_applied_gains(self, seed):
+        # A round's movers: every sample's best move on the snapshot.
+        rng = np.random.default_rng(seed)
+        n, k = 300, 30
+        data = 10 * rng.normal(size=(n, 5))
+        labels = rng.integers(0, k, size=n)
+        state = ClusterState(data, labels, k)
+        samples = rng.permutation(n)[:200]
+        deltas = dense_delta_objective_block(
+            state, samples, np.tile(np.arange(k), (samples.size, 1)))
+        movers = deltas.max(axis=1) > 0.0
+        samples, targets = samples[movers], deltas[movers].argmax(axis=1)
+        before = state.objective
+        applied = state.move_block(samples, targets)
+        assert 1 < applied.sum() < applied.size
+
+        # Each applied move's ΔI on the state the earlier ones leave, as the
+        # sequential loop takes the same movers.
+        replay, gains = ClusterState(data, labels, k), 0.0
+        ordered = sequential_move_block(ClusterState(data, labels, k),
+                                        samples, targets)
+        for sample, target in zip(samples[ordered], targets[ordered]):
+            gains += replay.delta_objective(int(sample), [int(target)])[0]
+            replay.move(int(sample), int(target))
+        assert gains > 0.0
+        assert state.objective - before == pytest.approx(gains, rel=1e-9)
 
 
 class TestPropertyBased:

@@ -76,6 +76,11 @@ class TestCheckLabels:
         with pytest.raises(ValidationError, match="integers"):
             check_labels(np.array([0.5, 1.0]), 2)
 
+    @pytest.mark.parametrize("bad", [1.99999, 1.0 + 1e-12, np.inf, np.nan])
+    def test_near_integral_and_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="integers"):
+            check_labels(np.array([0.0, bad]), 2)
+
     def test_two_dimensional_rejected(self):
         with pytest.raises(ValidationError, match="1-D"):
             check_labels(np.zeros((2, 2), dtype=int), 4)
