@@ -36,9 +36,7 @@ from .cluster import (
     BoostKMeans,
     BisectingKMeans,
     ClosureKMeans,
-    ElkanKMeans,
     GKMeans,
-    HamerlyKMeans,
     KMeans,
     MiniBatchKMeans,
     TwoMeansTree,
@@ -87,8 +85,6 @@ __all__ = [
     "BoostKMeans",
     "MiniBatchKMeans",
     "ClosureKMeans",
-    "ElkanKMeans",
-    "HamerlyKMeans",
     "BisectingKMeans",
     "TwoMeansTree",
     "KNNGraph",

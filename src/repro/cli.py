@@ -421,19 +421,8 @@ def _run_search(args) -> int:
                            executor=stats.executor)
         print(render_table([row]))
         if args.dump is not None:
-            # Searches are deterministic, so this replay returns exactly
-            # the results the evaluation above scored.
-            fan_out = {}
-            if shard_workers is not None:
-                fan_out["shard_workers"] = shard_workers
-            if args.shard_probe is not None:
-                fan_out["shard_probe"] = args.shard_probe
-            if executor is not None:
-                fan_out["executor"] = executor
-            indices, distances = index.search(
-                queries, args.k, pool_size=args.pool_size,
-                workers=args.workers, **fan_out)
-            atomic_savez(args.dump, indices=indices, distances=distances)
+            atomic_savez(args.dump, indices=evaluation.indices,
+                         distances=evaluation.distances)
             print(f"results dumped to {args.dump}")
     return 0
 

@@ -11,9 +11,6 @@ baseline it is compared against or built upon:
   equal-size bisecting tree used for initialisation.
 * :class:`~repro.cluster.minibatch.MiniBatchKMeans` — Sculley 2010.
 * :class:`~repro.cluster.closure.ClosureKMeans` — Wang et al. 2012.
-* :class:`~repro.cluster.elkan.ElkanKMeans`,
-  :class:`~repro.cluster.hamerly.HamerlyKMeans` — triangle-inequality
-  accelerated exact k-means (the classic acceleration family).
 * :class:`~repro.cluster.bisecting.BisectingKMeans` — hierarchical baseline.
 * :class:`~repro.cluster.gkmeans.GKMeans` — Alg. 2, the KNN-graph-driven
   fast k-means (the paper's GK-means and GK-means⁻).
@@ -29,8 +26,6 @@ from .initialization import (
 from .lloyd import KMeans
 from .boost import BoostKMeans
 from .minibatch import MiniBatchKMeans
-from .elkan import ElkanKMeans
-from .hamerly import HamerlyKMeans
 from .bisecting import BisectingKMeans
 from .two_means_tree import TwoMeansTree, two_means_labels
 from .closure import ClosureKMeans
@@ -49,8 +44,6 @@ __all__ = [
     "KMeans",
     "BoostKMeans",
     "MiniBatchKMeans",
-    "ElkanKMeans",
-    "HamerlyKMeans",
     "BisectingKMeans",
     "TwoMeansTree",
     "two_means_labels",

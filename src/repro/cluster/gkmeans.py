@@ -65,7 +65,6 @@ def candidate_label_block(labels: np.ndarray, neighbor_rows: np.ndarray,
 
 def graph_guided_boost_pass(state: ClusterState, neighbor_indices: np.ndarray,
                             rng: np.random.Generator, *,
-                            protect_singletons: bool = True,
                             counter=None) -> int:
     """One sweep of Alg. 2 over all samples in random order, ``BLOCK`` at a time.
 
@@ -81,10 +80,11 @@ def graph_guided_boost_pass(state: ClusterState, neighbor_indices: np.ndarray,
     with every later mover naming a cluster it names; the held-back movers
     are re-evaluated against the updated state until none is left.  Every
     applied move therefore has exactly the gain computed for it — the
-    objective never decreases, and a source keeps a member at each mover's
-    turn, so ``protect_singletons`` keeps every cluster non-empty — but,
-    unlike Alg. 2's move-at-once loop, a sample that decides to *stay* may do
-    so on a state up to one block old.  Returns the number of moves.
+    objective never decreases — but, unlike Alg. 2's move-at-once loop, a
+    sample that decides to *stay* may do so on a state up to one block old.
+    The last member of a cluster is never a candidate mover, and a source
+    keeps a member at each mover's turn, so no cluster is ever emptied.
+    Returns the number of moves.
 
     ``counter`` (a :class:`~repro.distance.DistanceCounter`) accumulates the
     number of sample-to-cluster evaluations — the quantity whose reduction
@@ -99,8 +99,7 @@ def graph_guided_boost_pass(state: ClusterState, neighbor_indices: np.ndarray,
         pending = order[start:start + BLOCK]
         revisit = False
         while pending.size:
-            if protect_singletons:
-                pending = pending[state.counts[labels[pending]] > 1]
+            pending = pending[state.counts[labels[pending]] > 1]
             candidates = candidate_label_block(
                 labels, neighbor_indices[pending], labels[pending])
             # Sorted rows: ties go to the smallest cluster id, and distinct
@@ -313,7 +312,7 @@ class GKMeans(BaseClusterer):
             init_seconds=init_seconds, iteration_seconds=iteration_seconds,
             extra={"graph_seconds": graph_seconds,
                    "assignment": self.assignment,
-                   "n_neighbors": n_neighbors,
+                   "n_neighbors": neighbor_indices.shape[1],
                    "n_distance_evaluations": counter.count,
                    "graph_distance_evaluations": self._graph_evaluations})
 

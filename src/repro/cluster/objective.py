@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distance import DistanceEngine, squared_norms
+from ..distance import squared_norms
 from ..exceptions import ValidationError
 from ..validation import check_data_matrix, check_labels, check_positive_int
 
@@ -172,10 +172,6 @@ class ClusterState:
         safe_counts = np.maximum(self.counts, 1)
         return self.composites / safe_counts[:, None]
 
-    def cluster_members(self, cluster: int) -> np.ndarray:
-        """Indices of the samples currently assigned to ``cluster``."""
-        return np.nonzero(self.labels == cluster)[0]
-
     # ------------------------------------------------------------------ #
     # Incremental moves (Eqn. 3)
     # ------------------------------------------------------------------ #
@@ -216,23 +212,15 @@ class ClusterState:
         return deltas
 
     def best_move(self, sample_index: int,
-                  candidates: np.ndarray,
-                  *, allow_empty_source: bool = False) -> tuple[int, float]:
+                  candidates: np.ndarray) -> tuple[int, float]:
         """Best candidate cluster and its ΔI for one sample.
 
-        Parameters
-        ----------
-        sample_index:
-            The sample being considered.
-        candidates:
-            Candidate cluster ids (may include the current cluster).
-        allow_empty_source:
-            If false (default) and the sample is the last member of its
-            cluster, the move is suppressed (ΔI reported as 0) so the number
-            of non-empty clusters never drops below ``k``.
+        ``candidates`` are cluster ids and may include the sample's own
+        cluster.  The last member of a cluster never moves (its ΔI is
+        reported as 0), so no cluster is ever emptied.
         """
         source = int(self.labels[sample_index])
-        if not allow_empty_source and self.counts[source] <= 1:
+        if self.counts[source] <= 1:
             return source, 0.0
         deltas = self.delta_objective(sample_index, candidates)
         best = int(np.argmax(deltas))
@@ -470,21 +458,3 @@ class ClusterState:
                 and np.array_equal(counts, self.counts)
                 and np.allclose(squared_norms(composites),
                                 self._composite_sq_norms, atol=atol))
-
-    # ------------------------------------------------------------------ #
-    # Interop with batch (Lloyd-style) algorithms
-    # ------------------------------------------------------------------ #
-    def reassign_all_to_nearest(self) -> int:
-        """One Lloyd pass: assign all samples to the nearest current centroid.
-
-        Returns the number of samples whose label changed; the incremental
-        state is rebuilt afterwards.
-        """
-        centroids = self.centroids()
-        new_labels, _ = DistanceEngine(
-            "sqeuclidean", self._data.dtype).assign_to_nearest(
-                self._data, centroids)
-        changed = int(np.sum(new_labels != self.labels))
-        self.labels = new_labels
-        self.recompute()
-        return changed

@@ -23,10 +23,10 @@ Two properties matter for how the rest of the library consumes the engine:
 
 * ``sqeuclidean`` and ``cosine`` reduce to squared-Euclidean *geometry*:
   after :meth:`prepare_clustering` (row normalisation for cosine) the k-means
-  objective, the boost ΔI moves, the two-means tree and the Elkan/Hamerly
-  triangle-inequality bounds are all valid in the transformed space.  On the
-  unit sphere ``||a - b||^2 = 2 (1 - cos(a, b))``, so squared-Euclidean
-  distances of normalised data are exactly ``2x`` the cosine distance.
+  objective, Lloyd's assignment, the boost ΔI moves and the two-means tree
+  are all valid in the transformed space.  On the unit sphere
+  ``||a - b||^2 = 2 (1 - cos(a, b))``, so squared-Euclidean distances of
+  normalised data are exactly ``2x`` the cosine distance.
 * ``dot`` has no such reduction — it is supported wherever only the *ordering*
   of distances matters (graphs, search, nearest-candidate assignment) and
   rejected by algorithms whose correctness needs the l2 geometry.

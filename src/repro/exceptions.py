@@ -19,10 +19,6 @@ class NotFittedError(ReproError, RuntimeError):
     """A model method requiring a fitted estimator was called before ``fit``."""
 
 
-class ConvergenceWarning(UserWarning):
-    """Raised (as a warning) when an iterative algorithm stops before converging."""
-
-
 class DatasetError(ReproError):
     """A dataset could not be generated, read or written."""
 

@@ -17,9 +17,7 @@ from ..cluster import (
     BisectingKMeans,
     BoostKMeans,
     ClosureKMeans,
-    ElkanKMeans,
     GKMeans,
-    HamerlyKMeans,
     KMeans,
     MiniBatchKMeans,
     TwoMeansTree,
@@ -71,16 +69,6 @@ def _build_kgraph_gkmeans(n_clusters, max_iter, random_state, **options):
                    **options)
 
 
-def _build_elkan(n_clusters, max_iter, random_state, **options):
-    return ElkanKMeans(n_clusters, max_iter=max_iter,
-                       random_state=random_state, **options)
-
-
-def _build_hamerly(n_clusters, max_iter, random_state, **options):
-    return HamerlyKMeans(n_clusters, max_iter=max_iter,
-                         random_state=random_state, **options)
-
-
 def _build_bisecting(n_clusters, max_iter, random_state, **options):
     return BisectingKMeans(n_clusters, random_state=random_state, **options)
 
@@ -98,8 +86,6 @@ METHOD_BUILDERS = {
     "GK-means": _build_gkmeans,
     "GK-means-": _build_gkmeans_minus,
     "KGraph+GK-means": _build_kgraph_gkmeans,
-    "Elkan": _build_elkan,
-    "Hamerly": _build_hamerly,
     "bisecting k-means": _build_bisecting,
     "2M tree": _build_two_means,
 }

@@ -1,10 +1,9 @@
-"""Evaluation metrics: distortion, neighbour/cluster co-occurrence, external
-cluster agreement and timing helpers."""
+"""Evaluation metrics: distortion, neighbour/cluster co-occurrence and
+external cluster agreement."""
 
 from .distortion import average_distortion, within_cluster_sum_of_squares
 from .cooccurrence import neighbor_cooccurrence_curve, random_collision_probability
 from .external import normalized_mutual_information, adjusted_rand_index, cluster_size_histogram
-from .timing import Timer, StageTimer
 
 __all__ = [
     "average_distortion",
@@ -14,6 +13,4 @@ __all__ = [
     "normalized_mutual_information",
     "adjusted_rand_index",
     "cluster_size_histogram",
-    "Timer",
-    "StageTimer",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,10 @@ class SearchEvaluation:
         that served the queries — per-group rounds, gemm counts and wall
         time — or ``None`` when the run issued one call per query
         (``batch=False``), where no single record covers the run.
+    indices, distances:
+        The ``(m, k)`` results that were scored, in query order — the
+        searcher's own output, so a caller can keep them without searching
+        again.
     """
 
     recall_at_1: float
@@ -52,6 +56,10 @@ class SearchEvaluation:
     mean_distance_evaluations: float
     per_query_evaluations: tuple = ()
     serving_stats: ServingStats | None = None
+    indices: np.ndarray | None = field(default=None, repr=False,
+                                       compare=False)
+    distances: np.ndarray | None = field(default=None, repr=False,
+                                         compare=False)
 
 
 def evaluate_search(searcher, queries: np.ndarray, *, n_results: int = 10,
@@ -158,9 +166,9 @@ def evaluate_search(searcher, queries: np.ndarray, *, n_results: int = 10,
                                           workers=workers)
         total_seconds = time.perf_counter() - started
         per_query, serving_stats = result.evaluations, result.stats
-        approx_rows = list(result.indices)
+        indices, distances = result.indices, result.distances
     else:
-        approx_rows = []
+        rows = []
         per_query = np.empty(m, dtype=np.int64)
         total_seconds = 0.0
         for row in range(m):
@@ -173,13 +181,15 @@ def evaluate_search(searcher, queries: np.ndarray, *, n_results: int = 10,
                                         pool_size=pool_size)
             total_seconds += time.perf_counter() - started
             per_query[row] = result.evaluations.sum()
-            approx_rows.append(result.indices)
+            rows.append(result)
+        indices = np.stack([result.indices for result in rows])
+        distances = np.stack([result.distances for result in rows])
 
     hits_at_1 = 0.0
     hits_at_k = 0.0
     for row in range(m):
         truth = set(int(i) for i in exact_idx[row])
-        approx_ids = set(int(i) for i in approx_rows[row] if i >= 0)
+        approx_ids = set(int(i) for i in indices[row] if i >= 0)
         if int(exact_idx[row, 0]) in approx_ids:
             hits_at_1 += 1.0
         hits_at_k += len(truth & approx_ids) / max(len(truth), 1)
@@ -191,4 +201,4 @@ def evaluate_search(searcher, queries: np.ndarray, *, n_results: int = 10,
         mean_query_seconds=total_seconds / m,
         mean_distance_evaluations=float(per_query.mean()),
         per_query_evaluations=tuple(int(v) for v in per_query),
-        serving_stats=serving_stats)
+        serving_stats=serving_stats, indices=indices, distances=distances)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Sequence
 
 import numpy as np
 
@@ -221,13 +220,3 @@ def check_knn_indices(indices, n_samples: int, *, name: str = "knn graph") -> np
         raise ValidationError(
             f"{name} indices must lie in [-1, {n_samples - 1}]")
     return array
-
-
-def as_sequence_of_ints(values: Sequence, *, name: str) -> list[int]:
-    """Validate a sequence of non-negative integers (used for sweep grids)."""
-    result = []
-    for value in values:
-        result.append(check_positive_int(value, name=f"{name} entry", minimum=0))
-    if not result:
-        raise ValidationError(f"{name} must not be empty")
-    return result

@@ -574,6 +574,30 @@ class TestMutationCommands:
         capsys.readouterr()
         assert dump.exists()
 
+    def test_dump_writes_the_scored_results_without_searching_again(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.index import Index
+
+        path = self._build(tmp_path)
+        capsys.readouterr()
+        calls = []
+        search = Index.search
+
+        def counted(self, *args, **kwargs):
+            result = search(self, *args, **kwargs)
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(Index, "search", counted)
+        dump = tmp_path / "out.npz"
+        assert main(["search", path, "--n-queries", "5", "--k", "3",
+                     "--dump", str(dump)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        dumped = np.load(dump)
+        assert np.array_equal(dumped["indices"], calls[0].indices)
+        assert np.array_equal(dumped["distances"], calls[0].distances)
+
 
 class TestRebalanceCommands:
     """rebalance subcommand and the search --preflight health check."""

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.cluster import (ElkanKMeans, KMeans, MiniBatchKMeans,
+from repro.cluster import (ClosureKMeans, KMeans, MiniBatchKMeans,
                            kmeans_plus_plus_init, labels_to_centroids,
                            random_init)
 from repro.cluster.base import ClusteringResult, IterationRecord
@@ -142,8 +142,8 @@ class TestInitialization:
         with pytest.raises(ValidationError):
             resolve_init(np.zeros((2, 2)), data, 3, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("estimator", [KMeans, ElkanKMeans,
-                                           MiniBatchKMeans])
+    @pytest.mark.parametrize("estimator", [KMeans, MiniBatchKMeans,
+                                           ClosureKMeans])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_explicit_init_must_be_finite(self, blob_data, estimator, bad):
         data, _ = blob_data

@@ -140,6 +140,14 @@ class TestGKMeansEstimator:
                         random_state=0, max_iter=5).fit(sift_small)
         assert model.result_.extra["n_neighbors"] == 5
 
+    def test_graph_narrower_than_kappa_reports_its_width(self, sift_small,
+                                                         sift_small_graph):
+        # A narrower graph is used as is: the sweep reads 10 neighbours, so
+        # the result reports 10, not the 50 the constructor defaults to.
+        model = GKMeans(8, graph=sift_small_graph, random_state=0,
+                        max_iter=3).fit(sift_small)
+        assert model.result_.extra["n_neighbors"] == 10
+
     def test_plain_index_array_accepted_as_graph(self, sift_small,
                                                  sift_small_graph):
         model = GKMeans(15, n_neighbors=10, graph=sift_small_graph.indices,

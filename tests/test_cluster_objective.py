@@ -239,14 +239,6 @@ class TestMoves:
         target, gain = state.best_move(0, np.array([0, 1]))
         assert target == 0 and gain == 0.0
 
-    def test_best_move_allows_empty_when_requested(self):
-        data = np.array([[0.0, 0.0], [0.1, 0.1], [10.0, 10.0]])
-        labels = np.array([0, 1, 1])
-        state = ClusterState(data, labels, 2)
-        target, gain = state.best_move(0, np.array([0, 1]),
-                                       allow_empty_source=True)
-        assert target in (0, 1)
-
     def test_moves_with_positive_delta_increase_objective(self):
         data, labels, k = _random_state(n=50, seed=8)
         state = ClusterState(data, labels, k)
@@ -269,20 +261,6 @@ class TestMoves:
             members = data[labels == cluster]
             if len(members):
                 assert np.allclose(centroids[cluster], members.mean(axis=0))
-
-    def test_cluster_members(self):
-        data, labels, k = _random_state(seed=10)
-        state = ClusterState(data, labels, k)
-        members = state.cluster_members(2)
-        assert set(members) == set(np.nonzero(labels == 2)[0])
-
-    def test_reassign_all_to_nearest_reduces_distortion(self):
-        data, labels, k = _random_state(n=80, seed=11)
-        state = ClusterState(data, labels, k)
-        before = state.distortion
-        state.reassign_all_to_nearest()
-        assert state.distortion <= before + 1e-12
-        assert state.check_consistency()
 
     def test_labels_out_of_range_rejected(self):
         data, labels, k = _random_state()

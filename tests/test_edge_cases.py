@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    BisectingKMeans,
     BoostKMeans,
     ClosureKMeans,
     GKMeans,
@@ -18,13 +19,12 @@ from repro import (
     brute_force_knn_graph,
     build_knn_graph_by_clustering,
 )
-from repro.cluster import ElkanKMeans, HamerlyKMeans
 from repro.cluster.objective import ClusterState
 from repro.exceptions import ValidationError
 from repro.graph import nn_descent_knn_graph
 
 ALL_ESTIMATORS = [KMeans, BoostKMeans, MiniBatchKMeans, ClosureKMeans,
-                  ElkanKMeans, HamerlyKMeans, TwoMeansTree]
+                  BisectingKMeans, TwoMeansTree]
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,8 @@ graph (``test_search.py``).
 import numpy as np
 import pytest
 
-from repro.cluster import ElkanKMeans, GKMeans, HamerlyKMeans, KMeans
+from repro.cluster import (BisectingKMeans, BoostKMeans, ClosureKMeans,
+                           GKMeans, KMeans, MiniBatchKMeans, TwoMeansTree)
 from repro.exceptions import ValidationError
 from repro.graph import (
     NNDescent,
@@ -90,21 +91,12 @@ class TestCosineClustering:
                         random_state=0, metric="cosine").fit(data)
         assert adjusted_rand_index(model.labels_, truth) > 0.9
 
-    @pytest.mark.parametrize("estimator", [KMeans, ElkanKMeans, HamerlyKMeans])
+    @pytest.mark.parametrize("estimator", [KMeans, MiniBatchKMeans])
     def test_lloyd_family_under_cosine(self, angular_data, estimator):
         data, truth = angular_data
         model = estimator(6, init="k-means++", random_state=3,
                           max_iter=20, metric="cosine").fit(data)
         assert normalized_mutual_information(model.labels_, truth) > 0.85
-
-    def test_elkan_matches_lloyd_under_cosine(self, angular_data):
-        """The triangle-inequality bounds stay exact in the normalised space."""
-        data, _ = angular_data
-        lloyd = KMeans(6, init="k-means++", random_state=3, max_iter=20,
-                       metric="cosine").fit(data)
-        elkan = ElkanKMeans(6, init="k-means++", random_state=3, max_iter=20,
-                            metric="cosine").fit(data)
-        assert elkan.distortion_ == pytest.approx(lloyd.distortion_, rel=1e-6)
 
     def test_predict_normalizes_new_data(self, angular_data):
         data, _ = angular_data
@@ -283,10 +275,12 @@ class TestDotMetric:
             GKMeans(6, n_neighbors=8, graph_builder="brute-force",
                     metric="dot").fit(data)
 
-    def test_elkan_dot_rejected(self, angular_data):
+    @pytest.mark.parametrize("estimator", [BoostKMeans, BisectingKMeans,
+                                           ClosureKMeans, TwoMeansTree])
+    def test_estimator_without_dot_rejects_it(self, angular_data, estimator):
         data, _ = angular_data
         with pytest.raises(ValidationError, match="metric"):
-            ElkanKMeans(6, metric="dot").fit(data)
+            estimator(6, metric="dot").fit(data)
 
     def test_construction_dot_rejected(self, angular_data):
         data, _ = angular_data

@@ -1,14 +1,11 @@
-"""Tests for distortion, co-occurrence, external metrics and timers."""
+"""Tests for distortion, co-occurrence and external metrics."""
 
-import time
 
 import numpy as np
 import pytest
 
 from repro.cluster import KMeans, TwoMeansTree
 from repro.metrics import (
-    StageTimer,
-    Timer,
     adjusted_rand_index,
     average_distortion,
     cluster_size_histogram,
@@ -118,30 +115,3 @@ class TestExternalMetrics:
         assert stats["min"] == 0
         assert stats["max"] == 3
         assert stats["mean"] == pytest.approx(1.5)
-
-
-class TestTimers:
-    def test_timer_measures_elapsed(self):
-        with Timer() as timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.009
-
-    def test_stage_timer_accumulates(self):
-        timer = StageTimer()
-        timer.start("init")
-        time.sleep(0.005)
-        timer.start("iterate")
-        time.sleep(0.005)
-        timer.stop()
-        stages = timer.as_dict()
-        assert set(stages) == {"init", "iterate"}
-        assert timer.total() == pytest.approx(sum(stages.values()))
-
-    def test_stage_timer_resume(self):
-        timer = StageTimer()
-        timer.start("a")
-        timer.stop()
-        first = timer.stages["a"]
-        timer.start("a")
-        timer.stop()
-        assert timer.stages["a"] >= first

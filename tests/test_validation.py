@@ -5,7 +5,6 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.validation import (
-    as_sequence_of_ints,
     check_data_matrix,
     check_fraction,
     check_knn_indices,
@@ -169,12 +168,3 @@ class TestCheckKnnIndices:
     def test_wrong_rows_rejected(self):
         with pytest.raises(ValidationError, match="rows"):
             check_knn_indices(np.array([[0], [1]]), 3)
-
-
-class TestAsSequenceOfInts:
-    def test_valid(self):
-        assert as_sequence_of_ints([1, 2, 3], name="grid") == [1, 2, 3]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError, match="empty"):
-            as_sequence_of_ints([], name="grid")
