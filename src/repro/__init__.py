@@ -51,7 +51,6 @@ from .search import GraphSearcher
 from .index import (
     Index,
     IndexSpec,
-    RebalancePolicy,
     Rebalancer,
     ShardedIndex,
     build_index,
@@ -96,7 +95,6 @@ __all__ = [
     "IndexSpec",
     "ShardedIndex",
     "Rebalancer",
-    "RebalancePolicy",
     "build_index",
     "load_index",
     "CoalescingServer",

@@ -251,22 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "to reload")
 
     rebalance = sub.add_parser(
-        "rebalance", help="split/merge drifted shards of a saved sharded "
-                          "index and refresh its routing centroids "
-                          "(copy-on-write; daemons reload afterwards)")
+        "rebalance", help="re-partition the live rows of a saved sharded "
+                          "index as a fresh build would (copy-on-write; "
+                          "daemons reload afterwards)")
     rebalance.add_argument("index",
                            help="a sharded index directory saved by "
                                 "'build --shards N'")
-    rebalance.add_argument("--max-shard-rows", type=int, default=None,
-                           help="split shards holding more live rows than "
-                                "this (default: no splitting)")
-    rebalance.add_argument("--min-shard-rows", type=int, default=None,
-                           help="merge shards holding fewer live rows than "
-                                "this into their nearest-centroid sibling "
-                                "(default: no merging)")
-    rebalance.add_argument("--no-refresh-centroids", action="store_true",
-                           help="skip recomputing the coarse routing "
-                                "centroids from the live rows")
     rebalance.add_argument("--endpoints", default=None,
                            help="comma-separated host:port list of the "
                                 "running daemons (one per shard, in shard "
@@ -469,16 +459,11 @@ def _run_mutate(args) -> int:
 
 
 def _run_rebalance(args) -> int:
-    from .index import RebalancePolicy, Rebalancer
+    from .index import Rebalancer
 
     try:
-        policy = RebalancePolicy(
-            max_shard_rows=args.max_shard_rows,
-            min_shard_rows=args.min_shard_rows,
-            refresh_centroids=not args.no_refresh_centroids)
-        rebalancer = Rebalancer(args.index, policy,
-                                endpoints=args.endpoints)
-        report, reloads = rebalancer.run()
+        report, reloads = Rebalancer(args.index,
+                                     endpoints=args.endpoints).run()
     except (ValidationError, ServingError) as exc:
         print(f"error: cannot rebalance index {args.index!r}: {exc}",
               file=sys.stderr)
@@ -487,22 +472,11 @@ def _run_rebalance(args) -> int:
         print(f"index {args.index} is balanced; nothing to do")
     else:
         print(render_table([{
-            "splits": report.n_splits,
-            "merges": report.n_merges,
-            "refreshed": report.refreshed,
-            "shards": f"{report.n_shards_before} -> "
-                      f"{report.n_shards_after}",
+            "shard_sizes": f"{list(report.shard_sizes_before)} -> "
+                           f"{list(report.shard_sizes_after)}",
             "generation": report.generation,
             "out": args.index,
         }]))
-        for action in report.actions:
-            print(f"  {action.kind}: {action.detail}")
-    for note in report.notes:
-        print(f"  note: {note}")
-    if report.endpoints_detached:
-        print("note: the shard topology changed — the saved endpoint "
-              "deployment was detached; re-serve one daemon per shard "
-              "and re-attach with --endpoints", file=sys.stderr)
     if reloads:
         print(render_table([
             {"endpoint": row["endpoint"], "shard": row["shard"],

@@ -245,8 +245,13 @@ class GKMeans(BaseClusterer):
             raise ValidationError(
                 "metric 'dot' has no boost (ΔI) objective; use "
                 "assignment='lloyd' for inner-product GK-means")
-        n_neighbors = check_positive_int(self.n_neighbors, name="n_neighbors",
-                                         maximum=max(1, data.shape[0] - 1))
+        # A supplied graph is used at its own width (truncated to
+        # n_neighbors when wider), so the row-count ceiling only binds a
+        # graph GK-means builds itself.
+        n_neighbors = check_positive_int(
+            self.n_neighbors, name="n_neighbors",
+            maximum=None if self.graph is not None
+            else max(1, data.shape[0] - 1))
         min_moves = check_positive_int(self.min_moves, name="min_moves",
                                        minimum=0)
 

@@ -38,15 +38,11 @@ from .executors import (
     ThreadShardExecutor,
 )
 from .facade import FORMAT_VERSION, Index
-from .rebalance import (
-    RebalanceAction,
-    RebalancePolicy,
-    RebalanceReport,
-    Rebalancer,
-)
+from .rebalance import Rebalancer
 from .sharded import (
     MANIFEST_NAME,
     SHARDED_FORMAT_VERSION,
+    RebalanceReport,
     ShardedIndex,
     ShardedServingStats,
     build_index,
@@ -64,8 +60,6 @@ __all__ = [
     "EXECUTORS",
     "BuilderEntry",
     "Rebalancer",
-    "RebalancePolicy",
-    "RebalanceAction",
     "RebalanceReport",
     "ShardSearchTask",
     "ThreadShardExecutor",

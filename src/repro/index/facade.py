@@ -669,6 +669,10 @@ class Index:
         is atomic — a temp file in the same directory is renamed over the
         target — so a crash mid-save never clobbers a previously good index.
         """
+        atomic_savez(path, **self._fields())
+
+    def _fields(self) -> dict:
+        """The arrays :meth:`save` writes: the whole serving state."""
         payload = {
             "format_version": np.int64(FORMAT_VERSION),
             "spec_json": np.asarray(self.spec.to_json()),
@@ -693,7 +697,7 @@ class Index:
             # extended the data beyond the fitted range.
             payload["quantizer_scale"] = quantizer.scale
             payload["quantizer_offset"] = quantizer.offset
-        atomic_savez(path, **payload)
+        return payload
 
     @classmethod
     def load(cls, path) -> "Index":

@@ -46,11 +46,18 @@ the rebalancer; anything but the current format version with every key of
 the right dtype and shape raises :class:`~repro.exceptions.ValidationError`,
 and :func:`migrate` rewrites indexes of retired versions.
 
+Inserts go to the nearest coarse centroid's shard, so drift slowly bends
+the partition away from what a build would choose.
+:meth:`ShardedIndex.rebalance` straightens it with the build itself: the live
+rows go through the same partition-then-build-shards helper
+:meth:`ShardedIndex.build` runs, under their global ids and at the same shard
+count, and the index then answers bitwise as a fresh build of those rows.
+
 The manifest doubles as a *deployment* manifest: ``executor="remote"`` fans
 out to its endpoints, one ``gkmeans serve`` daemon per shard, each of which
-must report its shard's generation.  Inserts (routed to the nearest coarse
-centroid's shard), deletes, compaction and rebalancing
-(:mod:`repro.index.rebalance`) go live through the atomic-rename ``save``;
+must report its shard's generation.  Inserts, deletes, compaction and
+rebalancing (driven on disk by :mod:`repro.index.rebalance`) go live through
+the atomic-rename ``save``;
 daemons serve the generation they loaded until the ``reload`` RPC, and the
 remote executor's handshake turns a stale daemon into a
 :class:`~repro.exceptions.ServingError`, never silent wrong results.
@@ -92,7 +99,8 @@ from .spec import EXECUTORS, IndexSpec, PARTITIONERS
 
 __all__ = ["ShardedIndex", "ShardedServingStats", "SHARDED_FORMAT_VERSION",
            "MANIFEST_NAME", "Manifest", "read_manifest", "partition_dataset",
-           "build_index", "load_index", "migrate", "build_shard"]
+           "build_index", "load_index", "migrate", "build_shard",
+           "RebalanceReport"]
 
 #: Version of the manifest layout :meth:`ShardedIndex.save` writes and,
 #: alone, :func:`read_manifest` reads; ``gkmeans migrate`` rewrites older
@@ -123,8 +131,7 @@ def _shard_name(shard: int) -> str:
 def build_shard(spec: IndexSpec, rows: np.ndarray, ids: np.ndarray) -> Index:
     """One shard of a sharded ``spec``: an ``Index`` over ``rows`` whose
     external ids are their global ``ids``, its spec narrowed to one shard
-    and its graph width clamped to the row count — the recipe of
-    :meth:`ShardedIndex.build` and the rebalancer's splits and merges."""
+    and its graph width clamped to the row count."""
     return Index.build(rows, spec.replace(
         n_shards=1, shard_probe=None,
         n_neighbors=min(spec.n_neighbors, rows.shape[0] - 1)), ids=ids)
@@ -184,6 +191,63 @@ def partition_dataset(data: np.ndarray, n_shards: int, partitioner: str, *,
     if return_centroids:
         return shard_ids, centroids
     return shard_ids
+
+
+def _partition_and_build(spec: IndexSpec, rows: np.ndarray, ids: np.ndarray,
+                         build_workers: int | None = None) -> tuple:
+    """Partition ``rows`` (global ids ``ids``) into ``spec.n_shards`` groups
+    and build one shard per group on a ``build_workers``-thread pool
+    (default: one thread per shard, capped at the CPU count).
+
+    The one body of :meth:`ShardedIndex.build` (``ids = arange(n)``) and
+    :meth:`ShardedIndex.rebalance` (the live ids).  Returns ``(shards,
+    centroids)``.
+    """
+    groups, centroids = partition_dataset(
+        rows, spec.n_shards, spec.partitioner, metric=spec.metric,
+        dtype=spec.dtype, random_state=spec.random_state,
+        return_centroids=True)
+    if build_workers is None:
+        build_workers = min(len(groups), os.cpu_count() or 1)
+    build_workers = check_positive_int(build_workers, name="build_workers")
+
+    def build(group: np.ndarray) -> Index:
+        """Build the shard over the partition rows ``group``."""
+        return build_shard(spec, rows[group], ids[group])
+
+    if build_workers == 1 or len(groups) == 1:
+        shards = [build(group) for group in groups]
+    else:
+        with ThreadPoolExecutor(max_workers=build_workers) as executor:
+            shards = list(executor.map(build, groups))
+    return shards, centroids
+
+
+def _same_shard(old: Index, new: Index) -> bool:
+    """Whether ``new`` holds exactly what ``old`` persists, its mutation
+    counter aside — rows, ids, tombstones, graph and seed partition."""
+    old_fields, new_fields = old._fields(), new._fields()
+    del old_fields["generation"], new_fields["generation"]
+    return (old_fields.keys() == new_fields.keys()
+            and all(np.array_equal(old_fields[key], new_fields[key])
+                    for key in old_fields))
+
+
+@dataclass(frozen=True)
+class RebalanceReport:
+    """Outcome of one :meth:`ShardedIndex.rebalance` pass.
+
+    ``changed`` is ``False`` when the re-partition reproduced the current
+    shards and routing centroids bit for bit: nothing was swapped and no
+    generation moved.  ``shard_sizes_*`` are the live row counts per shard
+    (the shard count never changes); ``generation`` is the index's global
+    generation after the pass.
+    """
+
+    changed: bool
+    shard_sizes_before: tuple
+    shard_sizes_after: tuple
+    generation: int
 
 
 @dataclass(frozen=True)
@@ -594,24 +658,9 @@ class ShardedIndex:
         engine = DistanceEngine(spec.metric, spec.dtype)
         data = check_data_matrix(data, min_samples=2 * spec.n_shards,
                                  dtype=engine.dtype)
-        shard_ids, centroids = partition_dataset(
-            data, spec.n_shards, spec.partitioner, metric=spec.metric,
-            dtype=spec.dtype, random_state=spec.random_state,
-            return_centroids=True)
-        if build_workers is None:
-            build_workers = min(len(shard_ids), os.cpu_count() or 1)
-        build_workers = check_positive_int(build_workers,
-                                           name="build_workers")
-
-        def build(ids: np.ndarray) -> Index:
-            """Build the shard over the partition rows ``ids``."""
-            return build_shard(spec, data[ids], ids)
-
-        if build_workers == 1 or len(shard_ids) == 1:
-            shards = [build(ids) for ids in shard_ids]
-        else:
-            with ThreadPoolExecutor(max_workers=build_workers) as executor:
-                shards = list(executor.map(build, shard_ids))
+        shards, centroids = _partition_and_build(
+            spec, data, np.arange(data.shape[0], dtype=np.int64),
+            build_workers)
         return cls(shards, spec, centroids=centroids,
                    build_seconds=time.perf_counter() - started)
 
@@ -899,45 +948,54 @@ class ShardedIndex:
         self._invalidate_serving_state()
         return removed
 
-    def rebalance(self, policy=None, **overrides):
-        """Split/merge drifted shards and refresh the routing centroids.
+    def rebalance(self) -> RebalanceReport:
+        """Re-partition the live rows exactly as a fresh build would.
 
-        One maintenance pass (see :mod:`repro.index.rebalance`): shards
-        below ``min_shard_rows`` live rows are folded into their
-        nearest-centroid sibling, shards above ``max_shard_rows`` are
-        re-partitioned by a coarse 2-means into two children (both rebuilt
-        fresh, tombstones dropped — a split or merge implies compaction of
-        the shards involved), and with ``refresh_centroids`` (the default)
-        every coarse centroid is recomputed as the mean of its shard's
-        live rows in the clustering space, so routed search replays the
-        partition's *current* geometry after insert/delete drift.
+        The live rows, in ascending-id order (:attr:`evaluation_corpus`),
+        go through the build's own partition at the same ``n_shards``,
+        ``partitioner`` and ``random_state``, and every shard is rebuilt
+        over its group under the rows' global ids.  Searches afterwards
+        are bitwise those of ``ShardedIndex.build(rows, spec)`` with its
+        positional ids mapped through the live ids; tombstones drop out,
+        inserts land where the partition puts them, and a ``gkmeans``
+        index's routing centroids describe the rows they route again (one
+        loaded without centroids gets them back).
 
-        ``policy`` is a :class:`~repro.index.rebalance.RebalancePolicy`;
-        alternatively pass its fields as keyword ``overrides``.  Requires
-        the geometric ``gkmeans`` partitioner's centroids — an index
-        without them raises :class:`~repro.exceptions.ValidationError`.
-
-        Global external ids are stable throughout; searches after a
-        rebalance equal a rebuild-from-scratch oracle over the same live
-        rows up to bitwise distance ties (the determinism suite enforces
-        this across metric × dtype × executor).  A split or merge changes
-        the shard topology: per-shard generations bump, the endpoint
-        deployment (if any) is detached, and serving caches reset.  A
-        refresh-only pass keeps shard NPZs, per-shard generations and any
-        running daemons valid.  Returns a
-        :class:`~repro.index.rebalance.RebalanceReport`; a pass that
-        changes nothing reports no actions and bumps no generation.
+        Global ids, ``next_id``, the shard count and any attached endpoint
+        deployment are kept.  Each shard's generation becomes its old one
+        plus one and the global generation is bumped, so every daemon goes
+        stale until reloaded.  All new shards are built before any is
+        swapped in: a :class:`~repro.exceptions.ValidationError` (fewer
+        than ``2 * n_shards`` live rows, or a ``gkmeans`` partition that
+        starves a shard) leaves the index untouched.  When the rebuild
+        reproduces the current shards and centroids bit for bit (a second
+        pass, or a freshly built index) nothing is swapped and no
+        generation moves.  Returns a :class:`RebalanceReport`.
         """
-        # Runtime import: rebalance.py imports this module's helpers.
-        from .rebalance import RebalancePolicy, apply_rebalance
-
-        if policy is None:
-            policy = RebalancePolicy(**overrides)
-        elif overrides:
+        rows, ids = self.evaluation_corpus
+        if ids.size < 2 * self.n_shards:
             raise ValidationError(
-                "pass either a RebalancePolicy or keyword overrides, "
-                "not both")
-        return apply_rebalance(self, policy)
+                f"cannot rebalance {ids.size} live rows into "
+                f"{self.n_shards} shards: every shard needs at least 2")
+        shards, centroids = _partition_and_build(self.spec, rows, ids)
+        before = self.shard_sizes
+        # array_equal is True for two Nones and False for None vs array.
+        if np.array_equal(centroids, self.centroids) and all(
+                _same_shard(old, new)
+                for old, new in zip(self.shards, shards)):
+            for shard in shards:
+                shard.close()
+            return RebalanceReport(False, before, before, self.generation)
+        for old, new in zip(self.shards, shards):
+            new.generation = old.generation + 1
+        self._invalidate_serving_state()
+        retired, self.shards = self.shards, shards
+        for shard in retired:
+            shard.close()
+        self.centroids = centroids
+        self.generation += 1
+        return RebalanceReport(True, before, self.shard_sizes,
+                               self.generation)
 
     def check_endpoints(self) -> dict:
         """Health-check the attached deployment before serving queries.

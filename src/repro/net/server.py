@@ -322,8 +322,8 @@ class ShardServer:
         ``shard_id``/``generation`` are the staleness signal the remote
         executor's handshake and the rebalancer's ``inspect`` compare
         against the manifest; ``n_points``/``n_rows``/``n_tombstones``
-        give a rebalance policy its per-shard row counts without loading
-        the shard locally.
+        give an operator the per-shard row counts without loading the
+        shard locally.
         """
         with self._counter_lock:
             counters = {name: getattr(self, name) for name in (

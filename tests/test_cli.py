@@ -611,39 +611,37 @@ class TestRebalanceCommands:
                      "--seed", "1"]) == 0
         return path
 
-    def test_rebalance_refresh_after_drift(self, tmp_path, capsys):
+    def test_rebalance_after_drift(self, tmp_path, capsys):
         from repro.index import load_index
 
         path = self._build_sharded(tmp_path)
         assert main(["insert", path, "--n-new", "9", "--seed", "4"]) == 0
+        assert main(["delete", path, "--ids", "3,5"]) == 0
         capsys.readouterr()
         assert main(["rebalance", path]) == 0
         out = capsys.readouterr().out
-        assert "refreshed" in out and "generation" in out
+        assert "shard_sizes" in out and "generation" in out
         # A second pass finds nothing to do and says so.
         assert main(["rebalance", path]) == 0
         out = capsys.readouterr().out
         assert "balanced; nothing to do" in out
         sharded = load_index(path)
         try:
-            assert sharded.n_shards == 2       # refresh kept the topology
+            assert sharded.n_shards == 2       # the shard count is kept
+            assert sharded.n_tombstones == 0
+            assert sharded.n_points == 300 + 9 - 2
         finally:
             sharded.close()
 
-    def test_rebalance_split_changes_topology(self, tmp_path, capsys):
-        from repro.index import load_index
-
-        path = self._build_sharded(tmp_path)
-        capsys.readouterr()
-        assert main(["rebalance", path, "--max-shard-rows", "100"]) == 0
-        captured = capsys.readouterr()
-        assert "split" in captured.out
-        sharded = load_index(path)
-        try:
-            assert sharded.n_shards > 2
-            assert max(sharded.shard_sizes) <= 100
-        finally:
-            sharded.close()
+    @pytest.mark.parametrize("flag", [["--max-shard-rows", "100"],
+                                      ["--min-shard-rows", "10"],
+                                      ["--no-refresh-centroids"]])
+    def test_rebalance_has_no_policy_flags(self, tmp_path, capsys, flag):
+        # argparse refuses the flag before the index is read.
+        with pytest.raises(SystemExit) as exc:
+            main(["rebalance", str(tmp_path / "any.shards"), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_rebalance_reloads_stale_daemons(self, tmp_path, capsys):
         from repro.net import ShardServer, load_shard_for_serving

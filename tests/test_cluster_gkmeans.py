@@ -13,6 +13,7 @@ from repro.cluster.objective import ClusterState
 from repro.cluster.two_means_tree import two_means_labels
 from repro.distance import DistanceCounter
 from repro.exceptions import ValidationError
+from repro.graph import brute_force_knn_graph
 from repro.metrics import average_distortion, normalized_mutual_information
 
 
@@ -147,6 +148,17 @@ class TestGKMeansEstimator:
         model = GKMeans(8, graph=sift_small_graph, random_state=0,
                         max_iter=3).fit(sift_small)
         assert model.result_.extra["n_neighbors"] == 10
+
+    def test_supplied_graph_lifts_row_count_ceiling(self, tiny_data):
+        # The default n_neighbors=50 exceeds n - 1 = 39, but a supplied
+        # 5-wide graph is used at its own width; only a graph GK-means
+        # builds itself is bounded by the row count.
+        model = GKMeans(3, graph=brute_force_knn_graph(tiny_data, 5)) \
+            .fit(tiny_data)
+        assert model.labels_.shape == (40,)
+        assert model.result_.extra["n_neighbors"] == 5
+        with pytest.raises(ValidationError, match="<= 39"):
+            GKMeans(3, graph_builder="brute-force").fit(tiny_data)
 
     def test_plain_index_array_accepted_as_graph(self, sift_small,
                                                  sift_small_graph):

@@ -321,17 +321,13 @@ class TestShardedMutationOracle:
                                               ("cosine", "float32")])
     def test_rebalance_after_mutations_matches_rebuild(self, corpus,
                                                        metric, dtype):
-        from repro.index import RebalancePolicy
-
         rtol = 1e-9 if dtype == "float64" else 1e-5
         sharded, full, live_ids, queries = self._mutated(corpus, metric,
                                                          dtype)
         try:
-            sizes = sorted(sharded.shard_sizes)
-            report = sharded.rebalance(RebalancePolicy(
-                max_shard_rows=max(sizes[-1] - 20, sizes[0] + 2),
-                min_shard_rows=sizes[0] + 1))
-            assert report.changed and report.topology_changed
+            report = sharded.rebalance()
+            assert report.changed and sharded.n_tombstones == 0
+            assert np.array_equal(sharded.ids, live_ids)
             oracle = _rebuild_oracle(full, live_ids, metric, dtype)
             o_idx, o_dist = oracle(queries, 10)
             s_idx, s_dist = sharded.search(queries, 10)

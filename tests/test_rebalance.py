@@ -1,13 +1,15 @@
-"""Shard rebalancing contract: drifted-then-rebalanced == rebuilt.
+"""Shard rebalancing contract: rebalanced == a fresh build of the live rows.
 
-Splits, merges and centroid refreshes reorganise *where* rows live, never
-*what* the index answers: after insert/delete drift followed by a
-``rebalance()`` pass that forces splits and merges, searches must equal a
-rebuild-from-scratch exhaustive oracle over the same live rows up to
-bitwise distance ties, across metric × dtype and every executor.  The
-maintenance cycle must be copy-on-write end to end — a crash between
+``ShardedIndex.rebalance()`` runs the live rows through the build's own
+partition and shard builds, so after any insert/delete/compact drift its
+searches must be bitwise those of ``ShardedIndex.build`` over the same rows
+(ids mapped back through the live ids): across metric × dtype, both
+partitioners, every executor and hypothesis-generated drift, and still equal
+to a rebuild-from-scratch exhaustive oracle up to bitwise distance ties.  A
+second pass changes nothing; a pass that cannot run changes nothing either.
+The maintenance cycle must be copy-on-write end to end — a crash between
 shard writes and the manifest rename leaves the old generation servable —
-pre-v4 manifests must be refused until ``migrate`` rewrites them, and the
+retired manifests must be refused until ``migrate`` rewrites them, and the
 :class:`~repro.index.rebalance.Rebalancer` driver must reload exactly the
 daemons whose reported generation lags the manifest, without blocking
 serving.
@@ -18,14 +20,14 @@ import os
 import numpy as np
 import pytest
 from _legacy_formats import write_manifest_version
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import ServingError, ValidationError
-from repro.index import (Index, IndexSpec, RebalancePolicy, Rebalancer,
-                         ShardedIndex)
-from repro.index.sharded import migrate
-from repro.index.rebalance import _centroid_of, _coarse_engine
-from repro.index.sharded import MANIFEST_NAME, SHARDED_FORMAT_VERSION
+from repro.index import Index, IndexSpec, Rebalancer, ShardedIndex
+from repro.index.sharded import MANIFEST_NAME, SHARDED_FORMAT_VERSION, migrate
 from repro.search import evaluate_search
 
 ENGINE_CONFIGS = [("sqeuclidean", "float64"), ("sqeuclidean", "float32"),
@@ -75,6 +77,33 @@ def _rebuild_oracle(full_data, live_ids, metric, dtype):
     return search
 
 
+def _assert_matches_fresh_build(sharded, queries, k=8):
+    """``sharded`` answers bitwise as ``ShardedIndex.build`` over its live
+    rows does — routed at one probe and at full fan-out — with the fresh
+    build's positional ids mapped back through the live ids."""
+    rows, live_ids = sharded.evaluation_corpus
+    with ShardedIndex.build(rows, sharded.spec) as fresh:
+        assert fresh.shard_sizes == sharded.shard_sizes
+        probes = [None] if sharded.centroids is None else [1, None]
+        for probe in probes:
+            got = sharded.search(queries, k, shard_probe=probe)
+            want = fresh.search(queries, k, shard_probe=probe)
+            mapped = np.where(want.indices >= 0,
+                              live_ids[np.maximum(want.indices, 0)], -1)
+            assert got.indices.tobytes() == mapped.tobytes(), \
+                f"probe={probe}: ids differ from the fresh build"
+            assert got.distances.tobytes() == want.distances.tobytes(), \
+                f"probe={probe}: distances differ from the fresh build"
+
+
+def _state(sharded):
+    """Everything a failed rebalance must leave as it was."""
+    return (list(sharded.shards), sharded.ids.tobytes(),
+            sharded.shard_generations, sharded.generation,
+            None if sharded.centroids is None
+            else sharded.centroids.tobytes(), sharded._next_id)
+
+
 @pytest.fixture(scope="module")
 def corpus():
     data = make_sift_like(300, 10, random_state=21)
@@ -87,8 +116,9 @@ def _drifted(corpus, metric, dtype, **spec_overrides):
     """A 3-shard index after insert/delete drift, plus the oracle inputs."""
     base, extra, queries = corpus
     deleted = [11, 140, 285]
+    spec_overrides.setdefault("partitioner", "gkmeans")
     spec = _exhaustive_spec(base.shape[0], metric, dtype, n_shards=3,
-                            partitioner="gkmeans", **spec_overrides)
+                            **spec_overrides)
     sharded = ShardedIndex.build(base, spec)
     sharded.insert(extra)
     sharded.delete(deleted)
@@ -98,28 +128,40 @@ def _drifted(corpus, metric, dtype, **spec_overrides):
     return sharded, full, live_ids, queries
 
 
-def _forcing_policy(sharded):
-    """A policy guaranteed to split the largest and merge the smallest
-    shard of ``sharded`` in one pass."""
-    sizes = sorted(sharded.shard_sizes)
-    return RebalancePolicy(max_shard_rows=max(sizes[-1] - 20, sizes[0] + 2),
-                           min_shard_rows=sizes[0] + 1)
+def _starved(corpus):
+    """A 3-shard index with one live row per shard — 3 live rows, fewer
+    than the 2 per shard a partition needs.  Deletes refuse to get here,
+    so the shards carry their tombstones from construction."""
+    base, _, _ = corpus
+    spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
+                            n_shards=3, partitioner="gkmeans")
+    built = ShardedIndex.build(base, spec)
+    shards = []
+    for index in built.shards:
+        tombstones = np.ones(index.n_rows, dtype=bool)
+        tombstones[0] = False
+        shards.append(Index(index.data, index.graph, index.spec,
+                            ids=index.ids, tombstones=tombstones,
+                            seed_labels=index.seed_labels))
+    return ShardedIndex(shards, spec, centroids=built.centroids,
+                        generation=4)
 
 
 class TestRebalanceOracle:
-    """Rebalanced searches == rebuild oracle, metric × dtype × executor."""
+    """Rebalanced searches == a fresh build == the rebuild oracle."""
 
     @pytest.mark.parametrize("metric,dtype", ENGINE_CONFIGS)
     def test_drift_rebalance_matches_rebuild(self, corpus, metric, dtype,
                                              tmp_path):
         rtol = 1e-9 if dtype == "float64" else 1e-5
         sharded, full, live_ids, queries = _drifted(corpus, metric, dtype)
-        report = sharded.rebalance(_forcing_policy(sharded))
-        assert report.changed and report.topology_changed
-        assert report.n_splits >= 1 and report.n_merges >= 1
-        assert report.n_shards_after == sharded.n_shards
-        assert sharded.spec.n_shards == sharded.n_shards
+        spec = sharded.spec
+        report = sharded.rebalance()
+        assert report.changed
+        assert sharded.n_shards == 3 and sharded.spec == spec
         assert sum(report.shard_sizes_after) == live_ids.size
+        assert sharded.n_tombstones == 0
+        _assert_matches_fresh_build(sharded, queries)
 
         oracle = _rebuild_oracle(full, live_ids, metric, dtype)
         o_idx, o_dist = oracle(queries, 10)
@@ -130,8 +172,7 @@ class TestRebalanceOracle:
         assert not np.any(np.isin(s_idx, [11, 140, 285]))
 
         # Ids are preserved exactly — rebalancing moves rows, not names.
-        assert np.array_equal(np.sort(np.concatenate(sharded.shard_ids)),
-                              live_ids)
+        assert np.array_equal(sharded.ids, live_ids)
 
         # The save/load round-trip serves the rebalanced state verbatim.
         path = tmp_path / f"{metric}-{dtype}.shards"
@@ -147,9 +188,26 @@ class TestRebalanceOracle:
             restored.close()
         sharded.close()
 
+    def test_round_robin_rebalance_matches_fresh_build(self, corpus):
+        # round_robin re-deals the live rows by rank; after compaction
+        # and further deletes the shards are no longer a deal of anything.
+        sharded, _, _, queries = _drifted(corpus, "sqeuclidean", "float32",
+                                          partitioner="round_robin")
+        try:
+            sharded.compact()
+            sharded.delete([0, 1, 2, 3, 4, 5])
+            assert sharded.centroids is None
+            assert sharded.rebalance().changed
+            assert sharded.centroids is None
+            sizes = sharded.shard_sizes
+            assert max(sizes) - min(sizes) <= 1
+            _assert_matches_fresh_build(sharded, queries)
+        finally:
+            sharded.close()
+
     def test_executors_bitwise_identical_after_rebalance(self, corpus):
         sharded, _, _, queries = _drifted(corpus, "sqeuclidean", "float64")
-        sharded.rebalance(_forcing_policy(sharded))
+        sharded.rebalance()
         try:
             t_idx, t_dist = sharded.search(queries, 8, executor="thread",
                                            shard_workers=2)
@@ -163,9 +221,8 @@ class TestRebalanceOracle:
         from repro.net import ShardServer
 
         sharded, _, _, queries = _drifted(corpus, "sqeuclidean", "float64")
-        report = sharded.rebalance(_forcing_policy(sharded))
-        assert report.topology_changed
-        # The new topology must be re-served: one daemon per new shard.
+        assert sharded.rebalance().changed
+        # One daemon per shard serving the rebalanced generation.
         servers = [ShardServer(sharded.shards[shard], shard_id=shard,
                                generation=sharded.shards[shard].generation)
                    for shard in range(sharded.n_shards)]
@@ -184,71 +241,87 @@ class TestRebalanceOracle:
                 server.close()
 
 
-class TestRebalancePrimitives:
-    """Split/merge/refresh mechanics and policy validation."""
+_DRIFT_BASE = make_sift_like(90, 6, random_state=31)
+_DRIFT_EXTRA = make_sift_like(60, 6, random_state=32)
+_DRIFT_QUERIES = make_sift_like(12, 6, random_state=33)
 
-    def test_split_partitions_ids_and_bumps_generations(self, corpus):
-        sharded, _, _, _ = _drifted(corpus, "sqeuclidean", "float64")
-        sizes = sharded.shard_sizes
-        biggest = int(np.argmax(sizes))
-        parent_generation = sharded.shards[biggest].generation
-        parent_ids = set(sharded.shard_ids[biggest][
-            sharded.shards[biggest].live_mask].tolist())
-        try:
-            report = sharded.rebalance(max_shard_rows=max(sizes) - 1,
-                                       min_shard_rows=None)
-            assert report.n_splits == 1 and report.n_merges == 0
-            first = next(a for a in report.actions if a.kind == "split")
-            left, right = first.shards
-            assert right == left + 1
-            child_ids = set(sharded.shard_ids[left].tolist()) \
-                | set(sharded.shard_ids[right].tolist())
-            assert child_ids == parent_ids
-            assert sharded.shards[left].generation \
-                == parent_generation + 1
-            assert sharded.shards[right].generation \
-                == parent_generation + 1
-            assert sharded.n_shards == report.n_shards_after
-        finally:
-            sharded.close()
+_DRIFT_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.integers(1, 12)),
+    st.tuples(st.just("delete"), st.integers(1, 20),
+              st.integers(0, 2 ** 16)),
+    st.tuples(st.just("compact"))), max_size=6)
 
-    def test_merge_folds_into_nearest_centroid_sibling(self, corpus):
-        sharded, _, _, _ = _drifted(corpus, "sqeuclidean", "float64")
-        try:
-            # Starve shard 0 down to a handful of live rows.
-            victim_ids = sharded.shard_ids[0][
-                sharded.shards[0].live_mask][:-3]
-            sharded.delete(victim_ids.tolist())
-            centroids = np.array(sharded.centroids, copy=True)
-            engine = _coarse_engine(sharded.metric, sharded.spec.dtype)
-            scores = engine.clustering_engine().cross(
-                centroids[0][None, :], centroids)[0]
-            scores[0] = np.inf
-            expected_sibling = int(np.argmin(scores))
-            before = sharded.n_shards
-            starving_ids = set(sharded.shard_ids[0][
-                sharded.shards[0].live_mask].tolist())
 
-            report = sharded.rebalance(
-                RebalancePolicy(min_shard_rows=10,
-                                refresh_centroids=False))
-            merge = next(a for a in report.actions if a.kind == "merge")
-            assert merge.shards == (0, expected_sibling)
-            assert sharded.n_shards == before - 1
-            # The starved shard's survivors now live in the merged shard.
-            merged_slot = expected_sibling - 1
-            merged_ids = set(sharded.shard_ids[merged_slot].tolist())
-            assert starving_ids <= merged_ids
-            # Merging drops both shards' tombstones physically.
-            assert sharded.shards[merged_slot].n_tombstones == 0
-        finally:
-            sharded.close()
+class TestGeneratedDrift:
+    """Any insert/delete/compact history rebalances to a fresh build."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(partitioner=st.sampled_from(["gkmeans", "round_robin"]),
+           engine=st.sampled_from([("sqeuclidean", "float64"),
+                                   ("cosine", "float32")]),
+           ops=_DRIFT_OPS)
+    def test_rebalance_after_generated_drift_is_a_fresh_build(
+            self, partitioner, engine, ops):
+        metric, dtype = engine
+        # A narrow pool and one start keep the walk approximate, so its
+        # answers depend on each shard's graph and seed partition.
+        spec = IndexSpec(backend="bruteforce", n_neighbors=3, pool_size=4,
+                         n_starts=1, n_shards=3, partitioner=partitioner,
+                         metric=metric, dtype=dtype, random_state=3)
+        with ShardedIndex.build(_DRIFT_BASE, spec) as sharded:
+            cursor = 0
+            for op in ops:
+                floor = sharded._next_id
+                if op[0] == "insert":
+                    sharded.insert(_DRIFT_EXTRA[cursor:cursor + op[1]])
+                    cursor += op[1]
+                elif op[0] == "delete":
+                    live = sharded.evaluation_corpus[1]
+                    doomed = np.random.default_rng(op[2]).choice(
+                        live, size=min(op[1], live.size), replace=False)
+                    try:
+                        sharded.delete(doomed)
+                    except ValidationError:
+                        pass    # would starve a shard; refused atomically
+                else:
+                    sharded.compact()
+                assert sharded._next_id >= floor
+
+            rows, live_ids = sharded.evaluation_corpus
+            next_id = sharded._next_id
+            try:
+                ShardedIndex.build(rows, spec).close()
+            except ValidationError:
+                # The partition starves a shard: the pass must refuse the
+                # same way and leave every piece of state where it was.
+                before = _state(sharded)
+                with pytest.raises(ValidationError):
+                    sharded.rebalance()
+                assert _state(sharded) == before
+                return
+            generations = sharded.shard_generations
+            bump = int(sharded.rebalance().changed)
+            assert np.array_equal(sharded.ids, live_ids)
+            assert sharded._next_id == next_id
+            assert sharded.shard_generations == tuple(
+                old + bump for old in generations)
+            _assert_matches_fresh_build(sharded, _DRIFT_QUERIES, k=4)
+
+            generation = sharded.generation
+            generations = sharded.shard_generations
+            assert not sharded.rebalance().changed
+            assert sharded.generation == generation
+            assert sharded.shard_generations == generations
+
+
+class TestRebalanceContract:
+    """What a pass keeps, bumps and refuses."""
 
     def test_rebalance_never_loses_routed_recall(self):
-        """Starve one shard of four by deletes, query with the deleted
-        vectors (they still route to its build-time centroid), and merge it
-        away: routed recall after the pass is at least the drifted value,
-        and the live set — hence the exact oracle — is unchanged."""
+        """Starve one shard of four by deletes and query with the deleted
+        vectors (they still route to its build-time centroid): routed
+        recall after the pass is at least the drifted value and exactly
+        that of a fresh build of the live rows at the same shard count."""
         base = make_sift_like(4000, 24, random_state=7)
         spec = IndexSpec(backend="gkmeans", n_neighbors=20, pool_size=64,
                          n_shards=4, partitioner="gkmeans", random_state=7,
@@ -262,131 +335,105 @@ class TestRebalancePrimitives:
                 base[rng.choice(deleted, size=256, replace=False)])
             n_live = sharded.n_points
 
-            def routed_recall():
-                return evaluate_search(sharded, queries, n_results=10,
+            def routed_recall(index):
+                return evaluate_search(index, queries, n_results=10,
                                        shard_probe=1).recall_at_k
 
-            drifted = routed_recall()
-            report = sharded.rebalance(RebalancePolicy(min_shard_rows=50))
-            assert report.n_merges >= 1
+            drifted = routed_recall(sharded)
+            assert sharded.rebalance().changed
             assert sum(sharded.shard_sizes) == n_live
-            rebalanced = routed_recall()
+            rebalanced = routed_recall(sharded)
             assert rebalanced >= drifted, \
                 f"rebalance lost routed recall: {drifted:.3f} -> " \
                 f"{rebalanced:.3f}"
+            rows, _ = sharded.evaluation_corpus
+            with ShardedIndex.build(rows, spec) as fresh:
+                rebuilt = routed_recall(fresh)
+            assert rebalanced == rebuilt, \
+                f"rebalanced recall {rebalanced:.3f} != fresh build " \
+                f"{rebuilt:.3f}"
             full = evaluate_search(sharded, queries, n_results=10)
             assert full.recall_at_k >= 0.95
 
-    def test_refresh_recomputes_live_row_means(self, corpus):
-        base, extra, _ = corpus
-        for metric, dtype in [("sqeuclidean", "float64"),
-                              ("cosine", "float32")]:
-            spec = _exhaustive_spec(base.shape[0], metric, dtype,
-                                    n_shards=3, partitioner="gkmeans")
-            sharded = ShardedIndex.build(base, spec)
-            sharded.insert(extra)
+    def test_keeps_ids_and_bumps_every_generation(self, corpus):
+        sharded, _, live_ids, _ = _drifted(corpus, "sqeuclidean", "float64")
+        try:
+            endpoints = ["127.0.0.1:9001", "127.0.0.1:9002",
+                         "127.0.0.1:9003"]
+            sharded.endpoints = endpoints
+            sharded.delete([live_ids[-1]])
             generations = sharded.shard_generations
-            try:
-                report = sharded.rebalance()   # default: refresh only
-                assert report.refreshed and not report.topology_changed
-                assert not report.endpoints_detached
-                # Shard contents are untouched by a refresh-only pass.
-                assert sharded.shard_generations == generations
-                engine = _coarse_engine(metric, dtype)
-                for shard in range(sharded.n_shards):
-                    index = sharded.shards[shard]
-                    live = np.ascontiguousarray(
-                        index.data[index.live_mask])
-                    expected = _centroid_of(engine, live, dtype)
-                    assert sharded.centroids[shard].tobytes() \
-                        == expected.tobytes()
-            finally:
-                sharded.close()
+            generation = sharded.generation
+            next_id = sharded._next_id
+            report = sharded.rebalance()
+            assert report.changed
+            assert report.generation == generation + 1
+            assert sharded.generation == generation + 1
+            assert sharded.shard_generations == tuple(
+                old + 1 for old in generations)
+            # The deleted top id is never handed out again.
+            assert sharded._next_id == next_id
+            assert sharded.insert(corpus[1][:1])[0] == next_id
+            assert np.array_equal(sharded.ids[:-1], live_ids[:-1])
+            # Same shard count, so the deployment stays attached.
+            assert sharded.endpoints == tuple(endpoints)
+        finally:
+            sharded.close()
 
     def test_second_pass_is_noop_without_generation_bump(self, corpus):
         sharded, _, _, _ = _drifted(corpus, "sqeuclidean", "float64")
         try:
-            policy = RebalancePolicy(
-                max_shard_rows=max(sharded.shard_sizes) - 1)
-            first = sharded.rebalance(policy)
+            first = sharded.rebalance()
             assert first.changed
             generation = sharded.generation
-            second = sharded.rebalance(policy)
+            generations = sharded.shard_generations
+            shards = list(sharded.shards)
+            second = sharded.rebalance()
             assert not second.changed
-            assert second.actions == ()
+            assert second.shard_sizes_after == first.shard_sizes_after
             assert sharded.generation == generation
             assert second.generation == generation
+            assert sharded.shard_generations == generations
+            assert all(new is old for new, old in zip(sharded.shards,
+                                                      shards))
         finally:
             sharded.close()
 
-    def test_repeated_passes_reach_a_fixpoint(self, corpus):
-        # Merges run before splits, so one pass may leave a split child
-        # below min_shard_rows; repeated passes must converge to a state
-        # no further pass touches (and then stop bumping the generation).
-        sharded, _, _, _ = _drifted(corpus, "sqeuclidean", "float64")
-        try:
-            policy = _forcing_policy(sharded)
-            for _ in range(5):
-                if not sharded.rebalance(policy).changed:
-                    break
-            generation = sharded.generation
-            settled = sharded.rebalance(policy)
-            assert not settled.changed
-            assert sharded.generation == generation
-        finally:
-            sharded.close()
-
-    def test_topology_change_detaches_endpoints_and_clamps_probe(
-            self, corpus):
-        base, extra, _ = corpus
-        spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
-                                n_shards=4, partitioner="gkmeans",
-                                shard_probe=4)
-        sharded = ShardedIndex.build(base, spec)
-        try:
-            sharded.endpoints = ["127.0.0.1:9001", "127.0.0.1:9002",
-                                 "127.0.0.1:9003", "127.0.0.1:9004"]
-            smallest = min(sharded.shard_sizes)
-            report = sharded.rebalance(min_shard_rows=smallest + 1,
-                                       refresh_centroids=False)
-            assert report.n_merges >= 1
-            assert report.endpoints_detached
-            assert sharded.endpoints is None
-            # shard_probe may not exceed the shrunken shard count.
-            assert sharded.spec.shard_probe == sharded.n_shards
-            assert sharded.spec.n_shards == sharded.n_shards
-        finally:
-            sharded.close()
-
-    def test_round_robin_sharding_is_rejected(self, corpus):
+    def test_fresh_build_is_already_balanced(self, corpus):
         base, _, _ = corpus
-        spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
-                                n_shards=3, partitioner="round_robin")
-        sharded = ShardedIndex.build(base, spec)
+        for partitioner in ("gkmeans", "round_robin"):
+            spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
+                                    n_shards=3, partitioner=partitioner)
+            with ShardedIndex.build(base, spec) as sharded:
+                report = sharded.rebalance()
+                assert not report.changed
+                assert sharded.generation == 0
+                assert sharded.shard_generations == (0, 0, 0)
+
+    def test_too_few_live_rows_raise_and_leave_index_untouched(self,
+                                                               corpus):
+        sharded = _starved(corpus)
         try:
-            with pytest.raises(ValidationError, match="gkmeans"):
+            assert sharded.n_points == 3
+            before = _state(sharded)
+            with pytest.raises(ValidationError, match="at least 2"):
                 sharded.rebalance()
+            assert _state(sharded) == before
         finally:
             sharded.close()
 
-    def test_policy_validation(self, corpus):
-        with pytest.raises(ValidationError, match="greater"):
-            RebalancePolicy(max_shard_rows=10, min_shard_rows=10)
-        with pytest.raises(ValidationError, match="empty policy"):
-            RebalancePolicy(refresh_centroids=False)
-        with pytest.raises(ValidationError):
-            RebalancePolicy(max_shard_rows=0)
-        base, _, _ = corpus
-        spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
-                                n_shards=2, partitioner="gkmeans")
-        sharded = ShardedIndex.build(base, spec)
-        try:
-            with pytest.raises(ValidationError, match="not both"):
-                sharded.rebalance(RebalancePolicy(), max_shard_rows=10)
-            with pytest.raises(ValidationError, match="RebalancePolicy"):
-                sharded.rebalance({"max_shard_rows": 10})
-        finally:
-            sharded.close()
+    def test_too_few_live_rows_cli_exits_2(self, corpus, tmp_path, capsys):
+        sharded = _starved(corpus)
+        path = str(tmp_path / "starved.shards")
+        sharded.save(path)
+        sharded.close()
+        manifest = open(os.path.join(path, MANIFEST_NAME), "rb").read()
+        assert main(["rebalance", path]) == 2
+        error = capsys.readouterr().err.strip()
+        assert error.startswith("error:") and "at least 2" in error
+        assert "\n" not in error
+        assert open(os.path.join(path, MANIFEST_NAME), "rb").read() \
+            == manifest
 
     def test_mono_index_has_no_rebalance(self, corpus):
         base, _, _ = corpus
@@ -397,13 +444,14 @@ class TestRebalancePrimitives:
 
 
 class TestManifestCompat:
-    """Pre-v4 manifests rebalance once migrated."""
+    """Retired manifests rebalance once migrated."""
 
     def _saved(self, corpus, tmp_path, name):
         base, extra, _ = corpus
         spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
                                 n_shards=3, partitioner="gkmeans")
         sharded = ShardedIndex.build(base, spec)
+        sharded.insert(extra)
         path = tmp_path / name
         sharded.save(path)
         sharded.close()
@@ -414,12 +462,12 @@ class TestManifestCompat:
                                                       tmp_path, version):
         path = self._saved(corpus, tmp_path, f"v{version}.shards")
         write_manifest_version(path, version)
-        rebalancer = Rebalancer(path, RebalancePolicy(min_shard_rows=500))
+        rebalancer = Rebalancer(path)
         with pytest.raises(ValidationError, match="gkmeans migrate"):
             rebalancer.run()
         assert migrate(path)
         report, reloads = rebalancer.run()
-        assert report.changed and report.topology_changed
+        assert report.changed
         assert reloads == []
         with np.load(os.path.join(path, MANIFEST_NAME),
                      allow_pickle=False) as archive:
@@ -428,20 +476,22 @@ class TestManifestCompat:
             assert "shard_generations" in archive.files
         restored = ShardedIndex.load(path)
         try:
-            assert restored.n_shards == 1   # everything merged
+            assert restored.n_shards == 3
+            _assert_matches_fresh_build(restored, corpus[2])
         finally:
             restored.close()
 
-    def test_v1_manifest_without_centroids_refuses_rebalance(
-            self, corpus, tmp_path):
+    def test_index_without_centroids_gets_them_back(self, corpus,
+                                                    tmp_path):
         path = self._saved(corpus, tmp_path, "v1.shards")
         write_manifest_version(path, 1)
         assert migrate(path)
         restored = ShardedIndex.load(path)    # loads and serves
         try:
             assert restored.centroids is None
-            with pytest.raises(ValidationError, match="centroids"):
-                restored.rebalance()
+            assert restored.rebalance().changed
+            assert restored.centroids is not None
+            _assert_matches_fresh_build(restored, corpus[2])
         finally:
             restored.close()
 
@@ -456,8 +506,8 @@ class TestManifestCompat:
         original.close()
 
         victim = ShardedIndex.load(path)
-        victim.insert(extra)
-        report = victim.rebalance(_forcing_policy(victim))
+        victim.delete([0, 1, 2])
+        report = victim.rebalance()
         assert report.changed
         # Crash after the new shard NPZs are written into the temp
         # directory but before the rename publishes them.
@@ -524,24 +574,27 @@ class TestRebalancerDriver:
             if sharded.shards[shard].generation > before_generations[shard]]
         assert stale_shards, "drift placed no rows -- fixture broken"
 
-        rebalancer = Rebalancer(path, RebalancePolicy(),
-                                endpoints=endpoints)
+        rebalancer = Rebalancer(path, endpoints=endpoints)
         before = rebalancer.inspect()
         assert [row["shard"] for row in before if row["stale"]] \
             == stale_shards
 
+        # The pass rebuilds every shard, so every daemon lags the new
+        # manifest and is reloaded once.
         report, reloads = rebalancer.run()
-        assert report.changed and not report.topology_changed
-        statuses = {row["shard"]: row["status"] for row in reloads}
-        for shard in range(sharded.n_shards):
-            expected = "reloaded" if shard in stale_shards else "fresh"
-            assert statuses[shard] == expected
-        for shard in stale_shards:
-            assert servers[shard].n_reloads == 1
+        assert report.changed
+        assert [row["status"] for row in reloads] == ["reloaded"] * 2
+        assert all(server.n_reloads == 1 for server in servers)
+
+        # A second pass is a no-op: every daemon is fresh, none reloads.
+        report, reloads = rebalancer.run()
+        assert not report.changed
+        assert [row["status"] for row in reloads] == ["fresh"] * 2
+        assert all(server.n_reloads == 1 for server in servers)
 
         # Post-reload the full remote path answers bit-for-bit again —
-        # rebalance().save() on our in-memory copy replays the same pass.
-        assert sharded.rebalance(RebalancePolicy()).changed
+        # rebalance() on our in-memory copy replays the same pass.
+        assert sharded.rebalance().changed
         sharded.endpoints = endpoints
         t_idx, t_dist = sharded.search(queries, 8, executor="thread")
         r_idx, r_dist = sharded.search(queries, 8, executor="remote")
@@ -549,22 +602,6 @@ class TestRebalancerDriver:
         assert r_dist.tobytes() == t_dist.tobytes()
         after = rebalancer.inspect()
         assert not any(row["stale"] for row in after)
-
-    def test_topology_change_reports_detached_deployment(self, deployment):
-        sharded, servers, endpoints, path, extra, queries = deployment
-        report, reloads = Rebalancer(
-            path, RebalancePolicy(min_shard_rows=500),
-            endpoints=endpoints).run()
-        assert report.topology_changed
-        assert all(row["status"] == "detached" for row in reloads)
-        # No daemon was reloaded out from under the old deployment.
-        assert all(server.n_reloads == 0 for server in servers)
-        restored = ShardedIndex.load(path)
-        try:
-            assert restored.n_shards == 1
-            assert restored.endpoints is None
-        finally:
-            restored.close()
 
     def test_dead_endpoint_is_reported_not_raised(self, deployment):
         sharded, servers, endpoints, path, extra, queries = deployment
