@@ -65,7 +65,7 @@ def candidate_label_block(labels: np.ndarray, neighbor_rows: np.ndarray,
 
 def graph_guided_boost_pass(state: ClusterState, neighbor_indices: np.ndarray,
                             rng: np.random.Generator, *,
-                            counter=None) -> int:
+                            counter=None, scored=None) -> int:
     """One sweep of Alg. 2 over all samples in random order, ``BLOCK`` at a time.
 
     The permutation is walked in blocks.  For a block, the candidate clusters
@@ -86,14 +86,29 @@ def graph_guided_boost_pass(state: ClusterState, neighbor_indices: np.ndarray,
     keeps a member at each mover's turn, so no cluster is ever emptied.
     Returns the number of moves.
 
-    ``counter`` (a :class:`~repro.distance.DistanceCounter`) accumulates the
-    number of sample-to-cluster evaluations — the quantity whose reduction
-    from ``k`` to at most κ + 1 per sample is the paper's speed-up.  It counts
-    the distinct candidate clusters of each visited sample once, as Alg. 2
-    does; re-evaluations of held-back movers are not added again.
+    A sample is not scored again while nothing it was scored on has changed.
+    Its ΔI for every candidate reads only its own row and the composites of
+    its own and candidate clusters, and a neighbour that changed cluster
+    bumped the cluster it joined, so a sample whose clusters all have a
+    version below its stamp (:class:`ClusterState`) would stay again, bit
+    for bit.  A block's first round drops such samples before the sort;
+    re-evaluations of held-back movers are never skipped.  The permutation,
+    the block boundaries and the movers are unchanged, so the labels are
+    those of the sweep that scores every sample.  A state's first sweep has
+    nothing to skip, and Alg. 3 discards its state after it, so that sweep
+    neither checks nor stamps; the second skips nothing either, and stamps.
+
+    ``counter`` (a :class:`~repro.distance.DistanceCounter`) accumulates
+    Alg. 2's evaluation count — the quantity whose reduction from ``k`` to
+    at most κ + 1 per sample is the paper's speed-up: the distinct candidate
+    clusters of each visited sample, once, whether it was scored or skipped;
+    re-evaluations of held-back movers are not added again.  ``scored``
+    accumulates what was computed: the distinct candidates of every row a
+    round scores, re-evaluations included.
     """
     labels = state.labels
     moves = 0
+    check = state.tick > 0
     order = rng.permutation(neighbor_indices.shape[0])
     for start in range(0, order.size, BLOCK):
         pending = order[start:start + BLOCK]
@@ -102,15 +117,36 @@ def graph_guided_boost_pass(state: ClusterState, neighbor_indices: np.ndarray,
             pending = pending[state.counts[labels[pending]] > 1]
             candidates = candidate_label_block(
                 labels, neighbor_indices[pending], labels[pending])
+            if check and not revisit:
+                settled = (state.versions[candidates].max(axis=1)
+                           < state.stamps[pending])
+                if counter is not None:
+                    counter.add(int(state.widths[pending[settled]].sum()))
+                live = np.flatnonzero(~settled)
+                if live.size < pending.size:
+                    pending, candidates = pending[live], candidates[live]
+            if not pending.size:
+                break
             # Sorted rows: ties go to the smallest cluster id, and distinct
             # candidates are the value changes along a row.
             candidates.sort(axis=1)
+            changes = candidates[:, 1:] != candidates[:, :-1]
+            if check:
+                widths = 1 + np.count_nonzero(changes, axis=1)
+                state.tick += 1
+                state.stamps[pending] = state.tick
+                state.widths[pending] = widths
+                width = int(widths.sum())
+            else:
+                width = pending.size + int(np.count_nonzero(changes))
             if counter is not None and not revisit:
-                counter.add(pending.size + int(np.count_nonzero(
-                    candidates[:, 1:] != candidates[:, :-1])))
+                counter.add(width)
+            if scored is not None:
+                scored.add(width)
             revisit = True
             pending, applied = state.move_best_block(pending, candidates)
             moves += applied
+    state.tick = max(state.tick, 1)
     return moves
 
 
@@ -190,6 +226,10 @@ class GKMeans(BaseClusterer):
         Maximum number of sweeps.
     min_moves:
         Convergence threshold on the number of moves per sweep.
+    tol:
+        Relative distortion gain at or below which a sweep counts as
+        converged — read only by ``assignment="lloyd"``; the boost sweeps
+        stop on ``min_moves`` or ``max_iter`` alone.
     random_state:
         Seed or generator.
     metric:
@@ -205,6 +245,14 @@ class GKMeans(BaseClusterer):
     ----------
     graph_:
         The k-NN graph actually used (built or supplied).
+
+    ``result_.extra["n_distance_evaluations"]`` counts the ΔI (boost) or
+    centroid (lloyd) evaluations the sweeps actually computed, and
+    ``result_.extra["n_alg2_evaluations"]`` Alg. 2's count — the distinct
+    candidate clusters of every visited sample, once per sweep — which the
+    boost sweep undercuts by not re-scoring settled samples
+    (:func:`graph_guided_boost_pass`).  The lloyd sweep scores all ``κ + 1``
+    candidates of every sample, so there the two are equal.
     """
 
     _supported_metrics = frozenset({"sqeuclidean", "cosine", "dot"})
@@ -264,12 +312,12 @@ class GKMeans(BaseClusterer):
 
         history: list[IterationRecord] = []
         converged = False
-        counter = DistanceCounter()
+        counter, scored = DistanceCounter(), DistanceCounter()
         iter_start = time.perf_counter()
         if self.assignment == "boost":
             for iteration in range(max_iter):
                 moves = graph_guided_boost_pass(state, neighbor_indices, rng,
-                                                counter=counter)
+                                                counter=counter, scored=scored)
                 history.append(IterationRecord(
                     iteration=iteration, distortion=state.distortion,
                     elapsed_seconds=time.perf_counter() - iter_start,
@@ -290,6 +338,7 @@ class GKMeans(BaseClusterer):
                     data, labels, centroids, neighbor_indices,
                     data_norms=data_norms, engine=engine)
                 counter.add(data.shape[0] * (neighbor_indices.shape[1] + 1))
+                scored.add(data.shape[0] * (neighbor_indices.shape[1] + 1))
                 moves = int(np.sum(new_labels != labels))
                 labels = new_labels
                 centroids = labels_to_centroids(data, labels, n_clusters,
@@ -318,7 +367,8 @@ class GKMeans(BaseClusterer):
             extra={"graph_seconds": graph_seconds,
                    "assignment": self.assignment,
                    "n_neighbors": neighbor_indices.shape[1],
-                   "n_distance_evaluations": counter.count,
+                   "n_distance_evaluations": scored.count,
+                   "n_alg2_evaluations": counter.count,
                    "graph_distance_evaluations": self._graph_evaluations})
 
     # ------------------------------------------------------------------ #

@@ -30,7 +30,10 @@ each move re-scored on the state the earlier ones leave
 ``move_best_block``), which the graph-guided sweep of
 :class:`~repro.cluster.gkmeans.GKMeans` (candidates = clusters of the κ graph
 neighbours) and the boost bisection of the two-means tree (candidates = the
-two halves of the sample's node) consume.
+two halves of the sample's node) consume.  The state also versions its
+clusters and stamps its samples (``versions`` / ``stamps``), so the
+graph-guided sweep can tell which samples nothing has changed for since
+they were last scored.
 """
 
 from __future__ import annotations
@@ -126,6 +129,19 @@ class ClusterState:
         ``(k, d)`` matrix of composite vectors :math:`D_r`.
     counts:
         ``(k,)`` cluster sizes :math:`n_r`.
+    tick:
+        0 until the graph-guided sweep has run once since the last
+        :meth:`recompute`; from then on, 1 plus the rounds it has stamped.
+        Moves made at tick 0 precede every stamp, so they are not versioned.
+    versions:
+        ``(k,)`` tick at which an applied move last touched each cluster.
+    stamps:
+        ``(n,)`` tick at which each sample was last scored (0: never).  A
+        sample whose own and candidate clusters all have a version below
+        its stamp would be scored on exactly the state it was scored on.
+    widths:
+        ``(n,)`` distinct clusters each sample was last scored against —
+        what Alg. 2 counts for it when a sweep skips re-scoring it.
     """
 
     def __init__(self, data: np.ndarray, labels: np.ndarray,
@@ -245,6 +261,8 @@ class ClusterState:
         self.counts[target] += 1
 
         self.labels[sample_index] = target
+        if self.tick:
+            self.versions[source] = self.versions[target] = self.tick
 
     # ------------------------------------------------------------------ #
     # Block moves (Eqn. 3 for many samples against one snapshot)
@@ -310,7 +328,9 @@ class ClusterState:
         Move ``i`` leaves its source as event ``i`` and joins its target as
         event ``m + i``.  One stable sort groups the events by cluster, in
         move order within one (a "run"), and scans over each run give every
-        event's state; a run's values depend on its own events only.
+        event's state; a run's values depend on its own events only.  Once the
+        state has been swept (``tick`` > 0), every cluster an applied move
+        touched gets the current ``tick`` as its version.
         """
         samples = np.asarray(samples, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
@@ -390,6 +410,8 @@ class ClusterState:
         self.composites[runs] = composite[final] + rows[final]
         self._composite_sq_norms[runs] = grown_sq[final]
         self.counts[runs] = grown[final]
+        if self.tick:
+            self.versions[runs] = self.tick
         self.labels[samples[applied]] = targets[applied]
         return applied
 
@@ -442,12 +464,17 @@ class ClusterState:
     # ------------------------------------------------------------------ #
     def recompute(self) -> None:
         """Rebuild composites/counts/norms from the current labels
-        (composites by :func:`cluster_sums`)."""
+        (composites by :func:`cluster_sums`) and forget every score: after a
+        bulk label edit no sample's last score describes the state."""
         self.composites = cluster_sums(self._data, self.labels,
                                        self.n_clusters)
         self.counts = np.bincount(self.labels,
                                   minlength=self.n_clusters).astype(np.int64)
         self._composite_sq_norms = squared_norms(self.composites)
+        self.tick = 0
+        self.versions = np.zeros(self.n_clusters, dtype=np.int64)
+        self.stamps = np.zeros(self.labels.size, dtype=np.int64)
+        self.widths = np.zeros(self.labels.size, dtype=np.int64)
 
     def check_consistency(self, *, atol: float = 1e-6) -> bool:
         """Verify the incremental state matches a from-scratch recomputation."""

@@ -6,7 +6,8 @@ distortion as a function of (a/c/e) the iteration count and (b/d/f) wall-clock
 time.  The reproduction runs the same cast on the scaled stand-ins and returns
 both curves per method per dataset.  ``scale.metric``/``scale.dtype`` are
 threaded into every method, so the comparison also runs under cosine or in
-float32.
+float32.  Fig. 5 plots no evaluation count; the counts live in the Fig. 6/7
+driver (:mod:`repro.experiments.fig67_scalability`).
 """
 
 from __future__ import annotations

@@ -14,6 +14,13 @@ The reproduction keeps the geometric sweeps but shrinks the absolute sizes
 sweeps also run under cosine or in float32.  The headline shape
 to verify: the GK-means (and closure) curves stay nearly flat in k while
 k-means/BKM/Mini-Batch grow linearly, and GK-means tracks BKM's distortion.
+
+Cost is counted two ways.  ``distance_evaluations`` (and the
+``evaluation_series``) is what each method computed — for GK-means the ΔI
+rows and pairs its sweeps scored after skipping settled samples, plus the
+graph build.  ``alg2_evaluations`` is Alg. 2's count for the GK-means family
+(the distinct candidate clusters of every visited sample, plus the graph
+build) and ``None`` for the other methods.
 """
 
 from __future__ import annotations
@@ -70,7 +77,8 @@ def run_size_sweep(scale: ExperimentScale = DEFAULT, *, sizes=None,
                          "seconds": run_result.total_seconds,
                          "distortion": run_result.distortion,
                          "distance_evaluations":
-                             run_result.distance_evaluations})
+                             run_result.distance_evaluations,
+                         "alg2_evaluations": run_result.alg2_evaluations})
             time_series[method][0].append(size)
             time_series[method][1].append(run_result.total_seconds)
             distortion_series[method][0].append(size)
@@ -112,7 +120,8 @@ def run_cluster_sweep(scale: ExperimentScale = DEFAULT, *, cluster_counts=None,
                          "seconds": run_result.total_seconds,
                          "distortion": run_result.distortion,
                          "distance_evaluations":
-                             run_result.distance_evaluations})
+                             run_result.distance_evaluations,
+                         "alg2_evaluations": run_result.alg2_evaluations})
             time_series[method][0].append(n_clusters)
             time_series[method][1].append(run_result.total_seconds)
             distortion_series[method][0].append(n_clusters)

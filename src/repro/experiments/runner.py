@@ -120,17 +120,32 @@ class MethodRun:
 
     @property
     def distance_evaluations(self) -> int | None:
-        """Total sample-to-centroid / candidate evaluations, if counted.
+        """Sample-to-centroid / candidate evaluations computed, if counted.
 
-        For the GK-means family this includes the cost of building the
-        supporting graph, so the number is comparable to the full cost of the
-        other methods.  ``None`` when the method does not report counts.
+        The count each method actually computed (``extra
+        ["n_distance_evaluations"]``): for GK-means the ΔI rows and pairs
+        its sweeps scored, which skip settled samples.  For the GK-means
+        family this includes the cost of building the supporting graph, so
+        the number is comparable to the full cost of the other methods.
+        ``None`` when the method does not report counts.
         """
+        return self._with_graph("n_distance_evaluations")
+
+    @property
+    def alg2_evaluations(self) -> int | None:
+        """Alg. 2's count for the GK-means family, graph cost included.
+
+        The distinct candidate clusters of every visited sample, once per
+        sweep, whether its sweep scored it or skipped it.  ``None`` for the
+        methods without candidate sets.
+        """
+        return self._with_graph("n_alg2_evaluations")
+
+    def _with_graph(self, key: str) -> int | None:
         extra = self.result.extra
-        if "n_distance_evaluations" not in extra:
+        if key not in extra:
             return None
-        return int(extra["n_distance_evaluations"]
-                   + extra.get("graph_distance_evaluations", 0))
+        return int(extra[key] + extra.get("graph_distance_evaluations", 0))
 
 
 def available_methods() -> list[str]:

@@ -15,7 +15,8 @@ rounds).  It then alternates, for τ rounds:
    resulting distances to improve both samples' neighbour lists — all
    clusters of one size per batched product, partition and sort
    (:func:`_merge_clusters`), each cluster answered exactly as if it had
-   been refined on its own.
+   been refined on its own; only the rows some candidate improves are
+   partitioned and sorted, so late rounds pay mostly for the products.
 
 As the rounds progress the graph and the clustering improve each other — the
 "intertwined evolving process" of the paper's Fig. 3.  The per-round history
@@ -140,9 +141,12 @@ def _merge_clusters(indices: np.ndarray, distances: np.ndarray,
     ``(m, κ)`` neighbour rows of a cluster are concatenated with its
     ``(m, m)`` block of within-cluster candidates (candidates already in the
     row they would enter and self-pairs masked to ``inf``) and the κ smallest
-    entries per row are kept, sorted by distance.  A cluster larger than
-    ``max_block`` contributes a random subsample, drawn in cluster order.
-    Returns the number of pairs compared, ``Σ m(m-1)/2``.
+    entries per row are kept, sorted by distance.  Rows are kept sorted, so
+    a row whose candidates are all at or above its κ-th distance would get
+    its own entries back: only the rows with a candidate strictly below it
+    are merged, the others keep their lists untouched.  A cluster larger
+    than ``max_block`` contributes a random subsample, drawn in cluster
+    order.  Returns the number of pairs compared, ``Σ m(m-1)/2``.
 
     Clusters are batched by *exact* size, ``ROW_CHUNK`` rows at a time: one
     ``(c, m, m)`` product, one partition and one sort serve ``c`` clusters.
@@ -197,22 +201,35 @@ def _merge_clusters(indices: np.ndarray, distances: np.ndarray,
 
             rows = ids.ravel()
             current_idx = indices[rows]                         # (c·m, κ)
-            held = home[current_idx] == home[rows][:, None]
-            block[np.nonzero(held)[0], slot[current_idx[held]]] = np.inf
+            held = np.flatnonzero(home[current_idx] == home[rows][:, None])
+            block.ravel()[held // n_neighbors * size
+                          + slot[current_idx.ravel()[held]]] = np.inf
 
-            merged_idx = np.concatenate(
-                [current_idx, np.repeat(ids, size, axis=0)], axis=1)
+            # A row no candidate strictly beats keeps its list: its κ
+            # smallest are its own sorted entries, the ones before any tie.
+            # A minimum along rows this short pays a fixed cost per row;
+            # the column minima of a transposed copy cost about 2/3 of it.
+            nearest = np.ascontiguousarray(block.T).min(axis=0)
+            live = np.flatnonzero(nearest < distances[rows, n_neighbors - 1])
+            if not live.size:
+                continue
+            if live.size < rows.size:
+                rows, block = rows[live], block[live]
+                current_idx = current_idx[live]
+            merged_idx = np.concatenate([current_idx, ids[live // size]],
+                                        axis=1)
             merged_dist = np.concatenate([distances[rows], block], axis=1)
             keep = np.argpartition(merged_dist, n_neighbors - 1,
                                    axis=1)[:, :n_neighbors]
-            # Positions in the raveled block: a flat ``take`` is several
+            # Positions in the raveled blocks: a flat ``take`` is several
             # times cheaper than ``take_along_axis`` on blocks this small.
             keep += np.arange(0, merged_dist.size,
                               merged_dist.shape[1])[:, None]
-            order = np.argsort(merged_dist.take(keep), axis=1, kind="stable")
-            keep = np.take_along_axis(keep, order, axis=1)
-            indices[rows] = merged_idx.take(keep)
-            distances[rows] = merged_dist.take(keep)
+            kept = merged_dist.take(keep)
+            order = np.argsort(kept, axis=1, kind="stable")
+            order += np.arange(0, order.size, n_neighbors)[:, None]
+            indices[rows] = merged_idx.take(keep.take(order))
+            distances[rows] = kept.take(order)
     return int(np.sum(sizes * (sizes - 1) // 2))
 
 

@@ -8,9 +8,17 @@ prefix sums over the clusters they name; ``sequential_move_block`` is the
 same rule as a loop of ``ClusterState.move``.
 ``tests/test_cluster_objective.py`` compares them round by round,
 ``tests/test_boost_pass_contract.py`` through a whole graph build and fit.
+
+``graph_guided_boost_pass`` does not re-score a sample whose clusters are
+unchanged since it was last scored; ``unskipped_boost_pass`` is the sweep
+that scores every visited sample, and
+``tests/test_settled_skip_contract.py`` holds the two to the same labels.
 """
 
 import numpy as np
+
+from repro.cluster.gkmeans import candidate_label_block
+from repro.cluster.objective import BLOCK
 
 
 def dense_delta_objective_block(state, samples, candidates):
@@ -82,3 +90,21 @@ def sequential_move_block(state, samples, targets):
             held.update((source, target))
         named.update((source, target))
     return applied
+
+
+def unskipped_boost_pass(state, neighbor_indices, rng):
+    """``graph_guided_boost_pass`` scoring every visited sample: each block's
+    rounds until no held-back mover is left, nothing skipped or stamped."""
+    labels = state.labels
+    moves = 0
+    order = rng.permutation(neighbor_indices.shape[0])
+    for start in range(0, order.size, BLOCK):
+        pending = order[start:start + BLOCK]
+        while pending.size:
+            pending = pending[state.counts[labels[pending]] > 1]
+            candidates = candidate_label_block(
+                labels, neighbor_indices[pending], labels[pending])
+            candidates.sort(axis=1)
+            pending, applied = state.move_best_block(pending, candidates)
+            moves += applied
+    return moves

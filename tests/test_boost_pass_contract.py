@@ -251,6 +251,13 @@ class TestEvaluationCountAndRandomStream:
             counter = DistanceCounter()
             sweep(state, indices, np.random.default_rng(0), counter=counter)
             assert counter.count == expected
+        # Alg. 2's count is what a sweep visits; from a fixed point the
+        # blocked sweep re-scores none of it.
+        counter, scored = DistanceCounter(), DistanceCounter()
+        graph_guided_boost_pass(state, indices, np.random.default_rng(1),
+                                counter=counter, scored=scored)
+        assert counter.count == expected
+        assert scored.count == 0
 
     def test_same_seed_same_labels_one_permutation_consumed(self, dataset):
         data, indices, k, labels = dataset

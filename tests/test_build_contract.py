@@ -9,7 +9,10 @@ live here as the oracles — :func:`heap_tree_labels` and
 
 Merge: the arithmetic is unchanged (same products, same partition, same
 sort, cluster by cluster), so ids, order, distances, the evaluation count and
-the use of the random stream are **identical**.
+the use of the random stream are **identical**.  The batched merge skips the
+partition and sort of every row that no candidate strictly beats; the loop
+sorts those rows too, keeping their own κ entries, ties at the boundary
+included — pinned on integer data where such ties are the rule.
 
 Tree: batched reductions round differently from per-node ones and a flipped
 near-tie cascades down the tree, so labels are identical only where no sample
@@ -276,6 +279,55 @@ class TestMergeAgainstPerClusterLoop:
             outcomes.append((indices, distances))
         assert np.array_equal(outcomes[0][0], outcomes[1][0])
         assert np.array_equal(outcomes[0][1], outcomes[1][1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tie_heavy_integer_rows_match_bitwise(self, dtype):
+        # Points on a {0, 1, 2}³ grid: distances are small integers, so
+        # most rows have a candidate at exactly their κ-th distance.
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            points = rng.integers(0, 3, size=(600, 3)).astype(np.float64)
+            data, engine, norms = clustering_space(points, "sqeuclidean",
+                                                   dtype)
+            graph = random_knn_graph(data, 12, random_state=seed,
+                                     engine=engine)
+            batched = graph.indices.copy(), graph.distances.copy()
+            looped = graph.indices.copy(), graph.distances.copy()
+            batched_rng, looped_rng = (np.random.default_rng(seed)
+                                       for _ in "ab")
+            for _ in range(4):
+                labels = rng.integers(0, 8, size=len(data))
+                _merge_clusters(*batched, labels, 8, data, 12, 150,
+                                batched_rng, engine, norms)
+                merge_clusters_reference(*looped, labels, 8, data, 12, 150,
+                                         looped_rng, engine, norms)
+                assert np.array_equal(batched[0], looped[0])
+                assert np.array_equal(batched[1], looped[1])
+            assert (batched[1][:, -1][:, None] == batched[1][:, :-1]).any()
+
+    def test_a_row_no_candidate_beats_keeps_its_bytes(self):
+        # The exact 12-NN lists of integer points: no cluster mate is
+        # strictly nearer than a row's 12th neighbour, though many tie it.
+        points = np.random.default_rng(4).integers(
+            0, 3, size=(500, 3)).astype(np.float64)
+        data, engine, norms = clustering_space(points, "sqeuclidean",
+                                               np.float64)
+        exact = engine.pairwise(data, norms)
+        np.fill_diagonal(exact, np.inf)
+        indices = np.argsort(exact, axis=1, kind="stable")[:, :12]
+        distances = np.take_along_axis(exact, indices, axis=1)
+        labels = np.random.default_rng(5).integers(0, 6, size=len(data))
+        before = indices.tobytes(), distances.tobytes()
+        tied = 0
+        for cluster in range(6):
+            members = np.flatnonzero(labels == cluster)
+            block = exact[np.ix_(members, members)]
+            tied += int(np.sum(block.min(axis=1)
+                               == distances[members, -1]))
+        assert tied > 100
+        _merge_clusters(indices, distances, labels, 6, data, 12, 500,
+                        np.random.default_rng(0), engine, norms)
+        assert (indices.tobytes(), distances.tobytes()) == before
 
     def test_rows_stay_sorted_unique_and_free_of_self(self, points):
         data, engine, norms = clustering_space(points, "sqeuclidean",
