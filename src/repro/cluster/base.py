@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..distance import DistanceEngine
-from ..exceptions import NotFittedError, ValidationError
+from ..exceptions import NotFittedError
 from ..validation import check_data_matrix, check_positive_int, check_random_state
 
 __all__ = ["IterationRecord", "ClusteringResult", "BaseClusterer"]
@@ -103,15 +103,9 @@ class BaseClusterer(ABC):
     l2-normalising the rows once at fit time, after which the squared-
     Euclidean machinery (boost objective, triangle-inequality bounds, the
     two-means tree) is exact for the transformed space, so centroids,
-    distortion and history are all reported in that space.  ``dot`` (inner
-    product) has no k-means geometry and is only accepted by estimators that
-    declare it in ``_supported_metrics``; ``dtype=float32`` halves the memory
-    traffic of the assignment kernels.
+    distortion and history are all reported in that space.
+    ``dtype=float32`` halves the memory traffic of the assignment kernels.
     """
-
-    #: Metrics this estimator supports.  "dot" lacks a k-means objective and
-    #: is only enabled on estimators whose assignment rule stays meaningful.
-    _supported_metrics = frozenset({"sqeuclidean", "cosine"})
 
     def __init__(self, n_clusters: int, *, max_iter: int = 30,
                  random_state=None, metric: str = "sqeuclidean",
@@ -130,11 +124,6 @@ class BaseClusterer(ABC):
     def fit(self, data) -> "BaseClusterer":
         """Cluster ``data`` and store the result on the estimator."""
         engine = DistanceEngine(self.metric, self.dtype)
-        if engine.metric not in self._supported_metrics:
-            raise ValidationError(
-                f"{type(self).__name__} does not support metric "
-                f"{engine.metric!r}; supported: "
-                f"{sorted(self._supported_metrics)}")
         data = check_data_matrix(data, min_samples=1, dtype=engine.dtype)
         data = engine.prepare_clustering(data)
         self.engine_ = engine

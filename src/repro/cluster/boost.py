@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from ..validation import check_labels, check_positive_int
+from ..validation import check_labels
 from .base import BaseClusterer, ClusteringResult, IterationRecord
 from .initialization import random_balanced_labels
 from .objective import ClusterState
@@ -32,10 +32,8 @@ class BoostKMeans(BaseClusterer):
     n_clusters:
         Number of clusters ``k``.
     max_iter:
-        Maximum number of full sweeps over the data.
-    min_moves:
-        Convergence threshold: stop when a sweep applies at most this many
-        moves.
+        Maximum number of full sweeps over the data; the fit stops earlier
+        (converged) once a sweep applies no move.
     init_labels:
         Optional initial assignment (e.g. from the two-means tree).  When
         omitted, samples are assigned to clusters uniformly at random, which is
@@ -45,19 +43,16 @@ class BoostKMeans(BaseClusterer):
     """
 
     def __init__(self, n_clusters: int, *, max_iter: int = 30,
-                 min_moves: int = 0, init_labels: np.ndarray | None = None,
+                 init_labels: np.ndarray | None = None,
                  random_state=None, metric: str = "sqeuclidean",
                  dtype=np.float64) -> None:
         super().__init__(n_clusters, max_iter=max_iter,
                          random_state=random_state, metric=metric,
                          dtype=dtype)
-        self.min_moves = min_moves
         self.init_labels = init_labels
 
     def _fit(self, data: np.ndarray, n_clusters: int, max_iter: int,
              rng: np.random.Generator) -> ClusteringResult:
-        min_moves = check_positive_int(self.min_moves, name="min_moves",
-                                       minimum=0)
         init_start = time.perf_counter()
         if self.init_labels is not None:
             labels = check_labels(self.init_labels, data.shape[0],
@@ -85,7 +80,7 @@ class BoostKMeans(BaseClusterer):
                 iteration=iteration, distortion=state.distortion,
                 elapsed_seconds=time.perf_counter() - iter_start,
                 n_moves=moves))
-            if moves <= min_moves:
+            if moves == 0:
                 converged = True
                 break
         iteration_seconds = time.perf_counter() - iter_start

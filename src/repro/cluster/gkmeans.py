@@ -169,7 +169,7 @@ def graph_guided_lloyd_assign(data: np.ndarray, labels: np.ndarray,
     data = engine.prepare(data)
     centroids = engine.prepare(centroids)
     n = data.shape[0]
-    if engine.metric != "dot" and data_norms is None:
+    if data_norms is None:
         data_norms = engine.norms(data)
     centroid_norms = engine.norms(centroids)
 
@@ -180,11 +180,8 @@ def graph_guided_lloyd_assign(data: np.ndarray, labels: np.ndarray,
             labels, neighbor_indices[start:stop], labels[start:stop])
         gathered = centroids[candidate_labels]            # (b, κ+1, d)
         dots = np.einsum("bd,bcd->bc", data[start:stop], gathered)
-        dists = engine.from_inner(
-            dots,
-            None if data_norms is None else data_norms[start:stop],
-            None if centroid_norms is None
-            else centroid_norms[candidate_labels])
+        dists = engine.from_inner(dots, data_norms[start:stop],
+                                  centroid_norms[candidate_labels])
         best = np.argmin(dists, axis=1)
         new_labels[start:stop] = candidate_labels[np.arange(stop - start), best]
     return new_labels
@@ -223,21 +220,18 @@ class GKMeans(BaseClusterer):
     bisection:
         Bisection routine of the two-means tree (``"lloyd"`` or ``"boost"``).
     max_iter:
-        Maximum number of sweeps.
-    min_moves:
-        Convergence threshold on the number of moves per sweep.
+        Maximum number of sweeps; both assignments stop earlier once a
+        sweep moves no sample.
     tol:
         Relative distortion gain at or below which a sweep counts as
         converged — read only by ``assignment="lloyd"``; the boost sweeps
-        stop on ``min_moves`` or ``max_iter`` alone.
+        stop on a sweep without moves or on ``max_iter`` alone.
     random_state:
         Seed or generator.
     metric:
         ``"sqeuclidean"`` (default), ``"cosine"`` (rows are l2-normalised
-        once, then everything runs in the exact squared-Euclidean reduction)
-        or ``"dot"`` (inner product; requires ``assignment="lloyd"`` and a
-        non-clustering graph builder, since the boost ΔI objective and Alg. 3
-        both need the k-means geometry).
+        once, then everything runs in the exact squared-Euclidean
+        reduction).
     dtype:
         ``float64`` (default) or ``float32`` for the distance kernels.
 
@@ -255,14 +249,12 @@ class GKMeans(BaseClusterer):
     candidates of every sample, so there the two are equal.
     """
 
-    _supported_metrics = frozenset({"sqeuclidean", "cosine", "dot"})
-
     def __init__(self, n_clusters: int, *, n_neighbors: int = 50,
                  graph=None, graph_builder: str = "clustering",
                  graph_tau: int = 10, graph_cluster_size: int = 50,
                  assignment: str = "boost", init: object = "two-means",
                  bisection: str = "lloyd", max_iter: int = 30,
-                 min_moves: int = 0, tol: float = 1e-4,
+                 tol: float = 1e-4,
                  random_state=None, metric: str = "sqeuclidean",
                  dtype=np.float64) -> None:
         super().__init__(n_clusters, max_iter=max_iter,
@@ -276,7 +268,6 @@ class GKMeans(BaseClusterer):
         self.assignment = assignment
         self.init = init
         self.bisection = bisection
-        self.min_moves = min_moves
         self.tol = tol
         self.graph_ = None
 
@@ -289,10 +280,6 @@ class GKMeans(BaseClusterer):
             raise ValidationError(
                 f"assignment must be 'boost' or 'lloyd', got {self.assignment!r}")
         engine = self._work_engine
-        if engine.metric == "dot" and self.assignment != "lloyd":
-            raise ValidationError(
-                "metric 'dot' has no boost (ΔI) objective; use "
-                "assignment='lloyd' for inner-product GK-means")
         # A supplied graph is used at its own width (truncated to
         # n_neighbors when wider), so the row-count ceiling only binds a
         # graph GK-means builds itself.
@@ -300,8 +287,6 @@ class GKMeans(BaseClusterer):
             self.n_neighbors, name="n_neighbors",
             maximum=None if self.graph is not None
             else max(1, data.shape[0] - 1))
-        min_moves = check_positive_int(self.min_moves, name="min_moves",
-                                       minimum=0)
 
         init_start = time.perf_counter()
         neighbor_indices, graph_seconds = self._resolve_graph(
@@ -322,7 +307,7 @@ class GKMeans(BaseClusterer):
                     iteration=iteration, distortion=state.distortion,
                     elapsed_seconds=time.perf_counter() - iter_start,
                     n_moves=moves))
-                if moves <= min_moves:
+                if moves == 0:
                     converged = True
                     break
             labels = state.labels.copy()
@@ -353,7 +338,7 @@ class GKMeans(BaseClusterer):
                     np.isfinite(previous_distortion)
                     and previous_distortion - distortion
                     <= self.tol * max(previous_distortion, 1e-300))
-                if moves <= min_moves or relative_gain_small:
+                if moves == 0 or relative_gain_small:
                     converged = True
                     break
                 previous_distortion = distortion
@@ -429,14 +414,11 @@ class GKMeans(BaseClusterer):
         if isinstance(self.init, str):
             key = self.init.lower()
             if key in {"two-means", "2m", "two_means"}:
-                # ``data`` is already in the clustering space; the tree always
-                # bisects with l2 geometry (also for "dot", where it is just a
-                # spatial splitting heuristic).
+                # ``data`` is already in the clustering space.
                 work = self._work_engine
-                metric = work.metric if work.kmeans_geometry else "sqeuclidean"
                 return two_means_labels(data, n_clusters, random_state=rng,
                                         bisection=self.bisection,
-                                        metric=metric, dtype=work.dtype)
+                                        metric=work.metric, dtype=work.dtype)
             if key == "random":
                 return random_balanced_labels(data.shape[0], n_clusters, rng)
             raise ValidationError(

@@ -37,12 +37,8 @@ class KMeans(BaseClusterer):
         When true, the number of sample-to-centroid distance evaluations is
         accumulated in ``result_.extra["n_distance_evaluations"]``.
     metric, dtype:
-        Distance engine configuration (see :class:`BaseClusterer`).  ``dot``
-        assigns each sample to the centroid of largest inner product — a
-        heuristic MIPS partitioner with no convergence guarantee.
+        Distance engine configuration (see :class:`BaseClusterer`).
     """
-
-    _supported_metrics = frozenset({"sqeuclidean", "cosine", "dot"})
 
     def __init__(self, n_clusters: int, *, init: object = "random",
                  max_iter: int = 30, tol: float = 1e-4, random_state=None,

@@ -41,8 +41,6 @@ class MiniBatchKMeans(BaseClusterer):
         Seed or generator.
     """
 
-    _supported_metrics = frozenset({"sqeuclidean", "cosine", "dot"})
-
     def __init__(self, n_clusters: int, *, batch_size: int = 256,
                  init: object = "random", max_iter: int = 30,
                  record_every: int = 1, random_state=None,
@@ -75,9 +73,8 @@ class MiniBatchKMeans(BaseClusterer):
             batch_idx = rng.choice(data.shape[0], size=batch_size,
                                    replace=False)
             batch = data[batch_idx]
-            batch_norms = None if data_norms is None else data_norms[batch_idx]
             batch_labels, _ = engine.assign_to_nearest(
-                batch, centroids, data_norms=batch_norms)
+                batch, centroids, data_norms=data_norms[batch_idx])
             evaluations += batch_size * n_clusters
             moved = 0
             for row, center in enumerate(batch_labels):

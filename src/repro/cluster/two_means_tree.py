@@ -215,15 +215,10 @@ def two_means_labels(data: np.ndarray, n_clusters: int, *, random_state=None,
         the procedure into plain bisecting k-means by largest cluster and is
         exposed for the ablation benchmarks.
     metric, dtype:
-        Distance engine configuration.  ``sqeuclidean`` and ``cosine`` only —
-        bisecting relies on the k-means geometry (cosine rows are normalised
-        once up front).
+        Distance engine configuration; cosine rows are normalised once up
+        front.
     """
     engine = DistanceEngine(metric, dtype)
-    if not engine.kmeans_geometry:
-        raise ValidationError(
-            f"two-means tree requires the squared-Euclidean or cosine "
-            f"metric, got {engine.metric!r}")
     data = check_data_matrix(data, min_samples=1, dtype=engine.dtype)
     data = engine.prepare_clustering(data)
     n = data.shape[0]

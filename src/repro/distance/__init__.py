@@ -2,11 +2,11 @@
 
 One layer computes distances: :class:`DistanceEngine`
 (:mod:`repro.distance.engine`), blocked single-gemm kernels for one metric
-(squared-Euclidean, the paper's setting; cosine; inner product) and one
-floating dtype (float32 or float64).  The clustering baselines, the graph
-builders and the search stack all call it, so ``dtype`` means the same thing
-everywhere.  :mod:`repro.distance.kernels` holds what sits around the
-distances: the stable top-``count`` selection and :class:`DistanceCounter`.
+(squared-Euclidean, the paper's setting, or cosine) and one floating dtype
+(float32 or float64).  The clustering baselines, the graph builders and the
+search stack all call it, so ``dtype`` means the same thing everywhere.
+:mod:`repro.distance.kernels` holds what sits around the distances: the
+stable top-``count`` selection and :class:`DistanceCounter`.
 
 An optional layer — :mod:`repro.distance.quantized` — compresses a
 dataset into ``float16`` or ``int8`` codes (:class:`ScalarQuantizer`) and

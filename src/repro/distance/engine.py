@@ -3,10 +3,10 @@
 Every hot loop in this library — centroid assignment in the k-means family,
 the local joins of NN-Descent, the within-cluster refinement of Alg. 3 and
 greedy graph search — reduces to "turn one BLAS ``gemm`` block into a distance
-block".  :class:`DistanceEngine` centralises that reduction for three metrics
-and two floating dtypes so the whole stack can run on cosine / inner-product
-workloads (text embeddings, visual vocabularies, MIPS) and in float32 (half
-the memory traffic of float64 in the assignment kernel):
+block".  :class:`DistanceEngine` centralises that reduction for two metrics
+and two floating dtypes so the whole stack can run on cosine workloads (text
+embeddings, visual vocabularies) and in float32 (half the memory traffic of
+float64 in the assignment kernel):
 
 ============  =============================  ==============================
 metric        distance                       notes
@@ -15,21 +15,14 @@ sqeuclidean   ``||a - b||^2``                the paper's setting
 cosine        ``1 - a.b / (|a| |b|)``        range [0, 2]; zero vectors are
                                              treated as orthogonal to
                                              everything (distance 1)
-dot           ``-a.b``                       MIPS as a "distance" (may be
-                                             negative; ordering only)
 ============  =============================  ==============================
 
-Two properties matter for how the rest of the library consumes the engine:
-
-* ``sqeuclidean`` and ``cosine`` reduce to squared-Euclidean *geometry*:
-  after :meth:`prepare_clustering` (row normalisation for cosine) the k-means
-  objective, Lloyd's assignment, the boost ΔI moves and the two-means tree
-  are all valid in the transformed space.  On the unit sphere
-  ``||a - b||^2 = 2 (1 - cos(a, b))``, so squared-Euclidean distances of
-  normalised data are exactly ``2x`` the cosine distance.
-* ``dot`` has no such reduction — it is supported wherever only the *ordering*
-  of distances matters (graphs, search, nearest-candidate assignment) and
-  rejected by algorithms whose correctness needs the l2 geometry.
+Both metrics reduce to squared-Euclidean *geometry*: after
+:meth:`prepare_clustering` (row normalisation for cosine) the k-means
+objective, Lloyd's assignment, the boost ΔI moves and the two-means tree are
+all valid in the transformed space.  On the unit sphere
+``||a - b||^2 = 2 (1 - cos(a, b))``, so squared-Euclidean distances of
+normalised data are exactly ``2x`` the cosine distance.
 
 Norms are computed once per dataset and threaded through the blocked kernels,
 so every block costs exactly one ``gemm`` plus O(block) epilogue work.
@@ -44,7 +37,7 @@ from ..exceptions import ValidationError
 __all__ = ["DistanceEngine", "METRICS", "resolve_metric", "resolve_dtype"]
 
 #: Canonical metric names.
-METRICS = ("sqeuclidean", "cosine", "dot")
+METRICS = ("sqeuclidean", "cosine")
 
 #: Accepted spellings → canonical metric name.
 _METRIC_ALIASES = {
@@ -56,11 +49,6 @@ _METRIC_ALIASES = {
     "cosine": "cosine",
     "cos": "cosine",
     "angular": "cosine",
-    "dot": "dot",
-    "ip": "dot",
-    "inner-product": "dot",
-    "inner_product": "dot",
-    "mips": "dot",
 }
 
 #: Default number of rows processed per block in the chunked kernels.  The
@@ -74,7 +62,7 @@ def resolve_metric(metric) -> str:
     if key not in _METRIC_ALIASES:
         raise ValidationError(
             f"unknown metric {metric!r}; expected one of {sorted(METRICS)} "
-            f"(aliases: l2, euclidean, cos, angular, ip, inner-product, mips)")
+            f"(aliases: l2, euclidean, cos, angular)")
     return _METRIC_ALIASES[key]
 
 
@@ -96,8 +84,8 @@ class DistanceEngine:
     Parameters
     ----------
     metric:
-        ``"sqeuclidean"`` (default), ``"cosine"`` or ``"dot"`` — any alias
-        accepted by :func:`resolve_metric`.
+        ``"sqeuclidean"`` (default) or ``"cosine"`` — any alias accepted
+        by :func:`resolve_metric`.
     dtype:
         ``float64`` (default) or ``float32``.  All kernels compute (and
         return) in this dtype; float32 halves the memory traffic of the
@@ -111,22 +99,12 @@ class DistanceEngine:
     # ------------------------------------------------------------------ #
     # Capabilities
     # ------------------------------------------------------------------ #
-    @property
-    def kmeans_geometry(self) -> bool:
-        """Whether the metric reduces to squared-Euclidean geometry.
-
-        True for ``sqeuclidean`` and ``cosine`` (after row normalisation);
-        algorithms relying on the k-means objective or triangle-inequality
-        bounds must reject engines where this is false.
-        """
-        return self.metric in ("sqeuclidean", "cosine")
-
     def clustering_engine(self) -> "DistanceEngine":
         """Engine for the transformed space of :meth:`prepare_clustering`.
 
         Cosine work happens in squared-Euclidean geometry on normalised rows,
-        so the inner engine is a ``sqeuclidean`` engine of the same dtype; the
-        other metrics work in their own space.
+        so the inner engine is a ``sqeuclidean`` engine of the same dtype;
+        ``sqeuclidean`` works in its own space.
         """
         if self.metric == "cosine":
             return DistanceEngine("sqeuclidean", self.dtype)
@@ -146,7 +124,7 @@ class DistanceEngine:
     def prepare_clustering(self, data) -> np.ndarray:
         """Transform ``data`` so squared-Euclidean machinery applies.
 
-        Identity for ``sqeuclidean`` and ``dot``; l2 row normalisation for
+        Identity for ``sqeuclidean``; l2 row normalisation for
         ``cosine`` (zero rows stay zero).  Use together with
         :meth:`clustering_engine`.
 
@@ -161,16 +139,14 @@ class DistanceEngine:
             data = data / self.norms(data)[:, None]
         return data
 
-    def norms(self, data) -> np.ndarray | None:
-        """Per-row auxiliary norms the metric needs (``None`` for ``dot``).
+    def norms(self, data) -> np.ndarray:
+        """Per-row auxiliary norms the metric needs; always an array.
 
         ``sqeuclidean`` → squared l2 norms; ``cosine`` → l2 norms with zeros
         replaced by 1 (the zero-vector convention above).  Compute this once
         per dataset and pass it to the kernels — that is the "cached norms"
         contract used throughout the library.
         """
-        if self.metric == "dot":
-            return None
         data = self.prepare(data)
         squared = np.einsum("ij,ij->i", data, data)
         if self.metric == "sqeuclidean":
@@ -189,10 +165,8 @@ class DistanceEngine:
         ``inner`` is modified in place (it is assumed to be a freshly computed
         gemm result).  ``a_norms`` may be 1-D ``(m,)``; ``b_norms`` may be 1-D
         ``(n,)`` or 2-D ``(m, n)`` (the gathered-candidates layout used by
-        GK-means⁻).  Both are ignored for ``dot``.
+        GK-means⁻).
         """
-        if self.metric == "dot":
-            return np.negative(inner, out=inner)
         if a_norms is None or b_norms is None:
             raise ValidationError(
                 f"metric {self.metric!r} requires row norms; "
@@ -222,11 +196,10 @@ class DistanceEngine:
         """
         a = self.prepare(a)
         b = self.prepare(b)
-        if self.metric != "dot":
-            if a_norms is None:
-                a_norms = self.norms(a)
-            if b_norms is None:
-                b_norms = self.norms(b)
+        if a_norms is None:
+            a_norms = self.norms(a)
+        if b_norms is None:
+            b_norms = self.norms(b)
         return self.from_inner(a @ b.T, a_norms, b_norms)
 
     def paired(self, a, b, a_norms=None, b_norms=None) -> np.ndarray:
@@ -235,28 +208,22 @@ class DistanceEngine:
         no cross terms.  ``b_norms``, when given, is ``(m, w)``."""
         a = self.prepare(a)
         b = np.ascontiguousarray(b, dtype=self.dtype)
-        if self.metric != "dot":
-            if a_norms is None:
-                a_norms = self.norms(a)
-            if b_norms is None:
-                b_norms = self.norms(b.reshape(-1, b.shape[-1])).reshape(
-                    b.shape[:2])
+        if a_norms is None:
+            a_norms = self.norms(a)
+        if b_norms is None:
+            b_norms = self.norms(b.reshape(-1, b.shape[-1])).reshape(
+                b.shape[:2])
         return self.from_inner(np.matmul(b, a[:, :, None])[:, :, 0],
                                a_norms, b_norms)
 
     def pairwise(self, data, norms=None) -> np.ndarray:
-        """Full symmetric pairwise distance matrix.
-
-        For ``sqeuclidean``/``cosine`` the diagonal is forced to the exact
-        self-distance 0; for ``dot`` the diagonal keeps ``-||x||^2`` (the true
-        self "distance").
-        """
+        """Full symmetric pairwise distance matrix; the diagonal is forced
+        to the exact self-distance 0."""
         data = self.prepare(data)
         if norms is None:
             norms = self.norms(data)
         distances = self.from_inner(data @ data.T, norms, norms)
-        if self.metric != "dot":
-            np.fill_diagonal(distances, 0.0)
+        np.fill_diagonal(distances, 0.0)
         return distances
 
     def rowwise(self, a, b) -> np.ndarray:
@@ -272,8 +239,6 @@ class DistanceEngine:
             diff = a - b
             return np.einsum("ij,ij->i", diff, diff)
         inner = np.einsum("ij,ij->i", a, b)
-        if self.metric == "dot":
-            return -inner
         distances = 1.0 - inner / (self.norms(a) * self.norms(b))
         return np.clip(distances, 0.0, 2.0)
 
@@ -295,11 +260,10 @@ class DistanceEngine:
         """
         data = self.prepare(data)
         points = self.prepare(points)
-        if self.metric != "dot":
-            if data_norms is None:
-                data_norms = self.norms(data)
-            if point_norms is None:
-                point_norms = self.norms(points)
+        if data_norms is None:
+            data_norms = self.norms(data)
+        if point_norms is None:
+            point_norms = self.norms(points)
         n = data.shape[0]
         block_size = max(1, int(block_size))
         labels = np.empty(n, dtype=np.int64)
@@ -307,10 +271,8 @@ class DistanceEngine:
         for start in range(0, n, block_size):
             stop = min(start + block_size, n)
             inner = data[start:stop] @ points.T
-            block = self.from_inner(
-                inner,
-                None if data_norms is None else data_norms[start:stop],
-                point_norms)
+            block = self.from_inner(inner, data_norms[start:stop],
+                                    point_norms)
             rows = np.arange(stop - start)
             labels[start:stop] = np.argmin(block, axis=1)
             best[start:stop] = block[rows, labels[start:stop]]

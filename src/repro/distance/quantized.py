@@ -198,18 +198,14 @@ class QuantizedScorer:
         self.engine = engine
         self.quantizer = quantizer
         self.codes = quantizer.encode(data)
-        if engine.metric == "dot":
-            self._norms = None
+        decoded = quantizer.decode(self.codes)
+        squared = np.einsum("ij,ij->i", decoded, decoded, dtype=np.float32)
+        if engine.metric == "sqeuclidean":
+            self._norms = squared
         else:
-            decoded = quantizer.decode(self.codes)
-            squared = np.einsum("ij,ij->i", decoded, decoded,
-                                dtype=np.float32)
-            if engine.metric == "sqeuclidean":
-                self._norms = squared
-            else:
-                lengths = np.sqrt(squared)
-                lengths[lengths == 0] = 1.0
-                self._norms = lengths
+            lengths = np.sqrt(squared)
+            lengths[lengths == 0] = 1.0
+            self._norms = lengths
 
     @property
     def n_rows(self) -> int:
@@ -234,7 +230,7 @@ class QuantizedScorer:
         return folded, bias
 
     def block(self, folded: np.ndarray, bias: np.ndarray | None,
-              query_norms: np.ndarray | None,
+              query_norms: np.ndarray,
               rows: np.ndarray) -> np.ndarray:
         """Approximate distances of prepared queries to dataset ``rows``.
 
@@ -252,13 +248,10 @@ class QuantizedScorer:
             inner = folded @ codes.T
         if bias is not None:
             inner += bias[:, None]
-        metric = self.engine.metric
-        if metric == "dot":
-            return np.negative(inner, out=inner)
         row_norms = self._norms[rows]
         if rows.ndim == 1:
             row_norms = row_norms[None, :]
-        if metric == "sqeuclidean":
+        if self.engine.metric == "sqeuclidean":
             inner *= -2.0
             inner += np.asarray(query_norms,
                                 dtype=np.float32)[:, None]

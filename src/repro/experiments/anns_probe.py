@@ -52,16 +52,13 @@ def run(scale: ExperimentScale = DEFAULT, *, n_queries: int = 100,
             backend="nndescent", n_neighbors=scale.n_neighbors,
             metric=scale.metric, dtype=scale.dtype, pool_size=pool_size,
             random_state=scale.random_state),
-    }
-    # Alg. 3 is a clustering, so it only exists for metrics with a k-means
-    # geometry (sqeuclidean / cosine).
-    if scale.metric != "dot":
-        specs["Alg.3 (GK-means graph)"] = IndexSpec(
+        "Alg.3 (GK-means graph)": IndexSpec(
             backend="gkmeans", n_neighbors=scale.n_neighbors,
             metric=scale.metric, dtype=scale.dtype, pool_size=pool_size,
             random_state=scale.random_state,
             params={"tau": scale.graph_tau,
-                    "cluster_size": scale.cluster_size})
+                    "cluster_size": scale.cluster_size}),
+    }
 
     shard_counts = [1] if n_shards <= 1 else [1, n_shards]
     # The routed frontier only exists for geometric shards: probe each

@@ -41,8 +41,8 @@ class ExperimentScale:
         Seed shared by the drivers for reproducibility.
     metric:
         Distance metric the drivers thread into the clusterers, graph
-        builders and searchers that accept one (``"sqeuclidean"``,
-        ``"cosine"`` or ``"dot"``).
+        builders and searchers that accept one (``"sqeuclidean"`` or
+        ``"cosine"``).
     dtype:
         Kernel dtype as a string (``"float64"`` or ``"float32"``).
     """

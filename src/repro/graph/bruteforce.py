@@ -2,9 +2,9 @@
 
 Used to produce the ground truth against which approximate graphs are scored
 (the paper does the same for SIFT1M, at a cost of >20 hours; our scaled
-datasets make this cheap).  All metrics and dtypes of
+datasets make this cheap).  Both metrics and dtypes of
 :class:`~repro.distance.DistanceEngine` are supported, so the same oracle
-serves cosine and inner-product benchmarks.
+serves squared-Euclidean and cosine benchmarks.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ def brute_force_neighbors(queries: np.ndarray, reference: np.ndarray,
     Returns
     -------
     (indices, distances):
-        Both of shape ``(m, n_neighbors)``, sorted by ascending distance
-        (for ``"dot"`` that means descending inner product).
+        Both of shape ``(m, n_neighbors)``, sorted by ascending distance.
     """
     if engine is None:
         engine = DistanceEngine(metric, dtype)

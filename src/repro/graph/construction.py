@@ -271,12 +271,10 @@ def build_knn_graph_by_clustering(data: np.ndarray, n_neighbors: int, *,
     random_state:
         Seed or generator.
     metric, dtype:
-        Distance engine configuration.  ``sqeuclidean`` and ``cosine`` only:
-        the construction *is* clustering, so it needs the k-means geometry.
-        Cosine rows are normalised once, the rounds run in the exact
-        squared-Euclidean reduction, and the returned graph's distances are
-        converted back to cosine (``d_cos = d_l2² / 2`` on the unit sphere).
-        For inner-product graphs use NN-Descent or brute force instead.
+        Distance engine configuration.  Cosine rows are normalised once, the
+        rounds run in the exact squared-Euclidean reduction, and the
+        returned graph's distances are converted back to cosine
+        (``d_cos = d_l2² / 2`` on the unit sphere).
     initial:
         Optional ``(n, n_neighbors)`` starting neighbour table: each row
         distinct ids of other rows, ``-1`` for a hole.  Omitted, it is all
@@ -286,12 +284,6 @@ def build_knn_graph_by_clustering(data: np.ndarray, n_neighbors: int, *,
         passes the lists that survived it (see :func:`resumed_tau`).
     """
     outer = DistanceEngine(metric, dtype)
-    if not outer.kmeans_geometry:
-        raise ValidationError(
-            "clustering-based graph construction requires the "
-            "squared-Euclidean or cosine metric (its clustering step needs "
-            f"the k-means geometry), got {outer.metric!r}; build "
-            "inner-product graphs with NN-Descent or brute force")
     data = check_data_matrix(data, min_samples=2, dtype=outer.dtype)
     data = outer.prepare_clustering(data)
     engine = outer.clustering_engine()

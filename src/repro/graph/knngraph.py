@@ -29,9 +29,8 @@ class KNNGraph:
         (``inf`` for missing entries).  Optional — algorithms that only need
         the adjacency (GK-means) accept graphs without distances.
     metric:
-        The metric the distances were computed under (``"sqeuclidean"``,
-        ``"cosine"`` or ``"dot"``).  Bookkeeping only; note that ``dot``
-        distances (negated inner products) are legitimately negative.
+        The metric the distances were computed under (``"sqeuclidean"`` or
+        ``"cosine"``).  Bookkeeping only.
     """
 
     indices: np.ndarray
@@ -150,9 +149,7 @@ class KNNGraph:
                 raise GraphError(f"row {point} contains duplicate neighbours")
         if self.distances is not None:
             finite = self.indices >= 0
-            # "dot" distances are negated inner products and may legitimately
-            # be negative; the other metrics are non-negative by definition.
-            if self.metric != "dot" and np.any(self.distances[finite] < 0):
+            if np.any(self.distances[finite] < 0):
                 raise GraphError("graph contains negative distances")
             ordered = np.all(np.diff(self.distances, axis=1) >= -1e-9, axis=1)
             if not np.all(ordered):

@@ -75,8 +75,8 @@ def estimate_recall_by_sampling(graph: KNNGraph, data: np.ndarray, *,
     only considering nearest neighbors of 100 randomly selected samples".
 
     The exact probes are computed under ``metric``, defaulting to the metric
-    the graph itself was built with, so cosine / inner-product graphs are
-    scored against the right oracle.
+    the graph itself was built with, so cosine graphs are scored against
+    the right oracle.
     """
     n_probes = check_positive_int(n_probes, name="n_probes",
                                   maximum=graph.n_points)

@@ -60,8 +60,8 @@ class NNDescent:
         Seed or generator.
     metric, dtype:
         Distance engine configuration — NN-Descent was designed for "generic
-        similarity measures" and here supports ``sqeuclidean``, ``cosine`` and
-        ``dot`` in either float dtype.  Dataset norms are computed once and
+        similarity measures" and here supports ``sqeuclidean`` and ``cosine``
+        in either float dtype.  Dataset norms are computed once and
         gathered into every local join.
 
     Attributes
@@ -118,7 +118,7 @@ class NNDescent:
         return graph
 
     def _local_join(self, engine: DistanceEngine, data: np.ndarray,
-                    norms: np.ndarray | None, new: np.ndarray,
+                    norms: np.ndarray, new: np.ndarray,
                     old: np.ndarray, distances: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Score every point's new–new and new–old candidate pairs.
@@ -140,8 +140,7 @@ class NNDescent:
             a, b = np.maximum(left, 0), np.maximum(cand, 0)
             block = engine.from_inner(
                 np.matmul(data[a], data[b].transpose(0, 2, 1)),
-                None if norms is None else norms[a][:, :, None],
-                None if norms is None else norms[b][:, None, :])
+                norms[a][:, :, None], norms[b][:, None, :])
             # The pairs the join scores: new–new once (a < b), new–old
             # unless both sides are the same point.
             column = np.arange(cand.shape[1])

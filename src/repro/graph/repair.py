@@ -68,7 +68,7 @@ GATHER_ROWS = 256
 
 
 def refine_neighborhood(engine: DistanceEngine, data: np.ndarray,
-                        norms: np.ndarray | None, indices: np.ndarray,
+                        norms: np.ndarray, indices: np.ndarray,
                         first: int, seeds: np.ndarray, n_neighbors: int
                         ) -> tuple[np.ndarray, np.ndarray]:
     """The in-batch local join: graph rows for the new rows of ``data``.
@@ -114,8 +114,7 @@ def refine_neighborhood(engine: DistanceEngine, data: np.ndarray,
         chunk = slice(first + start, first + stop)
         block = engine.cross(
             data[chunk], data[union],
-            a_norms=None if norms is None else norms[chunk],
-            b_norms=None if norms is None else norms[union])
+            a_norms=norms[chunk], b_norms=norms[union])
         # Mask every entry that is not one of the row's own candidates; a
         # repeated candidate just sets its entry twice.
         allowed = np.zeros(block.shape, dtype=bool)
@@ -219,7 +218,7 @@ def push_back_edges(indices: np.ndarray, distances: np.ndarray, first: int,
 
 def materialize_row_distances(data: np.ndarray, indices: np.ndarray,
                               engine: DistanceEngine,
-                              norms: np.ndarray | None
+                              norms: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Compute (and sort by) the distances of a neighbour table's entries.
 
@@ -236,8 +235,6 @@ def materialize_row_distances(data: np.ndarray, indices: np.ndarray,
     ``-1``/``inf`` entries last).
     """
     data = engine.prepare(data)
-    if norms is None:
-        norms = engine.norms(data)                   # still None for dot
     sorted_ids = np.empty_like(indices)
     distances = np.empty(indices.shape, dtype=np.float64)
     for start in range(0, indices.shape[0], GATHER_ROWS):
@@ -247,8 +244,7 @@ def materialize_row_distances(data: np.ndarray, indices: np.ndarray,
         safe = np.where(valid, ids, 0)
         block = engine.from_inner(
             np.einsum("id,ikd->ik", data[rows], data[safe]),
-            None if norms is None else norms[rows],
-            None if norms is None else norms[safe])
+            norms[rows], norms[safe])
         block[~valid] = np.inf
         order = np.argsort(block, axis=1, kind="stable")
         sorted_ids[rows] = np.take_along_axis(ids, order, axis=1)

@@ -280,7 +280,7 @@ class Index:
         return self._searcher.engine_
 
     @property
-    def _data_norms(self) -> np.ndarray | None:
+    def _data_norms(self) -> np.ndarray:
         return self._searcher._data_norms
 
     @property
@@ -640,13 +640,12 @@ class Index:
             seed_labels = self.seed_labels[live]
             if seed_labels.max() >= data.shape[0]:
                 seed_labels = np.unique(seed_labels, return_inverse=True)[1]
-        norms = self._data_norms
         searcher = GraphSearcher(
             data, graph, pool_size=self.spec.pool_size,
             n_starts=self.spec.n_starts, symmetrize=self.spec.symmetrize,
             random_state=self.spec.random_state, metric=self.spec.metric,
             dtype=self.spec.dtype, quantize=self.spec.quantize,
-            data_norms=None if norms is None else norms[live],
+            data_norms=self._data_norms[live],
             seed_labels=seed_labels)
         self._searcher.close()
         self._searcher = searcher
@@ -687,8 +686,7 @@ class Index:
         }
         if self.graph.distances is not None:
             payload["graph_distances"] = self.graph.distances
-        if self._data_norms is not None:
-            payload["norms"] = self._data_norms
+        payload["norms"] = self._data_norms
         quantizer = self.quantizer
         if quantizer is not None and quantizer.scale is not None:
             # int8 parameters are build-time state: persisting them (rather

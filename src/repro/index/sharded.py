@@ -78,8 +78,7 @@ from ..cluster import KMeans
 from ..distance import DistanceEngine, resolve_dtype
 from ..exceptions import ServingError, ValidationError
 from ..net.endpoints import parse_endpoints
-from ..search._seeding import (coarse_metric, default_seed_labels,
-                               nearest_centroids)
+from ..search._seeding import default_seed_labels, nearest_centroids
 from ..search._walk import SearchResult
 from ..validation import (
     check_data_matrix,
@@ -171,7 +170,7 @@ def partition_dataset(data: np.ndarray, n_shards: int, partitioner: str, *,
         coarse = KMeans(n_shards, init="k-means++",
                         max_iter=_PARTITION_ITER,
                         random_state=check_random_state(random_state),
-                        metric=coarse_metric(metric), dtype=dtype)
+                        metric=metric, dtype=dtype)
         coarse.fit(data)
         labels = coarse.labels_
         # The centroids live in the clustering space the labels were
@@ -846,8 +845,8 @@ class ShardedIndex:
         (:func:`~repro.search._seeding.nearest_centroids`).  Ties resolve by
         shard order, so the routing is deterministic.
         """
-        coarse = DistanceEngine(coarse_metric(self.metric), self.spec.dtype)
-        return nearest_centroids(coarse, queries, self.centroids, probe)
+        engine = DistanceEngine(self.metric, self.spec.dtype)
+        return nearest_centroids(engine, queries, self.centroids, probe)
 
     # ------------------------------------------------------------------ #
     # Online mutations

@@ -23,7 +23,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..distance import (
-    METRICS,
     QUANTIZE_MODES,
     resolve_dtype,
     resolve_metric,
@@ -65,16 +64,12 @@ class BuilderEntry:
         ``surviving`` (see :mod:`repro.index.backends`).
     params:
         Names of the backend-specific keys ``IndexSpec.params`` may carry.
-    metrics:
-        Metrics the backend supports (Alg. 3 is a clustering, so it needs the
-        k-means geometry and excludes ``dot``).
     description:
         One-line summary for CLI help and ``repr``.
     """
 
     build: Callable
     params: frozenset
-    metrics: tuple
     description: str
 
 
@@ -82,15 +77,14 @@ class BuilderEntry:
 BUILDERS: dict[str, BuilderEntry] = {}
 
 
-def register_builder(name: str, *, params=(), metrics=METRICS,
+def register_builder(name: str, *, params=(),
                      description: str = "") -> Callable:
     """Register ``func`` as the construction backend ``name`` (decorator)."""
 
     def decorator(func: Callable) -> Callable:
         """Record ``func`` in ``BUILDERS`` and return it unchanged."""
         BUILDERS[name] = BuilderEntry(
-            build=func, params=frozenset(params), metrics=tuple(metrics),
-            description=description)
+            build=func, params=frozenset(params), description=description)
         return func
 
     return decorator
@@ -197,10 +191,6 @@ class IndexSpec:
         object.__setattr__(self, "metric", resolve_metric(self.metric))
         object.__setattr__(self, "dtype",
                            np.dtype(resolve_dtype(self.dtype)).name)
-        if self.metric not in entry.metrics:
-            raise ValidationError(
-                f"backend {self.backend!r} does not support metric "
-                f"{self.metric!r} (supported: {sorted(entry.metrics)})")
         # Keep the coerced plain ints — numpy scalars would survive
         # validation but break the JSON persistence of to_json().
         object.__setattr__(self, "n_neighbors", check_positive_int(

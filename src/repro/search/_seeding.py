@@ -35,19 +35,12 @@ import numpy as np
 from ..distance import DistanceEngine
 from ..distance.kernels import stable_smallest
 
-__all__ = ["SeedPartition", "Seeds", "coarse_metric", "default_seed_labels",
+__all__ = ["SeedPartition", "Seeds", "default_seed_labels",
            "nearest_centroids", "seed_entry_points"]
 
 #: Queries whose probed members are gathered and scored in one block: caps
 #: the ``(rows, width, d)`` gather at a few MB whatever the batch size.
 SEED_ROWS = 256
-
-
-def coarse_metric(metric: str) -> str:
-    """Metric of the coarse clusterings (seed partition, shard partition)
-    for a serving ``metric``: metrics without a k-means structure (``dot``)
-    fall back to squared-Euclidean on the raw rows."""
-    return metric if metric in ("sqeuclidean", "cosine") else "sqeuclidean"
 
 
 def nearest_centroids(engine: DistanceEngine, queries: np.ndarray,
@@ -56,10 +49,10 @@ def nearest_centroids(engine: DistanceEngine, queries: np.ndarray,
     """``(m, count)`` column ids of each query's nearest ``centroids``,
     nearest first, ties to the lower centroid id.
 
-    ``engine`` is a coarse engine (see :func:`coarse_metric`); the queries
-    are scored in its clustering space (l2-normalised rows for cosine),
-    where ``centroids`` must live, in one block.  ``centroid_norms`` are
-    the centroids' norms in that space, when the caller keeps them.
+    ``engine`` is the serving engine; the queries are scored in its
+    clustering space (l2-normalised rows for cosine), where ``centroids``
+    must live, in one block.  ``centroid_norms`` are the centroids' norms
+    in that space, when the caller keeps them.
     """
     scores = engine.clustering_engine().cross(
         engine.prepare_clustering(queries), centroids,
@@ -73,14 +66,14 @@ def nearest_centroids(engine: DistanceEngine, queries: np.ndarray,
 def default_seed_labels(data: np.ndarray, metric: str, dtype,
                         random_state) -> np.ndarray:
     """The seed partition of an index whose backend leaves none: one
-    two-means tree of about 50 rows per cluster, in the coarse space of
-    ``metric``."""
+    two-means tree of about 50 rows per cluster, in the clustering space
+    of ``metric``."""
     from ..cluster.two_means_tree import two_means_labels
 
     n = data.shape[0]
     return two_means_labels(data, min(n, max(2, n // 50)),
                             random_state=random_state,
-                            metric=coarse_metric(metric), dtype=dtype)
+                            metric=metric, dtype=dtype)
 
 
 class SeedPartition:
@@ -94,7 +87,7 @@ class SeedPartition:
         ``(n,)`` integer cluster label of every row, each in ``[0, n)``;
         labels no row carries are empty clusters and are never probed.
     metric, dtype:
-        The serving engine's configuration; the means live in the coarse
+        The serving engine's configuration; the means live in the
         clustering space of ``metric``.
 
     Attributes
@@ -117,7 +110,7 @@ class SeedPartition:
 
     def __init__(self, data: np.ndarray, labels: np.ndarray, metric: str,
                  dtype) -> None:
-        self.engine = DistanceEngine(coarse_metric(metric), dtype)
+        self.engine = DistanceEngine(metric, dtype)
         self.labels = np.asarray(labels, dtype=np.int64)
         self.members = np.argsort(self.labels, kind="stable")
         counts = np.bincount(self.labels)

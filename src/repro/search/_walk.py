@@ -135,18 +135,17 @@ Scorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def exact_scorer(engine, data: np.ndarray, data_norms: np.ndarray | None,
-                 queries: np.ndarray, query_norms: np.ndarray | None
+                 queries: np.ndarray, query_norms: np.ndarray
                  ) -> Scorer:
     """The identity scorer: ``engine.cross`` over the uncompressed rows.
 
-    ``data_norms=None`` under a norm-using metric computes the gathered
-    rows' norms on the fly.
+    ``data_norms=None`` computes the gathered rows' norms on the fly.
     """
     def score(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
         kernel = engine.paired if ids.ndim == 2 else engine.cross
         return kernel(
             queries[rows], data.take(ids, axis=0),
-            a_norms=None if query_norms is None else query_norms[rows],
+            a_norms=query_norms[rows],
             b_norms=None if data_norms is None else data_norms[ids])
     return score
 

@@ -107,8 +107,7 @@ def evaluate_search(searcher, queries: np.ndarray, *, n_results: int = 10,
         Only valid for batched index searches; ignored when ``None``.
 
     The brute-force oracle is computed under the searcher's own metric, so
-    cosine / inner-product searchers are scored against the right ground
-    truth.
+    cosine searchers are scored against the right ground truth.
     """
     queries = check_data_matrix(queries, name="queries")
     n_results = check_positive_int(n_results, name="n_results")

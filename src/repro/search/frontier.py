@@ -4,8 +4,8 @@
 to :meth:`DistanceEngine.cross <repro.distance.DistanceEngine.cross>` over
 the dataset itself, so every round's merged frontier is scored in one exact
 gemm and the pool a query ends with already holds true metric distances —
-no query folding, no re-rank.  The same loop serves squared-Euclidean,
-cosine and inner-product (MIPS) queries in float32 or float64.
+no query folding, no re-rank.  The same loop serves squared-Euclidean and
+cosine queries in float32 or float64.
 """
 
 from __future__ import annotations

@@ -70,8 +70,8 @@ class GraphSearcher:
         here and reused by every query.
     data_norms:
         Optional precomputed ``engine.norms(data)`` (e.g. restored from a
-        saved index) — skips the O(n·d) norms pass.  Must be a ``(n,)``
-        array; rejected for the ``dot`` metric, which uses no norms.
+        saved index) — skips the O(n·d) norms pass.  Must be a finite
+        ``(n,)`` array.
     quantize:
         Compressed-domain serving mode (``"none"``, ``"float16"`` or
         ``"int8"``; see :mod:`repro.distance.quantized`).  ``"none"``
@@ -121,10 +121,6 @@ class GraphSearcher:
         if data_norms is None:
             self._data_norms = self.engine_.norms(self.data)
         else:
-            if self.engine_.metric == "dot":
-                raise GraphError(
-                    "the dot metric uses no row norms, but data_norms was "
-                    "given")
             data_norms = np.asarray(data_norms)
             if data_norms.shape != (self.data.shape[0],):
                 raise GraphError(
@@ -280,9 +276,7 @@ class GraphSearcher:
         data = np.empty((total, self.data.shape[1]), dtype=self.data.dtype)
         data[:first] = self.data
         data[first:] = vectors
-        norms = self._data_norms
-        if norms is not None:
-            norms = np.concatenate([norms, engine.norms(vectors)])
+        norms = np.concatenate([self._data_norms, engine.norms(vectors)])
         # 2. Join the batch as one cluster; 3. push the back-edges.
         row_ids, row_dists = refine_neighborhood(
             engine, data, norms, indices, first, seeds, n_neighbors)

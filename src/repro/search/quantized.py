@@ -64,7 +64,7 @@ def quantized_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
     def score(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
         return scorer.block(
             folded[rows], None if bias is None else bias[rows],
-            None if query_norms is None else query_norms[rows], ids)
+            query_norms[rows], ids)
 
     if partition is None:
         partition = SeedPartition.cluster(data, engine.metric, engine.dtype,

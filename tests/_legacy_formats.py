@@ -7,6 +7,10 @@ rewrites them at the current version.  Only unmutated indexes may be
 downgraded below the version that introduced mutations: the dropped
 ``ids``/``tombstones`` then hold exactly the defaults migration restores.
 
+:func:`write_retired_metric` fabricates a current-version file saved under
+a metric that no longer exists (``dot``, the inner product), which every
+reader must refuse.
+
 Manifests before v6 kept the id map — every shard's global row ids,
 ``shard_ids`` split by ``shard_offsets`` — and their shard files held
 positional ids; a retired directory is written that way.
@@ -98,6 +102,23 @@ def write_manifest_version(directory, version, shard_version=None):
     if shard_version < FORMAT_VERSION:
         for name in names:
             write_mono_version(os.path.join(directory, name), shard_version)
+
+
+def write_retired_metric(path, metric):
+    """Rewrite the index file or manifest at ``path`` as it was saved under
+    the retired inner-product ``metric`` (any spelling): the spec names it,
+    and an index file's graph names it and holds no norms, which that
+    metric did not use."""
+    with np.load(path, allow_pickle=False) as archive:
+        payload = {key: archive[key] for key in archive.files
+                   if key != "norms"}
+    spec = json.loads(str(payload["spec_json"]))
+    spec["metric"] = metric
+    payload["spec_json"] = np.asarray(json.dumps(spec, sort_keys=True))
+    if "graph_metric" in payload:
+        payload["graph_metric"] = np.asarray("dot")
+    with open(path, "wb") as stream:
+        np.savez(stream, **payload)
 
 
 def directory_bytes(directory):

@@ -33,8 +33,6 @@ def naive_distance(metric: str, x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     if metric == "sqeuclidean":
         return float(((x - y) ** 2).sum())
-    if metric == "dot":
-        return float(-(x @ y))
     nx = np.linalg.norm(x) or 1.0
     ny = np.linalg.norm(y) or 1.0
     # Clipped to the engine's documented cosine range: dividing by a
@@ -123,12 +121,7 @@ class TestPairwiseAndRowwise:
     def test_pairwise_diagonal_convention(self, metric, dtype, matrices):
         a, _ = matrices
         engine = DistanceEngine(metric, dtype)
-        diag = np.diag(engine.pairwise(a))
-        if metric == "dot":
-            assert np.allclose(diag, [naive_distance("dot", r, r) for r in a],
-                               atol=ATOL[dtype])
-        else:
-            assert np.allclose(diag, 0.0)
+        assert np.allclose(np.diag(engine.pairwise(a)), 0.0)
 
     def test_rowwise_matches_naive(self, metric, dtype, matrices):
         a, b = matrices
@@ -201,11 +194,8 @@ class TestFromInner:
         engine = DistanceEngine(metric)
         gathered = centroids[gather]                     # (6, 3, 4)
         dots = np.einsum("bd,bcd->bc", data, gathered)
-        norms = engine.norms(centroids)
-        dists = engine.from_inner(
-            dots,
-            None if norms is None else engine.norms(data),
-            None if norms is None else norms[gather])
+        dists = engine.from_inner(dots, engine.norms(data),
+                                  engine.norms(centroids)[gather])
         for i in range(6):
             for c in range(3):
                 assert dists[i, c] == pytest.approx(
@@ -224,9 +214,12 @@ class TestEngineConfiguration:
         assert resolve_metric("Euclidean") == "sqeuclidean"
         assert resolve_metric("cos") == "cosine"
         assert resolve_metric("angular") == "cosine"
-        assert resolve_metric("ip") == "dot"
-        assert resolve_metric("inner-product") == "dot"
-        assert resolve_metric("MIPS") == "dot"
+
+    @pytest.mark.parametrize("spelling", ["dot", "ip", "inner-product",
+                                          "inner_product", "MIPS"])
+    def test_inner_product_spellings_rejected(self, spelling):
+        with pytest.raises(ValidationError, match="cosine.*sqeuclidean"):
+            resolve_metric(spelling)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValidationError, match="metric"):
@@ -237,11 +230,6 @@ class TestEngineConfiguration:
         assert resolve_dtype(np.float64) == np.dtype(np.float64)
         with pytest.raises(ValidationError, match="dtype"):
             resolve_dtype(np.int32)
-
-    def test_kmeans_geometry_flags(self):
-        assert DistanceEngine("sqeuclidean").kmeans_geometry
-        assert DistanceEngine("cosine").kmeans_geometry
-        assert not DistanceEngine("dot").kmeans_geometry
 
     def test_clustering_engine_reduction(self):
         cosine = DistanceEngine("cosine", np.float32)
@@ -256,8 +244,8 @@ class TestEngineConfiguration:
         data = rng.normal(size=(6, 4)) * rng.uniform(0.1, 9.0, size=(6, 1))
         unit = DistanceEngine("cosine").prepare_clustering(data)
         assert np.allclose((unit ** 2).sum(axis=1), 1.0)
-        # identity for the other metrics
-        kept = DistanceEngine("dot").prepare_clustering(data)
+        # identity for sqeuclidean
+        kept = DistanceEngine("sqeuclidean").prepare_clustering(data)
         assert np.allclose(kept, data)
 
     def test_prepare_clustering_keeps_zero_rows(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_sift_like
-from repro.distance import DistanceEngine
+from repro.distance import METRICS, DistanceEngine
 from repro.exceptions import GraphError, ValidationError
 from repro.graph import (
     KNNGraph,
@@ -192,7 +192,7 @@ class TestRandomGraph:
         assert min(counts.values()) > 150          # 200 expected, sd ~13
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("metric", ["sqeuclidean", "cosine", "dot"])
+    @pytest.mark.parametrize("metric", METRICS)
     def test_rows_match_per_row_scoring(self, metric, dtype):
         """The blocked scoring equals one ``engine.cross`` call per point
         over the very same random draws."""

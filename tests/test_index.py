@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_sift_like, train_query_split
-from repro.distance import DistanceEngine
+from repro.distance import METRICS, DistanceEngine
 from repro.exceptions import GraphError, ValidationError
 from repro.graph import brute_force_knn_graph
 from repro.index import (
@@ -49,10 +49,6 @@ class TestIndexSpec:
         with pytest.raises(ValidationError, match="backend"):
             IndexSpec(backend="annoy")
 
-    def test_gkmeans_rejects_dot(self):
-        with pytest.raises(ValidationError, match="dot"):
-            IndexSpec(backend="gkmeans", metric="dot")
-
     def test_params_validated_against_backend(self):
         with pytest.raises(ValidationError, match="params"):
             IndexSpec(backend="nndescent", params={"tau": 3})
@@ -85,9 +81,9 @@ class TestIndexSpec:
             IndexSpec.from_dict(payload)
 
     def test_replace_revalidates(self):
-        spec = IndexSpec(backend="nndescent", metric="dot")
-        with pytest.raises(ValidationError):
-            spec.replace(backend="gkmeans")
+        spec = IndexSpec(backend="nndescent")
+        with pytest.raises(ValidationError, match="metric"):
+            spec.replace(metric="dot")
 
     def test_registry_lists_all_builtin_backends(self):
         assert available_backends() == ["bruteforce", "gkmeans",
@@ -173,9 +169,8 @@ class TestBuildAndSearch:
 ROUND_TRIP_CASES = [
     (backend, metric, dtype)
     for backend in ("gkmeans", "nndescent", "bruteforce", "random")
-    for metric in ("sqeuclidean", "cosine", "dot")
+    for metric in METRICS
     for dtype in ("float64", "float32")
-    if not (backend == "gkmeans" and metric == "dot")
 ]
 
 

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from _insert_oracle import insert_per_row, push_row, refine_row
 
-from repro.distance import DistanceEngine
+from repro.distance import METRICS, DistanceEngine
 from repro.exceptions import GraphError, ValidationError
 from repro.graph import KNNGraph, brute_force_knn_graph, random_knn_graph
 from repro.graph.bruteforce import brute_force_neighbors
@@ -165,7 +165,7 @@ def test_splice_replaces_and_grows():
 # --------------------------------------------------------------------- #
 # The join and the merge against their per-row forms
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("metric", ["sqeuclidean", "cosine", "dot"])
+@pytest.mark.parametrize("metric", METRICS)
 def test_join_is_each_rows_own_local_join(metric):
     """Each new row gets the ``(distance, id)``-nearest of its seeds, their
     out-neighbours and the other new rows — what a per-row join over that
@@ -305,7 +305,7 @@ def test_failed_insert_leaves_the_searcher_untouched(small):
         searcher._adjacency.indptr, searcher._adjacency.indices)]
 
 
-@pytest.mark.parametrize("metric", ["sqeuclidean", "cosine", "dot"])
+@pytest.mark.parametrize("metric", METRICS)
 def test_materialized_distances_match_per_row_cross(metric):
     rng = np.random.default_rng(2)
     engine = DistanceEngine(metric)

@@ -1,4 +1,4 @@
-"""End-to-end metric tests: the whole pipeline under cosine (and dot).
+"""End-to-end metric tests: the whole pipeline under cosine.
 
 The dataset is built to be separable *angularly* but not by magnitude: every
 cluster is a direction on the unit sphere and each sample sits at a random
@@ -15,9 +15,7 @@ graph (``test_search.py``).
 import numpy as np
 import pytest
 
-from repro.cluster import (BisectingKMeans, BoostKMeans, ClosureKMeans,
-                           GKMeans, KMeans, MiniBatchKMeans, TwoMeansTree)
-from repro.exceptions import ValidationError
+from repro.cluster import GKMeans, KMeans, MiniBatchKMeans
 from repro.graph import (
     NNDescent,
     brute_force_knn_graph,
@@ -229,63 +227,6 @@ class TestCosineSearch:
                                   metric="cosine")
         b, _ = searcher2.query(queries[0] * 1000.0, 5)
         assert np.array_equal(a, b)
-
-
-class TestDotMetric:
-    def test_graph_matches_cosine_on_unit_sphere(self, angular_data):
-        """On normalised data, largest inner product == smallest cosine
-        distance, so the two brute-force graphs must agree."""
-        data, _ = angular_data
-        unit = data / np.linalg.norm(data, axis=1, keepdims=True)
-        dot_graph = brute_force_knn_graph(unit, 5, metric="dot")
-        cos_graph = brute_force_knn_graph(unit, 5, metric="cosine")
-        assert np.mean(dot_graph.indices[:, 0]
-                       == cos_graph.indices[:, 0]) > 0.99
-        # dot distances are negated inner products: legitimately negative
-        assert (dot_graph.distances < 0).any()
-        dot_graph.validate()   # must not flag the negative distances
-
-    def test_nn_descent_dot(self, angular_data):
-        data, _ = angular_data
-        truth = brute_force_knn_graph(data, 8, metric="dot")
-        graph = NNDescent(n_neighbors=8, random_state=0, metric="dot"
-                          ).build(data)
-        assert graph_recall(graph, truth) >= 0.9
-
-    def test_greedy_search_dot(self, angular_data):
-        data, _ = angular_data
-        truth = brute_force_knn_graph(data, 10, metric="dot")
-        searcher = GraphSearcher(data, truth, pool_size=48, random_state=0,
-                                 metric="dot")
-        evaluation = evaluate_search(searcher, data[:40], n_results=5)
-        assert evaluation.recall_at_1 > 0.7
-
-    def test_gkmeans_dot_lloyd_assignment(self, angular_data):
-        data, _ = angular_data
-        graph = brute_force_knn_graph(data, 8, metric="dot")
-        model = GKMeans(6, n_neighbors=8, graph=graph, assignment="lloyd",
-                        init="random", random_state=0, max_iter=8,
-                        metric="dot").fit(data)
-        assert model.labels_.shape == (data.shape[0],)
-        assert len(np.unique(model.labels_)) > 1
-
-    def test_gkmeans_dot_boost_rejected(self, angular_data):
-        data, _ = angular_data
-        with pytest.raises(ValidationError, match="boost"):
-            GKMeans(6, n_neighbors=8, graph_builder="brute-force",
-                    metric="dot").fit(data)
-
-    @pytest.mark.parametrize("estimator", [BoostKMeans, BisectingKMeans,
-                                           ClosureKMeans, TwoMeansTree])
-    def test_estimator_without_dot_rejects_it(self, angular_data, estimator):
-        data, _ = angular_data
-        with pytest.raises(ValidationError, match="metric"):
-            estimator(6, metric="dot").fit(data)
-
-    def test_construction_dot_rejected(self, angular_data):
-        data, _ = angular_data
-        with pytest.raises(ValidationError, match="k-means geometry"):
-            build_knn_graph_by_clustering(data, 5, metric="dot")
 
 
 class TestFloat32Pipeline:

@@ -22,15 +22,15 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_sift_like, train_query_split
+from repro.distance import METRICS
 from repro.exceptions import ServingError, ValidationError
 from repro.index import Index, IndexSpec, ShardedIndex
 from repro.index.sharded import migrate
 
 from _legacy_formats import write_mono_version
 
-ENGINE_CONFIGS = [("sqeuclidean", "float64"), ("sqeuclidean", "float32"),
-                  ("cosine", "float64"), ("cosine", "float32"),
-                  ("dot", "float64")]
+ENGINE_CONFIGS = [(metric, dtype) for metric in METRICS
+                  for dtype in ("float64", "float32")]
 
 
 def _assert_tombstone_count(index):
@@ -283,7 +283,7 @@ class TestShardedMutationOracle:
                                 np.asarray(self.DELETED))
         return sharded, full, live_ids, queries
 
-    @pytest.mark.parametrize("metric,dtype", ENGINE_CONFIGS[:4])
+    @pytest.mark.parametrize("metric,dtype", ENGINE_CONFIGS)
     def test_mutated_sharded_matches_rebuild(self, corpus, metric, dtype,
                                              tmp_path):
         rtol = 1e-9 if dtype == "float64" else 1e-5

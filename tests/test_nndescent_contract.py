@@ -28,10 +28,10 @@ from _nndescent_oracle import heap_nn_descent
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.distance import METRICS
 from repro.graph import (NNDescent, brute_force_knn_graph, graph_recall,
                          nndescent)
 
-METRICS = ["sqeuclidean", "cosine", "dot"]
 DTYPES = [np.float32, np.float64]
 N_NEIGHBORS = 10
 SEED = 1

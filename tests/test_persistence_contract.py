@@ -15,7 +15,9 @@ every entry point that reads the damaged format:
 
 Files of retired versions, fabricated by ``_legacy_formats``, must migrate
 to an index serving bit for bit what the original served, and a second
-``migrate`` must leave every file untouched.
+``migrate`` must leave every file untouched.  Files saved under the retired
+``dot`` metric are refused by every reader and by ``migrate``, naming the
+metrics that remain.
 """
 
 import os
@@ -27,6 +29,7 @@ from _legacy_formats import (
     directory_bytes,
     write_manifest_version,
     write_mono_version,
+    write_retired_metric,
 )
 
 from repro.cli import main
@@ -34,7 +37,12 @@ from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import ValidationError
 from repro.index import Index, IndexSpec, Rebalancer, ShardedIndex
 from repro.index.facade import FORMAT_VERSION
-from repro.index.sharded import MANIFEST_NAME, SHARDED_FORMAT_VERSION, migrate
+from repro.index.sharded import (
+    MANIFEST_NAME,
+    SHARDED_FORMAT_VERSION,
+    migrate,
+    read_manifest,
+)
 from repro.net import load_shard_for_serving
 
 
@@ -416,3 +424,67 @@ class TestMigrate:
         error = captured.err.strip()
         assert captured.out == ""
         assert error.startswith("error:") and "\n" not in error
+
+
+# --------------------------------------------------------------------- #
+# The retired inner-product metric
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def retired(corpus, tmp_path_factory):
+    """A cosine single-file index and 2-shard directory, rewritten as the
+    retired ``dot`` metric saved them (the manifest spells it ``mips``)."""
+    base, _ = corpus
+    root = tmp_path_factory.mktemp("retired")
+    spec = IndexSpec(backend="bruteforce", n_neighbors=6, metric="cosine",
+                     random_state=3)
+    mono = root / "mono.idx"
+    with Index.build(base, spec) as index:
+        index.save(mono)
+    write_retired_metric(mono, "dot")
+    directory = root / "corpus.shards"
+    with ShardedIndex.build(base, spec.replace(
+            n_shards=2, partitioner="gkmeans")) as sharded:
+        sharded.save(directory)
+    write_retired_metric(directory / MANIFEST_NAME, "mips")
+    for shard in ("shard_0000.idx", "shard_0001.idx"):
+        write_retired_metric(directory / shard, "dot")
+    return mono, directory
+
+
+RETIRED_READERS = {
+    "Index.load": lambda mono, directory: Index.load(mono),
+    "Index.load(shard)":
+        lambda mono, directory: Index.load(directory / "shard_0001.idx"),
+    "read_manifest": lambda mono, directory: read_manifest(directory),
+    "ShardedIndex.load": lambda mono, directory: ShardedIndex.load(directory),
+    "load_shard_for_serving(file)":
+        lambda mono, directory: load_shard_for_serving(mono),
+    "load_shard_for_serving(directory)":
+        lambda mono, directory: load_shard_for_serving(directory, 1),
+    "migrate(file)": lambda mono, directory: migrate(mono),
+    "migrate(directory)": lambda mono, directory: migrate(directory),
+}
+
+
+class TestRetiredMetric:
+    @pytest.mark.parametrize("reader", sorted(RETIRED_READERS))
+    def test_every_reader_refuses_and_names_the_metrics(self, retired,
+                                                        reader):
+        snapshots = [_snapshot(path) for path in retired]
+        with pytest.raises(ValidationError,
+                           match=r"\['cosine', 'sqeuclidean'\]"):
+            _release(RETIRED_READERS[reader](*retired))
+        assert [_snapshot(path) for path in retired] == snapshots
+
+    @pytest.mark.parametrize("command", ["search", "migrate"])
+    @pytest.mark.parametrize("target", ["file", "directory"])
+    def test_cli_exits_2_with_one_line(self, retired, capsys, command,
+                                       target):
+        path = retired[0] if target == "file" else retired[1]
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        error = captured.err.strip()
+        assert captured.out == ""
+        assert error.startswith("error:") and "\n" not in error
+        assert "Traceback" not in error
+        assert "['cosine', 'sqeuclidean']" in error

@@ -21,6 +21,7 @@ from _legacy_formats import write_mono_version, write_manifest_version
 
 from repro.datasets import make_sift_like, train_query_split
 from repro.distance import (
+    METRICS,
     DistanceEngine,
     QUANTIZE_MODES,
     QuantizedScorer,
@@ -181,7 +182,7 @@ class TestSpecPlumbing:
 class TestQuantizedRecallFloor:
     """Quantized recall@10 ≥ 0.95 × the exact search's recall@10."""
 
-    @pytest.mark.parametrize("metric", ["sqeuclidean", "cosine", "dot"])
+    @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("quantize", ["float16", "int8"])
     def test_metric_dtype_grid(self, corpus, metric, dtype, quantize):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_sift_like, train_query_split
-from repro.distance import DistanceEngine
+from repro.distance import METRICS, DistanceEngine
 from repro.graph import brute_force_knn_graph
 from repro.graph.bruteforce import brute_force_neighbors
 from repro.index import Index, IndexSpec
@@ -30,8 +30,7 @@ from repro.search._seeding import SeedPartition, nearest_centroids
 from repro.search._walk import beam_walk, exact_scorer
 
 K = 5
-ENGINES = [(metric, dtype, "none") for metric in ("sqeuclidean", "cosine",
-                                                  "dot")
+ENGINES = [(metric, dtype, "none") for metric in METRICS
            for dtype in ("float64", "float32")] + [("sqeuclidean",
                                                      "float32", "int8")]
 

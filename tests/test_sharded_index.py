@@ -64,16 +64,6 @@ class TestPartitioners:
         for left, right in zip(a, b):
             assert np.array_equal(left, right)
 
-    def test_gkmeans_partition_accepts_dot_metric(self, shard_setup):
-        """The coarse split falls back to sqeuclidean for dot indexes."""
-        base, queries = shard_setup
-        sharded = ShardedIndex.build(base, backend="bruteforce",
-                                     n_neighbors=6, metric="dot",
-                                     n_shards=2, partitioner="gkmeans")
-        assert sharded.metric == "dot"
-        idx, dist = sharded.search(queries[:5], 4)
-        assert idx.shape == (5, 4)
-
     def test_partition_returns_centroids_when_asked(self, shard_setup):
         base, _ = shard_setup
         groups, centroids = partition_dataset(base, 3, "gkmeans",

@@ -29,7 +29,7 @@ import pytest
 from _insert_oracle import to_rows
 
 from repro.datasets import make_sift_like, train_query_split
-from repro.distance import DistanceEngine
+from repro.distance import METRICS, DistanceEngine
 from repro.distance.quantized import QuantizedScorer, ScalarQuantizer
 from repro.graph import brute_force_knn_graph
 from repro.graph.bruteforce import brute_force_neighbors
@@ -40,7 +40,6 @@ from repro.search import GraphSearcher, frontier_batch_search
 from repro.search._seeding import SeedPartition, default_seed_labels
 from repro.search.quantized import quantized_batch_search
 
-METRICS = ("sqeuclidean", "cosine", "dot")
 DTYPES = ("float64", "float32")
 #: Walk entries: the identity scorer and the two code families.
 ENTRIES = ("none", "float16", "int8")
