@@ -24,6 +24,11 @@ import numpy as np
 from repro.index.facade import FORMAT_VERSION
 from repro.index.sharded import MANIFEST_NAME
 
+#: Every spelling the retired inner-product metric was accepted under
+#: (metric names are case-insensitive, hence one upper-case entry).
+RETIRED_METRIC_SPELLINGS = ("dot", "ip", "inner-product", "inner_product",
+                            "MIPS")
+
 #: Keys each retired index-file version lacks: v1 predates online
 #: mutations; v2 lacks the spec's ``quantize`` field; v1–v3 predate the
 #: seed partition.

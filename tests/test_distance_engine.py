@@ -8,6 +8,7 @@ code tends to get wrong (duplicate rows, zero vectors, ``block_size=1``,
 
 import numpy as np
 import pytest
+from _legacy_formats import RETIRED_METRIC_SPELLINGS
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -215,8 +216,7 @@ class TestEngineConfiguration:
         assert resolve_metric("cos") == "cosine"
         assert resolve_metric("angular") == "cosine"
 
-    @pytest.mark.parametrize("spelling", ["dot", "ip", "inner-product",
-                                          "inner_product", "MIPS"])
+    @pytest.mark.parametrize("spelling", RETIRED_METRIC_SPELLINGS)
     def test_inner_product_spellings_rejected(self, spelling):
         with pytest.raises(ValidationError, match="cosine.*sqeuclidean"):
             resolve_metric(spelling)

@@ -12,16 +12,37 @@ against the brute-force oracle, greedy-search recall@1 > 0.7 on an exact
 graph (``test_search.py``).
 """
 
+import re
+
 import numpy as np
 import pytest
+from _legacy_formats import RETIRED_METRIC_SPELLINGS
 
-from repro.cluster import GKMeans, KMeans, MiniBatchKMeans
+from repro.cli import main
+from repro.cluster import (
+    BisectingKMeans,
+    BoostKMeans,
+    ClosureKMeans,
+    GKMeans,
+    KMeans,
+    MiniBatchKMeans,
+    TwoMeansTree,
+    two_means_labels,
+)
+from repro.distance import DistanceEngine
+from repro.exceptions import ValidationError
 from repro.graph import (
+    KNNGraph,
     NNDescent,
     brute_force_knn_graph,
+    brute_force_neighbors,
     build_knn_graph_by_clustering,
     graph_recall,
+    nn_descent_knn_graph,
+    random_knn_graph,
 )
+from repro.index import IndexSpec
+from repro.index.sharded import partition_dataset
 from repro.metrics import adjusted_rand_index, normalized_mutual_information
 from repro.search import GraphSearcher, evaluate_search
 
@@ -107,7 +128,6 @@ class TestCosineClustering:
     def test_boost_kmeans_predict_under_cosine(self, angular_data):
         """BoostKMeans must use the engine-aware predict path too (it used to
         override it with the raw l2 kernel)."""
-        from repro.cluster import BoostKMeans
         data, _ = angular_data
         model = BoostKMeans(6, random_state=0, max_iter=15,
                             metric="cosine").fit(data)
@@ -227,6 +247,82 @@ class TestCosineSearch:
                                   metric="cosine")
         b, _ = searcher2.query(queries[0] * 1000.0, 5)
         assert np.array_equal(a, b)
+
+
+#: Every public entry point that takes a metric, called with ``metric``
+#: on ``data`` (and, where it needs one, the cosine graph ``graph``).
+#: Estimators and builders check their parameters when they start work.
+METRIC_ENTRY_POINTS = {
+    "DistanceEngine": lambda data, graph, metric: DistanceEngine(metric),
+    "IndexSpec": lambda data, graph, metric: IndexSpec(metric=metric),
+    "KNNGraph": lambda data, graph, metric: KNNGraph(
+        graph.indices, graph.distances, metric=metric),
+    "brute_force_neighbors": lambda data, graph, metric:
+        brute_force_neighbors(data[:5], data, 3, metric=metric),
+    "brute_force_knn_graph": lambda data, graph, metric:
+        brute_force_knn_graph(data, 5, metric=metric),
+    "random_knn_graph": lambda data, graph, metric:
+        random_knn_graph(data, 5, metric=metric),
+    "NNDescent": lambda data, graph, metric:
+        NNDescent(n_neighbors=5, metric=metric).build(data),
+    "nn_descent_knn_graph": lambda data, graph, metric:
+        nn_descent_knn_graph(data, 5, metric=metric),
+    "build_knn_graph_by_clustering": lambda data, graph, metric:
+        build_knn_graph_by_clustering(data, 5, metric=metric),
+    "GraphSearcher": lambda data, graph, metric:
+        GraphSearcher(data, graph, metric=metric),
+    "partition_dataset": lambda data, graph, metric:
+        partition_dataset(data, 2, "gkmeans", metric=metric),
+    "two_means_labels": lambda data, graph, metric:
+        two_means_labels(data, 6, metric=metric),
+    **{estimator.__name__: (
+        lambda estimator: lambda data, graph, metric:
+        estimator(6, metric=metric).fit(data))(estimator)
+       for estimator in (GKMeans, KMeans, MiniBatchKMeans, BoostKMeans,
+                         BisectingKMeans, ClosureKMeans, TwoMeansTree)},
+}
+
+#: CLI invocations that take ``--metric`` (an experiment is also reachable
+#: under its own name).
+METRIC_COMMANDS = {
+    "build": ["build", "--out", "{out}"],
+    "cluster": ["cluster"],
+    "experiment": ["experiment", "anns"],
+    "experiment-alias": ["anns"],
+}
+
+
+class TestRetiredMetric:
+    """The inner-product metric is gone under every spelling it had: each
+    entry point refuses it with a ``ValidationError`` that names the
+    spelling and the two metrics that remain, so no layer keeps a private
+    alias table that still lets it through."""
+
+    @pytest.mark.parametrize("spelling", RETIRED_METRIC_SPELLINGS)
+    @pytest.mark.parametrize("entry_point", sorted(METRIC_ENTRY_POINTS))
+    def test_every_entry_point_refuses_it(self, angular_data, cosine_truth,
+                                          entry_point, spelling):
+        data, _ = angular_data
+        expected = (rf"{re.escape(repr(spelling))}.*"
+                    r"\['cosine', 'sqeuclidean'\]")
+        with pytest.raises(ValidationError, match=expected):
+            METRIC_ENTRY_POINTS[entry_point](data, cosine_truth, spelling)
+
+    @pytest.mark.parametrize("spelling", RETIRED_METRIC_SPELLINGS)
+    @pytest.mark.parametrize("command", sorted(METRIC_COMMANDS))
+    def test_every_command_refuses_it(self, tmp_path, capsys, command,
+                                      spelling):
+        out = tmp_path / "index.npz"
+        argv = [arg.format(out=out) for arg in METRIC_COMMANDS[command]]
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--metric", spelling])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = captured.err.strip().splitlines()[-1]
+        assert "--metric" in error and repr(spelling) in error
+        assert "'cosine'" in error and "'sqeuclidean'" in error
+        assert not out.exists()
 
 
 class TestFloat32Pipeline:

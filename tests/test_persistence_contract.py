@@ -16,8 +16,8 @@ every entry point that reads the damaged format:
 Files of retired versions, fabricated by ``_legacy_formats``, must migrate
 to an index serving bit for bit what the original served, and a second
 ``migrate`` must leave every file untouched.  Files saved under the retired
-``dot`` metric are refused by every reader and by ``migrate``, naming the
-metrics that remain.
+inner-product metric, whichever of its spellings names it, are refused by
+every reader and by ``migrate``, naming the metrics that remain.
 """
 
 import os
@@ -26,6 +26,7 @@ import shutil
 import numpy as np
 import pytest
 from _legacy_formats import (
+    RETIRED_METRIC_SPELLINGS,
     directory_bytes,
     write_manifest_version,
     write_mono_version,
@@ -430,24 +431,34 @@ class TestMigrate:
 # The retired inner-product metric
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
-def retired(corpus, tmp_path_factory):
-    """A cosine single-file index and 2-shard directory, rewritten as the
-    retired ``dot`` metric saved them (the manifest spells it ``mips``)."""
+def cosine_saved(corpus, tmp_path_factory):
+    """A saved cosine single-file index and 2-shard gkmeans directory."""
     base, _ = corpus
-    root = tmp_path_factory.mktemp("retired")
+    root = tmp_path_factory.mktemp("cosine")
     spec = IndexSpec(backend="bruteforce", n_neighbors=6, metric="cosine",
                      random_state=3)
     mono = root / "mono.idx"
     with Index.build(base, spec) as index:
         index.save(mono)
-    write_retired_metric(mono, "dot")
     directory = root / "corpus.shards"
     with ShardedIndex.build(base, spec.replace(
             n_shards=2, partitioner="gkmeans")) as sharded:
         sharded.save(directory)
-    write_retired_metric(directory / MANIFEST_NAME, "mips")
-    for shard in ("shard_0000.idx", "shard_0001.idx"):
-        write_retired_metric(directory / shard, "dot")
+    return mono, directory
+
+
+@pytest.fixture(scope="module", params=RETIRED_METRIC_SPELLINGS)
+def retired(request, cosine_saved, tmp_path_factory):
+    """The cosine index and directory, rewritten as the retired inner-product
+    metric saved them under one of its spellings."""
+    root = tmp_path_factory.mktemp("retired")
+    mono = root / "mono.idx"
+    shutil.copyfile(cosine_saved[0], mono)
+    write_retired_metric(mono, request.param)
+    directory = root / "corpus.shards"
+    shutil.copytree(cosine_saved[1], directory)
+    for name in (MANIFEST_NAME, "shard_0000.idx", "shard_0001.idx"):
+        write_retired_metric(directory / name, request.param)
     return mono, directory
 
 
