@@ -63,8 +63,7 @@ def main() -> None:
     })
 
     print("Running traditional k-means (Lloyd) ...")
-    lloyd = KMeans(N_CLUSTERS, max_iter=15, random_state=SEED,
-                   count_distances=True).fit(data)
+    lloyd = KMeans(N_CLUSTERS, max_iter=15, random_state=SEED).fit(data)
     rows.append({
         "method": "k-means",
         "distortion": lloyd.distortion_,

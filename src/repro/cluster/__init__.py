@@ -17,7 +17,7 @@ baseline it is compared against or built upon:
 """
 
 from .base import BaseClusterer, ClusteringResult, IterationRecord
-from .objective import ClusterState, boost_objective, distortion_from_labels
+from .objective import ClusterState, boost_objective
 from .initialization import (
     random_init,
     kmeans_plus_plus_init,
@@ -37,7 +37,6 @@ __all__ = [
     "IterationRecord",
     "ClusterState",
     "boost_objective",
-    "distortion_from_labels",
     "random_init",
     "kmeans_plus_plus_init",
     "labels_to_centroids",

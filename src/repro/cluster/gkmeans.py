@@ -217,8 +217,6 @@ class GKMeans(BaseClusterer):
     init:
         ``"two-means"`` (Alg. 1, the paper's choice), ``"random"`` (random
         balanced labels) or an explicit initial label vector.
-    bisection:
-        Bisection routine of the two-means tree (``"lloyd"`` or ``"boost"``).
     max_iter:
         Maximum number of sweeps; both assignments stop earlier once a
         sweep moves no sample.
@@ -253,8 +251,7 @@ class GKMeans(BaseClusterer):
                  graph=None, graph_builder: str = "clustering",
                  graph_tau: int = 10, graph_cluster_size: int = 50,
                  assignment: str = "boost", init: object = "two-means",
-                 bisection: str = "lloyd", max_iter: int = 30,
-                 tol: float = 1e-4,
+                 max_iter: int = 30, tol: float = 1e-4,
                  random_state=None, metric: str = "sqeuclidean",
                  dtype=np.float64) -> None:
         super().__init__(n_clusters, max_iter=max_iter,
@@ -267,7 +264,6 @@ class GKMeans(BaseClusterer):
         self.graph_cluster_size = graph_cluster_size
         self.assignment = assignment
         self.init = init
-        self.bisection = bisection
         self.tol = tol
         self.graph_ = None
 
@@ -417,7 +413,6 @@ class GKMeans(BaseClusterer):
                 # ``data`` is already in the clustering space.
                 work = self._work_engine
                 return two_means_labels(data, n_clusters, random_state=rng,
-                                        bisection=self.bisection,
                                         metric=work.metric, dtype=work.dtype)
             if key == "random":
                 return random_balanced_labels(data.shape[0], n_clusters, rng)

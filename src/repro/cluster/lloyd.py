@@ -33,28 +33,26 @@ class KMeans(BaseClusterer):
         Relative distortion improvement below which the iteration stops.
     random_state:
         Seed or generator.
-    count_distances:
-        When true, the number of sample-to-centroid distance evaluations is
-        accumulated in ``result_.extra["n_distance_evaluations"]``.
     metric, dtype:
         Distance engine configuration (see :class:`BaseClusterer`).
+
+    ``result_.extra["n_distance_evaluations"]`` counts the ``n·k``
+    sample-to-centroid distances of every iteration and the final one.
     """
 
     def __init__(self, n_clusters: int, *, init: object = "random",
                  max_iter: int = 30, tol: float = 1e-4, random_state=None,
-                 count_distances: bool = False, metric: str = "sqeuclidean",
-                 dtype=np.float64) -> None:
+                 metric: str = "sqeuclidean", dtype=np.float64) -> None:
         super().__init__(n_clusters, max_iter=max_iter,
                          random_state=random_state, metric=metric,
                          dtype=dtype)
         self.init = init
         self.tol = tol
-        self.count_distances = count_distances
 
     def _fit(self, data: np.ndarray, n_clusters: int, max_iter: int,
              rng: np.random.Generator) -> ClusteringResult:
         engine = self._work_engine
-        counter = DistanceCounter() if self.count_distances else None
+        counter = DistanceCounter()
         data_norms = engine.norms(data)
 
         init_start = time.perf_counter()
@@ -89,11 +87,9 @@ class KMeans(BaseClusterer):
         # Final distortion against the last centroid update.
         labels, distances = engine.assign_to_nearest(
             data, centroids, data_norms=data_norms, counter=counter)
-        extra = {}
-        if counter is not None:
-            extra["n_distance_evaluations"] = counter.count
         return ClusteringResult(
             labels=labels, centroids=centroids,
             distortion=float(distances.mean()), history=history,
             converged=converged, init_seconds=init_seconds,
-            iteration_seconds=iteration_seconds, extra=extra)
+            iteration_seconds=iteration_seconds,
+            extra={"n_distance_evaluations": counter.count})

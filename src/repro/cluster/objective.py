@@ -29,11 +29,9 @@ each move re-scored on the state the earlier ones leave
 (``delta_objective_pairs`` / ``move_block``, one round of both in
 ``move_best_block``), which the graph-guided sweep of
 :class:`~repro.cluster.gkmeans.GKMeans` (candidates = clusters of the κ graph
-neighbours) and the boost bisection of the two-means tree (candidates = the
-two halves of the sample's node) consume.  The state also versions its
-clusters and stamps its samples (``versions`` / ``stamps``), so the
-graph-guided sweep can tell which samples nothing has changed for since
-they were last scored.
+neighbours) consumes.  The state also versions its clusters and stamps its
+samples (``versions`` / ``stamps``), so the graph-guided sweep can tell
+which samples nothing has changed for since they were last scored.
 """
 
 from __future__ import annotations
@@ -44,8 +42,7 @@ from ..distance import squared_norms
 from ..exceptions import ValidationError
 from ..validation import check_data_matrix, check_labels, check_positive_int
 
-__all__ = ["BLOCK", "ClusterState", "boost_objective", "cluster_sums",
-           "distortion_from_labels"]
+__all__ = ["BLOCK", "ClusterState", "boost_objective", "cluster_sums"]
 
 #: Samples per block of a blocked boost sweep.  Big enough to amortise the
 #: interpreter cost of a round, small enough that a sample's "stay" decision
@@ -89,21 +86,6 @@ def boost_objective(data: np.ndarray, labels: np.ndarray,
     """Evaluate the boost k-means objective ``I`` (Eqn. 2) from scratch."""
     state = ClusterState(data, labels, n_clusters)
     return state.objective
-
-
-def distortion_from_labels(data: np.ndarray, labels: np.ndarray,
-                           n_clusters: int | None = None) -> float:
-    """Average distortion (Eqn. 4) of a labelling, recomputed exactly.
-
-    Every sample contributes the squared distance to the centroid of the
-    cluster it is assigned to; the result is the mean over samples.
-    """
-    data = check_data_matrix(data)
-    labels = check_labels(labels, data.shape[0])
-    if n_clusters is None:
-        n_clusters = int(labels.max()) + 1 if labels.size else 0
-    state = ClusterState(data, labels, n_clusters)
-    return state.distortion
 
 
 class ClusterState:

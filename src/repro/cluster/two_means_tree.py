@@ -12,6 +12,9 @@ Complexity is ``O(d·n·log k)`` — cheaper than a single Lloyd iteration when
 ``k`` is large — which is why the paper uses it instead of k-means++ style
 seeding.
 
+Step 8 of Alg. 1 bisects with boost k-means; every bisection here is at most
+``BISECT_ITER`` Lloyd 2-means steps (README, "note on fidelity").
+
 Alg. 1 as printed pops one node at a time from a priority queue.  Here the
 nodes are bisected a **wave** at a time: every pending node at least as large
 as the largest child the current largest node can have (``⌈s/2⌉`` with the
@@ -33,10 +36,9 @@ import time
 import numpy as np
 
 from ..distance import DistanceEngine
-from ..exceptions import ValidationError
 from ..validation import check_data_matrix, check_positive_int, check_random_state
 from .base import BaseClusterer, ClusteringResult, IterationRecord
-from .objective import BLOCK, ClusterState
+from .objective import ClusterState
 
 __all__ = ["TwoMeansTree", "two_means_labels"]
 
@@ -47,6 +49,9 @@ __all__ = ["TwoMeansTree", "two_means_labels"]
 #: whatever ``n`` is (a single node larger than this is gathered whole, as
 #: the root always was).
 WAVE_ROWS = 16384
+
+#: Lloyd 2-means steps per bisection (fewer once the split stops changing).
+BISECT_ITER = 4
 
 
 def _masked_means(rows: np.ndarray, assignment: np.ndarray,
@@ -107,45 +112,6 @@ def _bisect_lloyd(rows: np.ndarray, valid: np.ndarray, sizes: np.ndarray,
     return assignment, centroids
 
 
-def _bisect_boost(rows: np.ndarray, valid: np.ndarray, sizes: np.ndarray,
-                  rng: np.random.Generator,
-                  n_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split every node of a wave with a small incremental (boost) 2-means.
-
-    This is the faithful version of the paper's Step 8 ("boost k-means is
-    integrated in the bisecting operation"): one :class:`ClusterState` holds
-    the ``2w`` halves of the wave, and every sweep visits the wave's samples
-    in random order, ``BLOCK`` at a time, each choosing between its own half
-    and its sibling by ΔI.  Same contract as :func:`_bisect_lloyd`.
-    """
-    n_nodes = sizes.size
-    node_of = np.repeat(np.arange(n_nodes), sizes)
-    side = rng.integers(0, 2, size=node_of.size)
-    first = np.cumsum(sizes) - sizes
-    second = np.add.reduceat(side, first)
-    for node in np.flatnonzero((second == 0) | (second == sizes)):
-        # Every sample drew the same side; flip one so both halves exist.
-        flip = first[node] + rng.integers(sizes[node])
-        side[flip] = 1 - side[flip]
-    state = ClusterState(rows[valid], 2 * node_of + side, 2 * n_nodes)
-    halves = np.stack([2 * node_of, 2 * node_of + 1], axis=1)
-    for _ in range(n_iter):
-        moves = 0
-        order = rng.permutation(node_of.size)
-        for start in range(0, order.size, BLOCK):
-            pending = order[start:start + BLOCK]
-            while pending.size:
-                pending = pending[state.counts[state.labels[pending]] > 1]
-                pending, applied = state.move_best_block(pending,
-                                                         halves[pending])
-                moves += applied
-        if moves == 0:
-            break
-    assignment = np.zeros(valid.shape, dtype=bool)
-    assignment[valid] = state.labels & 1
-    return assignment, _masked_means(rows, assignment, valid, sizes)
-
-
 def _equalize(rows: np.ndarray, valid: np.ndarray, sizes: np.ndarray,
               centroids: np.ndarray) -> np.ndarray:
     """Adjust every bisection of a wave to (almost) equal halves (Alg. 1, l. 9).
@@ -166,8 +132,8 @@ def _equalize(rows: np.ndarray, valid: np.ndarray, sizes: np.ndarray,
 
 
 def _split_wave(data: np.ndarray, members: np.ndarray, starts: np.ndarray,
-                sizes: np.ndarray, bisect, rng: np.random.Generator,
-                n_iter: int, equal_size: bool) -> np.ndarray:
+                sizes: np.ndarray, rng: np.random.Generator,
+                equal_size: bool) -> np.ndarray:
     """Bisect the nodes ``members[starts[i]:starts[i] + sizes[i]]`` in place.
 
     Every node's run is rewritten as its first group followed by its second
@@ -180,7 +146,8 @@ def _split_wave(data: np.ndarray, members: np.ndarray, starts: np.ndarray,
     position = np.minimum(starts[:, None] + slots, members.size - 1)
     ids = members[position]
     rows = data[ids]
-    assignment, centroids = bisect(rows, valid, sizes, rng, n_iter)
+    assignment, centroids = _bisect_lloyd(rows, valid, sizes, rng,
+                                         BISECT_ITER)
     if equal_size:
         assignment = _equalize(rows, valid, sizes, centroids)
     # Stable partition of every run: first group, second group, padding.
@@ -192,7 +159,6 @@ def _split_wave(data: np.ndarray, members: np.ndarray, starts: np.ndarray,
 
 
 def two_means_labels(data: np.ndarray, n_clusters: int, *, random_state=None,
-                     bisection: str = "lloyd", bisect_iter: int = 4,
                      equal_size: bool = True, metric: str = "sqeuclidean",
                      dtype=np.float64) -> np.ndarray:
     """Run Alg. 1 and return the cluster label of every sample.
@@ -205,11 +171,6 @@ def two_means_labels(data: np.ndarray, n_clusters: int, *, random_state=None,
         Number of leaves ``k`` to produce.
     random_state:
         Seed or generator.
-    bisection:
-        ``"lloyd"`` (vectorised 2-means, the fast default) or ``"boost"``
-        (incremental 2-means as in the paper's Step 8).
-    bisect_iter:
-        Iterations of the inner 2-means per bisection.
     equal_size:
         Apply the equal-size adjustment (Alg. 1, line 9).  Disabling it turns
         the procedure into plain bisecting k-means by largest cluster and is
@@ -223,12 +184,7 @@ def two_means_labels(data: np.ndarray, n_clusters: int, *, random_state=None,
     data = engine.prepare_clustering(data)
     n = data.shape[0]
     n_clusters = check_positive_int(n_clusters, name="n_clusters", maximum=n)
-    bisect_iter = check_positive_int(bisect_iter, name="bisect_iter")
-    if bisection not in {"lloyd", "boost"}:
-        raise ValidationError(
-            f"bisection must be 'lloyd' or 'boost', got {bisection!r}")
     rng = check_random_state(random_state)
-    bisect = _bisect_lloyd if bisection == "lloyd" else _bisect_boost
 
     # Every pending node is a contiguous run of ``members``; ``ranks`` is the
     # order the nodes were created in, which breaks size ties the way the
@@ -248,8 +204,8 @@ def two_means_labels(data: np.ndarray, n_clusters: int, *, random_state=None,
         wave = wave[:min(n_clusters - node_labels.size,
                          max(WAVE_ROWS // largest, 1))]
         wave_starts, wave_sizes = starts[wave], sizes[wave]
-        second = _split_wave(data, members, wave_starts, wave_sizes, bisect,
-                             rng, bisect_iter, equal_size)
+        second = _split_wave(data, members, wave_starts, wave_sizes, rng,
+                             equal_size)
         rest = np.ones(sizes.size, dtype=bool)
         rest[wave] = False
         born = ranks.max() + 1 + 2 * np.arange(wave.size)
@@ -274,24 +230,17 @@ class TwoMeansTree(BaseClusterer):
     ----------
     n_clusters:
         Number of clusters ``k``.
-    bisection:
-        ``"lloyd"`` or ``"boost"`` (see :func:`two_means_labels`).
-    bisect_iter:
-        Inner 2-means iterations per bisection.
     equal_size:
         Whether to apply the equal-size adjustment.
     random_state:
         Seed or generator.
     """
 
-    def __init__(self, n_clusters: int, *, bisection: str = "lloyd",
-                 bisect_iter: int = 4, equal_size: bool = True,
+    def __init__(self, n_clusters: int, *, equal_size: bool = True,
                  random_state=None, metric: str = "sqeuclidean",
                  dtype=np.float64) -> None:
         super().__init__(n_clusters, max_iter=1, random_state=random_state,
                          metric=metric, dtype=dtype)
-        self.bisection = bisection
-        self.bisect_iter = bisect_iter
         self.equal_size = equal_size
 
     def _fit(self, data: np.ndarray, n_clusters: int, max_iter: int,
@@ -300,8 +249,7 @@ class TwoMeansTree(BaseClusterer):
         # ``data`` is already transformed by the base class, so the tree runs
         # with the work engine's (squared-Euclidean) metric.
         labels = two_means_labels(
-            data, n_clusters, random_state=rng, bisection=self.bisection,
-            bisect_iter=self.bisect_iter, equal_size=self.equal_size,
+            data, n_clusters, random_state=rng, equal_size=self.equal_size,
             metric=self._work_engine.metric, dtype=self._work_engine.dtype)
         state = ClusterState(data, labels, n_clusters)
         elapsed = time.perf_counter() - start

@@ -242,10 +242,6 @@ class DistanceEngine:
         distances = 1.0 - inner / (self.norms(a) * self.norms(b))
         return np.clip(distances, 0.0, 2.0)
 
-    def pair(self, x, y) -> float:
-        """Scalar distance between two single vectors."""
-        return float(self.rowwise(x, y)[0])
-
     def assign_to_nearest(self, data, points, *, data_norms=None,
                           point_norms=None,
                           block_size: int = DEFAULT_BLOCK_SIZE,

@@ -28,26 +28,18 @@ from ..exceptions import ValidationError
 __all__ = ["METHOD_BUILDERS", "MethodRun", "available_methods", "run_method"]
 
 
-def _build_kmeans(n_clusters, max_iter, random_state, **options):
-    options.setdefault("count_distances", True)
-    return KMeans(n_clusters, max_iter=max_iter, random_state=random_state,
-                  **options)
-
-
-def _build_bkm(n_clusters, max_iter, random_state, **options):
-    return BoostKMeans(n_clusters, max_iter=max_iter,
-                       random_state=random_state, **options)
+def _plain(estimator):
+    """Builder of an estimator that takes the run's arguments as they are."""
+    def build(n_clusters, max_iter, random_state, **options):
+        return estimator(n_clusters, max_iter=max_iter,
+                         random_state=random_state, **options)
+    return build
 
 
 def _build_minibatch(n_clusters, max_iter, random_state, **options):
     options.setdefault("batch_size", 256)
     return MiniBatchKMeans(n_clusters, max_iter=max_iter,
                            random_state=random_state, **options)
-
-
-def _build_closure(n_clusters, max_iter, random_state, **options):
-    return ClosureKMeans(n_clusters, max_iter=max_iter,
-                         random_state=random_state, **options)
 
 
 def _build_gkmeans(n_clusters, max_iter, random_state, **options):
@@ -79,10 +71,10 @@ def _build_two_means(n_clusters, max_iter, random_state, **options):
 
 #: Canonical method names (the paper's legend strings) → estimator builders.
 METHOD_BUILDERS = {
-    "k-means": _build_kmeans,
-    "BKM": _build_bkm,
+    "k-means": _plain(KMeans),
+    "BKM": _plain(BoostKMeans),
     "Mini-Batch": _build_minibatch,
-    "closure k-means": _build_closure,
+    "closure k-means": _plain(ClosureKMeans),
     "GK-means": _build_gkmeans,
     "GK-means-": _build_gkmeans_minus,
     "KGraph+GK-means": _build_kgraph_gkmeans,

@@ -236,8 +236,6 @@ def _merge_clusters(indices: np.ndarray, distances: np.ndarray,
 def build_knn_graph_by_clustering(data: np.ndarray, n_neighbors: int, *,
                                   tau: int = DEFAULT_TAU,
                                   cluster_size: int = 50,
-                                  bisection: str = "lloyd",
-                                  max_block: int | None = None,
                                   truth: KNNGraph | None = None,
                                   random_state=None,
                                   metric: str = "sqeuclidean",
@@ -258,13 +256,6 @@ def build_knn_graph_by_clustering(data: np.ndarray, n_neighbors: int, *,
     cluster_size:
         ξ — target cluster size for the within-cluster exhaustive comparison
         (paper default 50, recommended range [40, 100]).
-    bisection:
-        Bisection routine used by the two-means-tree initialisation of each
-        round's GK-means call.
-    max_block:
-        Safety cap on the size of a within-cluster comparison block; clusters
-        that grew beyond it (possible after the boost sweep) are subsampled.
-        Defaults to ``4 * cluster_size``.
     truth:
         Optional exact graph; when given, top-1 recall is recorded each round
         (this is how Fig. 2 is produced).
@@ -294,8 +285,8 @@ def build_knn_graph_by_clustering(data: np.ndarray, n_neighbors: int, *,
     cluster_size = check_positive_int(cluster_size, name="cluster_size",
                                       minimum=2)
     rng = check_random_state(random_state)
-    if max_block is None:
-        max_block = 4 * cluster_size
+    # Clusters the boost sweep grew past four times ξ are subsampled to it.
+    max_block = 4 * cluster_size
 
     # Lazy imports to avoid a circular dependency with repro.cluster.gkmeans.
     from ..cluster.gkmeans import graph_guided_boost_pass
@@ -322,7 +313,6 @@ def build_knn_graph_by_clustering(data: np.ndarray, n_neighbors: int, *,
         round_start = time.perf_counter()
         # --- clustering step: GK-means with the current graph, t = 1 -------
         labels = two_means_labels(data, n_clusters, random_state=rng,
-                                  bisection=bisection,
                                   metric=engine.metric, dtype=engine.dtype)
         state = ClusterState(data, labels, n_clusters)
         graph_guided_boost_pass(state, indices, rng, counter=counter)

@@ -34,7 +34,7 @@ __all__ = []
 
 @register_builder(
     "gkmeans",
-    params=("tau", "cluster_size", "bisection", "max_block"),
+    params=("tau", "cluster_size"),
     description="the paper's Alg. 3: intertwined clustering/refinement rounds")
 def _build_gkmeans(data: np.ndarray, spec: IndexSpec, surviving=None):
     params = dict(spec.params)

@@ -277,6 +277,13 @@ class IndexSpec:
             # Retired by a later release; the executor never changes
             # results, so "thread" serves such a spec exactly.
             payload["executor"] = "thread"
+        params = payload.get("params")
+        if payload.get("backend", "gkmeans") == "gkmeans" and \
+                isinstance(params, Mapping):
+            # Retired gkmeans params: the Lloyd bisection and the 4·ξ
+            # block cap are now fixed, and a saved graph is served as is.
+            payload["params"] = {key: value for key, value in params.items()
+                                 if key not in ("bisection", "max_block")}
         return cls(**payload)
 
     @classmethod

@@ -9,7 +9,9 @@ downgraded below the version that introduced mutations: the dropped
 
 :func:`write_retired_metric` fabricates a current-version file saved under
 a metric that no longer exists (``dot``, the inner product), which every
-reader must refuse.
+reader must refuse.  :func:`write_retired_params` fabricates one whose
+``gkmeans`` spec still names construction params that are now fixed, which
+every reader must drop.
 
 Manifests before v6 kept the id map — every shard's global row ids,
 ``shard_ids`` split by ``shard_offsets`` — and their shard files held
@@ -28,6 +30,11 @@ from repro.index.sharded import MANIFEST_NAME
 #: (metric names are case-insensitive, hence one upper-case entry).
 RETIRED_METRIC_SPELLINGS = ("dot", "ip", "inner-product", "inner_product",
                             "MIPS")
+
+#: ``gkmeans`` params a spec could carry before they became fixed: the
+#: two-means tree's bisection routine and Alg. 3's block cap (the 4·ξ it
+#: defaulted to for ``cluster_size=10``).
+RETIRED_GKMEANS_PARAMS = {"bisection": "lloyd", "max_block": 40}
 
 #: Keys each retired index-file version lacks: v1 predates online
 #: mutations; v2 lacks the spec's ``quantize`` field; v1–v3 predate the
@@ -122,6 +129,18 @@ def write_retired_metric(path, metric):
     payload["spec_json"] = np.asarray(json.dumps(spec, sort_keys=True))
     if "graph_metric" in payload:
         payload["graph_metric"] = np.asarray("dot")
+    with open(path, "wb") as stream:
+        np.savez(stream, **payload)
+
+
+def write_retired_params(path, params=RETIRED_GKMEANS_PARAMS):
+    """Rewrite the index file or manifest at ``path`` as a release that
+    still accepted ``params`` saved it: its spec's params carry them."""
+    with np.load(path, allow_pickle=False) as archive:
+        payload = {key: archive[key] for key in archive.files}
+    spec = json.loads(str(payload["spec_json"]))
+    spec["params"] = {**spec["params"], **params}
+    payload["spec_json"] = np.asarray(json.dumps(spec, sort_keys=True))
     with open(path, "wb") as stream:
         np.savez(stream, **payload)
 

@@ -278,16 +278,15 @@ class TestDenseRoundEndToEnd:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("metric", ["sqeuclidean", "cosine"])
-    @pytest.mark.parametrize("bisection", ["lloyd", "boost"])
-    def test_build_and_fit_match_the_dense_round(self, sift_small, bisection,
-                                                 metric, dtype, monkeypatch):
+    def test_build_and_fit_match_the_dense_round(self, sift_small, metric,
+                                                 dtype, monkeypatch):
         def build_and_fit():
             built = build_knn_graph_by_clustering(
-                sift_small, 10, tau=3, cluster_size=30, bisection=bisection,
-                random_state=0, metric=metric, dtype=dtype)
+                sift_small, 10, tau=3, cluster_size=30, random_state=0,
+                metric=metric, dtype=dtype)
             model = GKMeans(40, n_neighbors=10, graph=built.graph,
-                            bisection=bisection, max_iter=5, random_state=0,
-                            metric=metric, dtype=dtype).fit(sift_small)
+                            max_iter=5, random_state=0, metric=metric,
+                            dtype=dtype).fit(sift_small)
             return built, model
 
         built, model = build_and_fit()

@@ -112,25 +112,6 @@ def bisect_lloyd_reference(data, members, rng, n_iter, engine):
     return assignment
 
 
-def bisect_boost_reference(data, members, rng, n_iter, engine):
-    subset = data[members]
-    labels = rng.integers(0, 2, size=members.size).astype(np.int64)
-    if labels.min() == labels.max():
-        labels[rng.integers(members.size)] = 1 - labels[0]
-    state = ClusterState(subset, labels, 2)
-    both = np.arange(2, dtype=np.int64)
-    for _ in range(n_iter):
-        moves = 0
-        for sample in rng.permutation(members.size):
-            target, gain = state.best_move(int(sample), both)
-            if gain > 0:
-                state.move(int(sample), target)
-                moves += 1
-        if moves == 0:
-            break
-    return state.labels.astype(bool)
-
-
 def equalize_reference(data, members, assignment, engine):
     subset = data[members]
     centroid_a = subset[~assignment].mean(axis=0)
@@ -146,15 +127,13 @@ def equalize_reference(data, members, assignment, engine):
 
 
 def heap_tree_labels(data, n_clusters, *, random_state=None,
-                     bisection="lloyd", bisect_iter=4, equal_size=True,
-                     metric="sqeuclidean", dtype=np.float64):
+                     equal_size=True, metric="sqeuclidean",
+                     dtype=np.float64):
     """Alg. 1 through a priority queue: pop the largest node, bisect it."""
     outer = DistanceEngine(metric, dtype)
     data = outer.prepare_clustering(data)
     engine = outer.clustering_engine()
     rng = check_random_state(random_state)
-    bisect = (bisect_lloyd_reference if bisection == "lloyd"
-              else bisect_boost_reference)
 
     labels = np.zeros(data.shape[0], dtype=np.int64)
     # Priority queue keyed by negative size; ties broken by insertion order.
@@ -163,7 +142,9 @@ def heap_tree_labels(data, n_clusters, *, random_state=None,
     next_label = 1
     while next_label < n_clusters:
         _, _, members = heapq.heappop(heap)
-        assignment = bisect(data, members, rng, bisect_iter, engine)
+        assignment = bisect_lloyd_reference(data, members, rng,
+                                            two_means_tree.BISECT_ITER,
+                                            engine)
         if equal_size:
             assignment = equalize_reference(data, members, assignment, engine)
         for group in (members[~assignment], members[assignment]):
@@ -383,26 +364,17 @@ class TestTreeAgainstHeapLoop:
         assert np.array_equal(
             two_means_labels(tie_free, 40, random_state=3), whole)
 
-    @pytest.mark.parametrize("bisection, dtype", [
-        ("lloyd", np.float32), ("lloyd", np.float64), ("boost", np.float64)])
-    def test_distortion_within_one_percent_of_the_heap_tree(
-            self, points, dtype, bisection):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_distortion_within_one_percent_of_the_heap_tree(self, points,
+                                                            dtype):
         n_clusters = 12
         data = points.astype(dtype)
         new, old = (np.mean([
             distortion(data, tree(data, n_clusters, random_state=seed,
-                                  bisection=bisection, dtype=dtype),
-                       n_clusters)
+                                  dtype=dtype), n_clusters)
             for seed in range(5)]) for tree in (two_means_labels,
                                                 heap_tree_labels))
         assert new <= 1.01 * old
-
-    def test_boost_bisection_keeps_the_balanced_profile(self, sift_small):
-        new = two_means_labels(sift_small, 9, random_state=0,
-                               bisection="boost")
-        old = heap_tree_labels(sift_small, 9, random_state=0,
-                               bisection="boost")
-        assert np.array_equal(np.bincount(new), np.bincount(old))
 
     @pytest.mark.parametrize("equal_size", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

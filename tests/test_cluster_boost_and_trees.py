@@ -94,14 +94,12 @@ class TestTwoMeansLabels:
         std_unbalanced = np.bincount(unbalanced, minlength=8).std()
         assert std_balanced <= std_unbalanced + 1e-9
 
-    def test_boost_bisection_variant(self, sift_small):
-        labels = two_means_labels(sift_small[:200], 4, random_state=0,
-                                  bisection="boost")
-        assert len(np.unique(labels)) == 4
-
-    def test_invalid_bisection_rejected(self, sift_small):
-        with pytest.raises(ValidationError):
-            two_means_labels(sift_small, 4, bisection="magic")
+    @pytest.mark.parametrize("keyword", ["bisection", "bisect_iter"])
+    def test_retired_keywords_are_refused(self, sift_small, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            two_means_labels(sift_small, 4, **{keyword: 4})
+        with pytest.raises(TypeError, match=keyword):
+            TwoMeansTree(4, **{keyword: 4})
 
     def test_k_equals_n(self):
         data = np.random.default_rng(0).normal(size=(8, 3))

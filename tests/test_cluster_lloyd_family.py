@@ -38,11 +38,10 @@ class TestKMeans:
 
     def test_distance_counting(self, blob_data):
         data, _ = blob_data
-        model = KMeans(6, random_state=0, max_iter=3, tol=0.0,
-                       count_distances=True).fit(data)
+        model = KMeans(6, random_state=0, max_iter=3, tol=0.0).fit(data)
         evaluations = model.result_.extra["n_distance_evaluations"]
-        # at least (iterations + final assignment) * n * k
-        assert evaluations >= 3 * data.shape[0] * 6
+        # every iteration plus the final assignment scores n * k pairs
+        assert evaluations == (model.n_iter_ + 1) * data.shape[0] * 6
 
     def test_reproducible(self, blob_data):
         data, _ = blob_data

@@ -22,7 +22,7 @@ from _round_oracle import (dense_delta_objective_block, dense_move_best_block,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterState, boost_objective, distortion_from_labels
+from repro.cluster import ClusterState, boost_objective
 from repro.cluster.objective import cluster_sums
 from repro.exceptions import ValidationError
 from repro.metrics import average_distortion
@@ -108,9 +108,9 @@ class TestObjectiveIdentities:
         direct = average_distortion(data, labels)
         assert state.distortion == pytest.approx(direct)
 
-    def test_distortion_from_labels_helper(self):
+    def test_empty_clusters_leave_the_distortion_unchanged(self):
         data, labels, k = _random_state(seed=2)
-        assert distortion_from_labels(data, labels, k) == pytest.approx(
+        assert ClusterState(data, labels, k + 3).distortion == pytest.approx(
             average_distortion(data, labels))
 
     def test_boost_objective_helper(self):
@@ -399,10 +399,10 @@ class TestRoundAgainstDenseOracle:
         assert moves > 0
 
     @pytest.mark.parametrize("own_first", [True, False])
-    def test_unsorted_two_column_rows_of_the_boost_bisection(self, own_first):
-        # _bisect_boost's rows: the two halves of the sample's node, so the
-        # own cluster is the first column for even labels, the second for
-        # odd ones — or, here, always first (unsorted whenever own is odd).
+    def test_unsorted_two_column_rows(self, own_first):
+        # Rows naming the two halves of the sample's node, so the own
+        # cluster is the first column for even labels, the second for odd
+        # ones — or, here, always first (unsorted whenever own is odd).
         rng = np.random.default_rng(11)
         n_nodes, n = 5, 200
         data = rng.normal(size=(n, 4)) + rng.normal(size=(n_nodes, 4))[
@@ -474,7 +474,7 @@ class TestOrderedApplication:
     def test_long_runs_over_few_clusters_match_the_sequential_loop(
             self, seed, m, k, d):
         # Few clusters: every cluster is named by many movers, so the prefix
-        # sums run over long groups, as in the boost bisection's rounds.
+        # sums run over long groups.
         rng = np.random.default_rng(seed)
         n = m + k
         data = rng.normal(size=(n, d))

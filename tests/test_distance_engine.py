@@ -131,10 +131,10 @@ class TestPairwiseAndRowwise:
         expected = [naive_distance(metric, x, y) for x, y in zip(a[:9], b)]
         assert np.allclose(rows, expected, atol=ATOL[dtype])
 
-    def test_pair_scalar(self, metric, dtype, matrices):
+    def test_rowwise_of_single_vectors(self, metric, dtype, matrices):
         a, b = matrices
         engine = DistanceEngine(metric, dtype)
-        assert engine.pair(a[0], b[0]) == pytest.approx(
+        assert engine.rowwise(a[0], b[0])[0] == pytest.approx(
             naive_distance(metric, a[0], b[0]), abs=ATOL[dtype])
 
 

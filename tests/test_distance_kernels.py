@@ -28,14 +28,14 @@ def small_matrix(max_rows=8, max_cols=6):
 
 class TestSquaredEuclidean:
     def test_simple(self):
-        assert ENGINE.pair([0, 0], [3, 4]) == pytest.approx(25.0)
+        assert ENGINE.rowwise([0, 0], [3, 4])[0] == pytest.approx(25.0)
 
     def test_zero_distance(self):
-        assert ENGINE.pair([1.5, 2.5], [1.5, 2.5]) == 0.0
+        assert ENGINE.rowwise([1.5, 2.5], [1.5, 2.5])[0] == 0.0
 
     def test_symmetric(self):
         a, b = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, 2.0])
-        assert ENGINE.pair(a, b) == pytest.approx(ENGINE.pair(b, a))
+        assert ENGINE.rowwise(a, b) == pytest.approx(ENGINE.rowwise(b, a))
 
 
 class TestCrossSquaredEuclidean:

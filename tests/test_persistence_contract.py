@@ -17,20 +17,25 @@ Files of retired versions, fabricated by ``_legacy_formats``, must migrate
 to an index serving bit for bit what the original served, and a second
 ``migrate`` must leave every file untouched.  Files saved under the retired
 inner-product metric, whichever of its spellings names it, are refused by
-every reader and by ``migrate``, naming the metrics that remain.
+every reader and by ``migrate``, naming the metrics that remain.  Files
+whose ``gkmeans`` spec names the retired construction params ``bisection``
+and ``max_block`` load without them and serve what they served.
 """
 
+import json
 import os
 import shutil
 
 import numpy as np
 import pytest
 from _legacy_formats import (
+    RETIRED_GKMEANS_PARAMS,
     RETIRED_METRIC_SPELLINGS,
     directory_bytes,
     write_manifest_version,
     write_mono_version,
     write_retired_metric,
+    write_retired_params,
 )
 
 from repro.cli import main
@@ -499,3 +504,78 @@ class TestRetiredMetric:
         assert error.startswith("error:") and "\n" not in error
         assert "Traceback" not in error
         assert "['cosine', 'sqeuclidean']" in error
+
+
+# --------------------------------------------------------------------- #
+# The retired gkmeans construction params
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def gkmeans_saved(corpus, tmp_path_factory):
+    """A saved gkmeans single-file index and 2-shard directory."""
+    base, _ = corpus
+    root = tmp_path_factory.mktemp("gkmeans")
+    spec = IndexSpec(backend="gkmeans", n_neighbors=6, random_state=3,
+                     params={"tau": 2, "cluster_size": 10})
+    mono = root / "mono.idx"
+    with Index.build(base, spec) as index:
+        index.save(mono)
+    directory = root / "corpus.shards"
+    with ShardedIndex.build(base, spec.replace(
+            n_shards=2, partitioner="gkmeans")) as sharded:
+        sharded.save(directory)
+    return mono, directory
+
+
+def _spec_params(path):
+    with np.load(path, allow_pickle=False) as archive:
+        return json.loads(str(archive["spec_json"]))["params"]
+
+
+class TestRetiredParams:
+    def test_index_file_loads_without_them(self, gkmeans_saved, corpus,
+                                           tmp_path):
+        _, queries = corpus
+        path = tmp_path / "old.idx"
+        shutil.copyfile(gkmeans_saved[0], path)
+        write_retired_params(path)
+        assert RETIRED_GKMEANS_PARAMS.items() <= _spec_params(path).items()
+        with Index.load(gkmeans_saved[0]) as original, \
+                Index.load(path) as loaded:
+            assert loaded.spec == original.spec
+            expected, got = original.search(queries, 8), \
+                loaded.search(queries, 8)
+            loaded.save(tmp_path / "resaved.idx")
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+        assert _spec_params(tmp_path / "resaved.idx") \
+            == _spec_params(gkmeans_saved[0])
+
+    def test_directory_loads_without_them(self, gkmeans_saved, corpus,
+                                          tmp_path):
+        _, queries = corpus
+        directory = tmp_path / "old.shards"
+        shutil.copytree(gkmeans_saved[1], directory)
+        for name in (MANIFEST_NAME, "shard_0000.idx", "shard_0001.idx"):
+            write_retired_params(directory / name)
+        with ShardedIndex.load(gkmeans_saved[1]) as original, \
+                ShardedIndex.load(directory) as loaded:
+            assert loaded.spec == original.spec
+            expected, got = original.search(queries, 8), \
+                loaded.search(queries, 8)
+            loaded.save(tmp_path / "resaved.shards")
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+        for name in (MANIFEST_NAME, "shard_0000.idx", "shard_0001.idx"):
+            assert _spec_params(tmp_path / "resaved.shards" / name) \
+                == _spec_params(gkmeans_saved[1] / name)
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_GKMEANS_PARAMS))
+    def test_a_spec_built_in_code_refuses_them(self, key):
+        with pytest.raises(ValidationError, match=r"accepted: \["):
+            IndexSpec(params={key: RETIRED_GKMEANS_PARAMS[key]})
+
+    def test_other_backends_keep_refusing_them(self):
+        payload = IndexSpec(backend="nndescent").to_dict()
+        payload["params"] = dict(RETIRED_GKMEANS_PARAMS)
+        with pytest.raises(ValidationError, match="accepted"):
+            IndexSpec.from_dict(payload)
