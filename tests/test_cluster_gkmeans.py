@@ -231,6 +231,10 @@ class TestGKMeansEstimator:
         with pytest.raises(ValidationError):
             GKMeans(5, graph_builder="magic").fit(sift_small)
 
+    def test_retired_bisection_keyword_is_refused(self):
+        with pytest.raises(TypeError, match="bisection"):
+            GKMeans(5, bisection="lloyd")
+
     def test_invalid_init_rejected(self, sift_small, sift_small_graph):
         with pytest.raises(ValidationError):
             GKMeans(5, graph=sift_small_graph, init="magic").fit(sift_small)

@@ -43,6 +43,10 @@ class TestKMeans:
         # every iteration plus the final assignment scores n * k pairs
         assert evaluations == (model.n_iter_ + 1) * data.shape[0] * 6
 
+    def test_retired_count_distances_keyword_is_refused(self):
+        with pytest.raises(TypeError, match="count_distances"):
+            KMeans(6, count_distances=True)
+
     def test_reproducible(self, blob_data):
         data, _ = blob_data
         a = KMeans(6, random_state=3).fit(data)

@@ -108,6 +108,12 @@ class TestBuildKnnGraphByClustering:
         with pytest.raises(ValidationError):
             build_knn_graph_by_clustering(sift_small, 5, tau=0)
 
+    @pytest.mark.parametrize("keyword, value", [("bisection", "lloyd"),
+                                                ("max_block", 200)])
+    def test_retired_keywords_are_refused(self, sift_small, keyword, value):
+        with pytest.raises(TypeError, match=keyword):
+            build_knn_graph_by_clustering(sift_small, 5, **{keyword: value})
+
     def test_beats_nndescent_on_time_comparable_budget(self, sift_small,
                                                        sift_small_graph):
         """Alg. 3 should reach usable recall with modest τ (paper: cheaper
