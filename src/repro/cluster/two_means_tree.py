@@ -25,8 +25,12 @@ keeps the label numbering, the leaf sizes and the order of the per-node seed
 draws those of the one-node loop.  The balanced tree therefore runs
 ``⌈log₂ k⌉`` waves; the unbalanced ablation degrades to about one node per
 wave through the same code.  A wave works on one padded ``(w, M, d)`` gather
-of its nodes: the 2-means steps are a projection on each node's ``c₁ - c₀``
-axis and a masked sum, the equal-size adjustment one row-wise stable sort.
+of its nodes and makes no per-node interpreter call on its common path: the
+seeds of all its nodes come from one generator call that consumes the random
+stream exactly as one ``rng.choice(size, 2, replace=False)`` per node would,
+the 2-means steps are a projection on each node's ``c₁ - c₀`` axis and a
+masked sum, and the equal-size adjustment is one row-wise selection
+(``np.partition``) that marks the same top half a stable sort would.
 """
 
 from __future__ import annotations
@@ -81,6 +85,27 @@ def _project(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.matmul(rows, axis[:, :, None])[:, :, 0] - midpoint[:, None]
 
 
+def _draw_seed_pairs(sizes: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """``(w, 2)`` distinct seed slots for every node, from one ``integers`` call.
+
+    The values, their order and the generator's state afterwards are those of
+    ``rng.choice(size, 2, replace=False)`` called node by node.  For two
+    draws ``choice`` runs Floyd's algorithm — a value below ``s − 1``, then
+    one below ``s`` that becomes ``s − 1`` if it repeats the first — and then
+    a one-step shuffle, a value below 2 where 0 swaps the pair.  Each of these
+    is one bounded draw, so a single ``integers`` call over the bounds
+    ``[s − 1, s, 2]`` of every node reads the stream in the same order and
+    the two rules are applied afterwards as array operations.
+    """
+    bounds = np.stack([sizes - 1, sizes, np.full_like(sizes, 2)], axis=1)
+    first, second, keep = rng.integers(0, bounds.ravel()).reshape(-1, 3).T
+    second = np.where(second == first, sizes - 1, second)
+    swap = keep == 0
+    return np.stack([np.where(swap, second, first),
+                     np.where(swap, first, second)], axis=1)
+
+
 def _bisect_lloyd(rows: np.ndarray, valid: np.ndarray, sizes: np.ndarray,
                   rng: np.random.Generator,
                   n_iter: int) -> tuple[np.ndarray, np.ndarray]:
@@ -89,13 +114,13 @@ def _bisect_lloyd(rows: np.ndarray, valid: np.ndarray, sizes: np.ndarray,
     ``rows`` is the padded ``(w, M, d)`` gather of the wave and ``valid`` its
     ``(w, M)`` slot mask.  Returns the boolean ``(w, M)`` assignment (True =
     second group, padding False) and the ``(w, 2, d)`` means of the two
-    groups.  A node that stopped changing recomputes the same split, so the
-    wave simply iterates until no node changes.
+    groups.  The seeds of the whole wave are one draw
+    (:func:`_draw_seed_pairs`); only a degenerate split draws again, one
+    random halving per such node.  A node that stopped changing recomputes
+    the same split, so the wave simply iterates until no node changes.
     """
     nodes = np.arange(sizes.size)
-    seeds = np.stack([rng.choice(size, size=2, replace=False)
-                      for size in sizes.tolist()])
-    centroids = rows[nodes[:, None], seeds]
+    centroids = rows[nodes[:, None], _draw_seed_pairs(sizes, rng)]
     assignment = np.zeros(valid.shape, dtype=bool)
     for _ in range(n_iter):
         new_assignment = (_project(rows, centroids) > 0.0) & valid
@@ -118,17 +143,24 @@ def _equalize(rows: np.ndarray, valid: np.ndarray, sizes: np.ndarray,
 
     Samples are ranked by how much closer they are to the second centroid than
     to the first; the top half goes to the second cluster.  This preserves the
-    spatial structure of the split while forcing balance.  One row-wise stable
-    sort ranks the whole wave: padding is pushed to the front of every row, so
-    the last ``size // 2`` ranks are a node's top half.
+    spatial structure of the split while forcing balance.  The top half is
+    the last ``size // 2`` ranks of a row-wise stable ascending sort, padding
+    (``-inf``) first, and is found without sorting: one ``np.partition``
+    yields every row's ``size // 2``-th largest preference, every slot
+    strictly above it is taken, and of the slots tied at it the *last* ones
+    fill the half, because a stable sort ranks later tied slots higher.
     """
     preference = np.where(valid, _project(rows, centroids), -np.inf)
-    order = np.argsort(preference, axis=1, kind="stable")
-    width = valid.shape[1]
-    top_half = np.arange(width) >= (width - sizes // 2)[:, None]
-    balanced = np.empty(valid.shape, dtype=bool)
-    np.put_along_axis(balanced, order, top_half, axis=1)
-    return balanced
+    half = sizes // 2
+    kth = valid.shape[1] - half
+    threshold = np.partition(preference, np.unique(kth), axis=1)[
+        np.arange(sizes.size), kth][:, None]
+    above = preference > threshold
+    tied = preference == threshold
+    # 1 for a row's last tied slot, 2 for the one before it, ...
+    from_end = np.cumsum(tied[:, ::-1], axis=1)[:, ::-1]
+    missing = half - above.sum(axis=1)
+    return above | (tied & (from_end <= missing[:, None]))
 
 
 def _split_wave(data: np.ndarray, members: np.ndarray, starts: np.ndarray,

@@ -17,15 +17,21 @@ included — pinned on integer data where such ties are the rule.
 Tree: batched reductions round differently from per-node ones and a flipped
 near-tie cascades down the tree, so labels are identical only where no sample
 sits within rounding of a bisecting plane (a float64 fixture).  Everywhere
-the cluster-size profile, the label numbering and the seed draws are
-identical, and quality (distortion, the recall of the graph Alg. 3 builds on
-the tree) matches within a tolerance fixed beforehand.
+the cluster-size profile, the label numbering, the seed draws and the
+generator's final state are identical, and quality (distortion, the recall of
+the graph Alg. 3 builds on the tree) matches within a tolerance fixed
+beforehand.  Inside a wave, two steps replace per-node calls and are pinned
+bitwise against them: the one-call seed draw against ``rng.choice`` node by
+node, and the equal-size selection against the row-wise stable sort it
+replaced (:func:`equalize_by_sort`).
 """
 
 import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import two_means_tree
 from repro.cluster.objective import ClusterState
@@ -155,17 +161,36 @@ def heap_tree_labels(data, n_clusters, *, random_state=None,
     return labels
 
 
+def equalize_by_sort(rows, valid, sizes, centroids):
+    """The wave's equal-size adjustment as one row-wise stable sort."""
+    preference = np.where(valid, two_means_tree._project(rows, centroids),
+                          -np.inf)
+    order = np.argsort(preference, axis=1, kind="stable")
+    width = valid.shape[1]
+    top_half = np.arange(width) >= (width - sizes // 2)[:, None]
+    balanced = np.empty(valid.shape, dtype=bool)
+    np.put_along_axis(balanced, order, top_half, axis=1)
+    return balanced
+
+
 class CountingGenerator(np.random.Generator):
-    """Counts ``choice`` calls (the Lloyd bisection's seed draws) and
-    ``permutation`` calls (its degenerate-split repairs)."""
+    """Counts seed pairs (the Lloyd bisection's seed draws) and
+    ``permutation`` calls (its degenerate-split repairs).
+
+    The heap tree draws one pair per ``choice`` call; the wave tree draws a
+    whole wave's pairs in one ``integers`` call, three bounds per node."""
 
     def __init__(self, seed):
         super().__init__(np.random.PCG64(seed))
-        self.n_choices = self.n_permutations = 0
+        self.n_seed_pairs = self.n_permutations = 0
 
     def choice(self, *args, **kwargs):
-        self.n_choices += 1
+        self.n_seed_pairs += 1
         return super().choice(*args, **kwargs)
+
+    def integers(self, low, high=None, *args, **kwargs):
+        self.n_seed_pairs += np.size(high) // 3
+        return super().integers(low, high, *args, **kwargs)
 
     def permutation(self, *args, **kwargs):
         self.n_permutations += 1
@@ -342,7 +367,8 @@ class TestTreeAgainstHeapLoop:
                                    dtype=dtype)
             assert np.array_equal(np.bincount(new, minlength=n_clusters),
                                   np.bincount(old, minlength=n_clusters))
-            assert waves.n_choices == heap.n_choices == n_clusters - 1
+            assert waves.n_seed_pairs == heap.n_seed_pairs == n_clusters - 1
+            assert waves.bit_generator.state == heap.bit_generator.state
 
     @pytest.mark.parametrize("equal_size", [True, False])
     @pytest.mark.parametrize("metric", ["sqeuclidean", "cosine"])
@@ -391,7 +417,7 @@ class TestTreeAgainstHeapLoop:
         waves = CountingGenerator(0)
         labels = two_means_labels(data, n_clusters, random_state=waves,
                                   equal_size=equal_size, dtype=dtype)
-        assert waves.n_choices == n_clusters - 1
+        assert waves.n_seed_pairs == n_clusters - 1
         assert waves.n_permutations > 0
         sizes = np.bincount(labels, minlength=n_clusters)
         assert sizes.min() >= 1 and sizes.sum() == len(data)
@@ -405,6 +431,76 @@ class TestTreeAgainstHeapLoop:
     def test_all_rows_identical(self):
         labels = two_means_labels(np.ones((64, 3)), 8, random_state=0)
         assert np.array_equal(np.bincount(labels), np.full(8, 8))
+
+
+def same_state(a, b):
+    """Equal bit-generator states, array fields (MT19937's key) included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@st.composite
+def tie_heavy_waves(draw):
+    """A padded wave whose projections are small integers, exact in float32.
+
+    Rows and centroids hold integers in ``[-2, 2]``, so every projection is
+    a multiple of ½ with few distinct values; a node whose two centroids
+    coincide projects every slot to 0 (a row of which every slot is tied).
+    Padding slots hold values too, as they do in a wave's gather."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = draw(st.integers(2, 40))
+    n_nodes = draw(st.integers(1, 6))
+    dims = draw(st.integers(1, 3))
+    sizes = np.array(draw(st.lists(st.integers(2, width), min_size=n_nodes,
+                                   max_size=n_nodes)), dtype=np.int64)
+    sizes[draw(st.integers(0, n_nodes - 1))] = width
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-2, 3, size=(n_nodes, width, dims)).astype(dtype)
+    centroids = rng.integers(-2, 3, size=(n_nodes, 2, dims)).astype(dtype)
+    tied = rng.random(n_nodes) < 0.25
+    centroids[tied, 1] = centroids[tied, 0]
+    valid = np.arange(width) < sizes[:, None]
+    return rows, valid, sizes, centroids
+
+
+class TestWaveStepsAgainstPerNodeOracles:
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64,
+                                               np.random.MT19937])
+    def test_wave_seed_draw_is_the_per_node_choice_stream(self,
+                                                          bit_generator):
+        # The tree relies on how ``Generator.choice`` spends the stream for
+        # two distinct values; a numpy release that changes it fails here.
+        sampler = np.random.default_rng(5)
+        for wave in range(40):
+            n_nodes = int(sampler.integers(1, 1001))
+            sizes = np.where(sampler.random(n_nodes) < 0.5,
+                             sampler.integers(2, 64, size=n_nodes),
+                             sampler.integers(2, 20001, size=n_nodes))
+            ours, theirs = (np.random.Generator(bit_generator(wave))
+                            for _ in "ab")
+            if wave % 2:
+                # A 32-bit draw; PCG64 keeps the other half of its 64-bit
+                # word buffered for the next one.
+                ours.integers(0, 7)
+                theirs.integers(0, 7)
+                assert ours.bit_generator.state.get("has_uint32", 1) == 1
+            seeds = two_means_tree._draw_seed_pairs(sizes, ours)
+            expected = np.stack([theirs.choice(size, size=2, replace=False)
+                                 for size in sizes.tolist()])
+            assert np.array_equal(seeds, expected)
+            assert same_state(ours.bit_generator.state,
+                              theirs.bit_generator.state)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_waves())
+    def test_selection_marks_the_stable_sort_top_half(self, wave):
+        rows, valid, sizes, centroids = wave
+        balanced = two_means_tree._equalize(rows, valid, sizes, centroids)
+        assert np.array_equal(balanced,
+                              equalize_by_sort(rows, valid, sizes, centroids))
+        assert np.array_equal(balanced.sum(axis=1), sizes // 2)
 
 
 # ---------------------------------------------------------------------- #
