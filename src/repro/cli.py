@@ -142,10 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--quantize", choices=sorted(QUANTIZE_MODES),
                        default="none",
                        help="compressed-domain serving mode persisted in "
-                            "the spec: float16 or int8 store a compressed "
-                            "code matrix and walk the graph with "
-                            "compressed gemms; the final candidate pool "
-                            "is always re-ranked with the exact metric")
+                            "the spec: int8 stores a compressed code "
+                            "matrix and walks the graph with compressed "
+                            "gemms; the final candidate pool is always "
+                            "re-ranked with the exact metric")
     build.add_argument("--seed", type=int, default=0)
     build.add_argument("--tau", type=int, default=None,
                        help="gkmeans backend: construction rounds")

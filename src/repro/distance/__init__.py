@@ -9,7 +9,7 @@ search stack all call it, so ``dtype`` means the same thing everywhere.
 stable top-``count`` selection and :class:`DistanceCounter`.
 
 An optional layer — :mod:`repro.distance.quantized` — compresses a
-dataset into ``float16`` or ``int8`` codes (:class:`ScalarQuantizer`) and
+dataset into ``int8`` codes (:class:`ScalarQuantizer`) and
 scores candidates in the compressed domain (:class:`QuantizedScorer`); the
 serving stack re-ranks every returned candidate pool with the exact engine,
 so quantization trades recall, never distance correctness.

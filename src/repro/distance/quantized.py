@@ -3,10 +3,9 @@
 The frontier walk's gemms stream the whole candidate neighbourhood through
 memory every round, so the walk is bandwidth-bound long before it is
 flop-bound.  Scalar quantization attacks exactly that: the dataset is stored
-once in a compressed code matrix — ``float16`` (a plain cast, 2 bytes/dim)
-or ``int8`` (a per-dimension affine transform, 1 byte/dim) — and the walk
-scores candidates *in the compressed domain*.  Because every supported
-metric reduces to an inner product plus per-row norms
+once in an ``int8`` code matrix (a per-dimension affine transform, 1
+byte/dim) and the walk scores candidates *in the compressed domain*.
+Because every supported metric reduces to an inner product plus per-row norms
 (:meth:`~repro.distance.engine.DistanceEngine.from_inner`), one identity
 makes the int8 gemm exact for the *decoded* vectors::
 
@@ -37,17 +36,14 @@ from ..exceptions import ValidationError
 __all__ = ["QUANTIZE_MODES", "resolve_quantize", "ScalarQuantizer",
            "QuantizedScorer"]
 
-#: Canonical quantization modes: ``"none"`` (exact kernels only),
-#: ``"float16"`` (half-precision cast) and ``"int8"`` (per-dimension affine).
-QUANTIZE_MODES = ("none", "float16", "int8")
+#: Canonical quantization modes: ``"none"`` (exact kernels only) and
+#: ``"int8"`` (per-dimension affine).
+QUANTIZE_MODES = ("none", "int8")
 
 #: Accepted spellings -> canonical mode name.
 _QUANTIZE_ALIASES = {
     "none": "none",
     "off": "none",
-    "float16": "float16",
-    "fp16": "float16",
-    "half": "float16",
     "int8": "int8",
     "i8": "int8",
 }
@@ -59,16 +55,15 @@ def resolve_quantize(quantize) -> str:
     if key not in _QUANTIZE_ALIASES:
         raise ValidationError(
             f"unknown quantize mode {quantize!r}; expected one of "
-            f"{list(QUANTIZE_MODES)} (aliases: off, fp16, half, i8)")
+            f"{sorted(QUANTIZE_MODES)} (aliases: off, i8)")
     return _QUANTIZE_ALIASES[key]
 
 
 class ScalarQuantizer:
-    """Per-dimension scalar quantizer for one dataset.
+    """Per-dimension ``int8`` quantizer for one dataset.
 
-    ``float16`` carries no parameters (the code *is* the half-precision
-    cast).  ``int8`` fits a per-dimension affine map at build time —
-    ``offset`` is the midpoint of the observed range, ``scale`` spans it
+    It fits a per-dimension affine map at build time — ``offset`` is the
+    midpoint of the observed range, ``scale`` spans it
     over the symmetric code book ``[-127, 127]`` — and those parameters are
     **fixed for the lifetime of the index**: online inserts are encoded
     with the build-time fit (and persisted with it), so a saved-then-loaded
@@ -79,12 +74,11 @@ class ScalarQuantizer:
     Parameters
     ----------
     mode:
-        ``"float16"`` or ``"int8"`` (any alias accepted by
-        :func:`resolve_quantize`; ``"none"`` is rejected — an exact engine
-        needs no quantizer).
+        ``"int8"`` (or its alias ``"i8"``; ``"none"`` is rejected — an
+        exact engine needs no quantizer).
     scale, offset:
-        Restored per-dimension ``int8`` parameters (from a saved index).
-        Fitted from the data when omitted.
+        Restored per-dimension parameters (from a saved index).  Fitted
+        from the data when omitted.
     """
 
     def __init__(self, mode: str, *, scale: np.ndarray | None = None,
@@ -92,15 +86,11 @@ class ScalarQuantizer:
         self.mode = resolve_quantize(mode)
         if self.mode == "none":
             raise ValidationError(
-                "ScalarQuantizer is for the compressed modes; "
-                "quantize='none' uses the exact engine directly")
+                "ScalarQuantizer is for quantize='int8'; quantize='none' "
+                "uses the exact engine directly")
         self.scale: np.ndarray | None = None
         self.offset: np.ndarray | None = None
         if scale is not None or offset is not None:
-            if self.mode != "int8":
-                raise ValidationError(
-                    "scale/offset parameters apply to int8 quantization "
-                    f"only, not {self.mode!r}")
             if scale is None or offset is None:
                 raise ValidationError(
                     "int8 quantizer parameters must supply both scale "
@@ -120,16 +110,12 @@ class ScalarQuantizer:
 
     @property
     def fitted(self) -> bool:
-        """Whether the quantizer is ready to encode (int8 needs a fit)."""
-        return self.mode == "float16" or self.scale is not None
+        """Whether the quantizer is ready to encode (fitted or restored)."""
+        return self.scale is not None
 
     def fit(self, data: np.ndarray) -> "ScalarQuantizer":
-        """Fit the per-dimension parameters from ``data`` (int8 only).
-
-        A no-op for ``float16``.  Returns ``self`` for chaining.
-        """
-        if self.mode == "float16":
-            return self
+        """Fit the per-dimension parameters from ``data``; returns ``self``
+        for chaining."""
         data = np.asarray(data, dtype=np.float32)
         lo = data.min(axis=0)
         hi = data.max(axis=0)
@@ -143,8 +129,6 @@ class ScalarQuantizer:
 
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Compress rows into the code matrix the scorer gemms against."""
-        if self.mode == "float16":
-            return np.ascontiguousarray(data, dtype=np.float16)
         if not self.fitted:
             raise ValidationError(
                 "int8 quantizer must be fitted (or restored) before "
@@ -156,8 +140,6 @@ class ScalarQuantizer:
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """Reconstruct float32 approximations of encoded rows."""
-        if self.mode == "float16":
-            return np.asarray(codes, dtype=np.float32)
         if not self.fitted:
             raise ValidationError("int8 quantizer must be fitted before "
                                   "decoding")
@@ -213,23 +195,19 @@ class QuantizedScorer:
         return int(self.codes.shape[0])
 
     def prepare_queries(self, queries: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray | None]:
+                        ) -> tuple[np.ndarray, np.ndarray]:
         """Fold queries into the code domain, once per batch.
 
-        Returns ``(folded, bias)``: for ``int8``, ``folded`` is
-        ``q * scale`` and ``bias`` the per-query scalar ``q . offset`` (the
-        two factors of the affine inner-product identity); for
-        ``float16``, the queries are cast to float32 and ``bias`` is
-        ``None``.
+        Returns ``(folded, bias)``: ``folded`` is ``q * scale`` and
+        ``bias`` the per-query scalar ``q . offset`` (the two factors of
+        the affine inner-product identity).
         """
         queries = np.ascontiguousarray(queries, dtype=np.float32)
-        if self.quantizer.mode == "float16":
-            return queries, None
         folded = queries * self.quantizer.scale[None, :]
         bias = queries @ self.quantizer.offset
         return folded, bias
 
-    def block(self, folded: np.ndarray, bias: np.ndarray | None,
+    def block(self, folded: np.ndarray, bias: np.ndarray,
               query_norms: np.ndarray,
               rows: np.ndarray) -> np.ndarray:
         """Approximate distances of prepared queries to dataset ``rows``.
@@ -246,8 +224,7 @@ class QuantizedScorer:
             inner = np.matmul(codes, folded[:, :, None])[:, :, 0]
         else:
             inner = folded @ codes.T
-        if bias is not None:
-            inner += bias[:, None]
+        inner += bias[:, None]
         row_norms = self._norms[rows]
         if rows.ndim == 1:
             row_norms = row_norms[None, :]

@@ -85,17 +85,15 @@ class KNNGraph:
         return KNNGraph(self.indices[:, :n_neighbors].copy(), distances,
                         metric=self.metric)
 
-    def adjacency(self, symmetrize: bool = True,
-                  nodes: np.ndarray | None = None) -> CSRAdjacency:
+    def adjacency(self, *, nodes: np.ndarray | None = None) -> CSRAdjacency:
         """The search adjacency of ``nodes`` (every point by default).
 
-        With ``symmetrize`` a point's row is the ascending union of its out-
-        and in-neighbours, padding and self-loops dropped — graph search
-        gains markedly from the reverse edges.  Without it a row is the
-        point's graph row in distance order, padding dropped.  The rows come
-        back packed as a :class:`~repro.graph.csr.CSRAdjacency`, one per
-        node of ``nodes`` (ascending, distinct) in that order; an online
-        insert asks for just the rows its repair touched.
+        A point's row is the ascending union of its out- and in-neighbours,
+        padding and self-loops dropped — graph search gains markedly from
+        the reverse edges.  The rows come back packed as a
+        :class:`~repro.graph.csr.CSRAdjacency`, one per node of ``nodes``
+        (ascending, distinct) in that order; an online insert asks for just
+        the rows its repair touched.
         """
         n = self.n_points
         if nodes is None:
@@ -106,11 +104,6 @@ class KNNGraph:
             wanted = np.zeros(n, dtype=bool)
             wanted[nodes] = True
         indptr = np.zeros(nodes.size + 1, dtype=np.int64)
-        if not symmetrize:
-            rows = self.indices[nodes]
-            valid = rows >= 0
-            np.cumsum(valid.sum(axis=1), out=indptr[1:])
-            return CSRAdjacency(indptr, rows[valid])
         sources = np.repeat(np.arange(n, dtype=np.int64), self.n_neighbors)
         targets = self.indices.ravel()
         keep = (targets >= 0) & (targets != sources)

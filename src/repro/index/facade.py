@@ -6,9 +6,11 @@ API.  ``Index.build`` runs the construction backend named by an
 :class:`~repro.index.spec.IndexSpec`, ``index.search`` serves 2-D query batches
 through the batched graph walk — one gemm per round across a group's live
 queries — and single vectors as a batch of one, and ``index.save`` /
-``Index.load`` round-trip the whole serving state — spec, graph, data and
-cached norms — through a single NPZ file, so a loaded index answers queries
-bit-for-bit identically with zero rebuild.
+``Index.load`` round-trip the whole serving state — spec, graph, data, ids
+and seed partition — through a single NPZ file, so a loaded index answers
+queries bit-for-bit identically with no graph rebuild.  The dataset norms
+are not saved: every searcher derives them from its data, so a file cannot
+carry norms that disagree with its rows.
 
 The index is *online*: ``index.insert`` adds vectors with NN-Descent-style
 local graph repair (no rebuild), ``index.delete`` tombstones external ids —
@@ -55,7 +57,8 @@ __all__ = ["Index", "FORMAT_VERSION", "read_npz", "check_fields",
 #: :meth:`Index.load` reads; ``gkmeans migrate`` rewrites older files.
 FORMAT_VERSION = 4
 
-#: Keys of the index NPZ: ``(dtype kind, ndim, required)``.
+#: Keys of the index NPZ: ``(dtype kind, ndim, required)``.  ``norms`` is
+#: no longer written; the copy an earlier release saved is ignored.
 _SCHEMA = {
     "format_version": ("i", 0, True), "spec_json": ("U", 0, True),
     "data": ("f", 2, True), "graph_indices": ("i", 2, True),
@@ -198,7 +201,6 @@ class Index:
     """
 
     def __init__(self, data: np.ndarray, graph: KNNGraph, spec: IndexSpec, *,
-                 norms: np.ndarray | None = None,
                  ids: np.ndarray | None = None,
                  tombstones: np.ndarray | None = None,
                  next_id: int | None = None, generation: int = 0,
@@ -210,15 +212,10 @@ class Index:
                 f"spec must be an IndexSpec, got {type(spec).__name__}")
         self.spec = spec
         # All validation (data matrix, graph/data row counts, graph-vs-spec
-        # metric, restored-norms shape) and state (engine, cached norms,
-        # symmetrised adjacency) lives in the composed searcher; the facade
-        # adds spec handling, determinism, mutations and persistence on top.
-        self._searcher = GraphSearcher(
-            data, graph, pool_size=spec.pool_size, n_starts=spec.n_starts,
-            symmetrize=spec.symmetrize, random_state=spec.random_state,
-            metric=spec.metric, dtype=spec.dtype, data_norms=norms,
-            quantize=spec.quantize, quantizer=quantizer,
-            seed_labels=seed_labels)
+        # metric) and state (engine, derived norms, symmetrised adjacency)
+        # lives in the composed searcher; the facade adds spec handling,
+        # determinism, mutations and persistence on top.
+        self._searcher = self._serve(data, graph, quantizer, seed_labels)
         self.graph = graph
         self.build_seconds = build_seconds
         n = self._searcher.data.shape[0]
@@ -258,6 +255,16 @@ class Index:
         self._id_lookup: dict | None = None
         self._last: SearchResult | None = None
 
+    def _serve(self, data, graph: KNNGraph, quantizer, seed_labels
+               ) -> GraphSearcher:
+        """A searcher over ``data`` and ``graph`` under this index's spec."""
+        spec = self.spec
+        return GraphSearcher(
+            data, graph, pool_size=spec.pool_size, n_starts=spec.n_starts,
+            random_state=spec.random_state, metric=spec.metric,
+            dtype=spec.dtype, quantize=spec.quantize, quantizer=quantizer,
+            seed_labels=seed_labels)
+
     @property
     def last_n_evaluations(self) -> int:
         """Total distance evaluations of the most recent search call."""
@@ -278,10 +285,6 @@ class Index:
     def engine_(self) -> DistanceEngine:
         """The index's :class:`~repro.distance.DistanceEngine`."""
         return self._searcher.engine_
-
-    @property
-    def _data_norms(self) -> np.ndarray:
-        return self._searcher._data_norms
 
     @property
     def seed_labels(self) -> np.ndarray:
@@ -640,13 +643,7 @@ class Index:
             seed_labels = self.seed_labels[live]
             if seed_labels.max() >= data.shape[0]:
                 seed_labels = np.unique(seed_labels, return_inverse=True)[1]
-        searcher = GraphSearcher(
-            data, graph, pool_size=self.spec.pool_size,
-            n_starts=self.spec.n_starts, symmetrize=self.spec.symmetrize,
-            random_state=self.spec.random_state, metric=self.spec.metric,
-            dtype=self.spec.dtype, quantize=self.spec.quantize,
-            data_norms=self._data_norms[live],
-            seed_labels=seed_labels)
+        searcher = self._serve(data, graph, None, seed_labels)
         self._searcher.close()
         self._searcher = searcher
         self.graph = graph
@@ -661,7 +658,7 @@ class Index:
     # Persistence
     # ------------------------------------------------------------------ #
     def save(self, path) -> None:
-        """Serialize the index (spec, graph, data, norms) into one NPZ file.
+        """Serialize the index (spec, graph, data, ids) into one NPZ file.
 
         The file is written at exactly ``path`` (no ``.npz`` suffix is
         appended) and restored by :meth:`load` with zero rebuild.  The write
@@ -686,9 +683,8 @@ class Index:
         }
         if self.graph.distances is not None:
             payload["graph_distances"] = self.graph.distances
-        payload["norms"] = self._data_norms
         quantizer = self.quantizer
-        if quantizer is not None and quantizer.scale is not None:
+        if quantizer is not None:
             # int8 parameters are build-time state: persisting them (rather
             # than refitting on load) keeps codes — and therefore served
             # results — bit-identical across save/load even after inserts
@@ -721,7 +717,14 @@ class Index:
             graph = KNNGraph(fields["graph_indices"],
                              fields.get("graph_distances"),
                              metric=str(fields["graph_metric"]))
-            return cls(fields["data"], graph, spec, norms=fields.get("norms"),
+            distances = graph.distances
+            if distances is not None and not np.all(
+                    ((distances >= 0) & (distances < np.inf))
+                    | ((graph.indices < 0) & ~np.isnan(distances))):
+                raise ValidationError(
+                    "graph_distances must be finite and non-negative at "
+                    "every neighbour, and never NaN")
+            return cls(fields["data"], graph, spec,
                        ids=fields["ids"], tombstones=fields["tombstones"],
                        next_id=int(fields["next_id"]),
                        generation=int(fields["generation"]),

@@ -253,7 +253,7 @@ class RebalanceReport:
 class ShardedServingStats:
     """Combined execution profile of one sharded batch search.
 
-    Aggregates the per-shard :class:`~repro.search.frontier.ServingStats`
+    Aggregates the per-shard :class:`~repro.search._walk.ServingStats`
     into one record with the same summary surface (``workers``,
     ``n_groups``, ``n_rounds``, ``n_gemms``, ``queries_per_second``), so
     tables and probes render sharded and monolithic serving uniformly.
@@ -282,7 +282,7 @@ class ShardedServingStats:
         Per-shard routed query counts, in shard order (the full batch size
         for every shard under full fan-out).
     shard_stats:
-        Per-walk :class:`~repro.search.frontier.ServingStats`, in fan-out
+        Per-walk :class:`~repro.search._walk.ServingStats`, in fan-out
         order: shard order for the full fan-out; for a routed search the
         nearest-shard walks (routing rank 0) in shard order, then the
         capped walks of the other probed shards in shard order.  Shards

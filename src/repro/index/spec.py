@@ -22,12 +22,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ..distance import (
-    QUANTIZE_MODES,
-    resolve_dtype,
-    resolve_metric,
-    resolve_quantize,
-)
+from ..distance import resolve_dtype, resolve_metric, resolve_quantize
 from ..exceptions import ValidationError
 from ..validation import check_positive_int
 
@@ -147,15 +142,13 @@ class IndexSpec:
     quantize:
         Compressed-domain serving mode (see :data:`QUANTIZE_MODES` in
         :mod:`repro.distance.quantized`): ``"none"`` (the default) serves
-        with the exact kernels, bit-for-bit unchanged; ``"float16"`` and
-        ``"int8"`` store a compressed code matrix, walk the graph with
-        compressed-domain gemms and re-rank the final candidate pool with
-        the exact metric — so returned distances are always exact values
-        and quantization is purely a recall-vs-throughput knob (the floor
-        is test-pinned).  ``int8`` quantizer parameters are fitted at
-        build time and persisted with the index.
-    symmetrize:
-        Whether search adds reverse edges to the adjacency (recommended).
+        with the exact kernels, bit-for-bit unchanged; ``"int8"`` stores a
+        compressed code matrix, walks the graph with compressed-domain
+        gemms and re-ranks the final candidate pool with the exact metric —
+        so returned distances are always exact values and quantization is
+        purely a recall-vs-throughput knob (the floor is test-pinned).  Its
+        quantizer parameters are fitted at build time and persisted with
+        the index.
     random_state:
         Seed for construction *and* for every search call — searches are
         deterministic and reproducible across save/load.
@@ -178,7 +171,6 @@ class IndexSpec:
     shard_probe: int | None = None
     executor: str = "thread"
     quantize: str = "none"
-    symmetrize: bool = True
     random_state: int = 0
     params: Mapping = field(default_factory=dict)
 
@@ -268,15 +260,20 @@ class IndexSpec:
         if not isinstance(payload, Mapping):
             raise ValidationError(
                 f"index spec must be a mapping, got {type(payload).__name__}")
+        payload = dict(payload)
+        # Retired serving settings.  Every index now searches the
+        # symmetrized graph; a float16 spec is served exactly, and the
+        # executor never changes results, so "thread" serves a "process"
+        # spec exactly.
+        payload.pop("symmetrize", None)
+        if payload.get("quantize") == "float16":
+            payload["quantize"] = "none"
+        if payload.get("executor") == "process":
+            payload["executor"] = "thread"
         unknown = set(payload) - {item.name for item in fields(cls)}
         if unknown:
             raise ValidationError(
                 f"index spec carries unknown keys {sorted(unknown)}")
-        payload = dict(payload)
-        if payload.get("executor") == "process":
-            # Retired by a later release; the executor never changes
-            # results, so "thread" serves such a spec exactly.
-            payload["executor"] = "thread"
         params = payload.get("params")
         if payload.get("backend", "gkmeans") == "gkmeans" and \
                 isinstance(params, Mapping):

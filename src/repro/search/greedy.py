@@ -1,11 +1,12 @@
 """The reusable searcher: a dataset, its k-NN graph and the walk over them.
 
 :class:`GraphSearcher` owns everything a search needs beyond the query —
-the engine, the cached dataset norms, the CSR-packed symmetrised adjacency,
-the lazily built quantized code matrix, the seed partition walks enter from
-— and serves every request through the one graph walk of
-:mod:`repro.search._walk`: batches, single vectors (a batch of one) and the
-candidate seeding of online inserts (one batch per insert call).
+the engine, the dataset norms it derives from the data, the CSR-packed
+symmetrised adjacency, the lazily built int8 code matrix, the seed
+partition walks enter from — and serves every request through the one
+graph walk of :mod:`repro.search._walk`: batches, single vectors (a batch
+of one) and the candidate seeding of online inserts (one batch per insert
+call).
 """
 
 from __future__ import annotations
@@ -57,29 +58,19 @@ class GraphSearcher:
     n_starts:
         Number of entry points per query: the nearest members of its
         nearest seed-partition cluster (fewer when that cluster is smaller).
-    symmetrize:
-        Whether to add reverse edges before searching (recommended; k-NN
-        graphs are directed and reverse edges markedly improve
-        reachability).  Kept as :attr:`symmetrize`: online inserts commit
-        their adjacency by the same rule.
     random_state:
         Seed of the two-means tree that partitions ``data`` when
         ``seed_labels`` is omitted; searches themselves draw nothing.
     metric, dtype:
         Distance engine configuration; the dataset norms are computed once
         here and reused by every query.
-    data_norms:
-        Optional precomputed ``engine.norms(data)`` (e.g. restored from a
-        saved index) — skips the O(n·d) norms pass.  Must be a finite
-        ``(n,)`` array.
     quantize:
-        Compressed-domain serving mode (``"none"``, ``"float16"`` or
-        ``"int8"``; see :mod:`repro.distance.quantized`).  ``"none"``
-        walks with the exact kernels
-        (:func:`~repro.search.frontier.frontier_batch_search`); the
-        compressed modes walk in the code domain
+        Compressed-domain serving mode (``"none"`` or ``"int8"``; see
+        :mod:`repro.distance.quantized`).  ``"none"`` walks with the exact
+        kernels (:func:`~repro.search.frontier.frontier_batch_search`);
+        ``"int8"`` walks in the code domain
         (:func:`~repro.search.quantized.quantized_batch_search`) and
-        re-rank every returned distance exactly.
+        re-ranks every returned distance exactly.
     quantizer:
         A restored :class:`~repro.distance.quantized.ScalarQuantizer`
         (``int8`` parameters persisted with a saved index).  When omitted,
@@ -96,10 +87,8 @@ class GraphSearcher:
     """
 
     def __init__(self, data: np.ndarray, graph: KNNGraph, *,
-                 pool_size: int = 32, n_starts: int = 4,
-                 symmetrize: bool = True, random_state=None,
+                 pool_size: int = 32, n_starts: int = 4, random_state=None,
                  metric: str = "sqeuclidean", dtype=np.float64,
-                 data_norms: np.ndarray | None = None,
                  quantize: str = "none",
                  quantizer: ScalarQuantizer | None = None,
                  seed_labels: np.ndarray | None = None) -> None:
@@ -118,31 +107,16 @@ class GraphSearcher:
         self.graph = graph
         self.pool_size = check_positive_int(pool_size, name="pool_size")
         self.n_starts = check_positive_int(n_starts, name="n_starts")
-        if data_norms is None:
-            self._data_norms = self.engine_.norms(self.data)
-        else:
-            data_norms = np.asarray(data_norms)
-            if data_norms.shape != (self.data.shape[0],):
-                raise GraphError(
-                    f"data_norms has shape {data_norms.shape}, expected "
-                    f"({self.data.shape[0]},)")
-            if not np.all(np.isfinite(data_norms)):
-                raise GraphError("data_norms contains NaN or infinite values")
-            self._data_norms = data_norms
-        self.symmetrize = bool(symmetrize)
+        self._data_norms = self.engine_.norms(self.data)
         # The searcher's working form is the flat CSR layout — one
         # contiguous buffer the walks slice into.
-        self._adjacency = graph.adjacency(self.symmetrize)
+        self._adjacency = graph.adjacency()
         self.quantize = resolve_quantize(quantize)
         if quantizer is not None:
             if self.quantize == "none":
                 raise GraphError(
                     "a quantizer was supplied but quantize='none'; pass "
-                    "the matching quantize mode")
-            if quantizer.mode != self.quantize:
-                raise GraphError(
-                    f"quantizer mode {quantizer.mode!r} does not match "
-                    f"quantize={self.quantize!r}")
+                    "quantize='int8'")
         self._quantizer = quantizer
         if self.quantize != "none" and self._quantizer is None:
             self._quantizer = ScalarQuantizer(self.quantize).fit(self.data)
@@ -232,10 +206,9 @@ class GraphSearcher:
         (:func:`~repro.graph.repair.refine_neighborhood`); one merge pushes
         the back-edges into the chosen neighbours' rows
         (:func:`~repro.graph.repair.push_back_edges`).  Only the adjacency
-        rows the repair touched are re-derived, by the rule of
-        :attr:`symmetrize`, and spliced into the CSR, which therefore stays
-        exactly the adjacency a fresh searcher would derive from the
-        repaired graph.
+        rows the repair touched are re-derived and spliced into the CSR,
+        which therefore stays exactly the adjacency a fresh searcher would
+        derive from the repaired graph.
 
         The update is transactional: repair happens on copies and is
         committed only when the whole batch succeeds, so a validation
@@ -286,17 +259,15 @@ class GraphSearcher:
                                            row_ids, row_dists)
         graph = KNNGraph(indices, distances, metric=self.graph.metric)
         # Rows whose adjacency can differ: every endpoint of an edge the
-        # repair added or removed (just the rows that changed when the
-        # adjacency is the graph's own rows).
+        # repair added or removed.
         touched = np.zeros(total, dtype=bool)
         touched[first:] = True
         touched[changed] = True
-        if self.symmetrize:
-            touched[dropped] = True
-            touched[indices[first:][indices[first:] >= 0]] = True
+        touched[dropped] = True
+        touched[indices[first:][indices[first:] >= 0]] = True
         nodes = touched.nonzero()[0]
         adjacency = self._adjacency.splice(
-            nodes, graph.adjacency(self.symmetrize, nodes))
+            nodes, graph.adjacency(nodes=nodes))
         self.data = data
         self.graph = graph
         self._data_norms = norms

@@ -3,7 +3,7 @@
 :func:`quantized_batch_search` binds the walk of :mod:`repro.search._walk`
 to a :class:`~repro.distance.quantized.QuantizedScorer`: queries are folded
 into the code domain once per batch, and every round's merged frontier
-costs one small-operand gemm against the int8/float16 code matrix.  The
+costs one small-operand gemm against the int8 code matrix.  The
 walk's pools therefore hold *approximate* distances, so which candidates
 survive is pinned by a recall floor, not by parity with the exact entry.
 
@@ -62,9 +62,7 @@ def quantized_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
     folded, bias = scorer.prepare_queries(queries)
 
     def score(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        return scorer.block(
-            folded[rows], None if bias is None else bias[rows],
-            query_norms[rows], ids)
+        return scorer.block(folded[rows], bias[rows], query_norms[rows], ids)
 
     if partition is None:
         partition = SeedPartition.cluster(data, engine.metric, engine.dtype,

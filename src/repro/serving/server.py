@@ -95,7 +95,7 @@ class RequestStats:
         Time from admission to the response being ready.
     serving_stats:
         The batch walk's own stats record
-        (:class:`~repro.search.frontier.ServingStats` or
+        (:class:`~repro.search._walk.ServingStats` or
         :class:`~repro.index.sharded.ShardedServingStats`), shared by all
         requests of the batch.
     """

@@ -82,6 +82,11 @@ def check_data_matrix(data, *, name: str = "data", min_samples: int = 1,
     -------
     numpy.ndarray
         A C-contiguous array of the requested dtype.
+
+    Every row's squared norm must stay at or below a quarter of the dtype's
+    largest value: under that bound every pairwise distance, centroid and
+    partial gemm sum of admitted rows is finite.  The one pass of row norms
+    that enforces it also refuses NaN and infinite entries.
     """
     array = np.asarray(data)
     if dtype is None:
@@ -98,9 +103,17 @@ def check_data_matrix(data, *, name: str = "data", min_samples: int = 1,
             f"got {array.shape[0]}")
     if array.shape[1] < 1:
         raise ValidationError(f"{name} must have at least one feature")
-    if not np.isfinite(array).all():
-        raise ValidationError(f"{name} contains NaN or infinite values")
-    return np.ascontiguousarray(array)
+    array = np.ascontiguousarray(array)
+    # einsum raises no floating-point warnings, and NaN compares False, so
+    # one test refuses both failure kinds.
+    squared = np.einsum("ij,ij->i", array, array)
+    if not (squared <= np.finfo(array.dtype).max / 4).all():
+        if not np.isfinite(array).all():
+            raise ValidationError(f"{name} contains NaN or infinite values")
+        raise ValidationError(
+            f"{name} has rows whose squared norm exceeds a quarter of the "
+            f"{array.dtype} range, so their distances would overflow")
+    return array
 
 
 def check_queries(queries, n_features: int, *,

@@ -11,7 +11,9 @@ downgraded below the version that introduced mutations: the dropped
 a metric that no longer exists (``dot``, the inner product), which every
 reader must refuse.  :func:`write_retired_params` fabricates one whose
 ``gkmeans`` spec still names construction params that are now fixed, which
-every reader must drop.
+every reader must drop.  :func:`write_retired_serving_fields` fabricates
+one whose spec still carries a retired serving setting (``symmetrize``, or
+``quantize: "float16"``), which every reader maps to the kept setting.
 
 Manifests before v6 kept the id map — every shard's global row ids,
 ``shard_ids`` split by ``shard_offsets`` — and their shard files held
@@ -35,6 +37,12 @@ RETIRED_METRIC_SPELLINGS = ("dot", "ip", "inner-product", "inner_product",
 #: two-means tree's bisection routine and Alg. 3's block cap (the 4·ξ it
 #: defaulted to for ``cluster_size=10``).
 RETIRED_GKMEANS_PARAMS = {"bisection": "lloyd", "max_block": 40}
+
+#: Spec fields of the retired serving settings, one saved spec's worth
+#: each: the directed search graph (and the redundant symmetrized flag)
+#: and the float16 code family.
+RETIRED_SERVING_FIELDS = ({"symmetrize": False}, {"symmetrize": True},
+                          {"quantize": "float16"})
 
 #: Keys each retired index-file version lacks: v1 predates online
 #: mutations; v2 lacks the spec's ``quantize`` field; v1–v3 predate the
@@ -141,6 +149,23 @@ def write_retired_params(path, params=RETIRED_GKMEANS_PARAMS):
     spec = json.loads(str(payload["spec_json"]))
     spec["params"] = {**spec["params"], **params}
     payload["spec_json"] = np.asarray(json.dumps(spec, sort_keys=True))
+    with open(path, "wb") as stream:
+        np.savez(stream, **payload)
+
+
+def write_retired_serving_fields(path, fields):
+    """Rewrite the index file or manifest at ``path`` as a release that
+    still had the serving settings ``fields`` saved it: its spec carries
+    them, and an index file carries the squared row norms that release
+    saved beside its data."""
+    with np.load(path, allow_pickle=False) as archive:
+        payload = {key: archive[key] for key in archive.files}
+    spec = json.loads(str(payload["spec_json"]))
+    spec.update(fields)
+    payload["spec_json"] = np.asarray(json.dumps(spec, sort_keys=True))
+    if "data" in payload:
+        payload["norms"] = np.einsum("ij,ij->i", payload["data"],
+                                     payload["data"])
     with open(path, "wb") as stream:
         np.savez(stream, **payload)
 

@@ -290,14 +290,6 @@ class TestExecutorSpecSurface:
                            match="monolithic.*'thread'.*'remote'"):
             index.search(queries, 5, executor=executor)
 
-    def test_evaluate_search_rejects_executor_per_query(self, saved_index,
-                                                        corpus):
-        index, _ = saved_index
-        _, queries = corpus
-        with pytest.raises(ValidationError, match="batch"):
-            evaluate_search(index, queries[:4], n_results=3, batch=False,
-                            executor="thread")
-
     def test_executors_constant_names_all_kinds(self):
         assert EXECUTORS == ("thread", "remote")
         assert ThreadShardExecutor.name == "thread"

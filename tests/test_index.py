@@ -15,6 +15,7 @@ from repro.index import (
     BUILDERS,
     Index,
     IndexSpec,
+    ShardedIndex,
     available_backends,
     register_builder,
 )
@@ -32,6 +33,30 @@ def _spec(backend, metric="sqeuclidean", dtype="float64", **kw):
     params.update(kw.pop("params", {}))
     return IndexSpec(backend=backend, n_neighbors=6, metric=metric,
                      dtype=dtype, random_state=3, params=params, **kw)
+
+
+def _payload(path):
+    with np.load(path) as archive:
+        return {key: archive[key] for key in archive.files}
+
+
+#: ``(value, padded, accepted)``: one graph distance set to ``value``, at a
+#: padding slot when ``padded``, and whether the loader accepts it.
+GRAPH_DISTANCE_CASES = [
+    (np.nan, False, False), (-1.0, False, False), (np.inf, False, False),
+    (np.nan, True, False), (np.inf, True, True), (-1.0, True, True)]
+
+
+def _write_graph_distance(source, target, value, padded):
+    """Write the index file ``source`` to ``target`` with row 7's last
+    graph distance set to ``value`` (and its neighbour to the padding id
+    ``-1`` when ``padded``)."""
+    payload = _payload(source)
+    payload["graph_distances"][7, -1] = value
+    if padded:
+        payload["graph_indices"][7, -1] = -1
+    with open(target, "wb") as handle:
+        np.savez(handle, **payload)
 
 
 class TestIndexSpec:
@@ -286,41 +311,69 @@ class TestPersistence:
         with pytest.raises(ValidationError, match="format version"):
             Index.load(future)
 
-    def test_load_corrupted_norms_raises_validation_error(self, tmp_path,
-                                                          corpus):
-        base, _ = corpus
-        index = Index.build(base, _spec("bruteforce"))
+    @pytest.mark.parametrize("quantize", ["none", "int8"])
+    @pytest.mark.parametrize("tamper", ["reversed", "truncated", "nan"])
+    def test_load_ignores_saved_norms(self, tmp_path, corpus, tamper,
+                                      quantize):
+        """Norms are derived from the data, never read: a file carrying an
+        earlier release's ``norms`` copy — reversed, truncated or NaN —
+        serves bitwise what the untampered file serves."""
+        base, queries = corpus
+        index = Index.build(base, _spec("bruteforce", quantize=quantize))
         path = tmp_path / "ok.idx"
         index.save(path)
-        broken = tmp_path / "short-norms.idx"
-        with np.load(path) as archive:
-            payload = {key: archive[key] for key in archive.files}
-        payload["norms"] = payload["norms"][:10]
-        with open(broken, "wb") as handle:
-            np.savez(handle, **payload)
-        with pytest.raises(ValidationError, match="inconsistent"):
-            Index.load(broken)
+        payload = _payload(path)
+        assert "norms" not in payload
+        expected = Index.load(path).search(queries, 5)
+        norms = index._searcher._data_norms
+        bad = {"reversed": norms[::-1].copy(), "truncated": norms[:10],
+               "nan": np.full_like(norms, np.nan)}[tamper]
+        tampered = tmp_path / f"{tamper}.idx"
+        with open(tampered, "wb") as handle:
+            np.savez(handle, **payload, norms=bad)
+        result = Index.load(tampered).search(queries, 5)
+        assert result.indices.tobytes() == expected.indices.tobytes()
+        assert result.distances.tobytes() == expected.distances.tobytes()
 
-    def test_load_uses_saved_norms_without_recompute(self, tmp_path, corpus,
-                                                     monkeypatch):
+    @pytest.mark.parametrize("value, padded, accepted", GRAPH_DISTANCE_CASES)
+    def test_load_checks_graph_distances(self, tmp_path, corpus, value,
+                                         padded, accepted):
+        """A neighbour's distance must be finite and non-negative, and no
+        distance may be NaN; a padding slot (``-1``) may hold anything
+        else."""
         base, queries = corpus
         index = Index.build(base, _spec("bruteforce"))
         path = tmp_path / "ok.idx"
         index.save(path)
-        calls = {"n": 0}
-        original = DistanceEngine.norms
+        tampered = tmp_path / "tampered.idx"
+        _write_graph_distance(path, tampered, value, padded)
+        if accepted:
+            assert Index.load(tampered).search(queries, 5).indices.shape \
+                == (len(queries), 5)
+            return
+        with pytest.raises(ValidationError,
+                           match="tampered.idx.*graph_distances"):
+            Index.load(tampered)
 
-        def counting_norms(self, data):
-            calls["n"] += 1
-            return original(self, data)
-
-        monkeypatch.setattr(DistanceEngine, "norms", counting_norms)
-        loaded = Index.load(path)
-        # The saved norms are restored; the O(n*d) dataset-norms pass is not
-        # repeated at load time (search-time query norms still run).
-        assert calls["n"] == 0
-        assert np.array_equal(loaded.search(queries, 5)[0],
-                              index.search(queries, 5)[0])
+    @pytest.mark.parametrize("value, padded, accepted", GRAPH_DISTANCE_CASES)
+    def test_sharded_load_checks_graph_distances(self, tmp_path, corpus,
+                                                 value, padded, accepted):
+        """The shard files of a directory pass the same check, and the
+        refusal names the shard file."""
+        base, queries = corpus
+        directory = tmp_path / "ok.shards"
+        ShardedIndex.build(base, _spec("bruteforce", n_shards=2)).save(
+            directory)
+        shard = directory / "shard_0001.idx"
+        _write_graph_distance(shard, shard, value, padded)
+        if accepted:
+            with ShardedIndex.load(directory) as loaded:
+                assert loaded.search(queries, 5).indices.shape \
+                    == (len(queries), 5)
+            return
+        with pytest.raises(ValidationError,
+                           match="shard 1.*shard_0001.idx.*graph_distances"):
+            ShardedIndex.load(directory)
 
     def test_load_inconsistent_graph_raises_validation_error(self, tmp_path,
                                                              corpus):

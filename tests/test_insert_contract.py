@@ -99,31 +99,24 @@ def small():
     return rng.normal(size=(400, 12)), rng.normal(size=(90, 12))
 
 
-@pytest.mark.parametrize("symmetrize", [True, False])
 @pytest.mark.parametrize("distances", [True, False])
-def test_committed_adjacency_is_a_fresh_derivation(small, symmetrize,
-                                                   distances):
+def test_committed_adjacency_is_a_fresh_derivation(small, distances):
     """After every call the CSR equals a fresh searcher's over the repaired
     graph — including a graph that carried no distances before."""
     base, new = small
     graph = (brute_force_knn_graph(base, 8) if distances else
              KNNGraph(random_knn_graph(base, 8, random_state=1).indices))
-    searcher = GraphSearcher(base, graph, symmetrize=symmetrize,
-                             random_state=0)
-    assert searcher.symmetrize is symmetrize
+    searcher = GraphSearcher(base, graph, random_state=0)
     for start, stop in ((0, 1), (1, 18), (18, 90)):
         searcher.insert_points(new[start:stop])
         searcher.graph.validate()
-        fresh = GraphSearcher(searcher.data, searcher.graph,
-                              symmetrize=symmetrize)
+        fresh = GraphSearcher(searcher.data, searcher.graph)
         assert _same_adjacency(searcher._adjacency, fresh._adjacency)
 
 
-@pytest.mark.parametrize("symmetrize", [True, False])
-def test_inserted_index_saves_and_loads_bitwise(small, symmetrize, tmp_path):
+def test_inserted_index_saves_and_loads_bitwise(small, tmp_path):
     base, new = small
     index = Index.build(base, IndexSpec(backend="bruteforce", n_neighbors=8,
-                                        symmetrize=symmetrize,
                                         random_state=3))
     index.insert(new[:50])
     index.insert(new[50:])
@@ -137,15 +130,14 @@ def test_inserted_index_saves_and_loads_bitwise(small, symmetrize, tmp_path):
     assert r_dist.tobytes() == s_dist.tobytes()
 
 
-@pytest.mark.parametrize("symmetrize", [True, False])
-def test_adjacency_rows_of_a_subset(small, symmetrize):
+def test_adjacency_rows_of_a_subset(small):
     """``KNNGraph.adjacency(nodes=...)`` is the full adjacency's rows, and
     splicing them back changes nothing."""
     base, _ = small
     graph = brute_force_knn_graph(base, 8)
-    full = graph.adjacency(symmetrize)
+    full = graph.adjacency()
     nodes = np.sort(np.random.default_rng(0).choice(400, 57, replace=False))
-    part = graph.adjacency(symmetrize, nodes)
+    part = graph.adjacency(nodes=nodes)
     assert len(part) == nodes.size
     for row, node in enumerate(nodes):
         assert np.array_equal(part[row], full[node])

@@ -11,7 +11,6 @@ import pytest
 from repro import (
     BoostKMeans,
     GKMeans,
-    GraphSearcher,
     KMeans,
     build_knn_graph_by_clustering,
     brute_force_knn_graph,
@@ -24,6 +23,7 @@ from repro.datasets import (
     write_fvecs,
 )
 from repro.graph import graph_recall
+from repro.index import Index, IndexSpec
 from repro.metrics import average_distortion, neighbor_cooccurrence_curve
 from repro.search import evaluate_search
 
@@ -72,8 +72,9 @@ class TestFullPipeline:
         graph = build_knn_graph_by_clustering(base, 10, tau=5,
                                               cluster_size=40,
                                               random_state=0).graph
-        searcher = GraphSearcher(base, graph, pool_size=48, random_state=0)
-        evaluation = evaluate_search(searcher, queries, n_results=10)
+        index = Index(base, graph, IndexSpec(n_neighbors=10, pool_size=48,
+                                             random_state=0))
+        evaluation = evaluate_search(index, queries, n_results=10)
         assert evaluation.recall_at_1 > 0.5
         assert evaluation.mean_distance_evaluations < len(base) / 2
 

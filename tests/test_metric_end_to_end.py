@@ -41,7 +41,7 @@ from repro.graph import (
     nn_descent_knn_graph,
     random_knn_graph,
 )
-from repro.index import IndexSpec
+from repro.index import Index, IndexSpec
 from repro.index.sharded import partition_dataset
 from repro.metrics import adjusted_rand_index, normalized_mutual_information
 from repro.search import GraphSearcher, evaluate_search
@@ -206,9 +206,10 @@ class TestCosineSearch:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_recall_on_exact_graph(self, search_setup, dtype):
         base, queries, graph = search_setup
-        searcher = GraphSearcher(base, graph, pool_size=48, random_state=0,
-                                 metric="cosine", dtype=dtype)
-        evaluation = evaluate_search(searcher, queries, n_results=5)
+        index = Index(base, graph, IndexSpec(
+            backend="bruteforce", n_neighbors=10, pool_size=48,
+            random_state=0, metric="cosine", dtype=dtype))
+        evaluation = evaluate_search(index, queries, n_results=5)
         assert evaluation.recall_at_1 > 0.7
         assert evaluation.recall_at_k > 0.6
 

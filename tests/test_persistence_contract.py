@@ -19,7 +19,10 @@ to an index serving bit for bit what the original served, and a second
 inner-product metric, whichever of its spellings names it, are refused by
 every reader and by ``migrate``, naming the metrics that remain.  Files
 whose ``gkmeans`` spec names the retired construction params ``bisection``
-and ``max_block`` load without them and serve what they served.
+and ``max_block`` load without them and serve what they served.  So do
+files whose spec names a retired serving setting — ``symmetrize`` or
+``quantize: "float16"`` — served under the kept one (the symmetrized graph,
+exact kernels), with the dataset norms they carry ignored.
 """
 
 import json
@@ -31,17 +34,26 @@ import pytest
 from _legacy_formats import (
     RETIRED_GKMEANS_PARAMS,
     RETIRED_METRIC_SPELLINGS,
+    RETIRED_SERVING_FIELDS,
     directory_bytes,
     write_manifest_version,
     write_mono_version,
     write_retired_metric,
     write_retired_params,
+    write_retired_serving_fields,
 )
 
 from repro.cli import main
 from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import ValidationError
-from repro.index import Index, IndexSpec, Rebalancer, ShardedIndex
+from repro.graph import brute_force_knn_graph
+from repro.index import (
+    Index,
+    IndexSpec,
+    Rebalancer,
+    ShardedIndex,
+    build_index,
+)
 from repro.index.facade import FORMAT_VERSION
 from repro.index.sharded import (
     MANIFEST_NAME,
@@ -50,6 +62,7 @@ from repro.index.sharded import (
     read_manifest,
 )
 from repro.net import load_shard_for_serving
+from repro.search import GraphSearcher, evaluate_search
 
 
 @pytest.fixture(scope="module")
@@ -579,3 +592,195 @@ class TestRetiredParams:
         payload["params"] = dict(RETIRED_GKMEANS_PARAMS)
         with pytest.raises(ValidationError, match="accepted"):
             IndexSpec.from_dict(payload)
+
+
+# --------------------------------------------------------------------- #
+# The retired serving settings
+# --------------------------------------------------------------------- #
+def _spec_json(path):
+    with np.load(path, allow_pickle=False) as archive:
+        return json.loads(str(archive["spec_json"]))
+
+
+def _fields_id(fields):
+    return "-".join(f"{key}={value}" for key, value in fields.items())
+
+
+def _saved_norms(path):
+    """The squared row norms an earlier release saved beside the data."""
+    with np.load(path, allow_pickle=False) as archive:
+        data = archive["data"]
+    return np.einsum("ij,ij->i", data, data)
+
+
+_TAMPERED_NORMS = {
+    "reversed": lambda norms: norms[::-1].copy(),
+    "truncated": lambda norms: norms[:10],
+    "nan": lambda norms: np.full_like(norms, np.nan),
+}
+
+#: Every call spelled with a retired serving keyword, by name.
+_RETIRED_KEYWORD_CALLS = {
+    "IndexSpec(symmetrize=)": lambda base, queries, graph, spec: IndexSpec(
+        symmetrize=True),
+    "IndexSpec.replace(symmetrize=)":
+        lambda base, queries, graph, spec: spec.replace(symmetrize=False),
+    "build_index(symmetrize=)": lambda base, queries, graph, spec:
+        build_index(base, backend="bruteforce", symmetrize=True),
+    "GraphSearcher(symmetrize=)": lambda base, queries, graph, spec:
+        GraphSearcher(base, graph, symmetrize=True),
+    "GraphSearcher(data_norms=)": lambda base, queries, graph, spec:
+        GraphSearcher(base, graph, data_norms=np.ones(len(base))),
+    "Index(norms=)": lambda base, queries, graph, spec: Index(
+        base, graph, spec, norms=np.ones(len(base))),
+    "KNNGraph.adjacency(True)": lambda base, queries, graph, spec:
+        graph.adjacency(True),
+    "KNNGraph.adjacency(False)": lambda base, queries, graph, spec:
+        graph.adjacency(False),
+    "evaluate_search(batch=True)": lambda base, queries, graph, spec:
+        evaluate_search(Index(base, graph, spec), queries, n_results=3,
+                        batch=True),
+    "evaluate_search(batch=False)": lambda base, queries, graph, spec:
+        evaluate_search(Index(base, graph, spec), queries, n_results=3,
+                        batch=False),
+}
+
+
+class TestRetiredServingFields:
+    @pytest.mark.parametrize("fields", RETIRED_SERVING_FIELDS, ids=_fields_id)
+    def test_index_file_serves_the_kept_setting(self, gkmeans_saved, corpus,
+                                                tmp_path, fields):
+        _, queries = corpus
+        path = tmp_path / "old.idx"
+        shutil.copyfile(gkmeans_saved[0], path)
+        write_retired_serving_fields(path, fields)
+        assert fields.items() <= _spec_json(path).items()
+        with Index.load(gkmeans_saved[0]) as original, \
+                Index.load(path) as loaded:
+            assert loaded.spec == original.spec
+            expected, got = original.search(queries, 8), \
+                loaded.search(queries, 8)
+            loaded.save(tmp_path / "resaved.idx")
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+        assert _spec_json(tmp_path / "resaved.idx") \
+            == _spec_json(gkmeans_saved[0])
+        with np.load(tmp_path / "resaved.idx") as archive:
+            assert "norms" not in archive.files
+
+    @pytest.mark.parametrize("fields", RETIRED_SERVING_FIELDS, ids=_fields_id)
+    def test_directory_serves_the_kept_setting(self, gkmeans_saved, corpus,
+                                               tmp_path, fields):
+        _, queries = corpus
+        directory = tmp_path / "old.shards"
+        shutil.copytree(gkmeans_saved[1], directory)
+        names = (MANIFEST_NAME, "shard_0000.idx", "shard_0001.idx")
+        for name in names:
+            write_retired_serving_fields(directory / name, fields)
+        with ShardedIndex.load(gkmeans_saved[1]) as original, \
+                ShardedIndex.load(directory) as loaded:
+            assert loaded.spec == original.spec
+            expected, got = original.search(queries, 8), \
+                loaded.search(queries, 8)
+            loaded.save(tmp_path / "resaved.shards")
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+        for name in names:
+            resaved = _spec_json(tmp_path / "resaved.shards" / name)
+            assert "symmetrize" not in resaved
+            assert resaved == _spec_json(gkmeans_saved[1] / name)
+
+    @pytest.mark.parametrize("fields", RETIRED_SERVING_FIELDS, ids=_fields_id)
+    def test_shard_server_serves_the_kept_setting(self, gkmeans_saved, corpus,
+                                                  tmp_path, fields):
+        _, queries = corpus
+        directory = tmp_path / "old.shards"
+        shutil.copytree(gkmeans_saved[1], directory)
+        for name in (MANIFEST_NAME, "shard_0000.idx", "shard_0001.idx"):
+            write_retired_serving_fields(directory / name, fields)
+        for shard in (0, 1):
+            original, *_ = load_shard_for_serving(gkmeans_saved[1], shard)
+            loaded, shard_id, generation, n_shards = \
+                load_shard_for_serving(directory, shard)
+            with original, loaded:
+                assert (shard_id, n_shards) == (shard, 2)
+                assert generation == original.generation
+                assert loaded.spec == original.spec
+                expected, got = original.search(queries, 5), \
+                    loaded.search(queries, 5)
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1].tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("fields", RETIRED_SERVING_FIELDS, ids=_fields_id)
+    def test_retired_index_file_migrates_without_them(self, saved, corpus,
+                                                      tmp_path, fields):
+        """A format-3 file — the first with a ``quantize`` field — that
+        carries a retired setting migrates to the kept one."""
+        _, queries = corpus
+        path = tmp_path / "old.idx"
+        shutil.copyfile(saved[0], path)
+        write_mono_version(path, 3)
+        write_retired_serving_fields(path, fields)
+        assert migrate(path)
+        with Index.load(saved[0]) as original, Index.load(path) as migrated:
+            assert migrated.spec == original.spec
+            expected, got = original.search(queries, 8), \
+                migrated.search(queries, 8)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+        assert _spec_json(path) == _spec_json(saved[0])
+        with np.load(path) as archive:
+            assert "norms" not in archive.files
+
+    @pytest.mark.parametrize("fields", RETIRED_SERVING_FIELDS, ids=_fields_id)
+    def test_retired_directory_migrates_without_them(self, saved, corpus,
+                                                     tmp_path, fields):
+        _, queries = corpus
+        directory = _copy(saved, tmp_path)
+        write_manifest_version(directory, 5, 4)
+        names = sorted(os.listdir(directory))
+        for name in names:
+            write_retired_serving_fields(directory / name, fields)
+        assert migrate(directory)
+        with ShardedIndex.load(saved[1]) as original, \
+                ShardedIndex.load(directory) as migrated:
+            assert migrated.spec == original.spec
+            expected, got = original.search(queries, 8), \
+                migrated.search(queries, 8)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+        for name in names:
+            assert _spec_json(directory / name) \
+                == _spec_json(saved[1] / name)
+
+    @pytest.mark.parametrize("tamper", ["reversed", "truncated", "nan"])
+    def test_directory_ignores_saved_norms(self, gkmeans_saved, corpus,
+                                           tmp_path, tamper):
+        """Shard files carrying an earlier release's ``norms`` copy that
+        disagrees with their rows serve what the untampered directory
+        serves, through the loader and through the shard server."""
+        _, queries = corpus
+        directory = tmp_path / "norms.shards"
+        shutil.copytree(gkmeans_saved[1], directory)
+        for name in ("shard_0000.idx", "shard_0001.idx"):
+            bad = _TAMPERED_NORMS[tamper](_saved_norms(directory / name))
+            _rewritten("norms", lambda _: bad)(directory / name)
+        with ShardedIndex.load(gkmeans_saved[1]) as original, \
+                ShardedIndex.load(directory) as loaded:
+            expected, got = original.search(queries, 8), \
+                loaded.search(queries, 8)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+        served, *_ = load_shard_for_serving(directory, 1)
+        original, *_ = load_shard_for_serving(gkmeans_saved[1], 1)
+        with served, original:
+            assert served.search(queries, 8)[1].tobytes() \
+                == original.search(queries, 8)[1].tobytes()
+
+    @pytest.mark.parametrize("call", sorted(_RETIRED_KEYWORD_CALLS))
+    def test_retired_keywords_raise_type_error(self, corpus, call):
+        base, queries = corpus
+        graph = brute_force_knn_graph(base, 6)
+        spec = IndexSpec(backend="bruteforce", n_neighbors=6)
+        with pytest.raises(TypeError):
+            _RETIRED_KEYWORD_CALLS[call](base, queries, graph, spec)

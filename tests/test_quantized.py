@@ -5,10 +5,10 @@ Three guarantees, mirroring the layering of the feature:
 * ``quantize="none"`` is **bitwise unchanged** — the CSR adjacency layout
   feeds the exact walk the very same neighbour arrays the list layout
   did, so results (and the save format's readability) are identical.
-* ``quantize ∈ {"float16", "int8"}`` is an approximation with an **exact
-  re-rank**: returned distances are true metric values, and recall@10 is
-  pinned to a floor against the exact-search oracle across metric ×
-  dtype × executor (thread, remote).
+* ``quantize="int8"`` is an approximation with an **exact re-rank**:
+  returned distances are true metric values, and recall@10 is pinned to a
+  floor against the exact-search oracle across metric × dtype × executor
+  (thread, remote).
 * Quantization state **persists**: int8 affine parameters ride in the
   mono NPZ (format v3) and sharded manifests (v5) carry the mode in the
   spec; every earlier format version migrates to ``quantize="none"``.
@@ -19,6 +19,7 @@ import pytest
 from _insert_oracle import to_rows
 from _legacy_formats import write_mono_version, write_manifest_version
 
+from repro.cli import main
 from repro.datasets import make_sift_like, train_query_split
 from repro.distance import (
     METRICS,
@@ -56,10 +57,19 @@ def _spec(**overrides):
     return IndexSpec(**params)
 
 
+#: Every entry point that takes a ``quantize`` spelling, each returning the
+#: mode it resolved.
+_QUANTIZE_ENTRIES = {
+    "resolve_quantize": resolve_quantize,
+    "IndexSpec": lambda spelling: _spec(quantize=spelling).quantize,
+    "IndexSpec.replace": lambda spelling: _spec().replace(
+        quantize=spelling).quantize,
+    "ScalarQuantizer": lambda spelling: ScalarQuantizer(spelling).mode,
+}
+
+
 class TestScalarQuantizer:
     def test_resolve_accepts_aliases(self):
-        assert resolve_quantize("fp16") == "float16"
-        assert resolve_quantize("half") == "float16"
         assert resolve_quantize("i8") == "int8"
         assert resolve_quantize("off") == "none"
         assert resolve_quantize(None) == "none"
@@ -69,6 +79,36 @@ class TestScalarQuantizer:
     def test_resolve_rejects_unknown(self):
         with pytest.raises(ValidationError, match="quantize"):
             resolve_quantize("int4")
+
+    @pytest.mark.parametrize("entry", sorted(_QUANTIZE_ENTRIES))
+    @pytest.mark.parametrize("spelling", ["float16", "fp16", "half"])
+    def test_retired_float16_spellings_rejected(self, spelling, entry):
+        """Only a saved spec's ``"float16"`` is still read (as ``"none"``,
+        see ``tests/test_persistence_contract.py``); in code every spelling
+        of the retired mode is an unknown one at every entry point."""
+        with pytest.raises(ValidationError,
+                           match=r"quantize.*\['int8', 'none'\]"):
+            _QUANTIZE_ENTRIES[entry](spelling)
+
+    @pytest.mark.parametrize("entry", ["IndexSpec", "IndexSpec.replace",
+                                       "resolve_quantize"])
+    @pytest.mark.parametrize("spelling, mode", [("off", "none"),
+                                                ("i8", "int8")])
+    def test_kept_aliases_accepted(self, spelling, mode, entry):
+        """``off`` and ``i8`` outlived the float16 spellings (the
+        quantizer itself takes only ``int8``'s)."""
+        assert _QUANTIZE_ENTRIES[entry](spelling) == mode
+
+    @pytest.mark.parametrize("spelling", ["float16", "fp16", "half"])
+    def test_cli_refuses_retired_float16_spellings(self, spelling, tmp_path,
+                                                   capsys):
+        out = tmp_path / "half.idx"
+        with pytest.raises(SystemExit) as exited:
+            main(["build", "--out", str(out), "--n-samples", "200",
+                  "--quantize", spelling])
+        assert exited.value.code == 2
+        assert f"invalid choice: '{spelling}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_int8_roundtrip_error_bounded_by_half_step(self, rng):
         data = rng.normal(size=(200, 12)) * np.linspace(0.1, 50, 12)
@@ -166,7 +206,7 @@ class TestSpecPlumbing:
         assert IndexSpec.from_json(spec.to_json()) == spec
 
     def test_aliases_normalised_at_construction(self):
-        assert _spec(quantize="fp16").quantize == "float16"
+        assert _spec(quantize="off").quantize == "none"
         assert _spec(quantize="i8").quantize == "int8"
 
     def test_unknown_mode_rejected(self):
@@ -184,8 +224,7 @@ class TestQuantizedRecallFloor:
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("quantize", ["float16", "int8"])
-    def test_metric_dtype_grid(self, corpus, metric, dtype, quantize):
+    def test_metric_dtype_grid(self, corpus, metric, dtype):
         base, queries = corpus
         engine = DistanceEngine(metric, dtype)
         dists = engine.cross(engine.prepare(queries), engine.prepare(base))
@@ -193,7 +232,7 @@ class TestQuantizedRecallFloor:
         exact = Index.build(base, _spec(metric=metric, dtype=dtype))
         floor = 0.95 * _recall(exact.search(queries, 10)[0], truth)
         quantized = Index.build(
-            base, _spec(metric=metric, dtype=dtype, quantize=quantize))
+            base, _spec(metric=metric, dtype=dtype, quantize="int8"))
         idx, dist = quantized.search(queries, 10)
         assert _recall(idx, truth) >= floor
         # Returned distances are exact metric values, not compressed
@@ -263,15 +302,6 @@ class TestQuantizedPersistence:
         after = restored.search(queries, 8)
         assert before[0].tobytes() == after[0].tobytes()
         assert before[1].tobytes() == after[1].tobytes()
-
-    def test_mono_float16_roundtrip(self, corpus, tmp_path):
-        base, queries = corpus
-        index = Index.build(base, _spec(quantize="float16"))
-        path = tmp_path / "h.idx"
-        index.save(path)
-        restored = Index.load(path)
-        assert restored.spec.quantize == "float16"
-        assert before_eq_after(index, restored, queries)
 
     def test_none_index_file_carries_no_quantizer_keys(self, corpus,
                                                        tmp_path):

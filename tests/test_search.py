@@ -5,9 +5,10 @@ import pytest
 from _insert_oracle import to_rows
 
 from repro.datasets import make_sift_like, train_query_split
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, ValidationError
 from repro.graph import KNNGraph, brute_force_knn_graph
 from repro.graph.bruteforce import brute_force_neighbors
+from repro.index import Index, IndexSpec, ShardedIndex
 from repro.search import (GraphSearcher, SearchResult, evaluate_search,
                           frontier_batch_search)
 
@@ -18,6 +19,14 @@ def search_setup():
     base, queries = train_query_split(corpus, 60, random_state=0)
     graph = brute_force_knn_graph(base, 10)
     return base, queries, graph
+
+
+def _index(base, graph, **spec):
+    """The index that serves ``graph`` as a ``GraphSearcher`` with the same
+    settings would."""
+    return Index(base, graph, IndexSpec(backend="bruteforce",
+                                        n_neighbors=graph.n_neighbors,
+                                        random_state=0, **spec))
 
 
 class TestGreedySearch:
@@ -33,15 +42,15 @@ class TestGreedySearch:
 
     def test_high_recall_on_exact_graph(self, search_setup):
         base, queries, graph = search_setup
-        searcher = GraphSearcher(base, graph, pool_size=48, random_state=0)
-        evaluation = evaluate_search(searcher, queries, n_results=5)
+        evaluation = evaluate_search(_index(base, graph, pool_size=48),
+                                     queries, n_results=5)
         assert evaluation.recall_at_1 > 0.7
         assert evaluation.recall_at_k > 0.6
 
     def test_larger_pool_no_worse(self, search_setup):
         base, queries, graph = search_setup
-        small = GraphSearcher(base, graph, pool_size=8, random_state=0)
-        large = GraphSearcher(base, graph, pool_size=64, random_state=0)
+        small = _index(base, graph, pool_size=8)
+        large = _index(base, graph, pool_size=64)
         recall_small = evaluate_search(small, queries, n_results=5).recall_at_1
         recall_large = evaluate_search(large, queries, n_results=5).recall_at_1
         assert recall_large >= recall_small - 0.05
@@ -88,38 +97,57 @@ class TestGreedySearch:
         assert evaluations[0] > 0
         assert stats.n_queries == 1
 
-    def test_non_symmetrized_search_still_works(self, search_setup):
-        base, queries, graph = search_setup
-        searcher = GraphSearcher(base, graph, symmetrize=False,
-                                 random_state=0)
-        indices, _ = searcher.query(queries[0], 3)
-        assert len(indices) == 3
-
 
 class TestEvaluateSearch:
     def test_perfect_searcher_scores_one(self, search_setup):
-        """A 'searcher' returning brute-force results scores recall 1."""
+        """An index returning brute-force results scores recall 1."""
         base, queries, graph = search_setup
 
-        class ExactSearcher(GraphSearcher):
-            def query(self, query, n_results=10, *, pool_size=None):
-                idx, dist = brute_force_neighbors(query[None, :], self.data,
+        class ExactIndex(Index):
+            def search(self, queries, n_results=10, **_):
+                idx, dist = brute_force_neighbors(queries, self.data,
                                                   n_results)
-                return SearchResult(idx[0], dist[0],
-                                    np.array([self.data.shape[0]]), None)
+                return SearchResult(idx, dist, np.full(
+                    len(queries), self.data.shape[0]), None)
 
-        searcher = ExactSearcher(base, graph, random_state=0)
-        evaluation = evaluate_search(searcher, queries, n_results=5)
+        index = ExactIndex(base, graph, IndexSpec(
+            backend="bruteforce", n_neighbors=graph.n_neighbors))
+        evaluation = evaluate_search(index, queries, n_results=5)
         assert evaluation.recall_at_1 == 1.0
         assert evaluation.recall_at_k == 1.0
 
     def test_fields_populated(self, search_setup):
         base, queries, graph = search_setup
-        searcher = GraphSearcher(base, graph, random_state=0)
-        evaluation = evaluate_search(searcher, queries[:10], n_results=3)
+        evaluation = evaluate_search(_index(base, graph), queries[:10],
+                                     n_results=3)
         assert evaluation.k == 3
         assert evaluation.mean_query_seconds > 0
         assert evaluation.mean_distance_evaluations > 0
+
+    def test_takes_an_index_and_serves_one_batch(self, search_setup):
+        """A bare ``GraphSearcher`` is refused; the retired per-query mode
+        keyword is a ``TypeError``."""
+        base, queries, graph = search_setup
+        searcher = GraphSearcher(base, graph, random_state=0)
+        with pytest.raises(ValidationError, match="Index or a ShardedIndex"):
+            evaluate_search(searcher, queries[:4], n_results=3)
+        for batch in (True, False):
+            with pytest.raises(TypeError, match="batch"):
+                evaluate_search(_index(base, graph), queries[:4],
+                                n_results=3, batch=batch)
+
+    def test_serves_a_sharded_index_in_one_batch(self, search_setup):
+        """A ``ShardedIndex`` is evaluated on the answers of one batched
+        search: its per-query evaluation counts are that search's."""
+        base, queries, _ = search_setup
+        spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=2,
+                         random_state=0)
+        with ShardedIndex.build(base, spec) as index:
+            expected = index.search(queries[:12], 4)
+            evaluation = evaluate_search(index, queries[:12], n_results=4)
+        assert evaluation.per_query_evaluations == \
+            tuple(expected.evaluations.tolist())
+        assert evaluation.recall_at_k >= 0.9
 
 
 class TestBatchQuery:
@@ -131,16 +159,15 @@ class TestBatchQuery:
         assert indices.shape == (12, 4)
         assert result.evaluations.shape == (12,)
         assert result.stats.n_queries == 12
-        evaluation = evaluate_search(searcher, queries[:12], n_results=4,
-                                     batch=True)
+        evaluation = evaluate_search(_index(base, graph), queries[:12],
+                                     n_results=4)
         assert evaluation.per_query_evaluations == \
             tuple(result.evaluations.tolist())
 
     def test_evaluate_search_batch_mode(self, search_setup):
         base, queries, graph = search_setup
-        searcher = GraphSearcher(base, graph, pool_size=48, random_state=0)
-        evaluation = evaluate_search(searcher, queries, n_results=5,
-                                     batch=True)
+        evaluation = evaluate_search(_index(base, graph, pool_size=48),
+                                     queries, n_results=5)
         assert evaluation.recall_at_1 > 0.7
         assert len(evaluation.per_query_evaluations) == queries.shape[0]
         # Batched entry-point/frontier gemms are charged per query, so every

@@ -170,9 +170,6 @@ class TestServingStatsSurface:
         assert evaluation.serving_stats is not None
         assert evaluation.serving_stats.workers == \
             min(2, os.cpu_count() or 1)
-        perquery = evaluate_search(served_index, queries[:8], n_results=5,
-                                   batch=False)
-        assert perquery.serving_stats is None
 
 
 #: metric × dtype grid of the shard-count invariance sweep.
@@ -309,16 +306,6 @@ class TestShardFanOutDeterminism:
         assert evaluation.serving_stats.shard_workers == \
             min(3, os.cpu_count() or 1)
         assert evaluation.serving_stats.n_shards == 4
-
-    def test_evaluate_search_rejects_fanout_knobs_per_query(
-            self, served_sharded):
-        """batch=False cannot honour the sharded knobs — fail, don't
-        silently report a full fan-out as routed."""
-        sharded, queries = served_sharded
-        for knob in ({"shard_workers": 2}, {"shard_probe": 1}):
-            with pytest.raises(ValidationError, match="batch"):
-                evaluate_search(sharded, queries[:4], n_results=3,
-                                batch=False, **knob)
 
 
 class TestRoutedSearchDeterminism:

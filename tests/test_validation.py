@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.cluster import GKMeans, KMeans
 from repro.exceptions import ValidationError
+from repro.graph import (
+    brute_force_knn_graph,
+    build_knn_graph_by_clustering,
+    nn_descent_knn_graph,
+    random_knn_graph,
+)
+from repro.index import Index, IndexSpec, ShardedIndex
 from repro.validation import (
     check_data_matrix,
     check_fraction,
@@ -46,12 +54,104 @@ class TestCheckDataMatrix:
     def test_inf_rejected(self):
         data = np.ones((3, 2))
         data[0, 0] = np.inf
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="NaN or infinite"):
             check_data_matrix(data)
+
+    @pytest.mark.parametrize("dtype, admitted, refused", [
+        (np.float32, 9e18, 1e19), (np.float64, 6e153, 1e154)])
+    def test_squared_row_norm_capped_at_a_quarter_of_the_range(
+            self, dtype, admitted, refused):
+        """A row is admitted while its squared norm is at most
+        ``finfo.max / 4``, so every distance between admitted rows is
+        finite; a finite row above it is refused by the range message."""
+        assert check_data_matrix([[admitted]], dtype=dtype).dtype == dtype
+        with pytest.raises(ValidationError, match="quarter of the"):
+            check_data_matrix([[1.0], [refused]], dtype=dtype)
+        with pytest.raises(ValidationError, match="quarter of the"):
+            check_data_matrix([[admitted, admitted]], dtype=dtype)
 
     def test_empty_features_rejected(self):
         with pytest.raises(ValidationError):
             check_data_matrix(np.ones((3, 0)))
+
+
+class TestFiniteRangeGate:
+    """Data whose distances would overflow is refused at every entry point
+    that takes vectors, not served as ``inf``/NaN distances."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return np.random.default_rng(2).normal(size=(120, 8))
+
+    @staticmethod
+    def _index(data, dtype):
+        return Index.build(data, IndexSpec(backend="bruteforce",
+                                           n_neighbors=6, dtype=dtype))
+
+    def test_float32_build_refused(self, data):
+        with pytest.raises(ValidationError, match="range"):
+            self._index(data * 1e19, "float32")
+
+    def test_float32_query_refused(self, data):
+        index = self._index(data, "float32")
+        with pytest.raises(ValidationError, match="range"):
+            index.search(data[:3] * 1e19, 5)
+
+    def test_float64_query_refused(self, data):
+        index = self._index(data, "float64")
+        with pytest.raises(ValidationError, match="range"):
+            index.search(data[0] * 1e200, 5)
+
+    @pytest.mark.parametrize("estimator", [GKMeans, KMeans])
+    def test_clustering_refused(self, data, estimator):
+        with pytest.raises(ValidationError, match="range"):
+            estimator(5).fit(data * 1e200)
+
+    def test_float64_build_refused(self, data):
+        with pytest.raises(ValidationError, match="range"):
+            self._index(data * 1e200, "float64")
+
+    @pytest.mark.parametrize("dtype, scale", [("float32", 1e19),
+                                              ("float64", 1e200)])
+    def test_insert_refused(self, data, dtype, scale):
+        index = self._index(data, dtype)
+        with pytest.raises(ValidationError, match="range"):
+            index.insert(data[:3] * scale)
+        assert index.n_rows == len(data)
+
+    def test_sharded_build_refused(self, data):
+        spec = IndexSpec(backend="bruteforce", n_neighbors=6,
+                         dtype="float32", n_shards=2)
+        with pytest.raises(ValidationError, match="range"):
+            ShardedIndex.build(data * 1e19, spec)
+
+    def test_sharded_query_refused(self, data):
+        spec = IndexSpec(backend="bruteforce", n_neighbors=6,
+                         dtype="float32", n_shards=2)
+        with ShardedIndex.build(data, spec) as index:
+            with pytest.raises(ValidationError, match="range"):
+                index.search(data[:3] * 1e19, 5)
+
+    @pytest.mark.parametrize("builder", [
+        brute_force_knn_graph, nn_descent_knn_graph, random_knn_graph,
+        build_knn_graph_by_clustering])
+    def test_graph_builders_refused(self, data, builder):
+        with pytest.raises(ValidationError, match="range"):
+            builder(data * 1e200, 6)
+
+    def test_predict_refused(self, data):
+        model = KMeans(5, random_state=0).fit(data)
+        with pytest.raises(ValidationError, match="range"):
+            model.predict(data * 1e200)
+
+    @pytest.mark.parametrize("dtype, scale", [("float32", 1e18),
+                                              ("float64", 1e150)])
+    def test_near_the_bound_builds_and_searches(self, data, dtype, scale):
+        scaled = (data * scale).astype(dtype)
+        index = self._index(scaled, dtype)
+        result = index.search(scaled[:10], 5)
+        assert np.isfinite(result.distances).all()
+        assert result.indices[:, 0].tolist() == list(range(10))
 
 
 class TestCheckLabels:

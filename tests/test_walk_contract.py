@@ -2,7 +2,7 @@
 
 Every search runs the beam walk of :mod:`repro.search._walk` behind one of
 two entries — exact (``frontier_batch_search``) or compressed-domain
-(``quantized_batch_search`` under float16 / int8 codes).  The walk promises
+(``quantized_batch_search`` under int8 codes).  The walk promises
 no step-for-step trajectory; what it does promise, and what this suite
 sweeps over metric × dtype × entry × ``max_group`` × batch shape (single
 query, batch smaller than a group, batch not divisible by the group bound,
@@ -41,8 +41,8 @@ from repro.search._seeding import SeedPartition, default_seed_labels
 from repro.search.quantized import quantized_batch_search
 
 DTYPES = ("float64", "float32")
-#: Walk entries: the identity scorer and the two code families.
-ENTRIES = ("none", "float16", "int8")
+#: Walk entries: the identity scorer and the int8 code family.
+ENTRIES = ("none", "int8")
 
 #: Group bounds exercised: degenerate (1), ragged (3), default (32) and
 #: whole-batch merging (None).
