@@ -33,8 +33,8 @@ import numpy as np
 
 from ..exceptions import ValidationError
 
-__all__ = ["QUANTIZE_MODES", "resolve_quantize", "ScalarQuantizer",
-           "QuantizedScorer"]
+__all__ = ["QUANTIZE_MODES", "resolve_quantize", "input_range_dtype",
+           "ScalarQuantizer", "QuantizedScorer"]
 
 #: Canonical quantization modes: ``"none"`` (exact kernels only) and
 #: ``"int8"`` (per-dimension affine).
@@ -57,6 +57,16 @@ def resolve_quantize(quantize) -> str:
             f"unknown quantize mode {quantize!r}; expected one of "
             f"{sorted(QUANTIZE_MODES)} (aliases: off, i8)")
     return _QUANTIZE_ALIASES[key]
+
+
+def input_range_dtype(quantize: str) -> np.dtype | None:
+    """The dtype whose range bounds the inputs of an index serving under
+    the canonical mode ``quantize``: float32 for ``"int8"`` —
+    :class:`QuantizedScorer` computes in float32 whatever the index dtype,
+    so a float64 row beyond the float32 range would overflow its fit and
+    its scores — and ``None`` (the index's own dtype) for ``"none"``.
+    The ``range_dtype`` of :func:`~repro.validation.check_data_matrix`."""
+    return np.dtype(np.float32) if quantize == "int8" else None
 
 
 class ScalarQuantizer:

@@ -40,6 +40,7 @@ import time
 import numpy as np
 
 from ..distance import DistanceEngine, ScalarQuantizer
+from ..distance.quantized import input_range_dtype
 from ..exceptions import GraphError, ValidationError
 from ..graph.knngraph import KNNGraph
 from ..search._walk import SearchResult
@@ -145,8 +146,9 @@ def check_insert(index, vectors, ids, taken) -> tuple:
     vectors = np.asarray(vectors)
     if vectors.ndim == 1:
         vectors = vectors[None, :]
-    vectors = check_data_matrix(vectors, name="vectors",
-                                dtype=index.engine_.dtype)
+    vectors = check_data_matrix(
+        vectors, name="vectors", dtype=index.engine_.dtype,
+        range_dtype=input_range_dtype(index.spec.quantize))
     if vectors.shape[1] != index.n_features:
         raise ValidationError(
             f"inserted vectors have dimension {vectors.shape[1]}, the "
@@ -405,7 +407,8 @@ class Index:
                 "Index serves exactly one shard — use ShardedIndex.build "
                 "or repro.index.build_index for sharded construction")
         engine = DistanceEngine(spec.metric, spec.dtype)
-        data = check_data_matrix(data, min_samples=2, dtype=engine.dtype)
+        data = check_data_matrix(data, min_samples=2, dtype=engine.dtype,
+                                 range_dtype=input_range_dtype(spec.quantize))
         check_positive_int(spec.n_neighbors, name="n_neighbors",
                            maximum=data.shape[0] - 1)
         started = time.perf_counter()

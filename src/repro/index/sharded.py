@@ -76,6 +76,7 @@ import numpy as np
 
 from ..cluster import KMeans
 from ..distance import DistanceEngine, resolve_dtype
+from ..distance.quantized import input_range_dtype
 from ..exceptions import ServingError, ValidationError
 from ..net.endpoints import parse_endpoints
 from ..search._seeding import default_seed_labels, nearest_centroids
@@ -336,6 +337,53 @@ class ShardedServingStats:
         if self.total_seconds <= 0.0:
             return 0.0
         return self.n_queries / self.total_seconds
+
+
+def _merge_parts(landed: list, widths: list, m: int, n_results: int,
+                 routing_evaluations: int) -> tuple:
+    """Merge a sharded search's per-shard parts into the global top-k.
+
+    ``landed`` holds ``(shard, rows, part)`` triples in fan-out order:
+    ``part`` is the shard's :class:`~repro.search.SearchResult` for the
+    ascending batch ``rows`` (of ``m``), ``widths[shard]`` columns wide,
+    and no (query, shard) pair appears twice.  Each shard's part lands as
+    an ``(m, widths[shard])`` block — the part itself when it served every
+    row, otherwise its rows of a block of ``(-1, inf)`` pairs, which is
+    also all an unprobed shard contributes — and the blocks, concatenated
+    in shard order, go through one stable sort on distance.  Ties keep
+    shard-then-rank order, so the merge is deterministic and independent
+    of ``shard_workers``.  Every ``inf`` entry is a ``(-1, inf)`` pair (the
+    range gate keeps real distances finite; tombstone filtering and the
+    walks pad with them), so they sort last and become the output padding;
+    the widths sum to at least ``n_results``.
+
+    Returns ``(ids, distances, evaluations)``: ``(m, n_results)`` int64
+    ids and float64 distances, and the ``(m,)`` int64 evaluation counts —
+    ``routing_evaluations`` each plus the parts' own.
+    """
+    ids, dists = [None] * len(widths), [None] * len(widths)
+    evaluations = np.full(m, routing_evaluations, dtype=np.int64)
+    for shard, rows, part in landed:
+        if rows.size == m:
+            ids[shard], dists[shard] = part.indices, part.distances
+            evaluations += part.evaluations
+            continue
+        if ids[shard] is None:
+            ids[shard] = np.full((m, widths[shard]), -1, dtype=np.int64)
+            dists[shard] = np.full((m, widths[shard]), np.inf)
+        ids[shard][rows] = part.indices
+        dists[shard][rows] = part.distances
+        evaluations[rows] += part.evaluations
+    for shard, width in enumerate(widths):
+        if ids[shard] is None:
+            ids[shard] = np.full((m, width), -1, dtype=np.int64)
+            dists[shard] = np.full((m, width), np.inf)
+    all_ids = np.concatenate(ids, axis=1, dtype=np.int64)
+    all_dist = np.concatenate(dists, axis=1, dtype=np.float64)
+    order = all_dist.argsort(axis=1, kind="stable")[:, :n_results]
+    # Row-wise gathers, as take_along_axis does them without its set-up.
+    lanes = np.arange(m)[:, None]
+    return all_ids[lanes, order], all_dist[lanes, order], evaluations
 
 
 class ShardedIndex:
@@ -606,9 +654,11 @@ class ShardedIndex:
                     f"the {self.n_shards} 'host:port' shard servers")
             # Keyed by the per-shard generations too: a mutation bumps
             # them, forcing a fresh executor whose handshake re-validates
-            # every daemon against the new expectations.
+            # every daemon against the new expectations.  The options
+            # compare as a dict against the snapshot the cached key holds,
+            # so editing remote_options in place misses the cache too.
             key = (shard_workers, self._endpoints, self.shard_generations,
-                   tuple(sorted(self.remote_options.items())))
+                   self.remote_options)
         else:
             key = shard_workers
         cached = self._executors.get(name)
@@ -624,6 +674,7 @@ class ShardedIndex:
                 self._endpoints, shard_workers,
                 expected_generations=self.shard_generations,
                 **self.remote_options)
+            key = key[:-1] + (dict(self.remote_options),)
         self._executors[name] = (key, executor)
         return executor
 
@@ -656,7 +707,8 @@ class ShardedIndex:
         # materializing a float64 copy of a float32 corpus.
         engine = DistanceEngine(spec.metric, spec.dtype)
         data = check_data_matrix(data, min_samples=2 * spec.n_shards,
-                                 dtype=engine.dtype)
+                                 dtype=engine.dtype,
+                                 range_dtype=input_range_dtype(spec.quantize))
         shards, centroids = _partition_and_build(
             spec, data, np.arange(data.shape[0], dtype=np.int64),
             build_workers)
@@ -707,10 +759,12 @@ class ShardedIndex:
         one after the other.  The full fan-out is one uncapped fan-out.
 
         Per-shard query subsets are regrouped into one batched walk per
-        probed shard; the per-shard top-k (each shard's own rows, in the
-        global ids the shard carries) are scatter-merged back into batch
-        order at per-(query, shard) column offsets fixed by shard order and
-        merged by true distance into the global top-k.  Returns a
+        probed shard (a shard serving every query walks the checked batch
+        itself).  Each shard's top-k (its own rows, in the global ids the
+        shard carries) lands as one batch-order block, ``(-1, inf)`` where
+        the shard was not probed; the blocks are concatenated in shard
+        order and one stable sort by true distance picks the global top-k
+        (:func:`_merge_parts`).  Returns a
         :class:`~repro.search.SearchResult` in global row ids, shaped
         exactly like the monolithic index's, whose ``stats`` is a
         :class:`ShardedServingStats`.
@@ -720,9 +774,10 @@ class ShardedIndex:
         live = [index.n_points for index in self.shards]
         n_results = check_positive_int(n_results, name="n_results",
                                        maximum=sum(live))
+        n_shards = len(live)
         shard_workers = 1 if shard_workers is None else check_positive_int(
             shard_workers, name="shard_workers")
-        shard_workers = clamp_workers(min(shard_workers, self.n_shards),
+        shard_workers = clamp_workers(min(shard_workers, n_shards),
                                       name="shard_workers")
         executor = self.spec.executor if executor is None else executor
         if executor not in EXECUTORS:
@@ -730,104 +785,81 @@ class ShardedIndex:
                 f"unknown executor {executor!r}; expected one of "
                 f"{list(EXECUTORS)}")
         probe = self.spec.shard_probe if shard_probe is None else shard_probe
-        probe = self.n_shards if probe is None else check_positive_int(
-            probe, name="shard_probe", maximum=self.n_shards)
-        routed = probe < self.n_shards
+        probe = n_shards if probe is None else check_positive_int(
+            probe, name="shard_probe", maximum=n_shards)
+        routed = probe < n_shards
         if routed and self.centroids is None:
             raise ValidationError(
-                f"shard_probe={probe} < n_shards={self.n_shards} routes on "
+                f"shard_probe={probe} < n_shards={n_shards} routes on "
                 "coarse centroids, and this index has none: only the "
                 "geometric 'gkmeans' partitioner records them (round_robin "
                 "shards are dealt by row order)")
         started = time.perf_counter()
         single = np.ndim(queries) == 1
-        queries = check_queries(queries, self.n_features,
-                                dtype=self.engine_.dtype)
+        queries = check_queries(
+            queries, self.n_features, dtype=self.engine_.dtype,
+            range_dtype=input_range_dtype(self.spec.quantize))
         m = queries.shape[0]
-        lanes = np.arange(m)
-        probed_mask = np.full((m, self.n_shards), not routed)
+        widths = [min(n_results, count) for count in live]
         if routed:
             routes = self._route(queries, probe)
-            probed_mask[lanes[:, None], routes] = True
-            nearest = np.zeros_like(probed_mask)
-            nearest[lanes, routes[:, 0]] = True
-        # Column offsets of every (query, shard) block in the merge buffer:
-        # query q's candidates from shard s start where the widths of q's
-        # probed shards with smaller ids end.
-        widths = np.array([min(n_results, count) for count in live],
-                          dtype=np.int64)
-        contrib = probed_mask * widths[None, :]
-        ends = np.cumsum(contrib, axis=1)
-        starts_at = ends - contrib
-        buffer_width = max(int(ends[:, -1].max()), n_results)
-        all_ids = np.full((m, buffer_width), -1, dtype=np.int64)
-        all_dist = np.full((m, buffer_width), np.inf, dtype=np.float64)
-        # Routing scores every query against all centroids: one gemm,
-        # n_shards evaluations per query, charged before the walks.
-        evaluations = np.full(m, self.n_shards if routed else 0,
-                              dtype=np.int64)
-        shard_stats = []
-        runner = self._get_executor(executor, min(
-            shard_workers, int(probed_mask.any(axis=0).sum())))
+            served = np.bincount(routes.ravel(), minlength=n_shards)
+            queries_per_shard = tuple(served.tolist())
+            active = int(np.count_nonzero(served))
+        else:
+            queries_per_shard = (m,) * n_shards
+            active = n_shards
+        runner = self._get_executor(executor, min(shard_workers, active))
 
-        def fan_out(mask: np.ndarray, bounds: np.ndarray | None = None
+        def fan_out(shard_rows: list, caps: np.ndarray | None = None
                     ) -> list:
-            """Walk each shard on its rows of ``mask`` and scatter the
-            results into the merge buffer; returns ``(rows, part)`` pairs.
+            """Walk each shard on its ascending batch rows ``shard_rows[s]``
+            (capped at ``caps``); returns ``(shard, rows, part)`` triples.
 
-            Shards share no state and each task is internally
+            A shard serving every query gets the checked batch itself, not
+            a copy.  Shards share no state and each task is internally
             deterministic, so neither the fan-out order nor the executor
             kind can influence the merge.
             """
-            shard_rows = [np.flatnonzero(mask[:, shard])
-                          for shard in range(self.n_shards)]
-            probed = [shard for shard in range(self.n_shards)
-                      if shard_rows[shard].size]
-            tasks = [ShardSearchTask(
-                shard=shard, queries=queries[shard_rows[shard]],
-                shard_k=int(widths[shard]), pool_size=pool_size,
-                workers=workers,
-                bounds=None if bounds is None else bounds[shard_rows[shard]])
-                for shard in probed]
-            parts = runner.run(tasks)
-            for shard, part in zip(probed, parts):
+            probed = [shard for shard, rows in enumerate(shard_rows)
+                      if rows.size]
+            tasks = []
+            for shard in probed:
                 rows = shard_rows[shard]
-                cols = starts_at[rows, shard][:, None] + \
-                    np.arange(widths[shard])[None, :]
-                all_ids[rows[:, None], cols] = part.indices
-                all_dist[rows[:, None], cols] = part.distances
-                evaluations[rows] += part.evaluations
-                shard_stats.append(part.stats)
-            return [(shard_rows[shard], part)
-                    for shard, part in zip(probed, parts)]
+                every = rows.size == m
+                tasks.append(ShardSearchTask(
+                    shard=shard, queries=queries if every else queries[rows],
+                    shard_k=widths[shard], pool_size=pool_size,
+                    workers=workers,
+                    bounds=caps if caps is None or every else caps[rows]))
+            return [(shard, shard_rows[shard], part)
+                    for shard, part in zip(probed, runner.run(tasks))]
 
         if not routed:
-            fan_out(probed_mask)
+            landed = fan_out([np.arange(m)] * n_shards)
         else:
             # The nearest shard first; its k-th distance (inf when it holds
             # fewer than k live rows) caps the query's other probed shards,
             # whose walks then skip everything the merge would discard.
+            landed = fan_out([np.flatnonzero(routes[:, 0] == shard)
+                              for shard in range(n_shards)])
             bounds = np.full(m, np.inf)
-            for rows, part in fan_out(nearest):
+            for _, rows, part in landed:
                 if part.distances.shape[1] == n_results:
                     bounds[rows] = part.distances[:, -1]
-            fan_out(probed_mask & ~nearest, bounds)
+            landed += fan_out(
+                [np.flatnonzero((routes[:, 1:] == shard).any(axis=1))
+                 for shard in range(n_shards)], bounds)
 
-        # Stable sort on distance: ties keep shard-then-rank order, so the
-        # merge is deterministic and independent of shard_workers.  Unreached
-        # entries are (-1, inf) pairs, so they sort last and become the
-        # output padding; the per-shard widths sum to >= n_results.
-        order = np.argsort(all_dist, axis=1, kind="stable")[:, :n_results]
-        out_idx = np.take_along_axis(all_ids, order, axis=1)
-        out_dist = np.take_along_axis(all_dist, order, axis=1)
-
+        # Routing scores every query against all centroids: one gemm,
+        # n_shards evaluations per query.
+        out_idx, out_dist, evaluations = _merge_parts(
+            landed, widths, m, n_results, n_shards if routed else 0)
         stats = ShardedServingStats(
-            n_shards=self.n_shards, shard_workers=shard_workers,
+            n_shards=n_shards, shard_workers=shard_workers,
             n_queries=m, shard_probe=probe, executor=executor,
-            routing_gemms=int(routed),
-            queries_per_shard=tuple(int(count)
-                                    for count in probed_mask.sum(axis=0)),
-            shard_stats=tuple(shard_stats),
+            routing_gemms=int(routed), queries_per_shard=queries_per_shard,
+            shard_stats=tuple(part.stats for _, _, part in landed),
             total_seconds=time.perf_counter() - started)
         if single:
             out_idx, out_dist = out_idx[0], out_dist[0]
@@ -845,8 +877,8 @@ class ShardedIndex:
         (:func:`~repro.search._seeding.nearest_centroids`).  Ties resolve by
         shard order, so the routing is deterministic.
         """
-        engine = DistanceEngine(self.metric, self.spec.dtype)
-        return nearest_centroids(engine, queries, self.centroids, probe)
+        return nearest_centroids(self.engine_, queries, self.centroids,
+                                 probe)
 
     # ------------------------------------------------------------------ #
     # Online mutations

@@ -20,6 +20,7 @@ from ..distance import DistanceEngine, resolve_metric
 from ..distance.quantized import (
     QuantizedScorer,
     ScalarQuantizer,
+    input_range_dtype,
     resolve_quantize,
 )
 from ..exceptions import GraphError
@@ -93,7 +94,11 @@ class GraphSearcher:
                  quantizer: ScalarQuantizer | None = None,
                  seed_labels: np.ndarray | None = None) -> None:
         self.engine_ = DistanceEngine(metric, dtype)
-        self.data = check_data_matrix(data, dtype=self.engine_.dtype)
+        self.quantize = resolve_quantize(quantize)
+        #: Bound of every input row's range (see input_range_dtype).
+        self._range_dtype = input_range_dtype(self.quantize)
+        self.data = check_data_matrix(data, dtype=self.engine_.dtype,
+                                      range_dtype=self._range_dtype)
         if graph.n_points != self.data.shape[0]:
             raise GraphError(
                 f"graph indexes {graph.n_points} points but data has "
@@ -111,7 +116,6 @@ class GraphSearcher:
         # The searcher's working form is the flat CSR layout — one
         # contiguous buffer the walks slice into.
         self._adjacency = graph.adjacency()
-        self.quantize = resolve_quantize(quantize)
         if quantizer is not None:
             if self.quantize == "none":
                 raise GraphError(
@@ -217,7 +221,8 @@ class GraphSearcher:
         """
         engine = self.engine_
         vectors = check_data_matrix(vectors, name="vectors",
-                                    dtype=engine.dtype)
+                                    dtype=engine.dtype,
+                                    range_dtype=self._range_dtype)
         if vectors.shape[1] != self.data.shape[1]:
             raise GraphError(
                 f"inserted vectors have dimension {vectors.shape[1]}, "
@@ -317,7 +322,8 @@ class GraphSearcher:
         ``(m,)`` array, ``inf`` for no cap.
         """
         queries = check_queries(queries, self.data.shape[1],
-                                dtype=self.engine_.dtype)
+                                dtype=self.engine_.dtype,
+                                range_dtype=self._range_dtype)
         bounds = check_bounds(bounds, queries.shape[0])
         n_results = check_positive_int(n_results, name="n_results",
                                        maximum=self.data.shape[0])

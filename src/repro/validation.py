@@ -62,7 +62,7 @@ def clamp_workers(value: int, *, name: str = "workers") -> int:
 
 
 def check_data_matrix(data, *, name: str = "data", min_samples: int = 1,
-                      dtype=np.float64) -> np.ndarray:
+                      dtype=np.float64, range_dtype=None) -> np.ndarray:
     """Validate and return a 2-D floating point data matrix.
 
     Parameters
@@ -77,16 +77,21 @@ def check_data_matrix(data, *, name: str = "data", min_samples: int = 1,
         Floating dtype the returned array is cast to.  ``None`` keeps a
         float32 or float64 input's dtype (and casts anything else to
         float64), so a float32 matrix is validated without a copy.
+    range_dtype:
+        Floating dtype whose range bounds the rows (``None``: the returned
+        array's own) — narrower than ``dtype`` where a later stage computes
+        in a narrower dtype, as an ``int8`` index's scorer does
+        (:func:`~repro.distance.quantized.input_range_dtype`).
 
     Returns
     -------
     numpy.ndarray
         A C-contiguous array of the requested dtype.
 
-    Every row's squared norm must stay at or below a quarter of the dtype's
-    largest value: under that bound every pairwise distance, centroid and
-    partial gemm sum of admitted rows is finite.  The one pass of row norms
-    that enforces it also refuses NaN and infinite entries.
+    Every row's squared norm must stay at or below a quarter of the range
+    dtype's largest value: under that bound every pairwise distance,
+    centroid and partial gemm sum of admitted rows is finite.  The one pass
+    of row norms that enforces it also refuses NaN and infinite entries.
     """
     array = np.asarray(data)
     if dtype is None:
@@ -107,25 +112,28 @@ def check_data_matrix(data, *, name: str = "data", min_samples: int = 1,
     # einsum raises no floating-point warnings, and NaN compares False, so
     # one test refuses both failure kinds.
     squared = np.einsum("ij,ij->i", array, array)
-    if not (squared <= np.finfo(array.dtype).max / 4).all():
+    limit = np.finfo(array.dtype if range_dtype is None else range_dtype)
+    if not (squared <= limit.max / 4).all():
         if not np.isfinite(array).all():
             raise ValidationError(f"{name} contains NaN or infinite values")
         raise ValidationError(
             f"{name} has rows whose squared norm exceeds a quarter of the "
-            f"{array.dtype} range, so their distances would overflow")
+            f"{limit.dtype} range, so their distances would overflow")
     return array
 
 
 def check_queries(queries, n_features: int, *,
-                  dtype=np.float64) -> np.ndarray:
+                  dtype=np.float64, range_dtype=None) -> np.ndarray:
     """Validate a query batch for an index of ``n_features`` columns.
 
-    A ``(d,)`` vector is a batch of one.  Raises
+    A ``(d,)`` vector is a batch of one; ``dtype`` and ``range_dtype`` are
+    :func:`check_data_matrix`'s.  Raises
     :class:`~repro.exceptions.ValidationError` for a wrong shape, an empty
     batch or non-finite values and :class:`~repro.exceptions.GraphError`
     for a dimension mismatch.
     """
-    queries = check_data_matrix(queries, name="queries", dtype=dtype)
+    queries = check_data_matrix(queries, name="queries", dtype=dtype,
+                                range_dtype=range_dtype)
     if queries.shape[1] != n_features:
         raise GraphError(
             f"queries have dimension {queries.shape[1]}, data has "

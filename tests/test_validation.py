@@ -12,6 +12,7 @@ from repro.graph import (
     random_knn_graph,
 )
 from repro.index import Index, IndexSpec, ShardedIndex
+from repro.search import GraphSearcher
 from repro.validation import (
     check_data_matrix,
     check_fraction,
@@ -152,6 +153,71 @@ class TestFiniteRangeGate:
         result = index.search(scaled[:10], 5)
         assert np.isfinite(result.distances).all()
         assert result.indices[:, 0].tolist() == list(range(10))
+
+
+class TestInt8RangeGate:
+    """An ``int8`` index scores in float32 whatever its dtype, so its
+    inputs are gated at the float32 range: a float64 ``int8`` index over
+    ``X · 1e30`` used to answer self-queries with ``-1`` ids, and at
+    ``X · 1e50`` fitted a non-finite quantizer scale."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return np.random.default_rng(0).normal(size=(300, 8))
+
+    @staticmethod
+    def _spec(**fields):
+        return IndexSpec(quantize="int8", dtype="float64", n_neighbors=10,
+                         random_state=0, **fields)
+
+    @pytest.mark.parametrize("scale", [1e30, 1e50])
+    def test_float64_build_refused(self, data, scale):
+        with pytest.raises(ValidationError, match="float32 range"):
+            Index.build(data * scale, self._spec())
+
+    def test_float64_query_refused(self, data):
+        index = Index.build(data, self._spec())
+        with pytest.raises(ValidationError, match="float32 range"):
+            index.search(data[:5] * 1e30, 3)
+
+    def test_float64_insert_refused(self, data):
+        index = Index.build(data, self._spec())
+        with pytest.raises(ValidationError, match="float32 range"):
+            index.insert(data[:5] * 1e30)
+        assert index.n_rows == len(data)
+
+    def test_searcher_refuses_the_rows_it_would_serve(self, data):
+        graph = brute_force_knn_graph(data, 6)
+        with pytest.raises(ValidationError, match="float32 range"):
+            GraphSearcher(data * 1e30, graph, dtype="float64",
+                          quantize="int8")
+
+    def test_sharded_entry_points_refused(self, data):
+        spec = self._spec(n_shards=2, partitioner="gkmeans")
+        with pytest.raises(ValidationError, match="float32 range"):
+            ShardedIndex.build(data * 1e30, spec)
+        with ShardedIndex.build(data, spec) as index:
+            with pytest.raises(ValidationError, match="float32 range"):
+                index.search(data[:5] * 1e30, 3)
+            with pytest.raises(ValidationError, match="float32 range"):
+                index.insert(data[:5] * 1e30)
+            assert index.n_rows == len(data)
+
+    def test_near_the_float32_bound_serves(self, data):
+        bound = np.finfo(np.float32).max / 4
+        scaled = data * np.sqrt(0.99 * bound
+                                / np.einsum("ij,ij->i", data, data).max())
+        index = Index.build(scaled, self._spec())
+        assert np.isfinite(index.quantizer.scale).all()
+        result = index.search(scaled[:20], 3)
+        assert (result.indices >= 0).all()
+        assert result.indices[:, 0].tolist() == list(range(20))
+
+    def test_exact_float64_index_keeps_its_own_range(self, data):
+        index = Index.build(data * 1e30, IndexSpec(
+            backend="bruteforce", n_neighbors=6, dtype="float64"))
+        assert index.search(data[:5] * 1e30, 3).indices[:, 0].tolist() \
+            == list(range(5))
 
 
 class TestCheckLabels:
