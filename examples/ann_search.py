@@ -20,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from repro import Index, ShardedIndex, datasets
+from repro import Index, datasets
 from repro.experiments import render_table
 from repro.search import evaluate_search
 
@@ -80,13 +80,12 @@ def main() -> None:
     print(f"save -> load round-trip: {size_mb:.1f} MB on disk, "
           "search results identical bit-for-bit")
 
-    # Horizontal sharding: the same spec with n_shards>1 builds one
-    # sub-index per partition; queries fan out and the per-shard top-k are
-    # merged by true distance.  Shard fan-out is a pure throughput knob.
+    # Horizontal sharding: the same spec with n_shards>1 builds one graph
+    # per partition of the rows; queries fan out and the per-shard top-k
+    # are merged by true distance.  Shard fan-out is a pure throughput knob.
     print()
     print("Building a 4-shard Alg.3 index (shard-parallel build) ...")
-    with ShardedIndex.build(base,
-                            index.spec.replace(n_shards=4)) as sharded:
+    with Index.build(base, index.spec.replace(n_shards=4)) as sharded:
         fanned = sharded.search(queries, 10, shard_workers=4)
         sequential = sharded.search(queries, 10, shard_workers=1)
         assert np.array_equal(fanned[0], sequential[0])
@@ -108,7 +107,7 @@ def main() -> None:
     # shards — the recall/qps frontier of sharded serving.
     print()
     print("Re-partitioning geometrically (gkmeans) for routed search ...")
-    routed = ShardedIndex.build(
+    routed = Index.build(
         base, index.spec.replace(n_shards=4, partitioner="gkmeans"))
     rows = []
     for probe in (1, 2, 4):

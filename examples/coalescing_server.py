@@ -32,7 +32,7 @@ if importlib.util.find_spec("repro") is None:
 import numpy as np
 
 from repro import datasets, serve_concurrently
-from repro.index import IndexSpec, build_index
+from repro.index import Index, IndexSpec
 
 N_SAMPLES = 4_000
 N_FEATURES = 24
@@ -50,7 +50,7 @@ def main() -> None:
     spec = IndexSpec(backend="gkmeans", n_neighbors=16, pool_size=64,
                      n_shards=2, random_state=SEED,
                      params={"tau": 5, "cluster_size": 50})
-    with build_index(base, spec) as index:
+    with Index.build(base, spec) as index:
         direct_idx, direct_dist = index.search(queries, K)
 
         print(f"Serving {N_QUERIES} concurrent requests...")

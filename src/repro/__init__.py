@@ -53,8 +53,6 @@ from .index import (
     IndexSpec,
     Rebalancer,
     ShardedIndex,
-    build_index,
-    load_index,
 )
 from .serving import CoalescingServer, serve_concurrently
 from .exceptions import (
@@ -95,8 +93,6 @@ __all__ = [
     "IndexSpec",
     "ShardedIndex",
     "Rebalancer",
-    "build_index",
-    "load_index",
     "CoalescingServer",
     "serve_concurrently",
     "ReproError",

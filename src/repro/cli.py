@@ -33,11 +33,9 @@ from .exceptions import ProtocolError, ServingError, ValidationError
 from .index import (
     EXECUTORS,
     PARTITIONERS,
+    Index,
     IndexSpec,
-    ShardedIndex,
     available_backends,
-    build_index,
-    load_index,
 )
 from .index.facade import atomic_savez
 from .index.sharded import migrate
@@ -110,9 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_options(cluster)
 
     build = sub.add_parser(
-        "build", help="build an ANN index and save it to an NPZ file")
+        "build", help="build an ANN index and save it")
     build.add_argument("--out", required=True,
-                       help="path the index NPZ is written to")
+                       help="path the index is written to: one NPZ file "
+                            "for one shard, a directory for more")
     build.add_argument("--dataset", choices=list_datasets(),
                        default="sift1m")
     build.add_argument("--n-samples", type=int, default=5000)
@@ -125,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default worker threads for batched searches "
                             "served by the index (persisted in the spec)")
     build.add_argument("--shards", type=int, default=1,
-                       help="number of horizontal shards; >1 builds a "
-                            "sharded index saved as a directory")
+                       help="number of horizontal shards (one graph each); "
+                            ">1 saves the index as a directory")
     build.add_argument("--partitioner", choices=sorted(PARTITIONERS),
                        default="round_robin",
                        help="how rows are dealt to shards: round_robin "
@@ -134,9 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "centroids)")
     build.add_argument("--executor", choices=sorted(EXECUTORS),
                        default="thread",
-                       help="default shard fan-out executor persisted in "
-                            "the spec: thread (in-process pool) or remote "
-                            "(one 'gkmeans serve' daemon per shard, see "
+                       help="default shard executor persisted in the "
+                            "spec: thread (in-process pool) or remote (one "
+                            "'gkmeans serve' daemon per shard, see "
                             "--endpoints on search); results are identical "
                             "either way")
     build.add_argument("--quantize", choices=sorted(QUANTIZE_MODES),
@@ -169,19 +168,19 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: the index spec's setting; results "
                              "are identical for every worker count)")
     search.add_argument("--shard-workers", type=int, default=None,
-                        help="threads the shard fan-out of a sharded index "
-                             "runs on (ignored for single-file indexes; "
-                             "results are identical at every level)")
+                        help="threads the shard fan-out runs on (clamped "
+                             "to the shard count; results are identical at "
+                             "every level)")
     search.add_argument("--shard-probe", type=int, default=None,
                         help="route each query to its P nearest shards "
                              "instead of all of them (gkmeans-partitioned "
-                             "sharded indexes only; P = shard count is "
+                             "indexes only; P = shard count is "
                              "exactly the full fan-out, smaller P trades "
                              "recall for throughput)")
     search.add_argument("--executor", choices=sorted(EXECUTORS),
                         default=None,
-                        help="shard fan-out executor override for a "
-                             "sharded index: thread (in-process pool) or "
+                        help="shard executor override: thread "
+                             "(in-process pool) or "
                              "remote (one 'gkmeans serve' daemon per shard; "
                              "daemons on localhost use separate cores) "
                              "(default: the index spec's setting; results "
@@ -189,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--endpoints", default=None,
                         help="comma-separated host:port list, one per shard "
                              "in shard order, required by --executor remote "
-                             "when the index manifest carries no deployment "
-                             "(one 'gkmeans serve' daemon per shard)")
+                             "when the index carries no deployment (one "
+                             "'gkmeans serve' daemon per shard)")
     search.add_argument("--dump", default=None,
                         help="write the search results (indices, distances) "
                              "to this NPZ file — for comparing executors "
@@ -251,12 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "to reload")
 
     rebalance = sub.add_parser(
-        "rebalance", help="re-partition the live rows of a saved sharded "
-                          "index as a fresh build would (copy-on-write; "
-                          "daemons reload afterwards)")
+        "rebalance", help="re-partition the live rows of a saved index as "
+                          "a fresh build would (copy-on-write; daemons "
+                          "reload afterwards)")
     rebalance.add_argument("index",
-                           help="a sharded index directory saved by "
-                                "'build --shards N'")
+                           help="an index saved by 'build'")
     rebalance.add_argument("--endpoints", default=None,
                            help="comma-separated host:port list of the "
                                 "running daemons (one per shard, in shard "
@@ -308,7 +306,7 @@ def _run_build(args) -> int:
                      n_shards=args.shards, partitioner=args.partitioner,
                      executor=args.executor, quantize=args.quantize,
                      random_state=args.seed, params=_build_params(args))
-    index = build_index(data, spec)
+    index = Index.build(data, spec)
     index.save(args.out)
     row = {
         "backend": args.backend,
@@ -322,25 +320,20 @@ def _run_build(args) -> int:
     }
     if spec.quantize != "none":
         row["quantize"] = spec.quantize
-    if spec.n_shards > 1:
-        row.update(shards=index.n_shards, partitioner=spec.partitioner)
-    else:
-        row.update(kappa=index.graph.n_neighbors)
+    row.update(shards=index.n_shards, partitioner=spec.partitioner,
+               kappa=spec.n_neighbors)
     print(render_table([row]))
     return 0
 
 
 def _run_search(args) -> int:
     try:
-        index = load_index(args.index)
+        index = Index.load(args.index)
     except ValidationError as exc:
         print(f"error: cannot load index {args.index!r}: {exc}",
               file=sys.stderr)
         return 2
     with index:
-        sharded = isinstance(index, ShardedIndex)
-        shard_workers = args.shard_workers if sharded else None
-        executor = args.executor if sharded else None
         try:
             if args.queries is not None:
                 queries = _load_vectors(args.queries)
@@ -353,17 +346,8 @@ def _run_search(args) -> int:
                 queries = index.data[rows]
                 source = f"{n_queries} indexed rows (self-queries)"
             if args.endpoints is not None:
-                if not sharded:
-                    raise ValidationError(
-                        "--endpoints applies to sharded indexes only "
-                        "(single-file indexes have no shard fan-out)")
                 index.endpoints = args.endpoints
             if args.preflight:
-                if not sharded:
-                    raise ValidationError(
-                        "--preflight applies to sharded indexes with a "
-                        "remote deployment (single-file indexes have no "
-                        "endpoints to check)")
                 # Ping-only: a dead daemon fails here, before any query
                 # leaves this process.
                 health = index.check_endpoints()
@@ -383,9 +367,9 @@ def _run_search(args) -> int:
             evaluation = evaluate_search(index, queries, n_results=args.k,
                                          pool_size=args.pool_size,
                                          workers=args.workers,
-                                         shard_workers=shard_workers,
+                                         shard_workers=args.shard_workers,
                                          shard_probe=args.shard_probe,
-                                         executor=executor)
+                                         executor=args.executor)
         except (ValidationError, ServingError) as exc:
             print(f"error: cannot search index {args.index!r}: {exc}",
                   file=sys.stderr)
@@ -400,15 +384,11 @@ def _run_search(args) -> int:
             "distance_evals": evaluation.mean_distance_evaluations,
         }
         stats = evaluation.serving_stats
-        if stats is not None:
-            row.update(workers=stats.workers, groups=stats.n_groups,
-                       rounds=stats.n_rounds, gemms=stats.n_gemms,
-                       qps=stats.queries_per_second)
-            if getattr(stats, "n_shards", 1) > 1:
-                row.update(shards=stats.n_shards,
-                           shard_workers=stats.shard_workers,
-                           shard_probe=stats.shard_probe,
-                           executor=stats.executor)
+        row.update(workers=stats.workers, groups=stats.n_groups,
+                   rounds=stats.n_rounds, gemms=stats.n_gemms,
+                   qps=stats.queries_per_second, shards=stats.n_shards,
+                   shard_workers=stats.shard_workers,
+                   shard_probe=stats.shard_probe, executor=stats.executor)
         print(render_table([row]))
         if args.dump is not None:
             atomic_savez(args.dump, indices=evaluation.indices,
@@ -422,7 +402,7 @@ def _run_mutate(args) -> int:
     apply the mutation, save it back over its own path (atomic rename —
     running daemons keep serving the old generation until reloaded)."""
     try:
-        index = load_index(args.index)
+        index = Index.load(args.index)
     except ValidationError as exc:
         print(f"error: cannot load index {args.index!r}: {exc}",
               file=sys.stderr)

@@ -14,7 +14,7 @@ under-reported.
 from __future__ import annotations
 
 from ..datasets import make_sift_like, train_query_split
-from ..index import IndexSpec, build_index
+from ..index import Index, IndexSpec
 from ..search import evaluate_search
 from .config import DEFAULT, ExperimentScale
 
@@ -33,8 +33,8 @@ def run(scale: ExperimentScale = DEFAULT, *, n_queries: int = 100,
     not depend on it.
 
     ``n_shards > 1`` additionally builds an ``n_shards``-way
-    :class:`~repro.index.ShardedIndex` per backend (partitioned by
-    ``partitioner``) and reports its row next to the monolithic one, so a
+    :class:`~repro.index.Index` per backend (partitioned by
+    ``partitioner``) and reports its row next to the one-shard one, so a
     single probe run compares 1-shard vs S-shard recall/qps.  With the
     geometric ``gkmeans`` partitioner the sharded index is evaluated at
     every routed fan-out ``shard_probe`` ∈ {1, 2, S} (deduplicated), so the
@@ -70,7 +70,7 @@ def run(scale: ExperimentScale = DEFAULT, *, n_queries: int = 100,
     rows = []
     for name, spec in sorted(specs.items()):
         for shards in shard_counts:
-            index = build_index(base, spec.replace(n_shards=shards,
+            index = Index.build(base, spec.replace(n_shards=shards,
                                                    partitioner=partitioner))
             probes = [1] if shards == 1 else shard_probes
             for probe in probes:
@@ -79,8 +79,7 @@ def run(scale: ExperimentScale = DEFAULT, *, n_queries: int = 100,
                 # fan-out level never changes results; shard_probe does).
                 evaluation = evaluate_search(
                     index, queries, n_results=n_results, workers=workers,
-                    shard_workers=None if shards == 1 else shards,
-                    shard_probe=None if shards == 1 else probe)
+                    shard_workers=shards, shard_probe=probe)
                 stats = evaluation.serving_stats
                 if shards == 1:
                     label = name
@@ -97,8 +96,7 @@ def run(scale: ExperimentScale = DEFAULT, *, n_queries: int = 100,
                     "query_ms": evaluation.mean_query_seconds * 1000.0,
                     "distance_evals": evaluation.mean_distance_evaluations,
                     "build_seconds": index.build_seconds,
-                    "qps": None if stats is None
-                    else stats.queries_per_second,
+                    "qps": stats.queries_per_second,
                 })
     return {
         "table": rows,

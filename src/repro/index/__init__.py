@@ -14,12 +14,11 @@ search and evaluation — collapse into::
 See :class:`~repro.index.spec.IndexSpec` for the full recipe surface and
 :func:`~repro.index.spec.register_builder` for adding construction backends.
 
-Horizontal scale-out lives in :mod:`repro.index.sharded`: a spec with
-``n_shards > 1`` builds a :class:`~repro.index.sharded.ShardedIndex` — one
-sub-index per partition, shard-parallel build and batch search, per-shard
-top-k merged by true distance — behind the same build/search/save/load
-surface (:func:`~repro.index.sharded.build_index` and
-:func:`~repro.index.sharded.load_index` dispatch automatically).
+Horizontal scale-out is the same class: a spec with ``n_shards > 1``
+builds one graph per partition of the rows (:mod:`repro.index.sharded`),
+searches fan out across the shards — in-process or on one ``gkmeans
+serve`` daemon per shard — and the per-shard top-k merge by true distance.
+``ShardedIndex`` is a second name of :class:`Index`.
 """
 
 from .spec import (
@@ -43,12 +42,12 @@ from .sharded import (
     MANIFEST_NAME,
     SHARDED_FORMAT_VERSION,
     RebalanceReport,
-    ShardedIndex,
     ShardedServingStats,
-    build_index,
-    load_index,
     partition_dataset,
 )
+
+#: The former name of the sharded index class, now :class:`Index` itself.
+ShardedIndex = Index
 
 __all__ = [
     "Index",
@@ -66,8 +65,6 @@ __all__ = [
     "RemoteShardExecutor",
     "available_backends",
     "register_builder",
-    "build_index",
-    "load_index",
     "partition_dataset",
     "FORMAT_VERSION",
     "SHARDED_FORMAT_VERSION",

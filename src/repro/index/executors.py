@@ -1,6 +1,6 @@
-"""Pluggable shard-fan-out executors for :class:`~repro.index.sharded.ShardedIndex`.
+"""Pluggable shard-fan-out executors for :class:`~repro.index.facade.Index`.
 
-A sharded search is S independent sub-searches plus a deterministic merge.
+A search is S independent shard walks plus a deterministic merge.
 *Where* those sub-searches run is a serving decision, not a correctness one,
 so this module extracts the fan-out behind a small executor interface:
 
@@ -27,8 +27,8 @@ contract enforced by the determinism suite, not left to hope.
 
 Quantized serving needs no executor-side support: ``spec.quantize``
 travels inside each shard's spec (and the ``int8`` parameters inside each
-shard's NPZ, which is what remote daemons load), and
-every executor funnels into ``Index.search``, so a quantized shard serves
+shard's NPZ, which is what remote daemons load), and every executor
+funnels into the shard's own search, so a quantized shard serves
 identically — and still bit-for-bit across executors — wherever it runs.
 """
 
@@ -43,7 +43,7 @@ import numpy as np
 from ..exceptions import ServingError
 from ..net.client import EndpointPool
 from ..search._walk import SearchResult
-from .facade import Index
+from ._shard import _Shard
 
 __all__ = ["ShardSearchTask", "search_shard_index",
            "ThreadShardExecutor", "RemoteShardExecutor"]
@@ -69,8 +69,9 @@ class ShardSearchTask:
     bounds: np.ndarray | None = None
 
 
-def search_shard_index(index: Index, task: ShardSearchTask) -> SearchResult:
-    """Serve ``task`` on ``index`` — the single search path of every executor.
+def search_shard_index(index: _Shard, task: ShardSearchTask) -> SearchResult:
+    """Serve ``task`` on the shard ``index`` — the single search path of
+    every executor.
 
     The thread executor, the shard servers behind the remote one and the
     serial inline fallback all call exactly this function, so a shard's

@@ -1,12 +1,12 @@
 """Shard rebalancing of an on-disk sharded deployment.
 
-Online mutations keep a :class:`~repro.index.sharded.ShardedIndex` correct
+Online mutations keep a sharded :class:`~repro.index.facade.Index` correct
 (inserts are routed to the nearest coarse centroid, tombstones never
 surface), but they slowly invalidate the *partition* itself: a hot shard
 grows, a delete-heavy shard starves, and the coarse centroids computed at
 build time stop describing the rows they route to, so routed search
 (``shard_probe < n_shards``) loses recall.
-:meth:`ShardedIndex.rebalance <repro.index.sharded.ShardedIndex.rebalance>`
+:meth:`Index.rebalance <repro.index.facade.Index.rebalance>`
 closes that loop with the build's own partition re-run over the live rows:
 afterwards the index answers bitwise as a fresh build of those rows would,
 under the same global ids and shard count.
@@ -24,7 +24,8 @@ from __future__ import annotations
 import os
 
 from ..exceptions import ServingError, ValidationError
-from .sharded import ShardedIndex, read_manifest
+from .facade import Index
+from .sharded import read_manifest
 
 __all__ = ["Rebalancer"]
 
@@ -36,10 +37,9 @@ class Rebalancer:
     sharded directory: :meth:`inspect` reads the manifest's per-shard
     generations and interrogates each daemon's ``info`` RPC for its
     shard id and generation (the staleness signal), :meth:`run` loads
-    the index, re-partitions it via
-    :meth:`ShardedIndex.rebalance
-    <repro.index.sharded.ShardedIndex.rebalance>`, persists the result
-    through the atomic-rename ``save`` and issues the ``reload`` RPC to
+    the index, re-partitions it via :meth:`Index.rebalance
+    <repro.index.facade.Index.rebalance>`, persists the result through
+    the atomic-rename ``save`` and issues the ``reload`` RPC to
     every daemon whose reported generation lags the new manifest.  Serving
     is never blocked: daemons answer from their loaded snapshot
     throughout and swap generations under their own search lock.
@@ -47,7 +47,7 @@ class Rebalancer:
     Parameters
     ----------
     path:
-        A sharded index directory written by ``ShardedIndex.save``.
+        An index written by ``Index.save``: a directory or a single file.
     endpoints:
         Optional ``host:port`` list, one per shard in shard order, of the
         running daemons to inspect and reload.  ``None`` skips the
@@ -69,7 +69,9 @@ class Rebalancer:
         self.client_options = dict(client_options or {})
 
     def inspect(self) -> list:
-        """Compare every daemon's ``info`` against the on-disk manifest.
+        """Compare every daemon's ``info`` against the on-disk index's
+        shard generations (a directory's manifest, or a single file's
+        own generation).
 
         Returns one dict per configured endpoint with the daemon's
         reported ``shard_id``/``generation``, the manifest's expected
@@ -80,7 +82,11 @@ class Rebalancer:
         """
         from ..net.client import EndpointPool
 
-        expected = read_manifest(self.path).shard_generations
+        if os.path.isdir(self.path):
+            expected = read_manifest(self.path).shard_generations
+        else:
+            with Index.load(self.path) as index:
+                expected = index.shard_generations
         if self.endpoints is None:
             raise ValidationError(
                 "no endpoints configured; pass endpoints= to inspect a "
@@ -121,7 +127,7 @@ class Rebalancer:
         daemons serving the old generation — stale but correct, and
         fail-fast under the remote executor's handshake.
         """
-        with ShardedIndex.load(self.path) as index:
+        with Index.load(self.path) as index:
             report = index.rebalance()
             if report.changed:
                 index.save(self.path)

@@ -118,12 +118,12 @@ class IndexSpec:
         identical for every worker count — so it is safe to persist and to
         override per call.
     n_shards, partitioner:
-        Horizontal-partitioning recipe consumed by
-        :class:`~repro.index.sharded.ShardedIndex`.  ``n_shards=1`` (the
-        default) is the monolithic index; ``n_shards>1`` splits the dataset
-        with the named partitioner (see :data:`PARTITIONERS`) and builds one
-        sub-index per shard.  Like ``workers``, shard fan-out at serve time
-        is a pure throughput knob.
+        Horizontal-partitioning recipe of
+        :meth:`Index.build <repro.index.facade.Index.build>`: the rows are
+        split into ``n_shards`` groups with the named partitioner (see
+        :data:`PARTITIONERS`) and one graph is built per group.
+        ``n_shards=1`` (the default) is one graph over every row.  Like
+        ``workers``, shard fan-out at serve time is a pure throughput knob.
     shard_probe:
         Default routed fan-out of sharded searches: each query is served by
         its ``shard_probe`` nearest shards (scored against the persisted

@@ -1,9 +1,10 @@
 """Shard server daemon: one shard NPZ behind a framed TCP endpoint.
 
-:class:`ShardServer` loads (or is handed) one
-:class:`~repro.index.facade.Index` — typically a single shard of a sharded
-directory — binds a TCP listener and answers the framed RPCs of
-:mod:`repro.net.framing` from a handler thread pool:
+:class:`ShardServer` loads (or is handed) one shard of an
+:class:`~repro.index.facade.Index` — ``index.shards[s]``, a member of a
+sharded directory, or the one shard of a single-file index — binds a TCP
+listener and answers the framed RPCs of :mod:`repro.net.framing` from a
+handler thread pool:
 
 * ``search``  — a pickled :class:`~repro.index.executors.ShardSearchTask`,
   served through exactly the same :func:`~repro.index.executors.\
@@ -65,14 +66,14 @@ def load_shard_for_serving(path, shard: int = 0):
     """Load one shard (plus its deployment metadata) for a server.
 
     ``path`` is either a sharded index directory — ``shard`` selects which
-    member NPZ to load, and the shard's generation counter is the
-    manifest's ``shard_generations`` entry — or a single-file index NPZ
-    (``shard`` must be 0, generation comes from the file itself).  Returns
-    ``(index, shard_id, generation, n_shards)``.
+    member file to load, and the shard's generation counter is the
+    manifest's ``shard_generations`` entry — or a single-file index, whose
+    one shard is shard 0 and whose generation is the file's own.  Returns
+    ``(shard index, shard_id, generation, n_shards)``.
     """
     # Runtime import: repro.index pulls in the executor seam, which
     # imports the net client — a module-level import here would cycle.
-    from ..index.facade import Index
+    from ..index._shard import _Shard
     from ..index.sharded import _shard_name, read_manifest
 
     path = os.fspath(path)
@@ -83,12 +84,12 @@ def load_shard_for_serving(path, shard: int = 0):
         n_shards = manifest.spec.n_shards
         shard = check_positive_int(shard + 1, name="shard + 1",
                                    maximum=n_shards) - 1
-        index = Index.load(os.path.join(path, _shard_name(shard)))
+        index = _Shard.load(os.path.join(path, _shard_name(shard)))
         return index, shard, manifest.shard_generations[shard], n_shards
     if shard != 0:
         raise ValidationError(
             f"{path!r} is a single-file index; only --shard 0 exists")
-    index = Index.load(path)
+    index = _Shard.load(path)
     return index, 0, index.generation, 1
 
 
@@ -98,7 +99,8 @@ class ShardServer:
     Parameters
     ----------
     index:
-        The :class:`~repro.index.facade.Index` to serve (one shard).
+        The shard to serve: ``shards[s]`` of an
+        :class:`~repro.index.facade.Index`.
     host, port:
         Bind address.  ``port=0`` picks an ephemeral port; the bound
         address is available as :attr:`host`/:attr:`port` after
@@ -110,7 +112,7 @@ class ShardServer:
         was loaded from.
     source_path:
         The on-disk index the daemon was loaded from (sharded directory or
-        single NPZ).  Enables the ``reload`` RPC: the daemon keeps
+        single-file index).  Enables the ``reload`` RPC: the daemon keeps
         answering from its in-memory state while mutations are saved over
         the path (the atomic directory rename never disturbs open state —
         copy-on-write from the daemon's perspective), and re-reads the

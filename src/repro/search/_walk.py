@@ -225,9 +225,9 @@ class SearchResult(tuple):
     Unpacks and indexes as that 2-tuple (as :class:`os.stat_result` does as
     a short tuple): ``(m, k)`` arrays for a batch, ``(k,)`` for one query.
     ``evaluations`` — the ``(m,)`` per-query distance-evaluation counts,
-    ``(1,)`` for one query — and ``stats`` — the call's
-    :class:`ServingStats`, or :class:`~repro.index.ShardedServingStats` —
-    ride along as attributes, so concurrent searches never share them.
+    ``(1,)`` for one query — and ``stats`` — the walk's
+    :class:`ServingStats`, or an index search's
+    :class:`~repro.index.ShardedServingStats` — ride along as attributes, so concurrent searches never share them.
     """
 
     def __new__(cls, indices: np.ndarray, distances: np.ndarray,

@@ -10,7 +10,6 @@ import numpy as np
 from ..exceptions import ValidationError
 from ..graph.bruteforce import brute_force_neighbors
 from ..validation import check_data_matrix, check_positive_int
-from ._walk import ServingStats
 
 __all__ = ["SearchEvaluation", "evaluate_search"]
 
@@ -38,8 +37,9 @@ class SearchEvaluation:
     per_query_evaluations:
         Per-query distance-evaluation counts, aligned with the query order.
     serving_stats:
-        The serving stats record of the batched call that served the
-        queries — per-group rounds, gemm counts and wall time.
+        The :class:`~repro.index.ShardedServingStats` of the batched call
+        that served the queries — per-group rounds, gemm counts, fan-out
+        and wall time.
     indices, distances:
         The ``(m, k)`` results that were scored, in query order — the
         index's own output, so a caller can keep them without searching
@@ -52,7 +52,7 @@ class SearchEvaluation:
     mean_query_seconds: float
     mean_distance_evaluations: float
     per_query_evaluations: tuple = ()
-    serving_stats: ServingStats | None = None
+    serving_stats: object | None = None
     indices: np.ndarray | None = field(default=None, repr=False,
                                        compare=False)
     distances: np.ndarray | None = field(default=None, repr=False,
@@ -70,39 +70,27 @@ def evaluate_search(index, queries: np.ndarray, *, n_results: int = 10,
     Parameters
     ----------
     index:
-        An :class:`~repro.index.Index` or a
-        :class:`~repro.index.ShardedIndex`.
+        An :class:`~repro.index.Index`.
     queries:
         ``(m, d)`` held-out query matrix, served as one batch.
     n_results:
         Evaluation depth k.
-    pool_size:
-        Candidate-pool override forwarded to the index.
-    workers:
-        Worker-thread override for the group walks (forwarded to the
-        index; results are identical for every worker count).
-    shard_workers:
-        Shard fan-out threads for a :class:`~repro.index.ShardedIndex`
-        (likewise a pure throughput knob).  Only valid for sharded
-        indexes; ignored when ``None``.
-    shard_probe:
-        Routed fan-out for a :class:`~repro.index.ShardedIndex` — each
-        query is served by its ``shard_probe`` nearest shards only.  Unlike
-        the knobs above this trades recall for throughput (the evaluation
-        reports exactly that frontier); ignored when ``None``.
-    executor:
-        Shard fan-out executor (``"thread"`` or ``"remote"``; a pure
-        throughput knob like the worker counts); ignored when ``None``.
+    pool_size, workers, shard_workers, shard_probe, executor:
+        Forwarded to :meth:`Index.search <repro.index.Index.search>`.
+        ``shard_probe`` trades recall for throughput (the evaluation
+        reports exactly that frontier); the others never change a result.
 
     The brute-force oracle is computed under the index's own metric, so
     cosine indexes are scored against the right ground truth.
     """
+    # Runtime import: the index package builds on this one.
+    from ..index.facade import Index
+
     queries = check_data_matrix(queries, name="queries")
     n_results = check_positive_int(n_results, name="n_results")
-    if not hasattr(index, "search"):
+    if not isinstance(index, Index):
         raise ValidationError(
-            f"evaluate_search needs an Index or a ShardedIndex, got "
-            f"{type(index).__name__}")
+            f"evaluate_search needs an Index, got {type(index).__name__}")
 
     # Indexes search in external-id terms and never return tombstoned rows,
     # so the oracle must cover exactly the live vectors and its positions
@@ -114,12 +102,10 @@ def evaluate_search(index, queries: np.ndarray, *, n_results: int = 10,
     exact_idx = np.where(exact_idx >= 0,
                          corpus_ids[np.maximum(exact_idx, 0)], -1)
 
-    fan_out = {key: value for key, value in (
-        ("shard_workers", shard_workers), ("shard_probe", shard_probe),
-        ("executor", executor)) if value is not None}
     started = time.perf_counter()
     result = index.search(queries, n_results, pool_size=pool_size,
-                          workers=workers, **fan_out)
+                          workers=workers, shard_workers=shard_workers,
+                          shard_probe=shard_probe, executor=executor)
     total_seconds = time.perf_counter() - started
     per_query = result.evaluations
 

@@ -94,9 +94,8 @@ class RequestStats:
     total_seconds:
         Time from admission to the response being ready.
     serving_stats:
-        The batch walk's own stats record
-        (:class:`~repro.search._walk.ServingStats` or
-        :class:`~repro.index.sharded.ShardedServingStats`), shared by all
+        The batch search's own
+        :class:`~repro.index.sharded.ShardedServingStats`, shared by all
         requests of the batch.
     """
 
@@ -128,8 +127,7 @@ class CoalescingServer:
     Parameters
     ----------
     index:
-        The index to serve — an :class:`~repro.index.facade.Index` or
-        :class:`~repro.index.sharded.ShardedIndex` (anything with their
+        The :class:`~repro.index.facade.Index` to serve (anything with its
         ``search``/``spec`` surface).
     max_batch:
         Most requests one batch walk may serve.  A full batch is dispatched

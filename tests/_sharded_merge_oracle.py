@@ -1,6 +1,6 @@
 """Oracle for the merge of a sharded search.
 
-``ShardedIndex.search`` lands each shard's part as an ``(m, width)``
+``Index.search`` lands each shard's part as an ``(m, width)``
 block, concatenates the blocks in shard order and sorts once
 (``repro.index.sharded._merge_parts``).  The merge it replaced scattered
 every part into one buffer at per-(query, shard) column offsets — each

@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.index import Index
 
 
 class TestParser:
@@ -185,7 +188,7 @@ class TestIndexCommands:
         assert main(["search", path, "--n-queries", "30", "--k", "5",
                      "--shard-workers", "2"]) == 0
         fanned = capsys.readouterr().out
-        assert "ShardedIndex" in fanned
+        assert "n_shards=3" in fanned
         assert main(["search", path, "--n-queries", "30", "--k", "5",
                      "--shard-workers", "1"]) == 0
         sequential = capsys.readouterr().out
@@ -252,7 +255,6 @@ class TestIndexCommands:
     def test_remote_search_round_trip(self, tmp_path, capsys):
         """serve two shards in-process, search --executor remote, and the
         --dump files match the thread executor bit-for-bit."""
-        from repro.index import ShardedIndex
         from repro.net import ShardServer
 
         path = str(tmp_path / "remote.shards")
@@ -262,7 +264,7 @@ class TestIndexCommands:
                      "--shards", "2", "--partitioner", "gkmeans",
                      "--seed", "1"]) == 0
         capsys.readouterr()
-        sharded = ShardedIndex.load(path)
+        sharded = Index.load(path)
         with sharded, \
                 ShardServer(sharded.shards[0], shard_id=0) as first, \
                 ShardServer(sharded.shards[1], shard_id=1) as second:
@@ -306,18 +308,52 @@ class TestIndexCommands:
         err = capsys.readouterr().err
         assert "cannot search index" in err and str(port) in err
 
-    def test_endpoints_on_single_file_index_exits_cleanly(self, tmp_path,
-                                                          capsys):
+    def test_build_replaces_either_layout(self, tmp_path, capsys):
+        """``build --out`` over an existing index of the other layout
+        replaces it, and ``search`` serves the new one."""
+        path = str(tmp_path / "corpus")
+        common = ["--dataset", "sift1m", "--n-samples", "300",
+                  "--n-features", "8", "--backend", "bruteforce",
+                  "--n-neighbors", "6", "--seed", "1"]
+        for shards, is_layout in (("2", os.path.isdir), ("1", os.path.isfile),
+                                  ("3", os.path.isdir)):
+            assert main(["build", "--out", path, "--shards", shards,
+                         *common]) == 0
+            assert is_layout(path)
+            assert main(["search", path, "--n-queries", "10",
+                         "--k", "5"]) == 0
+            assert f"n_shards={shards}" in capsys.readouterr().out
+
+    def test_single_file_index_serves_remotely(self, tmp_path, capsys):
+        """A single-file index is a one-shard index: behind one ``gkmeans
+        serve`` daemon, ``--executor remote --endpoints`` serves it, the
+        preflight passes, and the answers are the thread executor's."""
+        from repro.net import ShardServer, load_shard_for_serving
+
         path = str(tmp_path / "mono.idx")
         assert main(["build", "--out", path, "--dataset", "sift1m",
                      "--n-samples", "200", "--n-features", "8",
                      "--backend", "bruteforce", "--n-neighbors", "6",
                      "--seed", "1"]) == 0
         capsys.readouterr()
-        code = main(["search", path, "--n-queries", "10", "--k", "5",
-                     "--endpoints", "127.0.0.1:1024"])
-        assert code == 2
-        assert "sharded indexes only" in capsys.readouterr().err
+        shard, shard_id, generation, n_shards = load_shard_for_serving(path)
+        assert (shard_id, n_shards) == (0, 1)
+        with shard, ShardServer(shard, shard_id=shard_id,
+                                generation=generation) as server:
+            server.start()
+            remote_dump = str(tmp_path / "remote.npz")
+            thread_dump = str(tmp_path / "thread.npz")
+            assert main(["search", path, "--n-queries", "10", "--k", "5",
+                         "--executor", "remote", "--endpoints",
+                         server.endpoint, "--preflight",
+                         "--dump", remote_dump]) == 0
+            assert "remote" in capsys.readouterr().out
+            assert main(["search", path, "--n-queries", "10", "--k", "5",
+                         "--dump", thread_dump]) == 0
+            capsys.readouterr()
+        remote, thread = np.load(remote_dump), np.load(thread_dump)
+        assert np.array_equal(remote["indices"], thread["indices"])
+        assert np.array_equal(remote["distances"], thread["distances"])
 
     def test_shard_probe_on_round_robin_exits_cleanly(self, tmp_path,
                                                       capsys):
@@ -430,7 +466,6 @@ class TestMutationCommands:
         return path
 
     def test_insert_delete_compact_round_trip(self, tmp_path, capsys):
-        from repro.index import load_index
 
         path = self._build(tmp_path)
         capsys.readouterr()
@@ -439,20 +474,19 @@ class TestMutationCommands:
         assert "n_points" in out and "generation" in out
         assert main(["delete", path, "--ids", "0,5,299"]) == 0
         capsys.readouterr()
-        index = load_index(path)
+        index = Index.load(path)
         assert index.n_points == 300 + 7 - 3
         assert index.n_tombstones == 3
         assert index.generation == 2
         assert main(["compact", path]) == 0
         capsys.readouterr()
-        index = load_index(path)
+        index = Index.load(path)
         assert index.n_tombstones == 0
         assert index.generation == 3
         # The mutated index still serves searches through the CLI.
         assert main(["search", path, "--n-queries", "10", "--k", "3"]) == 0
 
     def test_insert_from_vector_file(self, tmp_path, capsys):
-        from repro.index import load_index
 
         path = self._build(tmp_path)
         vectors = np.random.default_rng(9).normal(size=(4, 8))
@@ -460,14 +494,13 @@ class TestMutationCommands:
         np.save(vector_path, vectors)
         assert main(["insert", path, "--vectors", vector_path]) == 0
         capsys.readouterr()
-        index = load_index(path)
+        index = Index.load(path)
         assert index.n_points == 304
         idx, _ = index.search(np.ascontiguousarray(vectors), 1)
         assert np.array_equal(np.sort(idx.ravel()),
                               np.arange(300, 304))
 
     def test_sharded_mutation_round_trip(self, tmp_path, capsys):
-        from repro.index import load_index
 
         path = self._build(tmp_path, name="mut.shards",
                            extra=("--shards", "2",
@@ -477,7 +510,7 @@ class TestMutationCommands:
         assert main(["delete", path, "--ids", "1,2"]) == 0
         assert main(["compact", path]) == 0
         capsys.readouterr()
-        sharded = load_index(path)
+        sharded = Index.load(path)
         try:
             assert sharded.n_points == 303
             assert sharded.n_tombstones == 0
@@ -576,7 +609,6 @@ class TestMutationCommands:
 
     def test_dump_writes_the_scored_results_without_searching_again(
             self, tmp_path, capsys, monkeypatch):
-        from repro.index import Index
 
         path = self._build(tmp_path)
         capsys.readouterr()
@@ -612,7 +644,6 @@ class TestRebalanceCommands:
         return path
 
     def test_rebalance_after_drift(self, tmp_path, capsys):
-        from repro.index import load_index
 
         path = self._build_sharded(tmp_path)
         assert main(["insert", path, "--n-new", "9", "--seed", "4"]) == 0
@@ -625,7 +656,7 @@ class TestRebalanceCommands:
         assert main(["rebalance", path]) == 0
         out = capsys.readouterr().out
         assert "balanced; nothing to do" in out
-        sharded = load_index(path)
+        sharded = Index.load(path)
         try:
             assert sharded.n_shards == 2       # the shard count is kept
             assert sharded.n_tombstones == 0
@@ -686,16 +717,22 @@ class TestRebalanceCommands:
             for server in servers:
                 server.close()
 
-    def test_rebalance_mono_index_exits_cleanly(self, tmp_path, capsys):
+    def test_rebalance_single_file_index(self, tmp_path, capsys):
+        """A single-file index is a one-shard index: a fresh build is
+        balanced, and after deletes the pass rewrites the file."""
         path = str(tmp_path / "mono.idx")
         assert main(["build", "--out", path, "--dataset", "sift1m",
                      "--n-samples", "200", "--n-features", "8",
                      "--backend", "bruteforce", "--n-neighbors", "6",
                      "--seed", "1"]) == 0
         capsys.readouterr()
-        assert main(["rebalance", path]) == 2
-        error = capsys.readouterr().err.strip()
-        assert error.startswith("error:")
+        assert main(["rebalance", path]) == 0
+        assert "nothing to do" in capsys.readouterr().out
+        assert main(["delete", path, "--ids", "4,5,6"]) == 0
+        assert main(["rebalance", path]) == 0
+        assert "[197] -> [197]" in capsys.readouterr().out
+        with Index.load(path) as index:
+            assert index.n_tombstones == 0 and index.n_points == 197
 
     def test_preflight_dead_daemon_blocks_queries(self, tmp_path, capsys):
         import socket

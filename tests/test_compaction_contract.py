@@ -37,7 +37,7 @@ from repro.distance import DistanceEngine
 from repro.graph import KNNGraph, brute_force_knn_graph, graph_recall
 from repro.graph.construction import resumed_tau
 from repro.graph.random_graph import fill_random_neighbors, surviving_lists
-from repro.index import Index, IndexSpec, ShardedIndex
+from repro.index import Index, IndexSpec
 
 from test_mutations import (_assert_rows_match_up_to_ties, _exhaustive_spec,
                             _rebuild_oracle)
@@ -236,7 +236,7 @@ class TestExhaustiveOracle:
         base, extra, queries = corpus
         spec = _exhaustive_gkmeans(base.shape[0], metric, dtype)
         if n_shards > 1:
-            index = ShardedIndex.build(base, spec.replace(n_shards=n_shards))
+            index = Index.build(base, spec.replace(n_shards=n_shards))
         else:
             index = Index.build(base, spec)
         index.insert(extra)

@@ -35,7 +35,6 @@ from repro.index import (
     Index,
     IndexSpec,
     RemoteShardExecutor,
-    ShardedIndex,
     ShardSearchTask,
     ThreadShardExecutor,
 )
@@ -121,7 +120,7 @@ class TestPersistentWalkPool:
         graph_index = Index.build(
             base, IndexSpec(backend="bruteforce", n_neighbors=8,
                             random_state=3))
-        searcher = graph_index._searcher
+        searcher = graph_index.shards[0]._searcher
         assert isinstance(searcher, GraphSearcher)
         frontier_pools = _CountingPool()
         greedy_pools = _CountingPool()
@@ -145,7 +144,7 @@ class TestPersistentWalkPool:
         baseline, _ = index.search(queries, 5, workers=4)
         index.close()
         index.close()  # idempotent
-        assert index._searcher._walk_pools == {}
+        assert index.shards[0]._searcher._walk_pools == {}
         after, _ = index.search(queries, 5, workers=4)
         assert np.array_equal(baseline, after)
         index.close()
@@ -184,9 +183,9 @@ class TestPersistentWalkPool:
         finally:
             sys.setswitchinterval(interval)
         assert not failures, failures
-        assert sorted(index._searcher._walk_pools) == [2, 3, 4]
+        assert sorted(index.shards[0]._searcher._walk_pools) == [2, 3, 4]
         index.close()
-        assert index._searcher._walk_pools == {}
+        assert index.shards[0]._searcher._walk_pools == {}
 
     def test_thread_shard_executor_reuses_pool(self, saved_index,
                                                monkeypatch):
@@ -195,7 +194,7 @@ class TestPersistentWalkPool:
         monkeypatch.setattr(executors_mod, "ThreadPoolExecutor", pools)
         tasks = [ShardSearchTask(shard=0, queries=index.data[:3],
                                  shard_k=4) for _ in range(2)]
-        executor = ThreadShardExecutor([index], max_workers=2)
+        executor = ThreadShardExecutor(index.shards, max_workers=2)
         executor.run(tasks)
         executor.run(tasks)
         assert pools.created == 1
@@ -210,7 +209,7 @@ class TestPersistentWalkPool:
         index, _ = saved_index
         pools = _CountingPool()
         monkeypatch.setattr(executors_mod, "ThreadPoolExecutor", pools)
-        executor = ThreadShardExecutor([index], max_workers=1)
+        executor = ThreadShardExecutor(index.shards, max_workers=1)
         tasks = [ShardSearchTask(shard=0, queries=index.data[:3],
                                  shard_k=4)] * 2
         executor.run(tasks)
@@ -224,7 +223,7 @@ class TestCrashSurfacing:
         index, _ = saved_index
         good = ShardSearchTask(shard=0, queries=index.data[:3], shard_k=4)
         bad = ShardSearchTask(shard=0, queries=index.data[:3], shard_k=0)
-        executor = ThreadShardExecutor([index], max_workers=2)
+        executor = ThreadShardExecutor(index.shards, max_workers=2)
         try:
             with pytest.raises(ValidationError, match="n_results"):
                 executor.run([good, bad])
@@ -271,24 +270,26 @@ class TestExecutorSpecSurface:
     @pytest.mark.parametrize("executor", ["rayon", "process"])
     def test_search_rejects_unknown_executor(self, corpus, executor):
         base, queries = corpus
-        sharded = ShardedIndex.build(
+        sharded = Index.build(
             base, IndexSpec(backend="bruteforce", n_neighbors=8,
                             n_shards=2, random_state=3))
         with pytest.raises(ValidationError, match="'thread', 'remote'"):
             sharded.search(queries, 5, executor=executor)
         sharded.close()
 
-    @pytest.mark.parametrize("executor", ["process", "remote"])
-    def test_monolithic_index_serves_in_process_only(self, saved_index,
-                                                     corpus, executor):
+    def test_one_shard_index_takes_the_same_executors(self, saved_index,
+                                                      corpus):
+        """A one-shard index is checked like any other: an unknown executor
+        is refused, and ``remote`` needs its one endpoint."""
         index, _ = saved_index
         _, queries = corpus
         idx, _ = index.search(queries, 5, executor="thread")
         base_idx, _ = index.search(queries, 5)
         assert np.array_equal(idx, base_idx)
-        with pytest.raises(ValidationError,
-                           match="monolithic.*'thread'.*'remote'"):
-            index.search(queries, 5, executor=executor)
+        with pytest.raises(ValidationError, match="'thread', 'remote'"):
+            index.search(queries, 5, executor="process")
+        with pytest.raises(ServingError, match="one endpoint per shard"):
+            index.search(queries, 5, executor="remote")
 
     def test_executors_constant_names_all_kinds(self):
         assert EXECUTORS == ("thread", "remote")
@@ -315,7 +316,7 @@ class TestExecutorSpecSurface:
         spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=2,
                          partitioner="gkmeans", random_state=3)
         path = tmp_path / "legacy.shards"
-        with ShardedIndex.build(base, spec) as sharded:
+        with Index.build(base, spec) as sharded:
             sharded.save(path)
             t_idx, t_dist = sharded.search(queries, 5, executor="thread",
                                            shard_workers=2)
@@ -323,7 +324,7 @@ class TestExecutorSpecSurface:
             _as_process_era(path / name)
         with np.load(path / MANIFEST_NAME) as manifest:
             assert '"process"' in str(manifest["spec_json"])
-        with ShardedIndex.load(path) as restored:
+        with Index.load(path) as restored:
             assert restored.spec.executor == "thread"
             result = restored.search(queries, 5, shard_workers=2)
             idx, dist = result
@@ -345,7 +346,7 @@ class TestServingResources:
     @pytest.fixture()
     def sharded(self, corpus):
         base, _ = corpus
-        index = ShardedIndex.build(
+        index = Index.build(
             base, IndexSpec(backend="bruteforce", n_neighbors=8,
                             n_shards=2, random_state=3))
         yield index
@@ -395,7 +396,7 @@ class TestServingResources:
 
     def test_sharded_index_context_manager(self, corpus):
         base, queries = corpus
-        built = ShardedIndex.build(
+        built = Index.build(
             base, IndexSpec(backend="bruteforce", n_neighbors=8,
                             n_shards=2, random_state=3))
         with built as index:
@@ -417,7 +418,7 @@ class TestServingResources:
 
     def test_spec_executor_drives_default(self, corpus):
         base, queries = corpus
-        sharded = ShardedIndex.build(
+        sharded = Index.build(
             base, IndexSpec(backend="bruteforce", n_neighbors=8,
                             n_shards=2, random_state=3,
                             executor="remote"))

@@ -15,7 +15,6 @@ from repro.index import (
     BUILDERS,
     Index,
     IndexSpec,
-    ShardedIndex,
     available_backends,
     register_builder,
 )
@@ -325,7 +324,7 @@ class TestPersistence:
         payload = _payload(path)
         assert "norms" not in payload
         expected = Index.load(path).search(queries, 5)
-        norms = index._searcher._data_norms
+        norms = index.shards[0]._searcher._data_norms
         bad = {"reversed": norms[::-1].copy(), "truncated": norms[:10],
                "nan": np.full_like(norms, np.nan)}[tamper]
         tampered = tmp_path / f"{tamper}.idx"
@@ -362,18 +361,18 @@ class TestPersistence:
         refusal names the shard file."""
         base, queries = corpus
         directory = tmp_path / "ok.shards"
-        ShardedIndex.build(base, _spec("bruteforce", n_shards=2)).save(
+        Index.build(base, _spec("bruteforce", n_shards=2)).save(
             directory)
         shard = directory / "shard_0001.idx"
         _write_graph_distance(shard, shard, value, padded)
         if accepted:
-            with ShardedIndex.load(directory) as loaded:
+            with Index.load(directory) as loaded:
                 assert loaded.search(queries, 5).indices.shape \
                     == (len(queries), 5)
             return
         with pytest.raises(ValidationError,
                            match="shard 1.*shard_0001.idx.*graph_distances"):
-            ShardedIndex.load(directory)
+            Index.load(directory)
 
     def test_load_inconsistent_graph_raises_validation_error(self, tmp_path,
                                                              corpus):

@@ -67,7 +67,7 @@ class TestWorkingRegime:
         n_base = int(0.8 * corpus.shape[0])
         spec = IndexSpec(**SPEC, random_state=seed)
         index = Index.build(corpus[:n_base], spec)
-        oracle = insert_per_row(index._searcher, corpus[n_base:])
+        oracle = insert_per_row(index.shards[0]._searcher, corpus[n_base:])
         for start in range(n_base, corpus.shape[0], BATCH):
             index.insert(corpus[start:start + BATCH])
         cold = Index.build(corpus, spec)

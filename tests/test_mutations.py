@@ -24,7 +24,7 @@ import pytest
 from repro.datasets import make_sift_like, train_query_split
 from repro.distance import METRICS
 from repro.exceptions import ServingError, ValidationError
-from repro.index import Index, IndexSpec, ShardedIndex
+from repro.index import Index, IndexSpec
 from repro.index.sharded import migrate
 
 from _legacy_formats import write_mono_version
@@ -272,7 +272,7 @@ class TestShardedMutationOracle:
         base, extra, queries = corpus
         spec = _exhaustive_spec(base.shape[0], metric, dtype, n_shards=3,
                                 partitioner=partitioner)
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         _assert_tombstone_count(sharded)
         sharded.insert(extra)
         _assert_tombstone_count(sharded)
@@ -299,7 +299,7 @@ class TestShardedMutationOracle:
 
         path = tmp_path / f"{metric}-{dtype}.shards"
         sharded.save(path)
-        restored = ShardedIndex.load(path)
+        restored = Index.load(path)
         try:
             _assert_tombstone_count(restored)
             r_idx, r_dist = restored.search(queries, 10)
@@ -398,7 +398,7 @@ class TestShardedMutationOracle:
         base, extra, _ = corpus
         spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
                                 n_shards=3, partitioner="gkmeans")
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         try:
             expected = sharded._route(
                 np.ascontiguousarray(extra), 1)[:, 0]
@@ -435,7 +435,7 @@ class TestGenerationHandshake:
         base, extra, queries = corpus
         spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
                                 n_shards=2, partitioner="gkmeans")
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         path = tmp_path / "served.shards"
         sharded.save(path)
         servers = []

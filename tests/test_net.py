@@ -30,7 +30,7 @@ from _legacy_formats import write_manifest_version
 
 from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import ProtocolError, ServingError, ValidationError
-from repro.index import Index, IndexSpec, ShardedIndex, ShardSearchTask
+from repro.index import Index, IndexSpec, ShardSearchTask
 from repro.index.sharded import migrate
 from repro.net import (
     Endpoint,
@@ -61,10 +61,11 @@ FAST = dict(connect_timeout=0.5, read_timeout=2.0, retries=1,
 
 @pytest.fixture(scope="module")
 def served_shard():
-    """A small index plus a live server on an ephemeral port."""
+    """A small index's one shard plus a live server on an ephemeral
+    port."""
     base = make_sift_like(300, 10, random_state=4)
     spec = IndexSpec(backend="bruteforce", n_neighbors=8, random_state=4)
-    index = Index.build(base, spec)
+    (index,) = Index.build(base, spec).shards
     with ShardServer(index, shard_id=0, generation=7) as server:
         server.start()
         yield index, server
@@ -341,7 +342,7 @@ class TestShardServerRPCs:
         base = make_sift_like(60, 8, random_state=1)
         index = Index.build(base, IndexSpec(backend="bruteforce",
                                             n_neighbors=6, random_state=1))
-        server = ShardServer(index)
+        server = ShardServer(index.shards[0])
         server.start()
         server.close()
         server.close()
@@ -445,7 +446,7 @@ class TestClientFaults:
         base = make_sift_like(60, 8, random_state=1)
         index = Index.build(base, IndexSpec(backend="bruteforce",
                                             n_neighbors=6, random_state=1))
-        server = ShardServer(index)               # no source_path
+        server = ShardServer(index.shards[0])     # no source_path
         server.start()
         client = ShardClient(server.endpoint, **FAST)
         try:
@@ -542,14 +543,14 @@ class TestEndpointPoolHealth:
 
 
 class TestRemoteExecutorFaults:
-    """Remote fan-out failure semantics at the ShardedIndex surface."""
+    """Remote fan-out failure semantics at the Index surface."""
 
     @pytest.fixture()
     def sharded(self):
         base = make_sift_like(300, 10, random_state=6)
         spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=2,
                          random_state=6)
-        index = ShardedIndex.build(base, spec)
+        index = Index.build(base, spec)
         index.remote_options = FAST.copy()
         index.remote_options.pop("backoff_seconds")
         yield index
@@ -611,7 +612,7 @@ class TestLoadShardForServing:
         base = make_sift_like(200, 8, random_state=2)
         spec = IndexSpec(backend="bruteforce", n_neighbors=6, n_shards=2,
                          random_state=2)
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         sharded.shards[1].generation = 3
         path = tmp_path / "deploy.shards"
         sharded.save(path)
@@ -631,7 +632,7 @@ class TestLoadShardForServing:
                                           60, random_state=2)
         spec = IndexSpec(backend="bruteforce", n_neighbors=6, n_shards=2,
                          partitioner="gkmeans", random_state=2)
-        with ShardedIndex.build(base, spec) as sharded:
+        with Index.build(base, spec) as sharded:
             sharded.save(tmp_path / "deploy.shards")
             routed = queries[sharded._route(queries, 1)[:, 0] == 1]
             expected, _ = sharded.search(routed, 5, shard_probe=1)
@@ -658,7 +659,7 @@ class TestLoadShardForServing:
         base = make_sift_like(200, 8, random_state=2)
         spec = IndexSpec(backend="bruteforce", n_neighbors=6, n_shards=2,
                          random_state=2)
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         sharded.generation = 5
         path = tmp_path / "deploy.shards"
         sharded.save(path)

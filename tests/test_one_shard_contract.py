@@ -1,19 +1,20 @@
-"""A one-shard ``ShardedIndex`` serves bitwise what ``Index`` serves.
+"""A one-shard ``Index`` answers exactly what its one shard's walk answers.
 
-``ShardedIndex.build(data, spec.replace(n_shards=1))`` wraps one
-``Index.build(data, spec)``; its search adds only the fan-out and the
-merge, which for one shard must hand the shard's answer back unchanged.
-That is what folding ``Index`` into the sharded index as its one-shard
-case relies on, so it is pinned here for every graph backend: after the
-build, after inserts and deletes, and after compaction, for single vectors
-and for a batch, in ids, distances and evaluation counts.
+One shard is the ``S = 1`` case of the sharded search: the fan-out hands
+the checked batch to the shard, and the merge returns the lone part as it
+is — ids, distances (dtype included) and evaluation counts.  Pinned for
+every graph backend after the build, after inserts and deletes, and after
+compaction, for single vectors and for a batch; and over one ``gkmeans
+serve`` daemon, which serves a one-shard index bit for bit like the thread
+executor.
 """
 
 import numpy as np
 import pytest
 
 from repro.datasets import make_sift_like
-from repro.index import Index, IndexSpec, ShardedIndex
+from repro.index import Index, IndexSpec
+from repro.net import ShardServer
 
 N, D, KAPPA, K = 4000, 24, 16, 10
 
@@ -24,33 +25,49 @@ def corpus():
     return data[:N], data[N:N + 200], data[N + 200:]
 
 
-def assert_same_answers(mono, sharded, queries):
-    for query in queries[:5]:
-        want, got = mono.search(query, K), sharded.search(query, K)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.distances, want.distances)
-        assert got.distances.dtype == want.distances.dtype
-        assert np.array_equal(got.evaluations, want.evaluations)
-    want, got = mono.search(queries, K), sharded.search(queries, K)
+def assert_same(got, want):
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.distances, want.distances)
+    assert got.distances.dtype == want.distances.dtype
     assert np.array_equal(got.evaluations, want.evaluations)
 
 
-@pytest.mark.parametrize("backend", ["gkmeans", "nndescent", "bruteforce"])
-def test_one_shard_serves_what_the_index_serves(corpus, backend):
+def assert_walk_answers(index, queries):
+    (shard,) = index.shards
+    for query in queries[:5]:
+        got, want = index.search(query, K), shard.search(query[None, :], K)
+        assert np.array_equal(got.indices, want.indices[0])
+        assert np.array_equal(got.distances, want.distances[0])
+        assert got.distances.dtype == want.distances.dtype
+        assert np.array_equal(got.evaluations, want.evaluations)
+    assert_same(index.search(queries, K), shard.search(queries, K))
+
+
+@pytest.mark.parametrize("backend,dtype", [("gkmeans", "float64"),
+                                           ("nndescent", "float64"),
+                                           ("bruteforce", "float32")])
+def test_one_shard_index_answers_its_shards_walk(corpus, backend, dtype):
     base, extra, queries = corpus
-    spec = IndexSpec(backend=backend, n_neighbors=KAPPA, dtype="float64",
+    spec = IndexSpec(backend=backend, n_neighbors=KAPPA, dtype=dtype,
                      random_state=3)
-    mono = Index.build(base, spec)
-    with ShardedIndex.build(base, spec.replace(n_shards=1)) as sharded:
-        assert_same_answers(mono, sharded, queries)
+    with Index.build(base, spec) as index:
+        assert_walk_answers(index, queries)
+        index.insert(extra)
+        index.delete(index.ids[::7])
+        assert_walk_answers(index, queries)
+        index.compact()
+        assert_walk_answers(index, queries)
 
-        new_ids = mono.insert(extra)
-        assert np.array_equal(sharded.insert(extra), new_ids)
-        victims = mono.ids[::7]
-        assert mono.delete(victims) == sharded.delete(victims)
-        assert_same_answers(mono, sharded, queries)
 
-        assert mono.compact() == sharded.compact()
-        assert_same_answers(mono, sharded, queries)
+def test_one_shard_index_serves_remotely_bitwise(corpus):
+    base, _, queries = corpus
+    spec = IndexSpec(backend="bruteforce", n_neighbors=KAPPA,
+                     dtype="float32", random_state=3)
+    with Index.build(base, spec) as index, \
+            ShardServer(index.shards[0]) as server:
+        server.start()
+        index.endpoints = [server.endpoint]
+        for request in (queries, queries[0]):
+            remote = index.search(request, K, executor="remote")
+            assert remote.stats.executor == "remote"
+            assert_same(remote, index.search(request, K, executor="thread"))

@@ -7,11 +7,11 @@ the future and every retired version — must raise ``ValidationError``
 (never a ``TypeError``, a ``BadZipFile`` or a silently truncated id) from
 every entry point that reads the damaged format:
 
-* index-file cases through ``Index.load``, ``ShardedIndex.load`` (the file
-  is shard 0 of a directory) and ``load_shard_for_serving`` (the file
+* index-file cases through ``Index.load`` (of the file itself, and of the
+  directory whose shard 0 it is) and ``load_shard_for_serving`` (the file
   itself, and the directory);
-* manifest cases through ``ShardedIndex.load``, ``load_shard_for_serving``
-  and ``Rebalancer.inspect``.
+* manifest cases through ``Index.load``, ``load_shard_for_serving`` and
+  ``Rebalancer.inspect``.
 
 Files of retired versions, fabricated by ``_legacy_formats``, must migrate
 to an index serving bit for bit what the original served, and a second
@@ -51,8 +51,6 @@ from repro.index import (
     Index,
     IndexSpec,
     Rebalancer,
-    ShardedIndex,
-    build_index,
 )
 from repro.index.facade import FORMAT_VERSION
 from repro.index.sharded import (
@@ -81,7 +79,7 @@ def saved(corpus, tmp_path_factory):
     with Index.build(base, spec) as index:
         index.save(mono)
     directory = root / "corpus.shards"
-    with ShardedIndex.build(base, spec.replace(
+    with Index.build(base, spec.replace(
             n_shards=3, partitioner="gkmeans")) as sharded:
         sharded.save(directory)
     return mono, directory
@@ -193,7 +191,7 @@ def _index_file_readers(directory):
     shard_file = directory / "shard_0000.idx"
     return {
         "Index.load": lambda: Index.load(shard_file),
-        "ShardedIndex.load": lambda: ShardedIndex.load(directory),
+        "Index.load(directory)": lambda: Index.load(directory),
         "load_shard_for_serving(file)":
             lambda: load_shard_for_serving(shard_file),
         "load_shard_for_serving(directory)":
@@ -203,7 +201,7 @@ def _index_file_readers(directory):
 
 def _manifest_readers(directory):
     return {
-        "ShardedIndex.load": lambda: ShardedIndex.load(directory),
+        "Index.load(directory)": lambda: Index.load(directory),
         "load_shard_for_serving": lambda: load_shard_for_serving(directory),
         "Rebalancer.inspect": lambda: _inspect(directory),
     }
@@ -282,7 +280,7 @@ class TestReaderContract:
                            match=f"format version 1 is no longer read — "
                                  f"run `gkmeans migrate .*` to rewrite it "
                                  f"at version {version}"):
-            ShardedIndex.load(directory)
+            Index.load(directory)
 
 
 def _assert_refused(readers):
@@ -342,7 +340,7 @@ class TestMigrate:
         (and a daemon serving it alone) answers in global ids again."""
         _, queries = corpus
         path = _copy(saved, tmp_path)
-        with ShardedIndex.load(path) as original:
+        with Index.load(path) as original:
             expected = original.search(queries, 8)
             write_manifest_version(path, version, shard_version)
             with np.load(path / "shard_0001.idx") as archive:
@@ -350,11 +348,11 @@ class TestMigrate:
                     assert np.array_equal(archive["ids"], np.arange(
                         original.shards[1].n_rows))
             with pytest.raises(ValidationError, match="gkmeans migrate"):
-                ShardedIndex.load(path)
+                Index.load(path)
             with pytest.raises(ValidationError, match="gkmeans migrate"):
                 load_shard_for_serving(path, 1)
             assert migrate(path)
-            with ShardedIndex.load(path) as migrated:
+            with Index.load(path) as migrated:
                 got = migrated.search(queries, 8)
                 assert migrated.spec == original.spec
                 assert migrated.generation == original.generation
@@ -459,7 +457,7 @@ def cosine_saved(corpus, tmp_path_factory):
     with Index.build(base, spec) as index:
         index.save(mono)
     directory = root / "corpus.shards"
-    with ShardedIndex.build(base, spec.replace(
+    with Index.build(base, spec.replace(
             n_shards=2, partitioner="gkmeans")) as sharded:
         sharded.save(directory)
     return mono, directory
@@ -485,7 +483,7 @@ RETIRED_READERS = {
     "Index.load(shard)":
         lambda mono, directory: Index.load(directory / "shard_0001.idx"),
     "read_manifest": lambda mono, directory: read_manifest(directory),
-    "ShardedIndex.load": lambda mono, directory: ShardedIndex.load(directory),
+    "Index.load(directory)": lambda mono, directory: Index.load(directory),
     "load_shard_for_serving(file)":
         lambda mono, directory: load_shard_for_serving(mono),
     "load_shard_for_serving(directory)":
@@ -533,7 +531,7 @@ def gkmeans_saved(corpus, tmp_path_factory):
     with Index.build(base, spec) as index:
         index.save(mono)
     directory = root / "corpus.shards"
-    with ShardedIndex.build(base, spec.replace(
+    with Index.build(base, spec.replace(
             n_shards=2, partitioner="gkmeans")) as sharded:
         sharded.save(directory)
     return mono, directory
@@ -570,8 +568,8 @@ class TestRetiredParams:
         shutil.copytree(gkmeans_saved[1], directory)
         for name in (MANIFEST_NAME, "shard_0000.idx", "shard_0001.idx"):
             write_retired_params(directory / name)
-        with ShardedIndex.load(gkmeans_saved[1]) as original, \
-                ShardedIndex.load(directory) as loaded:
+        with Index.load(gkmeans_saved[1]) as original, \
+                Index.load(directory) as loaded:
             assert loaded.spec == original.spec
             expected, got = original.search(queries, 8), \
                 loaded.search(queries, 8)
@@ -625,8 +623,8 @@ _RETIRED_KEYWORD_CALLS = {
         symmetrize=True),
     "IndexSpec.replace(symmetrize=)":
         lambda base, queries, graph, spec: spec.replace(symmetrize=False),
-    "build_index(symmetrize=)": lambda base, queries, graph, spec:
-        build_index(base, backend="bruteforce", symmetrize=True),
+    "Index.build(symmetrize=)": lambda base, queries, graph, spec:
+        Index.build(base, backend="bruteforce", symmetrize=True),
     "GraphSearcher(symmetrize=)": lambda base, queries, graph, spec:
         GraphSearcher(base, graph, symmetrize=True),
     "GraphSearcher(data_norms=)": lambda base, queries, graph, spec:
@@ -677,8 +675,8 @@ class TestRetiredServingFields:
         names = (MANIFEST_NAME, "shard_0000.idx", "shard_0001.idx")
         for name in names:
             write_retired_serving_fields(directory / name, fields)
-        with ShardedIndex.load(gkmeans_saved[1]) as original, \
-                ShardedIndex.load(directory) as loaded:
+        with Index.load(gkmeans_saved[1]) as original, \
+                Index.load(directory) as loaded:
             assert loaded.spec == original.spec
             expected, got = original.search(queries, 8), \
                 loaded.search(queries, 8)
@@ -742,8 +740,8 @@ class TestRetiredServingFields:
         for name in names:
             write_retired_serving_fields(directory / name, fields)
         assert migrate(directory)
-        with ShardedIndex.load(saved[1]) as original, \
-                ShardedIndex.load(directory) as migrated:
+        with Index.load(saved[1]) as original, \
+                Index.load(directory) as migrated:
             assert migrated.spec == original.spec
             expected, got = original.search(queries, 8), \
                 migrated.search(queries, 8)
@@ -765,8 +763,8 @@ class TestRetiredServingFields:
         for name in ("shard_0000.idx", "shard_0001.idx"):
             bad = _TAMPERED_NORMS[tamper](_saved_norms(directory / name))
             _rewritten("norms", lambda _: bad)(directory / name)
-        with ShardedIndex.load(gkmeans_saved[1]) as original, \
-                ShardedIndex.load(directory) as loaded:
+        with Index.load(gkmeans_saved[1]) as original, \
+                Index.load(directory) as loaded:
             expected, got = original.search(queries, 8), \
                 loaded.search(queries, 8)
         assert got[0].tobytes() == expected[0].tobytes()

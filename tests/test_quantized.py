@@ -31,7 +31,8 @@ from repro.distance import (
 )
 from repro.exceptions import GraphError, ValidationError
 from repro.graph import CSRAdjacency, brute_force_knn_graph
-from repro.index import Index, IndexSpec, ShardedIndex
+from repro.index import Index, IndexSpec
+from repro.index._shard import _Shard
 from repro.index.facade import FORMAT_VERSION
 from repro.index.sharded import migrate
 from repro.search import GraphSearcher, frontier_batch_search
@@ -252,7 +253,7 @@ class TestQuantizedRecallFloor:
     def test_direct_walk_matches_index_surface(self, corpus):
         base, queries = corpus
         index = Index.build(base, _spec(quantize="int8"))
-        searcher = index._searcher
+        searcher = index.shards[0]._searcher
         idx, dist, evals, stats = quantized_batch_search(
             searcher.data, searcher._adjacency, index.engine_.prepare(
                 queries), 8, searcher._quantized_scorer(),
@@ -331,12 +332,12 @@ class TestQuantizedPersistence:
     def test_sharded_int8_roundtrip(self, corpus, tmp_path):
         base, queries = corpus
         spec = _spec(quantize="int8", n_shards=3, partitioner="gkmeans")
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         path = tmp_path / "q.shards"
         sharded.save(path)
         with np.load(path / "manifest.npz", allow_pickle=False) as archive:
             assert int(archive["sharded_format_version"]) == 6
-        restored = ShardedIndex.load(path)
+        restored = Index.load(path)
         try:
             assert restored.spec.quantize == "int8"
             for shard in restored.shards:
@@ -352,14 +353,14 @@ class TestQuantizedPersistence:
                                                     version):
         base, queries = corpus
         spec = _spec(n_shards=3, partitioner="gkmeans")
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         path = tmp_path / "old.shards"
         sharded.save(path)
         write_manifest_version(path, version)
         with pytest.raises(ValidationError, match="gkmeans migrate"):
-            ShardedIndex.load(path)
+            Index.load(path)
         assert migrate(path)
-        restored = ShardedIndex.load(path)
+        restored = Index.load(path)
         try:
             assert restored.spec.quantize == "none"
             assert before_eq_after(sharded, restored, queries)
@@ -386,7 +387,7 @@ class TestQuantizedExecutors:
         spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=3,
                          partitioner="gkmeans", quantize="int8",
                          random_state=11)
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         path = tmp_path_factory.mktemp("quantized") / "served.shards"
         sharded.save(path)
         yield sharded, queries, path
@@ -406,7 +407,7 @@ class TestQuantizedExecutors:
 
     def test_round_trip_from_disk(self, quantized_sharded):
         sharded, queries, path = quantized_sharded
-        restored = ShardedIndex.load(path)
+        restored = Index.load(path)
         try:
             assert self._search_bytes(restored, queries, shard_workers=2) \
                 == self._search_bytes(sharded, queries, shard_workers=1)
@@ -454,11 +455,12 @@ class TestQuantizedExecutors:
     def _requantized(sharded, quantize):
         """Serve ``sharded``'s shard graphs under another kernel family:
         only the in-memory code matrices differ, the graphs are shared."""
-        shards = [Index(shard.data, shard.graph,
-                        shard.spec.replace(quantize=quantize), ids=shard.ids)
+        shards = [_Shard(shard.data, shard.graph,
+                         shard.spec.replace(quantize=quantize), ids=shard.ids)
                   for shard in sharded.shards]
-        return ShardedIndex(shards, sharded.spec.replace(quantize=quantize),
-                            centroids=sharded.centroids)
+        return Index._from_shards(
+            shards, sharded.spec.replace(quantize=quantize),
+            centroids=sharded.centroids)
 
     @pytest.mark.parametrize("quantize", QUANTIZE_MODES)
     def test_requantized_shard_graphs_repeat_and_keep_recall(

@@ -1,8 +1,8 @@
 """Shard rebalancing contract: rebalanced == a fresh build of the live rows.
 
-``ShardedIndex.rebalance()`` runs the live rows through the build's own
+``Index.rebalance()`` runs the live rows through the build's own
 partition and shard builds, so after any insert/delete/compact drift its
-searches must be bitwise those of ``ShardedIndex.build`` over the same rows
+searches must be bitwise those of ``Index.build`` over the same rows
 (ids mapped back through the live ids): across metric × dtype, both
 partitioners, every executor and hypothesis-generated drift, and still equal
 to a rebuild-from-scratch exhaustive oracle up to bitwise distance ties.  A
@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import ServingError, ValidationError
-from repro.index import Index, IndexSpec, Rebalancer, ShardedIndex
+from repro.index import Index, IndexSpec, Rebalancer
+from repro.index._shard import _Shard
 from repro.index.sharded import MANIFEST_NAME, SHARDED_FORMAT_VERSION, migrate
 from repro.search import evaluate_search
 
@@ -78,11 +79,11 @@ def _rebuild_oracle(full_data, live_ids, metric, dtype):
 
 
 def _assert_matches_fresh_build(sharded, queries, k=8):
-    """``sharded`` answers bitwise as ``ShardedIndex.build`` over its live
+    """``sharded`` answers bitwise as ``Index.build`` over its live
     rows does — routed at one probe and at full fan-out — with the fresh
     build's positional ids mapped back through the live ids."""
     rows, live_ids = sharded.evaluation_corpus
-    with ShardedIndex.build(rows, sharded.spec) as fresh:
+    with Index.build(rows, sharded.spec) as fresh:
         assert fresh.shard_sizes == sharded.shard_sizes
         probes = [None] if sharded.centroids is None else [1, None]
         for probe in probes:
@@ -119,7 +120,7 @@ def _drifted(corpus, metric, dtype, **spec_overrides):
     spec_overrides.setdefault("partitioner", "gkmeans")
     spec = _exhaustive_spec(base.shape[0], metric, dtype, n_shards=3,
                             **spec_overrides)
-    sharded = ShardedIndex.build(base, spec)
+    sharded = Index.build(base, spec)
     sharded.insert(extra)
     sharded.delete(deleted)
     full = np.vstack([base, extra])
@@ -135,16 +136,16 @@ def _starved(corpus):
     base, _, _ = corpus
     spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
                             n_shards=3, partitioner="gkmeans")
-    built = ShardedIndex.build(base, spec)
+    built = Index.build(base, spec)
     shards = []
     for index in built.shards:
         tombstones = np.ones(index.n_rows, dtype=bool)
         tombstones[0] = False
-        shards.append(Index(index.data, index.graph, index.spec,
-                            ids=index.ids, tombstones=tombstones,
-                            seed_labels=index.seed_labels))
-    return ShardedIndex(shards, spec, centroids=built.centroids,
-                        generation=4)
+        shards.append(_Shard(index.data, index.graph, index.spec,
+                             ids=index.ids, tombstones=tombstones,
+                             seed_labels=index.seed_labels))
+    return Index._from_shards(shards, spec, centroids=built.centroids,
+                              generation=4)
 
 
 class TestRebalanceOracle:
@@ -177,7 +178,7 @@ class TestRebalanceOracle:
         # The save/load round-trip serves the rebalanced state verbatim.
         path = tmp_path / f"{metric}-{dtype}.shards"
         sharded.save(path)
-        restored = ShardedIndex.load(path)
+        restored = Index.load(path)
         try:
             r_idx, r_dist = restored.search(queries, 10)
             assert r_idx.tobytes() == s_idx.tobytes()
@@ -268,7 +269,7 @@ class TestGeneratedDrift:
         spec = IndexSpec(backend="bruteforce", n_neighbors=3, pool_size=4,
                          n_starts=1, n_shards=3, partitioner=partitioner,
                          metric=metric, dtype=dtype, random_state=3)
-        with ShardedIndex.build(_DRIFT_BASE, spec) as sharded:
+        with Index.build(_DRIFT_BASE, spec) as sharded:
             cursor = 0
             for op in ops:
                 floor = sharded._next_id
@@ -290,7 +291,7 @@ class TestGeneratedDrift:
             rows, live_ids = sharded.evaluation_corpus
             next_id = sharded._next_id
             try:
-                ShardedIndex.build(rows, spec).close()
+                Index.build(rows, spec).close()
             except ValidationError:
                 # The partition starves a shard: the pass must refuse the
                 # same way and leave every piece of state where it was.
@@ -326,7 +327,7 @@ class TestRebalanceContract:
         spec = IndexSpec(backend="gkmeans", n_neighbors=20, pool_size=64,
                          n_shards=4, partitioner="gkmeans", random_state=7,
                          params={"tau": 6, "cluster_size": 50})
-        with ShardedIndex.build(base, spec) as sharded:
+        with Index.build(base, spec) as sharded:
             victim_ids = sharded.shard_ids[0][sharded.shards[0].live_mask]
             deleted = victim_ids[20:]
             sharded.delete(deleted.tolist())
@@ -347,7 +348,7 @@ class TestRebalanceContract:
                 f"rebalance lost routed recall: {drifted:.3f} -> " \
                 f"{rebalanced:.3f}"
             rows, _ = sharded.evaluation_corpus
-            with ShardedIndex.build(rows, spec) as fresh:
+            with Index.build(rows, spec) as fresh:
                 rebuilt = routed_recall(fresh)
             assert rebalanced == rebuilt, \
                 f"rebalanced recall {rebalanced:.3f} != fresh build " \
@@ -404,7 +405,7 @@ class TestRebalanceContract:
         for partitioner in ("gkmeans", "round_robin"):
             spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
                                     n_shards=3, partitioner=partitioner)
-            with ShardedIndex.build(base, spec) as sharded:
+            with Index.build(base, spec) as sharded:
                 report = sharded.rebalance()
                 assert not report.changed
                 assert sharded.generation == 0
@@ -435,12 +436,24 @@ class TestRebalanceContract:
         assert open(os.path.join(path, MANIFEST_NAME), "rb").read() \
             == manifest
 
-    def test_mono_index_has_no_rebalance(self, corpus):
-        base, _, _ = corpus
+    def test_one_shard_rebalance_equals_a_fresh_build(self, corpus):
+        """One shard is the S = 1 case of the same pass: after drift its
+        searches are bitwise a fresh build's over the live rows, and a
+        second pass changes nothing."""
+        base, extra, queries = corpus
         index = Index.build(base, _exhaustive_spec(base.shape[0],
                                                    "sqeuclidean",
                                                    "float64"))
-        assert not hasattr(index, "rebalance")
+        assert not index.rebalance().changed
+        index.insert(extra, ids=np.arange(1000, 1000 + extra.shape[0])[::-1])
+        index.delete([11, 140, 275])
+        report = index.rebalance()
+        assert report.changed and index.n_tombstones == 0
+        assert report.shard_sizes_after == (base.shape[0] + extra.shape[0]
+                                            - 3,)
+        assert index.generation == index.shard_generations[0] == 3
+        _assert_matches_fresh_build(index, queries)
+        assert not index.rebalance().changed
 
 
 class TestManifestCompat:
@@ -450,7 +463,7 @@ class TestManifestCompat:
         base, extra, _ = corpus
         spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
                                 n_shards=3, partitioner="gkmeans")
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         sharded.insert(extra)
         path = tmp_path / name
         sharded.save(path)
@@ -474,7 +487,7 @@ class TestManifestCompat:
             assert int(archive["sharded_format_version"]) \
                 == SHARDED_FORMAT_VERSION
             assert "shard_generations" in archive.files
-        restored = ShardedIndex.load(path)
+        restored = Index.load(path)
         try:
             assert restored.n_shards == 3
             _assert_matches_fresh_build(restored, corpus[2])
@@ -486,7 +499,7 @@ class TestManifestCompat:
         path = self._saved(corpus, tmp_path, "v1.shards")
         write_manifest_version(path, 1)
         assert migrate(path)
-        restored = ShardedIndex.load(path)    # loads and serves
+        restored = Index.load(path)    # loads and serves
         try:
             assert restored.centroids is None
             assert restored.rebalance().changed
@@ -499,13 +512,13 @@ class TestManifestCompat:
             self, corpus, tmp_path, monkeypatch):
         base, extra, queries = corpus
         path = self._saved(corpus, tmp_path, "crash.shards")
-        original = ShardedIndex.load(path)
+        original = Index.load(path)
         baseline_idx, baseline_dist = original.search(queries, 8)
         manifest_before = open(os.path.join(path, MANIFEST_NAME),
                                "rb").read()
         original.close()
 
-        victim = ShardedIndex.load(path)
+        victim = Index.load(path)
         victim.delete([0, 1, 2])
         report = victim.rebalance()
         assert report.changed
@@ -526,7 +539,7 @@ class TestManifestCompat:
         # and serves exactly the pre-crash answers.
         assert open(os.path.join(path, MANIFEST_NAME), "rb").read() \
             == manifest_before
-        survivor = ShardedIndex.load(path)
+        survivor = Index.load(path)
         try:
             s_idx, s_dist = survivor.search(queries, 8)
             assert s_idx.tobytes() == baseline_idx.tobytes()
@@ -545,7 +558,7 @@ class TestRebalancerDriver:
         base, extra, queries = corpus
         spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
                                 n_shards=2, partitioner="gkmeans")
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         path = tmp_path / "deployed.shards"
         sharded.save(path)
         servers = []
@@ -613,15 +626,32 @@ class TestRebalancerDriver:
         assert rows[1]["error"] is not None and "unreachable" \
             in rows[1]["error"]
 
-    def test_single_file_index_is_rejected(self, corpus, tmp_path):
-        base, _, _ = corpus
+    def test_single_file_index_rebalances_in_place(self, corpus, tmp_path):
+        """A single-file index rebalances like a directory, stays one file,
+        and its one daemon is reloaded onto the new generation."""
+        from repro.net import ShardServer, load_shard_for_serving
+
+        base, _, queries = corpus
         index = Index.build(base, _exhaustive_spec(base.shape[0],
                                                    "sqeuclidean",
                                                    "float64"))
+        index.delete([3, 57])
         path = tmp_path / "mono.idx"
         index.save(path)
-        with pytest.raises(ValidationError, match="sharded"):
-            Rebalancer(path).run()
+        shard, _, generation, _ = load_shard_for_serving(path)
+        with ShardServer(shard, generation=generation,
+                         source_path=path) as server:
+            server.start()
+            rebalancer = Rebalancer(path, endpoints=[server.endpoint])
+            assert [row["stale"] for row in rebalancer.inspect()] == [False]
+            report, reloads = rebalancer.run()
+            assert report.changed
+            assert [row["status"] for row in reloads] == ["reloaded"]
+            assert server.generation == generation + 1
+        assert path.is_file()
+        with Index.load(path) as loaded:
+            assert loaded.n_tombstones == 0
+            _assert_matches_fresh_build(loaded, queries)
 
 
 class TestPreflight:
@@ -633,7 +663,7 @@ class TestPreflight:
         base, _, queries = corpus
         spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
                                 n_shards=2, partitioner="gkmeans")
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         server = ShardServer(sharded.shards[0], shard_id=0,
                              generation=sharded.shards[0].generation)
         try:
@@ -652,7 +682,7 @@ class TestPreflight:
         base, _, _ = corpus
         spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
                                 n_shards=2, partitioner="gkmeans")
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         try:
             with pytest.raises(ServingError, match="endpoint"):
                 sharded.check_endpoints()

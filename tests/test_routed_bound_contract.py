@@ -1,6 +1,6 @@
 """Contract of the routed search's cap.
 
-A routed ``ShardedIndex.search`` walks each query's nearest shard first
+A routed ``Index.search`` walks each query's nearest shard first
 and caps its other probed shards at the k-th distance that shard
 returned.  The reference here is the uncapped routed search rebuilt from
 public calls: every probed shard serves the query with
@@ -22,7 +22,7 @@ import pytest
 from repro.datasets import make_sift_like, train_query_split
 from repro.distance import DistanceEngine
 from repro.graph.bruteforce import brute_force_neighbors
-from repro.index import IndexSpec, ShardedIndex
+from repro.index import Index, IndexSpec
 
 K = 10
 N_SHARDS = 4
@@ -43,11 +43,11 @@ def routed(request, corpus):
                      n_shards=N_SHARDS, partitioner="gkmeans",
                      random_state=7, quantize=request.param,
                      params={"tau": 6, "cluster_size": 50})
-    with ShardedIndex.build(base, spec) as index:
+    with Index.build(base, spec) as index:
         yield index
 
 
-def uncapped_reference(index: ShardedIndex, queries: np.ndarray,
+def uncapped_reference(index: Index, queries: np.ndarray,
                        probe: int) -> tuple:
     """``(ids, distances, evaluations)`` of the uncapped routed search:
     each query's ``probe`` nearest centroids (squared-Euclidean, ties to the

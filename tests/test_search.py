@@ -8,7 +8,7 @@ from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import GraphError, ValidationError
 from repro.graph import KNNGraph, brute_force_knn_graph
 from repro.graph.bruteforce import brute_force_neighbors
-from repro.index import Index, IndexSpec, ShardedIndex
+from repro.index import Index, IndexSpec
 from repro.search import (GraphSearcher, SearchResult, evaluate_search,
                           frontier_batch_search)
 
@@ -129,7 +129,7 @@ class TestEvaluateSearch:
         keyword is a ``TypeError``."""
         base, queries, graph = search_setup
         searcher = GraphSearcher(base, graph, random_state=0)
-        with pytest.raises(ValidationError, match="Index or a ShardedIndex"):
+        with pytest.raises(ValidationError, match="needs an Index"):
             evaluate_search(searcher, queries[:4], n_results=3)
         for batch in (True, False):
             with pytest.raises(TypeError, match="batch"):
@@ -137,12 +137,13 @@ class TestEvaluateSearch:
                                 n_results=3, batch=batch)
 
     def test_serves_a_sharded_index_in_one_batch(self, search_setup):
-        """A ``ShardedIndex`` is evaluated on the answers of one batched
-        search: its per-query evaluation counts are that search's."""
+        """An index of several shards is evaluated on the answers of one
+        batched search: its per-query evaluation counts are that
+        search's."""
         base, queries, _ = search_setup
         spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=2,
                          random_state=0)
-        with ShardedIndex.build(base, spec) as index:
+        with Index.build(base, spec) as index:
             expected = index.search(queries[:12], 4)
             evaluation = evaluate_search(index, queries[:12], n_results=4)
         assert evaluation.per_query_evaluations == \

@@ -1,8 +1,8 @@
 """The ``SearchResult`` contract: every search returns its own record.
 
 A search's answer and its cost travel together.  At every layer —
-``GraphSearcher``, ``Index`` and ``ShardedIndex`` over the thread and the
-remote executor — the result unpacks as exactly ``(indices, distances)``,
+``GraphSearcher``, and ``Index`` at one and at two shards over the thread
+and the remote executor — the result unpacks as exactly ``(indices, distances)``,
 carries the per-query ``evaluations`` and the call's ``stats``, and
 survives the pickle round trip the wire puts a shard's reply through.
 """
@@ -16,13 +16,14 @@ import pytest
 
 from repro.datasets import make_sift_like, train_query_split
 from repro.graph import brute_force_knn_graph
-from repro.index import Index, IndexSpec, ShardedIndex, ShardedServingStats
+from repro.index import Index, IndexSpec, ShardedServingStats
 from repro.net import ShardServer
 from repro.net.framing import FRAME_RESULT, HEADER, encode_frame, loads
 from repro.search import GraphSearcher, SearchResult, ServingStats
 
 K = 5
-LAYERS = ("graph_searcher", "index", "sharded_thread", "sharded_remote")
+LAYERS = ("graph_searcher", "index", "index_remote", "sharded_thread",
+          "sharded_remote")
 
 
 @pytest.fixture(scope="module")
@@ -39,23 +40,27 @@ def layers(corpus):
     searcher = GraphSearcher(base, brute_force_knn_graph(base, 8),
                              random_state=8)
     index = Index.build(base, spec)
-    sharded = ShardedIndex.build(base, spec.replace(n_shards=2,
+    sharded = Index.build(base, spec.replace(n_shards=2,
                                                     partitioner="gkmeans"))
     servers = [ShardServer(shard, shard_id=s)
                for s, shard in enumerate(sharded.shards)]
+    servers.append(ShardServer(index.shards[0]))
     for server in servers:
         server.start()
-    sharded.endpoints = [server.endpoint for server in servers]
+    sharded.endpoints = [server.endpoint for server in servers[:2]]
+    index.endpoints = [servers[2].endpoint]
 
-    def on(executor):
-        return lambda queries: sharded.search(queries, K, executor=executor)
+    def on(executor, target=sharded):
+        return lambda queries: target.search(queries, K, executor=executor)
 
     yield {
         "graph_searcher": (lambda queries: searcher.batch_query(queries, K),
                            lambda query: searcher.query(query, K),
                            ServingStats),
         "index": (lambda queries: index.search(queries, K),
-                  lambda query: index.search(query, K), ServingStats),
+                  lambda query: index.search(query, K), ShardedServingStats),
+        "index_remote": (on("remote", index), on("remote", index),
+                         ShardedServingStats),
         "sharded_thread": (on("thread"), on("thread"), ShardedServingStats),
         "sharded_remote": (on("remote"), on("remote"), ShardedServingStats),
     }
@@ -123,7 +128,7 @@ def test_bench_facing_properties_track_the_latest_result(corpus, sharded):
     base, queries = corpus
     spec = IndexSpec(backend="bruteforce", n_neighbors=8, random_state=8,
                      n_shards=2 if sharded else 1)
-    with (ShardedIndex if sharded else Index).build(base, spec) as index:
+    with Index.build(base, spec) as index:
         assert index.last_n_evaluations == 0
         assert index.last_serving_stats is None
         for request in (queries, queries[0], queries[:4]):

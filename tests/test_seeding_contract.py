@@ -90,7 +90,7 @@ def test_seeds_depend_on_the_query_alone(corpus, recorded, tmp_path, metric,
     with Index.load(tmp_path / "index.idx") as restored:
         restored.search(queries, K)
     _assert_same_seeds(whole, recorded[-1], "save/load")
-    searcher = index._searcher
+    searcher = index.shards[0]._searcher
     for max_group in (1, 7, None) if quantize == "none" else ():
         frontier_batch_search(
             searcher.data, searcher._adjacency, queries, K,
@@ -133,7 +133,7 @@ def test_each_query_is_charged_its_seeding_and_its_walk(corpus, recorded,
     with _index(base, metric, dtype, quantize) as index:
         charged = index.search(queries, K).evaluations
     seeds = recorded[-1]
-    partition = index._searcher._partition
+    partition = index.shards[0]._searcher._partition
     probed = np.searchsorted(partition.clusters, seeds.clusters)
     assert np.array_equal(seeds.evaluations,
                           partition.clusters.size + partition.sizes[probed])
@@ -142,7 +142,7 @@ def test_each_query_is_charged_its_seeding_and_its_walk(corpus, recorded,
         return
     # Replay the walk alone, from the same seeds with seeding charged
     # nothing: what is left of the charge is exactly the walk's.
-    searcher, engine = index._searcher, index.engine_
+    searcher, engine = index.shards[0]._searcher, index.engine_
     prepared = engine.prepare(queries)
     score = exact_scorer(engine, searcher.data, searcher._data_norms,
                          prepared, engine.norms(prepared))

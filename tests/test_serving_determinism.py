@@ -12,7 +12,7 @@ The sharded layer extends the contract on two axes (the ``TestShard*``
 classes below):
 
 * ``shard_workers`` — the shard fan-out — is bit-for-bit invariant, like
-  ``workers``, including across a ``ShardedIndex.save``/``load`` round-trip.
+  ``workers``, including across an ``Index.save``/``load`` round-trip.
 * ``n_shards`` itself changes only *where* vectors live, not what a search
   returns: in the exhaustive regime (candidate pool covering every shard,
   entry sample scoring every point) sharded results must equal the
@@ -28,7 +28,7 @@ import pytest
 from repro.datasets import make_sift_like, train_query_split
 from repro.exceptions import ValidationError
 from repro.graph import brute_force_knn_graph
-from repro.index import Index, IndexSpec, ShardedIndex
+from repro.index import Index, IndexSpec, ShardedServingStats
 from repro.search import (
     GraphSearcher,
     ServingStats,
@@ -141,14 +141,21 @@ class TestServingStatsSurface:
     def test_stats_describe_the_walk(self, served_index, serving_setup):
         _, queries, _ = serving_setup
         stats = served_index.search(queries, 6, workers=2).stats
-        assert isinstance(stats, ServingStats)
+        assert isinstance(stats, ShardedServingStats)
+        assert (stats.n_shards, stats.shard_probe, stats.routing_gemms) \
+            == (1, 1, 0)
         assert stats.n_queries == queries.shape[0]
-        assert stats.max_group == 32
-        assert stats.n_groups == len(stats.group_rounds) \
-            == len(stats.group_gemms) == len(stats.group_seconds)
-        assert sum(stats.group_sizes) == queries.shape[0]
-        assert stats.n_rounds >= stats.n_gemms >= stats.n_groups
-        assert stats.total_seconds > 0
+        (walk,) = stats.shard_stats
+        assert isinstance(walk, ServingStats)
+        assert walk.n_queries == queries.shape[0]
+        assert walk.max_group == 32
+        assert walk.n_groups == len(walk.group_rounds) \
+            == len(walk.group_gemms) == len(walk.group_seconds)
+        assert sum(walk.group_sizes) == queries.shape[0]
+        assert walk.n_rounds >= walk.n_gemms >= walk.n_groups
+        assert (stats.n_groups, stats.n_rounds, stats.n_gemms) \
+            == (walk.n_groups, walk.n_rounds, walk.n_gemms)
+        assert stats.total_seconds >= walk.total_seconds > 0
         assert stats.queries_per_second > 0
 
     def test_every_search_publishes_a_stats_record(
@@ -228,7 +235,7 @@ class TestShardCountInvariance:
         # differently; the tolerance only widens which pairs count as ties.
         rtol = 1e-9 if dtype == "float64" else 1e-5
         for n_shards in SHARD_COUNTS:
-            sharded = ShardedIndex.build(
+            sharded = Index.build(
                 base, spec.replace(n_shards=n_shards))
             s_idx, s_dist = sharded.search(queries, 10)
             label = f"{metric}/{dtype}/n_shards={n_shards}"
@@ -237,7 +244,7 @@ class TestShardCountInvariance:
             # ... and the save/load round-trip serves the same bytes.
             path = tmp_path / f"{metric}-{dtype}-{n_shards}.shards"
             sharded.save(path)
-            restored = ShardedIndex.load(path)
+            restored = Index.load(path)
             r_idx, r_dist = restored.search(queries, 10)
             assert r_idx.tobytes() == s_idx.tobytes()
             assert r_dist.tobytes() == s_dist.tobytes()
@@ -247,7 +254,7 @@ class TestShardCountInvariance:
         spec = _exhaustive_spec(base.shape[0], "sqeuclidean", "float64",
                                 n_shards=3, partitioner="gkmeans")
         oracle = Index.build(base, spec.replace(n_shards=1))
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         o_idx, o_dist = oracle.search(queries, 10)
         s_idx, s_dist = sharded.search(queries, 10)
         _assert_rows_match_up_to_ties(s_idx, s_dist, o_idx, o_dist,
@@ -263,7 +270,7 @@ class TestShardFanOutDeterminism:
         base, queries = train_query_split(corpus, 64, random_state=17)
         spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=4,
                          workers=2, random_state=13)
-        return ShardedIndex.build(base, spec), queries
+        return Index.build(base, spec), queries
 
     @staticmethod
     def _search_bytes(index, queries, **kwargs):
@@ -293,7 +300,7 @@ class TestShardFanOutDeterminism:
         sharded, queries = served_sharded
         path = tmp_path / "served.shards"
         sharded.save(path)
-        restored = ShardedIndex.load(path)
+        restored = Index.load(path)
         assert restored.spec.workers == 2
         assert self._search_bytes(restored, queries, shard_workers=4) \
             == self._search_bytes(sharded, queries, shard_workers=1)
@@ -312,9 +319,9 @@ class TestRoutedSearchDeterminism:
     """``shard_probe`` routes deterministically; ``P = S`` IS the fan-out.
 
     The routing decision (one query-vs-centroids gemm + stable argsort) and
-    the scatter-merge run before/after the per-shard walks, so like every
-    other serving knob ``shard_workers`` must stay a pure throughput axis —
-    routed results are bit-for-bit identical at every fan-out level, across
+    the concatenate-and-sort merge run before/after the per-shard walks, so
+    like every other serving knob ``shard_workers`` must stay a pure
+    throughput axis — routed results are bit-for-bit identical at every fan-out level, across
     repeats and across a save/load round-trip.  ``shard_probe = n_shards``
     must take the existing full fan-out path unchanged, byte for byte.
     """
@@ -329,7 +336,7 @@ class TestRoutedSearchDeterminism:
         base, _ = routed_setup
         spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=4,
                          partitioner="gkmeans", random_state=5)
-        return ShardedIndex.build(base, spec)
+        return Index.build(base, spec)
 
     @staticmethod
     def _search_bytes(index, queries, **kwargs):
@@ -343,7 +350,7 @@ class TestRoutedSearchDeterminism:
         spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=4,
                          partitioner="gkmeans", metric=metric, dtype=dtype,
                          random_state=5)
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         assert self._search_bytes(sharded, queries, shard_probe=4) \
             == self._search_bytes(sharded, queries)
 
@@ -378,7 +385,7 @@ class TestRoutedSearchDeterminism:
         _, queries = routed_setup
         path = tmp_path / "routed.shards"
         routed_index.save(path)
-        restored = ShardedIndex.load(path)
+        restored = Index.load(path)
         assert np.array_equal(restored.centroids, routed_index.centroids)
         for probe in (1, 2, 4):
             assert self._search_bytes(restored, queries, shard_probe=probe,
@@ -391,7 +398,7 @@ class TestRoutedSearchDeterminism:
         spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=4,
                          partitioner="gkmeans", shard_probe=2,
                          random_state=5)
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         assert sharded.search(queries, 8).stats.shard_probe == 2
         # An explicit per-call probe overrides the persisted default.
         assert sharded.search(queries, 8,
@@ -399,7 +406,7 @@ class TestRoutedSearchDeterminism:
 
     def test_round_robin_rejects_partial_probe(self, routed_setup):
         base, queries = routed_setup
-        sharded = ShardedIndex.build(
+        sharded = Index.build(
             base, IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=4,
                             random_state=5))
         with pytest.raises(ValidationError, match="round_robin"):
@@ -444,7 +451,7 @@ class TestRemoteExecutorDeterminism:
         base, queries = train_query_split(corpus, 32, random_state=7)
         spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=3,
                          partitioner="gkmeans", random_state=11)
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         servers = [ShardServer(sharded.shards[shard], shard_id=shard,
                                generation=sharded.generation)
                    for shard in range(sharded.n_shards)]
@@ -496,7 +503,7 @@ class TestRemoteExecutorDeterminism:
 
     def test_save_load_keeps_deployment_and_answers(self, remote_setup):
         sharded, queries, path = remote_setup
-        restored = ShardedIndex.load(path)
+        restored = Index.load(path)
         try:
             # The v3 manifest carried the endpoint list across the
             # round-trip — the restored index is remotely servable as-is.

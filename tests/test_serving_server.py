@@ -35,7 +35,7 @@ from repro.exceptions import (
     ServerOverloadedError,
     ValidationError,
 )
-from repro.index import Index, IndexSpec, ShardedIndex
+from repro.index import Index, IndexSpec
 from repro.serving import CoalescingServer, RequestStats, serve_concurrently
 
 
@@ -107,7 +107,7 @@ class TestCoalescedExactness:
     def test_sharded_index_serves_through_the_front_end(self,
                                                         serving_corpus):
         base, queries = serving_corpus
-        sharded = ShardedIndex.build(
+        sharded = Index.build(
             base, IndexSpec(backend="bruteforce", n_neighbors=8,
                             pool_size=32, n_shards=2, random_state=7))
         try:

@@ -1,4 +1,4 @@
-"""Tests for the sharded index layer (build / search / persist / validate)."""
+"""Tests for indexes of several shards (build / search / persist / validate)."""
 
 import os
 
@@ -12,10 +12,7 @@ from repro.graph.bruteforce import brute_force_neighbors
 from repro.index import (
     Index,
     IndexSpec,
-    ShardedIndex,
     ShardedServingStats,
-    build_index,
-    load_index,
     partition_dataset,
 )
 from repro.index.sharded import SHARDED_FORMAT_VERSION, migrate
@@ -37,7 +34,7 @@ def sharded_index(shard_setup):
     base, _ = shard_setup
     spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=4,
                      random_state=5)
-    return ShardedIndex.build(base, spec)
+    return Index.build(base, spec)
 
 
 class TestPartitioners:
@@ -131,19 +128,24 @@ class TestSpecSurface:
         with pytest.raises(ValidationError, match="partitioner"):
             IndexSpec(backend="bruteforce", partitioner="modulo")
 
-    def test_monolithic_build_rejects_sharded_spec(self, shard_setup):
+    def test_build_builds_the_specs_shard_count(self, shard_setup):
+        """One class and one build: ``n_shards`` decides how many graphs
+        ``Index.build`` builds, one by default."""
         base, _ = shard_setup
-        with pytest.raises(ValidationError, match="ShardedIndex"):
-            Index.build(base, backend="bruteforce", n_shards=2)
+        one = Index.build(base, backend="bruteforce", n_neighbors=6)
+        two = Index.build(base, backend="bruteforce", n_neighbors=6,
+                          n_shards=2)
+        assert type(one) is type(two) is Index
+        assert (one.n_shards, two.n_shards) == (1, 2)
+        assert one.graph is one.shards[0].graph
+        with pytest.raises(AttributeError, match="shards\\[s\\].graph"):
+            two.graph
 
-    def test_build_index_dispatches_on_n_shards(self, shard_setup):
-        base, _ = shard_setup
-        mono = build_index(base, backend="bruteforce", n_neighbors=6)
-        assert isinstance(mono, Index)
-        sharded = build_index(base, backend="bruteforce", n_neighbors=6,
-                              n_shards=2)
-        assert isinstance(sharded, ShardedIndex)
-        assert sharded.n_shards == 2
+    def test_sharded_index_is_the_index_class(self):
+        from repro import ShardedIndex
+        from repro.index import sharded
+
+        assert ShardedIndex is Index and sharded.ShardedIndex is Index
 
 
 class TestBuildAndSearch:
@@ -165,8 +167,8 @@ class TestBuildAndSearch:
         base, _ = shard_setup
         spec = IndexSpec(backend="bruteforce", n_neighbors=6, n_shards=3,
                          random_state=2)
-        serial = ShardedIndex.build(base, spec, build_workers=1)
-        pooled = ShardedIndex.build(base, spec, build_workers=3)
+        serial = Index.build(base, spec, build_workers=1)
+        pooled = Index.build(base, spec, build_workers=3)
         for left, right in zip(serial.shards, pooled.shards):
             assert np.array_equal(left.graph.indices, right.graph.indices)
 
@@ -188,7 +190,7 @@ class TestBuildAndSearch:
         spec = IndexSpec(backend="bruteforce", n_neighbors=12, n_starts=8,
                          pool_size=N_BASE, seed_sample=N_BASE, n_shards=4,
                          random_state=5)
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         idx, dist = sharded.search(queries, 10)
         exact_idx, exact_dist = brute_force_neighbors(queries, base, 10)
         np.testing.assert_allclose(dist, exact_dist, rtol=1e-9)
@@ -206,7 +208,7 @@ class TestBuildAndSearch:
         base, queries = shard_setup
         spec = IndexSpec(backend="bruteforce", n_neighbors=6, n_shards=4,
                          pool_size=N_BASE, random_state=5)
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         k = min(N_BASE, 120)            # > the 90-point shards
         idx, dist = sharded.search(queries[:4], k)
         assert idx.shape == (4, k)
@@ -224,7 +226,7 @@ class TestBuildAndSearch:
 
     def test_clamped_n_neighbors_for_tiny_shards(self):
         data = make_sift_like(24, 6, random_state=0)
-        sharded = ShardedIndex.build(data, backend="bruteforce",
+        sharded = Index.build(data, backend="bruteforce",
                                      n_neighbors=16, n_shards=4)
         assert all(index.graph.n_neighbors == 5
                    for index in sharded.shards)  # 6-point shards -> kappa 5
@@ -238,7 +240,7 @@ class TestRoutedSearch:
         base, _ = shard_setup
         spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=4,
                          partitioner="gkmeans", random_state=5)
-        return ShardedIndex.build(base, spec)
+        return Index.build(base, spec)
 
     def test_build_exposes_routing_centroids(self, routed_index):
         assert routed_index.centroids is not None
@@ -356,7 +358,7 @@ class TestRoutedSearch:
         spec = IndexSpec(backend="gkmeans", n_neighbors=20, pool_size=64,
                          n_shards=4, partitioner="gkmeans", random_state=7,
                          params={"tau": 6, "cluster_size": 50})
-        with ShardedIndex.build(base, spec) as index:
+        with Index.build(base, spec) as index:
             yield index, queries
 
     @pytest.mark.parametrize("probe,floor", [(1, 0.5), (2, 0.5), (4, 0.8)])
@@ -381,14 +383,14 @@ class TestManifestBackCompat:
         base, _ = shard_setup
         spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=3,
                          partitioner="gkmeans", random_state=5)
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         path = tmp_path / "legacy.shards"
         sharded.save(path)
         # The directory exactly as PR 4 wrote it: manifest version 1 (no
         # centroids key, no shard_probe spec field), index-file v1 shards.
         write_manifest_version(path, 1)
         with pytest.raises(ValidationError, match="gkmeans migrate"):
-            ShardedIndex.load(path)
+            Index.load(path)
         assert migrate(path)
         return sharded, path
 
@@ -396,7 +398,7 @@ class TestManifestBackCompat:
                                                 shard_setup):
         _, queries = shard_setup
         original, path = v1_directory
-        restored = ShardedIndex.load(path)
+        restored = Index.load(path)
         assert restored.centroids is None
         assert restored.spec.shard_probe is None
         before = original.search(queries, 8)
@@ -407,7 +409,7 @@ class TestManifestBackCompat:
     def test_v1_rejects_shard_probe_with_clear_error(self, v1_directory,
                                                      shard_setup):
         _, queries = shard_setup
-        restored = ShardedIndex.load(v1_directory[1])
+        restored = Index.load(v1_directory[1])
         with pytest.raises(ValidationError,
                            match="this index has none.*'gkmeans'"):
             restored.search(queries, 8, shard_probe=1)
@@ -416,7 +418,7 @@ class TestManifestBackCompat:
         """A migrated v1 directory is in the current layout: the id map
         lives in the shard files, not the manifest."""
         original, path = v1_directory
-        restored = ShardedIndex.load(path)
+        restored = Index.load(path)
         for shard, index in enumerate(restored.shards):
             assert np.array_equal(index.ids, original.shards[shard].ids)
         with np.load(path / "manifest.npz", allow_pickle=False) as archive:
@@ -436,14 +438,14 @@ class TestManifestBackCompat:
         base, queries = shard_setup
         spec = IndexSpec(backend="bruteforce", n_neighbors=8, n_shards=3,
                          partitioner="gkmeans", random_state=5)
-        sharded = ShardedIndex.build(base, spec)
+        sharded = Index.build(base, spec)
         path = tmp_path / "v2.shards"
         sharded.save(path)
         write_manifest_version(path, 2)
         with pytest.raises(ValidationError, match="format version 2"):
-            ShardedIndex.load(path)
+            Index.load(path)
         assert migrate(path)
-        restored = ShardedIndex.load(path)
+        restored = Index.load(path)
         assert restored.endpoints is None
         assert restored.generation == 0
         assert np.array_equal(restored.centroids, sharded.centroids)
@@ -459,7 +461,7 @@ class TestManifestBackCompat:
         manifest["sharded_format_version"] = np.int64(99)
         np.savez(path / "manifest.npz", **manifest)
         with pytest.raises(ValidationError, match="format version"):
-            ShardedIndex.load(path)
+            Index.load(path)
         with pytest.raises(ValidationError, match="format version 99"):
             migrate(path)
 
@@ -503,8 +505,8 @@ class TestPersistence:
         assert sorted(os.listdir(path)) == [
             "manifest.npz", "shard_0000.idx", "shard_0001.idx",
             "shard_0002.idx", "shard_0003.idx"]
-        restored = load_index(path)
-        assert isinstance(restored, ShardedIndex)
+        restored = Index.load(path)
+        assert restored.n_shards == 4
         assert restored.spec == sharded_index.spec
         before = sharded_index.search(queries, 8)
         after = restored.search(queries, 8)
@@ -529,33 +531,53 @@ class TestPersistence:
         assert path.is_file()
         sharded_index.save(path)
         assert path.is_dir()
-        assert isinstance(load_index(path), ShardedIndex)
+        assert Index.load(path).n_shards == 4
         assert not [name for name in os.listdir(tmp_path)
                     if name.startswith(".sharded")]
 
-    def test_load_index_dispatches_on_layout(self, sharded_index,
-                                             shard_setup, tmp_path):
+    def test_save_swaps_either_layout_for_the_other(self, sharded_index,
+                                                    shard_setup, tmp_path):
+        """One save replaces a sharded directory with a single file and a
+        single file with a directory, and ``load`` then serves the index
+        that was saved, bitwise."""
+        base, queries = shard_setup
+        mono = Index.build(base, backend="bruteforce", n_neighbors=6)
+        path = tmp_path / "corpus"
+        for index, is_layout in ((sharded_index, os.path.isdir),
+                                 (mono, os.path.isfile),
+                                 (sharded_index, os.path.isdir)):
+            index.save(path)
+            assert is_layout(path)
+            with Index.load(path) as loaded:
+                assert loaded.n_shards == index.n_shards
+                want, got = index.search(queries, 8), loaded.search(queries, 8)
+                assert got.indices.tobytes() == want.indices.tobytes()
+                assert got.distances.tobytes() == want.distances.tobytes()
+        assert sorted(os.listdir(tmp_path)) == ["corpus"]
+
+    def test_load_reads_either_layout(self, sharded_index, shard_setup,
+                                      tmp_path):
         base, _ = shard_setup
         mono = Index.build(base, backend="bruteforce", n_neighbors=6)
         mono_path = tmp_path / "mono.idx"
         mono.save(mono_path)
-        assert isinstance(load_index(mono_path), Index)
+        assert mono_path.is_file() and Index.load(mono_path).n_shards == 1
         shard_path = tmp_path / "sharded"
         sharded_index.save(shard_path)
-        assert isinstance(load_index(shard_path), ShardedIndex)
+        assert shard_path.is_dir() and Index.load(shard_path).n_shards == 4
 
     def test_load_rejects_non_index_directory(self, tmp_path):
         empty = tmp_path / "not_an_index"
         empty.mkdir()
         with pytest.raises(ValidationError, match="manifest"):
-            ShardedIndex.load(empty)
+            Index.load(empty)
 
     def test_load_rejects_missing_shard_file(self, sharded_index, tmp_path):
         path = tmp_path / "corpus.shards"
         sharded_index.save(path)
         os.unlink(path / "shard_0002.idx")
         with pytest.raises(ValidationError, match="shard 2"):
-            ShardedIndex.load(path)
+            Index.load(path)
 
     def test_load_rejects_corrupt_shard_file(self, sharded_index, tmp_path):
         path = tmp_path / "corpus.shards"
@@ -563,7 +585,7 @@ class TestPersistence:
         with open(path / "shard_0001.idx", "wb") as stream:
             stream.write(b"not an npz")
         with pytest.raises(ValidationError, match="shard 1"):
-            ShardedIndex.load(path)
+            Index.load(path)
 
     def test_load_rejects_corrupt_manifest(self, sharded_index, tmp_path):
         path = tmp_path / "corpus.shards"
@@ -571,29 +593,36 @@ class TestPersistence:
         with open(path / "manifest.npz", "wb") as stream:
             stream.write(b"garbage")
         with pytest.raises(ValidationError, match="manifest"):
-            ShardedIndex.load(path)
+            Index.load(path)
 
     def test_load_rejects_foreign_manifest(self, sharded_index, tmp_path):
         path = tmp_path / "corpus.shards"
         sharded_index.save(path)
         np.savez(path / "manifest.npz", unrelated=np.arange(3))
         with pytest.raises(ValidationError, match="missing keys"):
-            ShardedIndex.load(path)
+            Index.load(path)
 
 
 class TestConstructorValidation:
     def test_rejects_mismatched_shard_count(self, sharded_index):
-        with pytest.raises(ValidationError, match="shards"):
-            ShardedIndex(sharded_index.shards[:2], sharded_index.spec)
+        """The raw constructor serves one graph: a spec of more shards is
+        refused."""
+        shard = sharded_index.shards[0]
+        with pytest.raises(ValidationError, match="4 shards but 1"):
+            Index(shard.data, shard.graph, sharded_index.spec)
 
-    def test_rejects_shards_whose_ids_overlap(self, sharded_index):
-        first, second = sharded_index.shards[:2]
-        ids = second.ids.copy()
-        ids[0] = first.ids[0]              # both shards claim one global id
-        overlapping = Index(second.data, second.graph, second.spec, ids=ids)
-        shards = [first, overlapping, *sharded_index.shards[2:]]
+    def test_rejects_shards_whose_ids_overlap(self, sharded_index,
+                                              tmp_path):
+        path = tmp_path / "overlap.shards"
+        sharded_index.save(path)
+        fields = dict(np.load(path / "shard_0001.idx", allow_pickle=False))
+        fields["ids"] = fields["ids"].copy()
+        # Both shards claim one global id.
+        fields["ids"][0] = sharded_index.shards[0].ids[0]
+        with open(path / "shard_0001.idx", "wb") as stream:
+            np.savez(stream, **fields)
         with pytest.raises(ValidationError, match="unique"):
-            ShardedIndex(shards, sharded_index.spec)
+            Index.load(path)
 
     def test_rejects_shards_with_negative_ids(self, sharded_index):
         shard = sharded_index.shards[0]

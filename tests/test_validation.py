@@ -11,7 +11,7 @@ from repro.graph import (
     nn_descent_knn_graph,
     random_knn_graph,
 )
-from repro.index import Index, IndexSpec, ShardedIndex
+from repro.index import Index, IndexSpec
 from repro.search import GraphSearcher
 from repro.validation import (
     check_data_matrix,
@@ -124,12 +124,12 @@ class TestFiniteRangeGate:
         spec = IndexSpec(backend="bruteforce", n_neighbors=6,
                          dtype="float32", n_shards=2)
         with pytest.raises(ValidationError, match="range"):
-            ShardedIndex.build(data * 1e19, spec)
+            Index.build(data * 1e19, spec)
 
     def test_sharded_query_refused(self, data):
         spec = IndexSpec(backend="bruteforce", n_neighbors=6,
                          dtype="float32", n_shards=2)
-        with ShardedIndex.build(data, spec) as index:
+        with Index.build(data, spec) as index:
             with pytest.raises(ValidationError, match="range"):
                 index.search(data[:3] * 1e19, 5)
 
@@ -195,8 +195,8 @@ class TestInt8RangeGate:
     def test_sharded_entry_points_refused(self, data):
         spec = self._spec(n_shards=2, partitioner="gkmeans")
         with pytest.raises(ValidationError, match="float32 range"):
-            ShardedIndex.build(data * 1e30, spec)
-        with ShardedIndex.build(data, spec) as index:
+            Index.build(data * 1e30, spec)
+        with Index.build(data, spec) as index:
             with pytest.raises(ValidationError, match="float32 range"):
                 index.search(data[:5] * 1e30, 3)
             with pytest.raises(ValidationError, match="float32 range"):

@@ -34,7 +34,7 @@ from repro.distance.quantized import QuantizedScorer, ScalarQuantizer
 from repro.graph import brute_force_knn_graph
 from repro.graph.bruteforce import brute_force_neighbors
 from repro.graph.csr import CSRAdjacency
-from repro.index import Index, IndexSpec, ShardedIndex
+from repro.index import Index, IndexSpec
 from repro.net import ShardServer
 from repro.search import GraphSearcher, frontier_batch_search
 from repro.search._seeding import SeedPartition, default_seed_labels
@@ -201,7 +201,7 @@ class TestSingleQueryIsABatchOfOne:
 
     def test_sharded_index_thread_and_remote(self, corpus):
         base, queries, _ = corpus
-        sharded = ShardedIndex.build(base, IndexSpec(
+        sharded = Index.build(base, IndexSpec(
             backend="bruteforce", n_neighbors=8, n_shards=2,
             partitioner="gkmeans", random_state=3))
         servers = [ShardServer(shard, shard_id=s)
