@@ -2,9 +2,10 @@
 
 Examples
 --------
-Run the Fig. 2 graph-evolution experiment at the small preset::
+Run the Fig. 2 graph-evolution experiment at the small preset and judge the
+paper's claims about it::
 
-    python -m repro fig2 --preset small
+    python -m repro experiment fig2 --preset small
 
 Partition a SIFT-like stand-in into 100 clusters and print a summary::
 
@@ -23,11 +24,11 @@ import sys
 
 import numpy as np
 
-from . import experiments
 from .datasets import list_datasets, load_dataset
 from .distance import METRICS, QUANTIZE_MODES
-from .experiments import render_series, render_table
+from .experiments import render_table
 from .experiments.config import DEFAULT, LARGE, SMALL, ExperimentScale
+from .experiments.reproduction import EXPERIMENTS, render_experiment
 from .experiments.runner import available_methods, run_method
 from .exceptions import ProtocolError, ServingError, ValidationError
 from .index import (
@@ -44,17 +45,6 @@ from .search import evaluate_search
 __all__ = ["main", "build_parser"]
 
 _PRESETS = {"small": SMALL, "default": DEFAULT, "large": LARGE}
-
-_EXPERIMENTS = {
-    "fig1": experiments.fig1_cooccurrence.run,
-    "fig2": experiments.fig2_graph_evolution.run,
-    "fig4": experiments.fig4_configuration.run,
-    "fig5": experiments.fig5_quality.run,
-    "fig6": experiments.fig67_scalability.run,
-    "table1": experiments.table1_datasets.run,
-    "table2": experiments.table2_large_k.run,
-    "anns": experiments.anns_probe.run,
-}
 
 #: Experiments whose drivers currently thread ``scale.metric``/``scale.dtype``
 #: through clustering, graph construction and search.
@@ -79,21 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser(
         "experiment", help="run one of the paper's experiments")
-    experiment.add_argument("name", choices=sorted(_EXPERIMENTS))
+    experiment.add_argument("name", choices=sorted(EXPERIMENTS))
     experiment.add_argument("--preset", choices=sorted(_PRESETS),
                             default="small")
     experiment.add_argument("--n-samples", type=int, default=None)
     experiment.add_argument("--n-clusters", type=int, default=None)
     add_engine_options(experiment)
-
-    # Short aliases: `gkmeans fig2` == `gkmeans experiment fig2`.
-    for name in _EXPERIMENTS:
-        alias = sub.add_parser(name, help=f"alias for 'experiment {name}'")
-        alias.add_argument("--preset", choices=sorted(_PRESETS),
-                           default="small")
-        alias.add_argument("--n-samples", type=int, default=None)
-        alias.add_argument("--n-clusters", type=int, default=None)
-        add_engine_options(alias)
 
     cluster = sub.add_parser("cluster", help="cluster a synthetic dataset")
     cluster.add_argument("--dataset", choices=list_datasets(),
@@ -556,22 +537,6 @@ def _resolve_scale(args) -> ExperimentScale:
     return scale.scaled(**overrides) if overrides else scale
 
 
-def _print_experiment(name: str, payload: dict) -> None:
-    print(f"== {name} ==")
-    if "table" in payload:
-        print(render_table(payload["table"]))
-    if "series" in payload:
-        print(render_series(payload["series"]))
-    if "datasets" in payload:
-        for dataset, content in payload["datasets"].items():
-            print(render_table(content["table"], title=f"[{dataset}]"))
-    for key in ("size_sweep", "cluster_sweep"):
-        if key in payload:
-            print(render_table(payload[key]["table"], title=key))
-    if "metadata" in payload:
-        print(f"metadata: {payload['metadata']}")
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro`` / the ``gkmeans`` script."""
     parser = build_parser()
@@ -580,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         print("datasets:   " + ", ".join(list_datasets()))
         print("methods:    " + ", ".join(available_methods()))
-        print("experiments:" + " " + ", ".join(sorted(_EXPERIMENTS)))
+        print("experiments:" + " " + ", ".join(sorted(EXPERIMENTS)))
         print("backends:   " + ", ".join(available_backends()))
         return 0
 
@@ -607,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
         }]))
         return 0
 
-    name = args.name if args.command == "experiment" else args.command
+    name = args.name
     scale = _resolve_scale(args)
     if name not in _METRIC_AWARE_EXPERIMENTS and (
             scale.metric != "sqeuclidean" or scale.dtype != "float64"):
@@ -615,8 +580,7 @@ def main(argv: list[str] | None = None) -> int:
               "yet and will run with sqeuclidean/float64 "
               f"(metric-aware: {', '.join(sorted(_METRIC_AWARE_EXPERIMENTS))})",
               file=sys.stderr)
-    payload = _EXPERIMENTS[name](scale)
-    _print_experiment(name, payload)
+    print(render_experiment(name, EXPERIMENTS[name](scale), scale))
     return 0
 
 

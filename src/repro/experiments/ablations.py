@@ -27,6 +27,7 @@ __all__ = [
     "sweep_tau",
     "compare_assignment",
     "compare_equal_size",
+    "run",
 ]
 
 
@@ -51,7 +52,7 @@ def sweep_kappa(scale: ExperimentScale = DEFAULT,
     return {"table": rows, "metadata": {"n_clusters": scale.n_clusters}}
 
 
-def sweep_xi(scale: ExperimentScale = DEFAULT, xis=(20, 40, 80)) -> dict:
+def sweep_xi(scale: ExperimentScale = DEFAULT, xis=(20, 50, 100)) -> dict:
     """ξ sweep: graph recall and construction time vs the cluster size ξ."""
     data = _data(scale)
     truth = brute_force_knn_graph(data, scale.n_neighbors)
@@ -117,3 +118,11 @@ def compare_equal_size(scale: ExperimentScale = DEFAULT) -> dict:
                      "min_cluster": sizes["min"],
                      "size_std": sizes["std"]})
     return {"table": rows, "metadata": {"n_clusters": scale.n_clusters}}
+
+
+def run(scale: ExperimentScale = DEFAULT) -> dict:
+    """Every ablation above at its default sweep, keyed by the choice it
+    varies (``gkmeans experiment ablations``)."""
+    return {"kappa": sweep_kappa(scale), "xi": sweep_xi(scale),
+            "tau": sweep_tau(scale), "assignment": compare_assignment(scale),
+            "equal_size": compare_equal_size(scale)}

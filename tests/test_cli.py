@@ -20,9 +20,13 @@ class TestParser:
         assert args.name == "fig2"
         assert args.preset == "small"
 
-    def test_alias_parses(self):
-        args = build_parser().parse_args(["table1"])
-        assert args.command == "table1"
+    def test_ablations_is_an_experiment(self):
+        args = build_parser().parse_args(["experiment", "ablations"])
+        assert args.name == "ablations"
+
+    def test_experiment_aliases_are_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table1"])
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -42,10 +46,11 @@ class TestMain:
         assert "sift1m" in out
 
     def test_table1(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["experiment", "table1"]) == 0
         out = capsys.readouterr().out
         assert "sift1m" in out
         assert "1,000,000" in out
+        assert "holds: table1.four_datasets" in out
 
     def test_cluster_small_run(self, capsys):
         code = main(["cluster", "--dataset", "sift1m", "--n-samples", "400",
@@ -57,7 +62,8 @@ class TestMain:
         assert "distortion" in out
 
     def test_fig2_tiny_run(self, capsys):
-        code = main(["fig2", "--preset", "small", "--n-samples", "500"])
+        code = main(["experiment", "fig2", "--preset", "small",
+                     "--n-samples", "500"])
         assert code == 0
         out = capsys.readouterr().out
         assert "recall" in out
