@@ -44,53 +44,60 @@ def _method_options(method: str, scale: ExperimentScale) -> dict:
     return {}
 
 
-def run_size_sweep(scale: ExperimentScale = DEFAULT, *, sizes=None,
-                   n_clusters: int | None = None,
-                   methods=DEFAULT_METHODS) -> dict:
-    """Fig. 6(a) / Fig. 7(a): vary n at fixed k.
-
-    Returns ``{"table": rows, "series": {method: (sizes, seconds)},
-    "distortion_series": {method: (sizes, distortion)}}``.
-    """
-    if sizes is None:
-        sizes = [scale.n_samples // 8, scale.n_samples // 4,
-                 scale.n_samples // 2, scale.n_samples]
-    if n_clusters is None:
-        n_clusters = max(2, scale.n_clusters // 2)
-    corpus = load_dataset("vlad10m", max(sizes), scale.n_features,
-                          random_state=scale.random_state)
-
+def _sweep(scale, axis, points, fit_inputs, methods, metadata) -> dict:
+    """Fit every method at every sweep point; ``fit_inputs(point)`` gives
+    that point's ``(data, n_clusters)``."""
     rows = []
-    time_series = {method: ([], []) for method in methods}
-    distortion_series = {method: ([], []) for method in methods}
-    evaluation_series = {method: ([], []) for method in methods}
-    for size in sizes:
-        data = (corpus if size == corpus.shape[0]
-                else subsample(corpus, size, random_state=scale.random_state))
+    series = {name: {method: ([], []) for method in methods} for name in
+              ("series", "distortion_series", "evaluation_series")}
+    for point in points:
+        data, n_clusters = fit_inputs(point)
         for method in methods:
             run_result = run_method(
                 method, data, n_clusters, max_iter=scale.max_iter,
                 random_state=scale.random_state,
                 metric=scale.metric, dtype=scale.dtype,
                 **_method_options(method, scale))
-            rows.append({"n": size, "method": method,
+            rows.append({axis: point, "method": method,
                          "seconds": run_result.total_seconds,
                          "distortion": run_result.distortion,
                          "distance_evaluations":
                              run_result.distance_evaluations,
                          "alg2_evaluations": run_result.alg2_evaluations})
-            time_series[method][0].append(size)
-            time_series[method][1].append(run_result.total_seconds)
-            distortion_series[method][0].append(size)
-            distortion_series[method][1].append(run_result.distortion)
-            evaluation_series[method][0].append(size)
-            evaluation_series[method][1].append(
-                run_result.distance_evaluations)
-    return {"table": rows, "series": time_series,
-            "distortion_series": distortion_series,
-            "evaluation_series": evaluation_series,
-            "metadata": {"n_clusters": n_clusters, "sizes": list(sizes),
-                         "metric": scale.metric, "dtype": scale.dtype}}
+            for name, value in (
+                    ("series", run_result.total_seconds),
+                    ("distortion_series", run_result.distortion),
+                    ("evaluation_series", run_result.distance_evaluations)):
+                series[name][method][0].append(point)
+                series[name][method][1].append(value)
+    return {"table": rows, **series,
+            "metadata": {**metadata, "metric": scale.metric,
+                         "dtype": scale.dtype}}
+
+
+def run_size_sweep(scale: ExperimentScale = DEFAULT, *, sizes=None,
+                   n_clusters: int | None = None,
+                   methods=DEFAULT_METHODS) -> dict:
+    """Fig. 6(a) / Fig. 7(a): vary n at fixed k.
+
+    Returns ``{"table": rows, "series": {method: (sizes, seconds)},
+    "distortion_series": {method: (sizes, distortion)},
+    "evaluation_series": {method: (sizes, evaluations)}}``.
+    """
+    if sizes is None:
+        sizes = [scale.n_samples // 8, scale.n_samples // 4,
+                 scale.n_samples // 2, scale.n_samples]
+    if n_clusters is None:
+        n_clusters = scale.n_clusters
+    corpus = load_dataset("vlad10m", max(sizes), scale.n_features,
+                          random_state=scale.random_state)
+
+    def fit_inputs(size):
+        data = (corpus if size == corpus.shape[0]
+                else subsample(corpus, size, random_state=scale.random_state))
+        return data, n_clusters
+    return _sweep(scale, "n", sizes, fit_inputs, methods,
+                  {"n_clusters": n_clusters, "sizes": list(sizes)})
 
 
 def run_cluster_sweep(scale: ExperimentScale = DEFAULT, *, cluster_counts=None,
@@ -104,42 +111,12 @@ def run_cluster_sweep(scale: ExperimentScale = DEFAULT, *, cluster_counts=None,
         n_samples = scale.n_samples
     data = load_dataset("vlad10m", n_samples, scale.n_features,
                         random_state=scale.random_state)
-
-    rows = []
-    time_series = {method: ([], []) for method in methods}
-    distortion_series = {method: ([], []) for method in methods}
-    evaluation_series = {method: ([], []) for method in methods}
-    for n_clusters in cluster_counts:
-        for method in methods:
-            run_result = run_method(
-                method, data, n_clusters, max_iter=scale.max_iter,
-                random_state=scale.random_state,
-                metric=scale.metric, dtype=scale.dtype,
-                **_method_options(method, scale))
-            rows.append({"k": n_clusters, "method": method,
-                         "seconds": run_result.total_seconds,
-                         "distortion": run_result.distortion,
-                         "distance_evaluations":
-                             run_result.distance_evaluations,
-                         "alg2_evaluations": run_result.alg2_evaluations})
-            time_series[method][0].append(n_clusters)
-            time_series[method][1].append(run_result.total_seconds)
-            distortion_series[method][0].append(n_clusters)
-            distortion_series[method][1].append(run_result.distortion)
-            evaluation_series[method][0].append(n_clusters)
-            evaluation_series[method][1].append(
-                run_result.distance_evaluations)
-    return {"table": rows, "series": time_series,
-            "distortion_series": distortion_series,
-            "evaluation_series": evaluation_series,
-            "metadata": {"n_samples": n_samples,
-                         "cluster_counts": list(cluster_counts),
-                         "metric": scale.metric, "dtype": scale.dtype}}
+    return _sweep(scale, "k", cluster_counts, lambda k: (data, k), methods,
+                  {"n_samples": n_samples,
+                   "cluster_counts": list(cluster_counts)})
 
 
-def run(scale: ExperimentScale = DEFAULT, *, methods=DEFAULT_METHODS) -> dict:
+def run(scale: ExperimentScale = DEFAULT) -> dict:
     """Run both sweeps (Fig. 6a+7a and Fig. 6b+7b)."""
-    return {
-        "size_sweep": run_size_sweep(scale, methods=methods),
-        "cluster_sweep": run_cluster_sweep(scale, methods=methods),
-    }
+    return {"size_sweep": run_size_sweep(scale),
+            "cluster_sweep": run_cluster_sweep(scale)}

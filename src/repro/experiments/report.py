@@ -2,8 +2,8 @@
 
 The original paper presents results as figures; since this reproduction is
 terminal-first, every experiment renders to aligned text tables that show the
-same rows/series (``gkmeans experiment`` and the ``benchmarks/`` suite print
-them; nothing records them yet).
+same rows/series (``gkmeans experiment`` prints them, followed by the
+verdicts of :mod:`repro.experiments.reproduction`).
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ import platform
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -64,22 +63,24 @@ _OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 
 @dataclass(frozen=True)
 class Claim:
-    """One claim of the paper: ``lhs(payload, scale) op rhs(payload, scale)``.
+    """One claim of the paper: ``lhs op rhs``, where each side is a number
+    or a reader ``(payload, scale) -> value``.
 
     A claim without ``lhs`` is not testable on synthetic stand-ins.
     """
 
     id: str
     claim: str
-    lhs: Callable | None = None
+    lhs: object = None
     op: str = ""
-    rhs: Callable | None = None
+    rhs: object = None
 
     def evaluate(self, payload: dict, scale) -> dict | None:
         """``{"lhs", "rhs", "holds"}`` on one payload; ``None`` if untestable."""
         if self.lhs is None:
             return None
-        lhs, rhs = self.lhs(payload, scale), self.rhs(payload, scale)
+        lhs, rhs = (side(payload, scale) if callable(side) else side
+                    for side in (self.lhs, self.rhs))
         return {"lhs": _plain(lhs), "rhs": _plain(rhs),
                 "holds": bool(_OPERATORS[self.op](lhs, rhs))}
 
@@ -91,31 +92,24 @@ def _plain(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-def _by(table, key="method"):
-    return {row[key]: row for row in table}
+def _at(*path):
+    """Reader of one payload value: a step is a dict key, a position (a
+    series is an ``(xs, ys)`` pair), or, on a table, the label in the first
+    column of the row to take."""
+    def read(payload, scale):
+        value = payload
+        for step in path:
+            if isinstance(value, list) and type(step) is not int:
+                value = next(row for row in value
+                             if next(iter(row.values())) == step)
+            else:
+                value = value[step]
+        return value
+    return read
 
 
-def _abl(study, index, column):
-    """Row ``index`` of one ablation study's table, one column."""
-    return lambda p, s: p[study]["table"][index][column]
-
-
-def _abl_by(study, key, column):
-    return lambda p, s: _by(p[study]["table"], study)[key][column]
-
-
-def _series(name, index):
-    """Point ``index`` of the payload's curve ``name`` (Figs. 1, 2 and 4)."""
-    return lambda p, s: p["series"][name][1][index]
-
-
-def _fig5(dataset, method, column="final_distortion"):
-    return lambda p, s: _by(p["datasets"][dataset]["table"])[method][column]
-
-
-def _sweep(sweep, series, method, index=-1):
-    """One point of a Fig. 6/7 sweep's ``series`` for ``method``."""
-    return lambda p, s: p[sweep][series][method][1][index]
+def _times(factor, read):
+    return lambda p, s: factor * read(p, s)
 
 
 def _growth(method):
@@ -126,163 +120,148 @@ def _growth(method):
     return growth
 
 
-def _row(method, column):
-    return lambda p, s: _by(p["table"])[method][column]
-
-
-def _times(factor, value):
-    return lambda p, s: factor * value(p, s)
-
-
-def _const(value):
-    return lambda p, s: value
-
-
-def _fig5_claims(dataset):
+def _fig1_claims(method, short):
     return (
-        Claim(f"fig5.{dataset}.gk_near_bkm",
-              f"On the {dataset} stand-in GK-means ends within 25% of BKM's "
-              "distortion (the gap is widest on the imbalanced GloVe-like "
-              "corpus, as in Fig. 5(c)).",
-              _fig5(dataset, "GK-means"), "<=",
-              _times(1.25, _fig5(dataset, "BKM"))),
-        Claim(f"fig5.{dataset}.gk_beats_minibatch",
-              f"On the {dataset} stand-in GK-means ends at no higher "
-              "distortion than Mini-Batch, which is clearly worst.",
-              _fig5(dataset, "GK-means"), "<=",
-              _fig5(dataset, "Mini-Batch")),
-        Claim(f"fig5.{dataset}.kgraph_beats_minibatch",
-              f"On the {dataset} stand-in KGraph+GK-means ends at no higher "
-              "distortion than Mini-Batch.",
-              _fig5(dataset, "KGraph+GK-means"), "<=",
-              _fig5(dataset, "Mini-Batch")),
-        Claim(f"fig5.{dataset}.gk_converges",
-              f"On the {dataset} stand-in GK-means converges within the "
-              "iteration budget.",
-              _fig5(dataset, "GK-means", "iterations"), "<=",
-              lambda p, s: s.max_iter),
-    )
+        Claim(f"fig1.{short}.above_chance",
+              f"Under {method} a sample and its nearest neighbour share a "
+              "cluster over 5 times as often as chance.",
+              _at("series", method, 1, 0), ">",
+              lambda p, s: 5 * p["random_collision"][method]),
+        Claim(f"fig1.{short}.falls_with_rank",
+              f"Under {method} that co-occurrence falls with the rank.",
+              _at("series", method, 1, 0), ">=",
+              _at("series", method, 1, -1)))
+
+
+def _fig5_claims(name):
+    def final(method, column="final_distortion"):
+        return _at("datasets", name, "table", method, column)
+    return (
+        Claim(f"fig5.{name}.gk_near_bkm",
+              f"On {name} GK-means ends within 25% of BKM's distortion (the "
+              "gap is widest on the imbalanced GloVe-like corpus, Fig. 5(c)).",
+              final("GK-means"), "<=", _times(1.25, final("BKM"))),
+        Claim(f"fig5.{name}.gk_beats_minibatch",
+              f"On {name} GK-means ends below Mini-Batch, which is worst.",
+              final("GK-means"), "<=", final("Mini-Batch")),
+        Claim(f"fig5.{name}.kgraph_beats_minibatch",
+              f"On {name} KGraph+GK-means ends below Mini-Batch.",
+              final("KGraph+GK-means"), "<=", final("Mini-Batch")),
+        Claim(f"fig5.{name}.gk_converges",
+              f"On {name} GK-means converges within the iteration budget.",
+              final("GK-means", "iterations"), "<=",
+              lambda p, s: s.max_iter))
+
+
+def _sweep(sweep, series, method, index=-1):
+    return _at(sweep, series, method, 1, index)
 
 
 def _fig6a_cost_grows(method, short):
     return Claim(f"fig6.a.{short}_cost_grows",
-                 f"The distance evaluations of {method} grow with n "
-                 "(Fig. 6(a)).",
+                 f"The distance evaluations of {method} grow with n (6(a)).",
                  _sweep("size_sweep", "evaluation_series", method), ">",
                  _sweep("size_sweep", "evaluation_series", method, 0))
+
+
+def _fig7_claims(sweep, panel, largest):
+    """Fig. 7's two orderings at the largest point of one sweep."""
+    def final(method):
+        return _sweep(sweep, "distortion_series", method)
+    return (
+        Claim(f"fig6.{panel}.gk_near_bkm",
+              f"At the largest {largest} GK-means ends within 15% of BKM.",
+              final("GK-means"), "<=", _times(1.15, final("BKM"))),
+        Claim(f"fig6.{panel}.gk_beats_minibatch",
+              f"At the largest {largest} GK-means ends below Mini-Batch.",
+              final("GK-means"), "<=", final("Mini-Batch")))
 
 
 #: Experiment NAME → the paper's claims about that artefact.
 CLAIMS = {
     "ablations": (
         Claim("ablations.kappa.distortion_stable",
-              "GK-means' quality is stable as κ grows (§4.4: stable for "
-              "κ ≥ 40): the largest κ ends within 5% of the smallest.",
-              _abl("kappa", -1, "distortion"), "<=",
-              _times(1.05, _abl("kappa", 0, "distortion"))),
+              "Quality is stable in κ (§4.4): the largest κ ends within 5% "
+              "of the smallest.",
+              _at("kappa", "table", -1, "distortion"), "<=",
+              _times(1.05, _at("kappa", "table", 0, "distortion"))),
         Claim("ablations.kappa.time_grows",
-              "A larger κ costs more iteration time; the check asks for at "
-              "least half the smallest κ's, which absorbs timer noise.",
-              _abl("kappa", -1, "iteration_seconds"), ">=",
-              _times(0.5, _abl("kappa", 0, "iteration_seconds"))),
+              "A larger κ costs more iteration time (checked as at least "
+              "half the smallest κ's, to absorb timer noise).",
+              _at("kappa", "table", -1, "iteration_seconds"), ">=",
+              _times(0.5, _at("kappa", "table", 0, "iteration_seconds"))),
         Claim("ablations.xi.recall_grows",
-              "A larger cluster size ξ gives a better graph (more "
-              "within-cluster comparisons).",
-              _abl("xi", -1, "recall"), ">=", _abl("xi", 0, "recall")),
+              "A larger cluster size ξ gives a better graph.",
+              _at("xi", "table", -1, "recall"), ">=",
+              _at("xi", "table", 0, "recall")),
         Claim("ablations.tau.recall_grows",
               "More rounds τ give a more precise graph.",
-              _abl("tau", -1, "recall"), ">", _abl("tau", 0, "recall")),
+              _at("tau", "table", -1, "recall"), ">",
+              _at("tau", "table", 0, "recall")),
         Claim("ablations.tau.time_grows",
               "More rounds τ cost more construction time.",
-              _abl("tau", -1, "construction_seconds"), ">",
-              _abl("tau", 0, "construction_seconds")),
+              _at("tau", "table", -1, "construction_seconds"), ">",
+              _at("tau", "table", 0, "construction_seconds")),
         Claim("ablations.assignment.boost_beats_lloyd",
-              "On the same graph, boost assignment ends within 2% of lloyd "
-              "assignment's distortion or below it.",
-              _abl_by("assignment", "boost", "distortion"), "<=",
-              _times(1.02, _abl_by("assignment", "lloyd", "distortion"))),
+              "On one graph boost assignment ends within 2% of lloyd's.",
+              _at("assignment", "table", "boost", "distortion"), "<=",
+              _times(1.02, _at("assignment", "table", "lloyd",
+                               "distortion"))),
         Claim("ablations.equal_size.leaf_bound",
-              "The equal-size adjustment bounds the largest leaf by about "
-              "twice n/k (what keeps Alg. 3's within-cluster comparison "
-              "O(ξ²)).",
-              _abl_by("equal_size", True, "max_cluster"), "<=",
+              "The equal-size adjustment keeps the largest leaf near n/k, "
+              "which keeps Alg. 3's comparisons O(ξ²).",
+              _at("equal_size", "table", True, "max_cluster"), "<=",
               lambda p, s: 2 * (s.n_samples / s.n_clusters) + 2),
         Claim("ablations.equal_size.leaf_not_larger",
               "The equal-size tree's largest leaf is no larger than the "
-              "unadjusted tree's.",
-              _abl_by("equal_size", True, "max_cluster"), "<=",
-              _abl_by("equal_size", False, "max_cluster")),
+              "plain tree's.",
+              _at("equal_size", "table", True, "max_cluster"), "<=",
+              _at("equal_size", "table", False, "max_cluster")),
     ),
     "anns": (
         Claim("anns.recall_at_1",
-              "Every graph gives usable recall@1 (at least 0.5) in greedy "
-              "search (§4.3).",
+              "Greedy search on either graph reaches recall@1 of 0.5 (§4.3).",
               lambda p, s: min(row["recall@1"] for row in p["table"]), ">=",
-              _const(0.5)),
+              0.5),
         Claim("anns.evals_below_half_n",
-              "Every graph's search scores fewer than n/2 points per query, "
-              "a small fraction of brute force.",
+              "Either graph's search scores under n/2 points per query.",
               lambda p, s: max(row["distance_evals"] for row in p["table"]),
               "<", lambda p, s: s.n_samples / 2),
         Claim("anns.sift100m_latency",
-              "The Alg. 3 graph answers SIFT100M queries in under 3 ms at "
-              "recall 0.9 or more (§4.3)."),
+              "On SIFT100M a query takes under 3 ms at recall 0.9 (§4.3)."),
     ),
-    "fig1": (
-        Claim("fig1.kmeans.above_chance",
-              "Under k-means a sample and its nearest neighbour share a "
-              "cluster far more often than chance (over 5 times).",
-              _series("k-means", 0), ">",
-              lambda p, s: 5 * p["random_collision"]["k-means"]),
-        Claim("fig1.kmeans.falls_with_rank",
-              "Under k-means that co-occurrence falls with the neighbour's "
-              "rank.",
-              _series("k-means", 0), ">=", _series("k-means", -1)),
-        Claim("fig1.2m_tree.above_chance",
-              "Under the two-means tree a sample and its nearest neighbour "
-              "share a cluster far more often than chance (over 5 times).",
-              _series("2M tree", 0), ">",
-              lambda p, s: 5 * p["random_collision"]["2M tree"]),
-        Claim("fig1.2m_tree.falls_with_rank",
-              "Under the two-means tree that co-occurrence falls with the "
-              "neighbour's rank.",
-              _series("2M tree", 0), ">=", _series("2M tree", -1)),
-    ),
+    "fig1": _fig1_claims("k-means", "kmeans")
+    + _fig1_claims("2M tree", "2m_tree"),
     "fig2": (
-        Claim("fig2.recall_rises",
-              "During Alg. 3 the graph's top-1 recall climbs over the τ "
-              "rounds.",
-              _series("recall", -1), ">", _series("recall", 0)),
-        Claim("fig2.recall_above_0_6",
-              "The graph's top-1 recall passes 0.6 within the rounds run.",
-              _series("recall", -1), ">", _const(0.6)),
-        Claim("fig2.distortion_falls",
-              "The clustering's distortion drops over the τ rounds.",
-              _series("distortion", -1), "<", _series("distortion", 0)),
+        Claim("fig2.recall_rises", "The graph's top-1 recall climbs over τ.",
+              _at("series", "recall", 1, -1), ">",
+              _at("series", "recall", 1, 0)),
+        Claim("fig2.recall_above_0_6", "The graph's top-1 recall passes 0.6.",
+              _at("series", "recall", 1, -1), ">", 0.6),
+        Claim("fig2.distortion_falls", "The clustering's distortion drops over τ.",
+              _at("series", "distortion", 1, -1), "<",
+              _at("series", "distortion", 1, 0)),
         Claim("fig2.distortion_lowest_at_last_round",
-              "The graph and the clustering improve together round after "
-              "round: the last round's distortion is the lowest.",
-              _series("distortion", -1), "<=",
+              "Graph and clustering improve together: the last round's "
+              "distortion is the lowest.",
+              _at("series", "distortion", 1, -1), "<=",
               lambda p, s: min(p["series"]["distortion"][1])),
     ),
     "fig4": (
         Claim("fig4.three_points_per_configuration",
-              "Each configuration is run on at least three graphs of "
-              "increasing quality.",
+              "Each configuration runs on at least three graphs.",
               lambda p, s: min(min(len(recalls), len(distortions))
                                for recalls, distortions
-                               in p["series"].values()),
-              ">=", _const(3)),
+                               in p["series"].values()), ">=", 3),
         Claim("fig4.recall_helps_gkmeans",
-              "A higher-recall graph gives GK-means a lower (or, within 2%, "
-              "equal) distortion.",
-              _series("GK-means", -1), "<=",
-              _times(1.02, _series("GK-means", 0))),
+              "A better graph gives GK-means a lower distortion (within 2%).",
+              _at("series", "GK-means", 1, -1), "<=",
+              _times(1.02, _at("series", "GK-means", 1, 0))),
         Claim("fig4.boost_beats_lloyd",
-              "At the best recall level boost assignment (GK-means) ends "
-              "within 5% of lloyd assignment (GK-means⁻) or below it.",
-              _series("GK-means", -1), "<=",
-              _times(1.05, _series("GK-means-", -1))),
+              "On the best graphs boost assignment (GK-means) ends within "
+              "5% of lloyd assignment (GK-means⁻) or below it.",
+              _at("series", "GK-means", 1, -1), "<=",
+              _times(1.05, _at("series", "GK-means-", 1, -1))),
     ),
     "fig5": (_fig5_claims("sift1m") + _fig5_claims("glove1m")
              + _fig5_claims("gist1m")),
@@ -291,98 +270,69 @@ CLAIMS = {
           (("k-means", "kmeans"), ("BKM", "bkm"), ("GK-means", "gk"),
            ("closure k-means", "closure"))),
         Claim("fig6.a.gk_cheaper_than_bkm",
-              "At the largest n GK-means computes fewer distance "
-              "evaluations than BKM (Fig. 6(a)).",
+              "At the largest n GK-means computes fewer evaluations than BKM.",
               _sweep("size_sweep", "evaluation_series", "GK-means"), "<",
               _sweep("size_sweep", "evaluation_series", "BKM")),
-        Claim("fig6.7a.gk_near_bkm",
-              "At the largest n GK-means' distortion is within 15% of "
-              "BKM's (Fig. 7(a)).",
-              _sweep("size_sweep", "distortion_series", "GK-means"), "<=",
-              _times(1.15, _sweep("size_sweep", "distortion_series", "BKM"))),
-        Claim("fig6.7a.gk_beats_minibatch",
-              "At the largest n GK-means' distortion is no higher than "
-              "Mini-Batch's (Fig. 7(a)).",
-              _sweep("size_sweep", "distortion_series", "GK-means"), "<=",
-              _sweep("size_sweep", "distortion_series", "Mini-Batch")),
+        *_fig7_claims("size_sweep", "7a", "n"),
         Claim("fig6.b.bkm_grows",
-              "BKM's evaluations grow about linearly with k (over 4 times "
-              "for k × 8, Fig. 6(b)).",
-              _growth("BKM"), ">", _const(4.0)),
+              "BKM's evaluations grow about linearly in k (over 4 times for "
+              "k × 8).", _growth("BKM"), ">", 4.0),
         Claim("fig6.b.kmeans_grows",
-              "k-means' evaluations grow about linearly with k (over 4 "
-              "times for k × 8, Fig. 6(b)).",
-              _growth("k-means"), ">", _const(4.0)),
+              "k-means' evaluations grow about linearly in k (over 4 times "
+              "for k × 8).", _growth("k-means"), ">", 4.0),
         Claim("fig6.b.gk_flat",
-              "GK-means' evaluations stay nearly flat in k: their growth "
-              "is under half of BKM's (Fig. 6(b)).",
-              _growth("GK-means"), "<", _times(0.5, _growth("BKM"))),
+              "GK-means' evaluations stay nearly flat in k: under half BKM's "
+              "growth.", _growth("GK-means"), "<", _times(0.5, _growth("BKM"))),
         Claim("fig6.b.closure_flat",
-              "Closure k-means' evaluations stay nearly flat in k: their "
-              "growth is under half of BKM's (Fig. 6(b)).",
+              "Closure k-means' evaluations stay nearly flat in k: under half "
+              "BKM's growth.",
               _growth("closure k-means"), "<", _times(0.5, _growth("BKM"))),
         Claim("fig6.b.gk_faster_than_kmeans",
-              "At the largest k GK-means takes less wall-clock time than "
-              "k-means (Fig. 6(b)).",
+              "At the largest k GK-means takes less time than k-means.",
               _sweep("cluster_sweep", "series", "GK-means"), "<",
               _sweep("cluster_sweep", "series", "k-means")),
-        Claim("fig6.7b.gk_beats_minibatch",
-              "At the largest k GK-means' distortion is no higher than "
-              "Mini-Batch's (Fig. 7(b)).",
-              _sweep("cluster_sweep", "distortion_series", "GK-means"), "<=",
-              _sweep("cluster_sweep", "distortion_series", "Mini-Batch")),
-        Claim("fig6.7b.gk_near_bkm",
-              "At the largest k GK-means' distortion is within 15% of "
-              "BKM's (Fig. 7(b)).",
-              _sweep("cluster_sweep", "distortion_series", "GK-means"), "<=",
-              _times(1.15, _sweep("cluster_sweep", "distortion_series",
-                                  "BKM"))),
+        *_fig7_claims("cluster_sweep", "7b", "k"),
         Claim("fig6.7b.gk_falls_with_k",
-              "GK-means' distortion decreases as k grows (finer "
-              "clustering, Fig. 7(b)).",
+              "GK-means' distortion falls as k grows (7(b)).",
               _sweep("cluster_sweep", "distortion_series", "GK-means"), "<=",
               _sweep("cluster_sweep", "distortion_series", "GK-means", 0)),
     ),
     "table1": (
         Claim("table1.four_datasets",
               "The evaluation covers SIFT1M, VLAD10M, GloVe1M and GIST1M.",
-              _const({"sift1m", "vlad10m", "glove1m", "gist1m"}), "<=",
+              {"sift1m", "vlad10m", "glove1m", "gist1m"}, "<=",
               lambda p, s: {row["dataset"] for row in p["table"]}),
     ),
     "table2": (
         Claim("table2.three_methods",
-              "At n/k = 10 only KGraph+GK-means, GK-means and closure "
-              "k-means are run.",
-              lambda p, s: set(_by(p["table"])), "==",
-              _const({"KGraph+GK-means", "GK-means", "closure k-means"})),
+              "Table 2 runs KGraph+GK-means, GK-means and closure k-means.",
+              lambda p, s: {row["method"] for row in p["table"]}, "==",
+              {"KGraph+GK-means", "GK-means", "closure k-means"}),
         Claim("table2.gk_vs_closure_distortion",
-              "GK-means reaches the lowest distortion: within 5% of closure "
-              "k-means' or below it.",
-              _row("GK-means", "distortion"), "<=",
-              _times(1.05, _row("closure k-means", "distortion"))),
+              "GK-means ends within 5% of closure k-means or below it.",
+              _at("table", "GK-means", "distortion"), "<=",
+              _times(1.05, _at("table", "closure k-means", "distortion"))),
         Claim("table2.gk_vs_kgraph_distortion",
-              "GK-means reaches the lowest distortion: within 5% of "
-              "KGraph+GK-means' or below it.",
-              _row("GK-means", "distortion"), "<=",
-              _times(1.05, _row("KGraph+GK-means", "distortion"))),
+              "GK-means ends within 5% of KGraph+GK-means or below it.",
+              _at("table", "GK-means", "distortion"), "<=",
+              _times(1.05, _at("table", "KGraph+GK-means", "distortion"))),
         Claim("table2.gk_faster_than_kgraph",
-              "Alg. 3's graph is cheaper than NN-Descent's, so GK-means' "
-              "total time undercuts KGraph+GK-means'.",
-              _row("GK-means", "total_seconds"), "<",
-              _row("KGraph+GK-means", "total_seconds")),
+              "Alg. 3's cheaper graph makes GK-means faster than "
+              "KGraph+GK-means.",
+              _at("table", "GK-means", "total_seconds"), "<",
+              _at("table", "KGraph+GK-means", "total_seconds")),
         Claim("table2.graph_cheaper",
-              "Alg. 3's graph costs fewer distance evaluations than "
-              "NN-Descent's.",
-              _row("GK-means", "graph_evaluations"), "<",
-              _row("KGraph+GK-means", "graph_evaluations")),
+              "Alg. 3's graph costs fewer evaluations than NN-Descent's.",
+              _at("table", "GK-means", "graph_evaluations"), "<",
+              _at("table", "KGraph+GK-means", "graph_evaluations")),
         Claim("table2.kgraph_recall",
-              "The NN-Descent graph has the higher recall (at least 0.8 "
-              "of Alg. 3's), yet it does not buy better clustering.",
-              _row("KGraph+GK-means", "graph_recall"), ">=",
-              _times(0.8, _row("GK-means", "graph_recall"))),
+              "NN-Descent's graph has the higher recall (at least 0.8 of "
+              "Alg. 3's), yet it does not buy better clustering.",
+              _at("table", "KGraph+GK-means", "graph_recall"), ">=",
+              _times(0.8, _at("table", "GK-means", "graph_recall"))),
         Claim("table2.gk_fastest",
               "GK-means is the fastest of the three in total time.",
-              _row("GK-means", "total_seconds"), "<",
+              _at("table", "GK-means", "total_seconds"), "<",
               lambda p, s: min(row["total_seconds"] for row in p["table"]
                                if row["method"] != "GK-means")),
     ),
