@@ -4,6 +4,7 @@ Each ``figN_*`` / ``tableN_*`` module exposes a ``run(...)`` function that
 executes the (scaled-down) experiment and returns plain dict/list structures,
 plus helpers in :mod:`repro.experiments.report` to render them as text tables
 — the same rows/series the paper reports, at laptop scale.
+:mod:`repro.experiments.reproduction` judges the paper's claims on them.
 """
 
 from .config import ExperimentScale, SMALL, DEFAULT

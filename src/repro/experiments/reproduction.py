@@ -423,6 +423,13 @@ def build_record(commit: str) -> dict:
         "claims": claims}
 
 
+def _seeds_held(claim: dict) -> int:
+    """Seeds at which a recorded claim holds; -1 when it is untestable."""
+    if None in claim["outcomes"]:
+        return -1
+    return sum(outcome["holds"] for outcome in claim["outcomes"])
+
+
 def render_record(record: dict) -> str:
     """``docs/REPRODUCTION.md`` from the record :func:`build_record` made."""
     provenance = record["provenance"]
@@ -461,7 +468,7 @@ def render_record(record: dict) -> str:
         "|---|---|",
     ]
     counts: dict[str, int] = {}
-    for claim in record["claims"]:
+    for claim in sorted(record["claims"], key=_seeds_held, reverse=True):
         counts[claim["verdict"]] = counts.get(claim["verdict"], 0) + 1
     lines.extend(f"| {name} | {count} |" for name, count in counts.items())
     artefact = None

@@ -283,13 +283,11 @@ METRIC_ENTRY_POINTS = {
                          BisectingKMeans, ClosureKMeans, TwoMeansTree)},
 }
 
-#: CLI invocations that take ``--metric`` (an experiment is also reachable
-#: under its own name).
+#: CLI invocations that take ``--metric``.
 METRIC_COMMANDS = {
     "build": ["build", "--out", "{out}"],
     "cluster": ["cluster"],
     "experiment": ["experiment", "anns"],
-    "experiment-alias": ["anns"],
 }
 
 
