@@ -277,6 +277,21 @@ class _Shard:
         beyond its bound.  A routed search passes each query's k-th
         distance in its nearest shard to its other probed shards.
         """
+        queries, bounds = self.check_batch(queries, bounds)
+        return self.search_checked(queries, n_results, pool_size=pool_size,
+                                   workers=workers, bounds=bounds)
+
+    def check_batch(self, queries: np.ndarray, bounds: np.ndarray | None
+                    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(queries, bounds)`` checked as :meth:`search` checks them."""
+        return self._searcher._check_batch(queries, bounds)
+
+    def search_checked(self, queries: np.ndarray, n_results: int, *,
+                       pool_size: int | None = None,
+                       workers: int | None = None,
+                       bounds: np.ndarray | None = None) -> SearchResult:
+        """:meth:`search` on a batch and bounds :meth:`check_batch` (or
+        ``Index.search``'s identical check) already passed."""
         # Tombstoned rows stay in the graph as routing waypoints but never
         # in results: the walk over-fetches by the tombstone count (never
         # beyond the physical rows — n_results <= n_points guarantees the
@@ -285,7 +300,7 @@ class _Shard:
         n_tombstones = self._n_tombstones
         n_results = check_positive_int(n_results, name="n_results",
                                        maximum=self.n_points)
-        idx, dist = walked = self._searcher.batch_query(
+        idx, dist = walked = self._searcher._batch_query(
             queries, n_results + n_tombstones, pool_size=pool_size,
             workers=self.spec.workers if workers is None else workers,
             bounds=bounds)

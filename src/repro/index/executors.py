@@ -77,10 +77,14 @@ def search_shard_index(index: _Shard, task: ShardSearchTask) -> SearchResult:
     serial inline fallback all call exactly this function, so a shard's
     walk is byte-identical no matter where it ran.  The reply is the
     shard's :class:`~repro.search.SearchResult` in its rows' global ids.
+
+    ``task.queries`` and ``task.bounds`` must already be checked: by
+    ``Index.search`` for the in-process executors, by the shard server's
+    handler (``_Shard.check_batch``) for a task off the network.
     """
-    return index.search(task.queries, task.shard_k,
-                        pool_size=task.pool_size, workers=task.workers,
-                        bounds=task.bounds)
+    return index.search_checked(task.queries, task.shard_k,
+                                pool_size=task.pool_size,
+                                workers=task.workers, bounds=task.bounds)
 
 
 class _PooledFanOut:

@@ -32,14 +32,13 @@ stream cannot be resynchronised.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import socket
 import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from ..exceptions import ProtocolError, ServingError, ValidationError
 from ..validation import check_positive_int
@@ -280,9 +279,13 @@ class ShardServer:
         if kind == FRAME_SEARCH:
             from ..index.executors import search_shard_index
             task = loads(payload)
-            result = search_shard_index(self._index, task)
-            self._count(n_searches=1,
-                        n_queries=int(np.asarray(task.queries).shape[0]))
+            index = self._index
+            # The batch and its bounds come off the network: check them
+            # here, once, as Index.search checks a caller's batch.
+            queries, bounds = index.check_batch(task.queries, task.bounds)
+            result = search_shard_index(index, dataclasses.replace(
+                task, queries=queries, bounds=bounds))
+            self._count(n_searches=1, n_queries=queries.shape[0])
             return encode_frame(FRAME_RESULT, result)
         if kind == FRAME_PING:
             self._count(n_pings=1)

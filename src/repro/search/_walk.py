@@ -51,6 +51,16 @@ it), already in pop order.  A round
    the threshold only for rows that overflowed.  Rows with nothing left to
    score are compacted out of the live matrices.
 
+The group scratch — the dense ``(size · n,)`` int32 visit block the lookup
+reads, plus the ``n``-row ``marked`` / ``column`` rows of the frontier union
+— comes from a :class:`WalkScratch` the searcher keeps, and is reused, not
+re-allocated and not cleared: each block carries an epoch *floor*, a node is
+visited in the group iff its stamp is above the floor, and returning the
+block moves the floor past every stamp the group wrote.  A block is zeroed
+only when the next group's stamps could pass the int32 limit.  Retention:
+at most one block per group walk that ran concurrently, each at most
+``max_group · n · 4 + 9n`` bytes, all freed by ``GraphSearcher.close()``.
+
 Every query enters at its seeds — the nearest members of its nearest cluster
 of the index's seed partition (:mod:`repro.search._seeding`), computed by the
 entry before the walk — which fill the first ``n_starts`` pool slots.  The
@@ -102,6 +112,7 @@ for every value — and a single query is exactly a batch of one.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -114,8 +125,8 @@ from ..graph.csr import CSRAdjacency
 from ..validation import check_positive_int, clamp_workers
 from ._seeding import Seeds
 
-__all__ = ["SearchResult", "ServingStats", "beam_walk", "exact_scorer",
-           "BEAM"]
+__all__ = ["SearchResult", "ServingStats", "WalkScratch", "beam_walk",
+           "exact_scorer", "BEAM"]
 
 #: Candidates expanded per query per round.  8 sits below the knee where
 #: extra expansions stop paying for themselves (measured on the bench
@@ -126,6 +137,9 @@ BEAM = 8
 #: this many adjacency rows at once, then keeps the pops up to the
 #: ``BEAM``-th productive one and puts the rest back.
 CHUNK = 32
+
+#: Largest stamp the int32 visit block holds.
+STAMP_MAX = int(np.iinfo(np.int32).max)
 
 #: ``score(rows, ids)``: distances between batch queries ``rows`` (an index
 #: array or a slice) and dataset rows ``ids`` as a ``(len(rows), len(ids))``
@@ -159,6 +173,72 @@ def gather_rows(adjacency, nodes: np.ndarray
     picked = [adjacency[node] for node in nodes.tolist()]
     return np.concatenate(picked), np.fromiter(
         map(len, picked), dtype=np.intp, count=len(picked))
+
+
+class _Block:
+    """One walker's scratch: the visit block, ``marked`` and ``column``.
+
+    ``seen`` holds ``size · n`` int32 visit stamps, ``marked`` and
+    ``column`` one entry per node.  Between walks every stamp is at or
+    below ``floor`` and ``marked`` is all False.
+    """
+
+    __slots__ = ("seen", "marked", "column", "floor")
+
+    def __init__(self, size: int, n: int) -> None:
+        self.seen = np.zeros(size * n, dtype=np.int32)
+        self.marked = np.zeros(n, dtype=bool)
+        self.column = np.empty(n, dtype=np.intp)
+        self.floor = 0
+
+    def fits(self, size: int, n: int) -> bool:
+        """Whether a ``size``-query group over ``n`` nodes fits."""
+        return self.seen.size >= size * n and self.marked.size >= n
+
+
+class WalkScratch:
+    """A lock-guarded pool of walk scratch, reused across groups and calls.
+
+    A group takes one :class:`_Block` (:meth:`take`) and returns it after
+    its last use (:meth:`give`); a walk that raises drops its block, since
+    it may hold stamps above its floor.  A new block is allocated only when
+    no free one is large enough, and it then replaces one too small, so the
+    pool holds at most one block per walk that ever ran at once.
+    """
+
+    def __init__(self) -> None:
+        self._free: list[_Block] = []
+        self._lock = threading.Lock()
+
+    def take(self, size: int, n: int) -> _Block:
+        """A block for a ``size``-query group over ``n`` nodes, zeroed
+        first when the group's stamps could pass :data:`STAMP_MAX`."""
+        with self._lock:
+            block = next((block for block in self._free
+                          if block.fits(size, n)), None)
+            if block is not None:
+                self._free.remove(block)
+            elif self._free:
+                # The new block replaces a free one too small.
+                self._free.pop()
+        if block is None:
+            return _Block(size, n)
+        # A pass stamps at most one key per gathered neighbour: CHUNK pops
+        # per row of at most n neighbours each.
+        if block.floor > STAMP_MAX - size * CHUNK * n:
+            block.seen.fill(0)
+            block.floor = 0
+        return block
+
+    def give(self, block: _Block) -> None:
+        """Return a block whose stamps are all at or below its floor."""
+        with self._lock:
+            self._free.append(block)
+
+    def clear(self) -> None:
+        """Drop every free block."""
+        with self._lock:
+            self._free = []
 
 
 @dataclass(frozen=True)
@@ -245,7 +325,8 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
               rerank: Scorer | None, *, pool_size: int,
               max_group: int | None, workers: int,
               executor: ThreadPoolExecutor | None,
-              bounds: np.ndarray | None = None
+              bounds: np.ndarray | None = None,
+              scratch: WalkScratch | None = None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ServingStats]:
     """Walk every query of ``seeds`` over ``adjacency``; see the module docs.
 
@@ -258,8 +339,10 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
     ``bounds``, an optional ``(m,)`` array in the walk's own distance
     units, caps each row's threshold: a row never expands a candidate at or
     beyond its bound, so a row whose seeds all lie beyond it ends after
-    seeding with no gemm.  Returns ``(indices, distances, n_evaluations,
-    stats)`` as documented on the two public entries.
+    seeding with no gemm.  ``scratch`` is the caller's
+    :class:`WalkScratch` (``None``: a pool for this call alone).  Returns
+    ``(indices, distances, n_evaluations, stats)`` as documented on the two
+    public entries.
     """
     started = time.perf_counter()
     n = len(adjacency)
@@ -278,6 +361,8 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
     groups = [np.arange(start, min(start + max_group, m))
               for start in range(0, m, max_group)]
     workers = min(workers, max(1, len(groups)))
+    if scratch is None:
+        scratch = WalkScratch()
     cap = None
     if bounds is not None:
         # In the pool's dtype, rounded up where the cast rounded down, so
@@ -289,12 +374,13 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
     def walk_group(rows: np.ndarray) -> tuple[int, int, float]:
         group_started = time.perf_counter()
         size = rows.size
-        # Group scratch.  ``seen[q * n + node]`` is nonzero once query ``q``
-        # has scored ``node``; within a pass it also holds the stamp that
-        # picks a neighbour's first occurrence.
-        seen = np.zeros(size * n, dtype=np.int32)
-        marked = np.zeros(n, dtype=bool)
-        column = np.empty(n, dtype=np.intp)
+        # Group scratch.  ``seen[q * n + node]`` is above ``floor`` once
+        # query ``q`` has scored ``node``; within a pass it also holds the
+        # stamp that picks a neighbour's first occurrence.  ``high`` is the
+        # largest stamp above the floor the group wrote.
+        block = scratch.take(size, n)
+        seen, floor, high = block.seen, block.floor, 1
+        marked, column = block.marked[:n], block.column[:n]
 
         def union_of(ids: np.ndarray) -> np.ndarray:
             """The distinct ``ids``, ascending; ``column`` then maps each to
@@ -312,7 +398,7 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
 
         entry = seeds.ids[rows]
         entered = entry >= 0
-        seen[(slot[:, None] * n + entry)[entered]] = 1
+        seen[(slot[:, None] * n + entry)[entered]] = floor + 1
         # Pools: ``(size, pool_size)`` id / distance matrices, ascending by
         # distance (earlier arrival first among equals), padded -1 / inf.
         pool_ids = np.full((size, pool_size), -1, dtype=np.int64)
@@ -357,14 +443,16 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
                 owner = np.arange(arow.size).repeat(lengths)
                 keys = base[arow].repeat(lengths)
                 keys += flat
-                fresh = (seen[keys] == 0).nonzero()[0]
+                fresh = (seen[keys] <= floor).nonzero()[0]
                 if not fresh.size:
                     # No pop found a fresh neighbour: each is spent.
                     expanded |= window
                     continue
                 keys, owner, flat = keys[fresh], owner[fresh], flat[fresh]
                 # A neighbour reached by several pops belongs to the first.
-                stamps = np.arange(keys.size, 0, -1, dtype=np.int32)
+                stamps = np.arange(floor + keys.size, floor, -1,
+                                   dtype=np.int32)
+                high = max(high, keys.size)
                 np.maximum.at(seen, keys, stamps)
                 first = seen[keys] == stamps
                 # Keep a row's pops up to its quota-th productive one (a pop
@@ -448,6 +536,8 @@ def beam_walk(adjacency, seeds: Seeds, n_results: int, score: Scorer,
             lane, col = valid.nonzero()
             done_dists[lane, col] = exact[lane, column[pooled]]
             evaluations[rows] += valid.sum(axis=1)
+        block.floor = floor + high
+        scratch.give(block)
         # Ties break by ascending id, the library-wide rule.
         order = np.lexsort((done_ids, done_dists))[:, :n_results]
         out_idx[rows] = done_ids[lanes, order]

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..distance import DistanceEngine
 from ._seeding import SeedPartition, seed_entry_points
-from ._walk import ServingStats, beam_walk, exact_scorer
+from ._walk import ServingStats, WalkScratch, beam_walk, exact_scorer
 
 __all__ = ["ServingStats", "frontier_batch_search"]
 
@@ -30,7 +30,8 @@ def frontier_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
                           engine: DistanceEngine | None = None,
                           data_norms: np.ndarray | None = None,
                           executor: ThreadPoolExecutor | None = None,
-                          bounds: np.ndarray | None = None
+                          bounds: np.ndarray | None = None,
+                          scratch: WalkScratch | None = None
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                      ServingStats]:
     """Multi-query greedy search scoring merged frontiers in one gemm per round.
@@ -83,6 +84,10 @@ def frontier_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
         candidate at or beyond its bound (``inf`` is no cap).  A caller
         that already holds ``k`` results at distance ``b`` passes ``b``, so
         the walk skips work a merge with those results would discard.
+    scratch:
+        The :class:`~repro.search._walk.WalkScratch` whose visit blocks the
+        groups reuse (as :class:`~repro.search.greedy.GraphSearcher` keeps
+        one); ``None`` allocates them for this call alone.
 
     Neither ``max_group`` nor ``workers`` affects the returned results.
 
@@ -108,4 +113,4 @@ def frontier_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
     return beam_walk(
         adjacency, seeds, n_results, score, None, pool_size=pool_size,
         max_group=max_group, workers=workers, executor=executor,
-        bounds=bounds)
+        bounds=bounds, scratch=scratch)

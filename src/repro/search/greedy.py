@@ -38,7 +38,7 @@ from ..graph.repair import (
     refine_neighborhood,
 )
 from ._seeding import SeedPartition, seed_entry_points
-from ._walk import SearchResult, beam_walk, exact_scorer
+from ._walk import SearchResult, WalkScratch, beam_walk, exact_scorer
 from .frontier import frontier_batch_search
 from .quantized import quantized_batch_search
 
@@ -148,6 +148,9 @@ class GraphSearcher:
         # concurrent search at another worker count is mapping onto.
         self._walk_pools: dict[int, ThreadPoolExecutor] = {}
         self._walk_pools_lock = threading.Lock()
+        # Walk scratch every search and insert seeding reuses, one block
+        # per concurrent group walk, kept until close().
+        self._scratch = WalkScratch()
 
     @property
     def metric(self) -> str:
@@ -173,11 +176,12 @@ class GraphSearcher:
         return self._scorer
 
     def close(self) -> None:
-        """Release the persistent walk pools (idempotent).
+        """Release the persistent walk pools and walk scratch (idempotent).
 
-        The searcher remains usable afterwards — the next threaded
-        ``batch_query`` simply recreates its pool.
+        The searcher remains usable afterwards — the next ``batch_query``
+        simply recreates what it needs.
         """
+        self._scratch.clear()
         with self._walk_pools_lock:
             pools, self._walk_pools = self._walk_pools, {}
         for pool in pools.values():
@@ -244,7 +248,8 @@ class GraphSearcher:
                                   self.n_starts)
         seeds, _, _, _ = beam_walk(
             self._adjacency, entry, min(ef, first), score, None,
-            pool_size=ef, max_group=32, workers=1, executor=None)
+            pool_size=ef, max_group=32, workers=1, executor=None,
+            scratch=self._scratch)
         # Every matrix is allocated once at its final height and filled in
         # place.
         indices = np.full((total, n_neighbors), -1, dtype=np.int64)
@@ -321,10 +326,25 @@ class GraphSearcher:
         :func:`~repro.search.frontier.frontier_batch_search`): a floating
         ``(m,)`` array, ``inf`` for no cap.
         """
+        queries, bounds = self._check_batch(queries, bounds)
+        return self._batch_query(queries, n_results, pool_size=pool_size,
+                                 workers=workers, bounds=bounds)
+
+    def _check_batch(self, queries: np.ndarray, bounds: np.ndarray | None
+                     ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(queries, bounds)`` as :meth:`batch_query` checks them: a
+        C-contiguous batch in the searcher's dtype with finite rows in
+        range, and ``None`` or float64 ``(m,)`` bounds without NaN."""
         queries = check_queries(queries, self.data.shape[1],
                                 dtype=self.engine_.dtype,
                                 range_dtype=self._range_dtype)
-        bounds = check_bounds(bounds, queries.shape[0])
+        return queries, check_bounds(bounds, queries.shape[0])
+
+    def _batch_query(self, queries: np.ndarray, n_results: int, *,
+                     pool_size: int | None, workers: int | None,
+                     bounds: np.ndarray | None) -> SearchResult:
+        """:meth:`batch_query` on a batch and bounds
+        :meth:`_check_batch` already passed."""
         n_results = check_positive_int(n_results, name="n_results",
                                        maximum=self.data.shape[0])
         workers = 1 if workers is None else clamp_workers(
@@ -334,7 +354,7 @@ class GraphSearcher:
             n_starts=self.n_starts, partition=self._partition,
             workers=workers, executor=self._group_walk_pool(workers),
             engine=self.engine_, data_norms=self._data_norms,
-            bounds=bounds)
+            bounds=bounds, scratch=self._scratch)
         if self.quantize == "none":
             return SearchResult(*frontier_batch_search(
                 self.data, self._adjacency, queries, n_results, **common))

@@ -24,7 +24,7 @@ import numpy as np
 from ..distance import DistanceEngine
 from ..distance.quantized import QuantizedScorer
 from ._seeding import SeedPartition, seed_entry_points
-from ._walk import ServingStats, beam_walk, exact_scorer
+from ._walk import ServingStats, WalkScratch, beam_walk, exact_scorer
 
 __all__ = ["quantized_batch_search"]
 
@@ -37,7 +37,8 @@ def quantized_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
                            engine: DistanceEngine | None = None,
                            data_norms: np.ndarray | None = None,
                            executor: ThreadPoolExecutor | None = None,
-                           bounds: np.ndarray | None = None
+                           bounds: np.ndarray | None = None,
+                           scratch: WalkScratch | None = None
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                       ServingStats]:
     """Batched beam walk in the compressed domain, re-ranked exactly.
@@ -72,4 +73,4 @@ def quantized_batch_search(data: np.ndarray, adjacency, queries: np.ndarray,
     return beam_walk(
         adjacency, seeds, n_results, score, rerank, pool_size=pool_size,
         max_group=max_group, workers=workers, executor=executor,
-        bounds=bounds)
+        bounds=bounds, scratch=scratch)

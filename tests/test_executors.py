@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import repro.index.executors as executors_mod
+import repro.index.facade as facade_mod
 import repro.search.frontier as frontier_mod
 import repro.search.greedy as greedy_mod
 import repro.validation as validation
@@ -214,6 +215,28 @@ class TestPersistentWalkPool:
                                  shard_k=4)] * 2
         executor.run(tasks)
         assert pools.created == 0
+
+
+@pytest.mark.parametrize("n_shards", [1, 2])
+def test_a_thread_search_checks_its_batch_once(corpus, monkeypatch, n_shards):
+    """``Index.search`` checks the batch; the shards walk it unchecked."""
+    base, queries = corpus
+    index = Index.build(base, IndexSpec(backend="bruteforce", n_neighbors=8,
+                                        n_shards=n_shards, random_state=3))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return validation.check_queries(*args, **kwargs)
+
+    for module in (facade_mod, greedy_mod):
+        monkeypatch.setattr(module, "check_queries", counting)
+    index.search(queries, 5)
+    index.search(queries[0], 5)
+    assert len(calls) == 2
+    index.shards[0]._searcher.batch_query(queries, 5)
+    assert len(calls) == 3
+    index.close()
 
 
 class TestCrashSurfacing:

@@ -307,6 +307,30 @@ class TestShardServerRPCs:
         finally:
             client.close()
 
+    @pytest.mark.parametrize("queries,bounds,error,match", [
+        (np.full((2, 10), np.nan), None, ValidationError, "NaN"),
+        (np.zeros((2, 9)), None, ServingError, "GraphError.*dimension"),
+        (np.full((2, 10), 1e300), None, ValidationError, "overflow"),
+        (np.zeros((2, 10)), np.array([np.nan, 1.0]), ValidationError, "NaN"),
+    ], ids=["nan-query", "wrong-dimension", "overflow-range", "nan-bounds"])
+    def test_malformed_batch_draws_a_typed_error(self, served_shard, queries,
+                                                 bounds, error, match):
+        """The daemon checks a task's batch and bounds before the walk,
+        since they arrive off the network: a bad one draws a typed error
+        frame, and the daemon keeps serving."""
+        _, server = served_shard
+        bad = ShardSearchTask(shard=0, queries=queries, shard_k=3,
+                              bounds=bounds)
+        client = ShardClient(server.endpoint, **FAST)
+        try:
+            with pytest.raises(error, match=match):
+                client.search(bad)
+            good = ShardSearchTask(shard=0, queries=np.zeros((2, 10)),
+                                   shard_k=3)
+            assert (client.search(good).indices >= 0).all()
+        finally:
+            client.close()
+
     def test_remote_failure_carries_traceback(self, served_shard):
         _, server = served_shard
         client = ShardClient(server.endpoint, **FAST)

@@ -430,7 +430,8 @@ class _Checked(list):
 def replayed(monkeypatch):
     """Route every walk (both entries and the insert seeding) through a
     wrapper that replays it on :func:`reference_beam_walk` (same adjacency
-    object, same scorers, same seeds) and asserts the two agree bitwise on
+    object, same scorers, same seeds; the caller's walk scratch goes to
+    ``beam_walk`` only) and asserts the two agree bitwise on
     ids, distances, per-query evaluations, group rounds and group gemms.
     Yields the list of ``(n_queries, n_results)`` walks checked, so a test
     can assert the path it meant to exercise was taken; its ``seeds``
@@ -438,10 +439,11 @@ def replayed(monkeypatch):
     checked = _Checked()
 
     def checking_walk(adjacency, seeds, n_results, score, rerank, *,
-                      workers, executor, **options):
+                      workers, executor, scratch=None, **options):
         twin = copy.deepcopy(seeds)
         result = beam_walk(adjacency, seeds, n_results, score, rerank,
-                           workers=workers, executor=executor, **options)
+                           workers=workers, executor=executor,
+                           scratch=scratch, **options)
         expected = reference_beam_walk(adjacency, twin, n_results, score,
                                        rerank, **options)
         m = seeds.ids.shape[0]
