@@ -46,10 +46,15 @@ __all__ = ["BLOCK", "ClusterState", "boost_objective", "cluster_sums"]
 
 #: Samples per block of a blocked boost sweep.  Big enough to amortise the
 #: interpreter cost of a round, small enough that a sample's "stay" decision
-#: is at most one block stale.  One sweep over 10000 × 64 float32, κ = 20
-#: (median CPU ms, first / late sweep): k = 200 — 25 / 6.2 at 128, 19 / 4.7
-#: at 256, 18 / 4.3 at 512; k = 1000 — 28 / 10.1 at 128, 24 / 9.2 at 256,
-#: 25 / 9.6 at 512.  A different value also changes which moves apply.
+#: is at most one block stale.  Larger blocks are faster: a whole
+#: ``GKMeans.fit`` at k = 1000 on 10000 × 64 float32, κ = 20 (median CPU ms
+#: of six interleaved fits, seeds 7 / 9 / 11) takes 171 / 168 / 208 at 256,
+#: 159 / 151 / 181 at 512 and 143 / 149 / 159 at 1024, its distortion
+#: 0.0001–0.0004 higher.  256 stays for two reasons: any other value
+#: changes which moves apply, and the staleness contract
+#: (``tests/test_boost_pass_contract.py``) bounds a sweep's missed drop by
+#: ε = BLOCK / n on data of n >= 2 · BLOCK rows from 600 up, so a larger
+#: block fails that assert or loosens the bound.
 BLOCK = 256
 
 #: Columns summed per ``bincount`` by :func:`cluster_sums`.  The

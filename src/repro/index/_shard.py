@@ -24,6 +24,7 @@ arrays to the format's schema (so any damage surfaces as one
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tempfile
 
@@ -32,7 +33,7 @@ import numpy as np
 from ..distance import DistanceEngine, ScalarQuantizer
 from ..exceptions import GraphError, ValidationError
 from ..graph.knngraph import KNNGraph
-from ..search._walk import SearchResult
+from ..search._walk import SearchResult, ServingStats
 from ..search.greedy import GraphSearcher
 from ..validation import check_positive_int
 from .spec import BUILDERS, IndexSpec
@@ -119,6 +120,17 @@ def atomic_savez(path, **arrays) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def _joined(first: ServingStats, again: ServingStats) -> ServingStats:
+    """``first`` with the groups of a re-walk of some of its rows added."""
+    return dataclasses.replace(
+        first, workers=max(first.workers, again.workers),
+        group_sizes=first.group_sizes + again.group_sizes,
+        group_rounds=first.group_rounds + again.group_rounds,
+        group_gemms=first.group_gemms + again.group_gemms,
+        group_seconds=first.group_seconds + again.group_seconds,
+        total_seconds=first.total_seconds + again.total_seconds)
 
 
 class _Shard:
@@ -293,22 +305,41 @@ class _Shard:
         """:meth:`search` on a batch and bounds :meth:`check_batch` (or
         ``Index.search``'s identical check) already passed."""
         # Tombstoned rows stay in the graph as routing waypoints but never
-        # in results: the walk over-fetches by the tombstone count (never
-        # beyond the physical rows — n_results <= n_points guarantees the
-        # widened request still fits), then the tombstoned hits are
-        # filtered out.
-        n_tombstones = self._n_tombstones
+        # in results: the walk over-fetches past the tombstones, then the
+        # tombstoned hits are filtered out.  It fetches n_results + T (T
+        # the shard's tombstone count; n_results <= n_points keeps that
+        # within the physical rows) only while that fits the walk's pool;
+        # past it, the walk returns its whole pool and keeps its width.  A
+        # row whose full pool held fewer than n_results live hits walks
+        # again with the whole n_results + T request, so its answer is the
+        # one a single wide walk gives; a row whose pool was not full saw
+        # everything it could reach, which a wider walk would too.
         n_results = check_positive_int(n_results, name="n_results",
                                        maximum=self.n_points)
+        wanted = n_results + self._n_tombstones
+        pool = self._searcher.pool_size if pool_size is None else pool_size
+        fetch = min(wanted, max(pool, n_results))
+        workers = self.spec.workers if workers is None else workers
         idx, dist = walked = self._searcher._batch_query(
-            queries, n_results + n_tombstones, pool_size=pool_size,
-            workers=self.spec.workers if workers is None else workers,
+            queries, fetch, pool_size=pool_size, workers=workers,
             bounds=bounds)
-        if n_tombstones:
+        evaluations, stats = walked.evaluations, walked.stats
+        if self._n_tombstones:
+            full = idx[:, -1] >= 0
             idx, dist = self._drop_tombstoned(idx, dist, n_results)
+            short = (full & (idx[:, -1] < 0)).nonzero()[0]
+            if fetch < wanted and short.size:
+                again = self._searcher._batch_query(
+                    queries[short], wanted, pool_size=pool_size,
+                    workers=workers,
+                    bounds=None if bounds is None else bounds[short])
+                idx[short], dist[short] = self._drop_tombstoned(
+                    *again, n_results)
+                evaluations[short] += again.evaluations
+                stats = _joined(stats, again.stats)
         reached = idx >= 0
         idx = np.where(reached, self._ids[np.where(reached, idx, 0)], -1)
-        return SearchResult(idx, dist, walked.evaluations, walked.stats)
+        return SearchResult(idx, dist, evaluations, stats)
 
     def _drop_tombstoned(self, idx: np.ndarray, dist: np.ndarray,
                          n_results: int) -> tuple[np.ndarray, np.ndarray]:

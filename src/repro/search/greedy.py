@@ -298,7 +298,10 @@ class GraphSearcher:
         Exactly ``batch_query(query[None, :], ...)`` row 0 — same walk, same
         ``-1``/``inf`` padding, same ``(1,)`` evaluations and stats.
         """
-        query = np.asarray(query, dtype=self.engine_.dtype).ravel()
+        # An out-of-range row casts to inf here and is refused by the
+        # batch check, with no numpy warning first.
+        with np.errstate(over="ignore"):
+            query = np.asarray(query, dtype=self.engine_.dtype).ravel()
         result = self.batch_query(query[None, :], n_results, pool_size=pool_size)
         return SearchResult(result.indices[0], result.distances[0],
                             result.evaluations, result.stats)

@@ -93,10 +93,17 @@ def check_data_matrix(data, *, name: str = "data", min_samples: int = 1,
     centroid and partial gemm sum of admitted rows is finite.  The one pass
     of row norms that enforces it also refuses NaN and infinite entries.
     """
-    array = np.asarray(data)
+    source = np.asarray(data)
     if dtype is None:
-        dtype = array.dtype if array.dtype in _FLOATS else np.float64
-    array = np.asarray(array, dtype=dtype)
+        dtype = source.dtype if source.dtype in _FLOATS else np.float64
+    if source.dtype.kind == "f" and (source.dtype.itemsize
+                                     > np.dtype(dtype).itemsize):
+        # A finite row past the narrower dtype's range casts to inf: the
+        # norm check below refuses it, so the cast itself must not warn.
+        with np.errstate(over="ignore"):
+            array = source.astype(dtype)
+    else:
+        array = np.asarray(source, dtype=dtype)
     if array.ndim == 1:
         array = array.reshape(1, -1)
     if array.ndim != 2:
@@ -114,7 +121,10 @@ def check_data_matrix(data, *, name: str = "data", min_samples: int = 1,
     squared = np.einsum("ij,ij->i", array, array)
     limit = np.finfo(array.dtype if range_dtype is None else range_dtype)
     if not (squared <= limit.max / 4).all():
-        if not np.isfinite(array).all():
+        # A finite float row that overflowed the cast is out of range, not
+        # infinite: judge the values as given.
+        if not np.isfinite(source if source.dtype.kind == "f"
+                           else array).all():
             raise ValidationError(f"{name} contains NaN or infinite values")
         raise ValidationError(
             f"{name} has rows whose squared norm exceeds a quarter of the "

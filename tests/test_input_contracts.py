@@ -8,10 +8,13 @@ every search entry: ``Index.search`` on the thread and the remote
 executor, ``GraphSearcher.batch_query`` and ``query``, and a shard daemon
 through ``ShardClient.search``.  Each call either raises a ``ReproError``
 or returns, in every row, ``min(n_results, live rows)`` real ids: distinct
-live ids at finite, ascending distances, padded with ``(-1, inf)``.
+live ids at finite, ascending distances, padded with ``(-1, inf)``.  A
+refused input raises no warning on its way to the error.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -136,10 +139,15 @@ def test_a_search_raises_a_typed_error_or_answers_in_full(served, entry,
                                                          kind, data,
                                                          n_results):
     batch = data.draw(query_batches(kind))
-    try:
-        result, live = _call(entry, served, batch, n_results)
-    except ReproError:
-        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, live = _call(entry, served, batch, n_results)
+        except ReproError:
+            # A refused input is refused by the error alone: no numpy
+            # warning (an overflowing cast, say) may escape before it.
+            assert not caught, [str(warning.message) for warning in caught]
+            return
     assert kind not in ("nan", "posinf", "neginf", "empty",
                         "wrong-dimension"), kind
     _meets_contract(result, n_results, live)

@@ -656,16 +656,23 @@ class TestShapesTheSweepLacks:
 
     @pytest.mark.parametrize("quantize", ENTRIES)
     def test_tombstone_widened_results(self, corpus, replayed, quantize):
-        """``Index.delete`` widens the walk's ``n_results`` (and with it the
-        pool) by the tombstone count."""
+        """Past ``pool - k`` tombstones a search walks at its pool, and a
+        row that pool left short walks again with ``n_results`` (and with
+        it the pool) widened by the tombstone count."""
         base, queries, _ = corpus
         index = Index.build(base, IndexSpec(
             backend="bruteforce", n_neighbors=8, quantize=quantize,
             pool_size=8, random_state=3))
-        index.delete(np.arange(0, 60, 3))
+        deleted = np.arange(0, 60, 3)
+        index.delete(deleted)
         index.search(queries[:20], K)
         index.search(queries[21], K)
-        assert replayed == [(20, K + 20), (1, K + 20)]
+        assert replayed == [(20, 8), (1, 8)]
+        live = np.setdiff1d(np.arange(base.shape[0]), deleted)
+        squared = ((base[live] - queries[22]) ** 2).sum(axis=1)
+        index.delete(live[np.argsort(squared, kind="stable")[:8]])
+        index.search(queries[22], K)
+        assert replayed[2:] == [(1, 8), (1, K + 28)]
 
 
 class TestTiedDistances:
